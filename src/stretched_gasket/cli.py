@@ -118,6 +118,13 @@ def _resolve(args, cfg, attr, key, default, conv):
     return default
 
 
+def _quadrature(args, cfg):
+    """The explicit Gauss rule, or None: the forms then pick the lowest
+    order exact for the field degrees, at least 8."""
+    order = _resolve(args, cfg, "quad_order", "quad.order", None, int)
+    return None if order is None else energy_mod.get_quadrature(order)
+
+
 def _emit(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
@@ -212,7 +219,7 @@ def cmd_geometry(args, cfg, seq, constants) -> int:
 
 def cmd_energy(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 3, int)
-    quad = energy_mod.get_quadrature(_resolve(args, cfg, "quad_order", "quad.order", 8, int))
+    quad = _quadrature(args, cfg)
     u = parse_poly(_resolve(args, cfg, "u", "u", "x", str))
     v_expr = _resolve(args, cfg, "v", "v", None, str)
     v = parse_poly(v_expr) if v_expr is not None else u
@@ -292,7 +299,7 @@ def cmd_kusuoka(args, cfg, seq, constants) -> int:
 
 def cmd_ibp(args, cfg, seq, constants) -> int:
     depths = _resolve(args, cfg, "depths", "depths", (3, 4, 5, 6, 7, 8), _parse_ints)
-    quad = energy_mod.get_quadrature(_resolve(args, cfg, "quad_order", "quad.order", 8, int))
+    quad = _quadrature(args, cfg)
     phi = parse_poly(_resolve(args, cfg, "phi", "phi", "x^2", str))
     v_expr = _resolve(args, cfg, "v", "v", None, str)
     v = parse_poly(v_expr) if v_expr is not None else vanishing_cubic()
@@ -317,7 +324,7 @@ def cmd_ibp(args, cfg, seq, constants) -> int:
 
 def cmd_convergence(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 5, int)
-    quad = energy_mod.get_quadrature(_resolve(args, cfg, "quad_order", "quad.order", 8, int))
+    quad = _quadrature(args, cfg)
     u = parse_poly(_resolve(args, cfg, "u", "u", "x^2", str))
     v_expr = _resolve(args, cfg, "v", "v", None, str)
     v = parse_poly(v_expr) if v_expr is not None else u
@@ -339,7 +346,7 @@ def cmd_convergence(args, cfg, seq, constants) -> int:
 
 def cmd_selfsim(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 4, int)
-    quad = energy_mod.get_quadrature(_resolve(args, cfg, "quad_order", "quad.order", 8, int))
+    quad = _quadrature(args, cfg)
     u = parse_poly(_resolve(args, cfg, "u", "u", "x^2", str))
     v_expr = _resolve(args, cfg, "v", "v", None, str)
     v = parse_poly(v_expr) if v_expr is not None else parse_poly("x*y + y^2")
@@ -397,7 +404,9 @@ def build_parser() -> _Parser:
     common.add_argument("--const-a", type=float, help="energy constant a (default 1/3)")
     common.add_argument("--depth", type=int, help="construction depth")
     common.add_argument("--depths", type=_parse_ints, help="comma separated depth sweep")
-    common.add_argument("--quad-order", type=int, help="Gauss rule order (default 8)")
+    common.add_argument(
+        "--quad-order", type=int, help="Gauss rule order (default: 8, or the lowest exact order for the field degrees)"
+    )
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--json", help="write the JSON side report to this path")
     common.add_argument("--seed", type=int, default=0, help="reserved for randomized reports")

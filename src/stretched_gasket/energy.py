@@ -7,11 +7,27 @@ depth-l pre-fractal:
   * every generation-s cable carries b / (lam_tilde(s-1) * eps_tilde(s,l)
     * (1 - eps_s)).
 
-Integrands are derivatives along mapped segments of polynomial fields, so
-each line integral is a polynomial in the curve parameter and the default
-order-8 Gauss rule is exact up to total degree 8 inputs.  Edge sums are
-accumulated in canonical enumeration order with exact compensated
-summation (math.fsum).
+The forms are evaluated without enumerating edges.  Polynomials of degree
+<= d form a space of dimension D = (d+1)(d+2)/2 that affine pullback maps
+to itself, so a field is its coefficient vector on the monomial basis and
+each level map F^k_i acts by a D x D pullback matrix P_i.  A form on one
+depth-l cell (the Gram matrix of the three sides) is folded up to the top
+cell, one level at a time:
+
+    H <- (1/lam_k) sum_i P_i^T H P_i + w_k C_k,
+
+where C_k is the Gram matrix of the three generation-k cables and w_k
+their weight without the lam_tilde(k-1) factor the later steps supply.
+This is the one-step energy recurrence read as an algorithm (decimation-
+style renormalization); it costs O(l D^3) where the edge sum costs
+O(3^l).  The Gram entries are integrals of derivatives along straight
+segments, evaluated with the caller's Gauss rule, so every rule gives the
+numbers the edge sum gives; the rule must be exact for the field degrees
+(``min_quad_order``).  The folded form is symmetrized and contracted with
+exact compensated summation (math.fsum), so E(u, v) == E(v, u) exactly.
+
+``energy_total(per_edge=True)`` keeps the edge-by-edge assembly from the
+batched edge tableau; the tests use it as the independent route.
 
 The limit cable form replaces the finite window product eps_tilde(s, l)
 with the infinite one and is reported together with a rigorous tail bound.
@@ -25,16 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCable
+from .errors import DegenerateCable, DepthCapExceeded
 from .geometry import (
+    DEFAULT_DEPTH_CAP,
     HARMONIC_RATIO,
     AffineMap2,
+    barycenter,
     EdgeId,
     Segment,
     cable_prefactor,
-    cable_prefactor_limit,
     cable_segments,
-    iter_cables,
     prefractal_edges,
     triangle_edge_prefactor,
     triple,
@@ -88,6 +104,33 @@ def get_quadrature(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
     return QuadratureRule.gauss(order)
 
 
+def min_quad_order(deg_u: int, deg_v: int) -> int:
+    """Lowest Gauss order exact for the line integrands of fields of these degrees.
+
+    Along a straight segment z, (u o z)'(v o z)' and (u o z)''(v o z) are
+    polynomials of degree deg_u + deg_v - 2 in the curve parameter, and an
+    n-point rule is exact up to degree 2n - 1.
+    """
+    return max(1, math.ceil((deg_u + deg_v - 1) / 2))
+
+
+def resolve_quadrature(quad: QuadratureRule | None, deg_u: int, deg_v: int) -> QuadratureRule:
+    """The rule to use for a field pair: ``quad`` if exact, else refuse.
+
+    ``None`` selects order max(8, min_quad_order); an explicit rule below
+    the minimum raises ValueError instead of returning a wrong integral.
+    """
+    need = min_quad_order(deg_u, deg_v)
+    if quad is None:
+        return get_quadrature(max(DEFAULT_QUAD_ORDER, need))
+    if quad.order < need:
+        raise ValueError(
+            f"quadrature order {quad.order} is below {need}, the lowest order "
+            f"exact for fields of degrees {deg_u} and {deg_v}"
+        )
+    return quad
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Assembled depth-l energy: triangle part, cable part, their sum."""
@@ -109,16 +152,239 @@ def segment_pairing(
     """Line energy of one edge: integral over [0,1] of (u o z)' (v o z)'.
 
     z is the mapped segment t -> amap(seg(t)).  This is the reference
-    per-edge path; the assembled forms use an equivalent batched
-    evaluation and tests cross-check the two.
+    per-edge path; the assembled forms use the pullback fold and tests
+    cross-check the two.
     """
-    quad = quad or get_quadrature()
+    quad = resolve_quadrature(quad, u.degree, v.degree)
     du = poly1_derivative(compose_with_segment(u, amap, seg))
     dv = poly1_derivative(compose_with_segment(v, amap, seg))
     return quad.integrate_values(poly1_eval(du, quad.nodes) * poly1_eval(dv, quad.nodes))
 
 
-# -- batched edge tableaus -------------------------------------------------
+# -- monomial pullback fold ------------------------------------------------
+
+#: Working precision of the fold.  Where numpy's longdouble is the 80-bit
+#: x87 format it carries 11 bits beyond double, which absorbs the
+#: cancellation of a contraction c_u^T H c_v (short cables, fields that
+#: vanish along a side) and keeps the folded forms at least as accurate as
+#: the edge sum; where longdouble is double the fold runs in double.
+_EXT = np.longdouble
+
+#: Origin of the monomial basis: the barycenter of the base triangle, so
+#: every cell-local coordinate stays within 0.58 of it.
+_CENTER = barycenter().astype(_EXT)
+
+
+def _dim(d: int) -> int:
+    return (d + 1) * (d + 2) // 2
+
+
+def _slot(m: int, n: int) -> int:
+    """Position of the monomial with exponents (m, n) in ``_exponents`` order."""
+    return (m + n) * (m + n + 1) // 2 + n
+
+
+@functools.lru_cache(maxsize=32)
+def _exponents(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents (m, n) of the basis monomials, m + n <= d.
+
+    Graded by total degree k, then by n, so (x-c_x)^m (y-c_y)^n sits at
+    position k(k+1)/2 + n.
+    """
+    m = np.array([k - n for k in range(d + 1) for n in range(k + 1)])
+    n = np.array([n for k in range(d + 1) for n in range(k + 1)])
+    m.flags.writeable = False
+    n.flags.writeable = False
+    return m, n
+
+
+def _pullback(linear: np.ndarray, offset: np.ndarray, d: int) -> np.ndarray:
+    """Matrix P with P @ coeffs(p) = coeffs(p o F), F(z) = linear @ z + offset.
+
+    Coefficients are on the plain monomials x^m y^n, in ``_exponents`` order.
+    """
+    m_idx, n_idx = _exponents(d)
+    out = np.zeros((_dim(d), _dim(d)), dtype=_EXT)
+
+    def times(poly: np.ndarray, row: int) -> np.ndarray:
+        # Dense poly[m, n] (coefficient of x^m y^n) times coordinate ``row`` of F.
+        res = offset[row] * poly
+        res[1:, :] += linear[row, 0] * poly[:-1, :]
+        res[:, 1:] += linear[row, 1] * poly[:, :-1]
+        return res
+
+    xpow = np.zeros((d + 1, d + 1), dtype=_EXT)
+    xpow[0, 0] = 1.0
+    for m in range(d + 1):
+        mono = xpow
+        for n in range(d + 1 - m):
+            out[:, _slot(m, n)] = mono[m_idx, n_idx]
+            mono = times(mono, 1)
+        xpow = times(xpow, 0)
+    return out
+
+
+def _plain_coeffs(p: Poly2, d: int) -> np.ndarray:
+    """Coefficients of p on the plain monomials x^m y^n, m + n <= d."""
+    out = np.zeros(_dim(d), dtype=_EXT)
+    for (m, n), c in p.coeffs.items():
+        out[_slot(m, n)] = c
+    return out
+
+
+def _map_pullback(amap: AffineMap2, d: int, *, to_world: bool = False) -> np.ndarray:
+    """Pullback by amap on the centered basis: coefficients of p to those of p o amap.
+
+    With ``to_world`` the input side is the plain basis instead (p is a
+    field in world coordinates); the output is still centered.
+    """
+    linear = amap.linear.astype(_EXT)
+    offset = linear @ _CENTER + amap.offset.astype(_EXT)
+    return _pullback(linear, offset if to_world else offset - _CENTER, d)
+
+
+@functools.lru_cache(maxsize=64)
+def _level_pullbacks(eps: float, beta_over_alpha: float, d: int) -> np.ndarray:
+    """(3, D, D): pullback matrices of the three level maps at stretch eps."""
+    out = np.stack([_map_pullback(f, d) for f in triple(eps, beta_over_alpha)])
+    out.flags.writeable = False
+    return out
+
+
+def _falling(k: np.ndarray, i: int) -> np.ndarray:
+    out = np.ones(k.shape, dtype=_EXT)
+    for j in range(i):
+        out = out * (k - j)
+    return out
+
+
+def _partials(xs: np.ndarray, ys: np.ndarray, d: int, i: int, j: int) -> np.ndarray:
+    """d^(i+j)/dx^i dy^j of every basis monomial at centered points: (D, npts)."""
+    m, n = _exponents(d)
+    top = np.arange(d + 1)[:, None]
+    xp = xs[None, :] ** top
+    yp = ys[None, :] ** top
+    coef = _falling(m, i) * _falling(n, j)
+    return coef[:, None] * xp[np.maximum(m - i, 0)] * yp[np.maximum(n - j, 0)]
+
+
+def _point_partials(point: np.ndarray, d: int, i: int, j: int) -> np.ndarray:
+    """d^(i+j)/dx^i dy^j of every basis monomial at one world point: (D,)."""
+    at = point.astype(_EXT) - _CENTER
+    return _partials(at[:1], at[1:], d, i, j)[:, 0]
+
+
+def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, quad: QuadratureRule, order: int) -> np.ndarray:
+    """order-th t-derivative of every basis monomial along each segment p0 + t dv.
+
+    Shape (D, S * nodes), segment-major, at the Gauss nodes.
+    """
+    ts = quad.nodes.astype(_EXT)
+    p0 = p0.astype(_EXT) - _CENTER
+    dv = dv.astype(_EXT)
+    xs = (p0[:, 0:1] + dv[:, 0:1] * ts).ravel()
+    ys = (p0[:, 1:2] + dv[:, 1:2] * ts).ravel()
+    dx = np.repeat(dv[:, 0], len(ts))
+    dy = np.repeat(dv[:, 1], len(ts))
+    if order == 0:
+        return _partials(xs, ys, d, 0, 0)
+    if order == 1:
+        return dx * _partials(xs, ys, d, 1, 0) + dy * _partials(xs, ys, d, 0, 1)
+    return (
+        dx * dx * _partials(xs, ys, d, 2, 0)
+        + 2.0 * dx * dy * _partials(xs, ys, d, 1, 1)
+        + dy * dy * _partials(xs, ys, d, 0, 2)
+    )
+
+
+def _segment_form(p0, dv, d, quad, left: int, right: int) -> np.ndarray:
+    """Sum over segments of the quadrature of (m_a o z)^(left) (m_b o z)^(right)."""
+    w = np.tile(quad.weights.astype(_EXT), len(p0))
+    return (_segment_jets(p0, dv, d, quad, left) * w) @ _segment_jets(p0, dv, d, quad, right).T
+
+
+def _side_arrays() -> tuple[np.ndarray, np.ndarray]:
+    p = np.stack([_SIDE_ENDPOINTS[name][0] for name in SIDE_NAMES])
+    q = np.stack([_SIDE_ENDPOINTS[name][1] for name in SIDE_NAMES])
+    return p, q - p
+
+
+def _cable_arrays(seq: ParamSeq, s: int, beta_over_alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    segs = cable_segments(seq, s, beta_over_alpha)
+    return np.stack([sg.p for sg in segs]), np.stack([sg.velocity for sg in segs])
+
+
+def _cable_form(seq, s, l, d, quad, constants, beta_over_alpha, *, limit=False, left=1, right=1) -> np.ndarray:
+    """Weighted form of the three generation-s cables of one cell.
+
+    The weight is b / (eps_tilde(s, l) (1 - eps_s)), or the infinite
+    window product for ``limit``; the fold supplies 1 / lam_tilde(s-1).
+    """
+    window = seq.eps_tilde_inf(s) if limit else seq.eps_tilde(s, l)
+    gram = _segment_form(*_cable_arrays(seq, s, beta_over_alpha), d, quad, left, right)
+    return constants.b / (window * seq.one_minus_eps(s)) * gram
+
+
+def _fold(seq: ParamSeq, l: int, d: int, beta_over_alpha: float, seed: np.ndarray, level) -> np.ndarray:
+    """Fold stacked cell forms from depth l up to the top cell.
+
+    ``seed`` (F, D, D) holds forms on one depth-l cell; ``level(k)`` returns
+    the (F, D, D) forms a depth-(k-1) cell gains from its generation-k
+    cables.  Each step applies H <- (1/lam_k) sum_i P_i^T H P_i + level(k).
+    """
+    if l < 0:
+        raise ValueError(f"depth must be >= 0, got {l}")
+    if l > DEFAULT_DEPTH_CAP:
+        raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
+    h = seed
+    for k in range(l, 0, -1):
+        pulls = _level_pullbacks(seq.eps(k), beta_over_alpha, d)
+        # np.dot, not matmul: it is the faster longdouble product.
+        pulled = [sum(np.dot(p.T, np.dot(form, p)) for p in pulls) for form in h]
+        h = np.stack(pulled) / _EXT(seq.lam(k)) + level(k)
+    return h
+
+
+def _contract(forms: np.ndarray, u: Poly2, v: Poly2, d: int, outer: AffineMap2 | None = None) -> list[list[float]]:
+    """Terms H[a, b] * (cu[a] * cv[b]) of each stacked form, for math.fsum.
+
+    cu, cv are the centered-basis coefficients of u o outer and v o outer.
+    Each extended-precision term is split into its double head and the
+    exact double remainder, so the compensated sum sees all of its bits.
+    """
+    pullback = _map_pullback(outer or AffineMap2.identity(), d, to_world=True)
+    cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
+    terms = (forms * np.outer(cu, cv)).reshape(len(forms), -1)
+    head = terms.astype(np.float64)
+    tail = (terms - head).astype(np.float64)
+    return [h.tolist() + t.tolist() for h, t in zip(head, tail)]
+
+
+def _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, *, triangles: bool, cables: str | None) -> list[list[float]]:
+    """Contraction terms of the requested parts of the depth-l form.
+
+    ``cables`` is "window", "limit" or None; parts come out in the order
+    triangles, cables.
+    """
+    d = max(u.degree, v.degree, 0)
+    zero = np.zeros((_dim(d), _dim(d)), dtype=_EXT)
+    seed = []
+    if triangles:
+        seed.append(constants.a * _segment_form(*_side_arrays(), d, quad, 1, 1))
+    if cables:
+        seed.append(zero)
+
+    def level(k: int) -> np.ndarray:
+        out = [zero] if triangles else []
+        if cables:
+            out.append(_cable_form(seq, k, l, d, quad, constants, beta_over_alpha, limit=cables == "limit"))
+        return np.stack(out)
+
+    forms = _fold(seq, l, d, beta_over_alpha, np.stack(seed), level)
+    return _contract(0.5 * (forms + forms.transpose(0, 2, 1)), u, v, d, outer)
+
+
+# -- edge-by-edge assembly (per_edge=True) ---------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,16 +401,13 @@ class _Tableau:
 @functools.lru_cache(maxsize=64)
 def _tableau(seq: ParamSeq, l: int, beta_over_alpha: float) -> _Tableau:
     lin, off = word_table(seq, l, beta_over_alpha)
-    side_p = np.stack([_SIDE_ENDPOINTS[name][0] for name in SIDE_NAMES])  # (3,2)
-    side_q = np.stack([_SIDE_ENDPOINTS[name][1] for name in SIDE_NAMES])
+    side_p, side_dv = _side_arrays()
     tri_p0 = (np.einsum("wab,sb->wsa", lin, side_p) + off[:, None, :]).reshape(-1, 2)
-    tri_dv = np.einsum("wab,sb->wsa", lin, side_q - side_p).reshape(-1, 2)
+    tri_dv = np.einsum("wab,sb->wsa", lin, side_dv).reshape(-1, 2)
     cab_p0, cab_dv = [], []
     for s in range(1, l + 1):
         plin, poff = word_table(seq, s - 1, beta_over_alpha)
-        segs = cable_segments(seq, s, beta_over_alpha)
-        sp = np.stack([sg.p for sg in segs])
-        sv = np.stack([sg.velocity for sg in segs])
+        sp, sv = _cable_arrays(seq, s, beta_over_alpha)
         cab_p0.append((np.einsum("wab,sb->wsa", plin, sp) + poff[:, None, :]).reshape(-1, 2))
         cab_dv.append(np.einsum("wab,sb->wsa", plin, sv).reshape(-1, 2))
     for arr in (tri_p0, tri_dv, *cab_p0, *cab_dv):
@@ -174,24 +437,21 @@ def _pairings(u: Poly2, v: Poly2, p0: np.ndarray, dv: np.ndarray, quad: Quadratu
     return (du * dvv) @ quad.weights
 
 
-def _tri_contributions(seq, l, u, v, quad, constants, outer, beta_over_alpha) -> np.ndarray:
+def _per_edge_report(seq, l, u, v, quad, constants, outer, beta_over_alpha) -> EnergyReport:
+    """Every edge's weighted line energy from the tableau, in canonical edge order."""
     tab = _tableau(seq, l, beta_over_alpha)
     p0, dv = _transform(tab.tri_p0, tab.tri_dv, outer)
-    return triangle_edge_prefactor(seq, l, constants) * _pairings(u, v, p0, dv, quad)
-
-
-def _cable_contributions(seq, l, u, v, quad, constants, outer, beta_over_alpha, *, limit: bool) -> list[np.ndarray]:
-    tab = _tableau(seq, l, beta_over_alpha)
-    blocks = []
+    tri_list = (triangle_edge_prefactor(seq, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
+    cab_list = []
     for s in range(1, l + 1):
-        pf = (
-            cable_prefactor_limit(seq, s, constants)
-            if limit
-            else cable_prefactor(seq, s, l, constants)
-        )
         p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
-        blocks.append(pf * _pairings(u, v, p0, dv, quad))
-    return blocks
+        cab_list += (cable_prefactor(seq, s, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
+    ids = [eid for eid, _, _ in prefractal_edges(seq, l, constants, beta_over_alpha)]
+    edges = tuple(zip(ids, tri_list + cab_list))
+    return EnergyReport(l, math.fsum(tri_list), math.fsum(cab_list), math.fsum(tri_list + cab_list), edges)
+
+
+# -- the forms -------------------------------------------------------------
 
 
 def energy1(
@@ -210,9 +470,9 @@ def energy1(
     becomes the derivative of u o outer o F_w o side), which is how pulled
     back fields enter the recurrence without materializing compositions.
     """
-    quad = quad or get_quadrature()
-    contrib = _tri_contributions(seq, l, u, v, quad, constants, outer, beta_over_alpha)
-    return math.fsum(contrib.tolist())
+    quad = resolve_quadrature(quad, u.degree, v.degree)
+    (terms,) = _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, triangles=True, cables=None)
+    return math.fsum(terms)
 
 
 def cable_energy(
@@ -229,7 +489,7 @@ def cable_energy(
     line energies of the three generation-s cables under an explicit
     prefix map (default: identity, the cables of the top-level cell).
     """
-    quad = quad or get_quadrature()
+    quad = resolve_quadrature(quad, u.degree, v.degree)
     if seq.one_minus_eps(s) == 0.0:
         raise DegenerateCable(f"eps_{s} = 1: cables have length zero")
     segs = cable_segments(seq, s, beta_over_alpha)
@@ -249,9 +509,9 @@ def energy2(
     beta_over_alpha: float = HARMONIC_RATIO,
 ) -> float:
     """Cable part of the depth-l form: generations 1..l, finite window weights."""
-    quad = quad or get_quadrature()
-    blocks = _cable_contributions(seq, l, u, v, quad, constants, outer, beta_over_alpha, limit=False)
-    return math.fsum(x for b in blocks for x in b.tolist())
+    quad = resolve_quadrature(quad, u.degree, v.degree)
+    (terms,) = _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, triangles=False, cables="window")
+    return math.fsum(terms)
 
 
 def energy_total(
@@ -265,24 +525,18 @@ def energy_total(
     beta_over_alpha: float = HARMONIC_RATIO,
     per_edge: bool = False,
 ) -> EnergyReport:
-    """Full depth-l form, triangle and cable parts assembled separately.
+    """Full depth-l form, triangle and cable parts folded separately.
 
-    The grand total is one compensated sum over all edges in canonical
-    order (triangle edges first, then cables by generation).
+    The grand total is one compensated sum over the contraction terms of
+    both parts.  ``per_edge`` instead assembles every edge from the
+    tableau (O(3^l) time and memory) and reports the edge values in
+    canonical order (triangle edges first, then cables by generation).
     """
-    quad = quad or get_quadrature()
-    tri = _tri_contributions(seq, l, u, v, quad, constants, outer, beta_over_alpha)
-    blocks = _cable_contributions(seq, l, u, v, quad, constants, outer, beta_over_alpha, limit=False)
-    tri_list = tri.tolist()
-    cab_list = [x for b in blocks for x in b.tolist()]
-    e1 = math.fsum(tri_list)
-    e2 = math.fsum(cab_list)
-    total = math.fsum(tri_list + cab_list)
-    edges = None
+    quad = resolve_quadrature(quad, u.degree, v.degree)
     if per_edge:
-        ids = [eid for eid, _, _ in prefractal_edges(seq, l, constants, beta_over_alpha)]
-        edges = tuple(zip(ids, tri_list + cab_list))
-    return EnergyReport(l, e1, e2, total, edges)
+        return _per_edge_report(seq, l, u, v, quad, constants, outer, beta_over_alpha)
+    tri, cab = _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, triangles=True, cables="window")
+    return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
 
 
 def cable_tail_bound(seq: ParamSeq, s_max: int, gu: float, gv: float, constants: Constants = DEFAULT_CONSTANTS) -> float:
@@ -314,9 +568,9 @@ def energy2_limit(
     sup-gradient bounds of (u, v) used in the tail (callers pass shrunken
     bounds for pulled-back fields).
     """
-    quad = quad or get_quadrature()
-    blocks = _cable_contributions(seq, s_max, u, v, quad, constants, outer, beta_over_alpha, limit=True)
-    value = math.fsum(x for b in blocks for x in b.tolist())
+    quad = resolve_quadrature(quad, u.degree, v.degree)
+    (terms,) = _energy_terms(seq, s_max, u, v, quad, constants, outer, beta_over_alpha, triangles=False, cables="limit")
+    value = math.fsum(terms)
     if grad_bounds is None:
         gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
     else:
@@ -340,7 +594,7 @@ def recurrence_residual(
     F^1_i, plus the generation-1 cable sum weighted by the depth-(l+1)
     window.  Returns the absolute defect.
     """
-    quad = quad or get_quadrature()
+    quad = resolve_quadrature(quad, u.degree, v.degree)
     lhs = energy_total(seq, l + 1, u, v, quad, constants, beta_over_alpha=beta_over_alpha).total
     shifted = seq.shift()
     maps = triple(seq.eps(1), beta_over_alpha)
@@ -374,7 +628,7 @@ def selfsimilar_residual(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    quad = quad or get_quadrature()
+    quad = resolve_quadrature(quad, u.degree, v.degree)
     e2l, tail_l = energy2_limit(seq, u, v, depth, quad, constants)
     lhs = energy1(seq, depth, u, v, quad, constants) + e2l
     shifted = seq.shift()
@@ -408,7 +662,7 @@ def convergence_rows(
     gradient sup bounds times the largest cell diameter) plus the exact
     cable reweighting and one new cable generation.
     """
-    quad = quad or get_quadrature()
+    quad = resolve_quadrature(quad, u.degree, v.degree)
     gu, hu = sup_bounds(u)
     gv, hv = sup_bounds(v)
     rows = []

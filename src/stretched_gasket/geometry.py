@@ -53,10 +53,6 @@ DEFAULT_DEPTH_CAP = 12
 SIDE_NAMES = ("AB", "BC", "AC")
 _SIDE_ENDPOINTS = {"AB": (_A, _B), "BC": (_B, _C), "AC": (_A, _C)}
 
-#: Letter of the map fixing each corner.
-LETTER_OF_CORNER = {"A": 1, "B": 2, "C": 3}
-CORNER_OF_LETTER = {1: "A", 2: "B", 3: "C"}
-
 
 def base_vertices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _A, _B, _C

@@ -260,12 +260,12 @@ def weak_pairing(
     harmonic pre-fractal; the arclength factors of density and measure
     cancel, leaving the parameter-space integral.
     """
-    from .energy import get_quadrature
+    from .energy import resolve_quadrature
 
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
+    quad = resolve_quadrature(quad, u.degree, v.degree)
     _require_harmonic(seq, l, constants, beta_over_alpha)
-    quad = quad or get_quadrature()
     parts = []
     for eid, seg, amap in prefractal_edges(seq, l, constants, beta_over_alpha):
         cu = poly1_derivative(poly1_derivative(compose_with_segment(u, amap, seg)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _cable_contributions, cable_tail_bound, get_quadrature
+from .energy import _energy_terms, resolve_quadrature
 from .errors import DegenerateCable
 from .geometry import (
     HARMONIC_RATIO,
@@ -332,10 +332,11 @@ def energy_via_measure(
     Gasket part: cylinder matrices paired with the gradients at cell
     barycenters, over all depth-level words.  Cable part: exact line
     quadrature of the rank-one masses against the gradients, generations
-    up to the depth, limit window weights.  For affine fields the gasket
-    part is exactly (grad u, (Id/2) grad v), independent of depth.
+    up to the depth, limit window weights (the energy module's fold).
+    For affine fields the gasket part is exactly (grad u, (Id/2) grad v),
+    independent of depth.
     """
-    quad = quad or get_quadrature()
+    quad = resolve_quadrature(quad, u.degree, v.degree)
     lin, off = word_table(seq, depth, beta_over_alpha)
     centers = np.einsum("wab,b->wa", lin, barycenter()) + off
     gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
@@ -346,7 +347,7 @@ def energy_via_measure(
         + taus[:, 0, 1] * (gux * gvy + guy * gvx)
         + taus[:, 1, 1] * guy * gvy
     )
-    blocks = _cable_contributions(
-        seq, depth, u, v, quad, constants, None, beta_over_alpha, limit=True
+    (cables,) = _energy_terms(
+        seq, depth, u, v, quad, constants, None, beta_over_alpha, triangles=False, cables="limit"
     )
-    return math.fsum(gasket.tolist() + [x for b in blocks for x in b.tolist()])
+    return math.fsum(gasket.tolist() + cables)

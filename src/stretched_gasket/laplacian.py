@@ -6,13 +6,20 @@ is the second derivative along the cable direction, the trace against
 the rank-one projection.  Both densities have unit trace, so the
 Laplacian is bounded by twice the Hessian sup.
 
-The integration-by-parts defect pairs the assembled depth form with the
+The integration-by-parts defect pairs the depth form with the
 discretized integral of (Laplacian of phi) times v against the depth
 measure.  Both sides carry the same depth-window weights: the cable
 integrals then cancel edge by edge and every interior vertex boundary
 term vanishes by harmonicity, leaving only the within-cell variation of
 the gasket integrand.  That defect decays geometrically with depth and
 vanishes to rounding for affine phi.
+
+Both sides are evaluated by the pullback fold of the energy module,
+O(depth) per row instead of one term per cell.  Since the cylinder
+matrices are tau_w = DF_w (Id/2) DF_w^t / lam_tilde(l), the gasket term
+3a tr(tau_w Hess phi(x_w)) v(x_w) is the cell form
+(3a/2) Lap f(b) g(b) at the barycenter b, pulled back through F_w; the
+cable term is the fold of the integrals of (f o z)'' (g o z).
 """
 
 from __future__ import annotations
@@ -22,20 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _tableau, energy_total, get_quadrature
-from .geometry import (
-    HARMONIC_RATIO,
-    EdgeId,
-    barycenter,
-    cable_prefactor,
-    cable_segments,
-    compose,
-    word_point,
-    word_table,
-)
-from .kusuoka import CableMass, cable_mass, gibbs_tau, tau_table
+from .energy import _cable_form, _contract, _fold, _point_partials, energy_total, resolve_quadrature
+from .geometry import HARMONIC_RATIO, EdgeId, barycenter, cable_segments, compose, word_point
+from .kusuoka import CableMass, cable_mass, gibbs_tau
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
-from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
+from .scalarfield import Poly2, corner_values, eval_full, vanishes_at_corners
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,40 +88,28 @@ def teplyaev(
     return LaplacianSample(location, carrier, t_tilde, _hessian_trace(t_tilde, phi, location))
 
 
-def _gasket_hessian_sum(seq, depth, phi, v, constants, beta_over_alpha) -> list[float]:
-    """Per-word <Hessian phi(x_w), tau_w> v(x_w), scaled to the form constant.
+def _measure_side_terms(seq, depth, phi, v, quad, constants, beta_over_alpha) -> list[float]:
+    """Contraction terms of the depth integral of (Laplacian phi) v.
 
-    The triangle-edge measure of one cell totals 3a tau_w (three unit
-    side-projections sum to (3/2) Id), so pairing Hessians directly with
-    3a tau avoids dividing by small kappa.
+    Gasket part: tau_w = DF_w (Id/2) DF_w^t / lam_tilde(depth), so
+    3a tr(tau_w Hess phi(x_w)) v(x_w) is (3a/2) Lap(phi o F_w)(b) (v o F_w)(b)
+    / lam_tilde(depth) at the barycenter b: the fold of that cell form.
+    Cable part: the fold of the integrals of (phi o z)'' (v o z) over the
+    cables, with the depth-window weights of the form.
     """
-    lin, off = word_table(seq, depth, beta_over_alpha)
-    centers = np.einsum("wab,b->wa", lin, barycenter()) + off
-    xs, ys = centers[:, 0], centers[:, 1]
-    hxx, hxy, hyy = hess_batch(phi, xs, ys)
-    taus = tau_table(seq, depth, beta_over_alpha)
-    pair = taus[:, 0, 0] * hxx + 2.0 * taus[:, 0, 1] * hxy + taus[:, 1, 1] * hyy
-    vals = 3.0 * constants.a * pair * v.eval_batch(xs, ys)
-    return vals.tolist()
+    d = max(phi.degree, v.degree, 0)
+    b = barycenter()
+    lap = _point_partials(b, d, 2, 0) + _point_partials(b, d, 0, 2)
+    gasket = 1.5 * constants.a * np.outer(lap, _point_partials(b, d, 0, 0))
+    zero = np.zeros_like(gasket)
 
+    def level(k: int) -> np.ndarray:
+        cables = _cable_form(seq, k, depth, d, quad, constants, beta_over_alpha, left=2, right=0)
+        return np.stack([zero, cables])
 
-def _cable_second_derivative_sum(seq, depth, phi, v, quad, constants, beta_over_alpha) -> list[float]:
-    """Per-generation integrals of (phi o z)'' (v o z) with depth-window weights."""
-    tab = _tableau(seq, depth, beta_over_alpha)
-    out: list[float] = []
-    ts = quad.nodes
-    for s in range(1, depth + 1):
-        p0, dv = tab.cab_p0[s - 1], tab.cab_dv[s - 1]
-        xs = p0[:, 0][:, None] + dv[:, 0][:, None] * ts[None, :]
-        ys = p0[:, 1][:, None] + dv[:, 1][:, None] * ts[None, :]
-        hxx, hxy, hyy = hess_batch(phi, xs, ys)
-        dx = dv[:, 0][:, None]
-        dy = dv[:, 1][:, None]
-        dd = hxx * dx * dx + 2.0 * hxy * dx * dy + hyy * dy * dy
-        vals = (dd * v.eval_batch(xs, ys)) @ quad.weights
-        pf = cable_prefactor(seq, s, depth, constants)
-        out.extend((pf * vals).tolist())
-    return out
+    forms = _fold(seq, depth, d, beta_over_alpha, np.stack([gasket, zero]), level)
+    gas, cab = _contract(forms, phi, v, d)
+    return gas + cab
 
 
 def ibp_residual(
@@ -137,20 +123,9 @@ def ibp_residual(
 ) -> float:
     """| E_depth(phi, v) + integral of (Laplacian phi) v d(mu_depth) |.
 
-    v must vanish at the three base corners.  The measure side sums the
-    Hessian-cylinder pairings at cell barycenters and the exact cable
-    line integrals, both under the depth-window weights of the form on
-    the energy side, so the two sides share one resolution.
+    v must vanish at the three base corners.  One row of ``ibp_table``.
     """
-    if not vanishes_at_corners(v):
-        raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
-    quad = quad or get_quadrature()
-    lhs = energy_total(seq, depth, phi, v, quad, constants, beta_over_alpha=beta_over_alpha).total
-    rhs = math.fsum(
-        _gasket_hessian_sum(seq, depth, phi, v, constants, beta_over_alpha)
-        + _cable_second_derivative_sum(seq, depth, phi, v, quad, constants, beta_over_alpha)
-    )
-    return abs(lhs + rhs)
+    return ibp_table(seq, phi, v, (depth,), quad, constants, beta_over_alpha)[0]["residual"]
 
 
 def ibp_table(
@@ -162,17 +137,20 @@ def ibp_table(
     constants: Constants = DEFAULT_CONSTANTS,
     beta_over_alpha: float = HARMONIC_RATIO,
 ) -> list[dict]:
-    """Rows (depth, energy_lhs, integral_rhs, residual) over a depth sweep."""
+    """Rows (depth, energy_lhs, integral_rhs, residual) over a depth sweep.
+
+    The measure side pairs the Hessian-cylinder densities at cell
+    barycenters and the exact cable line integrals, both under the
+    depth-window weights of the form on the energy side, so the two sides
+    share one resolution.  Both sides are folds, O(depth) per row.
+    """
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
-    quad = quad or get_quadrature()
+    quad = resolve_quadrature(quad, phi.degree, v.degree)
     rows = []
     for depth in depths:
         lhs = energy_total(seq, depth, phi, v, quad, constants, beta_over_alpha=beta_over_alpha).total
-        rhs = math.fsum(
-            _gasket_hessian_sum(seq, depth, phi, v, constants, beta_over_alpha)
-            + _cable_second_derivative_sum(seq, depth, phi, v, quad, constants, beta_over_alpha)
-        )
+        rhs = math.fsum(_measure_side_terms(seq, depth, phi, v, quad, constants, beta_over_alpha))
         rows.append(
             {"depth": depth, "energy_lhs": lhs, "integral_rhs": rhs, "residual": abs(lhs + rhs)}
         )
