@@ -33,11 +33,9 @@ from . import kusuoka as kus_mod
 from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
 from .geometry import prefractal_edges, word_table
+from .harmonicity import HARMONIC_GATES
 from .params import Constants, DEFAULT_CONSTANTS, ParamSeq, seq_from_mapping
 from .scalarfield import corner_values, parse as parse_poly, vanishes_at_corners, vanishing_cubic
-
-#: Gate used by the harmonicity assertion, relative to the constant a.
-RESIDUAL_GATE = 1e-10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,9 +246,10 @@ def cmd_harmonicity(args, cfg, seq, constants) -> int:
         "nd_gamma": harm_mod.nd_gamma(seq.eps(1), ratio),
     }
     _emit(_json_text(payload), args.out)
-    if rep.residual > RESIDUAL_GATE * constants.a:
+    gate = HARMONIC_GATES["assertion"] * constants.a
+    if rep.residual > gate:
         return _assert_fail(
-            f"harmonic residual {rep.residual:.3e} exceeds {RESIDUAL_GATE * constants.a:.1e} "
+            f"harmonic residual {rep.residual:.3e} exceeds {gate:.1e} "
             f"at vertex {_word_str(rep.worst_word)}/{rep.worst_corner}"
         )
     return 0

@@ -192,6 +192,15 @@ def word_point(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HA
     return compose(seq, word, beta_over_alpha)(_BARYCENTER)
 
 
+def _images(lin: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """lin[n] @ vecs[k] for every n, k: (N, K, 2).
+
+    One stacked matvec each, which rounds as ``AffineMap2`` does: rows of
+    ``word_table`` map points and tangents exactly as ``compose`` maps do.
+    """
+    return (lin[:, None] @ vecs[..., None])[..., 0]
+
+
 @functools.lru_cache(maxsize=64)
 def word_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
     """Batched affine parts of all depth-l compositions, in word order.
@@ -210,8 +219,10 @@ def word_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
         maps = triple(seq.eps(k), beta_over_alpha)
         tk = np.stack([m.linear for m in maps])  # (3,2,2)
         ok = np.stack([m.offset for m in maps])  # (3,2)
-        new_lin = np.einsum("wab,jbc->wjac", lin, tk).reshape(-1, 2, 2)
-        new_off = (np.einsum("wab,jb->wja", lin, ok) + off[:, None, :]).reshape(-1, 2)
+        # Stacked matmuls round as AffineMap2.compose does, so every row
+        # is bit-identical to compose(seq, w).
+        new_lin = (lin[:, None] @ tk).reshape(-1, 2, 2)
+        new_off = (_images(lin, ok) + off[:, None, :]).reshape(-1, 2)
         lin, off = new_lin, new_off
     lin.flags.writeable = False
     off.flags.writeable = False
@@ -263,19 +274,6 @@ def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATI
     return _cable_segments_ab(alpha, beta, scale)
 
 
-def word_maps(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO) -> Iterator[tuple[tuple[int, ...], AffineMap2]]:
-    """Stream (word, F_w) for all words of length l, lexicographically."""
-
-    def rec(k: int, word: tuple[int, ...], amap: AffineMap2):
-        if k > l:
-            yield word, amap
-            return
-        for j, f in enumerate(triple(seq.eps(k), beta_over_alpha), start=1):
-            yield from rec(k + 1, word + (j,), amap.compose(f))
-
-    return rec(1, (), AffineMap2.identity())
-
-
 def triangle_edge_prefactor(seq: ParamSeq, l: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """Weight a / lam_tilde(l) carried by every depth-l triangle edge."""
     return constants.a / seq.lam_tilde(l)
@@ -298,7 +296,8 @@ def cable_prefactor_limit(seq: ParamSeq, s: int, constants: Constants = DEFAULT_
 def iter_cables(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATIO) -> Iterator[tuple[tuple[int, ...], int, Segment, AffineMap2]]:
     """Stream (prefix, slot, local segment, prefix map) for generation s."""
     segs = cable_segments(seq, s, beta_over_alpha)
-    for prefix, amap in word_maps(seq, s - 1, beta_over_alpha):
+    lin, off = word_table(seq, s - 1, beta_over_alpha)
+    for prefix, amap in zip(iter_words(s - 1), map(AffineMap2, lin, off)):
         for slot in (1, 2, 3):
             yield prefix, slot, segs[slot - 1], amap
 
@@ -324,7 +323,8 @@ def prefractal_edges(
         raise DepthCapExceeded(f"depth {l} exceeds cap {depth_cap}")
     tri_pf = triangle_edge_prefactor(seq, l, constants)
     sides = {name: Segment(pq[0], pq[1]) for name, pq in _SIDE_ENDPOINTS.items()}
-    for word, amap in word_maps(seq, l, beta_over_alpha):
+    lin, off = word_table(seq, l, beta_over_alpha)
+    for word, amap in zip(iter_words(l), map(AffineMap2, lin, off)):
         for name in SIDE_NAMES:
             yield EdgeId("tri", word, side=name, prefactor=tri_pf), sides[name], amap
     for s in range(1, l + 1):
@@ -336,41 +336,3 @@ def prefractal_edges(
 def count_edges(l: int) -> tuple[int, int]:
     """(triangle edges, cables) of the depth-l pre-fractal."""
     return 3 * 3**l, 3 * (3**l - 1) // 2
-
-
-# -- elementary planar predicates, used by the disjointness checks ---------
-
-
-def triangle_contains(tri: np.ndarray, pt: np.ndarray, tol: float = 1e-12) -> bool:
-    """Point-in-triangle via signed areas, tolerant to tol on the boundary."""
-    signs = []
-    for i in range(3):
-        p, q = tri[i], tri[(i + 1) % 3]
-        cross = (q[0] - p[0]) * (pt[1] - p[1]) - (q[1] - p[1]) * (pt[0] - p[0])
-        signs.append(cross)
-    return all(s >= -tol for s in signs) or all(s <= tol for s in signs)
-
-
-def triangles_disjoint(t1: np.ndarray, t2: np.ndarray, gap: float = 0.0) -> bool:
-    """Separating-axis test for two (closed) triangles.
-
-    Returns True when some edge normal separates them by more than ``gap``.
-    """
-    for tri_a, tri_b in ((t1, t2), (t2, t1)):
-        for i in range(3):
-            p, q = tri_a[i], tri_a[(i + 1) % 3]
-            axis = np.array([-(q[1] - p[1]), q[0] - p[0]])
-            n = np.hypot(axis[0], axis[1])
-            if n == 0.0:
-                continue
-            axis = axis / n
-            a_lo, a_hi = (t1 @ axis).min(), (t1 @ axis).max()
-            b_lo, b_hi = (t2 @ axis).min(), (t2 @ axis).max()
-            if a_hi < b_lo - gap or b_hi < a_lo - gap:
-                return True
-    return False
-
-
-def cell_triangle(amap: AffineMap2) -> np.ndarray:
-    """Corner images of one cell, rows (A, B, C) mapped."""
-    return np.stack([amap(_A), amap(_B), amap(_C)])

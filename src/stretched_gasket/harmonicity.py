@@ -10,22 +10,35 @@ residual of a depth is one finite max over vertex stars.
 Interior vertices carry exactly three incident edges: two triangle sides
 of the single cell owning the vertex and one cable end.  The three base
 corners carry two triangle sides and no cable; their sums are reported
-separately since admissible test functions vanish there.
+separately since admissible test functions vanish there.  So every
+interior vertex is one cable end, and the stars are index gathers on the
+word tables (``_vertex_arrays``), O(3^l) array work without an edge walk.
+The weak pairing is the pullback fold of the energy module with
+(u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
+from .energy import _cable_form, _contract, _fold, _segment_form, _side_arrays, resolve_quadrature
 from .errors import NonHarmonicError, StarNotClosed
 from .geometry import (
     HARMONIC_RATIO,
+    SIDE_NAMES,
     EdgeId,
+    base_vertices,
+    cable_prefactor,
+    _images,
+    cable_segments,
     prefractal_edges,
+    triangle_edge_prefactor,
     triple,
+    word_table,
 )
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import (
@@ -33,7 +46,6 @@ from .scalarfield import (
     compose_with_segment,
     corner_values,
     poly1_derivative,
-    poly1_eval,
     vanishes_at_corners,
 )
 
@@ -52,6 +64,21 @@ _CABLE_ENDS = {
     (3, 0): (2, "C"),
     (3, 1): (3, "B"),
 }
+#: The inverse of _CABLE_ENDS.
+_CABLE_OF_END = {end: cable for cable, end in _CABLE_ENDS.items()}
+#: _CABLE_ENDS as arrays over the cable end e = 2 (slot - 1) + t.
+_END_LETTER = np.array([j for j, _ in _CABLE_ENDS.values()])
+_END_CORNER = np.array([_CORNER_INDEX[c] for _, c in _CABLE_ENDS.values()])
+#: The two sides meeting at corners A, B, C (indices into SIDE_NAMES, in
+#: that order) and the endpoint t of each there.
+_CORNER_ENDS = [[(i, t) for i, name in enumerate(SIDE_NAMES) for cc, t in _SIDE_CORNERS[name] if cc == c] for c in CORNER_NAMES]
+_CORNER_SIDE, _CORNER_T = np.moveaxis(np.array(_CORNER_ENDS), 2, 0)
+
+#: Harmonic-residual gates by role, relative to the energy constant a.
+#: ``assertion``: the CLI's harmonicity check (exit 2 above it).
+#: ``weak_identity``: the precondition of the weak Laplacian and the weak
+#: pairing, whose vertex boundary terms it bounds.
+HARMONIC_GATES = MappingProxyType({"assertion": 1e-10, "weak_identity": 1e-8})
 
 
 def canonical_vertex(word: tuple[int, ...], corner: str) -> tuple[tuple[int, ...], str]:
@@ -90,6 +117,66 @@ class VertexStar:
         return self.generation >= 1
 
 
+def _word_codes(k: int) -> np.ndarray:
+    """Every length-k word as base-4 digits, lexicographic: code order is tuple order."""
+    codes = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        codes = (4 * codes[:, None] + np.arange(1, 4)).ravel()
+    return codes
+
+
+def _vertex_name(key: int, l: int) -> tuple[tuple[int, ...], str]:
+    """(word, corner) of the depth-l vertex with sort key ``key``."""
+    code, corner = divmod(int(key), 3)
+    return tuple(d for d in (code // 4 ** (l - 1 - n) % 4 for n in range(l)) if d), CORNER_NAMES[corner]
+
+
+def _vertex_arrays(seq: ParamSeq, l: int, constants: Constants, beta_over_alpha: float):
+    """Every depth-l vertex in (word, corner) order: (keys, weights, tangents, points).
+
+    Members of a vertex: the two sides of its depth-l cell there (SIDE_NAMES
+    order), then its cable end; weights (V, 3) are their prefactors, negated
+    at endpoint t = 1, tangents (V, 3, 2) their world tangents.  Base corners
+    come first, without cable (weight 0).  The end of a generation-s cable
+    with prefix index p touches corner c of the cell with letter j, owned by
+    the depth-l cell (3p + j - 1) 3^(l-s) + c (3^(l-s) - 1)/2 (letter c + 1
+    fixes corner c).  A key is the vertex word in base-4 digits padded to
+    length l, times 3, plus the corner.
+    """
+    lin, off = word_table(seq, l, beta_over_alpha)
+    side_tan = _images(lin, _side_arrays()[1])
+    corner_img = _images(lin, np.stack(base_vertices())) + off[:, None]
+    base = np.arange(3)
+    keys, cells, corners = [base], [base * ((3**l - 1) // 2)], [base]
+    cable_w, cable_tan, cable_pts = [np.zeros(3)], [np.zeros((3, 2))], [corner_img[cells[0], base]]
+    for s in range(1, l + 1):
+        plin, poff = word_table(seq, s - 1, beta_over_alpha)
+        segs = cable_segments(seq, s, beta_over_alpha)
+        n, below = len(plin), 3 ** (l - s)
+        j, c = np.tile(_END_LETTER, n), np.tile(_END_CORNER, n)
+        keys.append(3 * (4 * np.repeat(_word_codes(s - 1), 6) + j) * 4 ** (l - s) + c)
+        cells.append((3 * np.repeat(np.arange(n), 6) + j - 1) * below + c * ((below - 1) // 2))
+        corners.append(c)
+        pf = cable_prefactor(seq, s, l, constants)
+        cable_w.append(np.tile([pf, -pf], 3 * n))
+        cable_tan.append(np.repeat(_images(plin, np.stack([sg.velocity for sg in segs])), 2, axis=1).reshape(-1, 2))
+        ends = np.stack([p for sg in segs for p in (sg.p, sg.q)])
+        cable_pts.append((_images(plin, ends) + poff[:, None]).reshape(-1, 2))
+    order = np.argsort(np.concatenate(keys))
+    keys, cells, corners, cable_w, cable_tan, cable_pts = (
+        np.concatenate(a)[order] for a in (keys, cells, corners, cable_w, cable_tan, cable_pts)
+    )
+    points = corner_img[cells, corners]
+    bad = np.flatnonzero(np.max(np.abs(cable_pts - points), axis=1) > 1e-12)
+    if bad.size:
+        word, corner = _vertex_name(keys[bad[0]], l)
+        raise StarNotClosed(f"edge ends at vertex {word}/{corner} do not coincide")
+    tri_pf = triangle_edge_prefactor(seq, l, constants)
+    weights = np.column_stack([np.where(_CORNER_T[corners] == 0, tri_pf, -tri_pf), cable_w])
+    tangents = np.concatenate([side_tan[cells[:, None], _CORNER_SIDE[corners]], cable_tan[:, None]], axis=1)
+    return keys, weights, tangents, points
+
+
 def vertex_stars(
     seq: ParamSeq,
     l: int,
@@ -98,48 +185,24 @@ def vertex_stars(
 ) -> list[VertexStar]:
     """All depth-l vertex stars, sorted by (word, corner).
 
-    Assembled by walking the depth-l edge list and grouping endpoints
-    under canonical vertex names; every group is validated for closure
-    (interior: two triangle sides plus one cable meeting at one point).
+    Built from ``_vertex_arrays``, which checks every star for closure
+    (its edge ends meet at one point).
     """
-    groups: dict[tuple[tuple[int, ...], str], list] = {}
-    for eid, seg, amap in prefractal_edges(seq, l, constants, beta_over_alpha):
-        tangent = amap.linear @ seg.velocity
-        if eid.kind == "tri":
-            for corner, t_end in _SIDE_CORNERS[eid.side]:
-                key = canonical_vertex(eid.word, corner)
-                point = amap(seg.p if t_end == 0 else seg.q)
-                groups.setdefault(key, []).append((eid, t_end, eid.prefactor, tangent, point))
-        else:
-            for t_end in (0, 1):
-                j, corner = _CABLE_ENDS[(eid.slot, t_end)]
-                key = (eid.word + (j,), corner)
-                point = amap(seg.p if t_end == 0 else seg.q)
-                groups.setdefault(key, []).append((eid, t_end, eid.prefactor, tangent, point))
+    keys, weights, tangents, points = _vertex_arrays(seq, l, constants, beta_over_alpha)
     stars = []
-    for key in sorted(groups, key=lambda k: (k[0], _CORNER_INDEX[k[1]])):
-        word, corner = key
-        members = groups[key]
-        n_tri = sum(1 for m in members if m[0].kind == "tri")
-        n_cab = len(members) - n_tri
-        want_cab = 1 if word else 0
-        if n_tri != 2 or n_cab != want_cab:
-            raise StarNotClosed(
-                f"vertex {word}/{corner} at depth {l} has {n_tri} sides and {n_cab} cables"
-            )
-        pts = np.stack([m[4] for m in members])
-        if float(np.max(np.abs(pts - pts[0]))) > 1e-12:
-            raise StarNotClosed(f"edge ends at vertex {word}/{corner} do not coincide")
-        stars.append(
-            VertexStar(
-                word,
-                corner,
-                len(word),
-                l,
-                pts[0],
-                tuple((m[0], m[1], m[2], m[3]) for m in members),
-            )
-        )
+    for i, key in enumerate(keys.tolist()):
+        word, corner = _vertex_name(key, l)
+        c, w = _CORNER_INDEX[corner], weights[i].tolist()
+        cell = word + (c + 1,) * (l - len(word))
+        edges = [
+            (EdgeId("tri", cell, side=SIDE_NAMES[side], prefactor=abs(w[m])), int(t), abs(w[m]), tangents[i, m])
+            for m, (side, t) in enumerate(zip(_CORNER_SIDE[c], _CORNER_T[c]))
+        ]
+        if word:
+            slot, t = _CABLE_OF_END[(word[-1], corner)]
+            eid = EdgeId("cable", word[:-1], slot=slot, generation=len(word), prefactor=abs(w[2]))
+            edges.append((eid, t, abs(w[2]), tangents[i, 2]))
+        stars.append(VertexStar(word, corner, len(word), l, points[i], tuple(edges)))
     return stars
 
 
@@ -176,25 +239,18 @@ def harmonic_report(
 ) -> HarmonicityReport:
     """Max interior boundary-vector norm with the worst vertex named.
 
-    Base-corner sums are reported separately (they do not vanish; test
-    functions do, at those three points).
+    The worst vertex is the first strict maximum in (word, corner) order,
+    unnamed when every norm is 0.  Base-corner sums are reported
+    separately (they do not vanish; test functions do, at those three
+    points).
     """
-    stars = vertex_stars(seq, l, constants, beta_over_alpha)
-    worst = 0.0
-    worst_word: tuple[int, ...] = ()
-    worst_corner = ""
-    n_int = 0
-    corner_norms: dict[str, float] = {}
-    for star in stars:
-        vec = boundary_vector(seq, l, star)
-        nrm = float(np.hypot(*vec))
-        if star.is_interior:
-            n_int += 1
-            if nrm > worst:
-                worst, worst_word, worst_corner = nrm, star.word, star.corner
-        else:
-            corner_norms[star.corner] = nrm
-    return HarmonicityReport(l, worst, worst_word, worst_corner, n_int, corner_norms)
+    keys, weights, tangents, _ = _vertex_arrays(seq, l, constants, beta_over_alpha)
+    terms = weights[..., None] * tangents
+    norms = np.hypot(*(terms[:, 0] + terms[:, 1] + terms[:, 2]).T)
+    interior = norms[3:]
+    worst = float(np.max(interior, initial=0.0, where=~np.isnan(interior)))
+    word, corner = _vertex_name(keys[3 + np.argmax(interior == worst)], l) if worst > 0.0 else ((), "")
+    return HarmonicityReport(l, worst, word, corner, len(interior), dict(zip(CORNER_NAMES, norms[:3].tolist())))
 
 
 def harmonic_residual(
@@ -207,15 +263,12 @@ def harmonic_residual(
     return harmonic_report(seq, l, constants, beta_over_alpha).residual
 
 
-#: Residual gate for operations that assume a harmonic pre-fractal.
-_HARMONIC_GATE = 1e-8
-
-
 def _require_harmonic(seq, l, constants, beta_over_alpha):
+    gate = HARMONIC_GATES["weak_identity"] * constants.a
     res = harmonic_residual(seq, l, constants, beta_over_alpha)
-    if res > _HARMONIC_GATE * constants.a:
+    if res > gate:
         raise NonHarmonicError(
-            f"depth-{l} residual {res:.3e} exceeds {_HARMONIC_GATE * constants.a:.1e}; "
+            f"depth-{l} residual {res:.3e} exceeds {gate:.1e}; "
             "boundary terms would pollute the weak identity"
         )
 
@@ -258,22 +311,22 @@ def weak_pairing(
 
     Equals E(u, v) for admissible v (vanishing at the base corners) on a
     harmonic pre-fractal; the arclength factors of density and measure
-    cancel, leaving the parameter-space integral.
+    cancel, leaving the parameter-space integral.  Evaluated as the
+    pullback fold of the side form a (m_a o z)'' (m_b o z) plus the cable
+    forms of each generation, O(l D^3).
     """
-    from .energy import resolve_quadrature
-
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
     quad = resolve_quadrature(quad, u.degree, v.degree)
     _require_harmonic(seq, l, constants, beta_over_alpha)
-    parts = []
-    for eid, seg, amap in prefractal_edges(seq, l, constants, beta_over_alpha):
-        cu = poly1_derivative(poly1_derivative(compose_with_segment(u, amap, seg)))
-        cv = compose_with_segment(v, amap, seg)
-        parts.append(
-            eid.prefactor * float((poly1_eval(cu, quad.nodes) * poly1_eval(cv, quad.nodes)) @ quad.weights)
-        )
-    return -math.fsum(parts)
+    d = max(u.degree, v.degree, 0)
+    seed = constants.a * _segment_form(*_side_arrays(), d, quad, 2, 0)
+
+    def level(k: int) -> np.ndarray:
+        return _cable_form(seq, k, l, d, quad, constants, beta_over_alpha, left=2, right=0)[None]
+
+    (terms,) = _contract(_fold(seq, l, d, beta_over_alpha, seed[None], level), u, v, d)
+    return -math.fsum(terms)
 
 
 # -- nondegeneracy constant ------------------------------------------------

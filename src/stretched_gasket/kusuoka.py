@@ -27,6 +27,7 @@ from .energy import _energy_terms, resolve_quadrature
 from .errors import DegenerateCable
 from .geometry import (
     HARMONIC_RATIO,
+    _images,
     barycenter,
     cable_prefactor_limit,
     cable_segments,
@@ -225,39 +226,6 @@ def cylinder_masses(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RAT
     )
 
 
-def _side_projection_sum() -> np.ndarray:
-    """Projections onto the three base side directions, summed.
-
-    The mutual 120 degree angles make the sum (3/2) Id.
-    """
-    from .geometry import base_vertices
-
-    a, b, c = base_vertices()
-    dirs = (b - a, c - b, c - a)
-    acc = np.zeros((2, 2))
-    for d in dirs:
-        acc += np.outer(d, d) / float(d @ d)
-    return acc
-
-
-def adjoint_aggregate(seq: ParamSeq, l: int, constants: Constants = DEFAULT_CONSTANTS, beta_over_alpha: float = HARMONIC_RATIO) -> dict[tuple[int, ...], np.ndarray]:
-    """Per-word cylinder matrices through the iterated adjoint route.
-
-    Seeds with a times the side-projection sum (equal to Id/2 at the
-    default a), applies the level adjoints branch by branch from the
-    innermost level outward, and renormalizes by lam_tilde(l).  Agrees
-    with the gibbs_tau closed form; the two routes share no code path
-    beyond the raw map triples.
-    """
-    seed = constants.a * _side_projection_sum()
-    arr = seed[None, :, :]
-    for s in range(l, 0, -1):
-        mats = np.stack([f.linear for f in triple(seq.eps(s), beta_over_alpha)])
-        arr = np.einsum("jab,wbc,jdc->jwad", mats, arr, mats).reshape(-1, 2, 2)
-    arr = arr / seq.lam_tilde(l)
-    return {w: arr[i] for i, w in enumerate(iter_words(l))}
-
-
 def hs_norm_sq_sum(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO) -> float:
     """Sum of squared Frobenius norms of all depth-l derivative products.
 
@@ -299,16 +267,16 @@ def cable_masses(
     if seq.one_minus_eps(s) == 0.0:
         raise DegenerateCable(f"eps_{s} = 1: cables have zero length")
     vel = np.stack([sg.velocity for sg in cable_segments(seq, s, beta_over_alpha)])
-    world = np.einsum("wab,sb->wsa", lin, vel)
-    pf = cable_prefactor_limit(seq, s, constants)
-    out = []
-    for i, prefix in enumerate(iter_words(s - 1)):
-        for slot in (1, 2, 3):
-            v = world[i, slot - 1]
-            nrm2 = float(v @ v)
-            d = v / math.sqrt(nrm2)
-            out.append(CableMass(prefix, s, slot, pf * nrm2, d, np.outer(d, d)))
-    return tuple(out)
+    # Stacked products round as the single products of cable_mass do.
+    world = _images(lin, vel).reshape(-1, 2)
+    nrm2 = (world[:, None] @ world[..., None]).ravel()
+    dirs = world / np.sqrt(nrm2)[:, None]
+    masses = (cable_prefactor_limit(seq, s, constants) * nrm2).tolist()
+    cables = ((prefix, slot) for prefix in iter_words(s - 1) for slot in (1, 2, 3))
+    return tuple(
+        CableMass(prefix, s, slot, m, d, d[:, None] * d)
+        for (prefix, slot), m, d in zip(cables, masses, dirs)
+    )
 
 
 def total_cable_mass(seq: ParamSeq, s_max: int, constants: Constants = DEFAULT_CONSTANTS, beta_over_alpha: float = HARMONIC_RATIO) -> float:

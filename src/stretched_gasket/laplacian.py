@@ -4,7 +4,9 @@ On the gasket part the Laplacian of a C^2 field is the trace of its
 Hessian against the normalized cylinder density tau/kappa; on a cable it
 is the second derivative along the cable direction, the trace against
 the rank-one projection.  Both densities have unit trace, so the
-Laplacian is bounded by twice the Hessian sup.
+Laplacian is bounded by twice the Hessian sup.  ``laplacian_samples``
+reads all carriers at once from the cylinder and map tables and the cable
+masses; ``teplyaev`` samples one carrier.
 
 The integration-by-parts defect pairs the depth form with the
 discretized integral of (Laplacian of phi) times v against the depth
@@ -30,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _cable_form, _contract, _fold, _point_partials, energy_total, resolve_quadrature
-from .geometry import HARMONIC_RATIO, EdgeId, barycenter, cable_segments, compose, word_point
-from .kusuoka import CableMass, cable_mass, gibbs_tau
+from .geometry import HARMONIC_RATIO, EdgeId, _images, barycenter, cable_segments, compose, iter_words, word_point, word_table
+from .kusuoka import CableMass, cable_mass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
-from .scalarfield import Poly2, corner_values, eval_full, vanishes_at_corners
+from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +166,28 @@ def laplacian_samples(
     constants: Constants = DEFAULT_CONSTANTS,
     beta_over_alpha: float = HARMONIC_RATIO,
 ) -> list[LaplacianSample]:
-    """Samples on every depth-level cylinder and all cables up to depth."""
-    from .geometry import iter_words
+    """Samples on every depth-level cylinder and all cables up to depth.
 
-    out = [teplyaev(phi, w, seq, constants, beta_over_alpha) for w in iter_words(depth)]
+    The ``teplyaev`` sample of every carrier, cells in word order, then
+    cables by generation in (prefix, slot) order, from the cell tables
+    (tau_table, word_table) and the cable masses at once.
+    """
+    carriers: list = list(iter_words(depth))
+    taus = tau_table(seq, depth, beta_over_alpha)
+    kappas = taus[:, 0, 0] + taus[:, 1, 1]
+    low = np.flatnonzero(kappas < 1e-300)
+    if low.size:
+        raise ArithmeticError(f"cylinder mass underflow at word {carriers[low[0]]}")
+    lin, off = word_table(seq, depth, beta_over_alpha)
+    t_tilde, locations = [taus / kappas[:, None, None]], [lin @ barycenter() + off]
     for s in range(1, depth + 1):
-        for prefix in iter_words(s - 1):
-            for slot in (1, 2, 3):
-                cm = cable_mass(seq, prefix, s, slot, constants, beta_over_alpha)
-                out.append(teplyaev(phi, cm, seq, constants, beta_over_alpha))
-    return out
+        masses = cable_masses(seq, s, constants, beta_over_alpha)
+        plin, poff = word_table(seq, s - 1, beta_over_alpha)
+        mids = np.stack([sg.point(0.5) for sg in cable_segments(seq, s, beta_over_alpha)])
+        carriers += masses
+        t_tilde.append(np.stack([cm.projection for cm in masses]))
+        locations.append((_images(plin, mids) + poff[:, None]).reshape(-1, 2))
+    t_tilde, locations = np.concatenate(t_tilde), np.concatenate(locations)
+    hxx, hxy, hyy = hess_batch(phi, locations[:, 0], locations[:, 1])
+    values = t_tilde[:, 0, 0] * hxx + 2.0 * t_tilde[:, 0, 1] * hxy + t_tilde[:, 1, 1] * hyy
+    return [LaplacianSample(*sample) for sample in zip(locations, carriers, t_tilde, values.tolist())]

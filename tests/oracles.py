@@ -1,10 +1,12 @@
-"""Edge-by-edge reference routes for the folded forms.
+"""Edge-by-edge reference routes for the folded forms and the vertex arrays.
 
 The package evaluates every depth-l form by folding cell forms through the
-level pullbacks.  The routes here enumerate the 3^l cells and their edges
-instead (the batched edge tableau, or word tables plus cylinder matrices)
-and share no code with the fold beyond the map triples, the cable
-segments and the quadrature rule, so agreement is a real cross-check.
+level pullbacks, and the vertex diagnostics by index gathers on the word
+tables.  The routes here enumerate the 3^l cells and their edges instead
+(the batched edge tableau, an edge walk that composes each word's map on
+its own, or word tables plus cylinder matrices) and share no code with the
+fold or the gathers beyond the map triples, the cable segments and the
+quadrature rule, so agreement is a real cross-check.
 """
 
 import math
@@ -13,15 +15,27 @@ import numpy as np
 
 from stretched_gasket.energy import _pairings, _tableau, _transform
 from stretched_gasket.geometry import (
+    _SIDE_ENDPOINTS,
     HARMONIC_RATIO,
+    SIDE_NAMES,
+    EdgeId,
+    Segment,
     barycenter,
+    base_vertices,
     cable_prefactor,
     cable_prefactor_limit,
+    cable_segments,
+    compose,
+    iter_words,
+    triangle_edge_prefactor,
+    triple,
     word_table,
 )
-from stretched_gasket.kusuoka import tau_table
+from stretched_gasket.harmonicity import _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNERS, canonical_vertex
+from stretched_gasket.kusuoka import cable_mass, tau_table
+from stretched_gasket.laplacian import teplyaev
 from stretched_gasket.params import DEFAULT_CONSTANTS
-from stretched_gasket.scalarfield import hess_batch
+from stretched_gasket.scalarfield import compose_with_segment, hess_batch, poly1_derivative, poly1_eval
 
 
 def energy2_limit_by_edges(seq, s_max, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None, beta_over_alpha=HARMONIC_RATIO):
@@ -76,3 +90,109 @@ def ibp_rhs_by_cells(seq, depth, phi, v, quad, constants=DEFAULT_CONSTANTS, beta
         gasket_hessian_sum(seq, depth, phi, v, constants, beta_over_alpha)
         + cable_second_derivative_sum(seq, depth, phi, v, quad, constants, beta_over_alpha)
     )
+
+
+def edge_walk(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO):
+    """(edge id, local segment, map) of every depth-l edge, in the canonical edge order.
+
+    Each word's map comes from ``compose``, one level at a time, not from
+    the word table.
+    """
+    tri_pf = triangle_edge_prefactor(seq, l, constants)
+    sides = [Segment(*_SIDE_ENDPOINTS[name]) for name in SIDE_NAMES]
+    for word in iter_words(l):
+        amap = compose(seq, word, beta_over_alpha)
+        for name, seg in zip(SIDE_NAMES, sides):
+            yield EdgeId("tri", word, side=name, prefactor=tri_pf), seg, amap
+    for s in range(1, l + 1):
+        pf = cable_prefactor(seq, s, l, constants)
+        segs = cable_segments(seq, s, beta_over_alpha)
+        for prefix in iter_words(s - 1):
+            amap = compose(seq, prefix, beta_over_alpha)
+            for slot, seg in enumerate(segs, start=1):
+                yield EdgeId("cable", prefix, slot=slot, generation=s, prefactor=pf), seg, amap
+
+
+def star_groups_by_edges(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO):
+    """Depth-l vertex stars by walking the edge list, sorted by (word, corner).
+
+    Every edge end is grouped under its canonical vertex name.  Returns
+    {(word, corner): [(edge id, endpoint t, prefactor, tangent, point), ...]}
+    with members in edge-walk order (triangle sides word-major, then cables).
+    """
+    groups = {}
+    for eid, seg, amap in edge_walk(seq, l, constants, beta_over_alpha):
+        tangent = amap.linear @ seg.velocity
+        if eid.kind == "tri":
+            ends = [(canonical_vertex(eid.word, corner), t_end) for corner, t_end in _SIDE_CORNERS[eid.side]]
+        else:
+            ends = []
+            for t_end in (0, 1):
+                j, corner = _CABLE_ENDS[(eid.slot, t_end)]
+                ends.append(((eid.word + (j,), corner), t_end))
+        for key, t_end in ends:
+            point = amap(seg.p if t_end == 0 else seg.q)
+            groups.setdefault(key, []).append((eid, t_end, eid.prefactor, tangent, point))
+    return {key: groups[key] for key in sorted(groups, key=lambda k: (k[0], _CORNER_INDEX[k[1]]))}
+
+
+def boundary_vector_of(members) -> np.ndarray:
+    """Sum of prefactor * (-1)^endpoint * tangent over a star's members, in order."""
+    acc = np.zeros(2)
+    for _, t_end, prefactor, tangent, _ in members:
+        acc += (prefactor if t_end == 0 else -prefactor) * tangent
+    return acc
+
+
+def weak_pairing_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO) -> list[float]:
+    """Per-edge terms w_e * integral (u o z)'' (v o z) dt of the weak pairing, in edge order."""
+    parts = []
+    for eid, seg, amap in edge_walk(seq, l, constants, beta_over_alpha):
+        cu = poly1_derivative(poly1_derivative(compose_with_segment(u, amap, seg)))
+        cv = compose_with_segment(v, amap, seg)
+        parts.append(
+            eid.prefactor * float((poly1_eval(cu, quad.nodes) * poly1_eval(cv, quad.nodes)) @ quad.weights)
+        )
+    return parts
+
+
+def laplacian_samples_by_carrier(seq, phi, depth, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO):
+    """Laplacian samples one carrier at a time: every depth-level cell, then all cables."""
+    out = [teplyaev(phi, w, seq, constants, beta_over_alpha) for w in iter_words(depth)]
+    for s in range(1, depth + 1):
+        for prefix in iter_words(s - 1):
+            for slot in (1, 2, 3):
+                cm = cable_mass(seq, prefix, s, slot, constants, beta_over_alpha)
+                out.append(teplyaev(phi, cm, seq, constants, beta_over_alpha))
+    return out
+
+
+def _side_projection_sum() -> np.ndarray:
+    """Projections onto the three base side directions, summed.
+
+    The mutual 120 degree angles make the sum (3/2) Id.
+    """
+    a, b, c = base_vertices()
+    dirs = (b - a, c - b, c - a)
+    acc = np.zeros((2, 2))
+    for d in dirs:
+        acc += np.outer(d, d) / float(d @ d)
+    return acc
+
+
+def adjoint_aggregate(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO) -> dict[tuple[int, ...], np.ndarray]:
+    """Per-word cylinder matrices through the iterated adjoint route.
+
+    Seeds with a times the side-projection sum (equal to Id/2 at the
+    default a), applies the level adjoints branch by branch from the
+    innermost level outward, and renormalizes by lam_tilde(l).  Agrees
+    with the gibbs_tau closed form; the two routes share no code path
+    beyond the raw map triples.
+    """
+    seed = constants.a * _side_projection_sum()
+    arr = seed[None, :, :]
+    for s in range(l, 0, -1):
+        mats = np.stack([f.linear for f in triple(seq.eps(s), beta_over_alpha)])
+        arr = np.einsum("jab,wbc,jdc->jwad", mats, arr, mats).reshape(-1, 2, 2)
+    arr = arr / seq.lam_tilde(l)
+    return {w: arr[i] for i, w in enumerate(iter_words(l))}

@@ -25,7 +25,6 @@ from stretched_gasket import (
     energy_via_measure,
     get_quadrature,
     gibbs_tau,
-    adjoint_aggregate,
     harmonic_residual,
     ibp_residual,
     iter_words,
@@ -43,6 +42,7 @@ from stretched_gasket import (
 from stretched_gasket.scalarfield import eval_full, parse
 
 from conftest import ALL_REGIMES, CONSTANT_HALF, LIMIT_REGIMES, PREFIX_EXP, TAIL_ONLY, random_poly
+from oracles import adjoint_aggregate
 
 A_CONST = 1.0 / 3.0
 

@@ -19,14 +19,48 @@ from stretched_gasket import (
     word_point,
     word_table,
 )
-from stretched_gasket.geometry import (
-    cell_triangle,
-    rotation,
-    triangle_contains,
-    triangles_disjoint,
-)
+from stretched_gasket.geometry import rotation
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY
+
+
+# -- elementary planar predicates, used by the disjointness checks ---------
+
+
+def triangle_contains(tri: np.ndarray, pt: np.ndarray, tol: float = 1e-12) -> bool:
+    """Point-in-triangle via signed areas, tolerant to tol on the boundary."""
+    signs = []
+    for i in range(3):
+        p, q = tri[i], tri[(i + 1) % 3]
+        cross = (q[0] - p[0]) * (pt[1] - p[1]) - (q[1] - p[1]) * (pt[0] - p[0])
+        signs.append(cross)
+    return all(s >= -tol for s in signs) or all(s <= tol for s in signs)
+
+
+def triangles_disjoint(t1: np.ndarray, t2: np.ndarray, gap: float = 0.0) -> bool:
+    """Separating-axis test for two (closed) triangles.
+
+    Returns True when some edge normal separates them by more than ``gap``.
+    """
+    for tri_a, tri_b in ((t1, t2), (t2, t1)):
+        for i in range(3):
+            p, q = tri_a[i], tri_a[(i + 1) % 3]
+            axis = np.array([-(q[1] - p[1]), q[0] - p[0]])
+            n = np.hypot(axis[0], axis[1])
+            if n == 0.0:
+                continue
+            axis = axis / n
+            a_lo, a_hi = (t1 @ axis).min(), (t1 @ axis).max()
+            b_lo, b_hi = (t2 @ axis).min(), (t2 @ axis).max()
+            if a_hi < b_lo - gap or b_hi < a_lo - gap:
+                return True
+    return False
+
+
+def cell_triangle(amap) -> np.ndarray:
+    """Corner images of one cell, rows (A, B, C) mapped."""
+    return np.stack([amap(p) for p in base_vertices()])
+
 
 SQRT3 = math.sqrt(3.0)
 

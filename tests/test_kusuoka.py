@@ -5,7 +5,6 @@ import pytest
 
 from stretched_gasket import (
     DEFAULT_CONSTANTS,
-    adjoint_aggregate,
     cable_mass,
     cable_masses,
     cable_tail_bound,
@@ -30,6 +29,7 @@ from stretched_gasket import (
 from stretched_gasket.kusuoka import adjoint_apply, hs_norm_sq_sum, sym3, unsym3
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
+from oracles import adjoint_aggregate
 
 
 def brute_force_kappa(seq, word):

@@ -1,0 +1,167 @@
+"""The vertex diagnostics on the word tables against the edge-walk routes.
+
+``vertex_stars``/``harmonic_report`` gather the stars from the word
+tables, ``weak_pairing`` folds its form through the level pullbacks and
+``laplacian_samples`` reads the cell and cable tables.  ``tests/oracles.py``
+keeps the edge walk, the per-edge weak pairing and the one-carrier-at-a-time
+samples as references.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from stretched_gasket import (
+    StarNotClosed,
+    affine,
+    base_vertices,
+    corner_values,
+    get_quadrature,
+    harmonic_report,
+    laplacian_samples,
+    parse,
+    teplyaev,
+    vanishing_cubic,
+    vertex_stars,
+    weak_pairing,
+)
+from stretched_gasket import cli, geometry, harmonicity, kusuoka
+from stretched_gasket.energy import min_quad_order, resolve_quadrature
+
+from conftest import PREFIX_EXP, random_poly
+from oracles import boundary_vector_of, laplacian_samples_by_carrier, star_groups_by_edges, weak_pairing_by_edges
+
+RATIOS = (1.0 / 3.0, 0.25, 0.5)
+
+
+def _report_by_edges(groups):
+    """(residual, worst word, worst corner, n_interior) by a running maximum in star order."""
+    worst, name, n_int = 0.0, ((), ""), 0
+    for key, members in groups.items():
+        if key[0]:
+            n_int += 1
+            nrm = float(np.hypot(*boundary_vector_of(members)))
+            if nrm > worst:
+                worst, name = nrm, key
+    return worst, name[0], name[1], n_int
+
+
+def test_vertex_vectors_match_edge_walk(regime):
+    for ratio in RATIOS:
+        for l in range(5):
+            stars = vertex_stars(regime, l, beta_over_alpha=ratio)
+            groups = star_groups_by_edges(regime, l, beta_over_alpha=ratio)
+            assert [(s.word, s.corner) for s in stars] == list(groups), (ratio, l)
+            for star, members in zip(stars, groups.values()):
+                assert [e[:3] for e in star.edges] == [m[:3] for m in members]
+                largest = max(m[2] * float(np.max(np.abs(m[3]))) for m in members)
+                got = harmonicity.boundary_vector(regime, l, star)
+                assert np.max(np.abs(got - boundary_vector_of(members))) <= 1e-12 * largest, (ratio, l, star.word)
+                assert np.max(np.abs(star.vertex - members[0][4])) <= 1e-12
+            rep = harmonic_report(regime, l, beta_over_alpha=ratio)
+            residual, word, corner, n_int = _report_by_edges(groups)
+            assert rep.n_interior == n_int == 3 * (3**l - 1)
+            assert rep.residual == pytest.approx(residual, rel=1e-12, abs=1e-12)
+            if ratio != 1.0 / 3.0 and l > 0:
+                assert (rep.worst_word, rep.worst_corner) == (word, corner), (ratio, l)
+
+
+def _admissible(q):
+    """q minus its affine interpolant at A, B, C: vanishes at the corners, not along the sides."""
+    pts = np.stack(base_vertices())
+    coeffs = np.linalg.solve(np.column_stack([np.ones(3), pts]), np.array(corner_values(q)))
+    return q - affine(*coeffs)
+
+
+def test_folded_weak_pairing_matches_edge_sum(regime, rng):
+    # Every degree up to depth 3; the per-edge route is slow beyond, so
+    # depths 4 and 5 take the quadratic and the quartic field.
+    for l in range(6):
+        for deg_u in range(5) if l < 4 else (2, 4):
+            u = random_poly(rng, deg_u)
+            v = _admissible(random_poly(rng, 3))
+            for quad in (None, get_quadrature(min_quad_order(u.degree, v.degree))):
+                parts = weak_pairing_by_edges(regime, l, u, v, resolve_quadrature(quad, u.degree, v.degree))
+                want = -math.fsum(parts)
+                got = weak_pairing(regime, l, u, v, quad=quad)
+                assert abs(got - want) <= 1e-12 * abs(want), (l, deg_u, quad, got, want)
+
+
+def test_laplacian_samples_match_teplyaev(limit_regime, rng):
+    for depth in range(4):
+        phi = random_poly(rng, 4)
+        got = laplacian_samples(limit_regime, phi, depth)
+        want = laplacian_samples_by_carrier(limit_regime, phi, depth)
+        assert len(got) == len(want) == 3**depth + 3 * (3**depth - 1) // 2
+        scale = max(abs(s.value) for s in want)
+        for a, b in zip(got, want):
+            if isinstance(b.carrier, tuple):
+                assert a.carrier == b.carrier
+            else:
+                assert (a.carrier.prefix, a.carrier.generation, a.carrier.slot) == (
+                    b.carrier.prefix, b.carrier.generation, b.carrier.slot
+                )
+                assert a.carrier.mass == pytest.approx(b.carrier.mass, rel=1e-12)
+            assert np.max(np.abs(a.location - b.location)) <= 1e-12
+            assert np.max(np.abs(a.t_tilde - b.t_tilde)) <= 1e-12
+            assert abs(a.value - b.value) <= 1e-12 * scale, (depth, a.carrier)
+
+
+def test_depth_zero_has_only_the_base_corners():
+    phi = parse("x^2 - 0.5*x*y + y^3")
+    rep = harmonic_report(PREFIX_EXP, 0)
+    assert (rep.residual, rep.worst_word, rep.worst_corner, rep.n_interior) == (0.0, (), "", 0)
+    assert list(rep.corner_norms) == ["A", "B", "C"] and min(rep.corner_norms.values()) > 0.0
+    assert [(s.word, s.corner, len(s.edges)) for s in vertex_stars(PREFIX_EXP, 0)] == [((), c, 2) for c in "ABC"]
+    v = _admissible(parse("x*y"))
+    quad = get_quadrature(8)
+    assert weak_pairing(PREFIX_EXP, 0, phi, v) == pytest.approx(
+        -math.fsum(weak_pairing_by_edges(PREFIX_EXP, 0, phi, v, quad)), rel=1e-12
+    )
+    (sample,) = laplacian_samples(PREFIX_EXP, phi, 0)
+    assert sample.carrier == ()
+    assert sample.value == pytest.approx(teplyaev(phi, (), PREFIX_EXP).value, rel=1e-14)
+
+
+def test_open_star_is_refused(monkeypatch):
+    # Shift every cable by 1e-9: its ends no longer meet the cell corners.
+    segs = geometry.cable_segments
+
+    def shifted(seq, s, beta_over_alpha=1.0 / 3.0):
+        return tuple(geometry.Segment(sg.p + 1e-9, sg.q + 1e-9, sg.vel) for sg in segs(seq, s, beta_over_alpha))
+
+    monkeypatch.setattr(harmonicity, "cable_segments", shifted)
+    with pytest.raises(StarNotClosed, match="do not coincide"):
+        harmonic_report(PREFIX_EXP, 2)
+
+
+def test_harmonic_gates_have_one_definition():
+    assert dict(harmonicity.HARMONIC_GATES) == {"assertion": 1e-10, "weak_identity": 1e-8}
+    assert cli.HARMONIC_GATES is harmonicity.HARMONIC_GATES
+    with pytest.raises(TypeError):
+        harmonicity.HARMONIC_GATES["assertion"] = 1.0
+
+
+def _cold_peak(fn) -> int:
+    """tracemalloc peak of fn() with the map and cylinder tables built inside it."""
+    geometry.word_table.cache_clear()
+    kusuoka._scaled_linears.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_vertex_diagnostics_memory_at_depth_ten():
+    # Ceilings are twice the peaks measured at depth 10 (44, 44 and
+    # 122 MiB): O(3^l) arrays and, for the samples, one object per carrier.
+    u = parse("x^2 - 0.5*x*y + y^3")
+    v = vanishing_cubic()
+    mib = 2**20
+    assert _cold_peak(lambda: harmonic_report(PREFIX_EXP, 10)) < 88 * mib
+    assert _cold_peak(lambda: weak_pairing(PREFIX_EXP, 10, u, v)) < 88 * mib
+    assert _cold_peak(lambda: laplacian_samples(PREFIX_EXP, u, 10)) < 244 * mib
