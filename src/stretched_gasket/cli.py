@@ -408,7 +408,6 @@ def build_parser() -> _Parser:
     )
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--json", help="write the JSON side report to this path")
-    common.add_argument("--seed", type=int, default=0, help="reserved for randomized reports")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("geometry", parents=[common], help="SVG and JSON edge export")
     p.add_argument("--shade", action="store_true", help="shade cells by their kappa mass")

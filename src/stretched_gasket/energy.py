@@ -26,8 +26,10 @@ numbers the edge sum gives; the rule must be exact for the field degrees
 (``min_quad_order``).  The folded form is symmetrized and contracted with
 exact compensated summation (math.fsum), so E(u, v) == E(v, u) exactly.
 
-``energy_total(per_edge=True)`` keeps the edge-by-edge assembly from the
-batched edge tableau; the tests use it as the independent route.
+The one-step recurrence and self-similarity residuals price their
+generation-1 cables with one level of the same fold.  The batched edge
+tableau (``_tableau``) remains only for the tests' edge-by-edge routes in
+``tests/oracles.py``.
 
 The limit cable form replaces the finite window product eps_tilde(s, l)
 with the infinite one and is reported together with a rigorous tail bound.
@@ -41,25 +43,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCable, DepthCapExceeded
+from .errors import DepthCapExceeded
 from .geometry import (
     DEFAULT_DEPTH_CAP,
     HARMONIC_RATIO,
     AffineMap2,
     barycenter,
-    EdgeId,
-    Segment,
-    cable_prefactor,
     cable_segments,
-    prefractal_edges,
-    triangle_edge_prefactor,
     triple,
     word_table,
     SIDE_NAMES,
     _SIDE_ENDPOINTS,
 )
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
-from .scalarfield import Poly2, compose_with_segment, grad_batch, poly1_derivative, poly1_eval, sup_bounds
+from .scalarfield import Poly2, sup_bounds
 
 DEFAULT_QUAD_ORDER = 8
 
@@ -94,9 +91,6 @@ class QuadratureRule:
                 raise ValueError(
                     f"quadrature self-check failed at degree {k}: {got} vs {want}"
                 )
-
-    def integrate_values(self, values: np.ndarray) -> float:
-        return float(values @ self.weights)
 
 
 @functools.lru_cache(maxsize=16)
@@ -139,26 +133,6 @@ class EnergyReport:
     e1: float
     e2: float
     total: float
-    per_edge: tuple[tuple[EdgeId, float], ...] | None = None
-
-
-def segment_pairing(
-    u: Poly2,
-    v: Poly2,
-    amap: AffineMap2,
-    seg: Segment,
-    quad: QuadratureRule | None = None,
-) -> float:
-    """Line energy of one edge: integral over [0,1] of (u o z)' (v o z)'.
-
-    z is the mapped segment t -> amap(seg(t)).  This is the reference
-    per-edge path; the assembled forms use the pullback fold and tests
-    cross-check the two.
-    """
-    quad = resolve_quadrature(quad, u.degree, v.degree)
-    du = poly1_derivative(compose_with_segment(u, amap, seg))
-    dv = poly1_derivative(compose_with_segment(v, amap, seg))
-    return quad.integrate_values(poly1_eval(du, quad.nodes) * poly1_eval(dv, quad.nodes))
 
 
 # -- monomial pullback fold ------------------------------------------------
@@ -384,7 +358,18 @@ def _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, *, tria
     return _contract(0.5 * (forms + forms.transpose(0, 2, 1)), u, v, d, outer)
 
 
-# -- edge-by-edge assembly (per_edge=True) ---------------------------------
+def _generation1_cables(seq, l, u, v, quad, constants, beta_over_alpha=HARMONIC_RATIO, *, limit=False) -> float:
+    """The top cell's generation-1 cable form at depth-l window (or limit) weight.
+
+    This is the cable term of one fold level, without the fold.
+    """
+    d = max(u.degree, v.degree, 0)
+    form = _cable_form(seq, 1, l, d, quad, constants, beta_over_alpha, limit=limit)
+    (terms,) = _contract(0.5 * (form + form.T)[None], u, v, d)
+    return math.fsum(terms)
+
+
+# -- edge tableau (the tests' edge-by-edge routes) ------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,42 +400,6 @@ def _tableau(seq: ParamSeq, l: int, beta_over_alpha: float) -> _Tableau:
     return _Tableau(l, tri_p0, tri_dv, tuple(cab_p0), tuple(cab_dv))
 
 
-def _transform(p0: np.ndarray, dv: np.ndarray, outer: AffineMap2 | None):
-    if outer is None:
-        return p0, dv
-    lt = outer.linear.T
-    return p0 @ lt + outer.offset, dv @ lt
-
-
-def _pairings(u: Poly2, v: Poly2, p0: np.ndarray, dv: np.ndarray, quad: QuadratureRule) -> np.ndarray:
-    """Per-edge line energies for a block of edges, in block order."""
-    ts = quad.nodes
-    xs = p0[:, 0][:, None] + dv[:, 0][:, None] * ts[None, :]
-    ys = p0[:, 1][:, None] + dv[:, 1][:, None] * ts[None, :]
-    gux, guy = grad_batch(u, xs, ys)
-    du = gux * dv[:, 0][:, None] + guy * dv[:, 1][:, None]
-    if v is u:
-        dvv = du
-    else:
-        gvx, gvy = grad_batch(v, xs, ys)
-        dvv = gvx * dv[:, 0][:, None] + gvy * dv[:, 1][:, None]
-    return (du * dvv) @ quad.weights
-
-
-def _per_edge_report(seq, l, u, v, quad, constants, outer, beta_over_alpha) -> EnergyReport:
-    """Every edge's weighted line energy from the tableau, in canonical edge order."""
-    tab = _tableau(seq, l, beta_over_alpha)
-    p0, dv = _transform(tab.tri_p0, tab.tri_dv, outer)
-    tri_list = (triangle_edge_prefactor(seq, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
-    cab_list = []
-    for s in range(1, l + 1):
-        p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
-        cab_list += (cable_prefactor(seq, s, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
-    ids = [eid for eid, _, _ in prefractal_edges(seq, l, constants, beta_over_alpha)]
-    edges = tuple(zip(ids, tri_list + cab_list))
-    return EnergyReport(l, math.fsum(tri_list), math.fsum(cab_list), math.fsum(tri_list + cab_list), edges)
-
-
 # -- the forms -------------------------------------------------------------
 
 
@@ -473,29 +422,6 @@ def energy1(
     quad = resolve_quadrature(quad, u.degree, v.degree)
     (terms,) = _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, triangles=True, cables=None)
     return math.fsum(terms)
-
-
-def cable_energy(
-    seq: ParamSeq,
-    s: int,
-    u: Poly2,
-    v: Poly2,
-    quad: QuadratureRule | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
-    prefix_map: AffineMap2 | None = None,
-    beta_over_alpha: float = HARMONIC_RATIO,
-) -> float:
-    """Unrenormalized cable-sum of one generation: b/(1-eps_s) times the
-    line energies of the three generation-s cables under an explicit
-    prefix map (default: identity, the cables of the top-level cell).
-    """
-    quad = resolve_quadrature(quad, u.degree, v.degree)
-    if seq.one_minus_eps(s) == 0.0:
-        raise DegenerateCable(f"eps_{s} = 1: cables have length zero")
-    segs = cable_segments(seq, s, beta_over_alpha)
-    amap = prefix_map or AffineMap2.identity()
-    vals = [segment_pairing(u, v, amap, sg, quad) for sg in segs]
-    return constants.b / seq.one_minus_eps(s) * math.fsum(vals)
 
 
 def energy2(
@@ -523,18 +449,13 @@ def energy_total(
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
     beta_over_alpha: float = HARMONIC_RATIO,
-    per_edge: bool = False,
 ) -> EnergyReport:
     """Full depth-l form, triangle and cable parts folded separately.
 
     The grand total is one compensated sum over the contraction terms of
-    both parts.  ``per_edge`` instead assembles every edge from the
-    tableau (O(3^l) time and memory) and reports the edge values in
-    canonical order (triangle edges first, then cables by generation).
+    both parts.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    if per_edge:
-        return _per_edge_report(seq, l, u, v, quad, constants, outer, beta_over_alpha)
     tri, cab = _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, triangles=True, cables="window")
     return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
 
@@ -602,9 +523,7 @@ def recurrence_residual(
         energy_total(shifted, l, u, v, quad, constants, outer=f, beta_over_alpha=beta_over_alpha).total
         for f in maps
     ]
-    rhs = math.fsum(parts) / seq.lam(1) + cable_energy(
-        seq, 1, u, v, quad, constants, beta_over_alpha=beta_over_alpha
-    ) / seq.eps_tilde(1, l + 1)
+    rhs = math.fsum(parts) / seq.lam(1) + _generation1_cables(seq, l + 1, u, v, quad, constants, beta_over_alpha)
     return abs(lhs - rhs)
 
 
@@ -643,7 +562,7 @@ def selfsimilar_residual(
         )
         parts.append(energy1(shifted, depth - 1, u, v, quad, constants, outer=f) + e2i)
         tails.append(tail_i / seq.lam(1))
-    rhs = math.fsum(parts) / seq.lam(1) + cable_energy(seq, 1, u, v, quad, constants) / seq.eps_tilde_inf(1)
+    rhs = math.fsum(parts) / seq.lam(1) + _generation1_cables(seq, depth, u, v, quad, constants, limit=True)
     return abs(lhs - rhs), math.fsum(tails)
 
 

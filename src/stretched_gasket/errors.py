@@ -39,7 +39,3 @@ class StarNotClosed(GasketError):
 
     This signals an internal geometry bug, not bad user input.
     """
-
-
-class ConfigError(GasketError):
-    """Malformed run configuration (CLI flags or config file)."""

@@ -293,21 +293,11 @@ def cable_prefactor_limit(seq: ParamSeq, s: int, constants: Constants = DEFAULT_
     return constants.b / (seq.lam_tilde(s - 1) * seq.eps_tilde_inf(s) * seq.one_minus_eps(s))
 
 
-def iter_cables(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATIO) -> Iterator[tuple[tuple[int, ...], int, Segment, AffineMap2]]:
-    """Stream (prefix, slot, local segment, prefix map) for generation s."""
-    segs = cable_segments(seq, s, beta_over_alpha)
-    lin, off = word_table(seq, s - 1, beta_over_alpha)
-    for prefix, amap in zip(iter_words(s - 1), map(AffineMap2, lin, off)):
-        for slot in (1, 2, 3):
-            yield prefix, slot, segs[slot - 1], amap
-
-
 def prefractal_edges(
     seq: ParamSeq,
     l: int,
     constants: Constants = DEFAULT_CONSTANTS,
     beta_over_alpha: float = HARMONIC_RATIO,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> Iterator[tuple[EdgeId, Segment, AffineMap2]]:
     """All edges of the depth-l pre-fractal with their energy prefactors.
 
@@ -315,12 +305,9 @@ def prefractal_edges(
     1..l (3 * (3^l - 1) / 2 of them), in canonical order: triangle edges
     lexicographic in (word, side), then generations in increasing order,
     lexicographic in (prefix, slot).  The segment is in local coordinates;
-    the world edge is the affine map applied to it.
+    the world edge is the affine map applied to it.  Depths outside
+    ``word_table``'s range raise as it does.
     """
-    if l < 0:
-        raise ValueError(f"depth must be >= 0, got {l}")
-    if l > depth_cap:
-        raise DepthCapExceeded(f"depth {l} exceeds cap {depth_cap}")
     tri_pf = triangle_edge_prefactor(seq, l, constants)
     sides = {name: Segment(pq[0], pq[1]) for name, pq in _SIDE_ENDPOINTS.items()}
     lin, off = word_table(seq, l, beta_over_alpha)
@@ -329,8 +316,11 @@ def prefractal_edges(
             yield EdgeId("tri", word, side=name, prefactor=tri_pf), sides[name], amap
     for s in range(1, l + 1):
         pf = cable_prefactor(seq, s, l, constants)
-        for prefix, slot, seg, amap in iter_cables(seq, s, beta_over_alpha):
-            yield EdgeId("cable", prefix, slot=slot, generation=s, prefactor=pf), seg, amap
+        segs = cable_segments(seq, s, beta_over_alpha)
+        lin, off = word_table(seq, s - 1, beta_over_alpha)
+        for prefix, amap in zip(iter_words(s - 1), map(AffineMap2, lin, off)):
+            for slot, seg in enumerate(segs, start=1):
+                yield EdgeId("cable", prefix, slot=slot, generation=s, prefactor=pf), seg, amap
 
 
 def count_edges(l: int) -> tuple[int, int]:

@@ -3,9 +3,10 @@
 The level operator at stretch eps sends a symmetric 2x2 matrix A to
 sum_i T_i^t A T_i over the three contraction linear parts.  Its dominant
 eigenpair is (lam, Q) with lam = (3/5) eps^2 and Q proportional to the
-identity; trace normalization tr Q = 2 fixes the eigenmatrix.  The
-adjoint conjugates the other way round, T_i M T_i^t, and pushes matrix
-measures forward branch by branch.
+identity; trace normalization tr Q = 2 fixes the eigenmatrix.  Its
+Hilbert-Schmidt adjoint conjugates the other way round, T_i M T_i^t; the
+adjoint route to the cylinder matrices is a test oracle
+(``tests/oracles.py``), checked against the closed form below.
 
 Cylinder matrices tau([w]) = DF_w (Id/2) DF_w^t / lam_tilde(l) define
 the gasket-part matrix measure; their traces kappa([w]) form a
@@ -34,7 +35,6 @@ from .geometry import (
     compose,
     iter_words,
     triple,
-    word_index,
     word_table,
 )
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
@@ -75,26 +75,9 @@ def ruelle_apply(eps: float, mat: np.ndarray, beta_over_alpha: float = HARMONIC_
     return 0.5 * (out + out.T)
 
 
-def adjoint_apply(eps: float, mat: np.ndarray, beta_over_alpha: float = HARMONIC_RATIO) -> np.ndarray:
-    """One application of the adjoint: sum of T_i mat T_i^t.
-
-    Conjugation runs the opposite way from ruelle_apply.  The two happen
-    to coincide for the harmonic family, whose linear parts are
-    symmetric; the code keeps them distinct because composed products
-    DF_w are not symmetric.
-    """
-    _require_symmetric(mat)
-    out = np.zeros((2, 2))
-    for f in triple(eps, beta_over_alpha):
-        t = f.linear
-        out += t @ mat @ t.T
-    return 0.5 * (out + out.T)
-
-
-def sym_operator3(eps: float, beta_over_alpha: float = HARMONIC_RATIO, adjoint: bool = False) -> np.ndarray:
-    """3x3 matrix of the (adjoint) level operator in SYM_BASIS."""
-    apply_ = adjoint_apply if adjoint else ruelle_apply
-    cols = [sym3(apply_(eps, b, beta_over_alpha)) for b in SYM_BASIS]
+def sym_operator3(eps: float, beta_over_alpha: float = HARMONIC_RATIO) -> np.ndarray:
+    """3x3 matrix of the level operator in SYM_BASIS."""
+    cols = [sym3(ruelle_apply(eps, b, beta_over_alpha)) for b in SYM_BASIS]
     return np.stack(cols, axis=1)
 
 
@@ -170,18 +153,22 @@ class CableMass:
     projection: np.ndarray
 
 
-@functools.lru_cache(maxsize=64)
-def _scaled_linears(seq: ParamSeq, l: int, beta_over_alpha: float) -> np.ndarray:
-    """Products of T_i / sqrt(lam_i) for all length-l words, lexicographic.
+def _scaled_level(seq: ParamSeq, k: int, beta_over_alpha: float) -> np.ndarray:
+    """(3, 2, 2): the level-k linear parts T_i / sqrt(lam_k).
 
-    Scaling each factor keeps every intermediate O(1), so cylinder
+    Scaling each factor keeps every product of them O(1), so cylinder
     matrices stay well conditioned at any depth the cap allows.
     """
+    scale = 1.0 / math.sqrt(seq.lam(k))
+    return np.stack([f.linear * scale for f in triple(seq.eps(k), beta_over_alpha)])
+
+
+@functools.lru_cache(maxsize=64)
+def _scaled_linears(seq: ParamSeq, l: int, beta_over_alpha: float) -> np.ndarray:
+    """Products of the scaled level factors for all length-l words, lexicographic."""
     out = np.eye(2)[None, :, :]
     for k in range(1, l + 1):
-        scale = 1.0 / math.sqrt(seq.lam(k))
-        mats = np.stack([f.linear * scale for f in triple(seq.eps(k), beta_over_alpha)])
-        out = np.einsum("wab,jbc->wjac", out, mats).reshape(-1, 2, 2)
+        out = np.einsum("wab,jbc->wjac", out, _scaled_level(seq, k, beta_over_alpha)).reshape(-1, 2, 2)
     out.flags.writeable = False
     return out
 
@@ -189,12 +176,16 @@ def _scaled_linears(seq: ParamSeq, l: int, beta_over_alpha: float) -> np.ndarray
 def gibbs_tau(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMONIC_RATIO) -> CylinderMass:
     """Cylinder mass from the closed form: renormalized DF (Id/2) DF^t.
 
-    The empty word returns tau = Id/2 with kappa = 1, the normalization
-    that makes each level a probability vector.
+    Multiplies the word's l scaled level factors, O(l).  The empty word
+    returns tau = Id/2 with kappa = 1, the normalization that makes each
+    level a probability vector.
     """
-    mats = _scaled_linears(seq, len(word), beta_over_alpha)
-    m = mats[word_index(word)]
-    tau = 0.5 * (m @ m.T)
+    # einsum, as in _scaled_linears and tau_table, so tau is bit-identical
+    # to the word's tau_table row.
+    m = np.eye(2)
+    for k, letter in enumerate(word, start=1):
+        m = np.einsum("ab,bc->ac", m, _scaled_level(seq, k, beta_over_alpha)[letter - 1])
+    tau = 0.5 * np.einsum("ab,cb->ac", m, m)
     return CylinderMass(word, tau, float(np.trace(tau)))
 
 

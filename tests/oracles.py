@@ -4,20 +4,23 @@ The package evaluates every depth-l form by folding cell forms through the
 level pullbacks, and the vertex diagnostics by index gathers on the word
 tables.  The routes here enumerate the 3^l cells and their edges instead
 (the batched edge tableau, an edge walk that composes each word's map on
-its own, or word tables plus cylinder matrices) and share no code with the
-fold or the gathers beyond the map triples, the cable segments and the
-quadrature rule, so agreement is a real cross-check.
+its own, one segment's composed polynomial, or word tables plus cylinder
+matrices) and share no code with the fold or the gathers beyond the map
+triples, the cable segments and the quadrature rule, so agreement is a
+real cross-check.
 """
 
 import math
 
 import numpy as np
 
-from stretched_gasket.energy import _pairings, _tableau, _transform
+from stretched_gasket.energy import EnergyReport, _tableau, resolve_quadrature
+from stretched_gasket.errors import DegenerateCable
 from stretched_gasket.geometry import (
     _SIDE_ENDPOINTS,
     HARMONIC_RATIO,
     SIDE_NAMES,
+    AffineMap2,
     EdgeId,
     Segment,
     barycenter,
@@ -27,6 +30,7 @@ from stretched_gasket.geometry import (
     cable_segments,
     compose,
     iter_words,
+    prefractal_edges,
     triangle_edge_prefactor,
     triple,
     word_table,
@@ -35,7 +39,73 @@ from stretched_gasket.harmonicity import _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNE
 from stretched_gasket.kusuoka import cable_mass, tau_table
 from stretched_gasket.laplacian import teplyaev
 from stretched_gasket.params import DEFAULT_CONSTANTS
-from stretched_gasket.scalarfield import compose_with_segment, hess_batch, poly1_derivative, poly1_eval
+from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval
+
+
+def segment_pairing(u, v, amap, seg, quad=None) -> float:
+    """Line energy of one edge: integral over [0,1] of (u o z)' (v o z)'.
+
+    z is the mapped segment t -> amap(seg(t)), composed into one-variable
+    polynomials.
+    """
+    quad = resolve_quadrature(quad, u.degree, v.degree)
+    du = poly1_derivative(compose_with_segment(u, amap, seg))
+    dv = poly1_derivative(compose_with_segment(v, amap, seg))
+    return float((poly1_eval(du, quad.nodes) * poly1_eval(dv, quad.nodes)) @ quad.weights)
+
+
+def cable_energy(seq, s, u, v, quad=None, constants=DEFAULT_CONSTANTS, prefix_map=None, beta_over_alpha=HARMONIC_RATIO) -> float:
+    """Unrenormalized cable sum of one generation: b/(1-eps_s) times the
+    line energies of the three generation-s cables under an explicit
+    prefix map (default: identity, the cables of the top-level cell).
+    """
+    quad = resolve_quadrature(quad, u.degree, v.degree)
+    if seq.one_minus_eps(s) == 0.0:
+        raise DegenerateCable(f"eps_{s} = 1: cables have length zero")
+    amap = prefix_map or AffineMap2.identity()
+    vals = [segment_pairing(u, v, amap, sg, quad) for sg in cable_segments(seq, s, beta_over_alpha)]
+    return constants.b / seq.one_minus_eps(s) * math.fsum(vals)
+
+
+def _transform(p0, dv, outer):
+    if outer is None:
+        return p0, dv
+    lt = outer.linear.T
+    return p0 @ lt + outer.offset, dv @ lt
+
+
+def _pairings(u, v, p0, dv, quad) -> np.ndarray:
+    """Per-edge line energies for a block of edges, in block order."""
+    ts = quad.nodes
+    xs = p0[:, 0][:, None] + dv[:, 0][:, None] * ts[None, :]
+    ys = p0[:, 1][:, None] + dv[:, 1][:, None] * ts[None, :]
+    gux, guy = grad_batch(u, xs, ys)
+    du = gux * dv[:, 0][:, None] + guy * dv[:, 1][:, None]
+    if v is u:
+        dvv = du
+    else:
+        gvx, gvy = grad_batch(v, xs, ys)
+        dvv = gvx * dv[:, 0][:, None] + gvy * dv[:, 1][:, None]
+    return (du * dvv) @ quad.weights
+
+
+def energy_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None, beta_over_alpha=HARMONIC_RATIO):
+    """The depth-l form edge by edge from the batched edge tableau.
+
+    Returns (report, edges): the EnergyReport of the compensated sums and
+    every (EdgeId, weighted line energy) in canonical edge order (triangle
+    edges first, then cables by generation).
+    """
+    tab = _tableau(seq, l, beta_over_alpha)
+    p0, dv = _transform(tab.tri_p0, tab.tri_dv, outer)
+    tri_list = (triangle_edge_prefactor(seq, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
+    cab_list = []
+    for s in range(1, l + 1):
+        p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
+        cab_list += (cable_prefactor(seq, s, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
+    ids = [eid for eid, _, _ in prefractal_edges(seq, l, constants, beta_over_alpha)]
+    report = EnergyReport(l, math.fsum(tri_list), math.fsum(cab_list), math.fsum(tri_list + cab_list))
+    return report, tuple(zip(ids, tri_list + cab_list))
 
 
 def energy2_limit_by_edges(seq, s_max, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None, beta_over_alpha=HARMONIC_RATIO):

@@ -115,8 +115,11 @@ def test_config_file_and_flag_override(tmp_path):
     assert over["eps_spec"] == base["eps_spec"]
 
 
-def test_seed_flag_is_accepted():
-    run_cli("energy", "--eps-const", "0.5", "--depth", "1", "--seed", "7")
+def test_seed_flag_is_refused():
+    proc = run_cli("energy", "--eps-const", "0.5", "--depth", "1", "--seed", "7", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"usage: ")
+    assert b"unrecognized arguments: --seed 7" in proc.stderr
 
 
 def test_usage_errors_exit_one():

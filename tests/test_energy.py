@@ -9,7 +9,6 @@ from stretched_gasket import (
     ParamSeq,
     QuadratureRule,
     TailProductZero,
-    cable_energy,
     cable_tail_bound,
     convergence_rows,
     energy1,
@@ -24,6 +23,7 @@ from stretched_gasket import (
 )
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
+from oracles import cable_energy, energy_by_edges
 
 X = parse("x")
 Y = parse("y")
@@ -84,9 +84,10 @@ def test_nonnegativity_on_random_fields(rng):
 def test_per_edge_sums_match_batched_total(rng):
     u = random_poly(rng, 3)
     v = random_poly(rng, 3)
-    rep = energy_total(PREFIX_EXP, 3, u, v, per_edge=True)
-    assert math.fsum(x for _, x in rep.per_edge) == pytest.approx(rep.total, rel=1e-13, abs=1e-16)
-    tri_sum = math.fsum(x for eid, x in rep.per_edge if eid.kind == "tri")
+    rep = energy_total(PREFIX_EXP, 3, u, v)
+    _, edges = energy_by_edges(PREFIX_EXP, 3, u, v, get_quadrature(8))
+    assert math.fsum(x for _, x in edges) == pytest.approx(rep.total, rel=1e-13, abs=1e-16)
+    tri_sum = math.fsum(x for eid, x in edges if eid.kind == "tri")
     assert tri_sum == pytest.approx(rep.e1, rel=1e-13, abs=1e-16)
 
 

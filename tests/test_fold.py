@@ -1,9 +1,10 @@
 """The folded forms against edge-by-edge routes, quadrature checks, memory.
 
-Every folded quantity is compared with a route that enumerates cells and
-edges (``energy_total(per_edge=True)`` and ``tests/oracles.py``) at
-depths <= 7, to 1e-12 relative.  The one-step recurrence is not used as
-the check: it is the fold's own identity.
+Every folded quantity is compared with a route in ``tests/oracles.py``
+that enumerates cells and edges, at depths <= 7, to 1e-12 relative; the
+generation-1 cable term of the recurrence residuals is compared with the
+per-edge ``cable_energy``.  The one-step recurrence is not used as the
+check: it is the fold's own identity.
 """
 
 import math
@@ -31,7 +32,7 @@ from stretched_gasket import (
 from stretched_gasket.energy import min_quad_order
 
 from conftest import ALL_REGIMES, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import energy2_limit_by_edges, ibp_rhs_by_cells
+from oracles import cable_energy, energy2_limit_by_edges, energy_by_edges, ibp_rhs_by_cells
 
 RTOL = 1e-12
 DEPTHS = (1, 3, 7)
@@ -79,7 +80,7 @@ def test_folded_energy_matches_edge_sum(seq, case):
     u, v, order = case
     quad = get_quadrature(order)
     for l in _depths(u, v):
-        ref = energy_total(seq, l, u, v, quad, per_edge=True)
+        ref, _ = energy_by_edges(seq, l, u, v, quad)
         rep = energy_total(seq, l, u, v, quad)
         _close(rep.e1, ref.e1)
         _close(rep.e2, ref.e2)
@@ -95,7 +96,7 @@ def test_folded_energy_with_outer_maps(seq, rng):
     quad = get_quadrature(8)
     for outer in (SHEAR, *triple(seq.eps(1))):
         for l in (0, 3, 6):
-            ref = energy_total(seq, l, u, v, quad, outer=outer, per_edge=True)
+            ref, _ = energy_by_edges(seq, l, u, v, quad, outer=outer)
             _close(energy_total(seq, l, u, v, quad, outer=outer).total, ref.total)
             _close(energy1(seq, l, u, v, quad, outer=outer), ref.e1)
             _close(energy2(seq, l, u, v, quad, outer=outer), ref.e2)
@@ -115,6 +116,32 @@ def test_folded_limit_cables_match_edge_sum(seq, case):
 
 
 @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
+def test_generation1_cables_match_cable_energy(seq, rng):
+    # The recurrence residuals' cable term is one fold level; the per-edge
+    # cable_energy composes each cable into one-variable polynomials.  The
+    # pair (affine, vanishing cubic) is zero analytically, so the tolerance
+    # is relative to the Cauchy-Schwarz scale sqrt(C(u, u) C(v, v)).
+    from stretched_gasket import DEFAULT_CONSTANTS
+    from stretched_gasket.energy import _generation1_cables, resolve_quadrature
+
+    pairs = [(random_poly(rng, d), random_poly(rng, max(1, d - 1))) for d in range(1, 13)]
+    pairs.append((parse("0.3 - 1.2*x + 0.7*y"), vanishing_cubic()))
+    weights = [(l, seq.eps_tilde(1, l)) for l in (1, 5, 9)]
+    if seq in LIMIT_SEQS:
+        weights.append((None, seq.eps_tilde_inf(1)))
+    for u, v in pairs:
+        # deg u >= deg v: one rule exact for all three pairs.
+        quad = resolve_quadrature(None, u.degree, u.degree)
+        cross = cable_energy(seq, 1, u, v, quad)
+        norms = cable_energy(seq, 1, u, u, quad) * cable_energy(seq, 1, v, v, quad)
+        for l, window in weights:
+            got = _generation1_cables(seq, l, u, v, quad, DEFAULT_CONSTANTS, limit=l is None)
+            want = cross / window
+            scale = math.sqrt(norms) / window
+            assert abs(got - want) <= 1e-12 * scale, (u.degree, v.degree, l, got, want)
+
+
+@pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
 def test_folded_ibp_measure_side_matches_cell_sum(seq, rng):
     cases = [
         (parse("x^2 - x*y"), vanishing_cubic(), 8),
@@ -126,7 +153,7 @@ def test_folded_ibp_measure_side_matches_cell_sum(seq, rng):
         quad = get_quadrature(order)
         for row in ibp_table(seq, phi, v, _depths(phi, v), quad):
             _close(row["integral_rhs"], ibp_rhs_by_cells(seq, row["depth"], phi, v, quad))
-            _close(row["energy_lhs"], energy_total(seq, row["depth"], phi, v, quad, per_edge=True).total)
+            _close(row["energy_lhs"], energy_by_edges(seq, row["depth"], phi, v, quad)[0].total)
 
 
 def test_fold_reproduces_edge_sum_for_inexact_rules():
@@ -134,7 +161,7 @@ def test_fold_reproduces_edge_sum_for_inexact_rules():
     # fields gives the edge sum's numbers; the public entry points refuse
     # such rules, so this goes through the internal assembly.
     from stretched_gasket import DEFAULT_CONSTANTS, HARMONIC_RATIO
-    from stretched_gasket.energy import _energy_terms, _per_edge_report
+    from stretched_gasket.energy import _energy_terms
 
     x12 = parse("x^12")
     for order in (2, 8, 12):
@@ -144,7 +171,7 @@ def test_fold_reproduces_edge_sum_for_inexact_rules():
                 PREFIX_EXP, l, x12, x12, quad, DEFAULT_CONSTANTS, None, HARMONIC_RATIO,
                 triangles=True, cables="window",
             )
-            ref = _per_edge_report(PREFIX_EXP, l, x12, x12, quad, DEFAULT_CONSTANTS, None, HARMONIC_RATIO)
+            ref, _ = energy_by_edges(PREFIX_EXP, l, x12, x12, quad)
             _close(math.fsum(tri), ref.e1)
             _close(math.fsum(cab), ref.e2)
 

@@ -11,7 +11,6 @@ from stretched_gasket import (
     cable_segments,
     compose,
     count_edges,
-    iter_cables,
     iter_words,
     prefractal_edges,
     triple,
@@ -171,13 +170,14 @@ def test_cables_anchor_to_cell_corners():
     a, b, c = base_vertices()
     ends = {1: ((1, b), (2, a)), 2: ((1, c), (3, a)), 3: ((2, c), (3, b))}
     for seq in (PREFIX_EXP, TAIL_ONLY):
-        for s in (1, 2, 3):
-            for prefix, slot, seg, amap in iter_cables(seq, s):
-                (i0, p0), (i1, p1) = ends[slot]
-                start = compose(seq, prefix + (i0,))(p0)
-                stop = compose(seq, prefix + (i1,))(p1)
-                assert np.max(np.abs(amap(seg.p) - start)) <= 1e-13
-                assert np.max(np.abs(amap(seg.q) - stop)) <= 1e-13
+        for eid, seg, amap in prefractal_edges(seq, 3):
+            if eid.kind != "cable":
+                continue
+            (i0, p0), (i1, p1) = ends[eid.slot]
+            start = compose(seq, eid.word + (i0,))(p0)
+            stop = compose(seq, eid.word + (i1,))(p1)
+            assert np.max(np.abs(amap(seg.p) - start)) <= 1e-13
+            assert np.max(np.abs(amap(seg.q) - stop)) <= 1e-13
 
 
 def test_edge_counts():

@@ -26,7 +26,7 @@ from stretched_gasket import (
     total_cable_mass,
     triple,
 )
-from stretched_gasket.kusuoka import adjoint_apply, hs_norm_sq_sum, sym3, unsym3
+from stretched_gasket.kusuoka import _require_symmetric, _scaled_linears, hs_norm_sq_sum, sym3, unsym3
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
 from oracles import adjoint_aggregate
@@ -58,6 +58,22 @@ def test_transfer_operator_preserves_psd_cone(rng):
         out = ruelle_apply(0.8, m)
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-14
         assert np.max(np.abs(out - out.T)) == 0.0
+
+
+def adjoint_apply(eps: float, mat: np.ndarray) -> np.ndarray:
+    """One application of the adjoint: sum of T_i mat T_i^t.
+
+    Conjugation runs the opposite way from ruelle_apply.  The two happen
+    to coincide for the harmonic family, whose linear parts are
+    symmetric; the test keeps them distinct because composed products
+    DF_w are not symmetric.
+    """
+    _require_symmetric(mat)
+    out = np.zeros((2, 2))
+    for f in triple(eps):
+        t = f.linear
+        out += t @ mat @ t.T
+    return 0.5 * (out + out.T)
 
 
 def test_adjoint_is_the_true_adjoint(rng):
@@ -103,6 +119,23 @@ def test_gibbs_cylinder_masses_against_brute_force(regime):
         assert cm.kappa == pytest.approx(float(np.trace(cm.tau)), rel=1e-14, abs=1e-15)
         assert cm.kappa == pytest.approx(brute_force_kappa(regime, word), rel=1e-12)
         assert np.min(np.linalg.eigvalsh(cm.tau)) >= -1e-13
+
+
+def test_gibbs_tau_matches_the_tau_table(regime):
+    # gibbs_tau multiplies one word's level factors; tau_table multiplies
+    # them for every word at once.  Both use the same scaled factors.
+    for l in range(7):
+        taus = tau_table(regime, l)
+        for i, word in enumerate(iter_words(l)):
+            cm = gibbs_tau(regime, word)
+            top = np.max(np.abs(taus[i]))
+            assert np.max(np.abs(cm.tau - taus[i])) <= 1e-15 * top, (l, word)
+            kap = float(np.trace(taus[i]))
+            assert abs(cm.kappa - kap) <= 1e-15 * kap, (l, word)
+    # One word at the depth cap reads l factors, not the 3^l-row table.
+    before = _scaled_linears.cache_info()
+    assert 0.0 < kappa(regime, (1, 2, 3) * 4) < 1.0
+    assert _scaled_linears.cache_info() == before
 
 
 def test_known_cylinder_fractions(regime):
