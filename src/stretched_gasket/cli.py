@@ -32,10 +32,10 @@ from . import harmonicity as harm_mod
 from . import kusuoka as kus_mod
 from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
-from .geometry import prefractal_edges, word_table
+from .geometry import HARMONIC_RATIO, base_vertices, iter_words, prefractal_edges, word_table
 from .harmonicity import HARMONIC_GATES
 from .params import Constants, DEFAULT_CONSTANTS, ParamSeq, seq_from_mapping
-from .scalarfield import corner_values, parse as parse_poly, vanishes_at_corners, vanishing_cubic
+from .scalarfield import corner_values, parse as parse_poly, sup_bounds, vanishes_at_corners, vanishing_cubic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,8 +161,6 @@ def _svg_text(seq, depth, constants, shade: bool) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">',
     ]
     if shade:
-        from .geometry import barycenter, base_vertices
-
         table = kus_mod.kappa_table(seq, depth)
         top = float(np.max(table))
         lin, off = word_table(seq, depth)
@@ -237,7 +235,7 @@ def cmd_energy(args, cfg, seq, constants) -> int:
 
 def cmd_harmonicity(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 4, int)
-    ratio = _resolve(args, cfg, "ratio", "ratio", 1.0 / 3.0, float)
+    ratio = _resolve(args, cfg, "ratio", "ratio", HARMONIC_RATIO, float)
     rep = harm_mod.harmonic_report(seq, depth, constants, ratio)
     payload = {
         "depth": depth,
@@ -270,8 +268,6 @@ def cmd_kusuoka(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 3, int)
     taus = kus_mod.tau_table(seq, depth)
     kappas = kus_mod.kappa_table(seq, depth)
-    from .geometry import iter_words
-
     rows = []
     for i, w in enumerate(iter_words(depth)):
         t = taus[i]
@@ -286,7 +282,7 @@ def cmd_kusuoka(args, cfg, seq, constants) -> int:
             "depth": depth,
             "sum_kappa": sum_kappa,
             "min_eig": min_eig,
-            "max_kappa_word": _word_str(tuple(iter_words(depth))[int(np.argmax(kappas))]),
+            "max_kappa_word": rows[int(np.argmax(kappas))][0],
         }
         _emit(_json_text(summary), args.json)
     if abs(sum_kappa - 1.0) > 1e-12:
@@ -370,8 +366,6 @@ def cmd_laplacian(args, cfg, seq, constants) -> int:
                 ["cable", _word_str(s.carrier.prefix), str(s.carrier.slot), repr(float(s.location[0])), repr(float(s.location[1])), repr(s.value)]
             )
     _emit(_csv_text(["kind", "word", "slot", "x", "y", "value"], rows), args.out)
-    from .scalarfield import sup_bounds
-
     cap = 2.0 * sup_bounds(phi)[1] + 1e-9
     worst = max((abs(s.value) for s in samples), default=0.0)
     if worst > cap:

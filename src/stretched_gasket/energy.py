@@ -46,7 +46,6 @@ import numpy as np
 from .errors import DepthCapExceeded
 from .geometry import (
     DEFAULT_DEPTH_CAP,
-    HARMONIC_RATIO,
     AffineMap2,
     barycenter,
     cable_segments,
@@ -218,9 +217,9 @@ def _map_pullback(amap: AffineMap2, d: int, *, to_world: bool = False) -> np.nda
 
 
 @functools.lru_cache(maxsize=64)
-def _level_pullbacks(eps: float, beta_over_alpha: float, d: int) -> np.ndarray:
+def _level_pullbacks(eps: float, d: int) -> np.ndarray:
     """(3, D, D): pullback matrices of the three level maps at stretch eps."""
-    out = np.stack([_map_pullback(f, d) for f in triple(eps, beta_over_alpha)])
+    out = np.stack([_map_pullback(f, d) for f in triple(eps)])
     out.flags.writeable = False
     return out
 
@@ -283,23 +282,23 @@ def _side_arrays() -> tuple[np.ndarray, np.ndarray]:
     return p, q - p
 
 
-def _cable_arrays(seq: ParamSeq, s: int, beta_over_alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    segs = cable_segments(seq, s, beta_over_alpha)
+def _cable_arrays(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
+    segs = cable_segments(seq, s)
     return np.stack([sg.p for sg in segs]), np.stack([sg.velocity for sg in segs])
 
 
-def _cable_form(seq, s, l, d, quad, constants, beta_over_alpha, *, limit=False, left=1, right=1) -> np.ndarray:
+def _cable_form(seq, s, l, d, quad, constants, *, limit=False, left=1, right=1) -> np.ndarray:
     """Weighted form of the three generation-s cables of one cell.
 
     The weight is b / (eps_tilde(s, l) (1 - eps_s)), or the infinite
     window product for ``limit``; the fold supplies 1 / lam_tilde(s-1).
     """
     window = seq.eps_tilde_inf(s) if limit else seq.eps_tilde(s, l)
-    gram = _segment_form(*_cable_arrays(seq, s, beta_over_alpha), d, quad, left, right)
+    gram = _segment_form(*_cable_arrays(seq, s), d, quad, left, right)
     return constants.b / (window * seq.one_minus_eps(s)) * gram
 
 
-def _fold(seq: ParamSeq, l: int, d: int, beta_over_alpha: float, seed: np.ndarray, level) -> np.ndarray:
+def _fold(seq: ParamSeq, l: int, d: int, seed: np.ndarray, level) -> np.ndarray:
     """Fold stacked cell forms from depth l up to the top cell.
 
     ``seed`` (F, D, D) holds forms on one depth-l cell; ``level(k)`` returns
@@ -312,7 +311,7 @@ def _fold(seq: ParamSeq, l: int, d: int, beta_over_alpha: float, seed: np.ndarra
         raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
     h = seed
     for k in range(l, 0, -1):
-        pulls = _level_pullbacks(seq.eps(k), beta_over_alpha, d)
+        pulls = _level_pullbacks(seq.eps(k), d)
         # np.dot, not matmul: it is the faster longdouble product.
         pulled = [sum(np.dot(p.T, np.dot(form, p)) for p in pulls) for form in h]
         h = np.stack(pulled) / _EXT(seq.lam(k)) + level(k)
@@ -334,7 +333,7 @@ def _contract(forms: np.ndarray, u: Poly2, v: Poly2, d: int, outer: AffineMap2 |
     return [h.tolist() + t.tolist() for h, t in zip(head, tail)]
 
 
-def _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, *, triangles: bool, cables: str | None) -> list[list[float]]:
+def _energy_terms(seq, l, u, v, quad, constants, outer, *, triangles: bool, cables: str | None) -> list[list[float]]:
     """Contraction terms of the requested parts of the depth-l form.
 
     ``cables`` is "window", "limit" or None; parts come out in the order
@@ -351,20 +350,20 @@ def _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, *, tria
     def level(k: int) -> np.ndarray:
         out = [zero] if triangles else []
         if cables:
-            out.append(_cable_form(seq, k, l, d, quad, constants, beta_over_alpha, limit=cables == "limit"))
+            out.append(_cable_form(seq, k, l, d, quad, constants, limit=cables == "limit"))
         return np.stack(out)
 
-    forms = _fold(seq, l, d, beta_over_alpha, np.stack(seed), level)
+    forms = _fold(seq, l, d, np.stack(seed), level)
     return _contract(0.5 * (forms + forms.transpose(0, 2, 1)), u, v, d, outer)
 
 
-def _generation1_cables(seq, l, u, v, quad, constants, beta_over_alpha=HARMONIC_RATIO, *, limit=False) -> float:
+def _generation1_cables(seq, l, u, v, quad, constants, *, limit=False) -> float:
     """The top cell's generation-1 cable form at depth-l window (or limit) weight.
 
     This is the cable term of one fold level, without the fold.
     """
     d = max(u.degree, v.degree, 0)
-    form = _cable_form(seq, 1, l, d, quad, constants, beta_over_alpha, limit=limit)
+    form = _cable_form(seq, 1, l, d, quad, constants, limit=limit)
     (terms,) = _contract(0.5 * (form + form.T)[None], u, v, d)
     return math.fsum(terms)
 
@@ -384,15 +383,15 @@ class _Tableau:
 
 
 @functools.lru_cache(maxsize=64)
-def _tableau(seq: ParamSeq, l: int, beta_over_alpha: float) -> _Tableau:
-    lin, off = word_table(seq, l, beta_over_alpha)
+def _tableau(seq: ParamSeq, l: int) -> _Tableau:
+    lin, off = word_table(seq, l)
     side_p, side_dv = _side_arrays()
     tri_p0 = (np.einsum("wab,sb->wsa", lin, side_p) + off[:, None, :]).reshape(-1, 2)
     tri_dv = np.einsum("wab,sb->wsa", lin, side_dv).reshape(-1, 2)
     cab_p0, cab_dv = [], []
     for s in range(1, l + 1):
-        plin, poff = word_table(seq, s - 1, beta_over_alpha)
-        sp, sv = _cable_arrays(seq, s, beta_over_alpha)
+        plin, poff = word_table(seq, s - 1)
+        sp, sv = _cable_arrays(seq, s)
         cab_p0.append((np.einsum("wab,sb->wsa", plin, sp) + poff[:, None, :]).reshape(-1, 2))
         cab_dv.append(np.einsum("wab,sb->wsa", plin, sv).reshape(-1, 2))
     for arr in (tri_p0, tri_dv, *cab_p0, *cab_dv):
@@ -411,7 +410,6 @@ def energy1(
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> float:
     """Triangle-edge part of the depth-l form.
 
@@ -420,7 +418,7 @@ def energy1(
     back fields enter the recurrence without materializing compositions.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (terms,) = _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, triangles=True, cables=None)
+    (terms,) = _energy_terms(seq, l, u, v, quad, constants, outer, triangles=True, cables=None)
     return math.fsum(terms)
 
 
@@ -432,11 +430,10 @@ def energy2(
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> float:
     """Cable part of the depth-l form: generations 1..l, finite window weights."""
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (terms,) = _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, triangles=False, cables="window")
+    (terms,) = _energy_terms(seq, l, u, v, quad, constants, outer, triangles=False, cables="window")
     return math.fsum(terms)
 
 
@@ -448,7 +445,6 @@ def energy_total(
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> EnergyReport:
     """Full depth-l form, triangle and cable parts folded separately.
 
@@ -456,7 +452,7 @@ def energy_total(
     both parts.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    tri, cab = _energy_terms(seq, l, u, v, quad, constants, outer, beta_over_alpha, triangles=True, cables="window")
+    tri, cab = _energy_terms(seq, l, u, v, quad, constants, outer, triangles=True, cables="window")
     return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
 
 
@@ -480,7 +476,6 @@ def energy2_limit(
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
-    beta_over_alpha: float = HARMONIC_RATIO,
     grad_bounds: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Limit cable form truncated at generation s_max, with a tail bound.
@@ -490,7 +485,7 @@ def energy2_limit(
     bounds for pulled-back fields).
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (terms,) = _energy_terms(seq, s_max, u, v, quad, constants, outer, beta_over_alpha, triangles=False, cables="limit")
+    (terms,) = _energy_terms(seq, s_max, u, v, quad, constants, outer, triangles=False, cables="limit")
     value = math.fsum(terms)
     if grad_bounds is None:
         gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
@@ -506,7 +501,6 @@ def recurrence_residual(
     v: Poly2,
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> float:
     """Defect of the one-step decomposition of the depth-(l+1) form.
 
@@ -516,14 +510,10 @@ def recurrence_residual(
     window.  Returns the absolute defect.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    lhs = energy_total(seq, l + 1, u, v, quad, constants, beta_over_alpha=beta_over_alpha).total
+    lhs = energy_total(seq, l + 1, u, v, quad, constants).total
     shifted = seq.shift()
-    maps = triple(seq.eps(1), beta_over_alpha)
-    parts = [
-        energy_total(shifted, l, u, v, quad, constants, outer=f, beta_over_alpha=beta_over_alpha).total
-        for f in maps
-    ]
-    rhs = math.fsum(parts) / seq.lam(1) + _generation1_cables(seq, l + 1, u, v, quad, constants, beta_over_alpha)
+    parts = [energy_total(shifted, l, u, v, quad, constants, outer=f).total for f in triple(seq.eps(1))]
+    rhs = math.fsum(parts) / seq.lam(1) + _generation1_cables(seq, l + 1, u, v, quad, constants)
     return abs(lhs - rhs)
 
 

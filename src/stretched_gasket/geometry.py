@@ -14,9 +14,13 @@ the rotations through -2*pi/3 and +2*pi/3 about the barycenter direction.
 Cables of generation s join the images F^s_i of the corner points inside a
 cell of depth s-1 and have length 1 - eps_s.
 
-The beta/alpha ratio is exposed (default 1/3, the harmonic family) so the
-harmonicity module can probe perturbed families; perturbations break the
-vertex balance and are rejected by operations that require harmonicity.
+The beta/alpha ratio (default 1/3, the harmonic family) is a parameter of
+the map primitives here and of the vertex-residual probes in the
+harmonicity module, which show that perturbed families break the vertex
+balance.  The energy forms, the cylinder measures and the Laplacian are
+defined for the harmonic family only: their weights use lam_k = (3/5)
+eps_k^2, which is the Perron eigenvalue of the level transfer operator
+only at ratio 1/3, so they take no ratio.
 """
 
 from __future__ import annotations
@@ -171,11 +175,18 @@ def iter_words(l: int) -> Iterator[tuple[int, ...]]:
     return itertools.product((1, 2, 3), repeat=l)
 
 
+def _triple_index(value: int, what: str = "word letter") -> int:
+    """Position 0..2 of a word letter or cable slot; values outside 1..3 raise ValueError."""
+    if value not in (1, 2, 3):
+        raise ValueError(f"{what} must be 1, 2 or 3, got {value!r}")
+    return value - 1
+
+
 def word_index(word: tuple[int, ...]) -> int:
     """Position of a word in the lexicographic enumeration of its length."""
     idx = 0
     for ch in word:
-        idx = idx * 3 + (ch - 1)
+        idx = idx * 3 + _triple_index(ch)
     return idx
 
 
@@ -183,7 +194,7 @@ def compose(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMO
     """F_w for a word w, position k using the level-k triple."""
     out = AffineMap2.identity()
     for k, letter in enumerate(word, start=1):
-        out = out.compose(triple(seq.eps(k), beta_over_alpha)[letter - 1])
+        out = out.compose(triple(seq.eps(k), beta_over_alpha)[_triple_index(letter)])
     return out
 
 
@@ -297,7 +308,6 @@ def prefractal_edges(
     seq: ParamSeq,
     l: int,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> Iterator[tuple[EdgeId, Segment, AffineMap2]]:
     """All edges of the depth-l pre-fractal with their energy prefactors.
 
@@ -310,14 +320,14 @@ def prefractal_edges(
     """
     tri_pf = triangle_edge_prefactor(seq, l, constants)
     sides = {name: Segment(pq[0], pq[1]) for name, pq in _SIDE_ENDPOINTS.items()}
-    lin, off = word_table(seq, l, beta_over_alpha)
+    lin, off = word_table(seq, l)
     for word, amap in zip(iter_words(l), map(AffineMap2, lin, off)):
         for name in SIDE_NAMES:
             yield EdgeId("tri", word, side=name, prefactor=tri_pf), sides[name], amap
     for s in range(1, l + 1):
         pf = cable_prefactor(seq, s, l, constants)
-        segs = cable_segments(seq, s, beta_over_alpha)
-        lin, off = word_table(seq, s - 1, beta_over_alpha)
+        segs = cable_segments(seq, s)
+        lin, off = word_table(seq, s - 1)
         for prefix, amap in zip(iter_words(s - 1), map(AffineMap2, lin, off)):
             for slot, seg in enumerate(segs, start=1):
                 yield EdgeId("cable", prefix, slot=slot, generation=s, prefactor=pf), seg, amap

@@ -15,6 +15,12 @@ interior vertex is one cable end, and the stars are index gathers on the
 word tables (``_vertex_arrays``), O(3^l) array work without an edge walk.
 The weak pairing is the pullback fold of the energy module with
 (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3).
+
+The residual probes (``vertex_stars``, ``harmonic_report``,
+``harmonic_residual``) and ``nd_gamma`` take the map ratio beta/alpha, so
+perturbed families can be shown to break the vertex balance.  The weak
+pairing and the weak Laplacian are defined for the harmonic family only,
+like the forms they fold.
 """
 
 from __future__ import annotations
@@ -263,9 +269,9 @@ def harmonic_residual(
     return harmonic_report(seq, l, constants, beta_over_alpha).residual
 
 
-def _require_harmonic(seq, l, constants, beta_over_alpha):
+def _require_harmonic(seq, l, constants):
     gate = HARMONIC_GATES["weak_identity"] * constants.a
-    res = harmonic_residual(seq, l, constants, beta_over_alpha)
+    res = harmonic_residual(seq, l, constants)
     if res > gate:
         raise NonHarmonicError(
             f"depth-{l} residual {res:.3e} exceeds {gate:.1e}; "
@@ -278,7 +284,6 @@ def weak_laplacian_h1(
     l: int,
     u: Poly2,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> list[tuple[EdgeId, np.ndarray]]:
     """Per-edge density of the weak Laplacian against arclength measure.
 
@@ -288,9 +293,9 @@ def weak_laplacian_h1(
     admissible v against g dH^1 over all edges reproduces -E(u, v); see
     weak_pairing.  Requires the configuration to be harmonic.
     """
-    _require_harmonic(seq, l, constants, beta_over_alpha)
+    _require_harmonic(seq, l, constants)
     out = []
-    for eid, seg, amap in prefractal_edges(seq, l, constants, beta_over_alpha):
+    for eid, seg, amap in prefractal_edges(seq, l, constants):
         c = compose_with_segment(u, amap, seg)
         c2 = poly1_derivative(poly1_derivative(c))
         length = float(np.hypot(*(amap.linear @ seg.velocity)))
@@ -304,7 +309,6 @@ def weak_pairing(
     u: Poly2,
     v: Poly2,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
     quad=None,
 ) -> float:
     """-sum over edges of w_e * integral (u o z)'' (v o z) dt.
@@ -318,26 +322,31 @@ def weak_pairing(
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    _require_harmonic(seq, l, constants, beta_over_alpha)
+    _require_harmonic(seq, l, constants)
     d = max(u.degree, v.degree, 0)
     seed = constants.a * _segment_form(*_side_arrays(), d, quad, 2, 0)
 
     def level(k: int) -> np.ndarray:
-        return _cable_form(seq, k, l, d, quad, constants, beta_over_alpha, left=2, right=0)[None]
+        return _cable_form(seq, k, l, d, quad, constants, left=2, right=0)[None]
 
-    (terms,) = _contract(_fold(seq, l, d, beta_over_alpha, seed[None], level), u, v, d)
+    (terms,) = _contract(_fold(seq, l, d, seed[None], level), u, v, d)
     return -math.fsum(terms)
 
 
 # -- nondegeneracy constant ------------------------------------------------
 
+#: Points per angle of the full grid of ``nd_gamma_of`` and its rounds of
+#: local refinement.
+ND_GRID = 720
+ND_REFINE = 3
 
-def nd_gamma_of(mats, n: int = 720, refine: int = 3) -> float:
+
+def nd_gamma_of(mats) -> float:
     """Grid minimum over unit (c, e) of max_i |<M_i c, e>|.
 
-    Full n x n angular grid, then ``refine`` rounds of local grids shrunk
-    around the running minimizer.  The objective is Lipschitz in the two
-    angles, so the coarse-grid slack is below max_i ||M_i|| * (2 pi / n);
+    Full ND_GRID x ND_GRID angular grid, then ND_REFINE rounds of local
+    grids shrunk around the running minimizer.  The objective is Lipschitz in the two
+    angles, so the coarse-grid slack is below max_i ||M_i|| * (2 pi / ND_GRID);
     refinement narrows the reported minimum itself.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
@@ -352,19 +361,19 @@ def nd_gamma_of(mats, n: int = 720, refine: int = 3) -> float:
         return float(vals[j, k]), float(thetas[j]), float(phis[k])
 
     two_pi = 2.0 * math.pi
-    val, tc, te = grid_min(math.pi, two_pi, math.pi, two_pi, n)
-    span = two_pi / n
-    for _ in range(refine):
+    val, tc, te = grid_min(math.pi, two_pi, math.pi, two_pi, ND_GRID)
+    span = two_pi / ND_GRID
+    for _ in range(ND_REFINE):
         val, tc, te = grid_min(tc, 2.0 * span, te, 2.0 * span, 241)
         span = 2.0 * span / 241
     return val
 
 
-def nd_gamma(eps_i: float, beta_over_alpha: float = HARMONIC_RATIO, n: int = 720, refine: int = 3) -> float:
+def nd_gamma(eps_i: float, beta_over_alpha: float = HARMONIC_RATIO) -> float:
     """Nondegeneracy constant of the stretch-eps_i contraction triple.
 
     Strictly positive iff no direction c has all three images DF_i c
     orthogonal to a common direction; scales linearly in eps_i because
     every DF_i does.
     """
-    return nd_gamma_of([f.linear for f in triple(eps_i, beta_over_alpha)], n, refine)
+    return nd_gamma_of([f.linear for f in triple(eps_i, beta_over_alpha)])

@@ -1,9 +1,10 @@
 """Transfer operator on symmetric matrices and the induced measures.
 
 The level operator at stretch eps sends a symmetric 2x2 matrix A to
-sum_i T_i^t A T_i over the three contraction linear parts.  Its dominant
-eigenpair is (lam, Q) with lam = (3/5) eps^2 and Q proportional to the
-identity; trace normalization tr Q = 2 fixes the eigenmatrix.  Its
+sum_i T_i^t A T_i over the three contraction linear parts of the
+harmonic family.  Its dominant eigenpair is (lam, Q) with lam = (3/5)
+eps^2 and Q proportional to the identity; trace normalization tr Q = 2
+fixes the eigenmatrix.  Its
 Hilbert-Schmidt adjoint conjugates the other way round, T_i M T_i^t; the
 adjoint route to the cylinder matrices is a test oracle
 (``tests/oracles.py``), checked against the closed form below.
@@ -27,8 +28,8 @@ import numpy as np
 from .energy import _energy_terms, resolve_quadrature
 from .errors import DegenerateCable
 from .geometry import (
-    HARMONIC_RATIO,
     _images,
+    _triple_index,
     barycenter,
     cable_prefactor_limit,
     cable_segments,
@@ -49,6 +50,10 @@ SYM_BASIS = (
 for _m in SYM_BASIS:
     _m.flags.writeable = False
 
+#: Convergence tolerance and iteration cap of the Perron power iteration.
+PERRON_RTOL = 1e-14
+PERRON_MAX_ITER = 10_000
+
 
 def sym3(mat: np.ndarray) -> np.ndarray:
     """Coordinates of a symmetric matrix in SYM_BASIS."""
@@ -65,57 +70,52 @@ def _require_symmetric(mat: np.ndarray, tol: float = 1e-12):
         raise ValueError("operator input must be a symmetric 2x2 matrix")
 
 
-def ruelle_apply(eps: float, mat: np.ndarray, beta_over_alpha: float = HARMONIC_RATIO) -> np.ndarray:
+def ruelle_apply(eps: float, mat: np.ndarray) -> np.ndarray:
     """One application of the level operator: sum of T_i^t mat T_i."""
     _require_symmetric(mat)
     out = np.zeros((2, 2))
-    for f in triple(eps, beta_over_alpha):
+    for f in triple(eps):
         t = f.linear
         out += t.T @ mat @ t
     return 0.5 * (out + out.T)
 
 
-def sym_operator3(eps: float, beta_over_alpha: float = HARMONIC_RATIO) -> np.ndarray:
+def sym_operator3(eps: float) -> np.ndarray:
     """3x3 matrix of the level operator in SYM_BASIS."""
-    cols = [sym3(ruelle_apply(eps, b, beta_over_alpha)) for b in SYM_BASIS]
+    cols = [sym3(ruelle_apply(eps, b)) for b in SYM_BASIS]
     return np.stack(cols, axis=1)
 
 
-def _perron_iteration(eps, beta_over_alpha, rtol, max_iter):
+def _perron_iteration(eps):
     q = np.eye(2)  # trace 2 is maintained by the renormalization below
-    for it in range(1, max_iter + 1):
-        nxt = ruelle_apply(eps, q, beta_over_alpha)
+    for it in range(1, PERRON_MAX_ITER + 1):
+        nxt = ruelle_apply(eps, q)
         tr = float(np.trace(nxt))
         if tr <= 0.0:
             raise ArithmeticError("power iteration collapsed to a trace-zero matrix")
         lam = tr / 2.0
         nxt = nxt * (2.0 / tr)
-        if float(np.max(np.abs(nxt - q))) <= rtol * float(np.max(np.abs(nxt))):
+        if float(np.max(np.abs(nxt - q))) <= PERRON_RTOL * float(np.max(np.abs(nxt))):
             return lam, nxt, it
         q = nxt
-    raise ArithmeticError(f"no eigenpair convergence within {max_iter} iterations")
+    raise ArithmeticError(f"no eigenpair convergence within {PERRON_MAX_ITER} iterations")
 
 
-def perron(
-    eps: float,
-    beta_over_alpha: float = HARMONIC_RATIO,
-    rtol: float = 1e-14,
-    max_iter: int = 10_000,
-) -> tuple[float, np.ndarray]:
+def perron(eps: float) -> tuple[float, np.ndarray]:
     """Dominant eigenpair (lam, Q) of the level operator, tr Q = 2.
 
     Power iteration on symmetric matrices starting from the identity;
     converged when the relative change of the normalized iterate drops
-    below rtol.  Raises past the iteration cap.
+    below PERRON_RTOL.  Raises past PERRON_MAX_ITER iterations.
     """
-    lam, q, _ = _perron_iteration(eps, beta_over_alpha, rtol, max_iter)
+    lam, q, _ = _perron_iteration(eps)
     return lam, q
 
 
-def perron_report(eps: float, beta_over_alpha: float = HARMONIC_RATIO) -> dict:
+def perron_report(eps: float) -> dict:
     """Eigenpair plus diagnostics: eigen-residual and iteration count."""
-    lam, q, iters = _perron_iteration(eps, beta_over_alpha, 1e-14, 10_000)
-    resid = ruelle_apply(eps, q, beta_over_alpha) - lam * q
+    lam, q, iters = _perron_iteration(eps)
+    resid = ruelle_apply(eps, q) - lam * q
     return {
         "eps": eps,
         "lambda": lam,
@@ -153,27 +153,27 @@ class CableMass:
     projection: np.ndarray
 
 
-def _scaled_level(seq: ParamSeq, k: int, beta_over_alpha: float) -> np.ndarray:
+def _scaled_level(seq: ParamSeq, k: int) -> np.ndarray:
     """(3, 2, 2): the level-k linear parts T_i / sqrt(lam_k).
 
     Scaling each factor keeps every product of them O(1), so cylinder
     matrices stay well conditioned at any depth the cap allows.
     """
     scale = 1.0 / math.sqrt(seq.lam(k))
-    return np.stack([f.linear * scale for f in triple(seq.eps(k), beta_over_alpha)])
+    return np.stack([f.linear * scale for f in triple(seq.eps(k))])
 
 
 @functools.lru_cache(maxsize=64)
-def _scaled_linears(seq: ParamSeq, l: int, beta_over_alpha: float) -> np.ndarray:
+def _scaled_linears(seq: ParamSeq, l: int) -> np.ndarray:
     """Products of the scaled level factors for all length-l words, lexicographic."""
     out = np.eye(2)[None, :, :]
     for k in range(1, l + 1):
-        out = np.einsum("wab,jbc->wjac", out, _scaled_level(seq, k, beta_over_alpha)).reshape(-1, 2, 2)
+        out = np.einsum("wab,jbc->wjac", out, _scaled_level(seq, k)).reshape(-1, 2, 2)
     out.flags.writeable = False
     return out
 
 
-def gibbs_tau(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMONIC_RATIO) -> CylinderMass:
+def gibbs_tau(seq: ParamSeq, word: tuple[int, ...]) -> CylinderMass:
     """Cylinder mass from the closed form: renormalized DF (Id/2) DF^t.
 
     Multiplies the word's l scaled level factors, O(l).  The empty word
@@ -184,45 +184,48 @@ def gibbs_tau(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HAR
     # to the word's tau_table row.
     m = np.eye(2)
     for k, letter in enumerate(word, start=1):
-        m = np.einsum("ab,bc->ac", m, _scaled_level(seq, k, beta_over_alpha)[letter - 1])
+        m = np.einsum("ab,bc->ac", m, _scaled_level(seq, k)[_triple_index(letter)])
     tau = 0.5 * np.einsum("ab,cb->ac", m, m)
     return CylinderMass(word, tau, float(np.trace(tau)))
 
 
-def kappa(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMONIC_RATIO) -> float:
+def kappa(seq: ParamSeq, word: tuple[int, ...]) -> float:
     """Cylinder mass kappa([word]) = tr tau([word])."""
-    return gibbs_tau(seq, word, beta_over_alpha).kappa
+    return gibbs_tau(seq, word).kappa
 
 
 @functools.lru_cache(maxsize=64)
-def kappa_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO) -> np.ndarray:
+def kappa_table(seq: ParamSeq, l: int) -> np.ndarray:
     """All level-l cylinder masses, lexicographic.  Sums to 1."""
-    mats = _scaled_linears(seq, l, beta_over_alpha)
+    mats = _scaled_linears(seq, l)
     out = 0.5 * np.einsum("wab,wab->w", mats, mats)
     out.flags.writeable = False
     return out
 
 
-def tau_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO) -> np.ndarray:
+def tau_table(seq: ParamSeq, l: int) -> np.ndarray:
     """All level-l cylinder matrices, (3^l, 2, 2), lexicographic."""
-    mats = _scaled_linears(seq, l, beta_over_alpha)
+    mats = _scaled_linears(seq, l)
     return 0.5 * np.einsum("wab,wcb->wac", mats, mats)
 
 
-def cylinder_masses(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[CylinderMass, ...]:
+def cylinder_masses(seq: ParamSeq, l: int) -> tuple[CylinderMass, ...]:
     """Level-l cylinder masses in lexicographic word order."""
-    taus = tau_table(seq, l, beta_over_alpha)
+    taus = tau_table(seq, l)
     return tuple(
         CylinderMass(w, taus[i], float(np.trace(taus[i]))) for i, w in enumerate(iter_words(l))
     )
 
 
-def hs_norm_sq_sum(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO) -> float:
+def hs_norm_sq_sum(seq: ParamSeq, l: int) -> float:
     """Sum of squared Frobenius norms of all depth-l derivative products.
 
-    Equals 2 lam_tilde(l); the cable tail bounds rest on this identity.
+    The sum is tr of the l level operators applied to Id, so it equals
+    2 lam_tilde(l) because Id is the eigenmatrix of every level operator
+    with eigenvalue lam_k = (3/5) eps_k^2, which holds for the harmonic
+    family only (ratio 1/3).  The cable tail bounds rest on this identity.
     """
-    lin, _ = word_table(seq, l, beta_over_alpha)
+    lin, _ = word_table(seq, l)
     return float(np.einsum("wab,wab->", lin, lin))
 
 
@@ -232,15 +235,14 @@ def cable_mass(
     s: int,
     slot: int,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> CableMass:
     """Limit-measure matrix mass of the generation-s cable at (prefix, slot)."""
     if len(prefix) != s - 1:
         raise ValueError(f"prefix length {len(prefix)} does not match generation {s}")
     if seq.one_minus_eps(s) == 0.0:
         raise DegenerateCable(f"eps_{s} = 1: cable has zero length")
-    seg = cable_segments(seq, s, beta_over_alpha)[slot - 1]
-    vel = compose(seq, prefix, beta_over_alpha).linear @ seg.velocity
+    seg = cable_segments(seq, s)[_triple_index(slot, "cable slot")]
+    vel = compose(seq, prefix).linear @ seg.velocity
     nrm2 = float(vel @ vel)
     mass = cable_prefactor_limit(seq, s, constants) * nrm2
     direction = vel / math.sqrt(nrm2)
@@ -251,13 +253,12 @@ def cable_masses(
     seq: ParamSeq,
     s: int,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> tuple[CableMass, ...]:
     """All generation-s cable masses, lexicographic in (prefix, slot)."""
-    lin, _ = word_table(seq, s - 1, beta_over_alpha)
+    lin, _ = word_table(seq, s - 1)
     if seq.one_minus_eps(s) == 0.0:
         raise DegenerateCable(f"eps_{s} = 1: cables have zero length")
-    vel = np.stack([sg.velocity for sg in cable_segments(seq, s, beta_over_alpha)])
+    vel = np.stack([sg.velocity for sg in cable_segments(seq, s)])
     # Stacked products round as the single products of cable_mass do.
     world = _images(lin, vel).reshape(-1, 2)
     nrm2 = (world[:, None] @ world[..., None]).ravel()
@@ -270,11 +271,9 @@ def cable_masses(
     )
 
 
-def total_cable_mass(seq: ParamSeq, s_max: int, constants: Constants = DEFAULT_CONSTANTS, beta_over_alpha: float = HARMONIC_RATIO) -> float:
+def total_cable_mass(seq: ParamSeq, s_max: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """Mass of all cables of generations 1..s_max."""
-    return math.fsum(
-        cm.mass for s in range(1, s_max + 1) for cm in cable_masses(seq, s, constants, beta_over_alpha)
-    )
+    return math.fsum(cm.mass for s in range(1, s_max + 1) for cm in cable_masses(seq, s, constants))
 
 
 def energy_via_measure(
@@ -284,7 +283,6 @@ def energy_via_measure(
     depth: int,
     quad=None,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> float:
     """Energy straight from the measure data at one resolution.
 
@@ -296,17 +294,15 @@ def energy_via_measure(
     independent of depth.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    lin, off = word_table(seq, depth, beta_over_alpha)
+    lin, off = word_table(seq, depth)
     centers = np.einsum("wab,b->wa", lin, barycenter()) + off
     gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
     gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
-    taus = tau_table(seq, depth, beta_over_alpha)
+    taus = tau_table(seq, depth)
     gasket = (
         taus[:, 0, 0] * gux * gvx
         + taus[:, 0, 1] * (gux * gvy + guy * gvx)
         + taus[:, 1, 1] * guy * gvy
     )
-    (cables,) = _energy_terms(
-        seq, depth, u, v, quad, constants, None, beta_over_alpha, triangles=False, cables="limit"
-    )
+    (cables,) = _energy_terms(seq, depth, u, v, quad, constants, None, triangles=False, cables="limit")
     return math.fsum(gasket.tolist() + cables)

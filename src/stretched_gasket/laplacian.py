@@ -32,10 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _cable_form, _contract, _fold, _point_partials, energy_total, resolve_quadrature
-from .geometry import HARMONIC_RATIO, EdgeId, _images, barycenter, cable_segments, compose, iter_words, word_point, word_table
+from .geometry import EdgeId, _images, barycenter, cable_segments, compose, iter_words, word_point, word_table
 from .kusuoka import CableMass, cable_mass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
+
+#: Cylinder masses below this count as underflowed: tau / kappa is then refused.
+KAPPA_FLOOR = 1e-300
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +64,6 @@ def teplyaev(
     carrier,
     seq: ParamSeq,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> LaplacianSample:
     """Laplacian sample tr(T~ . Hessian phi) at a carrier's representative.
 
@@ -70,27 +72,25 @@ def teplyaev(
     (density: projection onto the cable direction, at the midpoint).
     """
     if isinstance(carrier, tuple) and all(isinstance(i, int) for i in carrier):
-        cm = gibbs_tau(seq, carrier, beta_over_alpha)
-        if cm.kappa < 1e-300:
+        cm = gibbs_tau(seq, carrier)
+        if cm.kappa < KAPPA_FLOOR:
             raise ArithmeticError(f"cylinder mass underflow at word {carrier}")
         t_tilde = cm.tau / cm.kappa
-        location = word_point(seq, carrier, beta_over_alpha)
+        location = word_point(seq, carrier)
     else:
         if isinstance(carrier, EdgeId):
             if carrier.kind != "cable":
                 raise ValueError("triangle edges are not measure carriers")
-            carrier = cable_mass(
-                seq, carrier.word, carrier.generation, carrier.slot, constants, beta_over_alpha
-            )
+            carrier = cable_mass(seq, carrier.word, carrier.generation, carrier.slot, constants)
         if not isinstance(carrier, CableMass):
             raise TypeError(f"carrier must be a word tuple, CableMass, or cable EdgeId, got {carrier!r}")
         t_tilde = carrier.projection
-        seg = cable_segments(seq, carrier.generation, beta_over_alpha)[carrier.slot - 1]
-        location = compose(seq, carrier.prefix, beta_over_alpha)(seg.point(0.5))
+        seg = cable_segments(seq, carrier.generation)[carrier.slot - 1]
+        location = compose(seq, carrier.prefix)(seg.point(0.5))
     return LaplacianSample(location, carrier, t_tilde, _hessian_trace(t_tilde, phi, location))
 
 
-def _measure_side_terms(seq, depth, phi, v, quad, constants, beta_over_alpha) -> list[float]:
+def _measure_side_terms(seq, depth, phi, v, quad, constants) -> list[float]:
     """Contraction terms of the depth integral of (Laplacian phi) v.
 
     Gasket part: tau_w = DF_w (Id/2) DF_w^t / lam_tilde(depth), so
@@ -106,10 +106,10 @@ def _measure_side_terms(seq, depth, phi, v, quad, constants, beta_over_alpha) ->
     zero = np.zeros_like(gasket)
 
     def level(k: int) -> np.ndarray:
-        cables = _cable_form(seq, k, depth, d, quad, constants, beta_over_alpha, left=2, right=0)
+        cables = _cable_form(seq, k, depth, d, quad, constants, left=2, right=0)
         return np.stack([zero, cables])
 
-    forms = _fold(seq, depth, d, beta_over_alpha, np.stack([gasket, zero]), level)
+    forms = _fold(seq, depth, d, np.stack([gasket, zero]), level)
     gas, cab = _contract(forms, phi, v, d)
     return gas + cab
 
@@ -121,13 +121,12 @@ def ibp_residual(
     depth: int,
     quad=None,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> float:
     """| E_depth(phi, v) + integral of (Laplacian phi) v d(mu_depth) |.
 
     v must vanish at the three base corners.  One row of ``ibp_table``.
     """
-    return ibp_table(seq, phi, v, (depth,), quad, constants, beta_over_alpha)[0]["residual"]
+    return ibp_table(seq, phi, v, (depth,), quad, constants)[0]["residual"]
 
 
 def ibp_table(
@@ -137,7 +136,6 @@ def ibp_table(
     depths=range(3, 9),
     quad=None,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> list[dict]:
     """Rows (depth, energy_lhs, integral_rhs, residual) over a depth sweep.
 
@@ -151,8 +149,8 @@ def ibp_table(
     quad = resolve_quadrature(quad, phi.degree, v.degree)
     rows = []
     for depth in depths:
-        lhs = energy_total(seq, depth, phi, v, quad, constants, beta_over_alpha=beta_over_alpha).total
-        rhs = math.fsum(_measure_side_terms(seq, depth, phi, v, quad, constants, beta_over_alpha))
+        lhs = energy_total(seq, depth, phi, v, quad, constants).total
+        rhs = math.fsum(_measure_side_terms(seq, depth, phi, v, quad, constants))
         rows.append(
             {"depth": depth, "energy_lhs": lhs, "integral_rhs": rhs, "residual": abs(lhs + rhs)}
         )
@@ -164,7 +162,6 @@ def laplacian_samples(
     phi: Poly2,
     depth: int,
     constants: Constants = DEFAULT_CONSTANTS,
-    beta_over_alpha: float = HARMONIC_RATIO,
 ) -> list[LaplacianSample]:
     """Samples on every depth-level cylinder and all cables up to depth.
 
@@ -173,17 +170,17 @@ def laplacian_samples(
     (tau_table, word_table) and the cable masses at once.
     """
     carriers: list = list(iter_words(depth))
-    taus = tau_table(seq, depth, beta_over_alpha)
+    taus = tau_table(seq, depth)
     kappas = taus[:, 0, 0] + taus[:, 1, 1]
-    low = np.flatnonzero(kappas < 1e-300)
+    low = np.flatnonzero(kappas < KAPPA_FLOOR)
     if low.size:
         raise ArithmeticError(f"cylinder mass underflow at word {carriers[low[0]]}")
-    lin, off = word_table(seq, depth, beta_over_alpha)
+    lin, off = word_table(seq, depth)
     t_tilde, locations = [taus / kappas[:, None, None]], [lin @ barycenter() + off]
     for s in range(1, depth + 1):
-        masses = cable_masses(seq, s, constants, beta_over_alpha)
-        plin, poff = word_table(seq, s - 1, beta_over_alpha)
-        mids = np.stack([sg.point(0.5) for sg in cable_segments(seq, s, beta_over_alpha)])
+        masses = cable_masses(seq, s, constants)
+        plin, poff = word_table(seq, s - 1)
+        mids = np.stack([sg.point(0.5) for sg in cable_segments(seq, s)])
         carriers += masses
         t_tilde.append(np.stack([cm.projection for cm in masses]))
         locations.append((_images(plin, mids) + poff[:, None]).reshape(-1, 2))

@@ -54,7 +54,7 @@ def segment_pairing(u, v, amap, seg, quad=None) -> float:
     return float((poly1_eval(du, quad.nodes) * poly1_eval(dv, quad.nodes)) @ quad.weights)
 
 
-def cable_energy(seq, s, u, v, quad=None, constants=DEFAULT_CONSTANTS, prefix_map=None, beta_over_alpha=HARMONIC_RATIO) -> float:
+def cable_energy(seq, s, u, v, quad=None, constants=DEFAULT_CONSTANTS, prefix_map=None) -> float:
     """Unrenormalized cable sum of one generation: b/(1-eps_s) times the
     line energies of the three generation-s cables under an explicit
     prefix map (default: identity, the cables of the top-level cell).
@@ -63,7 +63,7 @@ def cable_energy(seq, s, u, v, quad=None, constants=DEFAULT_CONSTANTS, prefix_ma
     if seq.one_minus_eps(s) == 0.0:
         raise DegenerateCable(f"eps_{s} = 1: cables have length zero")
     amap = prefix_map or AffineMap2.identity()
-    vals = [segment_pairing(u, v, amap, sg, quad) for sg in cable_segments(seq, s, beta_over_alpha)]
+    vals = [segment_pairing(u, v, amap, sg, quad) for sg in cable_segments(seq, s)]
     return constants.b / seq.one_minus_eps(s) * math.fsum(vals)
 
 
@@ -89,28 +89,28 @@ def _pairings(u, v, p0, dv, quad) -> np.ndarray:
     return (du * dvv) @ quad.weights
 
 
-def energy_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None, beta_over_alpha=HARMONIC_RATIO):
+def energy_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None):
     """The depth-l form edge by edge from the batched edge tableau.
 
     Returns (report, edges): the EnergyReport of the compensated sums and
     every (EdgeId, weighted line energy) in canonical edge order (triangle
     edges first, then cables by generation).
     """
-    tab = _tableau(seq, l, beta_over_alpha)
+    tab = _tableau(seq, l)
     p0, dv = _transform(tab.tri_p0, tab.tri_dv, outer)
     tri_list = (triangle_edge_prefactor(seq, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
     cab_list = []
     for s in range(1, l + 1):
         p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
         cab_list += (cable_prefactor(seq, s, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
-    ids = [eid for eid, _, _ in prefractal_edges(seq, l, constants, beta_over_alpha)]
+    ids = [eid for eid, _, _ in prefractal_edges(seq, l, constants)]
     report = EnergyReport(l, math.fsum(tri_list), math.fsum(cab_list), math.fsum(tri_list + cab_list))
     return report, tuple(zip(ids, tri_list + cab_list))
 
 
-def energy2_limit_by_edges(seq, s_max, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None, beta_over_alpha=HARMONIC_RATIO):
+def energy2_limit_by_edges(seq, s_max, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None):
     """Limit cable form truncated at s_max, summed cable by cable."""
-    tab = _tableau(seq, s_max, beta_over_alpha)
+    tab = _tableau(seq, s_max)
     vals = []
     for s in range(1, s_max + 1):
         p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
@@ -118,26 +118,26 @@ def energy2_limit_by_edges(seq, s_max, u, v, quad, constants=DEFAULT_CONSTANTS, 
     return math.fsum(vals)
 
 
-def gasket_hessian_sum(seq, depth, phi, v, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO) -> list[float]:
+def gasket_hessian_sum(seq, depth, phi, v, constants=DEFAULT_CONSTANTS) -> list[float]:
     """Per-word <Hessian phi(x_w), tau_w> v(x_w), scaled to the form constant.
 
     The triangle-edge measure of one cell totals 3a tau_w (three unit
     side-projections sum to (3/2) Id), so pairing Hessians directly with
     3a tau avoids dividing by small kappa.
     """
-    lin, off = word_table(seq, depth, beta_over_alpha)
+    lin, off = word_table(seq, depth)
     centers = np.einsum("wab,b->wa", lin, barycenter()) + off
     xs, ys = centers[:, 0], centers[:, 1]
     hxx, hxy, hyy = hess_batch(phi, xs, ys)
-    taus = tau_table(seq, depth, beta_over_alpha)
+    taus = tau_table(seq, depth)
     pair = taus[:, 0, 0] * hxx + 2.0 * taus[:, 0, 1] * hxy + taus[:, 1, 1] * hyy
     vals = 3.0 * constants.a * pair * v.eval_batch(xs, ys)
     return vals.tolist()
 
 
-def cable_second_derivative_sum(seq, depth, phi, v, quad, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO) -> list[float]:
+def cable_second_derivative_sum(seq, depth, phi, v, quad, constants=DEFAULT_CONSTANTS) -> list[float]:
     """Per-cable integrals of (phi o z)'' (v o z) with depth-window weights."""
-    tab = _tableau(seq, depth, beta_over_alpha)
+    tab = _tableau(seq, depth)
     out: list[float] = []
     ts = quad.nodes
     for s in range(1, depth + 1):
@@ -154,11 +154,11 @@ def cable_second_derivative_sum(seq, depth, phi, v, quad, constants=DEFAULT_CONS
     return out
 
 
-def ibp_rhs_by_cells(seq, depth, phi, v, quad, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO) -> float:
+def ibp_rhs_by_cells(seq, depth, phi, v, quad, constants=DEFAULT_CONSTANTS) -> float:
     """Measure side of the IBP identity, cell by cell and cable by cable."""
     return math.fsum(
-        gasket_hessian_sum(seq, depth, phi, v, constants, beta_over_alpha)
-        + cable_second_derivative_sum(seq, depth, phi, v, quad, constants, beta_over_alpha)
+        gasket_hessian_sum(seq, depth, phi, v, constants)
+        + cable_second_derivative_sum(seq, depth, phi, v, quad, constants)
     )
 
 
@@ -214,10 +214,10 @@ def boundary_vector_of(members) -> np.ndarray:
     return acc
 
 
-def weak_pairing_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO) -> list[float]:
+def weak_pairing_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> list[float]:
     """Per-edge terms w_e * integral (u o z)'' (v o z) dt of the weak pairing, in edge order."""
     parts = []
-    for eid, seg, amap in edge_walk(seq, l, constants, beta_over_alpha):
+    for eid, seg, amap in edge_walk(seq, l, constants):
         cu = poly1_derivative(poly1_derivative(compose_with_segment(u, amap, seg)))
         cv = compose_with_segment(v, amap, seg)
         parts.append(
@@ -226,14 +226,14 @@ def weak_pairing_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS, beta_
     return parts
 
 
-def laplacian_samples_by_carrier(seq, phi, depth, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO):
+def laplacian_samples_by_carrier(seq, phi, depth, constants=DEFAULT_CONSTANTS):
     """Laplacian samples one carrier at a time: every depth-level cell, then all cables."""
-    out = [teplyaev(phi, w, seq, constants, beta_over_alpha) for w in iter_words(depth)]
+    out = [teplyaev(phi, w, seq, constants) for w in iter_words(depth)]
     for s in range(1, depth + 1):
         for prefix in iter_words(s - 1):
             for slot in (1, 2, 3):
-                cm = cable_mass(seq, prefix, s, slot, constants, beta_over_alpha)
-                out.append(teplyaev(phi, cm, seq, constants, beta_over_alpha))
+                cm = cable_mass(seq, prefix, s, slot, constants)
+                out.append(teplyaev(phi, cm, seq, constants))
     return out
 
 
@@ -250,7 +250,7 @@ def _side_projection_sum() -> np.ndarray:
     return acc
 
 
-def adjoint_aggregate(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO) -> dict[tuple[int, ...], np.ndarray]:
+def adjoint_aggregate(seq, l, constants=DEFAULT_CONSTANTS) -> dict[tuple[int, ...], np.ndarray]:
     """Per-word cylinder matrices through the iterated adjoint route.
 
     Seeds with a times the side-projection sum (equal to Id/2 at the
@@ -262,7 +262,7 @@ def adjoint_aggregate(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMO
     seed = constants.a * _side_projection_sum()
     arr = seed[None, :, :]
     for s in range(l, 0, -1):
-        mats = np.stack([f.linear for f in triple(seq.eps(s), beta_over_alpha)])
+        mats = np.stack([f.linear for f in triple(seq.eps(s))])
         arr = np.einsum("jab,wbc,jdc->jwad", mats, arr, mats).reshape(-1, 2, 2)
     arr = arr / seq.lam_tilde(l)
     return {w: arr[i] for i, w in enumerate(iter_words(l))}

@@ -160,7 +160,7 @@ def test_fold_reproduces_edge_sum_for_inexact_rules():
     # The Grams use the caller's rule, so even a rule too low for the
     # fields gives the edge sum's numbers; the public entry points refuse
     # such rules, so this goes through the internal assembly.
-    from stretched_gasket import DEFAULT_CONSTANTS, HARMONIC_RATIO
+    from stretched_gasket import DEFAULT_CONSTANTS
     from stretched_gasket.energy import _energy_terms
 
     x12 = parse("x^12")
@@ -168,7 +168,7 @@ def test_fold_reproduces_edge_sum_for_inexact_rules():
         quad = get_quadrature(order)
         for l in (0, 2, 5):
             tri, cab = _energy_terms(
-                PREFIX_EXP, l, x12, x12, quad, DEFAULT_CONSTANTS, None, HARMONIC_RATIO,
+                PREFIX_EXP, l, x12, x12, quad, DEFAULT_CONSTANTS, None,
                 triangles=True, cables="window",
             )
             ref, _ = energy_by_edges(PREFIX_EXP, l, x12, x12, quad)

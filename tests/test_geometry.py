@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ def test_word_point_is_barycenter_image():
 
     w = (2, 1, 3)
     assert np.allclose(word_point(PREFIX_EXP, w), compose(PREFIX_EXP, w)(barycenter()))
+
+
+@pytest.mark.parametrize("letter", [0, 4])
+def test_letters_outside_one_to_three_are_rejected(letter):
+    # Unchecked, letter 0 would index from the end (letter 3's map) and
+    # word_index((1, 4)) would collide with word_index((2, 1)).
+    for word in ((letter,), (1, letter)):
+        for fn in (partial(compose, PREFIX_EXP), partial(word_point, PREFIX_EXP), word_index):
+            with pytest.raises(ValueError, match=f"word letter must be 1, 2 or 3, got {letter}"):
+                fn(word)
 
 
 def test_cable_lengths_and_velocity():

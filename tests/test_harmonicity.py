@@ -11,6 +11,7 @@ from stretched_gasket import (
     energy_total,
     harmonic_report,
     harmonic_residual,
+    harmonicity,
     nd_gamma,
     nd_gamma_of,
     parse,
@@ -121,9 +122,17 @@ def test_weak_pairing_rejects_non_vanishing_test_function():
         weak_pairing(TAIL_ONLY, 2, parse("x"), parse("y"))
 
 
-def test_weak_pairing_requires_harmonic_family():
+def test_weak_pairing_requires_harmonic_family(monkeypatch):
+    # The forms take no map ratio, so force the gate: a residual twice the
+    # weak-identity bound must be refused by both weak-identity routes.
+    def too_large(seq, l, constants):
+        return 2.0 * harmonicity.HARMONIC_GATES["weak_identity"] * constants.a
+
+    monkeypatch.setattr(harmonicity, "harmonic_residual", too_large)
     with pytest.raises(NonHarmonicError):
-        weak_pairing(TAIL_ONLY, 2, parse("x"), vanishing_at_ABC(parse("1")), beta_over_alpha=0.5)
+        weak_pairing(TAIL_ONLY, 2, parse("x"), vanishing_at_ABC(parse("1")))
+    with pytest.raises(NonHarmonicError):
+        weak_laplacian_h1(TAIL_ONLY, 2, parse("x"))
 
 
 def test_nd_gamma_positive_and_linear_in_stretch():
@@ -138,4 +147,4 @@ def test_nd_gamma_rank_one_mock_is_zero():
     # All three differentials equal and rank one: a common kernel direction
     # exists, so the nondegeneracy constant collapses.
     m = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert nd_gamma_of((m, m, m), n=180, refine=2) <= 1e-12
+    assert nd_gamma_of((m, m, m)) <= 1e-12

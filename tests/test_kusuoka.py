@@ -201,6 +201,23 @@ def test_cable_mass_prefix_validation():
         cable_mass(TAIL_ONLY, (1, 2), 2, 1)
 
 
+@pytest.mark.parametrize("letter", [0, 4])
+def test_letters_outside_one_to_three_are_rejected(letter):
+    # Unchecked, letter 0 would index from the end: the mass of letter 3.
+    with pytest.raises(ValueError, match=f"word letter must be 1, 2 or 3, got {letter}"):
+        gibbs_tau(PREFIX_EXP, (2, letter))
+    with pytest.raises(ValueError, match=f"got {letter}"):
+        kappa(PREFIX_EXP, (letter,))
+
+
+@pytest.mark.parametrize("slot", [0, 4])
+def test_slots_outside_one_to_three_are_rejected(slot):
+    # Unchecked, slot 0 would index from the end: the mass of slot 3.
+    for prefix, s in (((), 1), ((1,), 2)):
+        with pytest.raises(ValueError, match=f"cable slot must be 1, 2 or 3, got {slot}"):
+            cable_mass(PREFIX_EXP, prefix, s, slot)
+
+
 def test_total_cable_mass_grows_and_stays_bounded():
     t2 = total_cable_mass(TAIL_ONLY, 2)
     t5 = total_cable_mass(TAIL_ONLY, 5)
