@@ -13,6 +13,10 @@ class DegenerateCable(GasketError):
     """Cable operation at eps = 1, where the cable has length zero."""
 
 
+class PrefactorUnderflow(GasketError):
+    """A cable prefactor's denominator underflowed to 0 or is not finite."""
+
+
 class TailProductZero(GasketError):
     """Infinite tail product is zero; limit quantities are undefined.
 

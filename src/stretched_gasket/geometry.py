@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DepthCapExceeded
+from .errors import DepthCapExceeded, PrefactorUnderflow
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 
 SQRT3 = math.sqrt(3.0)
@@ -137,6 +137,8 @@ class EdgeId:
 def _alpha_beta(eps: float, beta_over_alpha: float) -> tuple[float, float]:
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0,1], got {eps}")
+    if not math.isfinite(beta_over_alpha):
+        raise ValueError(f"beta/alpha must be finite, got {beta_over_alpha}")
     alpha = 0.6 * eps
     return alpha, alpha * beta_over_alpha
 
@@ -290,18 +292,24 @@ def triangle_edge_prefactor(seq: ParamSeq, l: int, constants: Constants = DEFAUL
     return constants.a / seq.lam_tilde(l)
 
 
+def _cable_weight(b: float, den: float, s: int, l) -> float:
+    if den == 0.0 or not math.isfinite(den):
+        raise PrefactorUnderflow(f"generation-{s} cable prefactor at depth {l}: denominator {den!r} underflows or is not finite")
+    return b / den
+
+
 def cable_prefactor(seq: ParamSeq, s: int, l: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """Weight of a generation-s cable inside the depth-l energy form.
 
     Combines the cell renormalization lam_tilde(s-1), the window product
     eps_tilde(s, l) and the cable length 1 - eps_s.
     """
-    return constants.b / (seq.lam_tilde(s - 1) * seq.eps_tilde(s, l) * seq.one_minus_eps(s))
+    return _cable_weight(constants.b, seq.lam_tilde(s - 1) * seq.eps_tilde(s, l) * seq.one_minus_eps(s), s, l)
 
 
 def cable_prefactor_limit(seq: ParamSeq, s: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """Limit weight of a generation-s cable: window product taken to infinity."""
-    return constants.b / (seq.lam_tilde(s - 1) * seq.eps_tilde_inf(s) * seq.one_minus_eps(s))
+    return _cable_weight(constants.b, seq.lam_tilde(s - 1) * seq.eps_tilde_inf(s) * seq.one_minus_eps(s), s, "infinity")
 
 
 def prefractal_edges(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _cable_form, _contract, _fold, _point_partials, energy_total, resolve_quadrature
-from .geometry import EdgeId, _images, barycenter, cable_segments, compose, iter_words, word_point, word_table
+from .geometry import EdgeId, _images, _triple_index, barycenter, cable_segments, compose, iter_words, word_point, word_table
 from .kusuoka import CableMass, cable_mass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
@@ -85,7 +85,7 @@ def teplyaev(
         if not isinstance(carrier, CableMass):
             raise TypeError(f"carrier must be a word tuple, CableMass, or cable EdgeId, got {carrier!r}")
         t_tilde = carrier.projection
-        seg = cable_segments(seq, carrier.generation)[carrier.slot - 1]
+        seg = cable_segments(seq, carrier.generation)[_triple_index(carrier.slot, "cable slot")]
         location = compose(seq, carrier.prefix)(seg.point(0.5))
     return LaplacianSample(location, carrier, t_tilde, _hessian_trace(t_tilde, phi, location))
 

@@ -7,7 +7,9 @@ tables.  The routes here enumerate the 3^l cells and their edges instead
 its own, one segment's composed polynomial, or word tables plus cylinder
 matrices) and share no code with the fold or the gathers beyond the map
 triples, the cable segments and the quadrature rule, so agreement is a
-real cross-check.
+real cross-check.  The nondegeneracy constant has two references: the
+whole-grid reduction that the blocked grid must reproduce bit for bit,
+and a closed-form inner minimum that bounds its accuracy.
 """
 
 import math
@@ -35,7 +37,7 @@ from stretched_gasket.geometry import (
     triple,
     word_table,
 )
-from stretched_gasket.harmonicity import _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNERS, canonical_vertex
+from stretched_gasket.harmonicity import ND_GRID, ND_REFINE, _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNERS, canonical_vertex
 from stretched_gasket.kusuoka import cable_mass, tau_table
 from stretched_gasket.laplacian import teplyaev
 from stretched_gasket.params import DEFAULT_CONSTANTS
@@ -266,3 +268,67 @@ def adjoint_aggregate(seq, l, constants=DEFAULT_CONSTANTS) -> dict[tuple[int, ..
         arr = np.einsum("jab,wbc,jdc->jwad", mats, arr, mats).reshape(-1, 2, 2)
     arr = arr / seq.lam_tilde(l)
     return {w: arr[i] for i, w in enumerate(iter_words(l))}
+
+
+def nd_gamma_full_grid(mats) -> float:
+    """``nd_gamma_of`` with every grid held whole: max over a stacked
+    (3, m, m) array and ``np.argmin`` over the result."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+
+    def grid_min(tc, sc, te, se, m):
+        thetas = tc + sc * (np.arange(m) / m - 0.5)
+        phis = te + se * (np.arange(m) / m - 0.5)
+        cs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        es = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+        vals = np.max(np.stack([np.abs(cs @ mat.T @ es.T) for mat in mats]), axis=0)
+        j, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        return float(vals[j, k]), float(thetas[j]), float(phis[k])
+
+    two_pi = 2.0 * math.pi
+    val, tc, te = grid_min(math.pi, two_pi, math.pi, two_pi, ND_GRID)
+    span = two_pi / ND_GRID
+    for _ in range(ND_REFINE):
+        val, tc, te = grid_min(tc, 2.0 * span, te, 2.0 * span, 241)
+        span = 2.0 * span / 241
+    return val
+
+
+def _nd_inner_min(mats, thetas) -> np.ndarray:
+    """min over unit e of max_i |<M_i c, e>| for c = (cos theta, sin theta).
+
+    As a function of the angle of e each |<v_i, e>| (v_i = M_i c) is
+    concave between its zeros, so their max is least where a term
+    vanishes (e perpendicular to v_i) or two terms cross (e perpendicular
+    to v_i + v_j or v_i - v_j): nine candidates.  A zero candidate
+    direction leaves e arbitrary; (1, 0) then still gives an upper bound.
+    """
+    cs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    vs = np.stack([cs @ np.asarray(m, dtype=float).T for m in mats])
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    ws = np.concatenate([vs, [vs[i] + vs[j] for i, j in pairs], [vs[i] - vs[j] for i, j in pairs]])
+    es = np.stack([-ws[..., 1], ws[..., 0]], axis=-1)
+    norms = np.hypot(es[..., 0], es[..., 1])[..., None]
+    es = np.where(norms > 0.0, es / np.where(norms > 0.0, norms, 1.0), [1.0, 0.0])
+    vals = np.max(np.abs(np.einsum("inx,knx->kin", vs, es)), axis=1)
+    return np.min(vals, axis=0)
+
+
+def nd_gamma_closed_form(mats, scan: int = 20000, iters: int = 80) -> float:
+    """min over unit (c, e) of max_i |<M_i c, e>| with the inner minimum exact.
+
+    c and -c give the same value, so theta runs over [0, pi): a dense scan,
+    then golden-section search on the bracket of the best scan point.
+    """
+    thetas = np.pi * np.arange(scan) / scan
+    g = _nd_inner_min(mats, thetas)
+    k = int(np.argmin(g))
+    lo, hi = thetas[k] - np.pi / scan, thetas[k] + np.pi / scan
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(iters):
+        a, b = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        ga, gb = _nd_inner_min(mats, np.array([a, b]))
+        if ga <= gb:
+            hi = b
+        else:
+            lo = a
+    return float(min(g[k], *_nd_inner_min(mats, np.array([lo, hi, (lo + hi) / 2]))))

@@ -133,6 +133,22 @@ def test_usage_errors_exit_one():
     assert run_cli("selfsim", "--eps-const", "0.5", check=False).returncode == 1
 
 
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_non_finite_ratio_exits_one(ratio):
+    proc = run_cli("harmonicity", "--eps-const", "0.5", "--depth", "2", "--ratio", ratio, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: beta/alpha must be finite")
+    assert proc.stdout == b""
+
+
+def test_prefactor_underflow_exits_one_without_traceback():
+    proc = run_cli("harmonicity", "--eps-const", "1e-200", "--depth", "3", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: ")
+    assert b"cable prefactor" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_missing_config_file_exits_one():
     assert run_cli("energy", "--config", "/nonexistent/path.cfg", check=False).returncode == 1
 

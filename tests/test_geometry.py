@@ -7,8 +7,11 @@ import pytest
 from stretched_gasket import (
     DEFAULT_CONSTANTS,
     DepthCapExceeded,
+    ExpTail,
     ParamSeq,
     base_vertices,
+    cable_prefactor,
+    cable_prefactor_limit,
     cable_segments,
     compose,
     count_edges,
@@ -19,6 +22,7 @@ from stretched_gasket import (
     word_point,
     word_table,
 )
+from stretched_gasket.errors import GasketError, PrefactorUnderflow
 from stretched_gasket.geometry import rotation
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY
@@ -164,6 +168,24 @@ def test_letters_outside_one_to_three_are_rejected(letter):
         for fn in (partial(compose, PREFIX_EXP), partial(word_point, PREFIX_EXP), word_index):
             with pytest.raises(ValueError, match=f"word letter must be 1, 2 or 3, got {letter}"):
                 fn(word)
+
+
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+def test_non_finite_ratio_is_rejected(ratio):
+    # Unchecked, a NaN ratio gives NaN maps whose residual reads as 0.
+    with pytest.raises(ValueError, match="beta/alpha must be finite"):
+        triple(0.5, ratio)
+
+
+def test_prefactor_underflow_names_generation_and_depth():
+    # lam_tilde(1) = 0.6e-400 underflows to 0: the weight would divide by 0.
+    tiny = ParamSeq(prefix=(1e-200,), tail=ExpTail(0.1, 0.5))
+    assert issubclass(PrefactorUnderflow, GasketError)
+    with pytest.raises(PrefactorUnderflow, match="generation-2 cable prefactor at depth 3"):
+        cable_prefactor(tiny, 2, 3)
+    with pytest.raises(PrefactorUnderflow, match="generation-2 cable prefactor at depth infinity"):
+        cable_prefactor_limit(tiny, 2)
+    assert cable_prefactor(tiny, 1, 3) > 0.0
 
 
 def test_cable_lengths_and_velocity():

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stretched_gasket import (
     DEFAULT_CONSTANTS,
+    HARMONIC_RATIO,
     NonHarmonicError,
     boundary_vector,
     canonical_vertex,
@@ -21,8 +23,10 @@ from stretched_gasket import (
     weak_laplacian_h1,
     weak_pairing,
 )
+from stretched_gasket.harmonicity import ND_GRID
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
+from oracles import nd_gamma_closed_form, nd_gamma_full_grid
 
 
 def test_canonical_vertex_strips_fixing_letter():
@@ -148,3 +152,45 @@ def test_nd_gamma_rank_one_mock_is_zero():
     # exists, so the nondegeneracy constant collapses.
     m = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert nd_gamma_of((m, m, m)) <= 1e-12
+    assert nd_gamma_of((m, m, m)) == nd_gamma_full_grid((m, m, m))
+
+
+def test_nd_gamma_blocked_grid_is_bit_identical_to_full_grid(rng):
+    # The row blocks must pick the same grid point as one argmin over the
+    # whole grid, so equality is exact, not approximate.
+    cases = [(e, HARMONIC_RATIO) for e in rng.uniform(1e-4, 1.0, 100)]
+    cases += [(e, r) for r in (0.25, 0.5) for e in (1e-4, 0.3, 0.77, 1.0)]
+    for eps, ratio in cases:
+        mats = [f.linear for f in triple(float(eps), ratio)]
+        assert nd_gamma_of(mats) == nd_gamma_full_grid(mats), (eps, ratio)
+    for _ in range(5):
+        mats = list(rng.normal(size=(3, 2, 2)))
+        assert nd_gamma_of(mats) == nd_gamma_full_grid(mats)
+
+
+@pytest.mark.parametrize("ratio", [HARMONIC_RATIO, 0.25])
+def test_nd_gamma_within_grid_slack_of_closed_form_oracle(ratio):
+    for eps in (1.5e-4, 0.01, 0.3, 0.5, 0.99):
+        mats = [f.linear for f in triple(eps, ratio)]
+        slack = max(np.linalg.norm(m, 2) for m in mats) * 2.0 * math.pi / ND_GRID
+        gap = nd_gamma(eps, ratio) - nd_gamma_closed_form(mats)
+        assert 0.0 <= gap <= slack, (eps, ratio, gap, slack)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nd_gamma_rejects_non_finite_matrices(bad):
+    m = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValueError, match="must be finite"):
+        nd_gamma_of((m, np.eye(2), np.eye(2)))
+
+
+def test_nd_gamma_peak_memory_is_bounded():
+    # The whole 720 x 720 grid, stacked for three maps, would hold 24 MiB.
+    nd_gamma(0.3)
+    tracemalloc.start()
+    try:
+        nd_gamma(0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,14 @@ def test_ibp_residual_decays_for_curved_fields():
     assert [r["depth"] for r in rows] == list(range(3, 9))
     for r in rows:
         assert r["residual"] == pytest.approx(abs(r["energy_lhs"] + r["integral_rhs"]), abs=1e-18)
+
+
+@pytest.mark.parametrize("slot", [0, 4])
+def test_teplyaev_rejects_hand_built_slots_outside_one_to_three(slot):
+    # Unchecked, slot 0 would sample slot 3's cable midpoint.
+    carrier = dataclasses.replace(cable_mass(PREFIX_EXP, (), 1, 3), slot=slot)
+    with pytest.raises(ValueError, match=f"cable slot must be 1, 2 or 3, got {slot}"):
+        teplyaev(parse("x^2"), carrier, PREFIX_EXP)
 
 
 def test_ibp_zero_test_function_is_exactly_zero():
