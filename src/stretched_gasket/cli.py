@@ -19,8 +19,7 @@ fixed enumeration orders, fixed float formatting, no wall clock.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import math
 import sys
@@ -32,7 +31,7 @@ from . import harmonicity as harm_mod
 from . import kusuoka as kus_mod
 from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
-from .geometry import HARMONIC_RATIO, base_vertices, iter_words, prefractal_edges, word_table
+from .geometry import HARMONIC_RATIO, base_vertices, prefractal_edges, word_table
 from .harmonicity import HARMONIC_GATES
 from .params import Constants, DEFAULT_CONSTANTS, ParamSeq, seq_from_mapping
 from .scalarfield import corner_values, parse as parse_poly, sup_bounds, vanishes_at_corners, vanishing_cubic
@@ -135,16 +134,26 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header: list[str], rows) -> str:
+    """CRLF CSV of string rows, joined as they stream.  No field needs
+    quoting: fields are float reprs, digit words and fixed labels."""
+    return "\r\n".join(map(",".join, itertools.chain([header], rows))) + "\r\n"
 
 
 def _word_str(word: tuple[int, ...]) -> str:
     return "".join(str(i) for i in word)
+
+
+def _word_lists(depth: int) -> list[list[str]]:
+    """Digit strings of the words of each length 0..depth, lexicographic."""
+    out = [[""]]
+    for _ in range(depth):
+        out.append([w + c for w in out[-1] for c in "123"])
+    return out
+
+
+def _reprs(col: np.ndarray):
+    return map(repr, col.tolist())
 
 
 # -- geometry --------------------------------------------------------------
@@ -268,10 +277,8 @@ def cmd_kusuoka(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 3, int)
     taus = kus_mod.tau_table(seq, depth)
     kappas = kus_mod.kappa_table(seq, depth)
-    rows = []
-    for i, w in enumerate(iter_words(depth)):
-        t = taus[i]
-        rows.append([_word_str(w), repr(float(kappas[i])), repr(float(t[0, 0])), repr(float(t[0, 1])), repr(float(t[1, 1]))])
+    words = _word_lists(depth)[depth]
+    rows = zip(words, _reprs(kappas), _reprs(taus[:, 0, 0]), _reprs(taus[:, 0, 1]), _reprs(taus[:, 1, 1]))
     _emit(_csv_text(["word", "kappa", "tau11", "tau12", "tau22"], rows), args.out)
     mean = 0.5 * (taus[:, 0, 0] + taus[:, 1, 1])
     spread = np.sqrt((0.5 * (taus[:, 0, 0] - taus[:, 1, 1])) ** 2 + taus[:, 0, 1] ** 2)
@@ -282,7 +289,7 @@ def cmd_kusuoka(args, cfg, seq, constants) -> int:
             "depth": depth,
             "sum_kappa": sum_kappa,
             "min_eig": min_eig,
-            "max_kappa_word": rows[int(np.argmax(kappas))][0],
+            "max_kappa_word": words[int(np.argmax(kappas))],
         }
         _emit(_json_text(summary), args.json)
     if abs(sum_kappa - 1.0) > 1e-12:
@@ -356,19 +363,17 @@ def cmd_selfsim(args, cfg, seq, constants) -> int:
 def cmd_laplacian(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 2, int)
     phi = parse_poly(_resolve(args, cfg, "phi", "phi", "x^2", str))
-    samples = lap_mod.laplacian_samples(seq, phi, depth, constants)
-    rows = []
-    for s in samples:
-        if isinstance(s.carrier, tuple):
-            rows.append(["cell", _word_str(s.carrier), "", repr(float(s.location[0])), repr(float(s.location[1])), repr(s.value)])
-        else:
-            rows.append(
-                ["cable", _word_str(s.carrier.prefix), str(s.carrier.slot), repr(float(s.location[0])), repr(float(s.location[1])), repr(s.value)]
-            )
+    table = lap_mod.laplacian_samples(seq, phi, depth, constants)
+    words = _word_lists(depth)
+    kinds = map(("cell", "cable").__getitem__, (table.generation > 0).tolist())
+    # A cell's word has the full depth; a generation-s cable's prefix has s - 1 letters.
+    word_strs = map(lambda g, i: words[g - 1 if g else depth][i], table.generation.tolist(), table.word.tolist())
+    slots = map(("", "1", "2", "3").__getitem__, table.slot.tolist())
+    rows = zip(kinds, word_strs, slots, _reprs(table.x), _reprs(table.y), _reprs(table.value))
     _emit(_csv_text(["kind", "word", "slot", "x", "y", "value"], rows), args.out)
     cap = 2.0 * sup_bounds(phi)[1] + 1e-9
-    worst = max((abs(s.value) for s in samples), default=0.0)
-    if worst > cap:
+    worst = float(np.max(np.abs(table.value)))
+    if not worst <= cap:  # a NaN sample fails too
         return _assert_fail(f"Laplacian sample {worst:.3e} exceeds the Hessian bound {cap:.3e}")
     return 0
 

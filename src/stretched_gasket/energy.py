@@ -53,6 +53,7 @@ from .geometry import (
     word_table,
     SIDE_NAMES,
     _SIDE_ENDPOINTS,
+    _quotient,
 )
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, sup_bounds
@@ -295,7 +296,8 @@ def _cable_form(seq, s, l, d, quad, constants, *, limit=False, left=1, right=1) 
     """
     window = seq.eps_tilde_inf(s) if limit else seq.eps_tilde(s, l)
     gram = _segment_form(*_cable_arrays(seq, s), d, quad, left, right)
-    return constants.b / (window * seq.one_minus_eps(s)) * gram
+    depth = "infinity" if limit else l
+    return _quotient(constants.b, window * seq.one_minus_eps(s), f"generation-{s} cable form at depth {depth}") * gram
 
 
 def _fold(seq: ParamSeq, l: int, d: int, seed: np.ndarray, level) -> np.ndarray:
@@ -314,7 +316,7 @@ def _fold(seq: ParamSeq, l: int, d: int, seed: np.ndarray, level) -> np.ndarray:
         pulls = _level_pullbacks(seq.eps(k), d)
         # np.dot, not matmul: it is the faster longdouble product.
         pulled = [sum(np.dot(p.T, np.dot(form, p)) for p in pulls) for form in h]
-        h = np.stack(pulled) / _EXT(seq.lam(k)) + level(k)
+        h = _quotient(np.stack(pulled), _EXT(seq.lam(k)), f"lam_{k} of the level-{k} fold step") + level(k)
     return h
 
 

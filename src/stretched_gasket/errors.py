@@ -14,7 +14,7 @@ class DegenerateCable(GasketError):
 
 
 class PrefactorUnderflow(GasketError):
-    """A cable prefactor's denominator underflowed to 0 or is not finite."""
+    """A prefactor's or scale's denominator underflowed to 0 or is not finite."""
 
 
 class TailProductZero(GasketError):

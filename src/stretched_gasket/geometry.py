@@ -289,13 +289,15 @@ def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATI
 
 def triangle_edge_prefactor(seq: ParamSeq, l: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """Weight a / lam_tilde(l) carried by every depth-l triangle edge."""
-    return constants.a / seq.lam_tilde(l)
+    return _quotient(constants.a, seq.lam_tilde(l), f"triangle edge prefactor at depth {l}")
 
 
-def _cable_weight(b: float, den: float, s: int, l) -> float:
+def _quotient(num, den, what: str):
+    """num / den; a denominator that underflowed to 0.0 (products of tiny
+    eps^2) or is not finite raises PrefactorUnderflow naming ``what``."""
     if den == 0.0 or not math.isfinite(den):
-        raise PrefactorUnderflow(f"generation-{s} cable prefactor at depth {l}: denominator {den!r} underflows or is not finite")
-    return b / den
+        raise PrefactorUnderflow(f"{what}: denominator {float(den)!r} underflows or is not finite")
+    return num / den
 
 
 def cable_prefactor(seq: ParamSeq, s: int, l: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
@@ -304,12 +306,14 @@ def cable_prefactor(seq: ParamSeq, s: int, l: int, constants: Constants = DEFAUL
     Combines the cell renormalization lam_tilde(s-1), the window product
     eps_tilde(s, l) and the cable length 1 - eps_s.
     """
-    return _cable_weight(constants.b, seq.lam_tilde(s - 1) * seq.eps_tilde(s, l) * seq.one_minus_eps(s), s, l)
+    den = seq.lam_tilde(s - 1) * seq.eps_tilde(s, l) * seq.one_minus_eps(s)
+    return _quotient(constants.b, den, f"generation-{s} cable prefactor at depth {l}")
 
 
 def cable_prefactor_limit(seq: ParamSeq, s: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """Limit weight of a generation-s cable: window product taken to infinity."""
-    return _cable_weight(constants.b, seq.lam_tilde(s - 1) * seq.eps_tilde_inf(s) * seq.one_minus_eps(s), s, "infinity")
+    den = seq.lam_tilde(s - 1) * seq.eps_tilde_inf(s) * seq.one_minus_eps(s)
+    return _quotient(constants.b, den, f"generation-{s} cable prefactor at depth infinity")
 
 
 def prefractal_edges(

@@ -57,8 +57,6 @@ from .scalarfield import (
 
 CORNER_NAMES = ("A", "B", "C")
 _CORNER_INDEX = {"A": 0, "B": 1, "C": 2}
-#: Letter of the map fixing each corner.
-_CORNER_LETTER = {"A": 1, "B": 2, "C": 3}
 #: (corner, endpoint t) of each triangle side under its parametrization.
 _SIDE_CORNERS = {"AB": (("A", 0), ("B", 1)), "BC": (("B", 0), ("C", 1)), "AC": (("A", 0), ("C", 1))}
 #: (slot, endpoint t) -> (letter of the touching cell, corner of that cell).
@@ -85,20 +83,6 @@ _CORNER_SIDE, _CORNER_T = np.moveaxis(np.array(_CORNER_ENDS), 2, 0)
 #: ``weak_identity``: the precondition of the weak Laplacian and the weak
 #: pairing, whose vertex boundary terms it bounds.
 HARMONIC_GATES = MappingProxyType({"assertion": 1e-10, "weak_identity": 1e-8})
-
-
-def canonical_vertex(word: tuple[int, ...], corner: str) -> tuple[tuple[int, ...], str]:
-    """Minimal (word, corner) naming a pre-fractal vertex.
-
-    F_w(P) is unchanged by appending the letter whose map fixes P, so the
-    canonical name strips those trailing letters; an empty word names a
-    base corner of the whole gasket.
-    """
-    fix = _CORNER_LETTER[corner]
-    k = len(word)
-    while k > 0 and word[k - 1] == fix:
-        k -= 1
-    return word[:k], corner
 
 
 @dataclass(frozen=True, eq=False)

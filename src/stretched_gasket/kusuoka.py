@@ -12,9 +12,11 @@ adjoint route to the cylinder matrices is a test oracle
 Cylinder matrices tau([w]) = DF_w (Id/2) DF_w^t / lam_tilde(l) define
 the gasket-part matrix measure; their traces kappa([w]) form a
 probability vector on each level, consistent under refinement.  Cables
-carry rank-one matrix masses aligned with their mapped tangents; the
-combined measure evaluates energies of scalar fields without assembling
-edge sums, which cross-checks the assembled forms.
+carry rank-one matrix masses aligned with their mapped tangents:
+``cable_masses`` gives a generation's masses and unit directions as
+arrays, ``cable_mass`` one cable as a ``CableMass``.  The combined
+measure evaluates energies of scalar fields without assembling edge
+sums, which cross-checks the assembled forms.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .energy import _energy_terms, resolve_quadrature
 from .errors import DegenerateCable
 from .geometry import (
     _images,
+    _quotient,
     _triple_index,
     barycenter,
     cable_prefactor_limit,
     cable_segments,
     compose,
-    iter_words,
     triple,
     word_table,
 )
@@ -159,7 +161,7 @@ def _scaled_level(seq: ParamSeq, k: int) -> np.ndarray:
     Scaling each factor keeps every product of them O(1), so cylinder
     matrices stay well conditioned at any depth the cap allows.
     """
-    scale = 1.0 / math.sqrt(seq.lam(k))
+    scale = _quotient(1.0, math.sqrt(seq.lam(k)), f"level-{k} factor scale 1/sqrt(lam_{k})")
     return np.stack([f.linear * scale for f in triple(seq.eps(k))])
 
 
@@ -209,14 +211,6 @@ def tau_table(seq: ParamSeq, l: int) -> np.ndarray:
     return 0.5 * np.einsum("wab,wcb->wac", mats, mats)
 
 
-def cylinder_masses(seq: ParamSeq, l: int) -> tuple[CylinderMass, ...]:
-    """Level-l cylinder masses in lexicographic word order."""
-    taus = tau_table(seq, l)
-    return tuple(
-        CylinderMass(w, taus[i], float(np.trace(taus[i]))) for i, w in enumerate(iter_words(l))
-    )
-
-
 def hs_norm_sq_sum(seq: ParamSeq, l: int) -> float:
     """Sum of squared Frobenius norms of all depth-l derivative products.
 
@@ -253,8 +247,12 @@ def cable_masses(
     seq: ParamSeq,
     s: int,
     constants: Constants = DEFAULT_CONSTANTS,
-) -> tuple[CableMass, ...]:
-    """All generation-s cable masses, lexicographic in (prefix, slot)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """All generation-s cable masses and unit directions, (3^s,) and (3^s, 2).
+
+    Rows run lexicographic in (prefix, slot), prefix over the depth-(s-1)
+    words.  Row i carries the rank-one density d d^t of ``directions[i]``.
+    """
     lin, _ = word_table(seq, s - 1)
     if seq.one_minus_eps(s) == 0.0:
         raise DegenerateCable(f"eps_{s} = 1: cables have zero length")
@@ -262,18 +260,12 @@ def cable_masses(
     # Stacked products round as the single products of cable_mass do.
     world = _images(lin, vel).reshape(-1, 2)
     nrm2 = (world[:, None] @ world[..., None]).ravel()
-    dirs = world / np.sqrt(nrm2)[:, None]
-    masses = (cable_prefactor_limit(seq, s, constants) * nrm2).tolist()
-    cables = ((prefix, slot) for prefix in iter_words(s - 1) for slot in (1, 2, 3))
-    return tuple(
-        CableMass(prefix, s, slot, m, d, d[:, None] * d)
-        for (prefix, slot), m, d in zip(cables, masses, dirs)
-    )
+    return cable_prefactor_limit(seq, s, constants) * nrm2, world / np.sqrt(nrm2)[:, None]
 
 
 def total_cable_mass(seq: ParamSeq, s_max: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
     """Mass of all cables of generations 1..s_max."""
-    return math.fsum(cm.mass for s in range(1, s_max + 1) for cm in cable_masses(seq, s, constants))
+    return math.fsum(m for s in range(1, s_max + 1) for m in cable_masses(seq, s, constants)[0].tolist())
 
 
 def energy_via_measure(

@@ -6,7 +6,8 @@ is the second derivative along the cable direction, the trace against
 the rank-one projection.  Both densities have unit trace, so the
 Laplacian is bounded by twice the Hessian sup.  ``laplacian_samples``
 reads all carriers at once from the cylinder and map tables and the cable
-masses; ``teplyaev`` samples one carrier.
+mass arrays and returns them as one record array, a row per carrier;
+``teplyaev`` samples one carrier as a ``LaplacianSample``.
 
 The integration-by-parts defect pairs the depth form with the
 discretized integral of (Laplacian of phi) times v against the depth
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _cable_form, _contract, _fold, _point_partials, energy_total, resolve_quadrature
-from .geometry import EdgeId, _images, _triple_index, barycenter, cable_segments, compose, iter_words, word_point, word_table
+from .geometry import EdgeId, _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
 from .kusuoka import CableMass, cable_mass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
@@ -162,29 +163,37 @@ def laplacian_samples(
     phi: Poly2,
     depth: int,
     constants: Constants = DEFAULT_CONSTANTS,
-) -> list[LaplacianSample]:
+) -> np.recarray:
     """Samples on every depth-level cylinder and all cables up to depth.
 
-    The ``teplyaev`` sample of every carrier, cells in word order, then
-    cables by generation in (prefix, slot) order, from the cell tables
-    (tau_table, word_table) and the cable masses at once.
+    One row per carrier, the ``teplyaev`` sample of each: cells in word
+    order, then cables by generation in (prefix, slot) order, read from
+    the cell tables (tau_table, word_table) and the cable masses at once.
+    Columns: ``generation`` (0 for a cell, s for a generation-s cable),
+    ``word`` (lexicographic index of the cell word, or of the cable prefix
+    among the depth-(s-1) words), ``slot`` (0 for a cell, 1..3 for a
+    cable), the location ``x``, ``y``, the unit-trace density ``t11``,
+    ``t12``, ``t22`` and the Laplacian ``value``.
     """
-    carriers: list = list(iter_words(depth))
     taus = tau_table(seq, depth)
     kappas = taus[:, 0, 0] + taus[:, 1, 1]
     low = np.flatnonzero(kappas < KAPPA_FLOOR)
     if low.size:
-        raise ArithmeticError(f"cylinder mass underflow at word {carriers[low[0]]}")
+        word = tuple(int(low[0]) // 3 ** (depth - 1 - n) % 3 + 1 for n in range(depth))
+        raise ArithmeticError(f"cylinder mass underflow at word {word}")
     lin, off = word_table(seq, depth)
+    cells = np.arange(len(kappas))
+    ids = [np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)])]  # (generation, word, slot)
     t_tilde, locations = [taus / kappas[:, None, None]], [lin @ barycenter() + off]
     for s in range(1, depth + 1):
-        masses = cable_masses(seq, s, constants)
+        _, dirs = cable_masses(seq, s, constants)
         plin, poff = word_table(seq, s - 1)
         mids = np.stack([sg.point(0.5) for sg in cable_segments(seq, s)])
-        carriers += masses
-        t_tilde.append(np.stack([cm.projection for cm in masses]))
+        ids.append(np.column_stack([np.full(len(dirs), s), np.repeat(np.arange(len(plin)), 3), np.tile([1, 2, 3], len(plin))]))
+        t_tilde.append(dirs[:, :, None] * dirs[:, None, :])
         locations.append((_images(plin, mids) + poff[:, None]).reshape(-1, 2))
     t_tilde, locations = np.concatenate(t_tilde), np.concatenate(locations)
     hxx, hxy, hyy = hess_batch(phi, locations[:, 0], locations[:, 1])
     values = t_tilde[:, 0, 0] * hxx + 2.0 * t_tilde[:, 0, 1] * hxy + t_tilde[:, 1, 1] * hyy
-    return [LaplacianSample(*sample) for sample in zip(locations, carriers, t_tilde, values.tolist())]
+    columns = [*np.concatenate(ids).T, *locations.T, t_tilde[:, 0, 0], t_tilde[:, 0, 1], t_tilde[:, 1, 1], values]
+    return np.rec.fromarrays(columns, names="generation,word,slot,x,y,t11,t12,t22,value")

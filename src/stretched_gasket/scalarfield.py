@@ -41,6 +41,8 @@ class Poly2:
             if m < 0 or n < 0 or m != int(m) or n != int(n):
                 raise ValueError(f"bad exponent pair {(m, n)}")
             c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of x^{m}*y^{n} is not finite: {c!r}")
             if c != 0.0:
                 clean[(int(m), int(n))] = c
         self.coeffs = clean

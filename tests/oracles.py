@@ -12,6 +12,9 @@ whole-grid reduction that the blocked grid must reproduce bit for bit,
 and a closed-form inner minimum that bounds its accuracy.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -37,9 +40,9 @@ from stretched_gasket.geometry import (
     triple,
     word_table,
 )
-from stretched_gasket.harmonicity import ND_GRID, ND_REFINE, _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNERS, canonical_vertex
-from stretched_gasket.kusuoka import cable_mass, tau_table
-from stretched_gasket.laplacian import teplyaev
+from stretched_gasket.harmonicity import ND_GRID, ND_REFINE, _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNERS
+from stretched_gasket.kusuoka import cable_mass, kappa_table, tau_table
+from stretched_gasket.laplacian import laplacian_samples, teplyaev
 from stretched_gasket.params import DEFAULT_CONSTANTS
 from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval
 
@@ -185,6 +188,24 @@ def edge_walk(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATI
                 yield EdgeId("cable", prefix, slot=slot, generation=s, prefactor=pf), seg, amap
 
 
+#: Letter of the map fixing each corner.
+_CORNER_LETTER = {"A": 1, "B": 2, "C": 3}
+
+
+def canonical_vertex(word, corner):
+    """Minimal (word, corner) naming a pre-fractal vertex.
+
+    F_w(P) is unchanged by appending the letter whose map fixes P, so the
+    canonical name strips those trailing letters; an empty word names a
+    base corner of the whole gasket.
+    """
+    fix = _CORNER_LETTER[corner]
+    k = len(word)
+    while k > 0 and word[k - 1] == fix:
+        k -= 1
+    return word[:k], corner
+
+
 def star_groups_by_edges(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO):
     """Depth-l vertex stars by walking the edge list, sorted by (word, corner).
 
@@ -237,6 +258,55 @@ def laplacian_samples_by_carrier(seq, phi, depth, constants=DEFAULT_CONSTANTS):
                 cm = cable_mass(seq, prefix, s, slot, constants)
                 out.append(teplyaev(phi, cm, seq, constants))
     return out
+
+
+def _csv_by_rows(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def kusuoka_text_by_rows(seq, depth):
+    """The ``kusuoka`` table and its --json summary, rendered row by row.
+
+    Word tuples from ``iter_words`` joined, repr(float(...)) per cell and
+    ``csv.writer`` with CRLF line ends, from the library's tau and kappa
+    tables.  Returns (csv text, json text).
+    """
+    taus = tau_table(seq, depth)
+    kappas = kappa_table(seq, depth)
+    rows = []
+    for i, w in enumerate(iter_words(depth)):
+        t = taus[i]
+        word = "".join(str(letter) for letter in w)
+        rows.append([word, repr(float(kappas[i])), repr(float(t[0, 0])), repr(float(t[0, 1])), repr(float(t[1, 1]))])
+    mean = 0.5 * (taus[:, 0, 0] + taus[:, 1, 1])
+    spread = np.sqrt((0.5 * (taus[:, 0, 0] - taus[:, 1, 1])) ** 2 + taus[:, 0, 1] ** 2)
+    summary = {
+        "depth": depth,
+        "sum_kappa": math.fsum(kappas.tolist()),
+        "min_eig": float(np.min(mean - spread)),
+        "max_kappa_word": rows[int(np.argmax(kappas))][0],
+    }
+    text = _csv_by_rows(["word", "kappa", "tau11", "tau12", "tau22"], rows)
+    return text, json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def laplacian_text_by_rows(seq, phi, depth, constants=DEFAULT_CONSTANTS) -> str:
+    """The ``laplacian`` table rendered row by row from the sample table.
+
+    Carriers come from ``iter_words`` (cells, then cables by generation in
+    (prefix, slot) order), fields as in ``kusuoka_text_by_rows``.
+    """
+    carriers = [("cell", w, "") for w in iter_words(depth)]
+    carriers += [("cable", p, str(k)) for s in range(1, depth + 1) for p in iter_words(s - 1) for k in (1, 2, 3)]
+    rows = []
+    for (kind, w, slot), r in zip(carriers, laplacian_samples(seq, phi, depth, constants)):
+        word = "".join(str(letter) for letter in w)
+        rows.append([kind, word, slot, repr(float(r.x)), repr(float(r.y)), repr(float(r.value))])
+    return _csv_by_rows(["kind", "word", "slot", "x", "y", "value"], rows)
 
 
 def _side_projection_sum() -> np.ndarray:

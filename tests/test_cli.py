@@ -6,6 +6,10 @@ import sys
 
 import pytest
 
+from stretched_gasket import ExpTail, ParamSeq, parse
+
+from oracles import kusuoka_text_by_rows, laplacian_text_by_rows
+
 BASE = [sys.executable, "-m", "stretched_gasket.cli"]
 EXP_FLAGS = ["--eps-prefix", "0.9", "--tail-c", "0.05", "--tail-r", "0.5"]
 
@@ -141,12 +145,44 @@ def test_non_finite_ratio_exits_one(ratio):
     assert proc.stdout == b""
 
 
-def test_prefactor_underflow_exits_one_without_traceback():
-    proc = run_cli("harmonicity", "--eps-const", "1e-200", "--depth", "3", check=False)
+@pytest.mark.parametrize("command", ["geometry", "energy", "harmonicity", "kusuoka", "ibp", "convergence", "laplacian"])
+def test_prefactor_underflow_exits_one_without_traceback(command):
+    # lam = (3/5) eps^2 underflows to 0.0 at eps = 1e-200.
+    proc = run_cli(command, "--eps-const", "1e-200", "--depth", "3", check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: ")
-    assert b"cable prefactor" in proc.stderr
+    assert b"denominator 0.0 underflows" in proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--eps-const", "0.5", "--depth", "2", "--u", "1e400*x"],
+        ["laplacian", *EXP_FLAGS, "--depth", "1", "--phi", "1e400*x^2"],
+        ["laplacian", *EXP_FLAGS, "--depth", "1", "--phi", "1e200*1e200*x^2 - 1e200*1e200*x^2 + x"],
+        ["convergence", "--eps-const", "0.5", "--u", "1e400*x"],
+    ],
+    ids=["energy", "laplacian-inf", "laplacian-nan", "convergence"],
+)
+def test_non_finite_coefficients_exit_one(argv):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: ") and b"not finite" in proc.stderr
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_tables_match_the_row_by_row_rendering(depth, tmp_path):
+    seq = ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5))  # EXP_FLAGS
+    summary = tmp_path / "summary.json"
+    proc = run_cli("kusuoka", *EXP_FLAGS, "--depth", str(depth), "--json", str(summary))
+    text, side = kusuoka_text_by_rows(seq, depth)
+    assert proc.stdout == text.encode()
+    assert summary.read_bytes() == side.encode()
+    phi = "x^3 - 0.7*x*y + y^4"
+    proc = run_cli("laplacian", *EXP_FLAGS, "--depth", str(depth), "--phi", phi)
+    assert proc.stdout == laplacian_text_by_rows(seq, parse(phi), depth).encode()
 
 
 def test_missing_config_file_exits_one():

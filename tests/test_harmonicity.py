@@ -9,7 +9,6 @@ from stretched_gasket import (
     HARMONIC_RATIO,
     NonHarmonicError,
     boundary_vector,
-    canonical_vertex,
     energy_total,
     harmonic_report,
     harmonic_residual,
@@ -26,7 +25,7 @@ from stretched_gasket import (
 from stretched_gasket.harmonicity import ND_GRID
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import nd_gamma_closed_form, nd_gamma_full_grid
+from oracles import canonical_vertex, nd_gamma_closed_form, nd_gamma_full_grid
 
 
 def test_canonical_vertex_strips_fixing_letter():

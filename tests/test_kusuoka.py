@@ -8,7 +8,6 @@ from stretched_gasket import (
     cable_mass,
     cable_masses,
     cable_tail_bound,
-    cylinder_masses,
     energy1,
     energy2_limit,
     energy_via_measure,
@@ -126,12 +125,14 @@ def test_gibbs_tau_matches_the_tau_table(regime):
     # them for every word at once.  Both use the same scaled factors.
     for l in range(7):
         taus = tau_table(regime, l)
+        kappas = kappa_table(regime, l)
         for i, word in enumerate(iter_words(l)):
             cm = gibbs_tau(regime, word)
             top = np.max(np.abs(taus[i]))
             assert np.max(np.abs(cm.tau - taus[i])) <= 1e-15 * top, (l, word)
             kap = float(np.trace(taus[i]))
             assert abs(cm.kappa - kap) <= 1e-15 * kap, (l, word)
+            assert kap == pytest.approx(float(kappas[i]), abs=1e-16), (l, word)
     # One word at the depth cap reads l factors, not the 3^l-row table.
     before = _scaled_linears.cache_info()
     assert 0.0 < kappa(regime, (1, 2, 3) * 4) < 1.0
@@ -161,14 +162,6 @@ def test_refinement_additivity(regime):
         assert np.max(np.abs(coarse - fine)) <= 1e-13, l
 
 
-def test_cylinder_masses_enumeration():
-    masses = cylinder_masses(TAIL_ONLY, 2)
-    assert [m.word for m in masses] == list(iter_words(2))
-    table = kappa_table(TAIL_ONLY, 2)
-    for k, m in enumerate(masses):
-        assert m.kappa == pytest.approx(float(table[k]), abs=1e-16)
-
-
 def test_adjoint_aggregate_equals_gibbs(regime):
     for l in (1, 2, 3, 4):
         agg = adjoint_aggregate(regime, l)
@@ -183,17 +176,21 @@ def test_hs_norm_identity(regime):
 
 
 def test_cable_masses_structure():
-    for s in (1, 2):
-        masses = cable_masses(TAIL_ONLY, s)
-        assert len(masses) == 3 * 3 ** (s - 1)
-        for m in masses:
-            assert m.generation == s
-            assert m.mass > 0.0
-            assert np.linalg.norm(m.direction) == pytest.approx(1.0, abs=1e-14)
-            p = m.projection
+    for seq, s in ((TAIL_ONLY, 1), (TAIL_ONLY, 2), (PREFIX_EXP, 3)):
+        masses, dirs = cable_masses(seq, s)
+        assert masses.shape == (3**s,) and dirs.shape == (3**s, 2)
+        cables = [(prefix, slot) for prefix in iter_words(s - 1) for slot in (1, 2, 3)]
+        for m, d, (prefix, slot) in zip(masses, dirs, cables):
+            assert m > 0.0
+            assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-14)
+            p = d[:, None] * d
             assert np.max(np.abs(p @ p - p)) <= 1e-14
             assert float(np.trace(p)) == pytest.approx(1.0, abs=1e-14)
-            assert np.max(np.abs(p @ m.direction - m.direction)) <= 1e-14
+            assert np.max(np.abs(p @ d - d)) <= 1e-14
+            cm = cable_mass(seq, prefix, s, slot)
+            assert cm.mass == pytest.approx(m, rel=1e-12), (s, prefix, slot)
+            assert np.max(np.abs(cm.direction - d)) <= 1e-14, (s, prefix, slot)
+            assert np.max(np.abs(cm.projection - p)) <= 1e-14, (s, prefix, slot)
 
 
 def test_cable_mass_prefix_validation():

@@ -64,10 +64,9 @@ def test_sample_values_bounded_by_hessian(rng):
 
 def test_sample_enumeration_counts():
     samples = laplacian_samples(TAIL_ONLY, parse("x^2"), 2)
-    cells = [s for s in samples if isinstance(s.carrier, tuple)]
-    cables = [s for s in samples if not isinstance(s.carrier, tuple)]
-    assert len(cells) == 9
-    assert len(cables) == 3 + 9
+    assert samples.generation.tolist() == [0] * 9 + [1] * 3 + [2] * 9
+    assert samples.word.tolist() == list(range(9)) + [0] * 3 + [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert samples.slot.tolist() == [0] * 9 + [1, 2, 3] * 4
 
 
 def test_ibp_affine_is_exact(limit_regime):

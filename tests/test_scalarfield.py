@@ -62,6 +62,16 @@ def test_parser_accepts_common_expression_forms():
             assert p.value(*pt) == pytest.approx(ref(*pt), rel=1e-14, abs=1e-14)
 
 
+def test_non_finite_coefficients_are_refused():
+    # Unchecked, they reach the forms and samples as inf or NaN.
+    for text in ("1e400*x", "-1e400*x^2", "1e200*1e200*x^2 - 1e200*1e200*x^2 + x", "(1e200*x + y)^2"):
+        with pytest.raises(ValueError, match="not finite"):
+            parse(text)
+    for c in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            Poly2({(1, 0): c})
+
+
 def test_parser_error_positions():
     with pytest.raises(PolyParseError) as e:
         parse("x + * y")
