@@ -9,26 +9,33 @@ depth-l pre-fractal:
 
 The forms are evaluated without enumerating edges.  Polynomials of degree
 <= d form a space of dimension D = (d+1)(d+2)/2 that affine pullback maps
-to itself, so a field is its coefficient vector on the monomial basis and
-each level map F^k_i acts by a D x D pullback matrix P_i.  A form on one
-depth-l cell (the Gram matrix of the three sides) is folded up to the top
-cell, one level at a time:
+to itself, so a field is its coefficient vector c on the monomial basis
+and each level map F^k_i acts by a D x D pullback matrix P_i.  The field
+moment M_0 = c_u c_v^T (symmetrized for the energy forms) is pushed down
+one level at a time,
 
-    H <- (1/lam_k) sum_i P_i^T H P_i + w_k C_k,
+    M_k = (1/lam_k) sum_i P_i M_{k-1} P_i^T,
 
-where C_k is the Gram matrix of the three generation-k cables and w_k
-their weight without the lam_tilde(k-1) factor the later steps supply.
-This is the one-step energy recurrence read as an algorithm (decimation-
-style renormalization); it costs O(l D^3) where the edge sum costs
-O(3^l).  The Gram entries are integrals of derivatives along straight
-segments, evaluated with the caller's Gauss rule, so every rule gives the
-numbers the edge sum gives; the rule must be exact for the field degrees
-(``min_quad_order``).  The folded form is symmetrized and contracted with
-exact compensated summation (math.fsum), so E(u, v) == E(v, u) exactly.
+so M_k sums the pulled-back coefficient products of the 3^k depth-k cells
+divided by lam_tilde(k).  Every form is then a contraction:
 
-The one-step recurrence and self-similarity residuals price their
-generation-1 cables with one level of the same fold.  The batched edge
-tableau (``_tableau``) remains only for the tests' edge-by-edge routes in
+    E_l = <a S, M_l> + sum_{k<=l} w(k, l) <G_k, M_{k-1}>,
+
+with S the Gram matrix of the three sides of a cell, G_k that of the
+three generation-k cables and w(k, l) = b / (eps_tilde(k, l) (1 - eps_k)).
+One pass to depth L gives every E_l, l <= L, in O(L D^3), and builds each
+Gram once; the edge sum costs O(3^l) and a backward fold of the forms
+(the pass's adjoint, kept as a test oracle) O(l D^3) per depth.  The Gram
+entries are integrals of derivatives along straight segments, evaluated
+with the caller's Gauss rule, so every rule gives the numbers the edge sum
+gives; the rule must be exact for the field degrees (``min_quad_order``).
+The contraction uses exact compensated summation (math.fsum), and the
+symmetrized moment has the same bits for (u, v) and (v, u), so
+E(u, v) == E(v, u) exactly.
+
+The one-step recurrence and self-similarity residuals read their
+generation-1 cable term from the same pass.  The batched edge tableau
+(``_tableau``) remains only for the tests' edge-by-edge routes in
 ``tests/oracles.py``.
 
 The limit cable form replaces the finite window product eps_tilde(s, l)
@@ -135,13 +142,13 @@ class EnergyReport:
     total: float
 
 
-# -- monomial pullback fold ------------------------------------------------
+# -- monomial moment pass -------------------------------------------------
 
-#: Working precision of the fold.  Where numpy's longdouble is the 80-bit
-#: x87 format it carries 11 bits beyond double, which absorbs the
-#: cancellation of a contraction c_u^T H c_v (short cables, fields that
-#: vanish along a side) and keeps the folded forms at least as accurate as
-#: the edge sum; where longdouble is double the fold runs in double.
+#: Working precision of the moment pass.  Where numpy's longdouble is the
+#: 80-bit x87 format it carries 11 bits beyond double, which absorbs the
+#: cancellation of a contraction <G, M> (short cables, fields that vanish
+#: along a side) and keeps the forms at least as accurate as the edge sum;
+#: where longdouble is double the pass runs in double.
 _EXT = np.longdouble
 
 #: Origin of the monomial basis: the barycenter of the base triangle, so
@@ -288,86 +295,83 @@ def _cable_arrays(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([sg.p for sg in segs]), np.stack([sg.velocity for sg in segs])
 
 
-def _cable_form(seq, s, l, d, quad, constants, *, limit=False, left=1, right=1) -> np.ndarray:
-    """Weighted form of the three generation-s cables of one cell.
-
-    The weight is b / (eps_tilde(s, l) (1 - eps_s)), or the infinite
-    window product for ``limit``; the fold supplies 1 / lam_tilde(s-1).
-    """
-    window = seq.eps_tilde_inf(s) if limit else seq.eps_tilde(s, l)
-    gram = _segment_form(*_cable_arrays(seq, s), d, quad, left, right)
-    depth = "infinity" if limit else l
-    return _quotient(constants.b, window * seq.one_minus_eps(s), f"generation-{s} cable form at depth {depth}") * gram
+def _cable_weight(seq: ParamSeq, k: int, l: int, constants: Constants, limit: bool) -> float:
+    """b / (eps_tilde(k, l) (1 - eps_k)), or the infinite window for ``limit``."""
+    window, depth = (seq.eps_tilde_inf(k), "infinity") if limit else (seq.eps_tilde(k, l), l)
+    return _quotient(constants.b, window * seq.one_minus_eps(k), f"generation-{k} cable weight at depth {depth}")
 
 
-def _fold(seq: ParamSeq, l: int, d: int, seed: np.ndarray, level) -> np.ndarray:
-    """Fold stacked cell forms from depth l up to the top cell.
+def _top_moment(u: Poly2, v: Poly2, d: int, outer: AffineMap2 | None = None, *, symmetric: bool = True) -> np.ndarray:
+    """M_0 = c_u c_v^T, symmetrized for the energy forms.
 
-    ``seed`` (F, D, D) holds forms on one depth-l cell; ``level(k)`` returns
-    the (F, D, D) forms a depth-(k-1) cell gains from its generation-k
-    cables.  Each step applies H <- (1/lam_k) sum_i P_i^T H P_i + level(k).
-    """
-    if l < 0:
-        raise ValueError(f"depth must be >= 0, got {l}")
-    if l > DEFAULT_DEPTH_CAP:
-        raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
-    h = seed
-    for k in range(l, 0, -1):
-        pulls = _level_pullbacks(seq.eps(k), d)
-        # np.dot, not matmul: it is the faster longdouble product.
-        pulled = [sum(np.dot(p.T, np.dot(form, p)) for p in pulls) for form in h]
-        h = _quotient(np.stack(pulled), _EXT(seq.lam(k)), f"lam_{k} of the level-{k} fold step") + level(k)
-    return h
-
-
-def _contract(forms: np.ndarray, u: Poly2, v: Poly2, d: int, outer: AffineMap2 | None = None) -> list[list[float]]:
-    """Terms H[a, b] * (cu[a] * cv[b]) of each stacked form, for math.fsum.
-
-    cu, cv are the centered-basis coefficients of u o outer and v o outer.
-    Each extended-precision term is split into its double head and the
-    exact double remainder, so the compensated sum sees all of its bits.
+    c_u, c_v are the centered-basis coefficients of u o outer and v o outer.
+    The symmetrized moment has the same bits for (u, v) and (v, u).
     """
     pullback = _map_pullback(outer or AffineMap2.identity(), d, to_world=True)
-    cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
-    terms = (forms * np.outer(cu, cv)).reshape(len(forms), -1)
+    top = np.outer(*[pullback @ _plain_coeffs(p, d) for p in (u, v)])
+    return 0.5 * (top + top.T) if symmetric else top
+
+
+def _split(terms: np.ndarray) -> list[float]:
+    """Double head and exact double remainder of every term, for math.fsum."""
     head = terms.astype(np.float64)
-    tail = (terms - head).astype(np.float64)
-    return [h.tolist() + t.tolist() for h, t in zip(head, tail)]
+    return head.ravel().tolist() + (terms - head).astype(np.float64).ravel().tolist()
 
 
-def _energy_terms(seq, l, u, v, quad, constants, outer, *, triangles: bool, cables: str | None) -> list[list[float]]:
-    """Contraction terms of the requested parts of the depth-l form.
+def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
+    """Elementwise contractions of stacked forms at every depth, from one moment pass.
 
-    ``cables`` is "window", "limit" or None; parts come out in the order
-    triangles, cables.
+    ``tops`` (F, D, D) are top moments and ``forms`` F pairs (cell form,
+    (left, right)).  Form f contracts its cell form with the depth-l moment
+    of tops[f] and the generation-k cable Gram of derivative orders
+    (left, right), at weight ``_cable_weight(k, l)``, with its depth-(k-1)
+    moment.  Yields, for each depth l of ``depths`` in order, the list over
+    f of the elementwise products [cell part, generation-1 part, ...,
+    generation-l part] (``_terms`` splits them for math.fsum).
     """
+    depths = list(depths)
+    for l in depths:
+        if l < 0:
+            raise ValueError(f"depth must be >= 0, got {l}")
+        if l > DEFAULT_DEPTH_CAP:
+            raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
+    l_max = max(depths, default=0)
+    cells, cables, moments = {}, [], tops
+    for k in range(l_max + 1):
+        if k:
+            pulls = _level_pullbacks(seq.eps(k), d)
+            # np.dot, not matmul: it is the faster longdouble product.
+            pushed = [sum(np.dot(p, np.dot(m, p.T)) for p in pulls) for m in moments]
+            moments = _quotient(np.stack(pushed), _EXT(seq.lam(k)), f"lam_{k} of the level-{k} moment step")
+        if k in depths:
+            cells[k] = [cell * m for (cell, _), m in zip(forms, moments)]
+        if k < l_max:
+            segs = _cable_arrays(seq, k + 1)
+            grams = {order: _segment_form(*segs, d, quad, *order) for order in {o for _, o in forms}}
+            cables.append([grams[order] * m for (_, order), m in zip(forms, moments)])
+    for l in depths:
+        weights = [_cable_weight(seq, k, l, constants, limit) for k in range(1, l + 1)]
+        yield [[cells[l][f]] + [w * gm[f] for w, gm in zip(weights, cables)] for f in range(len(forms))]
+
+
+def _energy_rows(seq, depths, u, v, quad, constants, outer=None, *, limit=False):
+    """[triangle part, generation-1 cable part, ...] at every depth (``limit``: infinite windows)."""
     d = max(u.degree, v.degree, 0)
-    zero = np.zeros((_dim(d), _dim(d)), dtype=_EXT)
-    seed = []
-    if triangles:
-        seed.append(constants.a * _segment_form(*_side_arrays(), d, quad, 1, 1))
-    if cables:
-        seed.append(zero)
-
-    def level(k: int) -> np.ndarray:
-        out = [zero] if triangles else []
-        if cables:
-            out.append(_cable_form(seq, k, l, d, quad, constants, limit=cables == "limit"))
-        return np.stack(out)
-
-    forms = _fold(seq, l, d, np.stack(seed), level)
-    return _contract(0.5 * (forms + forms.transpose(0, 2, 1)), u, v, d, outer)
+    side = constants.a * _segment_form(*_side_arrays(), d, quad, 1, 1)
+    tops = _top_moment(u, v, d, outer)[None]
+    for (parts,) in _contractions(seq, depths, d, quad, constants, tops, [(side, (1, 1))], limit=limit):
+        yield parts
 
 
-def _generation1_cables(seq, l, u, v, quad, constants, *, limit=False) -> float:
-    """The top cell's generation-1 cable form at depth-l window (or limit) weight.
+def _terms(parts: list[np.ndarray]) -> tuple[list[float], list[float]]:
+    """fsum terms of the cell part and of the generations' cable parts, summed
+    first in extended precision (as a fold accumulates them): 2 D^2 terms at any depth."""
+    return _split(parts[0]), _split(sum(parts[1:], np.zeros_like(parts[0])))
 
-    This is the cable term of one fold level, without the fold.
-    """
-    d = max(u.degree, v.degree, 0)
-    form = _cable_form(seq, 1, l, d, quad, constants, limit=limit)
-    (terms,) = _contract(0.5 * (form + form.T)[None], u, v, d)
-    return math.fsum(terms)
+
+def _report(l: int, parts: list[np.ndarray]) -> EnergyReport:
+    tri, cab = _terms(parts)
+    return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
 
 
 # -- edge tableau (the tests' edge-by-edge routes) ------------------------
@@ -420,8 +424,8 @@ def energy1(
     back fields enter the recurrence without materializing compositions.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (terms,) = _energy_terms(seq, l, u, v, quad, constants, outer, triangles=True, cables=None)
-    return math.fsum(terms)
+    (parts,) = _energy_rows(seq, (l,), u, v, quad, constants, outer)
+    return math.fsum(_split(parts[0]))
 
 
 def energy2(
@@ -435,8 +439,8 @@ def energy2(
 ) -> float:
     """Cable part of the depth-l form: generations 1..l, finite window weights."""
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (terms,) = _energy_terms(seq, l, u, v, quad, constants, outer, triangles=False, cables="window")
-    return math.fsum(terms)
+    (parts,) = _energy_rows(seq, (l,), u, v, quad, constants, outer)
+    return math.fsum(_terms(parts)[1])
 
 
 def energy_total(
@@ -448,14 +452,14 @@ def energy_total(
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
 ) -> EnergyReport:
-    """Full depth-l form, triangle and cable parts folded separately.
+    """Full depth-l form: triangle part, cable part and their sum.
 
     The grand total is one compensated sum over the contraction terms of
     both parts.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    tri, cab = _energy_terms(seq, l, u, v, quad, constants, outer, triangles=True, cables="window")
-    return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
+    (parts,) = _energy_rows(seq, (l,), u, v, quad, constants, outer)
+    return _report(l, parts)
 
 
 def cable_tail_bound(seq: ParamSeq, s_max: int, gu: float, gv: float, constants: Constants = DEFAULT_CONSTANTS) -> float:
@@ -487,8 +491,8 @@ def energy2_limit(
     bounds for pulled-back fields).
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (terms,) = _energy_terms(seq, s_max, u, v, quad, constants, outer, triangles=False, cables="limit")
-    value = math.fsum(terms)
+    (parts,) = _energy_rows(seq, (s_max,), u, v, quad, constants, outer, limit=True)
+    value = math.fsum(_terms(parts)[1])
     if grad_bounds is None:
         gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
     else:
@@ -512,11 +516,11 @@ def recurrence_residual(
     window.  Returns the absolute defect.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    lhs = energy_total(seq, l + 1, u, v, quad, constants).total
+    (whole,) = _energy_rows(seq, (l + 1,), u, v, quad, constants)
     shifted = seq.shift()
     parts = [energy_total(shifted, l, u, v, quad, constants, outer=f).total for f in triple(seq.eps(1))]
-    rhs = math.fsum(parts) / seq.lam(1) + _generation1_cables(seq, l + 1, u, v, quad, constants)
-    return abs(lhs - rhs)
+    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
+    return abs(_report(l + 1, whole).total - rhs)
 
 
 def selfsimilar_residual(
@@ -540,22 +544,19 @@ def selfsimilar_residual(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    e2l, tail_l = energy2_limit(seq, u, v, depth, quad, constants)
-    lhs = energy1(seq, depth, u, v, quad, constants) + e2l
     shifted = seq.shift()
     gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
-    parts = []
-    tails = [tail_l]
+    (whole,) = _energy_rows(seq, (depth,), u, v, quad, constants, limit=True)
+    lhs = _report(depth, whole)
+    parts, tails = [], [cable_tail_bound(seq, depth, gu, gv, constants)]
     for f in triple(seq.eps(1)):
         opn = float(np.linalg.norm(f.linear, 2))
-        e2i, tail_i = energy2_limit(
-            shifted, u, v, depth - 1, quad, constants, outer=f,
-            grad_bounds=(gu * opn, gv * opn),
-        )
-        parts.append(energy1(shifted, depth - 1, u, v, quad, constants, outer=f) + e2i)
-        tails.append(tail_i / seq.lam(1))
-    rhs = math.fsum(parts) / seq.lam(1) + _generation1_cables(seq, depth, u, v, quad, constants, limit=True)
-    return abs(lhs - rhs), math.fsum(tails)
+        (half,) = _energy_rows(shifted, (depth - 1,), u, v, quad, constants, f, limit=True)
+        rep = _report(depth - 1, half)
+        parts.append(rep.e1 + rep.e2)
+        tails.append(cable_tail_bound(shifted, depth - 1, gu * opn, gv * opn, constants) / seq.lam(1))
+    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
+    return abs(lhs.e1 + lhs.e2 - rhs), math.fsum(tails)
 
 
 def convergence_rows(
@@ -571,15 +572,16 @@ def convergence_rows(
     Row l reports E_l and delta = E_l - E_{l-1}; the envelope column
     bounds |E_{l+1} - E_l| by the cell-oscillation term (Hessian and
     gradient sup bounds times the largest cell diameter) plus the exact
-    cable reweighting and one new cable generation.
+    cable reweighting and one new cable generation.  Every row comes from
+    one moment pass to l_max.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
     gu, hu = sup_bounds(u)
     gv, hv = sup_bounds(v)
     rows = []
     prev = None
-    for l in range(l_max + 1):
-        rep = energy_total(seq, l, u, v, quad, constants)
+    for l, parts in enumerate(_energy_rows(seq, range(l_max + 1), u, v, quad, constants)):
+        rep = _report(l, parts)
         diam = 0.6**l * (seq.eps_tilde(1, l) if l >= 1 else 1.0)
         om = seq.one_minus_eps(l + 1)
         eps_next = seq.eps(l + 1)

@@ -13,14 +13,14 @@ corners carry two triangle sides and no cable; their sums are reported
 separately since admissible test functions vanish there.  So every
 interior vertex is one cable end, and the stars are index gathers on the
 word tables (``_vertex_arrays``), O(3^l) array work without an edge walk.
-The weak pairing is the pullback fold of the energy module with
+The weak pairing is a contraction of the energy module's moment pass with
 (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3).
 
 The residual probes (``vertex_stars``, ``harmonic_report``,
 ``harmonic_residual``) and ``nd_gamma`` take the map ratio beta/alpha, so
 perturbed families can be shown to break the vertex balance.  The weak
 pairing and the weak Laplacian are defined for the harmonic family only,
-like the forms they fold.
+like the forms they contract.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .energy import _cable_form, _contract, _fold, _segment_form, _side_arrays, resolve_quadrature
+from .energy import _contractions, _segment_form, _side_arrays, _terms, _top_moment, resolve_quadrature
 from .errors import NonHarmonicError, StarNotClosed
 from .geometry import (
     HARMONIC_RATIO,
@@ -300,21 +300,20 @@ def weak_pairing(
     Equals E(u, v) for admissible v (vanishing at the base corners) on a
     harmonic pre-fractal; the arclength factors of density and measure
     cancel, leaving the parameter-space integral.  Evaluated as the
-    pullback fold of the side form a (m_a o z)'' (m_b o z) plus the cable
-    forms of each generation, O(l D^3).
+    side form a (m_a o z)'' (m_b o z) and the cable forms of each
+    generation contracted with the plain (not symmetrized) moment pass,
+    O(l D^3).
     """
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
     quad = resolve_quadrature(quad, u.degree, v.degree)
     _require_harmonic(seq, l, constants)
     d = max(u.degree, v.degree, 0)
-    seed = constants.a * _segment_form(*_side_arrays(), d, quad, 2, 0)
-
-    def level(k: int) -> np.ndarray:
-        return _cable_form(seq, k, l, d, quad, constants, left=2, right=0)[None]
-
-    (terms,) = _contract(_fold(seq, l, d, seed[None], level), u, v, d)
-    return -math.fsum(terms)
+    side = constants.a * _segment_form(*_side_arrays(), d, quad, 2, 0)
+    tops = _top_moment(u, v, d, symmetric=False)[None]
+    ((parts,),) = _contractions(seq, (l,), d, quad, constants, tops, [(side, (2, 0))])
+    sides, cables = _terms(parts)
+    return -math.fsum(sides + cables)
 
 
 # -- nondegeneracy constant ------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _energy_terms, resolve_quadrature
+from .energy import _energy_rows, _terms, resolve_quadrature
 from .errors import DegenerateCable
 from .geometry import (
     _images,
@@ -281,7 +281,8 @@ def energy_via_measure(
     Gasket part: cylinder matrices paired with the gradients at cell
     barycenters, over all depth-level words.  Cable part: exact line
     quadrature of the rank-one masses against the gradients, generations
-    up to the depth, limit window weights (the energy module's fold).
+    up to the depth, limit window weights (the energy module's moment
+    pass).
     For affine fields the gasket part is exactly (grad u, (Id/2) grad v),
     independent of depth.
     """
@@ -296,5 +297,5 @@ def energy_via_measure(
         + taus[:, 0, 1] * (gux * gvy + guy * gvx)
         + taus[:, 1, 1] * guy * gvy
     )
-    (cables,) = _energy_terms(seq, depth, u, v, quad, constants, None, triangles=False, cables="limit")
-    return math.fsum(gasket.tolist() + cables)
+    (parts,) = _energy_rows(seq, (depth,), u, v, quad, constants, limit=True)
+    return math.fsum(gasket.tolist() + _terms(parts)[1])

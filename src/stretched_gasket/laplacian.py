@@ -17,12 +17,14 @@ term vanishes by harmonicity, leaving only the within-cell variation of
 the gasket integrand.  That defect decays geometrically with depth and
 vanishes to rounding for affine phi.
 
-Both sides are evaluated by the pullback fold of the energy module,
-O(depth) per row instead of one term per cell.  Since the cylinder
-matrices are tau_w = DF_w (Id/2) DF_w^t / lam_tilde(l), the gasket term
+Both sides of every row come from one moment pass of the energy module
+to the deepest depth, O(depth D^3) for the whole sweep instead of one term
+per cell: the energy side contracts the symmetrized moments, the measure
+side the plain ones.  Since the cylinder matrices are
+tau_w = DF_w (Id/2) DF_w^t / lam_tilde(l), the gasket term
 3a tr(tau_w Hess phi(x_w)) v(x_w) is the cell form
 (3a/2) Lap f(b) g(b) at the barycenter b, pulled back through F_w; the
-cable term is the fold of the integrals of (f o z)'' (g o z).
+cable term contracts the Grams of (f o z)'' (g o z).
 """
 
 from __future__ import annotations
@@ -32,7 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _cable_form, _contract, _fold, _point_partials, energy_total, resolve_quadrature
+from .energy import (
+    _contractions,
+    _point_partials,
+    _report,
+    _segment_form,
+    _side_arrays,
+    _terms,
+    _top_moment,
+    resolve_quadrature,
+)
 from .geometry import EdgeId, _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
 from .kusuoka import CableMass, cable_mass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
@@ -91,30 +102,6 @@ def teplyaev(
     return LaplacianSample(location, carrier, t_tilde, _hessian_trace(t_tilde, phi, location))
 
 
-def _measure_side_terms(seq, depth, phi, v, quad, constants) -> list[float]:
-    """Contraction terms of the depth integral of (Laplacian phi) v.
-
-    Gasket part: tau_w = DF_w (Id/2) DF_w^t / lam_tilde(depth), so
-    3a tr(tau_w Hess phi(x_w)) v(x_w) is (3a/2) Lap(phi o F_w)(b) (v o F_w)(b)
-    / lam_tilde(depth) at the barycenter b: the fold of that cell form.
-    Cable part: the fold of the integrals of (phi o z)'' (v o z) over the
-    cables, with the depth-window weights of the form.
-    """
-    d = max(phi.degree, v.degree, 0)
-    b = barycenter()
-    lap = _point_partials(b, d, 2, 0) + _point_partials(b, d, 0, 2)
-    gasket = 1.5 * constants.a * np.outer(lap, _point_partials(b, d, 0, 0))
-    zero = np.zeros_like(gasket)
-
-    def level(k: int) -> np.ndarray:
-        cables = _cable_form(seq, k, depth, d, quad, constants, left=2, right=0)
-        return np.stack([zero, cables])
-
-    forms = _fold(seq, depth, d, np.stack([gasket, zero]), level)
-    gas, cab = _contract(forms, phi, v, d)
-    return gas + cab
-
-
 def ibp_residual(
     seq: ParamSeq,
     phi: Poly2,
@@ -143,15 +130,25 @@ def ibp_table(
     The measure side pairs the Hessian-cylinder densities at cell
     barycenters and the exact cable line integrals, both under the
     depth-window weights of the form on the energy side, so the two sides
-    share one resolution.  Both sides are folds, O(depth) per row.
+    share one resolution.  Every row comes from one moment pass to the
+    deepest depth, O(max depth) for the sweep; ``depths`` may be empty,
+    unsorted or repeated, and rows follow its order.
     """
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
     quad = resolve_quadrature(quad, phi.degree, v.degree)
+    depths = list(depths)
+    d = max(phi.degree, v.degree, 0)
+    side = constants.a * _segment_form(*_side_arrays(), d, quad, 1, 1)
+    b = barycenter()
+    lap = _point_partials(b, d, 2, 0) + _point_partials(b, d, 0, 2)
+    gasket = 1.5 * constants.a * np.outer(lap, _point_partials(b, d, 0, 0))
+    tops = np.stack([_top_moment(phi, v, d), _top_moment(phi, v, d, symmetric=False)])
+    forms = [(side, (1, 1)), (gasket, (2, 0))]
     rows = []
-    for depth in depths:
-        lhs = energy_total(seq, depth, phi, v, quad, constants).total
-        rhs = math.fsum(_measure_side_terms(seq, depth, phi, v, quad, constants))
+    for depth, (energy, measure) in zip(depths, _contractions(seq, depths, d, quad, constants, tops, forms)):
+        gasket_terms, cable_terms = _terms(measure)
+        lhs, rhs = _report(depth, energy).total, math.fsum(gasket_terms + cable_terms)
         rows.append(
             {"depth": depth, "energy_lhs": lhs, "integral_rhs": rhs, "residual": abs(lhs + rhs)}
         )

@@ -1,13 +1,15 @@
-"""Edge-by-edge reference routes for the folded forms and the vertex arrays.
+"""Edge-by-edge reference routes for the depth-l forms and the vertex arrays.
 
-The package evaluates every depth-l form by folding cell forms through the
-level pullbacks, and the vertex diagnostics by index gathers on the word
-tables.  The routes here enumerate the 3^l cells and their edges instead
-(the batched edge tableau, an edge walk that composes each word's map on
-its own, one segment's composed polynomial, or word tables plus cylinder
-matrices) and share no code with the fold or the gathers beyond the map
-triples, the cable segments and the quadrature rule, so agreement is a
-real cross-check.  The nondegeneracy constant has two references: the
+The package evaluates every depth-l form by pushing the field moments down
+through the level pullbacks, and the vertex diagnostics by index gathers on
+the word tables.  The routes here enumerate the 3^l cells and their edges
+instead (the batched edge tableau, an edge walk that composes each word's
+map on its own, one segment's composed polynomial, or word tables plus
+cylinder matrices) and share no code with the moment pass or the gathers
+beyond the map triples, the cable segments and the quadrature rule, so
+agreement is a real cross-check.  ``fold_backward`` is the moment pass's
+adjoint: the same level pullbacks and Grams, aggregated from the bottom
+cell up.  The nondegeneracy constant has two references: the
 whole-grid reduction that the blocked grid must reproduce bit for bit,
 and a closed-form inner minimum that bounds its accuracy.
 """
@@ -19,7 +21,19 @@ import math
 
 import numpy as np
 
-from stretched_gasket.energy import EnergyReport, _tableau, resolve_quadrature
+from stretched_gasket.energy import (
+    _EXT,
+    EnergyReport,
+    _cable_arrays,
+    _level_pullbacks,
+    _map_pullback,
+    _plain_coeffs,
+    _segment_form,
+    _side_arrays,
+    _split,
+    _tableau,
+    resolve_quadrature,
+)
 from stretched_gasket.errors import DegenerateCable
 from stretched_gasket.geometry import (
     _SIDE_ENDPOINTS,
@@ -121,6 +135,29 @@ def energy2_limit_by_edges(seq, s_max, u, v, quad, constants=DEFAULT_CONSTANTS, 
         p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
         vals += (cable_prefactor_limit(seq, s, constants) * _pairings(u, v, p0, dv, quad)).tolist()
     return math.fsum(vals)
+
+
+def fold_backward(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> EnergyReport:
+    """The depth-l form by folding cell forms from depth l up to the top cell.
+
+    The adjoint of the package's forward moment pass: starting from the
+    triangle form a S of one depth-l cell (and zero for the cables), each
+    level applies H <- (1/lam_k) sum_i P_i^T H P_i + w(k, l) C_k, so the
+    fields meet the folded forms only at the top.  Each depth pays its own
+    O(l D^3) fold and rebuilds every cable Gram.
+    """
+    d = max(u.degree, v.degree, 0)
+    sides = constants.a * _segment_form(*_side_arrays(), d, quad, 1, 1)
+    forms = np.stack([sides, np.zeros_like(sides)])
+    for k in range(l, 0, -1):
+        pulls = _level_pullbacks(seq.eps(k), d)
+        forms = np.stack([sum(np.dot(p.T, np.dot(h, p)) for p in pulls) for h in forms]) / _EXT(seq.lam(k))
+        weight = constants.b / (seq.eps_tilde(k, l) * seq.one_minus_eps(k))
+        forms[1] += weight * _segment_form(*_cable_arrays(seq, k), d, quad, 1, 1)
+    pullback = _map_pullback(AffineMap2.identity(), d, to_world=True)
+    cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
+    tri, cab = [_split(0.5 * (h + h.T) * np.outer(cu, cv)) for h in forms]
+    return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
 
 
 def gasket_hessian_sum(seq, depth, phi, v, constants=DEFAULT_CONSTANTS) -> list[float]:

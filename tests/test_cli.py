@@ -145,7 +145,9 @@ def test_non_finite_ratio_exits_one(ratio):
     assert proc.stdout == b""
 
 
-@pytest.mark.parametrize("command", ["geometry", "energy", "harmonicity", "kusuoka", "ibp", "convergence", "laplacian"])
+@pytest.mark.parametrize(
+    "command", ["geometry", "energy", "harmonicity", "kusuoka", "ibp", "convergence", "selfsim", "laplacian"]
+)
 def test_prefactor_underflow_exits_one_without_traceback(command):
     # lam = (3/5) eps^2 underflows to 0.0 at eps = 1e-200.
     proc = run_cli(command, "--eps-const", "1e-200", "--depth", "3", check=False)

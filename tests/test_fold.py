@@ -1,10 +1,12 @@
-"""The folded forms against edge-by-edge routes, quadrature checks, memory.
+"""The moment-pass forms against edge-by-edge routes, quadrature checks, memory.
 
-Every folded quantity is compared with a route in ``tests/oracles.py``
-that enumerates cells and edges, at depths <= 7, to 1e-12 relative; the
-generation-1 cable term of the recurrence residuals is compared with the
-per-edge ``cable_energy``.  The one-step recurrence is not used as the
-check: it is the fold's own identity.
+Every form is compared with a route in ``tests/oracles.py`` that
+enumerates cells and edges, at depths <= 7, to 1e-12 relative, and with
+the backward fold (the pass's adjoint) to 1e-14; the generation-1 cable
+term of the recurrence residuals is compared with the per-edge
+``cable_energy``.  The one-step recurrence is not used as the check: it is
+the pass's own identity.  The depth sweeps must equal their single-depth
+rows bit for bit and push the moments once, one level step per depth.
 """
 
 import math
@@ -15,8 +17,10 @@ import pytest
 
 from stretched_gasket import (
     AffineMap2,
+    DepthCapExceeded,
     ExpTail,
     ParamSeq,
+    convergence_rows,
     energy1,
     energy2,
     energy2_limit,
@@ -29,10 +33,11 @@ from stretched_gasket import (
     vanishing_cubic,
     weak_pairing,
 )
+from stretched_gasket import energy
 from stretched_gasket.energy import min_quad_order
 
 from conftest import ALL_REGIMES, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import cable_energy, energy2_limit_by_edges, energy_by_edges, ibp_rhs_by_cells
+from oracles import cable_energy, energy2_limit_by_edges, energy_by_edges, fold_backward, ibp_rhs_by_cells
 
 RTOL = 1e-12
 DEPTHS = (1, 3, 7)
@@ -89,6 +94,18 @@ def test_folded_energy_matches_edge_sum(seq, case):
     _close(energy2(seq, l, u, v, quad), ref.e2)
 
 
+@pytest.mark.parametrize("case", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
+def test_moment_pass_matches_backward_fold(seq, case):
+    u, v, order = case
+    quad = get_quadrature(order)
+    for l in DEPTHS:
+        ref = fold_backward(seq, l, u, v, quad)
+        rep = energy_total(seq, l, u, v, quad)
+        for got, want in ((rep.e1, ref.e1), (rep.e2, ref.e2), (rep.total, ref.total)):
+            assert abs(got - want) <= 1e-14 * abs(want), (l, got, want)
+
+
 @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
 def test_folded_energy_with_outer_maps(seq, rng):
     u = random_poly(rng, 4)
@@ -117,12 +134,13 @@ def test_folded_limit_cables_match_edge_sum(seq, case):
 
 @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
 def test_generation1_cables_match_cable_energy(seq, rng):
-    # The recurrence residuals' cable term is one fold level; the per-edge
+    # The recurrence residuals' cable term is the first generation of the
+    # left side's moment pass; the per-edge
     # cable_energy composes each cable into one-variable polynomials.  The
     # pair (affine, vanishing cubic) is zero analytically, so the tolerance
     # is relative to the Cauchy-Schwarz scale sqrt(C(u, u) C(v, v)).
     from stretched_gasket import DEFAULT_CONSTANTS
-    from stretched_gasket.energy import _generation1_cables, resolve_quadrature
+    from stretched_gasket.energy import _energy_rows, _split, resolve_quadrature
 
     pairs = [(random_poly(rng, d), random_poly(rng, max(1, d - 1))) for d in range(1, 13)]
     pairs.append((parse("0.3 - 1.2*x + 0.7*y"), vanishing_cubic()))
@@ -135,7 +153,8 @@ def test_generation1_cables_match_cable_energy(seq, rng):
         cross = cable_energy(seq, 1, u, v, quad)
         norms = cable_energy(seq, 1, u, u, quad) * cable_energy(seq, 1, v, v, quad)
         for l, window in weights:
-            got = _generation1_cables(seq, l, u, v, quad, DEFAULT_CONSTANTS, limit=l is None)
+            (parts,) = _energy_rows(seq, (l or 1,), u, v, quad, DEFAULT_CONSTANTS, limit=l is None)
+            got = math.fsum(_split(parts[1]))
             want = cross / window
             scale = math.sqrt(norms) / window
             assert abs(got - want) <= 1e-12 * scale, (u.degree, v.degree, l, got, want)
@@ -161,19 +180,17 @@ def test_fold_reproduces_edge_sum_for_inexact_rules():
     # fields gives the edge sum's numbers; the public entry points refuse
     # such rules, so this goes through the internal assembly.
     from stretched_gasket import DEFAULT_CONSTANTS
-    from stretched_gasket.energy import _energy_terms
+    from stretched_gasket.energy import _energy_rows, _report
 
     x12 = parse("x^12")
     for order in (2, 8, 12):
         quad = get_quadrature(order)
         for l in (0, 2, 5):
-            tri, cab = _energy_terms(
-                PREFIX_EXP, l, x12, x12, quad, DEFAULT_CONSTANTS, None,
-                triangles=True, cables="window",
-            )
+            (parts,) = _energy_rows(PREFIX_EXP, (l,), x12, x12, quad, DEFAULT_CONSTANTS)
+            got = _report(l, parts)
             ref, _ = energy_by_edges(PREFIX_EXP, l, x12, x12, quad)
-            _close(math.fsum(tri), ref.e1)
-            _close(math.fsum(cab), ref.e2)
+            _close(got.e1, ref.e1)
+            _close(got.e2, ref.e2)
 
 
 def test_symmetry_is_exact_for_folded_forms(rng):
@@ -184,6 +201,72 @@ def test_symmetry_is_exact_for_folded_forms(rng):
             a = energy_total(seq, l, u, v)
             b = energy_total(seq, l, v, u)
             assert (a.e1, a.e2, a.total) == (b.e1, b.e2, b.total)
+
+
+# -- depth sweeps ----------------------------------------------------------
+
+SWEEP_U = parse("x^2 - 0.5*x*y + y^3")
+
+
+@pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
+def test_convergence_rows_equal_single_depth_forms(seq):
+    v = vanishing_cubic()
+    rows = convergence_rows(seq, SWEEP_U, v, 10)
+    assert [row["l"] for row in rows] == list(range(11))
+    for row in rows:
+        rep = energy_total(seq, row["l"], SWEEP_U, v)
+        assert (row["e1"], row["e2"], row["total"]) == (rep.e1, rep.e2, rep.total)
+
+
+@pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
+def test_ibp_sweep_rows_equal_single_depth_rows(seq):
+    v = vanishing_cubic()
+    rows = ibp_table(seq, SWEEP_U, v, range(3, 11))
+    assert rows == [ibp_table(seq, SWEEP_U, v, (l,))[0] for l in range(3, 11)]
+    # The energy side is the form itself.
+    assert [row["energy_lhs"] for row in rows] == [energy_total(seq, l, SWEEP_U, v).total for l in range(3, 11)]
+
+
+def test_ibp_table_keeps_the_order_of_its_depths():
+    v = vanishing_cubic()
+    single = {l: ibp_table(PREFIX_EXP, SWEEP_U, v, (l,))[0] for l in (0, 2, 5, 9)}
+    assert ibp_table(PREFIX_EXP, SWEEP_U, v, ()) == []
+    for depths in ((9, 2, 5), (5, 5, 0, 5), (2, 9, 2)):
+        assert ibp_table(PREFIX_EXP, SWEEP_U, v, depths) == [single[l] for l in depths]
+    # A generator of depths is read once.
+    assert ibp_table(PREFIX_EXP, SWEEP_U, v, (l for l in (9, 2))) == [single[9], single[2]]
+
+
+def test_moment_pass_keeps_the_depth_cap():
+    v = vanishing_cubic()
+    calls = [
+        lambda: energy_total(TAIL_ONLY, 13, SWEEP_U, v),
+        lambda: energy2_limit(TAIL_ONLY, SWEEP_U, v, 13),
+        lambda: convergence_rows(TAIL_ONLY, SWEEP_U, v, 13),
+        lambda: ibp_table(TAIL_ONLY, SWEEP_U, v, (3, 13)),
+    ]
+    for call in calls:
+        with pytest.raises(DepthCapExceeded):
+            call()
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        ibp_table(TAIL_ONLY, SWEEP_U, v, (3, -1))
+
+
+def test_sweeps_push_the_moments_once(monkeypatch):
+    steps = []
+    lookup = energy._level_pullbacks
+
+    def counting(eps, d):
+        steps.append(eps)
+        return lookup(eps, d)
+
+    monkeypatch.setattr(energy, "_level_pullbacks", counting)
+    v = vanishing_cubic()
+    convergence_rows(PREFIX_EXP, SWEEP_U, v, 10)
+    assert len(steps) == 10
+    steps.clear()
+    ibp_table(PREFIX_EXP, SWEEP_U, v, range(3, 11))
+    assert len(steps) == 10
 
 
 # -- quadrature order against field degrees --------------------------------
