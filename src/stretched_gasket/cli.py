@@ -31,7 +31,7 @@ from . import harmonicity as harm_mod
 from . import kusuoka as kus_mod
 from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
-from .geometry import HARMONIC_RATIO, base_vertices, prefractal_edges, word_table
+from .geometry import HARMONIC_RATIO, SIDE_NAMES, iter_words, prefractal_edges
 from .harmonicity import HARMONIC_GATES
 from .params import Constants, DEFAULT_CONSTANTS, ParamSeq, seq_from_mapping
 from .scalarfield import corner_values, parse as parse_poly, sup_bounds, vanishes_at_corners, vanishing_cubic
@@ -159,7 +159,8 @@ def _reprs(col: np.ndarray):
 # -- geometry --------------------------------------------------------------
 
 
-def _svg_text(seq, depth, constants, shade: bool) -> str:
+def _svg_text(depth, edges, kappas) -> str:
+    """SVG of the edge table, over cells shaded by their ``kappas`` unless those are None."""
     # Hull of the base triangle with a 5% margin; y axis flipped for SVG.
     margin = 0.05
     width = math.sqrt(3.0) / 2.0
@@ -169,53 +170,42 @@ def _svg_text(seq, depth, constants, shade: bool) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">',
     ]
-    if shade:
-        table = kus_mod.kappa_table(seq, depth)
-        top = float(np.max(table))
-        lin, off = word_table(seq, depth)
-        corners = np.stack(base_vertices())  # (3, 2)
-        cells = np.einsum("wab,cb->wca", lin, corners) + off[:, None, :]
-        for i in range(cells.shape[0]):
-            pts = " ".join(f"{p[0]:.6f},{-p[1]:.6f}" for p in cells[i])
-            op = 0.75 * float(table[i]) / top
+    if kappas is not None:
+        # Corners A, B, C of each cell: the starts of its sides AB and BC, and the end of BC.
+        cells = edges[: 3 * len(kappas)].reshape(-1, 3)
+        corners = (cells.px[:, 0], cells.py[:, 0], cells.px[:, 1], cells.py[:, 1], cells.qx[:, 1], cells.qy[:, 1])
+        ops = (0.75 * kappas / float(np.max(kappas))).tolist()
+        for (ax, ay, bx, by, cx, cy), op in zip(zip(*(c.tolist() for c in corners)), ops):
+            pts = f"{ax:.6f},{-ay:.6f} {bx:.6f},{-by:.6f} {cx:.6f},{-cy:.6f}"
             lines.append(f'<polygon points="{pts}" fill="#3a7bd5" fill-opacity="{op:.4f}"/>')
-    for eid, seg, amap in prefractal_edges(seq, depth, constants):
-        p = amap(seg.p)
-        q = amap(seg.q)
-        coords = f'x1="{p[0]:.6f}" y1="{-p[1]:.6f}" x2="{q[0]:.6f}" y2="{-q[1]:.6f}"'
-        if eid.kind == "tri":
-            lines.append(f'<line {coords} stroke="#1a1a1a" stroke-width="{sw:.6f}"/>')
-        else:
-            lines.append(
-                f'<line {coords} stroke="#c0392b" stroke-width="{sw:.6f}" '
-                f'stroke-dasharray="{2 * sw:.6f},{2 * sw:.6f}"/>'
-            )
+    styles = (
+        f'stroke="#1a1a1a" stroke-width="{sw:.6f}"',
+        f'stroke="#c0392b" stroke-width="{sw:.6f}" stroke-dasharray="{2 * sw:.6f},{2 * sw:.6f}"',
+    )
+    for cable, px, py, qx, qy in zip(*(edges[c].tolist() for c in ("generation", "px", "py", "qx", "qy"))):
+        lines.append(f'<line x1="{px:.6f}" y1="{-py:.6f}" x2="{qx:.6f}" y2="{-qy:.6f}" {styles[cable > 0]}/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _edges_json(seq, depth, constants) -> dict:
-    edges = []
-    for eid, seg, amap in prefractal_edges(seq, depth, constants):
-        p = amap(seg.p)
-        q = amap(seg.q)
-        entry: dict = {"kind": eid.kind, "word": list(eid.word)}
-        if eid.kind == "tri":
-            entry["side"] = eid.side
-        else:
-            entry["slot"] = eid.slot
-        entry["p"] = [float(p[0]), float(p[1])]
-        entry["q"] = [float(q[0]), float(q[1])]
-        edges.append(entry)
-    return {"edges": edges}
+def _edges_json(depth, edges) -> dict:
+    words = [[list(w) for w in iter_words(k)] for k in range(depth + 1)]
+    out = []
+    columns = (edges[c].tolist() for c in ("generation", "word", "slot", "px", "py", "qx", "qy"))
+    for g, i, slot, px, py, qx, qy in zip(*columns):
+        ident = {"kind": "cable", "slot": slot} if g else {"kind": "tri", "side": SIDE_NAMES[slot]}
+        out.append({**ident, "word": words[g - 1 if g else depth][i], "p": [px, py], "q": [qx, qy]})
+    return {"edges": out}
 
 
 def cmd_geometry(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 2, int)
     shade = args.shade or cfg.get("shade", "") == "true"
-    _emit(_svg_text(seq, depth, constants, shade), args.out)
+    kappas = kus_mod.kappa_table(seq, depth) if shade else None
+    edges = prefractal_edges(seq, depth, constants)
+    _emit(_svg_text(depth, edges, kappas), args.out)
     if args.json is not None:
-        _emit(_json_text(_edges_json(seq, depth, constants)), args.json)
+        _emit(_json_text(_edges_json(depth, edges)), args.json)
     return 0
 
 

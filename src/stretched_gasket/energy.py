@@ -35,8 +35,8 @@ E(u, v) == E(v, u) exactly.
 
 The one-step recurrence and self-similarity residuals read their
 generation-1 cable term from the same pass.  The batched edge tableau
-(``_tableau``) remains only for the tests' edge-by-edge routes in
-``tests/oracles.py``.
+(``_tableau``, a view of the geometry module's world arrays) remains only
+for the tests' edge-by-edge routes in ``tests/oracles.py``.
 
 The limit cable form replaces the finite window product eps_tilde(s, l)
 with the infinite one and is reported together with a rigorous tail bound.
@@ -53,14 +53,14 @@ import numpy as np
 from .errors import DepthCapExceeded
 from .geometry import (
     DEFAULT_DEPTH_CAP,
+    _SIDE_FROM,
     AffineMap2,
+    _quotient,
+    _side_arrays,
+    _world,
     barycenter,
     cable_segments,
     triple,
-    word_table,
-    SIDE_NAMES,
-    _SIDE_ENDPOINTS,
-    _quotient,
 )
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, sup_bounds
@@ -284,12 +284,6 @@ def _segment_form(p0, dv, d, quad, left: int, right: int) -> np.ndarray:
     return (_segment_jets(p0, dv, d, quad, left) * w) @ _segment_jets(p0, dv, d, quad, right).T
 
 
-def _side_arrays() -> tuple[np.ndarray, np.ndarray]:
-    p = np.stack([_SIDE_ENDPOINTS[name][0] for name in SIDE_NAMES])
-    q = np.stack([_SIDE_ENDPOINTS[name][1] for name in SIDE_NAMES])
-    return p, q - p
-
-
 def _cable_arrays(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     segs = cable_segments(seq, s)
     return np.stack([sg.p for sg in segs]), np.stack([sg.velocity for sg in segs])
@@ -390,19 +384,13 @@ class _Tableau:
 
 @functools.lru_cache(maxsize=64)
 def _tableau(seq: ParamSeq, l: int) -> _Tableau:
-    lin, off = word_table(seq, l)
-    side_p, side_dv = _side_arrays()
-    tri_p0 = (np.einsum("wab,sb->wsa", lin, side_p) + off[:, None, :]).reshape(-1, 2)
-    tri_dv = np.einsum("wab,sb->wsa", lin, side_dv).reshape(-1, 2)
-    cab_p0, cab_dv = [], []
-    for s in range(1, l + 1):
-        plin, poff = word_table(seq, s - 1)
-        sp, sv = _cable_arrays(seq, s)
-        cab_p0.append((np.einsum("wab,sb->wsa", plin, sp) + poff[:, None, :]).reshape(-1, 2))
-        cab_dv.append(np.einsum("wab,sb->wsa", plin, sv).reshape(-1, 2))
+    corners, sides, cables = _world(seq, l)
+    tri_p0, tri_dv = corners[:, _SIDE_FROM].reshape(-1, 2), sides.reshape(-1, 2)
+    cab_p0 = tuple(starts.reshape(-1, 2) for starts, _, _ in cables)
+    cab_dv = tuple(vels.reshape(-1, 2) for _, _, vels in cables)
     for arr in (tri_p0, tri_dv, *cab_p0, *cab_dv):
         arr.flags.writeable = False
-    return _Tableau(l, tri_p0, tri_dv, tuple(cab_p0), tuple(cab_dv))
+    return _Tableau(l, tri_p0, tri_dv, cab_p0, cab_dv)
 
 
 # -- the forms -------------------------------------------------------------

@@ -14,6 +14,13 @@ the rotations through -2*pi/3 and +2*pi/3 about the barycenter direction.
 Cables of generation s join the images F^s_i of the corner points inside a
 cell of depth s-1 and have length 1 - eps_s.
 
+The depth-l pre-fractal in world coordinates is one set of arrays
+(``_world``): the corners and side velocities of every cell and the
+starts, ends and velocities of every generation's cables, each mapped
+through its word's row of ``word_table``.  The edge table
+(``prefractal_edges``), the vertex stars, the SVG/JSON export and the
+tests' edge tableau all gather from it.
+
 The beta/alpha ratio (default 1/3, the harmonic family) is a parameter of
 the map primitives here and of the vertex-residual probes in the
 harmonicity module, which show that perturbed families break the vertex
@@ -55,7 +62,8 @@ DEFAULT_DEPTH_CAP = 12
 
 #: Canonical side parametrizations of the base triangle, each run over t in [0,1].
 SIDE_NAMES = ("AB", "BC", "AC")
-_SIDE_ENDPOINTS = {"AB": (_A, _B), "BC": (_B, _C), "AC": (_A, _C)}
+#: Corner index (A, B, C as 0, 1, 2) where each side starts and where it ends.
+_SIDE_FROM, _SIDE_TO = np.array([["ABC".index(c) for c in name] for name in SIDE_NAMES]).T
 
 
 def base_vertices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,24 +122,6 @@ class Segment:
     @property
     def length(self) -> float:
         return float(np.hypot(*(self.q - self.p)))
-
-
-@dataclass(frozen=True)
-class EdgeId:
-    """Identity and energy prefactor of one pre-fractal edge.
-
-    Triangle edges carry the full word and a side name; cables carry the
-    prefix word (length s-1), the slot index 1..3 and the generation s.
-    ``prefactor`` is the coefficient the edge carries inside the depth-l
-    energy form.
-    """
-
-    kind: str  # "tri" | "cable"
-    word: tuple[int, ...]
-    side: str | None = None
-    slot: int | None = None
-    generation: int | None = None
-    prefactor: float = 0.0
 
 
 def _alpha_beta(eps: float, beta_over_alpha: float) -> tuple[float, float]:
@@ -316,33 +306,56 @@ def cable_prefactor_limit(seq: ParamSeq, s: int, constants: Constants = DEFAULT_
     return _quotient(constants.b, den, f"generation-{s} cable prefactor at depth infinity")
 
 
-def prefractal_edges(
-    seq: ParamSeq,
-    l: int,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> Iterator[tuple[EdgeId, Segment, AffineMap2]]:
-    """All edges of the depth-l pre-fractal with their energy prefactors.
+def _side_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """Start corners and velocities of the base sides, in SIDE_NAMES order."""
+    corners = np.stack(base_vertices())
+    return corners[_SIDE_FROM], corners[_SIDE_TO] - corners[_SIDE_FROM]
 
-    Yields 3 * 3^l triangle edges followed by the cables of generations
-    1..l (3 * (3^l - 1) / 2 of them), in canonical order: triangle edges
+
+def _world(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
+    """The depth-l pre-fractal in world coordinates: (corners, sides, cables).
+
+    ``corners`` (3^l, 3, 2) holds F_w(A), F_w(B), F_w(C) in word order,
+    ``sides`` (3^l, 3, 2) the world velocities of the sides in SIDE_NAMES
+    order, and ``cables`` for each generation s = 1..l the (starts, ends,
+    velocities) of its cables, each (3^(s-1), 3, 2) in (prefix, slot)
+    order.  Every point and tangent is one ``_images`` matvec, so it rounds
+    as the ``AffineMap2`` of its word maps it.
+    """
+    lin, off = word_table(seq, l, beta_over_alpha)
+    corners = _images(lin, np.stack(base_vertices())) + off[:, None]
+    cables = []
+    for s in range(1, l + 1):
+        plin, poff = word_table(seq, s - 1, beta_over_alpha)
+        p, q, v = map(np.stack, zip(*((sg.p, sg.q, sg.velocity) for sg in cable_segments(seq, s, beta_over_alpha))))
+        cables.append((_images(plin, p) + poff[:, None], _images(plin, q) + poff[:, None], _images(plin, v)))
+    return corners, _images(lin, _side_arrays()[1]), cables
+
+
+def prefractal_edges(seq: ParamSeq, l: int, constants: Constants = DEFAULT_CONSTANTS) -> np.recarray:
+    """All edges of the depth-l pre-fractal in world coordinates, a row per edge.
+
+    3 * 3^l triangle edges, then the cables of generations 1..l
+    (3 * (3^l - 1) / 2 of them), in canonical order: triangle edges
     lexicographic in (word, side), then generations in increasing order,
-    lexicographic in (prefix, slot).  The segment is in local coordinates;
-    the world edge is the affine map applied to it.  Depths outside
-    ``word_table``'s range raise as it does.
+    lexicographic in (prefix, slot).  Columns: ``generation`` (0 for a
+    triangle edge, s for a generation-s cable), ``word`` (lexicographic
+    index of the cell word, or of the cable prefix among the depth-(s-1)
+    words), ``slot`` (position 0..2 of the side in SIDE_NAMES, or the cable
+    slot 1..3), the energy ``prefactor`` of the edge in the depth-l form,
+    its world start ``px``, ``py``, end ``qx``, ``qy`` and velocity ``vx``,
+    ``vy``.  Depths outside ``word_table``'s range raise as it does.
     """
     tri_pf = triangle_edge_prefactor(seq, l, constants)
-    sides = {name: Segment(pq[0], pq[1]) for name, pq in _SIDE_ENDPOINTS.items()}
-    lin, off = word_table(seq, l)
-    for word, amap in zip(iter_words(l), map(AffineMap2, lin, off)):
-        for name in SIDE_NAMES:
-            yield EdgeId("tri", word, side=name, prefactor=tri_pf), sides[name], amap
-    for s in range(1, l + 1):
-        pf = cable_prefactor(seq, s, l, constants)
-        segs = cable_segments(seq, s)
-        lin, off = word_table(seq, s - 1)
-        for prefix, amap in zip(iter_words(s - 1), map(AffineMap2, lin, off)):
-            for slot, seg in enumerate(segs, start=1):
-                yield EdgeId("cable", prefix, slot=slot, generation=s, prefactor=pf), seg, amap
+    corners, sides, cables = _world(seq, l)
+    sizes = 3 * np.array([len(corners)] + [len(starts) for starts, _, _ in cables])
+    word = np.concatenate([np.arange(n // 3).repeat(3) for n in sizes])
+    slot = np.concatenate([np.tile(np.arange(3) + (s > 0), n // 3) for s, n in enumerate(sizes)])
+    pf = np.repeat([tri_pf] + [cable_prefactor(seq, s, l, constants) for s in range(1, l + 1)], sizes)
+    tri = (corners[:, _SIDE_FROM], corners[:, _SIDE_TO], sides)
+    p, q, v = (np.concatenate([a.reshape(-1, 2) for a in arrs]) for arrs in zip(tri, *cables))
+    columns = [np.repeat(np.arange(l + 1), sizes), word, slot, pf, *p.T, *q.T, *v.T]
+    return np.rec.fromarrays(columns, names="generation,word,slot,prefactor,px,py,qx,qy,vx,vy")
 
 
 def count_edges(l: int) -> tuple[int, int]:

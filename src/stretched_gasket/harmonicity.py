@@ -12,9 +12,11 @@ of the single cell owning the vertex and one cable end.  The three base
 corners carry two triangle sides and no cable; their sums are reported
 separately since admissible test functions vanish there.  So every
 interior vertex is one cable end, and the stars are index gathers on the
-word tables (``_vertex_arrays``), O(3^l) array work without an edge walk.
+geometry module's world arrays (``_vertex_arrays``), O(3^l) array work
+without an edge walk; ``vertex_stars`` returns them as one record array.
 The weak pairing is a contraction of the energy module's moment pass with
-(u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3).
+(u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3); the weak
+Laplacian composes u with every edge of the edge table at once.
 
 The residual probes (``vertex_stars``, ``harmonic_report``,
 ``harmonic_residual``) and ``nd_gamma`` take the map ratio beta/alpha, so
@@ -31,29 +33,20 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .energy import _contractions, _segment_form, _side_arrays, _terms, _top_moment, resolve_quadrature
+from .energy import _contractions, _segment_form, _terms, _top_moment, resolve_quadrature
 from .errors import NonHarmonicError, StarNotClosed
 from .geometry import (
     HARMONIC_RATIO,
     SIDE_NAMES,
-    EdgeId,
-    base_vertices,
+    _side_arrays,
+    _world,
     cable_prefactor,
-    _images,
-    cable_segments,
     prefractal_edges,
     triangle_edge_prefactor,
     triple,
-    word_table,
 )
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
-from .scalarfield import (
-    Poly2,
-    compose_with_segment,
-    corner_values,
-    poly1_derivative,
-    vanishes_at_corners,
-)
+from .scalarfield import Poly2, _compose_line, corner_values, poly1_derivative, vanishes_at_corners
 
 CORNER_NAMES = ("A", "B", "C")
 _CORNER_INDEX = {"A": 0, "B": 1, "C": 2}
@@ -68,8 +61,6 @@ _CABLE_ENDS = {
     (3, 0): (2, "C"),
     (3, 1): (3, "B"),
 }
-#: The inverse of _CABLE_ENDS.
-_CABLE_OF_END = {end: cable for cable, end in _CABLE_ENDS.items()}
 #: _CABLE_ENDS as arrays over the cable end e = 2 (slot - 1) + t.
 _END_LETTER = np.array([j for j, _ in _CABLE_ENDS.values()])
 _END_CORNER = np.array([_CORNER_INDEX[c] for _, c in _CABLE_ENDS.values()])
@@ -83,28 +74,6 @@ _CORNER_SIDE, _CORNER_T = np.moveaxis(np.array(_CORNER_ENDS), 2, 0)
 #: ``weak_identity``: the precondition of the weak Laplacian and the weak
 #: pairing, whose vertex boundary terms it bounds.
 HARMONIC_GATES = MappingProxyType({"assertion": 1e-10, "weak_identity": 1e-8})
-
-
-@dataclass(frozen=True, eq=False)
-class VertexStar:
-    """One vertex with its incident edges at a fixed depth.
-
-    ``edges`` holds (edge id, endpoint t in {0,1}, prefactor, tangent of
-    the parametrized edge at the vertex, in world coordinates).
-    ``generation`` is the length of the minimal word; 0 means a base
-    corner of the gasket.
-    """
-
-    word: tuple[int, ...]
-    corner: str
-    generation: int
-    depth: int
-    vertex: np.ndarray
-    edges: tuple[tuple[EdgeId, int, float, np.ndarray], ...]
-
-    @property
-    def is_interior(self) -> bool:
-        return self.generation >= 1
 
 
 def _word_codes(k: int) -> np.ndarray:
@@ -131,27 +100,22 @@ def _vertex_arrays(seq: ParamSeq, l: int, constants: Constants, beta_over_alpha:
     with prefix index p touches corner c of the cell with letter j, owned by
     the depth-l cell (3p + j - 1) 3^(l-s) + c (3^(l-s) - 1)/2 (letter c + 1
     fixes corner c).  A key is the vertex word in base-4 digits padded to
-    length l, times 3, plus the corner.
+    length l, times 3, plus the corner.  All gathered from ``_world``.
     """
-    lin, off = word_table(seq, l, beta_over_alpha)
-    side_tan = _images(lin, _side_arrays()[1])
-    corner_img = _images(lin, np.stack(base_vertices())) + off[:, None]
+    corner_img, side_tan, world_cables = _world(seq, l, beta_over_alpha)
     base = np.arange(3)
     keys, cells, corners = [base], [base * ((3**l - 1) // 2)], [base]
     cable_w, cable_tan, cable_pts = [np.zeros(3)], [np.zeros((3, 2))], [corner_img[cells[0], base]]
-    for s in range(1, l + 1):
-        plin, poff = word_table(seq, s - 1, beta_over_alpha)
-        segs = cable_segments(seq, s, beta_over_alpha)
-        n, below = len(plin), 3 ** (l - s)
+    for s, (starts, ends, vels) in enumerate(world_cables, start=1):
+        n, below = len(starts), 3 ** (l - s)
         j, c = np.tile(_END_LETTER, n), np.tile(_END_CORNER, n)
         keys.append(3 * (4 * np.repeat(_word_codes(s - 1), 6) + j) * 4 ** (l - s) + c)
         cells.append((3 * np.repeat(np.arange(n), 6) + j - 1) * below + c * ((below - 1) // 2))
         corners.append(c)
         pf = cable_prefactor(seq, s, l, constants)
         cable_w.append(np.tile([pf, -pf], 3 * n))
-        cable_tan.append(np.repeat(_images(plin, np.stack([sg.velocity for sg in segs])), 2, axis=1).reshape(-1, 2))
-        ends = np.stack([p for sg in segs for p in (sg.p, sg.q)])
-        cable_pts.append((_images(plin, ends) + poff[:, None]).reshape(-1, 2))
+        cable_tan.append(np.repeat(vels, 2, axis=1).reshape(-1, 2))
+        cable_pts.append(np.stack([starts, ends], axis=2).reshape(-1, 2))
     order = np.argsort(np.concatenate(keys))
     keys, cells, corners, cable_w, cable_tan, cable_pts = (
         np.concatenate(a)[order] for a in (keys, cells, corners, cable_w, cable_tan, cable_pts)
@@ -167,48 +131,39 @@ def _vertex_arrays(seq: ParamSeq, l: int, constants: Constants, beta_over_alpha:
     return keys, weights, tangents, points
 
 
+def _boundary(weights: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """Each vertex's boundary vector: the sum over its members of weight * tangent."""
+    terms = weights[..., None] * tangents
+    return terms[:, 0] + terms[:, 1] + terms[:, 2]
+
+
 def vertex_stars(
     seq: ParamSeq,
     l: int,
     constants: Constants = DEFAULT_CONSTANTS,
     beta_over_alpha: float = HARMONIC_RATIO,
-) -> list[VertexStar]:
-    """All depth-l vertex stars, sorted by (word, corner).
+) -> np.recarray:
+    """All depth-l vertex stars, a row per vertex, sorted by (word, corner).
 
-    Built from ``_vertex_arrays``, which checks every star for closure
-    (its edge ends meet at one point).
+    Columns: the sort ``key`` of ``_vertex_arrays`` (the vertex word in
+    base-4 digits padded to length l, times 3, plus the corner index), the
+    vertex ``x``, ``y``, the signed member ``weight`` (3,) and world
+    ``tangent`` (3, 2) (two cell sides, then the cable end; a base corner
+    has weight 0 in the cable place), and the ``boundary`` vector (2,), the
+    vertex boundary term's pairing with gradients.  ``_vertex_arrays``
+    checks every star for closure (its edge ends meet at one point).
     """
     keys, weights, tangents, points = _vertex_arrays(seq, l, constants, beta_over_alpha)
-    stars = []
-    for i, key in enumerate(keys.tolist()):
-        word, corner = _vertex_name(key, l)
-        c, w = _CORNER_INDEX[corner], weights[i].tolist()
-        cell = word + (c + 1,) * (l - len(word))
-        edges = [
-            (EdgeId("tri", cell, side=SIDE_NAMES[side], prefactor=abs(w[m])), int(t), abs(w[m]), tangents[i, m])
-            for m, (side, t) in enumerate(zip(_CORNER_SIDE[c], _CORNER_T[c]))
-        ]
-        if word:
-            slot, t = _CABLE_OF_END[(word[-1], corner)]
-            eid = EdgeId("cable", word[:-1], slot=slot, generation=len(word), prefactor=abs(w[2]))
-            edges.append((eid, t, abs(w[2]), tangents[i, 2]))
-        stars.append(VertexStar(word, corner, len(word), l, points[i], tuple(edges)))
-    return stars
-
-
-def boundary_vector(seq: ParamSeq, l: int, star: VertexStar) -> np.ndarray:
-    """The vector pairing against gradients in the vertex boundary term.
-
-    Sum over incident edges of prefactor * (-1)^endpoint * tangent; the
-    boundary term of the form at this vertex is <grad u(vertex), vector>
-    for any C^1 u, so the vertex is harmonic iff the vector vanishes.
-    """
-    if star.depth != l:
-        raise ValueError(f"star was assembled at depth {star.depth}, not {l}")
-    acc = np.zeros(2)
-    for _, t_end, prefactor, tangent in star.edges:
-        acc += (prefactor if t_end == 0 else -prefactor) * tangent
-    return acc
+    columns = [keys, *points.T, weights, tangents, _boundary(weights, tangents)]
+    dtype = [
+        ("key", np.int64),
+        ("x", float),
+        ("y", float),
+        ("weight", float, 3),
+        ("tangent", float, (3, 2)),
+        ("boundary", float, 2),
+    ]
+    return np.rec.fromarrays(columns, dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +190,7 @@ def harmonic_report(
     points).
     """
     keys, weights, tangents, _ = _vertex_arrays(seq, l, constants, beta_over_alpha)
-    terms = weights[..., None] * tangents
-    norms = np.hypot(*(terms[:, 0] + terms[:, 1] + terms[:, 2]).T)
+    norms = np.hypot(*_boundary(weights, tangents).T)
     interior = norms[3:]
     worst = float(np.max(interior, initial=0.0, where=~np.isnan(interior)))
     word, corner = _vertex_name(keys[3 + np.argmax(interior == worst)], l) if worst > 0.0 else ((), "")
@@ -268,23 +222,22 @@ def weak_laplacian_h1(
     l: int,
     u: Poly2,
     constants: Constants = DEFAULT_CONSTANTS,
-) -> list[tuple[EdgeId, np.ndarray]]:
+) -> tuple[np.recarray, np.ndarray]:
     """Per-edge density of the weak Laplacian against arclength measure.
 
     On edge e with prefactor w_e, world parametrization z and length L_e,
-    the density along the edge is g(z(t)) = w_e (u o z)''(t) / L_e;
-    returned as ascending t-coefficients per edge.  Pairing any
-    admissible v against g dH^1 over all edges reproduces -E(u, v); see
-    weak_pairing.  Requires the configuration to be harmonic.
+    the density along the edge is g(z(t)) = w_e (u o z)''(t) / L_e.
+    Returns (edges, densities): the ``prefractal_edges`` table and, in row
+    e, the ascending t-coefficients of g on edge e.  Pairing any admissible
+    v against g dH^1 over all edges reproduces -E(u, v); see weak_pairing.
+    Requires the configuration to be harmonic.
     """
     _require_harmonic(seq, l, constants)
-    out = []
-    for eid, seg, amap in prefractal_edges(seq, l, constants):
-        c = compose_with_segment(u, amap, seg)
-        c2 = poly1_derivative(poly1_derivative(c))
-        length = float(np.hypot(*(amap.linear @ seg.velocity)))
-        out.append((eid, eid.prefactor / length * c2))
-    return out
+    edges = prefractal_edges(seq, l, constants)
+    coeffs = _compose_line(u, edges.px, edges.py, edges.vx, edges.vy)
+    c = np.column_stack([np.broadcast_to(a, len(edges)) for a in coeffs])
+    scale = edges.prefactor / np.hypot(edges.vx, edges.vy)
+    return edges, scale[:, None] * poly1_derivative(poly1_derivative(c))
 
 
 def weak_pairing(

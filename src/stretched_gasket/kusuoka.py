@@ -93,10 +93,8 @@ def _perron_iteration(eps):
     for it in range(1, PERRON_MAX_ITER + 1):
         nxt = ruelle_apply(eps, q)
         tr = float(np.trace(nxt))
-        if tr <= 0.0:
-            raise ArithmeticError("power iteration collapsed to a trace-zero matrix")
         lam = tr / 2.0
-        nxt = nxt * (2.0 / tr)
+        nxt = nxt * _quotient(2.0, tr, f"trace of power iterate {it}")
         if float(np.max(np.abs(nxt - q))) <= PERRON_RTOL * float(np.max(np.abs(nxt))):
             return lam, nxt, it
         q = nxt

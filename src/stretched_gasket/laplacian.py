@@ -39,13 +39,12 @@ from .energy import (
     _point_partials,
     _report,
     _segment_form,
-    _side_arrays,
     _terms,
     _top_moment,
     resolve_quadrature,
 )
-from .geometry import EdgeId, _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
-from .kusuoka import CableMass, cable_mass, cable_masses, gibbs_tau, tau_table
+from .geometry import _images, _side_arrays, _triple_index, barycenter, cable_segments, compose, word_point, word_table
+from .kusuoka import CableMass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
 
@@ -71,17 +70,12 @@ def _hessian_trace(t_tilde: np.ndarray, phi: Poly2, at: np.ndarray) -> float:
     )
 
 
-def teplyaev(
-    phi: Poly2,
-    carrier,
-    seq: ParamSeq,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> LaplacianSample:
+def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
     """Laplacian sample tr(T~ . Hessian phi) at a carrier's representative.
 
     A word tuple names a gasket cylinder (density tau/kappa at the cell
-    barycenter image); a CableMass or a cable EdgeId names a cable
-    (density: projection onto the cable direction, at the midpoint).
+    barycenter image); a CableMass names a cable (density: projection
+    onto the cable direction, at the midpoint).
     """
     if isinstance(carrier, tuple) and all(isinstance(i, int) for i in carrier):
         cm = gibbs_tau(seq, carrier)
@@ -90,12 +84,8 @@ def teplyaev(
         t_tilde = cm.tau / cm.kappa
         location = word_point(seq, carrier)
     else:
-        if isinstance(carrier, EdgeId):
-            if carrier.kind != "cable":
-                raise ValueError("triangle edges are not measure carriers")
-            carrier = cable_mass(seq, carrier.word, carrier.generation, carrier.slot, constants)
         if not isinstance(carrier, CableMass):
-            raise TypeError(f"carrier must be a word tuple, CableMass, or cable EdgeId, got {carrier!r}")
+            raise TypeError(f"carrier must be a word tuple or CableMass, got {carrier!r}")
         t_tilde = carrier.projection
         seg = cable_segments(seq, carrier.generation)[_triple_index(carrier.slot, "cable slot")]
         location = compose(seq, carrier.prefix)(seg.point(0.5))

@@ -198,50 +198,48 @@ def hess_batch(p: Poly2, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np
 # -- segment restriction ---------------------------------------------------
 
 
-def _conv(a: list[float], b: list[float]) -> list[float]:
+def _conv(a: list, b: list) -> list:
+    """Product of ascending coefficient lists; entries may be floats or equal-shape arrays."""
     out = [0.0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0.0:
-            continue
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
 
 
-def compose_with_segment(p: Poly2, amap, seg) -> np.ndarray:
-    """Coefficients (ascending in t) of p(amap(seg(t))) for t in [0,1].
+def _compose_line(p: Poly2, x0, y0, dx, dy) -> list:
+    """Coefficients (ascending in t) of p(x0 + t dx, y0 + t dy).
 
     The result degree equals deg(p); substitution is exact coefficient
-    arithmetic via binomial expansion of the two affine coordinates.
+    arithmetic via binomial expansion of the two affine coordinates.  Given
+    arrays of coordinates, each coefficient is the array over those lines.
     """
+    if not p.coeffs:
+        return [0.0]
+    xpows, ypows = [[1.0]], [[1.0]]
+    for _ in range(max(m for m, _ in p.coeffs)):
+        xpows.append(_conv(xpows[-1], [x0, dx]))
+    for _ in range(max(n for _, n in p.coeffs)):
+        ypows.append(_conv(ypows[-1], [y0, dy]))
+    acc = [0.0] * (p.degree + 1)
+    for (m, n), c in p.coeffs.items():
+        for i, v in enumerate(_conv(xpows[m], ypows[n])):
+            acc[i] += c * v
+    return acc
+
+
+def compose_with_segment(p: Poly2, amap, seg) -> np.ndarray:
+    """Coefficients (ascending in t) of p(amap(seg(t))) for t in [0,1]: ``_compose_line`` of one edge."""
     p0 = amap(seg.p)
     d = amap.linear @ seg.velocity
-    x0, y0 = float(p0[0]), float(p0[1])
-    dx, dy = float(d[0]), float(d[1])
-    deg = max(p.degree, 0)
-    if not p.coeffs:
-        return np.zeros(1)
-    max_m = max(m for m, _ in p.coeffs)
-    max_n = max(n for _, n in p.coeffs)
-    xpows = [[1.0]]
-    for _ in range(max_m):
-        xpows.append(_conv(xpows[-1], [x0, dx]))
-    ypows = [[1.0]]
-    for _ in range(max_n):
-        ypows.append(_conv(ypows[-1], [y0, dy]))
-    acc = [0.0] * (deg + 1)
-    for (m, n), c in p.coeffs.items():
-        term = _conv(xpows[m], ypows[n])
-        for i, v in enumerate(term):
-            acc[i] += c * v
-    return np.array(acc)
+    return np.array(_compose_line(p, float(p0[0]), float(p0[1]), float(d[0]), float(d[1])))
 
 
 def poly1_derivative(coeffs: np.ndarray) -> np.ndarray:
-    """d/dt of an ascending univariate coefficient vector."""
-    if len(coeffs) <= 1:
-        return np.zeros(1)
-    return coeffs[1:] * np.arange(1, len(coeffs))
+    """d/dt of ascending univariate coefficients (along the last axis)."""
+    if coeffs.shape[-1] <= 1:
+        return np.zeros(coeffs.shape[:-1] + (1,))
+    return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
 
 
 def poly1_eval(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:

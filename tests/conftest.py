@@ -40,3 +40,12 @@ def random_poly(rng, max_degree: int):
         for j in range(max_degree + 1 - i):
             coeffs[(i, j)] = float(rng.uniform(-1.0, 1.0))
     return Poly2(coeffs)
+
+
+def admissible(q):
+    """q minus its affine interpolant at A, B, C: vanishes at the corners, not along the sides."""
+    from stretched_gasket import affine, base_vertices, corner_values
+
+    pts = np.stack(base_vertices())
+    coeffs = np.linalg.solve(np.column_stack([np.ones(3), pts]), np.array(corner_values(q)))
+    return q - affine(*coeffs)

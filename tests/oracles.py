@@ -1,15 +1,17 @@
 """Edge-by-edge reference routes for the depth-l forms and the vertex arrays.
 
 The package evaluates every depth-l form by pushing the field moments down
-through the level pullbacks, and the vertex diagnostics by index gathers on
-the word tables.  The routes here enumerate the 3^l cells and their edges
-instead (the batched edge tableau, an edge walk that composes each word's
-map on its own, one segment's composed polynomial, or word tables plus
-cylinder matrices) and share no code with the moment pass or the gathers
-beyond the map triples, the cable segments and the quadrature rule, so
-agreement is a real cross-check.  ``fold_backward`` is the moment pass's
-adjoint: the same level pullbacks and Grams, aggregated from the bottom
-cell up.  The nondegeneracy constant has two references: the
+through the level pullbacks, and the vertex diagnostics, the edge table and
+the geometry export by gathers on its world arrays (``geometry._world``).
+The routes here enumerate the 3^l cells and their edges instead: the
+batched edge tableau (a view of the world arrays, used only against the
+moment pass), an edge walk that composes each word's map on its own and
+carries each edge's ``EdgeId``, one segment's composed polynomial, or word
+tables plus cylinder matrices.  They share no code with the moment pass or
+the gathers beyond the map triples, the cable segments and the quadrature
+rule, so agreement is a real cross-check.  ``fold_backward`` is the moment
+pass's adjoint: the same level pullbacks and Grams, aggregated from the
+bottom cell up.  The nondegeneracy constant has two references: the
 whole-grid reduction that the blocked grid must reproduce bit for bit,
 and a closed-form inner minimum that bounds its accuracy.
 """
@@ -18,6 +20,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,19 +32,17 @@ from stretched_gasket.energy import (
     _map_pullback,
     _plain_coeffs,
     _segment_form,
-    _side_arrays,
     _split,
     _tableau,
     resolve_quadrature,
 )
 from stretched_gasket.errors import DegenerateCable
 from stretched_gasket.geometry import (
-    _SIDE_ENDPOINTS,
     HARMONIC_RATIO,
     SIDE_NAMES,
     AffineMap2,
-    EdgeId,
     Segment,
+    _side_arrays,
     barycenter,
     base_vertices,
     cable_prefactor,
@@ -49,7 +50,6 @@ from stretched_gasket.geometry import (
     cable_segments,
     compose,
     iter_words,
-    prefractal_edges,
     triangle_edge_prefactor,
     triple,
     word_table,
@@ -59,6 +59,24 @@ from stretched_gasket.kusuoka import cable_mass, kappa_table, tau_table
 from stretched_gasket.laplacian import laplacian_samples, teplyaev
 from stretched_gasket.params import DEFAULT_CONSTANTS
 from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval
+
+
+@dataclass(frozen=True)
+class EdgeId:
+    """Identity and energy prefactor of one pre-fractal edge.
+
+    Triangle edges carry the full word and a side name; cables carry the
+    prefix word (length s-1), the slot index 1..3 and the generation s.
+    ``prefactor`` is the coefficient the edge carries inside the depth-l
+    energy form.
+    """
+
+    kind: str  # "tri" | "cable"
+    word: tuple[int, ...]
+    side: str | None = None
+    slot: int | None = None
+    generation: int | None = None
+    prefactor: float = 0.0
 
 
 def segment_pairing(u, v, amap, seg, quad=None) -> float:
@@ -122,7 +140,7 @@ def energy_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None)
     for s in range(1, l + 1):
         p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
         cab_list += (cable_prefactor(seq, s, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
-    ids = [eid for eid, _, _ in prefractal_edges(seq, l, constants)]
+    ids = edge_ids(seq, l, constants)
     report = EnergyReport(l, math.fsum(tri_list), math.fsum(cab_list), math.fsum(tri_list + cab_list))
     return report, tuple(zip(ids, tri_list + cab_list))
 
@@ -204,25 +222,34 @@ def ibp_rhs_by_cells(seq, depth, phi, v, quad, constants=DEFAULT_CONSTANTS) -> f
     )
 
 
+def edge_ids(seq, l, constants=DEFAULT_CONSTANTS):
+    """The EdgeId of every depth-l edge, in the canonical edge order: triangle
+    edges by (word, side), then cables by generation and (prefix, slot)."""
+    tri_pf = triangle_edge_prefactor(seq, l, constants)
+    ids = [EdgeId("tri", word, side=name, prefactor=tri_pf) for word in iter_words(l) for name in SIDE_NAMES]
+    for s in range(1, l + 1):
+        pf = cable_prefactor(seq, s, l, constants)
+        ids += [EdgeId("cable", p, slot=k, generation=s, prefactor=pf) for p in iter_words(s - 1) for k in (1, 2, 3)]
+    return ids
+
+
 def edge_walk(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO):
     """(edge id, local segment, map) of every depth-l edge, in the canonical edge order.
 
     Each word's map comes from ``compose``, one level at a time, not from
     the word table.
     """
-    tri_pf = triangle_edge_prefactor(seq, l, constants)
-    sides = [Segment(*_SIDE_ENDPOINTS[name]) for name in SIDE_NAMES]
-    for word in iter_words(l):
-        amap = compose(seq, word, beta_over_alpha)
-        for name, seg in zip(SIDE_NAMES, sides):
-            yield EdgeId("tri", word, side=name, prefactor=tri_pf), seg, amap
-    for s in range(1, l + 1):
-        pf = cable_prefactor(seq, s, l, constants)
-        segs = cable_segments(seq, s, beta_over_alpha)
-        for prefix in iter_words(s - 1):
-            amap = compose(seq, prefix, beta_over_alpha)
-            for slot, seg in enumerate(segs, start=1):
-                yield EdgeId("cable", prefix, slot=slot, generation=s, prefactor=pf), seg, amap
+    corner = dict(zip("ABC", base_vertices()))
+    sides = [Segment(corner[name[0]], corner[name[1]]) for name in SIDE_NAMES]
+    cells = [(sides, compose(seq, word, beta_over_alpha)) for word in iter_words(l)]
+    cells += [
+        (cable_segments(seq, s, beta_over_alpha), compose(seq, prefix, beta_over_alpha))
+        for s in range(1, l + 1)
+        for prefix in iter_words(s - 1)
+    ]
+    pieces = ((seg, amap) for segs, amap in cells for seg in segs)
+    for eid, (seg, amap) in zip(edge_ids(seq, l, constants), pieces):
+        yield eid, seg, amap
 
 
 #: Letter of the map fixing each corner.
@@ -288,12 +315,12 @@ def weak_pairing_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> li
 
 def laplacian_samples_by_carrier(seq, phi, depth, constants=DEFAULT_CONSTANTS):
     """Laplacian samples one carrier at a time: every depth-level cell, then all cables."""
-    out = [teplyaev(phi, w, seq, constants) for w in iter_words(depth)]
+    out = [teplyaev(phi, w, seq) for w in iter_words(depth)]
     for s in range(1, depth + 1):
         for prefix in iter_words(s - 1):
             for slot in (1, 2, 3):
                 cm = cable_mass(seq, prefix, s, slot, constants)
-                out.append(teplyaev(phi, cm, seq, constants))
+                out.append(teplyaev(phi, cm, seq))
     return out
 
 
@@ -344,6 +371,50 @@ def laplacian_text_by_rows(seq, phi, depth, constants=DEFAULT_CONSTANTS) -> str:
         word = "".join(str(letter) for letter in w)
         rows.append([kind, word, slot, repr(float(r.x)), repr(float(r.y)), repr(float(r.value))])
     return _csv_by_rows(["kind", "word", "slot", "x", "y", "value"], rows)
+
+
+def geometry_text_by_rows(seq, depth, constants=DEFAULT_CONSTANTS):
+    """The ``geometry --shade`` SVG and its --json edge list, rendered edge by edge.
+
+    Every shading polygon maps the base corners through its word's
+    ``compose`` map, every edge maps its endpoints through the ``edge_walk``
+    map, and each is formatted as its own line.  Returns (svg text, json text).
+    """
+    margin = 0.05
+    width = math.sqrt(3.0) / 2.0
+    view = f"{-margin:.6f} {-0.5 - margin:.6f} {width + 2 * margin:.6f} {1.0 + 2 * margin:.6f}"
+    sw = max(0.0012, 0.012 * 0.72**depth)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">',
+    ]
+    table = kappa_table(seq, depth)
+    top = float(np.max(table))
+    for i, word in enumerate(iter_words(depth)):
+        amap = compose(seq, word)
+        pts = " ".join(f"{p[0]:.6f},{-p[1]:.6f}" for p in map(amap, base_vertices()))
+        op = 0.75 * float(table[i]) / top
+        lines.append(f'<polygon points="{pts}" fill="#3a7bd5" fill-opacity="{op:.4f}"/>')
+    edges = []
+    for eid, seg, amap in edge_walk(seq, depth, constants):
+        p = amap(seg.p)
+        q = amap(seg.q)
+        coords = f'x1="{p[0]:.6f}" y1="{-p[1]:.6f}" x2="{q[0]:.6f}" y2="{-q[1]:.6f}"'
+        entry = {"kind": eid.kind, "word": list(eid.word)}
+        entry["p"] = [float(p[0]), float(p[1])]
+        entry["q"] = [float(q[0]), float(q[1])]
+        if eid.kind == "tri":
+            lines.append(f'<line {coords} stroke="#1a1a1a" stroke-width="{sw:.6f}"/>')
+            entry["side"] = eid.side
+        else:
+            lines.append(
+                f'<line {coords} stroke="#c0392b" stroke-width="{sw:.6f}" '
+                f'stroke-dasharray="{2 * sw:.6f},{2 * sw:.6f}"/>'
+            )
+            entry["slot"] = eid.slot
+        edges.append(entry)
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n", json.dumps({"edges": edges}, indent=2, sort_keys=True) + "\n"
 
 
 def _side_projection_sum() -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 
 from stretched_gasket import ExpTail, ParamSeq, parse
 
-from oracles import kusuoka_text_by_rows, laplacian_text_by_rows
+from oracles import geometry_text_by_rows, kusuoka_text_by_rows, laplacian_text_by_rows
 
 BASE = [sys.executable, "-m", "stretched_gasket.cli"]
 EXP_FLAGS = ["--eps-prefix", "0.9", "--tail-c", "0.05", "--tail-r", "0.5"]
@@ -146,7 +146,7 @@ def test_non_finite_ratio_exits_one(ratio):
 
 
 @pytest.mark.parametrize(
-    "command", ["geometry", "energy", "harmonicity", "kusuoka", "ibp", "convergence", "selfsim", "laplacian"]
+    "command", ["geometry", "energy", "harmonicity", "ruelle", "kusuoka", "ibp", "convergence", "selfsim", "laplacian"]
 )
 def test_prefactor_underflow_exits_one_without_traceback(command):
     # lam = (3/5) eps^2 underflows to 0.0 at eps = 1e-200.
@@ -185,6 +185,11 @@ def test_tables_match_the_row_by_row_rendering(depth, tmp_path):
     phi = "x^3 - 0.7*x*y + y^4"
     proc = run_cli("laplacian", *EXP_FLAGS, "--depth", str(depth), "--phi", phi)
     assert proc.stdout == laplacian_text_by_rows(seq, parse(phi), depth).encode()
+    edges = tmp_path / "edges.json"
+    proc = run_cli("geometry", *EXP_FLAGS, "--depth", str(depth), "--shade", "--json", str(edges))
+    svg, side = geometry_text_by_rows(seq, depth)
+    assert proc.stdout == svg.encode()
+    assert edges.read_bytes() == side.encode()
 
 
 def test_missing_config_file_exits_one():

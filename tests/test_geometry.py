@@ -23,9 +23,10 @@ from stretched_gasket import (
     word_table,
 )
 from stretched_gasket.errors import GasketError, PrefactorUnderflow
-from stretched_gasket.geometry import rotation
+from stretched_gasket.geometry import SIDE_NAMES, rotation
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY
+from oracles import EdgeId, edge_walk
 
 
 # -- elementary planar predicates, used by the disjointness checks ---------
@@ -196,6 +197,11 @@ def test_cable_lengths_and_velocity():
                 assert np.allclose(seg.velocity, seg.q - seg.p, atol=1e-15)
 
 
+def _word(index: int, k: int) -> tuple[int, ...]:
+    """The length-k word with lexicographic position ``index``."""
+    return tuple(index // 3 ** (k - 1 - n) % 3 + 1 for n in range(k))
+
+
 def test_cables_anchor_to_cell_corners():
     # Generation-s cables join the two neighbouring depth-s cells: the
     # slot-1 cable runs from cell (prefix,1) at corner B to cell (prefix,2)
@@ -203,14 +209,14 @@ def test_cables_anchor_to_cell_corners():
     a, b, c = base_vertices()
     ends = {1: ((1, b), (2, a)), 2: ((1, c), (3, a)), 3: ((2, c), (3, b))}
     for seq in (PREFIX_EXP, TAIL_ONLY):
-        for eid, seg, amap in prefractal_edges(seq, 3):
-            if eid.kind != "cable":
-                continue
-            (i0, p0), (i1, p1) = ends[eid.slot]
-            start = compose(seq, eid.word + (i0,))(p0)
-            stop = compose(seq, eid.word + (i1,))(p1)
-            assert np.max(np.abs(amap(seg.p) - start)) <= 1e-13
-            assert np.max(np.abs(amap(seg.q) - stop)) <= 1e-13
+        edges = prefractal_edges(seq, 3)
+        for e in edges[edges.generation > 0]:
+            prefix = _word(int(e.word), int(e.generation) - 1)
+            (i0, p0), (i1, p1) = ends[int(e.slot)]
+            start = compose(seq, prefix + (i0,))(p0)
+            stop = compose(seq, prefix + (i1,))(p1)
+            assert np.max(np.abs([e.px, e.py] - start)) <= 1e-13
+            assert np.max(np.abs([e.qx, e.qy] - stop)) <= 1e-13
 
 
 def test_edge_counts():
@@ -218,34 +224,52 @@ def test_edge_counts():
         tri, cab = count_edges(l)
         assert tri == 3 * 3**l
         assert cab == 3 * (3**l - 1) // 2
-        edges = list(prefractal_edges(TAIL_ONLY, l, DEFAULT_CONSTANTS))
+        edges = prefractal_edges(TAIL_ONLY, l, DEFAULT_CONSTANTS)
         assert len(edges) == tri + cab
-        assert sum(1 for e in edges if e[0].kind == "tri") == tri
-        assert sum(1 for e in edges if e[0].kind == "cable") == cab
+        assert np.count_nonzero(edges.generation == 0) == tri
+        assert np.count_nonzero(edges.generation > 0) == cab
 
 
 def test_prefractal_edge_order_is_canonical():
-    # Triangle edges first in word-major order, then cables by generation.
-    kinds = [eid.kind for eid, _, _ in prefractal_edges(TAIL_ONLY, 2, DEFAULT_CONSTANTS)]
-    first_cable = kinds.index("cable")
-    assert all(k == "tri" for k in kinds[:first_cable])
-    assert all(k == "cable" for k in kinds[first_cable:])
-    gens = [eid.generation for eid, _, _ in prefractal_edges(TAIL_ONLY, 3, DEFAULT_CONSTANTS) if eid.kind == "cable"]
-    assert gens == sorted(gens)
+    # Triangle edges first in (word, side) order, then cables by generation
+    # in (prefix, slot) order: the (generation, word, slot) rows ascend.
+    for l in (2, 3):
+        edges = prefractal_edges(TAIL_ONLY, l, DEFAULT_CONSTANTS)
+        ids = list(zip(edges.generation.tolist(), edges.word.tolist(), edges.slot.tolist()))
+        assert ids == sorted(set(ids))
+        assert set(edges.slot[edges.generation == 0].tolist()) == {0, 1, 2}
+        assert set(edges.slot[edges.generation > 0].tolist()) == {1, 2, 3}
 
 
 def test_prefactors():
     seq = PREFIX_EXP
     c = DEFAULT_CONSTANTS
-    for eid, _, _ in prefractal_edges(seq, 2, c):
-        if eid.kind == "tri":
-            assert eid.prefactor == pytest.approx(c.a / seq.lam_tilde(2), rel=1e-14)
+    for e in prefractal_edges(seq, 2, c):
+        if e.generation == 0:
+            assert e.prefactor == pytest.approx(c.a / seq.lam_tilde(2), rel=1e-14)
         else:
-            s = eid.generation
+            s = int(e.generation)
             expected = c.b / (
                 seq.lam_tilde(s - 1) * seq.eps_tilde(s, 2) * seq.one_minus_eps(s)
             )
-            assert eid.prefactor == pytest.approx(expected, rel=1e-14)
+            assert e.prefactor == pytest.approx(expected, rel=1e-14)
+
+
+def test_edge_table_rows_equal_the_edge_walk(regime):
+    # Same ids and prefactors, and the same bits for every endpoint and
+    # velocity as mapping each edge through its word's composed map.
+    for l in range(5):
+        edges = prefractal_edges(regime, l)
+        walk = list(edge_walk(regime, l))
+        assert len(edges) == len(walk)
+        for (g, i, slot, pf, px, py, qx, qy, vx, vy), (eid, seg, amap) in zip(edges.tolist(), walk):
+            if g == 0:
+                assert eid == EdgeId("tri", _word(i, l), side=SIDE_NAMES[slot], prefactor=pf)
+            else:
+                assert eid == EdgeId("cable", _word(i, g - 1), slot=slot, generation=g, prefactor=pf)
+            assert [px, py] == amap(seg.p).tolist()
+            assert [qx, qy] == amap(seg.q).tolist()
+            assert [vx, vy] == (amap.linear @ seg.velocity).tolist()
 
 
 def test_cells_disjoint_for_moderate_stretch():

@@ -8,7 +8,6 @@ from stretched_gasket import (
     DEFAULT_CONSTANTS,
     HARMONIC_RATIO,
     NonHarmonicError,
-    boundary_vector,
     energy_total,
     harmonic_report,
     harmonic_residual,
@@ -23,9 +22,10 @@ from stretched_gasket import (
     weak_pairing,
 )
 from stretched_gasket.harmonicity import ND_GRID
+from stretched_gasket.scalarfield import compose_with_segment, poly1_derivative
 
-from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import canonical_vertex, nd_gamma_closed_form, nd_gamma_full_grid
+from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, admissible, random_poly
+from oracles import canonical_vertex, edge_walk, nd_gamma_closed_form, nd_gamma_full_grid
 
 
 def test_canonical_vertex_strips_fixing_letter():
@@ -39,32 +39,32 @@ def test_canonical_vertex_strips_fixing_letter():
 def test_star_structure(regime):
     for l in (1, 2, 3):
         stars = vertex_stars(regime, l)
-        interior = [s for s in stars if s.is_interior]
-        base = [s for s in stars if not s.is_interior]
+        interior = stars[stars.key >= 3]
+        base = stars[stars.key < 3]
         # Two endpoints per cable, all distinct; cables never reach A, B, C.
         assert len(interior) == 3 * (3**l - 1)
         assert len(base) == 3
-        for s in interior:
-            kinds = sorted(eid.kind for eid, _, _, _ in s.edges)
-            assert kinds == ["cable", "tri", "tri"]
-        for s in base:
-            assert all(eid.kind == "tri" for eid, _, _, _ in s.edges)
-            assert len(s.edges) == 2
+        assert len(np.unique(stars.key)) == len(stars)
+        # Two cell sides and a cable end at every interior vertex, two
+        # sides and no cable at a base corner.
+        assert np.all(interior.weight != 0.0)
+        assert np.all(base.weight[:, :2] != 0.0)
+        assert np.all(base.weight[:, 2] == 0.0) and np.all(base.tangent[:, 2] == 0.0)
 
 
 def test_stars_are_sorted_deterministically():
     stars = vertex_stars(TAIL_ONLY, 2)
-    keys = [(s.word, s.corner) for s in stars]
+    keys = [harmonicity._vertex_name(key, 2) for key in stars.key.tolist()]
     assert keys == sorted(keys)
+    assert np.all(np.diff(stars.key) > 0)
 
 
 def test_boundary_vector_vanishes_on_harmonic_family(regime):
     gate = 1e-10 * DEFAULT_CONSTANTS.a
     for l in (1, 2):
-        for star in vertex_stars(regime, l):
-            if star.is_interior:
-                vec = boundary_vector(regime, l, star)
-                assert np.linalg.norm(vec) <= gate, (star.word, star.corner)
+        stars = vertex_stars(regime, l)
+        for star in stars[stars.key >= 3]:
+            assert np.linalg.norm(star.boundary) <= gate, harmonicity._vertex_name(star.key, l)
         assert harmonic_residual(regime, l) <= gate
 
 
@@ -106,9 +106,28 @@ def test_eigen_direction_product_identity(regime):
 
 
 def test_weak_laplacian_affine_fields_have_zero_density():
-    g = weak_laplacian_h1(TAIL_ONLY, 2, parse("1 + 2*x - y"))
-    for _, coeffs in g:
-        assert np.max(np.abs(coeffs)) == 0.0
+    edges, densities = weak_laplacian_h1(TAIL_ONLY, 2, parse("1 + 2*x - y"))
+    assert densities.shape == (len(edges), 1)
+    assert np.max(np.abs(densities)) == 0.0
+
+
+def test_weak_laplacian_densities_match_the_edge_walk(regime, rng):
+    # Bit for bit the per-edge composition through each word's map; paired
+    # with an admissible v against arclength, the densities give -E(u, v).
+    for l in range(4):
+        u, v = random_poly(rng, 4), admissible(random_poly(rng, 3))
+        edges, densities = weak_laplacian_h1(regime, l, u)
+        walk = list(edge_walk(regime, l))
+        assert densities.shape == (len(walk), 3)
+        pairing = []
+        for g, (eid, seg, amap) in zip(densities, walk):
+            c2 = poly1_derivative(poly1_derivative(compose_with_segment(u, amap, seg)))
+            length = float(np.hypot(*(amap.linear @ seg.velocity)))
+            assert g.tolist() == (eid.prefactor / length * c2).tolist(), eid
+            prod = np.convolve(g, compose_with_segment(v, amap, seg))
+            pairing.append(length * math.fsum(c / (k + 1) for k, c in enumerate(prod.tolist())))
+        want = -weak_pairing(regime, l, u, v)
+        assert abs(math.fsum(pairing) - want) <= 1e-12 * abs(want), (l, math.fsum(pairing), want)
 
 
 def test_weak_pairing_matches_energy(rng):

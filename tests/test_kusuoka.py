@@ -25,6 +25,7 @@ from stretched_gasket import (
     total_cable_mass,
     triple,
 )
+from stretched_gasket.errors import PrefactorUnderflow
 from stretched_gasket.kusuoka import _require_symmetric, _scaled_linears, hs_norm_sq_sum, sym3, unsym3
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
@@ -110,6 +111,12 @@ def test_perron_report_fields():
     assert set(rep) == {"eps", "lambda", "q", "residual", "iterations"}
     assert rep["residual"] <= 1e-12
     assert rep["iterations"] >= 1
+
+
+def test_perron_trace_underflow_is_a_prefactor_underflow():
+    # Every entry of T_i^t Q T_i is of order eps^2 and underflows to 0.0.
+    with pytest.raises(PrefactorUnderflow, match="denominator 0.0 underflows"):
+        perron_report(1e-200)
 
 
 def test_gibbs_cylinder_masses_against_brute_force(regime):

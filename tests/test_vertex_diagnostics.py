@@ -1,7 +1,7 @@
 """The vertex diagnostics on the word tables against the edge-walk routes.
 
-``vertex_stars``/``harmonic_report`` gather the stars from the word
-tables, ``weak_pairing`` folds its form through the level pullbacks and
+``vertex_stars``/``harmonic_report`` gather the stars from the world
+arrays of the word tables, ``weak_pairing`` folds its form through the level pullbacks and
 ``laplacian_samples`` reads the cell and cable tables.  ``tests/oracles.py``
 keeps the edge walk, the per-edge weak pairing and the one-carrier-at-a-time
 samples as references.
@@ -15,9 +15,6 @@ import pytest
 
 from stretched_gasket import (
     StarNotClosed,
-    affine,
-    base_vertices,
-    corner_values,
     get_quadrature,
     harmonic_report,
     laplacian_samples,
@@ -30,9 +27,17 @@ from stretched_gasket import (
 )
 from stretched_gasket import cli, geometry, harmonicity, kusuoka
 from stretched_gasket.energy import min_quad_order, resolve_quadrature
+from stretched_gasket.geometry import SIDE_NAMES
+from stretched_gasket.harmonicity import _CABLE_ENDS
 
-from conftest import PREFIX_EXP, random_poly
-from oracles import boundary_vector_of, laplacian_samples_by_carrier, star_groups_by_edges, weak_pairing_by_edges
+from conftest import PREFIX_EXP, admissible, random_poly
+from oracles import (
+    EdgeId,
+    boundary_vector_of,
+    laplacian_samples_by_carrier,
+    star_groups_by_edges,
+    weak_pairing_by_edges,
+)
 
 RATIOS = (1.0 / 3.0, 0.25, 0.5)
 
@@ -49,18 +54,36 @@ def _report_by_edges(groups):
     return worst, name[0], name[1], n_int
 
 
+def _star_members(key, weights, l):
+    """(edge id, endpoint t, prefactor) of a star's members, named from its key and signed weights.
+
+    The two sides of the owning depth-l cell that meet at the corner, in
+    SIDE_NAMES order, then the cable end; a negative weight marks t = 1.
+    """
+    word, corner = harmonicity._vertex_name(key, l)
+    cell = word + ("ABC".index(corner) + 1,) * (l - len(word))
+    sides = [name for name in SIDE_NAMES if corner in name]
+    members = [
+        (EdgeId("tri", cell, side=name, prefactor=abs(w)), int(w < 0), abs(w)) for name, w in zip(sides, weights)
+    ]
+    if word:
+        (slot, t), pf = [end for end, touch in _CABLE_ENDS.items() if touch == (word[-1], corner)][0], abs(weights[2])
+        members.append((EdgeId("cable", word[:-1], slot=slot, generation=len(word), prefactor=pf), t, pf))
+    return members
+
+
 def test_vertex_vectors_match_edge_walk(regime):
     for ratio in RATIOS:
         for l in range(5):
             stars = vertex_stars(regime, l, beta_over_alpha=ratio)
             groups = star_groups_by_edges(regime, l, beta_over_alpha=ratio)
-            assert [(s.word, s.corner) for s in stars] == list(groups), (ratio, l)
+            assert [harmonicity._vertex_name(key, l) for key in stars.key.tolist()] == list(groups), (ratio, l)
             for star, members in zip(stars, groups.values()):
-                assert [e[:3] for e in star.edges] == [m[:3] for m in members]
+                assert _star_members(int(star.key), star.weight.tolist(), l) == [m[:3] for m in members]
                 largest = max(m[2] * float(np.max(np.abs(m[3]))) for m in members)
-                got = harmonicity.boundary_vector(regime, l, star)
-                assert np.max(np.abs(got - boundary_vector_of(members))) <= 1e-12 * largest, (ratio, l, star.word)
-                assert np.max(np.abs(star.vertex - members[0][4])) <= 1e-12
+                got = star.boundary
+                assert np.max(np.abs(got - boundary_vector_of(members))) <= 1e-12 * largest, (ratio, l, star.key)
+                assert np.max(np.abs([star.x, star.y] - members[0][4])) <= 1e-12
             rep = harmonic_report(regime, l, beta_over_alpha=ratio)
             residual, word, corner, n_int = _report_by_edges(groups)
             assert rep.n_interior == n_int == 3 * (3**l - 1)
@@ -69,20 +92,13 @@ def test_vertex_vectors_match_edge_walk(regime):
                 assert (rep.worst_word, rep.worst_corner) == (word, corner), (ratio, l)
 
 
-def _admissible(q):
-    """q minus its affine interpolant at A, B, C: vanishes at the corners, not along the sides."""
-    pts = np.stack(base_vertices())
-    coeffs = np.linalg.solve(np.column_stack([np.ones(3), pts]), np.array(corner_values(q)))
-    return q - affine(*coeffs)
-
-
 def test_folded_weak_pairing_matches_edge_sum(regime, rng):
     # Every degree up to depth 3; the per-edge route is slow beyond, so
     # depths 4 and 5 take the quadratic and the quartic field.
     for l in range(6):
         for deg_u in range(5) if l < 4 else (2, 4):
             u = random_poly(rng, deg_u)
-            v = _admissible(random_poly(rng, 3))
+            v = admissible(random_poly(rng, 3))
             for quad in (None, get_quadrature(min_quad_order(u.degree, v.degree))):
                 parts = weak_pairing_by_edges(regime, l, u, v, resolve_quadrature(quad, u.degree, v.degree))
                 want = -math.fsum(parts)
@@ -114,8 +130,10 @@ def test_depth_zero_has_only_the_base_corners():
     rep = harmonic_report(PREFIX_EXP, 0)
     assert (rep.residual, rep.worst_word, rep.worst_corner, rep.n_interior) == (0.0, (), "", 0)
     assert list(rep.corner_norms) == ["A", "B", "C"] and min(rep.corner_norms.values()) > 0.0
-    assert [(s.word, s.corner, len(s.edges)) for s in vertex_stars(PREFIX_EXP, 0)] == [((), c, 2) for c in "ABC"]
-    v = _admissible(parse("x*y"))
+    stars = vertex_stars(PREFIX_EXP, 0)
+    assert [harmonicity._vertex_name(key, 0) for key in stars.key.tolist()] == [((), c) for c in "ABC"]
+    assert np.count_nonzero(stars.weight, axis=1).tolist() == [2, 2, 2]
+    v = admissible(parse("x*y"))
     quad = get_quadrature(8)
     assert weak_pairing(PREFIX_EXP, 0, phi, v) == pytest.approx(
         -math.fsum(weak_pairing_by_edges(PREFIX_EXP, 0, phi, v, quad)), rel=1e-12
@@ -132,7 +150,7 @@ def test_open_star_is_refused(monkeypatch):
     def shifted(seq, s, beta_over_alpha=1.0 / 3.0):
         return tuple(geometry.Segment(sg.p + 1e-9, sg.q + 1e-9, sg.vel) for sg in segs(seq, s, beta_over_alpha))
 
-    monkeypatch.setattr(harmonicity, "cable_segments", shifted)
+    monkeypatch.setattr(geometry, "cable_segments", shifted)
     with pytest.raises(StarNotClosed, match="do not coincide"):
         harmonic_report(PREFIX_EXP, 2)
 
