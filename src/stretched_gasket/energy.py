@@ -23,9 +23,14 @@ divided by lam_tilde(k).  Every form is then a contraction:
 
 with S the Gram matrix of the three sides of a cell, G_k that of the
 three generation-k cables and w(k, l) = b / (eps_tilde(k, l) (1 - eps_k)).
-One pass to depth L gives every E_l, l <= L, in O(L D^3), and builds each
-Gram once; the edge sum costs O(3^l) and a backward fold of the forms
-(the pass's adjoint, kept as a test oracle) O(l D^3) per depth.  The Gram
+One pass to depth L gives every E_l, l <= L, in O(L D^3); the edge sum
+costs O(3^l) and a backward fold of the forms (the pass's adjoint, kept as
+a test oracle) O(l D^3) per depth.  The pass builds its matrices in
+stacked evaluations, not one generation at a time: one evaluation of the
+monomial jets per derivative order along the three sides and the cables
+of every generation 1..L at once, one batched product for all L + 1
+Grams, and each level's three pullbacks in one pass over the monomials;
+the bits are those of the per-generation products.  The Gram
 entries are integrals of derivatives along straight segments, evaluated
 with the caller's Gauss rule, so every rule gives the numbers the edge sum
 gives; the rule must be exact for the field degrees (``min_quad_order``).
@@ -55,11 +60,11 @@ from .geometry import (
     DEFAULT_DEPTH_CAP,
     _SIDE_FROM,
     AffineMap2,
+    _cable_stack,
     _quotient,
     _side_arrays,
     _world,
     barycenter,
-    cable_segments,
     triple,
 )
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
@@ -179,29 +184,38 @@ def _exponents(d: int) -> tuple[np.ndarray, np.ndarray]:
     return m, n
 
 
-def _pullback(linear: np.ndarray, offset: np.ndarray, d: int) -> np.ndarray:
-    """Matrix P with P @ coeffs(p) = coeffs(p o F), F(z) = linear @ z + offset.
+def _pullback(maps, d: int, *, to_world: bool = False) -> np.ndarray:
+    """(S, D, D): the pullback matrix of each of S affine maps on the centered basis.
 
-    Coefficients are on the plain monomials x^m y^n, in ``_exponents`` order.
+    P[s] @ coeffs(p) = coeffs(p o maps[s]), with the input on the plain
+    basis instead for ``to_world`` (p is a field in world coordinates);
+    the output is always centered.  One pass over the monomials serves
+    the whole stack.
     """
+    linear = np.stack([f.linear for f in maps]).astype(_EXT)
+    offset = linear @ _CENTER + np.stack([f.offset for f in maps]).astype(_EXT)
+    if not to_world:
+        offset = offset - _CENTER
     m_idx, n_idx = _exponents(d)
-    out = np.zeros((_dim(d), _dim(d)), dtype=_EXT)
+    out = np.zeros((len(linear), _dim(d), _dim(d)), dtype=_EXT)
 
     def times(poly: np.ndarray, row: int) -> np.ndarray:
-        # Dense poly[m, n] (coefficient of x^m y^n) times coordinate ``row`` of F.
-        res = offset[row] * poly
-        res[1:, :] += linear[row, 0] * poly[:-1, :]
-        res[:, 1:] += linear[row, 1] * poly[:, :-1]
+        # Dense poly[..., s, m, n] (coefficient of x^m y^n) times coordinate ``row`` of map s.
+        res = offset[:, row, None, None] * poly
+        res[..., 1:, :] += linear[:, row, 0, None, None] * poly[..., :-1, :]
+        res[..., :, 1:] += linear[:, row, 1, None, None] * poly[..., :, :-1]
         return res
 
-    xpow = np.zeros((d + 1, d + 1), dtype=_EXT)
-    xpow[0, 0] = 1.0
-    for m in range(d + 1):
-        mono = xpow
-        for n in range(d + 1 - m):
-            out[:, _slot(m, n)] = mono[m_idx, n_idx]
-            mono = times(mono, 1)
-        xpow = times(xpow, 0)
+    # Row m of ``mono`` is x'^m (x' the first coordinate of the map), then
+    # each step multiplies every row by y' once: row m holds x'^m y'^n.
+    mono = [np.zeros((len(linear), d + 1, d + 1), dtype=_EXT)]
+    mono[0][:, 0, 0] = 1.0
+    for _ in range(d):
+        mono.append(times(mono[-1], 0))
+    mono = np.stack(mono)
+    for n in range(d + 1):
+        out[:, :, _slot(np.arange(d + 1 - n), n)] = mono[:, :, m_idx, n_idx].transpose(1, 2, 0)
+        mono = times(mono[: d - n], 1)
     return out
 
 
@@ -214,20 +228,22 @@ def _plain_coeffs(p: Poly2, d: int) -> np.ndarray:
 
 
 def _map_pullback(amap: AffineMap2, d: int, *, to_world: bool = False) -> np.ndarray:
-    """Pullback by amap on the centered basis: coefficients of p to those of p o amap.
-
-    With ``to_world`` the input side is the plain basis instead (p is a
-    field in world coordinates); the output is still centered.
-    """
-    linear = amap.linear.astype(_EXT)
-    offset = linear @ _CENTER + amap.offset.astype(_EXT)
-    return _pullback(linear, offset if to_world else offset - _CENTER, d)
+    """Pullback by one map: ``_pullback`` of a stack of one."""
+    return _pullback((amap,), d, to_world=to_world)[0]
 
 
 @functools.lru_cache(maxsize=64)
 def _level_pullbacks(eps: float, d: int) -> np.ndarray:
     """(3, D, D): pullback matrices of the three level maps at stretch eps."""
-    out = np.stack([_map_pullback(f, d) for f in triple(eps)])
+    out = _pullback(triple(eps), d)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _centering(d: int) -> np.ndarray:
+    """Pullback by the identity from the plain to the centered basis."""
+    out = _map_pullback(AffineMap2.identity(), d, to_world=True)
     out.flags.writeable = False
     return out
 
@@ -239,20 +255,23 @@ def _falling(k: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
-def _partials(xs: np.ndarray, ys: np.ndarray, d: int, i: int, j: int) -> np.ndarray:
-    """d^(i+j)/dx^i dy^j of every basis monomial at centered points: (D, npts)."""
+def _partials(xs: np.ndarray, ys: np.ndarray, d: int, *orders: tuple[int, int]) -> list[np.ndarray]:
+    """d^(i+j)/dx^i dy^j of every basis monomial at centered points, (D, npts)
+    for each (i, j) of ``orders``; the powers of the points are taken once."""
     m, n = _exponents(d)
     top = np.arange(d + 1)[:, None]
     xp = xs[None, :] ** top
     yp = ys[None, :] ** top
-    coef = _falling(m, i) * _falling(n, j)
-    return coef[:, None] * xp[np.maximum(m - i, 0)] * yp[np.maximum(n - j, 0)]
+    return [
+        (_falling(m, i) * _falling(n, j))[:, None] * xp[np.maximum(m - i, 0)] * yp[np.maximum(n - j, 0)]
+        for i, j in orders
+    ]
 
 
 def _point_partials(point: np.ndarray, d: int, i: int, j: int) -> np.ndarray:
     """d^(i+j)/dx^i dy^j of every basis monomial at one world point: (D,)."""
     at = point.astype(_EXT) - _CENTER
-    return _partials(at[:1], at[1:], d, i, j)[:, 0]
+    return _partials(at[:1], at[1:], d, (i, j))[0][:, 0]
 
 
 def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, quad: QuadratureRule, order: int) -> np.ndarray:
@@ -268,25 +287,34 @@ def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, quad: QuadratureRule, 
     dx = np.repeat(dv[:, 0], len(ts))
     dy = np.repeat(dv[:, 1], len(ts))
     if order == 0:
-        return _partials(xs, ys, d, 0, 0)
+        return _partials(xs, ys, d, (0, 0))[0]
     if order == 1:
-        return dx * _partials(xs, ys, d, 1, 0) + dy * _partials(xs, ys, d, 0, 1)
-    return (
-        dx * dx * _partials(xs, ys, d, 2, 0)
-        + 2.0 * dx * dy * _partials(xs, ys, d, 1, 1)
-        + dy * dy * _partials(xs, ys, d, 0, 2)
-    )
+        px, py = _partials(xs, ys, d, (1, 0), (0, 1))
+        return dx * px + dy * py
+    pxx, pxy, pyy = _partials(xs, ys, d, (2, 0), (1, 1), (0, 2))
+    return dx * dx * pxx + 2.0 * dx * dy * pxy + dy * dy * pyy
 
 
-def _segment_form(p0, dv, d, quad, left: int, right: int) -> np.ndarray:
-    """Sum over segments of the quadrature of (m_a o z)^(left) (m_b o z)^(right)."""
-    w = np.tile(quad.weights.astype(_EXT), len(p0))
-    return (_segment_jets(p0, dv, d, quad, left) * w) @ _segment_jets(p0, dv, d, quad, right).T
+def _grams(seq: ParamSeq, l_max: int, d: int, quad: QuadratureRule, orders) -> dict:
+    """Side and cable Grams for each derivative-order pair, from stacked evaluations.
 
-
-def _cable_arrays(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
-    segs = cable_segments(seq, s)
-    return np.stack([sg.p for sg in segs]), np.stack([sg.velocity for sg in segs])
+    Returns, for each (left, right) of ``orders``, an (l_max + 1, D, D)
+    stack: group 0 the three sides of a cell, group k the three
+    generation-k cables, each summing over its segments the quadrature of
+    (m_a o z)^(left) (m_b o z)^(right).  One ``_segment_jets`` evaluation
+    per derivative order serves every group and pair, and one batched
+    product gives every group's Gram.
+    """
+    side_p0, side_dv = _side_arrays()
+    cable_p0, cable_dv = _cable_stack(seq, range(1, l_max + 1))
+    p0 = np.concatenate([side_p0[None], cable_p0]).reshape(-1, 2)
+    dv = np.concatenate([side_dv[None], cable_dv]).reshape(-1, 2)
+    jets = {
+        order: _segment_jets(p0, dv, d, quad, order).reshape(_dim(d), l_max + 1, -1).transpose(1, 0, 2)
+        for order in {o for pair in orders for o in pair}
+    }
+    w = np.tile(quad.weights.astype(_EXT), 3)
+    return {(left, right): (jets[left] * w) @ jets[right].transpose(0, 2, 1) for left, right in orders}
 
 
 def _cable_weight(seq: ParamSeq, k: int, l: int, constants: Constants, limit: bool) -> float:
@@ -301,7 +329,7 @@ def _top_moment(u: Poly2, v: Poly2, d: int, outer: AffineMap2 | None = None, *, 
     c_u, c_v are the centered-basis coefficients of u o outer and v o outer.
     The symmetrized moment has the same bits for (u, v) and (v, u).
     """
-    pullback = _map_pullback(outer or AffineMap2.identity(), d, to_world=True)
+    pullback = _centering(d) if outer is None else _map_pullback(outer, d, to_world=True)
     top = np.outer(*[pullback @ _plain_coeffs(p, d) for p in (u, v)])
     return 0.5 * (top + top.T) if symmetric else top
 
@@ -316,11 +344,13 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
     """Elementwise contractions of stacked forms at every depth, from one moment pass.
 
     ``tops`` (F, D, D) are top moments and ``forms`` F pairs (cell form,
-    (left, right)).  Form f contracts its cell form with the depth-l moment
-    of tops[f] and the generation-k cable Gram of derivative orders
+    (left, right)); a cell form of None stands for the sides' form a S of
+    derivative orders (left, right).  Form f contracts its cell form with
+    the depth-l moment of tops[f] and the generation-k cable Gram of orders
     (left, right), at weight ``_cable_weight(k, l)``, with its depth-(k-1)
-    moment.  Yields, for each depth l of ``depths`` in order, the list over
-    f of the elementwise products [cell part, generation-1 part, ...,
+    moment; one ``_grams`` call builds the side and every cable Gram.
+    Yields, for each depth l of ``depths`` in order, the list over f of
+    the elementwise products [cell part, generation-1 part, ...,
     generation-l part] (``_terms`` splits them for math.fsum).
     """
     depths = list(depths)
@@ -330,6 +360,8 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
         if l > DEFAULT_DEPTH_CAP:
             raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
     l_max = max(depths, default=0)
+    grams = _grams(seq, l_max, d, quad, {order for _, order in forms})
+    cell_forms = [constants.a * grams[order][0] if cell is None else cell for cell, order in forms]
     cells, cables, moments = {}, [], tops
     for k in range(l_max + 1):
         if k:
@@ -338,11 +370,9 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
             pushed = [sum(np.dot(p, np.dot(m, p.T)) for p in pulls) for m in moments]
             moments = _quotient(np.stack(pushed), _EXT(seq.lam(k)), f"lam_{k} of the level-{k} moment step")
         if k in depths:
-            cells[k] = [cell * m for (cell, _), m in zip(forms, moments)]
+            cells[k] = [cell * m for cell, m in zip(cell_forms, moments)]
         if k < l_max:
-            segs = _cable_arrays(seq, k + 1)
-            grams = {order: _segment_form(*segs, d, quad, *order) for order in {o for _, o in forms}}
-            cables.append([grams[order] * m for (_, order), m in zip(forms, moments)])
+            cables.append([grams[order][k + 1] * m for (_, order), m in zip(forms, moments)])
     for l in depths:
         weights = [_cable_weight(seq, k, l, constants, limit) for k in range(1, l + 1)]
         yield [[cells[l][f]] + [w * gm[f] for w, gm in zip(weights, cables)] for f in range(len(forms))]
@@ -351,9 +381,8 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
 def _energy_rows(seq, depths, u, v, quad, constants, outer=None, *, limit=False):
     """[triangle part, generation-1 cable part, ...] at every depth (``limit``: infinite windows)."""
     d = max(u.degree, v.degree, 0)
-    side = constants.a * _segment_form(*_side_arrays(), d, quad, 1, 1)
     tops = _top_moment(u, v, d, outer)[None]
-    for (parts,) in _contractions(seq, depths, d, quad, constants, tops, [(side, (1, 1))], limit=limit):
+    for (parts,) in _contractions(seq, depths, d, quad, constants, tops, [(None, (1, 1))], limit=limit):
         yield parts
 
 
@@ -563,6 +592,8 @@ def convergence_rows(
     cable reweighting and one new cable generation.  Every row comes from
     one moment pass to l_max.
     """
+    if l_max < 0:
+        raise ValueError(f"depth must be >= 0, got {l_max}")
     quad = resolve_quadrature(quad, u.degree, v.degree)
     gu, hu = sup_bounds(u)
     gv, hv = sup_bounds(v)

@@ -245,23 +245,23 @@ def _cable_scale_seq(seq: ParamSeq, s: int, beta_over_alpha: float) -> float:
 
 
 #: Unit-scale direction of each cable slot (scaled by the common factor).
-_SLOT_DIRS = (
-    np.array([SQRT3 / 4.0, 0.25]),
-    np.array([SQRT3 / 4.0, -0.25]),
-    np.array([0.0, -0.5]),
-)
-for _v in _SLOT_DIRS:
-    _v.flags.writeable = False
+_SLOT_DIRS = np.array([[SQRT3 / 4.0, 0.25], [SQRT3 / 4.0, -0.25], [0.0, -0.5]])
+_SLOT_DIRS.flags.writeable = False
 
 
-def _cable_segments_ab(alpha: float, beta: float, scale: float) -> tuple[Segment, Segment, Segment]:
+def _cable_stack(seq: ParamSeq, generations, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and velocities, each (G, 3, 2), of the cables of G generations.
+
+    Row g holds the three cables of generation ``generations[g]`` in slot
+    order, in local cell coordinates, as ``cable_segments`` gives them.
+    """
+    generations = list(generations)
+    alpha, beta = np.array([_alpha_beta(seq.eps(s), beta_over_alpha) for s in generations]).reshape(-1, 2).T
+    scale = np.array([_cable_scale_seq(seq, s, beta_over_alpha) for s in generations])
     # Slot starts: F_1(B), F_1(C), F_2(C); ends follow from the common direction.
-    p1 = np.array([alpha * SQRT3 / 2.0, beta / 2.0])
-    p2 = np.array([alpha * SQRT3 / 2.0, -beta / 2.0])
-    p3 = np.array([SQRT3 * (2.0 - alpha + beta) / 4.0, scale / 4.0])
-    return tuple(
-        Segment(p, p + scale * d, vel=scale * d) for p, d in zip((p1, p2, p3), _SLOT_DIRS)
-    )
+    half = alpha * SQRT3 / 2.0
+    starts = np.stack([half, beta / 2.0, half, -beta / 2.0, SQRT3 * (2.0 - alpha + beta) / 4.0, scale / 4.0], axis=-1)
+    return starts.reshape(-1, 3, 2), scale[:, None, None] * _SLOT_DIRS
 
 
 def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[Segment, Segment, Segment]:
@@ -272,9 +272,8 @@ def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATI
     1 - eps_s for the harmonic family.  A depth-(s-1) prefix map carries
     them into the pre-fractal.
     """
-    alpha, beta = _alpha_beta(seq.eps(s), beta_over_alpha)
-    scale = _cable_scale_seq(seq, s, beta_over_alpha)
-    return _cable_segments_ab(alpha, beta, scale)
+    (starts,), (vels,) = _cable_stack(seq, (s,), beta_over_alpha)
+    return tuple(Segment(p, p + v, vel=v) for p, v in zip(starts, vels))
 
 
 def triangle_edge_prefactor(seq: ParamSeq, l: int, constants: Constants = DEFAULT_CONSTANTS) -> float:

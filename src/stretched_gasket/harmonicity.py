@@ -33,12 +33,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .energy import _contractions, _segment_form, _terms, _top_moment, resolve_quadrature
+from .energy import _contractions, _terms, _top_moment, resolve_quadrature
 from .errors import NonHarmonicError, StarNotClosed
 from .geometry import (
     HARMONIC_RATIO,
     SIDE_NAMES,
-    _side_arrays,
     _world,
     cable_prefactor,
     prefractal_edges,
@@ -262,9 +261,8 @@ def weak_pairing(
     quad = resolve_quadrature(quad, u.degree, v.degree)
     _require_harmonic(seq, l, constants)
     d = max(u.degree, v.degree, 0)
-    side = constants.a * _segment_form(*_side_arrays(), d, quad, 2, 0)
     tops = _top_moment(u, v, d, symmetric=False)[None]
-    ((parts,),) = _contractions(seq, (l,), d, quad, constants, tops, [(side, (2, 0))])
+    ((parts,),) = _contractions(seq, (l,), d, quad, constants, tops, [(None, (2, 0))])
     sides, cables = _terms(parts)
     return -math.fsum(sides + cables)
 

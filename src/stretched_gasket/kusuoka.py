@@ -166,6 +166,8 @@ def _scaled_level(seq: ParamSeq, k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _scaled_linears(seq: ParamSeq, l: int) -> np.ndarray:
     """Products of the scaled level factors for all length-l words, lexicographic."""
+    if l < 0:
+        raise ValueError(f"depth must be >= 0, got {l}")
     out = np.eye(2)[None, :, :]
     for k in range(1, l + 1):
         out = np.einsum("wab,jbc->wjac", out, _scaled_level(seq, k)).reshape(-1, 2, 2)

@@ -38,12 +38,11 @@ from .energy import (
     _contractions,
     _point_partials,
     _report,
-    _segment_form,
     _terms,
     _top_moment,
     resolve_quadrature,
 )
-from .geometry import _images, _side_arrays, _triple_index, barycenter, cable_segments, compose, word_point, word_table
+from .geometry import _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
 from .kusuoka import CableMass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
@@ -129,12 +128,11 @@ def ibp_table(
     quad = resolve_quadrature(quad, phi.degree, v.degree)
     depths = list(depths)
     d = max(phi.degree, v.degree, 0)
-    side = constants.a * _segment_form(*_side_arrays(), d, quad, 1, 1)
     b = barycenter()
     lap = _point_partials(b, d, 2, 0) + _point_partials(b, d, 0, 2)
     gasket = 1.5 * constants.a * np.outer(lap, _point_partials(b, d, 0, 0))
     tops = np.stack([_top_moment(phi, v, d), _top_moment(phi, v, d, symmetric=False)])
-    forms = [(side, (1, 1)), (gasket, (2, 0))]
+    forms = [(None, (1, 1)), (gasket, (2, 0))]
     rows = []
     for depth, (energy, measure) in zip(depths, _contractions(seq, depths, d, quad, constants, tops, forms)):
         gasket_terms, cable_terms = _terms(measure)

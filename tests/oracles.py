@@ -27,11 +27,10 @@ import numpy as np
 from stretched_gasket.energy import (
     _EXT,
     EnergyReport,
-    _cable_arrays,
     _level_pullbacks,
     _map_pullback,
     _plain_coeffs,
-    _segment_form,
+    _segment_jets,
     _split,
     _tableau,
     resolve_quadrature,
@@ -155,6 +154,19 @@ def energy2_limit_by_edges(seq, s_max, u, v, quad, constants=DEFAULT_CONSTANTS, 
     return math.fsum(vals)
 
 
+def segment_form(p0, dv, d, quad, left: int, right: int) -> np.ndarray:
+    """Gram of one group of segments: the sum over them of the quadrature of
+    (m_a o z)^(left) (m_b o z)^(right), one 2-D product per group."""
+    w = np.tile(quad.weights.astype(_EXT), len(p0))
+    return (_segment_jets(p0, dv, d, quad, left) * w) @ _segment_jets(p0, dv, d, quad, right).T
+
+
+def cable_arrays(seq, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and velocities (3, 2) of the generation-s cables, from their ``Segment`` objects."""
+    segs = cable_segments(seq, s)
+    return np.stack([sg.p for sg in segs]), np.stack([sg.velocity for sg in segs])
+
+
 def fold_backward(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> EnergyReport:
     """The depth-l form by folding cell forms from depth l up to the top cell.
 
@@ -165,13 +177,13 @@ def fold_backward(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> EnergyRepo
     O(l D^3) fold and rebuilds every cable Gram.
     """
     d = max(u.degree, v.degree, 0)
-    sides = constants.a * _segment_form(*_side_arrays(), d, quad, 1, 1)
+    sides = constants.a * segment_form(*_side_arrays(), d, quad, 1, 1)
     forms = np.stack([sides, np.zeros_like(sides)])
     for k in range(l, 0, -1):
         pulls = _level_pullbacks(seq.eps(k), d)
         forms = np.stack([sum(np.dot(p.T, np.dot(h, p)) for p in pulls) for h in forms]) / _EXT(seq.lam(k))
         weight = constants.b / (seq.eps_tilde(k, l) * seq.one_minus_eps(k))
-        forms[1] += weight * _segment_form(*_cable_arrays(seq, k), d, quad, 1, 1)
+        forms[1] += weight * segment_form(*cable_arrays(seq, k), d, quad, 1, 1)
     pullback = _map_pullback(AffineMap2.identity(), d, to_world=True)
     cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
     tri, cab = [_split(0.5 * (h + h.T) * np.outer(cu, cv)) for h in forms]

@@ -157,6 +157,14 @@ def test_prefactor_underflow_exits_one_without_traceback(command):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, depth", [("convergence", "-2"), ("kusuoka", "-1")])
+def test_negative_depth_exits_one(command, depth):
+    proc = run_cli(command, "--eps-const", "0.5", "--depth", depth, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: depth must be >= 0, got {depth}".encode())
+    assert proc.stdout == b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

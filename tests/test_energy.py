@@ -177,3 +177,10 @@ def test_convergence_rows_structure_and_envelope(rng):
         assert rows[i]["total"] == pytest.approx(
             energy_total(TAIL_ONLY, i, u, u).total, rel=1e-13
         )
+
+
+def test_convergence_rows_refuse_a_negative_depth():
+    # Unchecked, depth -2 gives no rows at all.
+    u = parse("x^2")
+    with pytest.raises(ValueError, match="depth must be >= 0, got -2"):
+        convergence_rows(TAIL_ONLY, u, u, -2)

@@ -6,7 +6,10 @@ the backward fold (the pass's adjoint) to 1e-14; the generation-1 cable
 term of the recurrence residuals is compared with the per-edge
 ``cable_energy``.  The one-step recurrence is not used as the check: it is
 the pass's own identity.  The depth sweeps must equal their single-depth
-rows bit for bit and push the moments once, one level step per depth.
+rows bit for bit and push the moments once, one level step per depth,
+and build their Grams from one evaluation per derivative order.  The
+batched Grams and stacked pullbacks equal the per-generation and per-map
+products bit for bit.
 """
 
 import math
@@ -14,6 +17,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stretched_gasket import (
     AffineMap2,
@@ -35,9 +40,18 @@ from stretched_gasket import (
 )
 from stretched_gasket import energy
 from stretched_gasket.energy import min_quad_order
+from stretched_gasket.geometry import _side_arrays
 
 from conftest import ALL_REGIMES, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import cable_energy, energy2_limit_by_edges, energy_by_edges, fold_backward, ibp_rhs_by_cells
+from oracles import (
+    cable_arrays,
+    cable_energy,
+    energy2_limit_by_edges,
+    energy_by_edges,
+    fold_backward,
+    ibp_rhs_by_cells,
+    segment_form,
+)
 
 RTOL = 1e-12
 DEPTHS = (1, 3, 7)
@@ -267,6 +281,65 @@ def test_sweeps_push_the_moments_once(monkeypatch):
     steps.clear()
     ibp_table(PREFIX_EXP, SWEEP_U, v, range(3, 11))
     assert len(steps) == 10
+
+
+def test_sweeps_build_the_grams_once(monkeypatch):
+    orders = []
+    jets = energy._segment_jets
+
+    def counting(p0, dv, d, quad, order):
+        orders.append(order)
+        return jets(p0, dv, d, quad, order)
+
+    monkeypatch.setattr(energy, "_segment_jets", counting)
+    v = vanishing_cubic()
+    # One evaluation per derivative order for the sides and all ten cable
+    # generations: order 1 serves both sides of the energy Grams (1, 1).
+    convergence_rows(PREFIX_EXP, SWEEP_U, v, 10)
+    assert orders == [1]
+    orders.clear()
+    # The energy side's (1, 1) and the measure side's (2, 0) Grams.
+    ibp_table(PREFIX_EXP, SWEEP_U, v, range(3, 11))
+    assert sorted(orders) == [0, 1, 2]
+
+
+# -- batched matrices against the per-generation products ------------------
+
+#: Prefix values anywhere in (0, 1), with two near-degenerate ones always
+#: drawable: 1e-3 (a level near 0) and 1 - 1e-12 (cables 1e-12 long).
+PREFIX_EPS = st.one_of(st.sampled_from([1e-3, 1.0 - 1e-12]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+SEQUENCES = st.builds(
+    ParamSeq,
+    prefix=st.lists(PREFIX_EPS, max_size=3).map(tuple),
+    tail=st.builds(ExpTail, c=st.floats(1e-6, 5.0), r=st.floats(0.05, 0.99)),
+)
+EDGE_SEQ = ParamSeq(prefix=(1.0 - 1e-12, 1e-3), tail=ExpTail(1e-6, 0.99))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seq=SEQUENCES, d=st.integers(0, 12), l_max=st.integers(0, 12), order=st.integers(1, 12))
+@example(seq=EDGE_SEQ, d=12, l_max=12, order=12)
+@example(seq=ParamSeq(prefix=(1e-3,), tail=ExpTail(5.0, 0.05)), d=3, l_max=4, order=8)
+def test_batched_grams_equal_the_per_generation_grams(seq, d, l_max, order):
+    # D = (d + 1)(d + 2) / 2 runs up to 91.
+    quad = get_quadrature(order)
+    grams = energy._grams(seq, l_max, d, quad, [(1, 1), (2, 0)])
+    for orders, stack in grams.items():
+        assert stack.shape == (l_max + 1, energy._dim(d), energy._dim(d))
+        assert np.array_equal(stack[0], segment_form(*_side_arrays(), d, quad, *orders))
+        for k in range(1, l_max + 1):
+            assert np.array_equal(stack[k], segment_form(*cable_arrays(seq, k), d, quad, *orders)), (orders, k)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seq=SEQUENCES, d=st.integers(0, 12))
+@example(seq=EDGE_SEQ, d=12)
+def test_stacked_level_pullbacks_equal_the_single_map_pullbacks(seq, d):
+    for k in range(1, 4):
+        eps = seq.eps(k)
+        stacked = energy._level_pullbacks.__wrapped__(eps, d)
+        assert np.array_equal(stacked, np.stack([energy._map_pullback(f, d) for f in triple(eps)])), k
+    assert np.array_equal(energy._centering(d), energy._map_pullback(AffineMap2.identity(), d, to_world=True))
 
 
 # -- quadrature order against field degrees --------------------------------

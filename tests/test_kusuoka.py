@@ -222,6 +222,13 @@ def test_slots_outside_one_to_three_are_rejected(slot):
             cable_mass(PREFIX_EXP, prefix, s, slot)
 
 
+def test_negative_depths_are_refused():
+    # Unchecked, depth -1 would return the empty-word table: kappa 1, tau Id/2.
+    for table in (kappa_table, tau_table, _scaled_linears):
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            table(PREFIX_EXP, -1)
+
+
 def test_total_cable_mass_grows_and_stays_bounded():
     t2 = total_cable_mass(TAIL_ONLY, 2)
     t5 = total_cable_mass(TAIL_ONLY, 5)
