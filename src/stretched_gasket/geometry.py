@@ -324,10 +324,11 @@ def _world(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
     lin, off = word_table(seq, l, beta_over_alpha)
     corners = _images(lin, np.stack(base_vertices())) + off[:, None]
     cables = []
-    for s in range(1, l + 1):
+    for s, p, v in zip(range(1, l + 1), *_cable_stack(seq, range(1, l + 1), beta_over_alpha)):
         plin, poff = word_table(seq, s - 1, beta_over_alpha)
-        p, q, v = map(np.stack, zip(*((sg.p, sg.q, sg.velocity) for sg in cable_segments(seq, s, beta_over_alpha))))
-        cables.append((_images(plin, p) + poff[:, None], _images(plin, q) + poff[:, None], _images(plin, v)))
+        # Starts, ends p + v (as cable_segments has them) and velocities in one matvec.
+        images = _images(plin, np.concatenate([p, p + v, v]))
+        cables.append((images[:, :3] + poff[:, None], images[:, 3:6] + poff[:, None], images[:, 6:]))
     return corners, _images(lin, _side_arrays()[1]), cables
 
 

@@ -23,6 +23,17 @@ The residual probes (``vertex_stars``, ``harmonic_report``,
 perturbed families can be shown to break the vertex balance.  The weak
 pairing and the weak Laplacian are defined for the harmonic family only,
 like the forms they contract.
+
+Their gate enumerates no vertex.  The boundary vector of the end e of a
+generation-s cable with prefix p is DF_p r(s, e, l), one of 6 l local
+vectors (``_local_defects``: suffix products of the level maps, one
+backward loop), and DF_p is invertible, so the stars balance exactly when
+every r does.  The gate refuses an r whose norm, relative to the sizes of
+its three terms, exceeds gamma_n, n counting the roundings of those
+products, prefactors and sums (``_defect_bound``, Higham ch. 3-4), and a
+cable end off its cell corner.  ``harmonic_report`` keeps the
+enumeration, since its residual and worst vertex are output, and is the
+local route's test oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +49,10 @@ from .errors import NonHarmonicError, StarNotClosed
 from .geometry import (
     HARMONIC_RATIO,
     SIDE_NAMES,
+    _cable_stack,
+    _side_arrays,
     _world,
+    base_vertices,
     cable_prefactor,
     prefractal_edges,
     triangle_edge_prefactor,
@@ -68,11 +82,17 @@ _END_CORNER = np.array([_CORNER_INDEX[c] for _, c in _CABLE_ENDS.values()])
 _CORNER_ENDS = [[(i, t) for i, name in enumerate(SIDE_NAMES) for cc, t in _SIDE_CORNERS[name] if cc == c] for c in CORNER_NAMES]
 _CORNER_SIDE, _CORNER_T = np.moveaxis(np.array(_CORNER_ENDS), 2, 0)
 
-#: Harmonic-residual gates by role, relative to the energy constant a.
-#: ``assertion``: the CLI's harmonicity check (exit 2 above it).
-#: ``weak_identity``: the precondition of the weak Laplacian and the weak
-#: pairing, whose vertex boundary terms it bounds.
-HARMONIC_GATES = MappingProxyType({"assertion": 1e-10, "weak_identity": 1e-8})
+#: Harmonicity gates by role.  ``assertion``: the CLI's harmonicity check,
+#: exit 2 when the largest interior boundary-vector norm exceeds it times
+#: the energy constant a.  ``weak_identity``: the precondition of the weak
+#: Laplacian and the weak pairing, a count of roundings: a local defect
+#: (``_local_defects``) above gamma_n relative to its scale is refused,
+#: n = weak_identity * (l + 2 + sum_{k <= l} |log eps_k|) (``_defect_bound``).
+HARMONIC_GATES = MappingProxyType({"assertion": 1e-10, "weak_identity": 12.0})
+#: Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
+#: Largest distance (max norm) between edge ends meeting at one vertex.
+_CLOSURE_TOL = 1e-12
 
 
 def _word_codes(k: int) -> np.ndarray:
@@ -120,7 +140,7 @@ def _vertex_arrays(seq: ParamSeq, l: int, constants: Constants, beta_over_alpha:
         np.concatenate(a)[order] for a in (keys, cells, corners, cable_w, cable_tan, cable_pts)
     )
     points = corner_img[cells, corners]
-    bad = np.flatnonzero(np.max(np.abs(cable_pts - points), axis=1) > 1e-12)
+    bad = np.flatnonzero(np.max(np.abs(cable_pts - points), axis=1) > _CLOSURE_TOL)
     if bad.size:
         word, corner = _vertex_name(keys[bad[0]], l)
         raise StarNotClosed(f"edge ends at vertex {word}/{corner} do not coincide")
@@ -206,13 +226,91 @@ def harmonic_residual(
     return harmonic_report(seq, l, constants, beta_over_alpha).residual
 
 
+def _local_defects(
+    seq: ParamSeq,
+    l: int,
+    constants: Constants = DEFAULT_CONSTANTS,
+    beta_over_alpha: float = HARMONIC_RATIO,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local boundary vectors r (l, 6, 2), their scales (l, 6) and closure gaps (l, 6).
+
+    Row s - 1, column e = 2 (slot - 1) + t: the end e of the generation-s
+    cables, in the cell coordinates of their prefix.  That vertex is
+    corner c of the depth-l cell p j (c+1)^(l-s) (``_vertex_arrays``), whose
+    sides there are Q = DF_j^(s) S_c(s) times the base sides, with the
+    suffix product S_c(s) = DF_{c+1}^(s+1) ... DF_{c+1}^(l); so the boundary
+    vector of every such vertex is DF_p r(s, e, l) for the linear part DF_p
+    of its prefix map, and r = tri_pf (+-Q side_a +- Q side_b) +-
+    cable_prefactor(s, l) v_slot, signed as the weights of ``_vertex_arrays``.
+    The scale adds the norms of the three terms formed from the absolute
+    values of every factor (|DF_j| |DF_{c+1}| ... |side|): the size the
+    rounding error of r is bounded by.  The gap is the max-norm distance
+    from F_j^(s)(corner c) to the cable end.  One backward loop over the
+    levels, O(l).
+    """
+    if l == 0:
+        return np.zeros((0, 6, 2)), np.zeros((0, 6)), np.zeros((0, 6))
+    maps = [triple(seq.eps(k), beta_over_alpha) for k in range(1, l + 1)]
+    lin = np.array([[f.linear for f in level] for level in maps])
+    off = np.array([[f.offset for f in level] for level in maps])
+    # suffix[0, s - 1] = S(s) for the three corners, suffix[1] its |DF| product.
+    suffix = np.empty((2, l, 3, 2, 2))
+    suffix[:, -1] = np.eye(2)
+    for s in range(l - 1, 0, -1):
+        suffix[0, s - 1] = lin[s] @ suffix[0, s]
+        suffix[1, s - 1] = np.abs(lin[s]) @ suffix[1, s]
+    j, c = _END_LETTER - 1, _END_CORNER
+    slot, t = np.arange(6) // 2, np.arange(6) % 2
+    sides = _side_arrays()[1][_CORNER_SIDE[c]]
+    tri_w = np.where(_CORNER_T[c] == 0, 1.0, -1.0) * triangle_edge_prefactor(seq, l, constants)
+    tri = tri_w[..., None] * (lin[:, j, None] @ suffix[0][:, c, None] @ sides[..., None])[..., 0]
+    tri_size = abs(tri_w)[..., None] * (np.abs(lin[:, j, None]) @ suffix[1][:, c, None] @ np.abs(sides)[..., None])[..., 0]
+    starts, vels = _cable_stack(seq, range(1, l + 1), beta_over_alpha)
+    pf = np.array([cable_prefactor(seq, s, l, constants) for s in range(1, l + 1)])
+    cab = (np.where(t == 0, 1.0, -1.0) * pf[:, None])[..., None] * vels[:, slot]
+    r = tri[:, :, 0] + tri[:, :, 1] + cab
+    scale = np.hypot(*np.moveaxis(tri_size, -1, 0)).sum(axis=-1) + np.hypot(*np.moveaxis(cab, -1, 0))
+    images = (lin[:, j] @ np.stack(base_vertices())[c, :, None])[..., 0] + off[:, j]
+    ends = np.where((t == 1)[:, None], starts[:, slot] + vels[:, slot], starts[:, slot])
+    return r, scale, np.max(np.abs(images - ends), axis=-1)
+
+
+def _defect_bound(seq: ParamSeq, l: int) -> float:
+    """gamma_n = n u / (1 - n u), n = weak_identity * (l + 2 + sum_{k <= l} |log eps_k|).
+
+    A first-order count of the roundings in ``_local_defects``, in units of
+    u relative to the scale, each library exp, log and expm1 allowed one
+    ulp (2u).  A level's DF entries carry 6 from log eps_k, and each 2x2
+    product of the chain DF_j S_c side adds 2 (Higham ch. 3), so a triangle
+    term carries at most 8 l + 1 besides its prefactor.  The prefactors are
+    exp(fsum(logs)): the exponent is off by about u per summand |log lam_k| =
+    |log 0.6| + 2 |log eps_k| and once more for the sum, so a / lam_tilde(l)
+    carries 3 + 2.04 l + 4 sum |log eps_k|, and a cable prefactor with its
+    velocity at most 13 + 2.04 l + 4 sum |log eps_k|.  Adding the three
+    terms (Higham ch. 4) and the float sqrt(3) and 1/3 cost 6 more.  Both
+    totals stay below 12 (l + 2 + sum |log eps_k|).
+    """
+    n = HARMONIC_GATES["weak_identity"] * (l + 2 + math.fsum(abs(seq.log_eps(k)) for k in range(1, l + 1)))
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def _cable_end_name(row: int, e: int) -> str:
+    return f"the slot-{e // 2 + 1} cable end t={e % 2} of generation {row + 1}"
+
+
 def _require_harmonic(seq, l, constants):
-    gate = HARMONIC_GATES["weak_identity"] * constants.a
-    res = harmonic_residual(seq, l, constants)
-    if res > gate:
+    """Refuse a depth-l configuration with an open local star or a defect above ``_defect_bound``."""
+    r, scale, gap = _local_defects(seq, l, constants)
+    open_ends = np.argwhere(~(gap <= _CLOSURE_TOL))
+    if open_ends.size:
+        raise StarNotClosed(f"edge ends at {_cable_end_name(*open_ends[0])} do not coincide")
+    defect, bound = np.hypot(r[..., 0], r[..., 1]) / scale, _defect_bound(seq, l)
+    bad = np.argwhere(~(defect <= bound))
+    if bad.size:
+        row, e = bad[0]
         raise NonHarmonicError(
-            f"depth-{l} residual {res:.3e} exceeds {gate:.1e}; "
-            "boundary terms would pollute the weak identity"
+            f"depth-{l} residual {defect[row, e]:.3e} exceeds {bound:.1e} relative to its terms at "
+            f"{_cable_end_name(row, e)}; boundary terms would pollute the weak identity"
         )
 
 

@@ -163,6 +163,17 @@ def _scaled_level(seq: ParamSeq, k: int) -> np.ndarray:
     return np.stack([f.linear * scale for f in triple(seq.eps(k))])
 
 
+def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcast 2x2 products a @ b as the explicit sum (0.0 + a_0 b_0) + a_1 b_1.
+
+    The leading 0.0 + is einsum's zero-initialised accumulation (it turns
+    a -0.0 product into +0.0), so every entry is bit-identical to
+    np.einsum("...ab,...bc->...ac", a, b); ``tests/oracles.py`` keeps that
+    formulation.
+    """
+    return (0.0 + a[..., :, 0, None] * b[..., None, 0, :]) + a[..., :, 1, None] * b[..., None, 1, :]
+
+
 @functools.lru_cache(maxsize=64)
 def _scaled_linears(seq: ParamSeq, l: int) -> np.ndarray:
     """Products of the scaled level factors for all length-l words, lexicographic."""
@@ -170,7 +181,7 @@ def _scaled_linears(seq: ParamSeq, l: int) -> np.ndarray:
         raise ValueError(f"depth must be >= 0, got {l}")
     out = np.eye(2)[None, :, :]
     for k in range(1, l + 1):
-        out = np.einsum("wab,jbc->wjac", out, _scaled_level(seq, k)).reshape(-1, 2, 2)
+        out = _product2(out[:, None], _scaled_level(seq, k)).reshape(-1, 2, 2)
     out.flags.writeable = False
     return out
 
@@ -182,12 +193,12 @@ def gibbs_tau(seq: ParamSeq, word: tuple[int, ...]) -> CylinderMass:
     returns tau = Id/2 with kappa = 1, the normalization that makes each
     level a probability vector.
     """
-    # einsum, as in _scaled_linears and tau_table, so tau is bit-identical
+    # _product2, as in _scaled_linears and tau_table, so tau is bit-identical
     # to the word's tau_table row.
     m = np.eye(2)
     for k, letter in enumerate(word, start=1):
-        m = np.einsum("ab,bc->ac", m, _scaled_level(seq, k)[_triple_index(letter)])
-    tau = 0.5 * np.einsum("ab,cb->ac", m, m)
+        m = _product2(m, _scaled_level(seq, k)[_triple_index(letter)])
+    tau = 0.5 * _product2(m, m.T)
     return CylinderMass(word, tau, float(np.trace(tau)))
 
 
@@ -208,7 +219,7 @@ def kappa_table(seq: ParamSeq, l: int) -> np.ndarray:
 def tau_table(seq: ParamSeq, l: int) -> np.ndarray:
     """All level-l cylinder matrices, (3^l, 2, 2), lexicographic."""
     mats = _scaled_linears(seq, l)
-    return 0.5 * np.einsum("wab,wcb->wac", mats, mats)
+    return 0.5 * _product2(mats, mats.swapaxes(1, 2))
 
 
 def hs_norm_sq_sum(seq: ParamSeq, l: int) -> float:

@@ -42,7 +42,7 @@ from .energy import (
     _top_moment,
     resolve_quadrature,
 )
-from .geometry import _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
+from .geometry import _cable_stack, _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
 from .kusuoka import CableMass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
@@ -170,10 +170,11 @@ def laplacian_samples(
     cells = np.arange(len(kappas))
     ids = [np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)])]  # (generation, word, slot)
     t_tilde, locations = [taus / kappas[:, None, None]], [lin @ barycenter() + off]
-    for s in range(1, depth + 1):
+    for s, p, v in zip(range(1, depth + 1), *_cable_stack(seq, range(1, depth + 1))):
         _, dirs = cable_masses(seq, s, constants)
         plin, poff = word_table(seq, s - 1)
-        mids = np.stack([sg.point(0.5) for sg in cable_segments(seq, s)])
+        # Midpoints with the arithmetic of Segment.point(0.5) on cable_segments.
+        mids = p + 0.5 * ((p + v) - p)
         ids.append(np.column_stack([np.full(len(dirs), s), np.repeat(np.arange(len(plin)), 3), np.tile([1, 2, 3], len(plin))]))
         t_tilde.append(dirs[:, :, None] * dirs[:, None, :])
         locations.append((_images(plin, mids) + poff[:, None]).reshape(-1, 2))

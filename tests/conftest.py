@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from stretched_gasket import ExpTail, ParamSeq
 
@@ -14,6 +15,18 @@ TAIL_ONLY = ParamSeq(prefix=(), tail=ExpTail(0.1, 0.5))
 
 ALL_REGIMES = (CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY)
 LIMIT_REGIMES = (PREFIX_EXP, TAIL_ONLY)
+
+#: Prefix values anywhere in (0, 1), with two near-degenerate ones always
+#: drawable: 1e-3 (a level near 0) and 1 - 1e-12 (cables 1e-12 long).
+PREFIX_EPS = st.one_of(st.sampled_from([1e-3, 1.0 - 1e-12]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+#: Sequences for the property tests: up to three such prefix values, then an exponential tail.
+SEQUENCES = st.builds(
+    ParamSeq,
+    prefix=st.lists(PREFIX_EPS, max_size=3).map(tuple),
+    tail=st.builds(ExpTail, c=st.floats(1e-6, 5.0), r=st.floats(0.05, 0.99)),
+)
+#: Both near-degenerate prefix values and the slowest tail.
+EDGE_SEQ = ParamSeq(prefix=(1.0 - 1e-12, 1e-3), tail=ExpTail(1e-6, 0.99))
 
 
 @pytest.fixture

@@ -54,7 +54,7 @@ from stretched_gasket.geometry import (
     word_table,
 )
 from stretched_gasket.harmonicity import ND_GRID, ND_REFINE, _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNERS
-from stretched_gasket.kusuoka import cable_mass, kappa_table, tau_table
+from stretched_gasket.kusuoka import _scaled_level, cable_mass, kappa_table, tau_table
 from stretched_gasket.laplacian import laplacian_samples, teplyaev
 from stretched_gasket.params import DEFAULT_CONSTANTS
 from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval
@@ -440,6 +440,28 @@ def _side_projection_sum() -> np.ndarray:
     for d in dirs:
         acc += np.outer(d, d) / float(d @ d)
     return acc
+
+
+def scaled_linears_by_einsum(seq, l) -> np.ndarray:
+    """``kusuoka._scaled_linears`` as one einsum contraction per level."""
+    out = np.eye(2)[None, :, :]
+    for k in range(1, l + 1):
+        out = np.einsum("wab,jbc->wjac", out, _scaled_level(seq, k)).reshape(-1, 2, 2)
+    return out
+
+
+def tau_table_by_einsum(seq, l) -> np.ndarray:
+    """``kusuoka.tau_table`` as the einsum 0.5 M M^t over the einsum products."""
+    mats = scaled_linears_by_einsum(seq, l)
+    return 0.5 * np.einsum("wab,wcb->wac", mats, mats)
+
+
+def gibbs_tau_by_einsum(seq, word) -> np.ndarray:
+    """``kusuoka.gibbs_tau(seq, word).tau`` by the same einsums on one word."""
+    m = np.eye(2)
+    for k, letter in enumerate(word, start=1):
+        m = np.einsum("ab,bc->ac", m, _scaled_level(seq, k)[letter - 1])
+    return 0.5 * np.einsum("ab,cb->ac", m, m)
 
 
 def adjoint_aggregate(seq, l, constants=DEFAULT_CONSTANTS) -> dict[tuple[int, ...], np.ndarray]:

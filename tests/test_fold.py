@@ -42,7 +42,7 @@ from stretched_gasket import energy
 from stretched_gasket.energy import min_quad_order
 from stretched_gasket.geometry import _side_arrays
 
-from conftest import ALL_REGIMES, PREFIX_EXP, TAIL_ONLY, random_poly
+from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
 from oracles import (
     cable_arrays,
     cable_energy,
@@ -304,17 +304,6 @@ def test_sweeps_build_the_grams_once(monkeypatch):
 
 
 # -- batched matrices against the per-generation products ------------------
-
-#: Prefix values anywhere in (0, 1), with two near-degenerate ones always
-#: drawable: 1e-3 (a level near 0) and 1 - 1e-12 (cables 1e-12 long).
-PREFIX_EPS = st.one_of(st.sampled_from([1e-3, 1.0 - 1e-12]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-SEQUENCES = st.builds(
-    ParamSeq,
-    prefix=st.lists(PREFIX_EPS, max_size=3).map(tuple),
-    tail=st.builds(ExpTail, c=st.floats(1e-6, 5.0), r=st.floats(0.05, 0.99)),
-)
-EDGE_SEQ = ParamSeq(prefix=(1.0 - 1e-12, 1e-3), tail=ExpTail(1e-6, 0.99))
-
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(seq=SEQUENCES, d=st.integers(0, 12), l_max=st.integers(0, 12), order=st.integers(1, 12))

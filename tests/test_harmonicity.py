@@ -145,15 +145,21 @@ def test_weak_pairing_rejects_non_vanishing_test_function():
 
 
 def test_weak_pairing_requires_harmonic_family(monkeypatch):
-    # The forms take no map ratio, so force the gate: a residual twice the
-    # weak-identity bound must be refused by both weak-identity routes.
-    def too_large(seq, l, constants):
-        return 2.0 * harmonicity.HARMONIC_GATES["weak_identity"] * constants.a
+    # The forms take no map ratio, so force the gate: one local defect at
+    # twice the float bound must be refused by both weak-identity routes.
+    local = harmonicity._local_defects
 
-    monkeypatch.setattr(harmonicity, "harmonic_residual", too_large)
-    with pytest.raises(NonHarmonicError):
+    def too_large(seq, l, constants):
+        r, scale, gap = local(seq, l, constants)
+        r = r.copy()
+        r[-1, 3] = [2.0 * harmonicity._defect_bound(seq, l) * scale[-1, 3], 0.0]
+        return r, scale, gap
+
+    monkeypatch.setattr(harmonicity, "_local_defects", too_large)
+    message = r"^depth-2 residual \S+ exceeds \S+ relative to its terms at the slot-2 cable end t=1 of generation 2; "
+    with pytest.raises(NonHarmonicError, match=message):
         weak_pairing(TAIL_ONLY, 2, parse("x"), vanishing_at_ABC(parse("1")))
-    with pytest.raises(NonHarmonicError):
+    with pytest.raises(NonHarmonicError, match=message):
         weak_laplacian_h1(TAIL_ONLY, 2, parse("x"))
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from stretched_gasket import (
     DEFAULT_CONSTANTS,
+    ExpTail,
+    ParamSeq,
     cable_mass,
     cable_masses,
     cable_tail_bound,
@@ -26,10 +28,10 @@ from stretched_gasket import (
     triple,
 )
 from stretched_gasket.errors import PrefactorUnderflow
-from stretched_gasket.kusuoka import _require_symmetric, _scaled_linears, hs_norm_sq_sum, sym3, unsym3
+from stretched_gasket.kusuoka import _product2, _require_symmetric, _scaled_linears, hs_norm_sq_sum, sym3, unsym3
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import adjoint_aggregate
+from oracles import adjoint_aggregate, gibbs_tau_by_einsum, scaled_linears_by_einsum, tau_table_by_einsum
 
 
 def brute_force_kappa(seq, word):
@@ -144,6 +146,31 @@ def test_gibbs_tau_matches_the_tau_table(regime):
     before = _scaled_linears.cache_info()
     assert 0.0 < kappa(regime, (1, 2, 3) * 4) < 1.0
     assert _scaled_linears.cache_info() == before
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [PREFIX_EXP, ParamSeq.constant(0.028086), ParamSeq.constant(0.3), ParamSeq(tail=ExpTail(3.744, 0.8712))],
+    ids=["prefix-exp", "const-0.028", "const-0.3", "tail-3.744"],
+)
+def test_cylinder_tables_equal_the_einsum_contractions_bit_for_bit(seq):
+    # The explicit two-term sums start from 0.0 as einsum does, so every
+    # word, signed zeros included, equals the einsum route's; gibbs_tau
+    # equals its tau_table row.
+    for l in (0, 3, 6, 9):
+        assert _scaled_linears(seq, l).tobytes() == scaled_linears_by_einsum(seq, l).tobytes(), l
+        assert tau_table(seq, l).tobytes() == tau_table_by_einsum(seq, l).tobytes(), l
+    taus = tau_table(seq, 4)
+    for i, word in enumerate(iter_words(4)):
+        tau = gibbs_tau(seq, word).tau
+        assert tau.tobytes() == taus[i].tobytes() == gibbs_tau_by_einsum(seq, word).tobytes(), word
+
+
+def test_explicit_products_keep_einsums_signed_zeros(rng):
+    # Zero factors against negative ones make -0.0 products, whose einsum
+    # sum from 0.0 is +0.0.
+    a, b = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(2, 400, 2, 2))
+    assert _product2(a, b).tobytes() == np.einsum("wab,wbc->wac", a, b).tobytes()
 
 
 def test_known_cylinder_fractions(regime):

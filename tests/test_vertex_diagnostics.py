@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stretched_gasket import (
     StarNotClosed,
@@ -24,13 +26,15 @@ from stretched_gasket import (
     vertex_stars,
     weak_pairing,
     word_index,
+    word_table,
 )
 from stretched_gasket import cli, geometry, harmonicity, kusuoka
 from stretched_gasket.energy import min_quad_order, resolve_quadrature
+from stretched_gasket.errors import PrefactorUnderflow
 from stretched_gasket.geometry import SIDE_NAMES
 from stretched_gasket.harmonicity import _CABLE_ENDS
 
-from conftest import PREFIX_EXP, admissible, random_poly
+from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, admissible, random_poly
 from oracles import (
     EdgeId,
     boundary_vector_of,
@@ -144,19 +148,24 @@ def test_depth_zero_has_only_the_base_corners():
 
 
 def test_open_star_is_refused(monkeypatch):
-    # Shift every cable by 1e-9: its ends no longer meet the cell corners.
-    segs = geometry.cable_segments
+    # Shift every cable by 1e-9: its ends no longer meet the cell corners,
+    # in the world arrays of the stars and in the local check of the weak routes.
+    stack = geometry._cable_stack
 
-    def shifted(seq, s, beta_over_alpha=1.0 / 3.0):
-        return tuple(geometry.Segment(sg.p + 1e-9, sg.q + 1e-9, sg.vel) for sg in segs(seq, s, beta_over_alpha))
+    def shifted(seq, generations, beta_over_alpha=1.0 / 3.0):
+        starts, vels = stack(seq, generations, beta_over_alpha)
+        return starts + 1e-9, vels
 
-    monkeypatch.setattr(geometry, "cable_segments", shifted)
+    monkeypatch.setattr(geometry, "_cable_stack", shifted)
     with pytest.raises(StarNotClosed, match="do not coincide"):
         harmonic_report(PREFIX_EXP, 2)
+    monkeypatch.setattr(harmonicity, "_cable_stack", shifted)
+    with pytest.raises(StarNotClosed, match="do not coincide"):
+        weak_pairing(PREFIX_EXP, 2, parse("x^2"), vanishing_cubic())
 
 
 def test_harmonic_gates_have_one_definition():
-    assert dict(harmonicity.HARMONIC_GATES) == {"assertion": 1e-10, "weak_identity": 1e-8}
+    assert dict(harmonicity.HARMONIC_GATES) == {"assertion": 1e-10, "weak_identity": 12.0}
     assert cli.HARMONIC_GATES is harmonicity.HARMONIC_GATES
     with pytest.raises(TypeError):
         harmonicity.HARMONIC_GATES["assertion"] = 1.0
@@ -175,11 +184,99 @@ def _cold_peak(fn) -> int:
 
 
 def test_vertex_diagnostics_memory_at_depth_ten():
-    # Ceilings are twice the peaks measured at depth 10 (44, 44 and
-    # 38 MiB): O(3^l) arrays, the samples as one column table.
+    # Ceilings are twice the peaks measured at depth 10 (44 and 38 MiB):
+    # O(3^l) arrays, the samples as one column table.  The weak pairing
+    # enumerates no vertex: its gate reads 6 l local vectors (0.3 MiB).
     u = parse("x^2 - 0.5*x*y + y^3")
     v = vanishing_cubic()
     mib = 2**20
     assert _cold_peak(lambda: harmonic_report(PREFIX_EXP, 10)) < 88 * mib
-    assert _cold_peak(lambda: weak_pairing(PREFIX_EXP, 10, u, v)) < 88 * mib
+    assert _cold_peak(lambda: weak_pairing(PREFIX_EXP, 10, u, v)) < 2 * mib
     assert _cold_peak(lambda: laplacian_samples(PREFIX_EXP, u, 10)) < 76 * mib
+
+
+def test_weak_pairing_memory_at_the_depth_cap():
+    # 430 MiB while the gate enumerated the 3^12-cell stars; 0.4 MiB now.
+    u = parse("x^2 - 0.5*x*y + y^3")
+    assert _cold_peak(lambda: weak_pairing(PREFIX_EXP, 12, u, vanishing_cubic())) < 4 * 2**20
+
+
+# -- the local route of the weak-identity gate -----------------------------
+
+#: Local-defect cases: the fixture regimes and derandomized sequences with
+#: prefix values anywhere in (0, 1), 1e-3 and 1 - 1e-12 always drawable.
+LOCAL_SEQUENCES = st.one_of(st.sampled_from(ALL_REGIMES), SEQUENCES)
+
+
+def _local_defects_or_none(seq, l, ratio):
+    """``_local_defects``, or None where a prefactor underflows."""
+    try:
+        return harmonicity._local_defects(seq, l, beta_over_alpha=ratio)
+    except PrefactorUnderflow:
+        return None
+
+
+def _local_boundaries(seq, l, ratio):
+    """Every interior star's boundary column, DF_p r(s, e, l) and its rounding bound, in star order.
+
+    DF_p is the linear part of the star's cable prefix; the bound is the
+    gate's own, the stars' route forming the same three terms from the
+    same prefactors through chains of at most l + 1 2x2 products, times
+    the size ``max row sum |DF_p| * scale`` of DF_p r.  None where a
+    prefactor underflows and the stars refuse it too.
+    """
+    local = _local_defects_or_none(seq, l, ratio)
+    if local is None:
+        with pytest.raises(PrefactorUnderflow):
+            vertex_stars(seq, l, beta_over_alpha=ratio)
+        return None
+    r, scale, _ = local
+    end_of = {touch: 2 * (slot - 1) + t for (slot, t), touch in _CABLE_ENDS.items()}
+    stars = vertex_stars(seq, l, beta_over_alpha=ratio)[3:]
+    local, size = [], []
+    for key in stars.key.tolist():
+        word, corner = harmonicity._vertex_name(key, l)
+        s, e = len(word), end_of[(word[-1], corner)]
+        lin = word_table(seq, s - 1, ratio)[0][word_index(word[:-1])]
+        local.append(lin @ r[s - 1, e])
+        size.append(np.abs(lin).sum(axis=1).max() * scale[s - 1, e])
+    bound = harmonicity._defect_bound(seq, l) * np.array(size)
+    return stars.boundary, np.array(local).reshape(-1, 2), bound
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seq=LOCAL_SEQUENCES)
+@example(seq=EDGE_SEQ)
+def test_local_defects_reproduce_the_star_boundaries(seq):
+    for ratio in RATIOS:
+        for l in range(6):
+            routes = _local_boundaries(seq, l, ratio)
+            if routes is None:
+                continue
+            boundary, local, bound = routes
+            assert local.shape == boundary.shape == (3 * (3**l - 1), 2)
+            assert np.all(np.max(np.abs(local - boundary), axis=1) <= bound), (ratio, l)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seq=LOCAL_SEQUENCES)
+@example(seq=EDGE_SEQ)
+def test_local_defects_separate_the_harmonic_ratio(seq):
+    # Harmonic: every relative defect under the gate's float bound and
+    # every cable end on its cell corner.  Off-ratio: at least 1e-3; on the
+    # fixture regimes that is ten orders of magnitude above the bound (the
+    # bound grows with sum |log eps_k|: 3e-13 with a level at 1e-100).
+    for l in (1, 3, 5, 12):
+        bound = harmonicity._defect_bound(seq, l)
+        for ratio in RATIOS:
+            local = _local_defects_or_none(seq, l, ratio)
+            if local is None:
+                continue
+            r, scale, gap = local
+            defect = np.hypot(r[..., 0], r[..., 1]) / scale
+            assert defect.shape == gap.shape == (l, 6)
+            if ratio == RATIOS[0]:
+                assert np.max(defect) <= bound and np.max(gap) <= harmonicity._CLOSURE_TOL, l
+            else:
+                floor = 1e10 * bound if seq in ALL_REGIMES else 0.0
+                assert np.min(defect) >= max(1e-3, floor), (ratio, l)
