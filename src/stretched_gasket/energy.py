@@ -25,21 +25,33 @@ with S the Gram matrix of the three sides of a cell, G_k that of the
 three generation-k cables and w(k, l) = b / (eps_tilde(k, l) (1 - eps_k)).
 One pass to depth L gives every E_l, l <= L, in O(L D^3); the edge sum
 costs O(3^l) and a backward fold of the forms (the pass's adjoint, kept as
-a test oracle) O(l D^3) per depth.  The pass builds its matrices in
-stacked evaluations, not one generation at a time: one evaluation of the
-monomial jets per derivative order along the three sides and the cables
-of every generation 1..L at once, one batched product for all L + 1
-Grams, and each level's three pullbacks in one pass over the monomials;
-the bits are those of the per-generation products.  The Gram
-entries are integrals of derivatives along straight segments, evaluated
-with the caller's Gauss rule, so every rule gives the numbers the edge sum
-gives; the rule must be exact for the field degrees (``min_quad_order``).
+a test oracle) O(l D^3) per depth.
+
+Level k's three pullbacks and its cable Grams depend on eps_k alone, the
+side Grams on nothing but the degree and the rule, so every pass reads
+them from one table cache (``_TABLES``): a level's entry is keyed on
+(log eps_k, d, rule), the side's on (d, rule), the rule by its node and
+weight bytes, and least recently used entries leave once the tables
+held pass ``_TABLE_BUDGET`` (64 MiB).  A pass builds whatever it misses
+in stacked evaluations, not one level at a time: the pullbacks of every
+missing level in one pass over the monomials, and their cable Grams (and
+the side Grams) from one evaluation of the monomial jets per derivative
+order and one batched product; the bits are those of the per-map and
+per-generation products, so a result does not depend on what the cache
+holds.  Before allocating, a pass estimates its dense working set (D x D
+tables and moments) and refuses one above ``_PASS_BUDGET`` (512 MiB)
+with ``WorkingSetTooLarge``.  The Gram entries are integrals of
+derivatives along straight segments, evaluated with the caller's Gauss
+rule, so every rule gives the numbers the edge sum gives; the rule must
+be exact for the field degrees (``min_quad_order``).
 The contraction uses exact compensated summation (math.fsum), and the
 symmetrized moment has the same bits for (u, v) and (v, u), so
 E(u, v) == E(v, u) exactly.
 
 The one-step recurrence and self-similarity residuals read their
-generation-1 cable term from the same pass.  The batched edge tableau
+generation-1 cable term from the left side's pass, and run the right
+side's three pulled-back fields (u o F^1_i, v o F^1_i) as one stacked
+pass on the shifted sequence.  The batched edge tableau
 (``_tableau``, a view of the geometry module's world arrays) remains only
 for the tests' edge-by-edge routes in ``tests/oracles.py``.
 
@@ -51,11 +63,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthCapExceeded
+from .errors import DepthCapExceeded, WorkingSetTooLarge
 from .geometry import (
     DEFAULT_DEPTH_CAP,
     _SIDE_FROM,
@@ -232,14 +245,6 @@ def _map_pullback(amap: AffineMap2, d: int, *, to_world: bool = False) -> np.nda
     return _pullback((amap,), d, to_world=to_world)[0]
 
 
-@functools.lru_cache(maxsize=64)
-def _level_pullbacks(eps: float, d: int) -> np.ndarray:
-    """(3, D, D): pullback matrices of the three level maps at stretch eps."""
-    out = _pullback(triple(eps), d)
-    out.flags.writeable = False
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def _centering(d: int) -> np.ndarray:
     """Pullback by the identity from the plain to the centered basis."""
@@ -295,40 +300,148 @@ def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, quad: QuadratureRule, 
     return dx * dx * pxx + 2.0 * dx * dy * pxy + dy * dy * pyy
 
 
-def _grams(seq: ParamSeq, l_max: int, d: int, quad: QuadratureRule, orders) -> dict:
-    """Side and cable Grams for each derivative-order pair, from stacked evaluations.
+def _grams(seq: ParamSeq, groups: list[int], d: int, quad: QuadratureRule, pairs) -> dict:
+    """Gram stacks of segment groups for each derivative-order pair, from stacked evaluations.
 
-    Returns, for each (left, right) of ``orders``, an (l_max + 1, D, D)
-    stack: group 0 the three sides of a cell, group k the three
-    generation-k cables, each summing over its segments the quadrature of
-    (m_a o z)^(left) (m_b o z)^(right).  One ``_segment_jets`` evaluation
-    per derivative order serves every group and pair, and one batched
-    product gives every group's Gram.
+    Group 0 is the three sides of a cell (listed first when present),
+    group k >= 1 the three generation-k cables.  Returns, for each (left,
+    right) of ``pairs``, a (len(groups), D, D) stack, each Gram summing
+    over its segments the quadrature of (m_a o z)^(left) (m_b o z)^(right).
+    One ``_segment_jets`` evaluation per derivative order serves every
+    group and pair, and one batched product gives every group's Gram.
     """
-    side_p0, side_dv = _side_arrays()
-    cable_p0, cable_dv = _cable_stack(seq, range(1, l_max + 1))
-    p0 = np.concatenate([side_p0[None], cable_p0]).reshape(-1, 2)
-    dv = np.concatenate([side_dv[None], cable_dv]).reshape(-1, 2)
+    p0, dv = _cable_stack(seq, [g for g in groups if g])
+    if groups and groups[0] == 0:
+        side_p0, side_dv = _side_arrays()
+        p0, dv = np.concatenate([side_p0[None], p0]), np.concatenate([side_dv[None], dv])
+    p0, dv = p0.reshape(-1, 2), dv.reshape(-1, 2)
     jets = {
-        order: _segment_jets(p0, dv, d, quad, order).reshape(_dim(d), l_max + 1, -1).transpose(1, 0, 2)
-        for order in {o for pair in orders for o in pair}
+        order: _segment_jets(p0, dv, d, quad, order).reshape(_dim(d), len(groups), -1).transpose(1, 0, 2)
+        for order in {o for pair in pairs for o in pair}
     }
     w = np.tile(quad.weights.astype(_EXT), 3)
-    return {(left, right): (jets[left] * w) @ jets[right].transpose(0, 2, 1) for left, right in orders}
+    return {(left, right): (jets[left] * w) @ jets[right].transpose(0, 2, 1) for left, right in pairs}
 
 
-def _cable_weight(seq: ParamSeq, k: int, l: int, constants: Constants, limit: bool) -> float:
-    """b / (eps_tilde(k, l) (1 - eps_k)), or the infinite window for ``limit``."""
-    window, depth = (seq.eps_tilde_inf(k), "infinity") if limit else (seq.eps_tilde(k, l), l)
-    return _quotient(constants.b, window * seq.one_minus_eps(k), f"generation-{k} cable weight at depth {depth}")
+# -- level tables ----------------------------------------------------------
+
+#: Byte budget of the level-table cache ``_TABLES`` (64 MiB).
+_TABLE_BUDGET = 64 << 20
+
+#: Byte budget of one moment pass's dense working set (512 MiB), checked
+#: before anything is allocated: every table and moment is a D x D matrix.
+_PASS_BUDGET = 512 << 20
+
+
+class _TableCache:
+    """Entries of read-only tables (name -> array) by key, bounded in bytes.
+
+    Least recently used entries leave once the arrays held pass ``budget``
+    bytes; an entry larger than the budget is not kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key) -> dict:
+        entry = self._entries.get(key, {})
+        if entry:
+            self._entries.move_to_end(key)
+        return entry
+
+    def add(self, key, tables: dict) -> dict:
+        """Merge ``tables`` into the entry at ``key``; returns the merged entry."""
+        entry = self._entries.pop(key, {})
+        self.nbytes -= _nbytes(entry)
+        entry = {**entry, **tables}
+        size = _nbytes(entry)
+        if size <= self.budget:
+            while self.nbytes + size > self.budget:
+                self.nbytes -= _nbytes(self._entries.popitem(last=False)[1])
+            self._entries[key] = entry
+            self.nbytes += size
+        return entry
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+def _nbytes(entry: dict) -> int:
+    return sum(arr.nbytes for arr in entry.values())
+
+
+_TABLES = _TableCache(_TABLE_BUDGET)
+
+
+def _require_budget(d: int, matrices: int) -> None:
+    """Refuse, before allocating, a pass that holds ``matrices`` D x D matrices beyond ``_PASS_BUDGET``."""
+    need = matrices * _dim(d) ** 2 * np.dtype(_EXT).itemsize
+    if need > _PASS_BUDGET:
+        raise WorkingSetTooLarge(
+            f"fields of degree {d} (D = {_dim(d)} monomials) need about {need / 2**20:.0f} MiB "
+            f"in the moment pass, above its {_PASS_BUDGET >> 20} MiB budget"
+        )
+
+
+def _rule_key(quad: QuadratureRule) -> tuple:
+    """A rule's nodes and weights as dtype and bytes, never its order alone.
+
+    The rule's own arrays, not a longdouble copy: the padding bytes of a
+    converted longdouble array are not defined.
+    """
+    return tuple((arr.dtype.str, arr.tobytes()) for arr in (quad.nodes, quad.weights))
+
+
+def _level_tables(seq: ParamSeq, logs: list[float], d: int, quad: QuadratureRule, pairs) -> tuple[dict, list[dict]]:
+    """The side Grams and, for each level k = 1..len(logs), its pullbacks and cable Grams.
+
+    ``logs[k - 1]`` is log eps_k.  Returns (side, levels): ``side`` maps
+    each pair of ``pairs`` to the side Gram and ``levels[k - 1]`` maps
+    "pullbacks" and each pair to level k's tables.  They come from
+    ``_TABLES``; the missing ones are built together, in one ``_pullback``
+    call and one ``_grams`` evaluation, once per distinct key, and stored.
+    A level is keyed on log eps_k, not eps_k, because its cable length
+    1 - eps_k is expm1 of it.
+    """
+    rule = _rule_key(quad)
+    keys = [(d, rule)] + [(log, d, rule) for log in logs]
+    found = dict(zip(keys, (_TABLES.get(key) for key in keys)))
+    # Group 0 is the side, group k level k; the first level of a key stands for it.
+    pull_groups, gram_groups = {}, {}
+    for g, key in enumerate(keys):
+        if g and "pullbacks" not in found[key]:
+            pull_groups.setdefault(key, g)
+        if any(pair not in found[key] for pair in pairs):
+            gram_groups.setdefault(key, g)
+    new = {key: {} for key in [*pull_groups, *gram_groups]}
+    if pull_groups:
+        maps = [f for g in pull_groups.values() for f in triple(seq.eps(g))]
+        stack = _pullback(maps, d).reshape(len(pull_groups), 3, _dim(d), _dim(d))
+        for key, pulls in zip(pull_groups, stack):
+            new[key]["pullbacks"] = pulls.copy()
+    if gram_groups:
+        missing = [pair for pair in pairs if any(pair not in found[key] for key in gram_groups)]
+        grams = _grams(seq, list(gram_groups.values()), d, quad, missing)
+        for i, key in enumerate(gram_groups):
+            new[key].update({pair: grams[pair][i].copy() for pair in missing})
+    for key, tables in new.items():
+        for arr in tables.values():
+            arr.flags.writeable = False
+        found[key] = _TABLES.add(key, tables)
+    return found[keys[0]], [found[key] for key in keys[1:]]
 
 
 def _top_moment(u: Poly2, v: Poly2, d: int, outer: AffineMap2 | None = None, *, symmetric: bool = True) -> np.ndarray:
     """M_0 = c_u c_v^T, symmetrized for the energy forms.
 
     c_u, c_v are the centered-basis coefficients of u o outer and v o outer.
-    The symmetrized moment has the same bits for (u, v) and (v, u).
+    The symmetrized moment has the same bits for (u, v) and (v, u).  The
+    degree guard runs here too, as callers build the moment before the pass.
     """
+    _require_budget(d, 3)
     pullback = _centering(d) if outer is None else _map_pullback(outer, d, to_world=True)
     top = np.outer(*[pullback @ _plain_coeffs(p, d) for p in (u, v)])
     return 0.5 * (top + top.T) if symmetric else top
@@ -347,11 +460,12 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
     (left, right)); a cell form of None stands for the sides' form a S of
     derivative orders (left, right).  Form f contracts its cell form with
     the depth-l moment of tops[f] and the generation-k cable Gram of orders
-    (left, right), at weight ``_cable_weight(k, l)``, with its depth-(k-1)
-    moment; one ``_grams`` call builds the side and every cable Gram.
-    Yields, for each depth l of ``depths`` in order, the list over f of
-    the elementwise products [cell part, generation-1 part, ...,
-    generation-l part] (``_terms`` splits them for math.fsum).
+    (left, right), at weight w(k, l) = b / (eps_tilde(k, l) (1 - eps_k)),
+    or the infinite window for ``limit``, with its depth-(k-1) moment; the
+    tables come from ``_level_tables``.  Yields, for each depth l of
+    ``depths`` in order, the list over f of the elementwise products [cell
+    part, generation-1 part, ..., generation-l part] (``_terms`` splits
+    them for math.fsum).
     """
     depths = list(depths)
     for l in depths:
@@ -360,21 +474,35 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
         if l > DEFAULT_DEPTH_CAP:
             raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
     l_max = max(depths, default=0)
-    grams = _grams(seq, l_max, d, quad, {order for _, order in forms})
-    cell_forms = [constants.a * grams[order][0] if cell is None else cell for cell, order in forms]
+    pairs = list(dict.fromkeys(order for _, order in forms))
+    # Tables: three pullbacks and a cable Gram per pair for every level, the
+    # side Grams; per form: top, moment, push temporary, cell part per
+    # depth and a cable part per level.
+    _require_budget(d, l_max * (3 + len(pairs)) + len(pairs) + len(forms) * (3 + len(set(depths)) + l_max))
+    logs = [seq.log_eps(k) for k in range(1, l_max + 1)]
+    side, levels = _level_tables(seq, logs, d, quad, pairs)
+    cell_forms = [constants.a * side[order] if cell is None else cell for cell, order in forms]
     cells, cables, moments = {}, [], tops
     for k in range(l_max + 1):
         if k:
-            pulls = _level_pullbacks(seq.eps(k), d)
+            pulls = levels[k - 1]["pullbacks"]
             # np.dot, not matmul: it is the faster longdouble product.
             pushed = [sum(np.dot(p, np.dot(m, p.T)) for p in pulls) for m in moments]
             moments = _quotient(np.stack(pushed), _EXT(seq.lam(k)), f"lam_{k} of the level-{k} moment step")
         if k in depths:
             cells[k] = [cell * m for cell, m in zip(cell_forms, moments)]
         if k < l_max:
-            cables.append([grams[order][k + 1] * m for (_, order), m in zip(forms, moments)])
+            cables.append([levels[k][order] * m for (_, order), m in zip(forms, moments)])
+    # Read once per level, after the pass, so that an underflowing lam_k is
+    # reported first.  The finite windows are exp(fsum) of the logs, as
+    # ParamSeq.eps_tilde forms them; fsum rounds exactly, so the bits agree.
+    lengths = [-math.expm1(log) for log in logs]
+    windows = [seq.eps_tilde_inf(k) for k in range(1, l_max + 1)] if limit else None
     for l in depths:
-        weights = [_cable_weight(seq, k, l, constants, limit) for k in range(1, l + 1)]
+        weights, where = [], "infinity" if limit else l
+        for k in range(1, l + 1):
+            window = windows[k - 1] if limit else math.exp(math.fsum(logs[k - 1 : l]))
+            weights.append(_quotient(constants.b, window * lengths[k - 1], f"generation-{k} cable weight at depth {where}"))
         yield [[cells[l][f]] + [w * gm[f] for w, gm in zip(weights, cables)] for f in range(len(forms))]
 
 
@@ -517,6 +645,18 @@ def energy2_limit(
     return value, cable_tail_bound(seq, s_max, gu, gv, constants)
 
 
+def _pulled_back_rows(seq, l, u, v, quad, constants, *, limit=False) -> list[list[np.ndarray]]:
+    """Depth-l parts of the shifted sequence's form on u o F^1_i, v o F^1_i, i = 1, 2, 3.
+
+    The right-hand side of the one-step identity: the three pulled-back
+    top moments are stacked into one moment pass on ``seq.shift()``.
+    """
+    d = max(u.degree, v.degree, 0)
+    tops = np.stack([_top_moment(u, v, d, f) for f in triple(seq.eps(1))])
+    (halves,) = _contractions(seq.shift(), (l,), d, quad, constants, tops, [(None, (1, 1))] * 3, limit=limit)
+    return halves
+
+
 def recurrence_residual(
     seq: ParamSeq,
     l: int,
@@ -534,8 +674,7 @@ def recurrence_residual(
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
     (whole,) = _energy_rows(seq, (l + 1,), u, v, quad, constants)
-    shifted = seq.shift()
-    parts = [energy_total(shifted, l, u, v, quad, constants, outer=f).total for f in triple(seq.eps(1))]
+    parts = [_report(l, half).total for half in _pulled_back_rows(seq, l, u, v, quad, constants)]
     rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
     return abs(_report(l + 1, whole).total - rhs)
 
@@ -566,9 +705,9 @@ def selfsimilar_residual(
     (whole,) = _energy_rows(seq, (depth,), u, v, quad, constants, limit=True)
     lhs = _report(depth, whole)
     parts, tails = [], [cable_tail_bound(seq, depth, gu, gv, constants)]
-    for f in triple(seq.eps(1)):
+    halves = _pulled_back_rows(seq, depth - 1, u, v, quad, constants, limit=True)
+    for f, half in zip(triple(seq.eps(1)), halves):
         opn = float(np.linalg.norm(f.linear, 2))
-        (half,) = _energy_rows(shifted, (depth - 1,), u, v, quad, constants, f, limit=True)
         rep = _report(depth - 1, half)
         parts.append(rep.e1 + rep.e2)
         tails.append(cable_tail_bound(shifted, depth - 1, gu * opn, gv * opn, constants) / seq.lam(1))

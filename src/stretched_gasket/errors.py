@@ -9,6 +9,10 @@ class DepthCapExceeded(GasketError):
     """Requested enumeration depth is above the configured cap."""
 
 
+class WorkingSetTooLarge(GasketError):
+    """A computation's dense working set would exceed its memory budget."""
+
+
 class DegenerateCable(GasketError):
     """Cable operation at eps = 1, where the cable has length zero."""
 

@@ -11,7 +11,9 @@ tables plus cylinder matrices.  They share no code with the moment pass or
 the gathers beyond the map triples, the cable segments and the quadrature
 rule, so agreement is a real cross-check.  ``fold_backward`` is the moment
 pass's adjoint: the same level pullbacks and Grams, aggregated from the
-bottom cell up.  The nondegeneracy constant has two references: the
+bottom cell up.  The ``*_by_passes`` residuals run one moment pass per
+pulled-back field pair, where the package stacks the three into one.
+The nondegeneracy constant has two references: the
 whole-grid reduction that the blocked grid must reproduce bit for bit,
 and a closed-form inner minimum that bounds its accuracy.
 """
@@ -27,12 +29,15 @@ import numpy as np
 from stretched_gasket.energy import (
     _EXT,
     EnergyReport,
-    _level_pullbacks,
+    _energy_rows,
     _map_pullback,
     _plain_coeffs,
+    _report,
     _segment_jets,
     _split,
     _tableau,
+    cable_tail_bound,
+    energy_total,
     resolve_quadrature,
 )
 from stretched_gasket.errors import DegenerateCable
@@ -57,7 +62,7 @@ from stretched_gasket.harmonicity import ND_GRID, ND_REFINE, _CABLE_ENDS, _CORNE
 from stretched_gasket.kusuoka import _scaled_level, cable_mass, kappa_table, tau_table
 from stretched_gasket.laplacian import laplacian_samples, teplyaev
 from stretched_gasket.params import DEFAULT_CONSTANTS
-from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval
+from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval, sup_bounds
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,7 @@ def fold_backward(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> EnergyRepo
     sides = constants.a * segment_form(*_side_arrays(), d, quad, 1, 1)
     forms = np.stack([sides, np.zeros_like(sides)])
     for k in range(l, 0, -1):
-        pulls = _level_pullbacks(seq.eps(k), d)
+        pulls = [_map_pullback(f, d) for f in triple(seq.eps(k))]
         forms = np.stack([sum(np.dot(p.T, np.dot(h, p)) for p in pulls) for h in forms]) / _EXT(seq.lam(k))
         weight = constants.b / (seq.eps_tilde(k, l) * seq.one_minus_eps(k))
         forms[1] += weight * segment_form(*cable_arrays(seq, k), d, quad, 1, 1)
@@ -188,6 +193,37 @@ def fold_backward(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> EnergyRepo
     cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
     tri, cab = [_split(0.5 * (h + h.T) * np.outer(cu, cv)) for h in forms]
     return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
+
+
+def recurrence_residual_by_passes(seq, l, u, v, quad=None, constants=DEFAULT_CONSTANTS) -> float:
+    """The one-step recurrence defect from four separate moment passes.
+
+    One pass for the depth-(l+1) form and one ``energy_total`` on the
+    shifted sequence for each pulled-back pair (u o F^1_i, v o F^1_i),
+    where the package stacks the three into one pass.
+    """
+    quad = resolve_quadrature(quad, u.degree, v.degree)
+    (whole,) = _energy_rows(seq, (l + 1,), u, v, quad, constants)
+    parts = [energy_total(seq.shift(), l, u, v, quad, constants, outer=f).total for f in triple(seq.eps(1))]
+    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
+    return abs(_report(l + 1, whole).total - rhs)
+
+
+def selfsimilar_residual_by_passes(seq, u, v, depth, quad=None, constants=DEFAULT_CONSTANTS) -> tuple[float, float]:
+    """The self-similar defect and its bound from four separate limit moment passes."""
+    quad = resolve_quadrature(quad, u.degree, v.degree)
+    gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
+    (whole,) = _energy_rows(seq, (depth,), u, v, quad, constants, limit=True)
+    lhs = _report(depth, whole)
+    parts, tails = [], [cable_tail_bound(seq, depth, gu, gv, constants)]
+    for f in triple(seq.eps(1)):
+        opn = float(np.linalg.norm(f.linear, 2))
+        (half,) = _energy_rows(seq.shift(), (depth - 1,), u, v, quad, constants, f, limit=True)
+        rep = _report(depth - 1, half)
+        parts.append(rep.e1 + rep.e2)
+        tails.append(cable_tail_bound(seq.shift(), depth - 1, gu * opn, gv * opn, constants) / seq.lam(1))
+    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
+    return abs(lhs.e1 + lhs.e2 - rhs), math.fsum(tails)
 
 
 def gasket_hessian_sum(seq, depth, phi, v, constants=DEFAULT_CONSTANTS) -> list[float]:

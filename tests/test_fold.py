@@ -6,13 +6,20 @@ the backward fold (the pass's adjoint) to 1e-14; the generation-1 cable
 term of the recurrence residuals is compared with the per-edge
 ``cable_energy``.  The one-step recurrence is not used as the check: it is
 the pass's own identity.  The depth sweeps must equal their single-depth
-rows bit for bit and push the moments once, one level step per depth,
-and build their Grams from one evaluation per derivative order.  The
+rows bit for bit and make one pass; from a cleared table cache a pass
+builds its pullbacks in one stacked call and its Grams from one
+evaluation per derivative order, and a repeat builds nothing.  The
 batched Grams and stacked pullbacks equal the per-generation and per-map
-products bit for bit.
+products bit for bit, and no form depends on what the cache holds: warm
+or cold, past its byte budget, for sequences with equal eps_k but
+different log eps_k, and for a custom rule of a Gauss rule's order.  The
+recurrence residuals' stacked pass equals one pass per pulled-back pair,
+and fields beyond the pass's memory budget are refused before any
+allocation.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +31,9 @@ from stretched_gasket import (
     AffineMap2,
     DepthCapExceeded,
     ExpTail,
+    GasketError,
     ParamSeq,
+    QuadratureRule,
     convergence_rows,
     energy1,
     energy2,
@@ -33,6 +42,8 @@ from stretched_gasket import (
     get_quadrature,
     ibp_table,
     parse,
+    recurrence_residual,
+    selfsimilar_residual,
     triple,
     vanishing_at_ABC,
     vanishing_cubic,
@@ -50,7 +61,9 @@ from oracles import (
     energy_by_edges,
     fold_backward,
     ibp_rhs_by_cells,
+    recurrence_residual_by_passes,
     segment_form,
+    selfsimilar_residual_by_passes,
 )
 
 RTOL = 1e-12
@@ -267,20 +280,33 @@ def test_moment_pass_keeps_the_depth_cap():
 
 
 def test_sweeps_push_the_moments_once(monkeypatch):
-    steps = []
-    lookup = energy._level_pullbacks
+    # A sweep is one pass to its deepest depth.  From a cleared cache it
+    # builds the pullbacks of all ten levels in one stacked call; a repeat
+    # reads them all from the cache and builds none.
+    passes, stacks = [], []
+    tables, pullback = energy._level_tables, energy._pullback
 
-    def counting(eps, d):
-        steps.append(eps)
-        return lookup(eps, d)
+    def counting_tables(seq, logs, *args):
+        passes.append(len(logs))
+        return tables(seq, logs, *args)
 
-    monkeypatch.setattr(energy, "_level_pullbacks", counting)
+    def counting_pullback(maps, d, *, to_world=False):
+        if not to_world:
+            stacks.append(len(maps))
+        return pullback(maps, d, to_world=to_world)
+
+    monkeypatch.setattr(energy, "_level_tables", counting_tables)
+    monkeypatch.setattr(energy, "_pullback", counting_pullback)
     v = vanishing_cubic()
-    convergence_rows(PREFIX_EXP, SWEEP_U, v, 10)
-    assert len(steps) == 10
-    steps.clear()
-    ibp_table(PREFIX_EXP, SWEEP_U, v, range(3, 11))
-    assert len(steps) == 10
+    for sweep in (lambda: convergence_rows(PREFIX_EXP, SWEEP_U, v, 10), lambda: ibp_table(PREFIX_EXP, SWEEP_U, v, range(3, 11))):
+        energy._TABLES.clear()
+        sweep()
+        assert (passes, stacks) == ([10], [30])
+        passes.clear()
+        stacks.clear()
+        sweep()
+        assert (passes, stacks) == ([10], [])
+        passes.clear()
 
 
 def test_sweeps_build_the_grams_once(monkeypatch):
@@ -295,12 +321,20 @@ def test_sweeps_build_the_grams_once(monkeypatch):
     v = vanishing_cubic()
     # One evaluation per derivative order for the sides and all ten cable
     # generations: order 1 serves both sides of the energy Grams (1, 1).
+    # A repeat evaluates no jets.
+    energy._TABLES.clear()
     convergence_rows(PREFIX_EXP, SWEEP_U, v, 10)
     assert orders == [1]
     orders.clear()
+    convergence_rows(PREFIX_EXP, SWEEP_U, v, 10)
+    assert orders == []
     # The energy side's (1, 1) and the measure side's (2, 0) Grams.
+    energy._TABLES.clear()
     ibp_table(PREFIX_EXP, SWEEP_U, v, range(3, 11))
     assert sorted(orders) == [0, 1, 2]
+    orders.clear()
+    ibp_table(PREFIX_EXP, SWEEP_U, v, range(3, 11))
+    assert orders == []
 
 
 # -- batched matrices against the per-generation products ------------------
@@ -310,25 +344,138 @@ def test_sweeps_build_the_grams_once(monkeypatch):
 @example(seq=EDGE_SEQ, d=12, l_max=12, order=12)
 @example(seq=ParamSeq(prefix=(1e-3,), tail=ExpTail(5.0, 0.05)), d=3, l_max=4, order=8)
 def test_batched_grams_equal_the_per_generation_grams(seq, d, l_max, order):
-    # D = (d + 1)(d + 2) / 2 runs up to 91.
+    # D = (d + 1)(d + 2) / 2 runs up to 91.  The cleared cache makes every
+    # Gram come from one stacked build.
     quad = get_quadrature(order)
-    grams = energy._grams(seq, l_max, d, quad, [(1, 1), (2, 0)])
-    for orders, stack in grams.items():
-        assert stack.shape == (l_max + 1, energy._dim(d), energy._dim(d))
-        assert np.array_equal(stack[0], segment_form(*_side_arrays(), d, quad, *orders))
+    energy._TABLES.clear()
+    side, levels = energy._level_tables(seq, _logs(seq, l_max), d, quad, [(1, 1), (2, 0)])
+    for orders in ((1, 1), (2, 0)):
+        assert side[orders].shape == (energy._dim(d), energy._dim(d))
+        assert np.array_equal(side[orders], segment_form(*_side_arrays(), d, quad, *orders))
         for k in range(1, l_max + 1):
-            assert np.array_equal(stack[k], segment_form(*cable_arrays(seq, k), d, quad, *orders)), (orders, k)
+            assert np.array_equal(levels[k - 1][orders], segment_form(*cable_arrays(seq, k), d, quad, *orders)), (orders, k)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(seq=SEQUENCES, d=st.integers(0, 12))
 @example(seq=EDGE_SEQ, d=12)
 def test_stacked_level_pullbacks_equal_the_single_map_pullbacks(seq, d):
+    energy._TABLES.clear()
+    _, levels = energy._level_tables(seq, _logs(seq, 3), d, get_quadrature(), [])
     for k in range(1, 4):
-        eps = seq.eps(k)
-        stacked = energy._level_pullbacks.__wrapped__(eps, d)
-        assert np.array_equal(stacked, np.stack([energy._map_pullback(f, d) for f in triple(eps)])), k
+        want = np.stack([energy._map_pullback(f, d) for f in triple(seq.eps(k))])
+        assert np.array_equal(levels[k - 1]["pullbacks"], want), k
     assert np.array_equal(energy._centering(d), energy._map_pullback(AffineMap2.identity(), d, to_world=True))
+
+
+def _logs(seq, l_max):
+    return [seq.log_eps(k) for k in range(1, l_max + 1)]
+
+
+# -- the level-table cache -------------------------------------------------
+
+#: Equal eps_1, different log eps_1: a tail value and the prefix value exp(log eps_1).
+TAIL_LEVEL = ParamSeq(prefix=(), tail=ExpTail(1e-3, 0.5))
+PREFIX_LEVEL = ParamSeq(prefix=(math.exp(TAIL_LEVEL.log_eps(1)),), tail=ExpTail(1e-3, 0.5))
+
+
+def _outputs(seq, quad=None):
+    """Forms that read every kind of table: (1, 1) and (2, 0) Grams, finite and limit windows."""
+    v = vanishing_cubic()
+    out = [energy_total(seq, 6, SWEEP_U, v, quad), ibp_table(seq, SWEEP_U, v, (2, 5), quad), weak_pairing(seq, 4, SWEEP_U, v, quad=quad)]
+    return out + [energy2_limit(seq, SWEEP_U, v, 5, quad)] if seq.has_tail_product else out
+
+
+def _cold(seq, quad=None):
+    energy._TABLES.clear()
+    return _outputs(seq, quad)
+
+
+def test_forms_keep_their_bits_on_a_warm_cache():
+    cases = [(seq, quad) for seq in SEQS for quad in (None, get_quadrature(5))]
+    cold = [_cold(seq, quad) for seq, quad in cases]
+    energy._TABLES.clear()
+    # Other degrees and rules warm the cache first, then every case runs twice.
+    for seq in SEQS:
+        energy_total(seq, 9, parse("x^7 - y^5"), parse("x*y^6"))
+        weak_pairing(seq, 3, SWEEP_U, vanishing_cubic(), quad=get_quadrature(11))
+    for _ in range(2):
+        assert [_outputs(seq, quad) for seq, quad in reversed(cases)] == cold[::-1]
+
+
+def test_equal_eps_with_different_logs_share_no_tables():
+    a, b = TAIL_LEVEL, PREFIX_LEVEL
+    assert a.eps(1) == b.eps(1) and a.log_eps(1) != b.log_eps(1)
+    # Their generation-1 cables differ, so a shared entry would be wrong.
+    quad = get_quadrature()
+    energy._TABLES.clear()
+    grams = [energy._level_tables(seq, _logs(seq, 1), 3, quad, [(1, 1)])[1][0][(1, 1)] for seq in (a, b)]
+    assert not np.array_equal(*grams)
+    cold = [_cold(a), _cold(b)]
+    energy._TABLES.clear()
+    assert [_outputs(seq) for seq in (a, b, a, b)] == cold * 2
+
+
+def test_a_custom_rule_of_a_gauss_order_shares_no_tables():
+    gauss = get_quadrature(8)
+    nine = QuadratureRule.gauss(9)
+    custom = QuadratureRule(8, nine.nodes, nine.weights)
+    # Equal nodes and weights share a key, whatever the object and
+    # whatever bytes freed memory held before the key was taken.
+    assert _key_after(QuadratureRule.gauss(8), 0x00) == _key_after(gauss, 0xAB) != _key_after(custom, 0xAB)
+    energy._TABLES.clear()
+    sides = [energy._level_tables(PREFIX_EXP, [], 3, quad, [(1, 1)])[0][(1, 1)] for quad in (gauss, custom)]
+    assert not np.array_equal(*sides)
+    cold = [_cold(PREFIX_EXP, gauss), _cold(PREFIX_EXP, custom)]
+    energy._TABLES.clear()
+    assert [_outputs(PREFIX_EXP, quad) for quad in (gauss, custom, gauss, custom)] == cold * 2
+
+
+def _key_after(quad, byte):
+    np.frombuffer(bytes([byte]) * 128, dtype=np.uint8).copy()
+    return energy._rule_key(quad)
+
+
+def test_the_cache_stays_within_its_budget(monkeypatch):
+    cases = [(seq, quad) for seq in SEQS for quad in (None, get_quadrature(5))]
+    cold = [_cold(seq, quad) for seq, quad in cases]
+    # Degree 12 (D = 91): one level's pullbacks alone pass the budget.
+    high = parse("x^12 + y^7")
+
+    def fill(cache):
+        monkeypatch.setattr(energy, "_TABLES", cache)
+        for (seq, quad), want in zip(cases, cold):
+            assert _outputs(seq, quad) == want
+            energy_total(seq, 3, high, high)
+            held = sum(arr.nbytes for entry in cache._entries.values() for arr in entry.values())
+            assert held == cache.nbytes <= cache.budget
+
+    unbounded = energy._TableCache(1 << 40)
+    fill(unbounded)
+    small = energy._TableCache(256 << 10)
+    assert unbounded.nbytes > 4 * small.budget
+    fill(small)
+    assert small._entries
+
+
+# -- the fused residuals against one pass per pulled-back pair --------------
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seq=SEQUENCES, l=st.integers(0, 6), high=st.booleans())
+@example(seq=EDGE_SEQ, l=6, high=True)
+def test_fused_residuals_equal_the_three_pass_routes(seq, l, high):
+    # Equal bits, or the same refusal (a tiny prefix value underflows lam_1).
+    u, v = (parse("x^6 - 2*x*y^3 + y"), parse("x^2*y^3")) if high else (SWEEP_U, vanishing_cubic())
+    assert _outcome(recurrence_residual, seq, l, u, v) == _outcome(recurrence_residual_by_passes, seq, l, u, v)
+    assert _outcome(selfsimilar_residual, seq, u, v, l + 1) == _outcome(selfsimilar_residual_by_passes, seq, u, v, l + 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GasketError as exc:
+        return type(exc), str(exc)
 
 
 # -- quadrature order against field degrees --------------------------------
@@ -385,3 +532,31 @@ def test_memory_stays_bounded_at_the_depth_cap():
     assert peak < limit, peak
     peak = _traced_peak(lambda: ibp_table(TAIL_ONLY, u, v, range(3, 11)))
     assert peak < limit, peak
+
+
+def test_a_degree_beyond_the_pass_budget_is_refused(capsys):
+    # D = 20,301 monomials: one D x D moment alone is 6.6 GB.  The refusal
+    # comes before any D x D allocation.
+    from stretched_gasket.cli import main
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(["energy", "--u", "x^2", "--v", "y^200", "--depth", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1 and "D = 20301" in err and "512 MiB budget" in err, (code, err)
+    assert elapsed < 1.0 and peak < 16 * 2**20, (elapsed, peak)
+
+
+def test_degree_30_still_runs_at_depth_2():
+    # D = 496: about 70 MiB of tables and moments, inside the budget.  Both
+    # routes lose digits to the expanded coefficients at this degree (5.5e-8
+    # apart on this field), so they are compared to 1e-6.
+    u = parse("(x-0.3)^30 + y^30")
+    got = energy_total(PREFIX_EXP, 2, u, u)
+    want, _ = energy_by_edges(PREFIX_EXP, 2, u, u, get_quadrature(min_quad_order(30, 30)))
+    assert got.total == pytest.approx(want.total, rel=1e-6)
