@@ -201,7 +201,7 @@ def _edges_json(depth, edges) -> dict:
 def cmd_geometry(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 2, int)
     shade = args.shade or cfg.get("shade", "") == "true"
-    kappas = kus_mod.kappa_table(seq, depth) if shade else None
+    kappas = kus_mod.kappa_table(depth) if shade else None
     edges = prefractal_edges(seq, depth, constants)
     _emit(_svg_text(depth, edges, kappas), args.out)
     if args.json is not None:
@@ -265,8 +265,8 @@ def cmd_ruelle(args, cfg, seq, constants) -> int:
 
 def cmd_kusuoka(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 3, int)
-    taus = kus_mod.tau_table(seq, depth)
-    kappas = kus_mod.kappa_table(seq, depth)
+    taus = kus_mod.tau_table(depth)
+    kappas = kus_mod.kappa_table(depth)
     words = _word_lists(depth)[depth]
     rows = zip(words, _reprs(kappas), _reprs(taus[:, 0, 0]), _reprs(taus[:, 0, 1]), _reprs(taus[:, 1, 1]))
     _emit(_csv_text(["word", "kappa", "tau11", "tau12", "tau22"], rows), args.out)

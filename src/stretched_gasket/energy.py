@@ -68,13 +68,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthCapExceeded, WorkingSetTooLarge
+from .errors import WorkingSetTooLarge
 from .geometry import (
-    DEFAULT_DEPTH_CAP,
     _SIDE_FROM,
     AffineMap2,
     _cable_stack,
     _quotient,
+    _require_depth,
     _side_arrays,
     _world,
     barycenter,
@@ -469,10 +469,7 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
     """
     depths = list(depths)
     for l in depths:
-        if l < 0:
-            raise ValueError(f"depth must be >= 0, got {l}")
-        if l > DEFAULT_DEPTH_CAP:
-            raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
+        _require_depth(l)
     l_max = max(depths, default=0)
     pairs = list(dict.fromkeys(order for _, order in forms))
     # Tables: three pullbacks and a cable Gram per pair for every level, the
@@ -731,8 +728,7 @@ def convergence_rows(
     cable reweighting and one new cable generation.  Every row comes from
     one moment pass to l_max.
     """
-    if l_max < 0:
-        raise ValueError(f"depth must be >= 0, got {l_max}")
+    _require_depth(l_max)
     quad = resolve_quadrature(quad, u.degree, v.degree)
     gu, hu = sup_bounds(u)
     gv, hv = sup_bounds(v)

@@ -204,6 +204,14 @@ def _images(lin: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (lin[:, None] @ vecs[..., None])[..., 0]
 
 
+def _require_depth(l: int) -> None:
+    """Refuse a depth below 0 (ValueError) or past the cap (DepthCapExceeded)."""
+    if l < 0:
+        raise ValueError(f"depth must be >= 0, got {l}")
+    if l > DEFAULT_DEPTH_CAP:
+        raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
+
+
 @functools.lru_cache(maxsize=64)
 def word_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
     """Batched affine parts of all depth-l compositions, in word order.
@@ -212,10 +220,7 @@ def word_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
     row word_index(w) holds the linear part and offset of F_w.  Arrays are
     read-only; callers must copy before mutating.
     """
-    if l < 0:
-        raise ValueError(f"depth must be >= 0, got {l}")
-    if l > DEFAULT_DEPTH_CAP:
-        raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
+    _require_depth(l)
     lin = np.eye(2)[None, :, :].copy()
     off = np.zeros((1, 2))
     for k in range(1, l + 1):

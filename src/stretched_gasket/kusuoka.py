@@ -11,7 +11,11 @@ adjoint route to the cylinder matrices is a test oracle
 
 Cylinder matrices tau([w]) = DF_w (Id/2) DF_w^t / lam_tilde(l) define
 the gasket-part matrix measure; their traces kappa([w]) form a
-probability vector on each level, consistent under refinement.  Cables
+probability vector on each level, consistent under refinement.  They
+take no sequence: T_i / sqrt(lam_k) = sqrt(3/5) B_i at every level, with
+B_1 = diag(1, 1/3) and B_2, B_3 = [[1/2, +-sqrt3/6], [+-sqrt3/6, 5/6]], so
+tau([w]) = (1/2) (3/5)^l P_w P_w^t for P_w = B_{w_1} ... B_{w_l}; the B_i
+have singular values 1 and 1/3, so kappa([w]) >= 15^-l.  Cables
 carry rank-one matrix masses aligned with their mapped tangents:
 ``cable_masses`` gives a generation's masses and unit directions as
 arrays, ``cable_mass`` one cable as a ``CableMass``.  The combined
@@ -30,8 +34,10 @@ import numpy as np
 from .energy import _energy_rows, _terms, resolve_quadrature
 from .errors import DegenerateCable
 from .geometry import (
+    DEFAULT_DEPTH_CAP,
     _images,
     _quotient,
+    _require_depth,
     _triple_index,
     barycenter,
     cable_prefactor_limit,
@@ -51,6 +57,11 @@ SYM_BASIS = (
 )
 for _m in SYM_BASIS:
     _m.flags.writeable = False
+
+#: The level factors B_1, B_2, B_3 in longdouble, built entrywise (B_2, B_3 exact mirror images).
+_ROOT, _THIRD, _FIVE_SIXTHS = np.sqrt(np.longdouble(3)) / 6, np.longdouble(1) / 3, np.longdouble(5) / 6
+_LEVEL_FACTORS = np.array([[[1, 0], [0, _THIRD]], [[0.5, _ROOT], [_ROOT, _FIVE_SIXTHS]], [[0.5, -_ROOT], [-_ROOT, _FIVE_SIXTHS]]])
+_LEVEL_FACTORS.flags.writeable = False
 
 #: Convergence tolerance and iteration cap of the Perron power iteration.
 PERRON_RTOL = 1e-14
@@ -153,16 +164,6 @@ class CableMass:
     projection: np.ndarray
 
 
-def _scaled_level(seq: ParamSeq, k: int) -> np.ndarray:
-    """(3, 2, 2): the level-k linear parts T_i / sqrt(lam_k).
-
-    Scaling each factor keeps every product of them O(1), so cylinder
-    matrices stay well conditioned at any depth the cap allows.
-    """
-    scale = _quotient(1.0, math.sqrt(seq.lam(k)), f"level-{k} factor scale 1/sqrt(lam_{k})")
-    return np.stack([f.linear * scale for f in triple(seq.eps(k))])
-
-
 def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Broadcast 2x2 products a @ b as the explicit sum (0.0 + a_0 b_0) + a_1 b_1.
 
@@ -174,64 +175,59 @@ def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (0.0 + a[..., :, 0, None] * b[..., None, 0, :]) + a[..., :, 1, None] * b[..., None, 1, :]
 
 
-@functools.lru_cache(maxsize=64)
-def _scaled_linears(seq: ParamSeq, l: int) -> np.ndarray:
-    """Products of the scaled level factors for all length-l words, lexicographic."""
-    if l < 0:
-        raise ValueError(f"depth must be >= 0, got {l}")
-    out = np.eye(2)[None, :, :]
+def _level_scale(l: int) -> float:
+    """(1/2) (3/5)^l, correctly rounded (one integer quotient)."""
+    return 3**l / (2 * 5**l)
+
+
+@functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
+def _scaled_linears(l: int) -> np.ndarray:
+    """Products P_w of the level factors for all length-l words, lexicographic,
+    multiplied in longdouble and rounded once (one letter at a time, the
+    deepest level straight into doubles, to bound the transient memory)."""
+    _require_depth(l)
+    out = np.eye(2, dtype=np.longdouble)[None, :, :]
     for k in range(1, l + 1):
-        out = _product2(out[:, None], _scaled_level(seq, k)).reshape(-1, 2, 2)
+        new = np.empty((len(out), 3, 2, 2), np.float64 if k == l else np.longdouble)
+        for i, factor in enumerate(_LEVEL_FACTORS):
+            new[:, i] = _product2(out, factor)
+        out = new.reshape(-1, 2, 2)
+    out = np.asarray(out, np.float64)
     out.flags.writeable = False
     return out
 
 
-def gibbs_tau(seq: ParamSeq, word: tuple[int, ...]) -> CylinderMass:
-    """Cylinder mass from the closed form: renormalized DF (Id/2) DF^t.
+def gibbs_tau(word: tuple[int, ...]) -> CylinderMass:
+    """Cylinder mass (1/2) (3/5)^l P_w P_w^t of a word of any length, from its l factors.
 
-    Multiplies the word's l scaled level factors, O(l).  The empty word
-    returns tau = Id/2 with kappa = 1, the normalization that makes each
-    level a probability vector.
-    """
-    # _product2, as in _scaled_linears and tau_table, so tau is bit-identical
-    # to the word's tau_table row.
-    m = np.eye(2)
-    for k, letter in enumerate(word, start=1):
-        m = _product2(m, _scaled_level(seq, k)[_triple_index(letter)])
-    tau = 0.5 * _product2(m, m.T)
+    The empty word gives tau = Id/2, kappa = 1: each level is a probability vector."""
+    # The arithmetic of _scaled_linears and tau_table: the tau_table row's bits.
+    m = np.eye(2, dtype=np.longdouble)
+    for letter in word:
+        m = _product2(m, _LEVEL_FACTORS[_triple_index(letter)])
+    m = m.astype(np.float64)
+    tau = _level_scale(len(word)) * _product2(m, m.T)
     return CylinderMass(word, tau, float(np.trace(tau)))
 
 
-def kappa(seq: ParamSeq, word: tuple[int, ...]) -> float:
+def kappa(word: tuple[int, ...]) -> float:
     """Cylinder mass kappa([word]) = tr tau([word])."""
-    return gibbs_tau(seq, word).kappa
+    return gibbs_tau(word).kappa
 
 
-@functools.lru_cache(maxsize=64)
-def kappa_table(seq: ParamSeq, l: int) -> np.ndarray:
+@functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
+def kappa_table(l: int) -> np.ndarray:
     """All level-l cylinder masses, lexicographic.  Sums to 1."""
-    mats = _scaled_linears(seq, l)
-    out = 0.5 * np.einsum("wab,wab->w", mats, mats)
+    mats = _scaled_linears(l)
+    out = _level_scale(l) * np.einsum("wab,wab->w", mats, mats)
     out.flags.writeable = False
     return out
 
 
-def tau_table(seq: ParamSeq, l: int) -> np.ndarray:
+def tau_table(l: int) -> np.ndarray:
     """All level-l cylinder matrices, (3^l, 2, 2), lexicographic."""
-    mats = _scaled_linears(seq, l)
-    return 0.5 * _product2(mats, mats.swapaxes(1, 2))
-
-
-def hs_norm_sq_sum(seq: ParamSeq, l: int) -> float:
-    """Sum of squared Frobenius norms of all depth-l derivative products.
-
-    The sum is tr of the l level operators applied to Id, so it equals
-    2 lam_tilde(l) because Id is the eigenmatrix of every level operator
-    with eigenvalue lam_k = (3/5) eps_k^2, which holds for the harmonic
-    family only (ratio 1/3).  The cable tail bounds rest on this identity.
-    """
-    lin, _ = word_table(seq, l)
-    return float(np.einsum("wab,wab->", lin, lin))
+    mats = _scaled_linears(l)
+    return _level_scale(l) * _product2(mats, mats.swapaxes(1, 2))
 
 
 def cable_mass(
@@ -302,7 +298,7 @@ def energy_via_measure(
     centers = np.einsum("wab,b->wa", lin, barycenter()) + off
     gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
     gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
-    taus = tau_table(seq, depth)
+    taus = tau_table(depth)
     gasket = (
         taus[:, 0, 0] * gux * gvx
         + taus[:, 0, 1] * (gux * gvy + guy * gvx)

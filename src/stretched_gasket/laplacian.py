@@ -4,10 +4,13 @@ On the gasket part the Laplacian of a C^2 field is the trace of its
 Hessian against the normalized cylinder density tau/kappa; on a cable it
 is the second derivative along the cable direction, the trace against
 the rank-one projection.  Both densities have unit trace, so the
-Laplacian is bounded by twice the Hessian sup.  ``laplacian_samples``
-reads all carriers at once from the cylinder and map tables and the cable
-mass arrays and returns them as one record array, a row per carrier;
-``teplyaev`` samples one carrier as a ``LaplacianSample``.
+Laplacian is bounded by twice the Hessian sup.  The cell density is
+P_w P_w^t / |P_w|_F^2 for P_w = B_{w_1} ... B_{w_l}, B_1 = diag(1, 1/3),
+B_2, B_3 = [[1/2, +-sqrt3/6], [+-sqrt3/6, 5/6]], and kappa_w >= 15^-l, so
+only ``teplyaev`` (one word, no depth cap) can meet an underflowed mass.
+``laplacian_samples`` reads all carriers at once from the cylinder and map
+tables and the cable mass arrays and returns them as one record array, a
+row per carrier; ``teplyaev`` samples one carrier as a ``LaplacianSample``.
 
 The integration-by-parts defect pairs the depth form with the
 discretized integral of (Laplacian of phi) times v against the depth
@@ -47,7 +50,7 @@ from .kusuoka import CableMass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
 
-#: Cylinder masses below this count as underflowed: tau / kappa is then refused.
+#: Cylinder masses below this count as underflowed: ``teplyaev`` refuses tau / kappa.
 KAPPA_FLOOR = 1e-300
 
 
@@ -77,7 +80,7 @@ def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
     onto the cable direction, at the midpoint).
     """
     if isinstance(carrier, tuple) and all(isinstance(i, int) for i in carrier):
-        cm = gibbs_tau(seq, carrier)
+        cm = gibbs_tau(carrier)
         if cm.kappa < KAPPA_FLOOR:
             raise ArithmeticError(f"cylinder mass underflow at word {carrier}")
         t_tilde = cm.tau / cm.kappa
@@ -160,12 +163,8 @@ def laplacian_samples(
     cable), the location ``x``, ``y``, the unit-trace density ``t11``,
     ``t12``, ``t22`` and the Laplacian ``value``.
     """
-    taus = tau_table(seq, depth)
+    taus = tau_table(depth)
     kappas = taus[:, 0, 0] + taus[:, 1, 1]
-    low = np.flatnonzero(kappas < KAPPA_FLOOR)
-    if low.size:
-        word = tuple(int(low[0]) // 3 ** (depth - 1 - n) % 3 + 1 for n in range(depth))
-        raise ArithmeticError(f"cylinder mass underflow at word {word}")
     lin, off = word_table(seq, depth)
     cells = np.arange(len(kappas))
     ids = [np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)])]  # (generation, word, slot)

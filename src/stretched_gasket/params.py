@@ -28,10 +28,11 @@ _ONE_BELOW = math.nextafter(1.0, 0.0)
 
 @dataclass(frozen=True)
 class ExpTail:
-    """Tail rule eps_i = exp(-c * r^i); requires c > 0 and 0 < r < 1."""
+    """Tail rule eps_i = exp(-c * r^(i + skipped)); c > 0, 0 < r < 1, ``skipped`` set by ParamSeq.shift."""
 
     c: float
     r: float
+    skipped: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not (self.c > 0.0) or not math.isfinite(self.c):
@@ -83,7 +84,7 @@ class ParamSeq:
         if i <= len(self.prefix):
             return math.log(self.prefix[i - 1])
         if isinstance(self.tail, ExpTail):
-            return -self.tail.c * self.tail.r**i
+            return -self.tail.c * self.tail.r ** (i + self.tail.skipped)
         return math.log(self.tail.value)
 
     def eps(self, i: int) -> float:
@@ -135,7 +136,7 @@ class ParamSeq:
         terms = [math.log(self.prefix[i - 1]) for i in range(s, k + 1)]
         # Geometric tail: sum_{i >= max(s, K+1)} c * r^i = c * r^m / (1 - r).
         m = max(s, k + 1)
-        terms.append(-self.tail.c * self.tail.r**m / (1.0 - self.tail.r))
+        terms.append(-self.tail.c * self.tail.r ** (m + self.tail.skipped) / (1.0 - self.tail.r))
         return math.fsum(terms)
 
     @property
@@ -160,21 +161,19 @@ class ParamSeq:
         k = len(self.prefix)
         terms = [self.one_minus_eps(i) for i in range(s_from, k + 1)]
         m = max(s_from, k + 1)
-        terms.append(self.tail.c * self.tail.r**m / (1.0 - self.tail.r))
+        terms.append(self.tail.c * self.tail.r ** (m + self.tail.skipped) / (1.0 - self.tail.r))
         return math.fsum(terms)
 
     # -- structure ---------------------------------------------------------
 
     def shift(self) -> "ParamSeq":
-        """Drop eps_1: the sequence whose i-th value is eps_{i+1}.
-
-        The exponential tail is indexed by the absolute level, so it must
-        advance along with the prefix: exp(-c r^(i+1)) = exp(-(c r) r^i).
-        """
-        if isinstance(self.tail, ExpTail):
-            tail = ExpTail(self.tail.c * self.tail.r, self.tail.r)
-        else:
-            tail = self.tail
+        """Drop eps_1: the sequence whose i-th value is eps_{i+1}, bit for bit (an
+        exponential tail counts the dropped level: exp(-(c r) r^i) would round
+        differently from exp(-c r^(i+1)))."""
+        tail = self.tail
+        if isinstance(tail, ExpTail):
+            tail = ExpTail(tail.c, tail.r)
+            object.__setattr__(tail, "skipped", self.tail.skipped + 1)
         return ParamSeq(prefix=self.prefix[1:], tail=tail)
 
     def validate_strict(self, depth: int) -> None:
@@ -193,7 +192,10 @@ class ParamSeq:
     def describe(self) -> dict:
         """JSON-friendly description of the sequence."""
         if isinstance(self.tail, ExpTail):
-            tail = {"kind": "exp", "c": self.tail.c, "r": self.tail.r}
+            c = self.tail.c  # a shifted tail reports c r^skipped, one factor r at a time
+            for _ in range(self.tail.skipped):
+                c *= self.tail.r
+            tail = {"kind": "exp", "c": c, "r": self.tail.r}
         else:
             tail = {"kind": "const", "value": self.tail.value}
         return {"prefix": list(self.prefix), "tail": tail}

@@ -15,14 +15,21 @@ bottom cell up.  The ``*_by_passes`` residuals run one moment pass per
 pulled-back field pair, where the package stacks the three into one.
 The nondegeneracy constant has two references: the
 whole-grid reduction that the blocked grid must reproduce bit for bit,
-and a closed-form inner minimum that bounds its accuracy.
+and a closed-form inner minimum that bounds its accuracy.  The cylinder
+tables have three: einsum contractions of the same fixed level factors
+(bit for bit), each sequence's own scaled map products (to rounding), and
+the exact cylinder matrices in Q(sqrt3), rounded to 50 digits only when
+compared.
 """
 
 import csv
+import decimal
+import functools
 import io
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,7 +66,7 @@ from stretched_gasket.geometry import (
     word_table,
 )
 from stretched_gasket.harmonicity import ND_GRID, ND_REFINE, _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNERS
-from stretched_gasket.kusuoka import _scaled_level, cable_mass, kappa_table, tau_table
+from stretched_gasket.kusuoka import _LEVEL_FACTORS, _level_scale, cable_mass, kappa_table, tau_table
 from stretched_gasket.laplacian import laplacian_samples, teplyaev
 from stretched_gasket.params import DEFAULT_CONSTANTS
 from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval, sup_bounds
@@ -237,7 +244,7 @@ def gasket_hessian_sum(seq, depth, phi, v, constants=DEFAULT_CONSTANTS) -> list[
     centers = np.einsum("wab,b->wa", lin, barycenter()) + off
     xs, ys = centers[:, 0], centers[:, 1]
     hxx, hxy, hyy = hess_batch(phi, xs, ys)
-    taus = tau_table(seq, depth)
+    taus = tau_table(depth)
     pair = taus[:, 0, 0] * hxx + 2.0 * taus[:, 0, 1] * hxy + taus[:, 1, 1] * hyy
     vals = 3.0 * constants.a * pair * v.eval_batch(xs, ys)
     return vals.tolist()
@@ -380,15 +387,15 @@ def _csv_by_rows(header, rows) -> str:
     return buf.getvalue()
 
 
-def kusuoka_text_by_rows(seq, depth):
+def kusuoka_text_by_rows(depth):
     """The ``kusuoka`` table and its --json summary, rendered row by row.
 
     Word tuples from ``iter_words`` joined, repr(float(...)) per cell and
     ``csv.writer`` with CRLF line ends, from the library's tau and kappa
     tables.  Returns (csv text, json text).
     """
-    taus = tau_table(seq, depth)
-    kappas = kappa_table(seq, depth)
+    taus = tau_table(depth)
+    kappas = kappa_table(depth)
     rows = []
     for i, w in enumerate(iter_words(depth)):
         t = taus[i]
@@ -436,7 +443,7 @@ def geometry_text_by_rows(seq, depth, constants=DEFAULT_CONSTANTS):
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">',
     ]
-    table = kappa_table(seq, depth)
+    table = kappa_table(depth)
     top = float(np.max(table))
     for i, word in enumerate(iter_words(depth)):
         amap = compose(seq, word)
@@ -478,26 +485,136 @@ def _side_projection_sum() -> np.ndarray:
     return acc
 
 
-def scaled_linears_by_einsum(seq, l) -> np.ndarray:
-    """``kusuoka._scaled_linears`` as one einsum contraction per level."""
+def scaled_linears_by_einsum(l) -> np.ndarray:
+    """``kusuoka._scaled_linears`` as one longdouble einsum contraction per
+    level over the fixed factors, rounded to double at the end."""
+    out = np.eye(2, dtype=np.longdouble)[None, :, :]
+    for _ in range(l):
+        out = np.einsum("wab,jbc->wjac", out, _LEVEL_FACTORS).reshape(-1, 2, 2)
+    return out.astype(np.float64)
+
+
+def tau_table_by_einsum(l) -> np.ndarray:
+    """``kusuoka.tau_table`` as the einsum (1/2)(3/5)^l P P^t over the einsum products."""
+    mats = scaled_linears_by_einsum(l)
+    return _level_scale(l) * np.einsum("wab,wcb->wac", mats, mats)
+
+
+def gibbs_tau_by_einsum(word) -> np.ndarray:
+    """``kusuoka.gibbs_tau(word).tau`` by the same einsums on one word."""
+    m = np.eye(2, dtype=np.longdouble)
+    for letter in word:
+        m = np.einsum("ab,bc->ac", m, _LEVEL_FACTORS[letter - 1])
+    m = m.astype(np.float64)
+    return _level_scale(len(word)) * np.einsum("ab,cb->ac", m, m)
+
+
+# -- per-sequence cylinder tables and the exact oracle ------------------------
+
+
+def scaled_level(seq, k) -> np.ndarray:
+    """(3, 2, 2): the level-k linear parts T_i * (1 / sqrt(lam_k)) of one sequence.
+
+    These per-sequence factors are what the cylinder tables were built from
+    before they became stretch-free; the ``per_sequence_*`` routes below
+    give those tables bit for bit.
+    """
+    scale = 1.0 / math.sqrt(seq.lam(k))
+    return np.stack([f.linear * scale for f in triple(seq.eps(k))])
+
+
+def per_sequence_scaled_linears(seq, l) -> np.ndarray:
+    """Products of the per-sequence scaled level factors for all length-l words.
+
+    Every factor is sqrt(3/5) B_i up to the rounding of its own eps_k, so the
+    products agree with ``kusuoka``'s stretch-free ones to a few ulps per
+    level; each sequence rounds them its own way.
+    """
     out = np.eye(2)[None, :, :]
     for k in range(1, l + 1):
-        out = np.einsum("wab,jbc->wjac", out, _scaled_level(seq, k)).reshape(-1, 2, 2)
+        out = np.einsum("wab,jbc->wjac", out, scaled_level(seq, k)).reshape(-1, 2, 2)
     return out
 
 
-def tau_table_by_einsum(seq, l) -> np.ndarray:
-    """``kusuoka.tau_table`` as the einsum 0.5 M M^t over the einsum products."""
-    mats = scaled_linears_by_einsum(seq, l)
+def per_sequence_tau_table(seq, l) -> np.ndarray:
+    """Cylinder matrices (1/2) M M^t from one sequence's scaled level factors."""
+    mats = per_sequence_scaled_linears(seq, l)
     return 0.5 * np.einsum("wab,wcb->wac", mats, mats)
 
 
-def gibbs_tau_by_einsum(seq, word) -> np.ndarray:
-    """``kusuoka.gibbs_tau(seq, word).tau`` by the same einsums on one word."""
-    m = np.eye(2)
-    for k, letter in enumerate(word, start=1):
-        m = np.einsum("ab,bc->ac", m, _scaled_level(seq, k)[letter - 1])
-    return 0.5 * np.einsum("ab,cb->ac", m, m)
+def per_sequence_kappa_table(seq, l) -> np.ndarray:
+    """Cylinder masses (1/2) |M|_F^2 from one sequence's scaled level factors."""
+    mats = per_sequence_scaled_linears(seq, l)
+    return 0.5 * np.einsum("wab,wab->w", mats, mats)
+
+
+#: 6 B_i with entries a + b sqrt3 as integer pairs (a, b): B_1 = diag(1, 1/3),
+#: B_2, B_3 = [[1/2, +-sqrt3/6], [+-sqrt3/6, 5/6]].
+_SIX_B = (
+    (((6, 0), (0, 0)), ((0, 0), (2, 0))),
+    (((3, 0), (0, 1)), ((0, 1), (5, 0))),
+    (((3, 0), (0, -1)), ((0, -1), (5, 0))),
+)
+_DIGITS = decimal.Context(prec=50)
+_SQRT3_50 = _DIGITS.sqrt(decimal.Decimal(3))
+
+
+def _q3_mul(x, y):
+    """(a + b sqrt3)(c + d sqrt3) in Q(sqrt3), elements as coefficient pairs."""
+    (a, b), (c, d) = x, y
+    return (a * c + 3 * b * d, a * d + b * c)
+
+
+def _q3_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _q3_matmul(m, n):
+    return tuple(tuple(_q3_add(_q3_mul(m[i][0], n[0][j]), _q3_mul(m[i][1], n[1][j])) for j in range(2)) for i in range(2))
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_products(l):
+    """6^l P_w for every length-l word, lexicographic, entries in Z[sqrt3]."""
+    if l == 0:
+        return ((((1, 0), (0, 0)), ((0, 0), (1, 0))),)
+    return tuple(_q3_matmul(m, b) for m in _exact_products(l - 1) for b in _SIX_B)
+
+
+def _q3_decimal(x) -> decimal.Decimal:
+    a, b = (_DIGITS.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)) for q in x)
+    return _DIGITS.add(a, _DIGITS.multiply(b, _SQRT3_50))
+
+
+@functools.lru_cache(maxsize=None)
+def exact_tau_table(l) -> tuple:
+    """(tau11, tau12, tau22) of every length-l word in Q(sqrt3), as 50-digit Decimals.
+
+    tau_w = (1/2) (3/5)^l P_w P_w^t with P_w the product of the level factors
+    B_i, each entry held exactly as a + b sqrt3 with rational a, b (integer
+    products of 6 B_i, then one Fraction scale), and rounded only when
+    converted.  Shares nothing with ``kusuoka`` but the closed form.
+    """
+    scale = Fraction(3**l, 2 * 5**l * 36**l)
+    rows = []
+    for (p11, p12), (p21, p22) in _exact_products(l):
+        entries = (
+            _q3_add(_q3_mul(p11, p11), _q3_mul(p12, p12)),
+            _q3_add(_q3_mul(p11, p21), _q3_mul(p12, p22)),
+            _q3_add(_q3_mul(p21, p21), _q3_mul(p22, p22)),
+        )
+        rows.append(tuple(_q3_decimal((scale * a, scale * b)) for a, b in entries))
+    return tuple(rows)
+
+
+def exact_kappa_table(l) -> list[decimal.Decimal]:
+    """kappa_w = tau11 + tau22 of every length-l word, to 50 digits."""
+    return [_DIGITS.add(t11, t22) for t11, _, t22 in exact_tau_table(l)]
+
+
+def ulp_errors(values, exact) -> list[float]:
+    """|value - exact| in units of the last place of the exact value, per entry."""
+    return [float(abs(decimal.Decimal(v) - e) / decimal.Decimal(math.ulp(float(e)))) for v, e in zip(values, exact)]
 
 
 def adjoint_aggregate(seq, l, constants=DEFAULT_CONSTANTS) -> dict[tuple[int, ...], np.ndarray]:

@@ -3,10 +3,12 @@ import io
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
-from stretched_gasket import ExpTail, ParamSeq, parse
+from stretched_gasket import ExpTail, ParamSeq, cli, parse
 
 from oracles import geometry_text_by_rows, kusuoka_text_by_rows, laplacian_text_by_rows
 
@@ -146,15 +148,67 @@ def test_non_finite_ratio_exits_one(ratio):
 
 
 @pytest.mark.parametrize(
-    "command", ["geometry", "energy", "harmonicity", "ruelle", "kusuoka", "ibp", "convergence", "selfsim", "laplacian"]
+    "command", ["geometry", "energy", "harmonicity", "ruelle", "ibp", "convergence", "selfsim", "laplacian"]
 )
 def test_prefactor_underflow_exits_one_without_traceback(command):
-    # lam = (3/5) eps^2 underflows to 0.0 at eps = 1e-200.
-    proc = run_cli(command, "--eps-const", "1e-200", "--depth", "3", check=False)
+    # lam = (3/5) eps^2 underflows to 0.0 at eps = 1e-200.  The Laplacian
+    # samples need a tail product, so they take eps_1 = 1e-200 before the
+    # default exponential tail: the generation-2 cable weight underflows.
+    eps = ["--eps-prefix", "1e-200"] if command == "laplacian" else ["--eps-const", "1e-200"]
+    proc = run_cli(command, *eps, "--depth", "3", check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: ")
     assert b"denominator 0.0 underflows" in proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+def test_kusuoka_table_is_stretch_free():
+    # The cylinder table depends on the word alone, so even eps = 1e-200,
+    # whose lam underflows to 0.0, prints the table of every other sequence.
+    flags = (
+        ["--eps-const", "1e-200"],
+        ["--eps-const", "0.5"],
+        ["--eps-prefix", "0.9,0.8,0.7", "--tail-c", "0.05", "--tail-r", "0.5"],
+    )
+    outs = {run_cli("kusuoka", *eps, "--depth", "3").stdout for eps in flags}
+    assert len(outs) == 1
+
+
+def test_kusuoka_depth_10_is_the_same_for_every_sequence(tmp_path):
+    # Constant, prefix-plus-exponential and pure exponential tails, eps_1
+    # near 0 and near 1: stdout and the --json summary agree byte for byte.
+    flags = (
+        ["--eps-const", "0.023857"],
+        ["--eps-prefix", "0.013322,0.342736,0.991617", "--tail-c", "2.610888", "--tail-r", "0.3028"],
+        ["--tail-c", "4.217409", "--tail-r", "0.797"],
+        ["--eps-const", "0.734866"],
+        ["--eps-prefix", "0.782842,0.963499,0.015443", "--tail-c", "0.069548", "--tail-r", "0.7001"],
+        ["--tail-c", "2.592006", "--tail-r", "0.6111"],
+    )
+    outs = set()
+    for eps in flags:
+        summary = tmp_path / "summary.json"
+        proc = run_cli("kusuoka", *eps, "--depth", "10", "--json", str(summary))
+        outs.add((proc.stdout, summary.read_bytes()))
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("argv", [["kusuoka", "--eps-const", "0.5", "--depth", "13"], ["laplacian", "--depth", "20"]])
+def test_depth_past_the_cap_exits_one_before_building(argv, capsys):
+    # Unchecked, kusuoka printed all 3^13 rows and laplacian would build the
+    # 3^20-row cylinder table before the map table's check fired.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: depth ") and "exceeds cap 12" in err
+    assert elapsed < 1.0 and peak < 1 << 20, (elapsed, peak)
 
 
 @pytest.mark.parametrize("command, depth", [("convergence", "-2"), ("kusuoka", "-1")])
@@ -187,7 +241,7 @@ def test_tables_match_the_row_by_row_rendering(depth, tmp_path):
     seq = ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5))  # EXP_FLAGS
     summary = tmp_path / "summary.json"
     proc = run_cli("kusuoka", *EXP_FLAGS, "--depth", str(depth), "--json", str(summary))
-    text, side = kusuoka_text_by_rows(seq, depth)
+    text, side = kusuoka_text_by_rows(depth)
     assert proc.stdout == text.encode()
     assert summary.read_bytes() == side.encode()
     phi = "x^3 - 0.7*x*y + y^4"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stretched_gasket import (
     DEFAULT_CONSTANTS,
@@ -26,17 +28,27 @@ from stretched_gasket import (
     tau_table,
     total_cable_mass,
     triple,
+    word_table,
 )
-from stretched_gasket.errors import PrefactorUnderflow
-from stretched_gasket.kusuoka import _product2, _require_symmetric, _scaled_linears, hs_norm_sq_sum, sym3, unsym3
+from stretched_gasket.errors import DepthCapExceeded, PrefactorUnderflow
+from stretched_gasket.kusuoka import _product2, _require_symmetric, _scaled_linears, sym3, unsym3
 
-from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import adjoint_aggregate, gibbs_tau_by_einsum, scaled_linears_by_einsum, tau_table_by_einsum
+from conftest import ALL_REGIMES, CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
+from oracles import (
+    adjoint_aggregate,
+    exact_kappa_table,
+    gibbs_tau_by_einsum,
+    per_sequence_kappa_table,
+    per_sequence_tau_table,
+    scaled_linears_by_einsum,
+    tau_table_by_einsum,
+    ulp_errors,
+)
 
 
 def brute_force_kappa(seq, word):
-    """Independent route: explicit matrix products and a trace, no shared
-    helpers with the implementation under test."""
+    """Independent route: explicit matrix products of one sequence's maps
+    and a trace, no shared helpers with the implementation under test."""
     m = np.eye(2)
     lam = 1.0
     for pos, letter in enumerate(word, start=1):
@@ -122,8 +134,10 @@ def test_perron_trace_underflow_is_a_prefactor_underflow():
 
 
 def test_gibbs_cylinder_masses_against_brute_force(regime):
+    # The closed form takes no sequence; each regime's own map products
+    # give the same masses.
     for word in ((), (1,), (2,), (1, 1), (1, 2), (3, 1), (1, 2, 3), (2, 2, 2)):
-        cm = gibbs_tau(regime, word)
+        cm = gibbs_tau(word)
         assert cm.kappa == pytest.approx(float(np.trace(cm.tau)), rel=1e-14, abs=1e-15)
         assert cm.kappa == pytest.approx(brute_force_kappa(regime, word), rel=1e-12)
         assert np.min(np.linalg.eigvalsh(cm.tau)) >= -1e-13
@@ -131,20 +145,20 @@ def test_gibbs_cylinder_masses_against_brute_force(regime):
 
 def test_gibbs_tau_matches_the_tau_table(regime):
     # gibbs_tau multiplies one word's level factors; tau_table multiplies
-    # them for every word at once.  Both use the same scaled factors.
+    # them for every word at once, with the same arithmetic.  The regime's
+    # own table, from its scaled map products, agrees to rounding.
     for l in range(7):
-        taus = tau_table(regime, l)
-        kappas = kappa_table(regime, l)
+        taus = tau_table(l)
+        kappas = kappa_table(l)
+        own = per_sequence_tau_table(regime, l)
+        assert np.max(np.abs(own - taus)) <= 1e-14 * np.max(np.abs(taus)), l
         for i, word in enumerate(iter_words(l)):
-            cm = gibbs_tau(regime, word)
-            top = np.max(np.abs(taus[i]))
-            assert np.max(np.abs(cm.tau - taus[i])) <= 1e-15 * top, (l, word)
-            kap = float(np.trace(taus[i]))
-            assert abs(cm.kappa - kap) <= 1e-15 * kap, (l, word)
-            assert kap == pytest.approx(float(kappas[i]), abs=1e-16), (l, word)
+            cm = gibbs_tau(word)
+            assert cm.tau.tobytes() == taus[i].tobytes(), (l, word)
+            assert cm.kappa == pytest.approx(float(kappas[i]), rel=1e-15), (l, word)
     # One word at the depth cap reads l factors, not the 3^l-row table.
     before = _scaled_linears.cache_info()
-    assert 0.0 < kappa(regime, (1, 2, 3) * 4) < 1.0
+    assert 0.0 < kappa((1, 2, 3) * 4) < 1.0
     assert _scaled_linears.cache_info() == before
 
 
@@ -158,12 +172,17 @@ def test_cylinder_tables_equal_the_einsum_contractions_bit_for_bit(seq):
     # word, signed zeros included, equals the einsum route's; gibbs_tau
     # equals its tau_table row.
     for l in (0, 3, 6, 9):
-        assert _scaled_linears(seq, l).tobytes() == scaled_linears_by_einsum(seq, l).tobytes(), l
-        assert tau_table(seq, l).tobytes() == tau_table_by_einsum(seq, l).tobytes(), l
-    taus = tau_table(seq, 4)
+        assert _scaled_linears(l).tobytes() == scaled_linears_by_einsum(l).tobytes(), l
+        assert tau_table(l).tobytes() == tau_table_by_einsum(l).tobytes(), l
+    taus = tau_table(4)
     for i, word in enumerate(iter_words(4)):
-        tau = gibbs_tau(seq, word).tau
-        assert tau.tobytes() == taus[i].tobytes() == gibbs_tau_by_einsum(seq, word).tobytes(), word
+        tau = gibbs_tau(word).tau
+        assert tau.tobytes() == taus[i].tobytes() == gibbs_tau_by_einsum(word).tobytes(), word
+    # The sequence's own einsum products round each level's eps_k their own
+    # way; they stay within a few ulps per level of the stretch-free table.
+    for l in (3, 6, 9):
+        own, ref = per_sequence_kappa_table(seq, l), kappa_table(l)
+        assert np.max(np.abs(own - ref) / ref) <= 8 * l * np.finfo(float).eps, l
 
 
 def test_explicit_products_keep_einsums_signed_zeros(rng):
@@ -173,40 +192,76 @@ def test_explicit_products_keep_einsums_signed_zeros(rng):
     assert _product2(a, b).tobytes() == np.einsum("wab,wbc->wac", a, b).tobytes()
 
 
+def test_cylinder_masses_against_the_exact_oracle():
+    # Every word to depth 8 against tau in Q(sqrt3), to 50 digits.  The
+    # stretch-free table has one rounding of each product; each regime's own
+    # table (its scaled map products, the tables before they became
+    # stretch-free) has one per level and per eps_k.
+    names = ("CONSTANT_HALF", "PREFIX_EXP", "TAIL_ONLY")
+    print(f"\nerror in ulps of kappa_w, max / mean\n{'l':>2} {'stretch-free':>14}" + "".join(f" {n:>14}" for n in names))
+    for l in range(1, 9):
+        exact = exact_kappa_table(l)
+        new = ulp_errors(kappa_table(l).tolist(), exact)
+        old = [ulp_errors(per_sequence_kappa_table(seq, l).tolist(), exact) for seq in ALL_REGIMES]
+        cells = [f"{max(e):6.2f} / {sum(e) / len(e):4.2f}" for e in [new, *old]]
+        print(f"{l:>2} " + " ".join(f"{c:>14}" for c in cells))
+        for name, e in zip(names, old):
+            assert max(new) < max(e) and sum(new) < sum(e), (l, name)
+
+
 def test_known_cylinder_fractions(regime):
-    # Level-1 and level-2 masses are stretch-independent rationals.
-    assert abs(kappa(regime, (1,)) - 1.0 / 3.0) <= 1e-13
-    assert abs(kappa(regime, (2,)) - 1.0 / 3.0) <= 1e-13
-    assert abs(kappa(regime, (3,)) - 1.0 / 3.0) <= 1e-13
-    assert abs(kappa(regime, (1, 1)) - 41.0 / 225.0) <= 1e-13
-    assert abs(kappa(regime, (1, 2)) - 17.0 / 225.0) <= 1e-13
-    assert abs(kappa(regime, (1, 3)) - 17.0 / 225.0) <= 1e-13
+    # Level-1 and level-2 masses are stretch-independent rationals, for the
+    # closed form and for the regime's own map products.
+    closed = {(1,): 1 / 3, (2,): 1 / 3, (3,): 1 / 3, (1, 1): 41 / 225, (1, 2): 17 / 225, (1, 3): 17 / 225}
+    for word, value in closed.items():
+        assert abs(kappa(word) - value) <= 1e-13, word
+        assert abs(brute_force_kappa(regime, word) - value) <= 1e-13, word
 
 
 def test_level_masses_sum_to_one(regime):
+    for l in range(0, 13):
+        assert abs(math.fsum(kappa_table(l).tolist()) - 1.0) <= 1e-12, l
     for l in range(0, 9):
-        total = math.fsum(kappa_table(regime, l).tolist())
-        assert abs(total - 1.0) <= 1e-12, l
+        assert abs(math.fsum(per_sequence_kappa_table(regime, l).tolist()) - 1.0) <= 1e-12, l
 
 
 def test_refinement_additivity(regime):
     for l in range(0, 4):
-        coarse = tau_table(regime, l)
-        fine = tau_table(regime, l + 1).reshape(3**l, 3, 2, 2).sum(axis=1)
-        assert np.max(np.abs(coarse - fine)) <= 1e-13, l
+        for table in (tau_table, lambda l: per_sequence_tau_table(regime, l)):
+            coarse = table(l)
+            fine = table(l + 1).reshape(3**l, 3, 2, 2).sum(axis=1)
+            assert np.max(np.abs(coarse - fine)) <= 1e-13, l
 
 
 def test_adjoint_aggregate_equals_gibbs(regime):
     for l in (1, 2, 3, 4):
         agg = adjoint_aggregate(regime, l)
         for word in iter_words(l):
-            diff = np.max(np.abs(agg[word] - gibbs_tau(regime, word).tau))
+            diff = np.max(np.abs(agg[word] - gibbs_tau(word).tau))
             assert diff <= 1e-13, (l, word)
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seq=SEQUENCES, l=st.integers(0, 5))
+def test_sequence_routes_match_the_stretch_free_tables(seq, l):
+    # Near-degenerate prefixes (eps = 1e-3, 1 - 1e-12) and slow tails too:
+    # the adjoint aggregation and the brute-force products of any sequence
+    # give the stretch-free cylinder matrices.  Both divide by lam_tilde(l),
+    # so they need it well inside the normal range (the tables do not).
+    assume(seq.lam_tilde(l) > 1e-250)
+    taus = tau_table(l)
+    agg = adjoint_aggregate(seq, l)
+    for i, word in enumerate(iter_words(l)):
+        assert np.max(np.abs(agg[word] - taus[i])) <= 1e-13, word
+        assert brute_force_kappa(seq, word) == pytest.approx(float(np.trace(taus[i])), rel=1e-12), word
+
+
 def test_hs_norm_identity(regime):
+    # sum_w |DF_w|_F^2 = 2 lam_tilde(l): Id is the eigenmatrix of every level
+    # operator, with eigenvalue lam_k; the cable tail bounds rest on it.
     for l in (1, 3, 5):
-        assert hs_norm_sq_sum(regime, l) == pytest.approx(2.0 * regime.lam_tilde(l), rel=1e-13)
+        lin, _ = word_table(regime, l)
+        assert float(np.einsum("wab,wab->", lin, lin)) == pytest.approx(2.0 * regime.lam_tilde(l), rel=1e-13)
 
 
 def test_cable_masses_structure():
@@ -236,9 +291,9 @@ def test_cable_mass_prefix_validation():
 def test_letters_outside_one_to_three_are_rejected(letter):
     # Unchecked, letter 0 would index from the end: the mass of letter 3.
     with pytest.raises(ValueError, match=f"word letter must be 1, 2 or 3, got {letter}"):
-        gibbs_tau(PREFIX_EXP, (2, letter))
+        gibbs_tau((2, letter))
     with pytest.raises(ValueError, match=f"got {letter}"):
-        kappa(PREFIX_EXP, (letter,))
+        kappa((letter,))
 
 
 @pytest.mark.parametrize("slot", [0, 4])
@@ -253,7 +308,30 @@ def test_negative_depths_are_refused():
     # Unchecked, depth -1 would return the empty-word table: kappa 1, tau Id/2.
     for table in (kappa_table, tau_table, _scaled_linears):
         with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
-            table(PREFIX_EXP, -1)
+            table(-1)
+
+
+def test_depths_past_the_cap_are_refused_before_building():
+    # Unchecked, depth 13 would build a (1594323, 2, 2) table.
+    for table in (kappa_table, tau_table, _scaled_linears):
+        with pytest.raises(DepthCapExceeded, match="depth 13 exceeds cap 12"):
+            table(13)
+
+
+def test_cylinder_caches_hold_one_table_per_depth():
+    # The tables take no sequence, so three sequences share one entry per
+    # depth, and the caches never hold more than the 13 depths 0..12.
+    _scaled_linears.cache_clear()
+    kappa_table.cache_clear()
+    for _ in ALL_REGIMES:
+        for l in range(13):
+            tau_table(l)
+            kappa_table(l)
+    for seq in (PREFIX_EXP, TAIL_ONLY):
+        energy_via_measure(seq, parse("x"), parse("y"), 3)
+    for cache in (_scaled_linears, kappa_table):
+        info = cache.cache_info()
+        assert info.maxsize == 13 and info.currsize == 13 and info.misses == 13, info
 
 
 def test_total_cable_mass_grows_and_stays_bounded():

@@ -36,6 +36,14 @@ def test_pure_second_derivatives_on_cells():
     assert both.value == pytest.approx(2.0, rel=1e-13)
 
 
+def test_teplyaev_refuses_an_underflowed_cell_mass():
+    # kappa((1,) * l) = (1/2) (3/5)^l (1 + 9^-l) drops below KAPPA_FLOOR
+    # after about 1350 letters; a single word has no depth cap.
+    assert teplyaev(parse("x^2"), (1,) * 1300, TAIL_ONLY).value == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(ArithmeticError, match="cylinder mass underflow"):
+        teplyaev(parse("x^2"), (1,) * 1400, TAIL_ONLY)
+
+
 def test_cable_value_is_directional_second_derivative():
     cm = cable_mass(TAIL_ONLY, (), 1, 1)
     s = teplyaev(parse("x^2"), cm, TAIL_ONLY)

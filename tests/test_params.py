@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stretched_gasket import Constants, ExpTail, ParamSeq, TailProductZero, seq_from_mapping
 
-from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY
+from conftest import CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY
 
 
 def test_prefix_values_take_precedence():
@@ -74,10 +76,32 @@ def test_shift_drops_first_value():
     for seq in (CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY):
         shifted = seq.shift()
         for i in range(1, 10):
-            assert shifted.eps(i) == pytest.approx(seq.eps(i + 1), abs=0.0)
+            assert shifted.eps(i) == seq.eps(i + 1)
         twice = shifted.shift()
         for i in range(1, 8):
-            assert twice.eps(i) == pytest.approx(seq.eps(i + 2), abs=0.0)
+            assert twice.eps(i) == seq.eps(i + 2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seq=SEQUENCES, times=st.integers(1, 5))
+def test_shift_is_exact(seq, times):
+    # Rescaling the tail constant, exp(-(c r) r^i), rounds some levels
+    # differently from exp(-c r^(i+1)); counting the dropped levels reads
+    # the same bits at every level, window and tail sum.
+    shifted = seq
+    for _ in range(times):
+        shifted = shifted.shift()
+    for i in range(1, 41):
+        assert shifted.log_eps(i) == seq.log_eps(i + times), i
+        assert shifted.one_minus_eps(i) == seq.one_minus_eps(i + times), i
+    for s in range(1, 6):
+        assert shifted.log_eps_tilde_inf(s) == seq.log_eps_tilde_inf(s + times), s
+        assert shifted.sum_one_minus_eps_from(s) == seq.sum_one_minus_eps_from(s + times), s
+    # The description still names the rescaled constant, c r^times.
+    c = seq.tail.c
+    for _ in range(times):
+        c *= seq.tail.r
+    assert shifted.describe() == {"prefix": list(seq.prefix[times:]), "tail": {"kind": "exp", "c": c, "r": seq.tail.r}}
 
 
 def test_shift_preserves_tail_products():
