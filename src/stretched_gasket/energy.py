@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WorkingSetTooLarge
+from .errors import TermOverflow, WorkingSetTooLarge
 from .geometry import (
     _SIDE_FROM,
     AffineMap2,
@@ -448,8 +448,12 @@ def _top_moment(u: Poly2, v: Poly2, d: int, outer: AffineMap2 | None = None, *, 
 
 
 def _split(terms: np.ndarray) -> list[float]:
-    """Double head and exact double remainder of every term, for math.fsum."""
-    head = terms.astype(np.float64)
+    """Double head and exact double remainder of every term, for math.fsum; a non-finite head raises."""
+    with np.errstate(over="ignore"):
+        head = terms.astype(np.float64)
+    if not np.isfinite(head).all():
+        largest = np.format_float_scientific(np.max(np.abs(terms)), precision=3)
+        raise TermOverflow(f"a form term overflows the double range (largest |term| {largest})")
     return head.ravel().tolist() + (terms - head).astype(np.float64).ravel().tolist()
 
 
@@ -559,15 +563,14 @@ def energy1(
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
 ) -> float:
-    """Triangle-edge part of the depth-l form.
+    """Triangle-edge part of the depth-l form: ``energy_total(...).e1``.
 
     ``outer`` precomposes the fields with an affine map (the integrand
-    becomes the derivative of u o outer o F_w o side), which is how pulled
-    back fields enter the recurrence without materializing compositions.
+    becomes the derivative of u o outer o F_w o side).  The recurrence
+    does not use it: its pulled-back fields enter one stacked moment pass
+    through ``_pulled_back_rows``.
     """
-    quad = resolve_quadrature(quad, u.degree, v.degree)
-    (parts,) = _energy_rows(seq, (l,), u, v, quad, constants, outer)
-    return math.fsum(_split(parts[0]))
+    return energy_total(seq, l, u, v, quad, constants, outer).e1
 
 
 def energy2(
@@ -579,10 +582,8 @@ def energy2(
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
 ) -> float:
-    """Cable part of the depth-l form: generations 1..l, finite window weights."""
-    quad = resolve_quadrature(quad, u.degree, v.degree)
-    (parts,) = _energy_rows(seq, (l,), u, v, quad, constants, outer)
-    return math.fsum(_terms(parts)[1])
+    """Cable part of the depth-l form, generations 1..l at finite window weights: ``energy_total(...).e2``."""
+    return energy_total(seq, l, u, v, quad, constants, outer).e2
 
 
 def energy_total(
@@ -624,22 +625,15 @@ def energy2_limit(
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
-    grad_bounds: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Limit cable form truncated at generation s_max, with a tail bound.
 
-    Returns (value, tail).  ``grad_bounds`` optionally overrides the
-    sup-gradient bounds of (u, v) used in the tail (callers pass shrunken
-    bounds for pulled-back fields).
+    Returns (value, tail); the tail takes the sup-gradient bounds of (u, v).
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
     (parts,) = _energy_rows(seq, (s_max,), u, v, quad, constants, outer, limit=True)
     value = math.fsum(_terms(parts)[1])
-    if grad_bounds is None:
-        gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
-    else:
-        gu, gv = grad_bounds
-    return value, cable_tail_bound(seq, s_max, gu, gv, constants)
+    return value, cable_tail_bound(seq, s_max, sup_bounds(u)[0], sup_bounds(v)[0], constants)
 
 
 def _pulled_back_rows(seq, l, u, v, quad, constants, *, limit=False) -> list[list[np.ndarray]]:

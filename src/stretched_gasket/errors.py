@@ -21,6 +21,10 @@ class PrefactorUnderflow(GasketError):
     """A prefactor's or scale's denominator underflowed to 0 or is not finite."""
 
 
+class TermOverflow(GasketError):
+    """A form term overflows the double range where it is rounded to a double."""
+
+
 class TailProductZero(GasketError):
     """Infinite tail product is zero; limit quantities are undefined.
 

@@ -15,7 +15,10 @@ probability vector on each level, consistent under refinement.  They
 take no sequence: T_i / sqrt(lam_k) = sqrt(3/5) B_i at every level, with
 B_1 = diag(1, 1/3) and B_2, B_3 = [[1/2, +-sqrt3/6], [+-sqrt3/6, 5/6]], so
 tau([w]) = (1/2) (3/5)^l P_w P_w^t for P_w = B_{w_1} ... B_{w_l}; the B_i
-have singular values 1 and 1/3, so kappa([w]) >= 15^-l.  Cables
+have singular values 1 and 1/3, so kappa([w]) >= 15^-l.  kappa has one
+route, tau11 + tau22 of the rounded tau_w.  Its 3-ulp accuracy to depth 8
+needs numpy's longdouble to be x87 80-bit (x86-64 Linux, CI's only
+platform); as plain double the products round at every level.  Cables
 carry rank-one matrix masses aligned with their mapped tangents:
 ``cable_masses`` gives a generation's masses and unit directions as
 arrays, ``cable_mass`` one cable as a ``CableMass``.  The combined
@@ -217,9 +220,9 @@ def kappa(word: tuple[int, ...]) -> float:
 
 @functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
 def kappa_table(l: int) -> np.ndarray:
-    """All level-l cylinder masses, lexicographic.  Sums to 1."""
-    mats = _scaled_linears(l)
-    out = _level_scale(l) * np.einsum("wab,wab->w", mats, mats)
+    """All level-l cylinder masses, the traces of the ``tau_table`` rows.  Sums to 1."""
+    taus = tau_table(l)
+    out = taus[:, 0, 0] + taus[:, 1, 1]
     out.flags.writeable = False
     return out
 
@@ -295,7 +298,7 @@ def energy_via_measure(
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
     lin, off = word_table(seq, depth)
-    centers = np.einsum("wab,b->wa", lin, barycenter()) + off
+    centers = lin @ barycenter() + off
     gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
     gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
     taus = tau_table(depth)

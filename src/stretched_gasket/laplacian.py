@@ -8,9 +8,12 @@ Laplacian is bounded by twice the Hessian sup.  The cell density is
 P_w P_w^t / |P_w|_F^2 for P_w = B_{w_1} ... B_{w_l}, B_1 = diag(1, 1/3),
 B_2, B_3 = [[1/2, +-sqrt3/6], [+-sqrt3/6, 5/6]], and kappa_w >= 15^-l, so
 only ``teplyaev`` (one word, no depth cap) can meet an underflowed mass.
+kappa_w is tau11 + tau22 of the rounded tau_w, its one route, and as
+accurate as ``kusuoka`` states: where longdouble is x87 80-bit.
 ``laplacian_samples`` reads all carriers at once from the cylinder and map
 tables and the cable mass arrays and returns them as one record array, a
-row per carrier; ``teplyaev`` samples one carrier as a ``LaplacianSample``.
+row per carrier; ``teplyaev`` samples one carrier as a ``LaplacianSample``
+through the same Hessian kernel, with the bits of that carrier's row.
 
 The integration-by-parts defect pairs the depth form with the
 discretized integral of (Laplacian of phi) times v against the depth
@@ -48,7 +51,7 @@ from .energy import (
 from .geometry import _cable_stack, _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
 from .kusuoka import CableMass, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
-from .scalarfield import Poly2, corner_values, eval_full, hess_batch, vanishes_at_corners
+from .scalarfield import Poly2, corner_values, hess_batch, vanishes_at_corners
 
 #: Cylinder masses below this count as underflowed: ``teplyaev`` refuses tau / kappa.
 KAPPA_FLOOR = 1e-300
@@ -64,12 +67,10 @@ class LaplacianSample:
     value: float
 
 
-def _hessian_trace(t_tilde: np.ndarray, phi: Poly2, at: np.ndarray) -> float:
-    ev = eval_full(phi, at)
-    h = ev.hessian
-    return float(
-        t_tilde[0, 0] * h[0, 0] + 2.0 * t_tilde[0, 1] * h[0, 1] + t_tilde[1, 1] * h[1, 1]
-    )
+def _laplacian_values(phi: Poly2, t_tilde: np.ndarray, locations: np.ndarray) -> np.ndarray:
+    """tr(T~ . Hessian phi) for stacked densities (N, 2, 2) at points (N, 2)."""
+    hxx, hxy, hyy = hess_batch(phi, locations[:, 0], locations[:, 1])
+    return t_tilde[:, 0, 0] * hxx + 2.0 * t_tilde[:, 0, 1] * hxy + t_tilde[:, 1, 1] * hyy
 
 
 def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
@@ -77,7 +78,9 @@ def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
 
     A word tuple names a gasket cylinder (density tau/kappa at the cell
     barycenter image); a CableMass names a cable (density: projection
-    onto the cable direction, at the midpoint).
+    onto the cable direction, at the midpoint).  The one-carrier call of
+    the ``laplacian_samples`` kernel: location, density and value are the
+    bits of that carrier's row.
     """
     if isinstance(carrier, tuple) and all(isinstance(i, int) for i in carrier):
         cm = gibbs_tau(carrier)
@@ -91,7 +94,8 @@ def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
         t_tilde = carrier.projection
         seg = cable_segments(seq, carrier.generation)[_triple_index(carrier.slot, "cable slot")]
         location = compose(seq, carrier.prefix)(seg.point(0.5))
-    return LaplacianSample(location, carrier, t_tilde, _hessian_trace(t_tilde, phi, location))
+    value = _laplacian_values(phi, t_tilde[None], location[None])[0]
+    return LaplacianSample(location, carrier, t_tilde, float(value))
 
 
 def ibp_residual(
@@ -178,7 +182,6 @@ def laplacian_samples(
         t_tilde.append(dirs[:, :, None] * dirs[:, None, :])
         locations.append((_images(plin, mids) + poff[:, None]).reshape(-1, 2))
     t_tilde, locations = np.concatenate(t_tilde), np.concatenate(locations)
-    hxx, hxy, hyy = hess_batch(phi, locations[:, 0], locations[:, 1])
-    values = t_tilde[:, 0, 0] * hxx + 2.0 * t_tilde[:, 0, 1] * hxy + t_tilde[:, 1, 1] * hyy
+    values = _laplacian_values(phi, t_tilde, locations)
     columns = [*np.concatenate(ids).T, *locations.T, t_tilde[:, 0, 0], t_tilde[:, 0, 1], t_tilde[:, 1, 1], values]
     return np.rec.fromarrays(columns, names="generation,word,slot,x,y,t11,t12,t22,value")

@@ -20,7 +20,6 @@ literals, and there is no division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,24 +164,6 @@ def _power_table(arr: np.ndarray, top: int) -> list[np.ndarray]:
     for _ in range(top):
         pows.append(pows[-1] * arr)
     return pows
-
-
-@dataclass(frozen=True)
-class FieldEval:
-    """Value, gradient and symmetric Hessian of a field at one point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
-def eval_full(p: Poly2, at: np.ndarray) -> FieldEval:
-    x, y = float(at[0]), float(at[1])
-    gx, gy = p.grad()
-    hxx, hxy, hyy = p.hess()
-    h = hxy.value(x, y)
-    hess = np.array([[hxx.value(x, y), h], [h, hyy.value(x, y)]])
-    return FieldEval(p.value(x, y), np.array([gx.value(x, y), gy.value(x, y)]), hess)
 
 
 def grad_batch(p: Poly2, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -369,7 +369,11 @@ def weak_pairing_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> li
 
 
 def laplacian_samples_by_carrier(seq, phi, depth, constants=DEFAULT_CONSTANTS):
-    """Laplacian samples one carrier at a time: every depth-level cell, then all cables."""
+    """Laplacian samples one carrier at a time: every depth-level cell, then all cables.
+
+    ``teplyaev`` shares the table's Hessian kernel; what this checks
+    independently is the gathering of carriers, locations and densities.
+    """
     out = [teplyaev(phi, w, seq) for w in iter_words(depth)]
     for s in range(1, depth + 1):
         for prefix in iter_words(s - 1):
@@ -391,23 +395,25 @@ def kusuoka_text_by_rows(depth):
     """The ``kusuoka`` table and its --json summary, rendered row by row.
 
     Word tuples from ``iter_words`` joined, repr(float(...)) per cell and
-    ``csv.writer`` with CRLF line ends, from the library's tau and kappa
-    tables.  Returns (csv text, json text).
+    ``csv.writer`` with CRLF line ends, from the library's tau table: each
+    row's kappa is its own tau11 + tau22, and its small eigenvalue the
+    exact determinant 1 / (4 * 25^l) over the large one.  Returns (csv
+    text, json text).
     """
-    taus = tau_table(depth)
-    kappas = kappa_table(depth)
-    rows = []
-    for i, w in enumerate(iter_words(depth)):
-        t = taus[i]
+    det = 1.0 / (4 * 25**depth)
+    rows, kappas, min_eig = [], [], math.inf
+    for w, t in zip(iter_words(depth), tau_table(depth).tolist()):
+        (t11, t12), (_, t22) = t
+        kappas.append(t11 + t22)
+        half = 0.5 * (t11 - t22)
+        min_eig = min(min_eig, det / (0.5 * (t11 + t22) + math.sqrt(half * half + t12 * t12)))
         word = "".join(str(letter) for letter in w)
-        rows.append([word, repr(float(kappas[i])), repr(float(t[0, 0])), repr(float(t[0, 1])), repr(float(t[1, 1]))])
-    mean = 0.5 * (taus[:, 0, 0] + taus[:, 1, 1])
-    spread = np.sqrt((0.5 * (taus[:, 0, 0] - taus[:, 1, 1])) ** 2 + taus[:, 0, 1] ** 2)
+        rows.append([word, repr(kappas[-1]), repr(t11), repr(t12), repr(t22)])
     summary = {
         "depth": depth,
-        "sum_kappa": math.fsum(kappas.tolist()),
-        "min_eig": float(np.min(mean - spread)),
-        "max_kappa_word": rows[int(np.argmax(kappas))][0],
+        "sum_kappa": math.fsum(kappas),
+        "min_eig": min_eig,
+        "max_kappa_word": rows[kappas.index(max(kappas))][0],
     }
     text = _csv_by_rows(["word", "kappa", "tau11", "tau12", "tau22"], rows)
     return text, json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -191,6 +192,35 @@ def test_kusuoka_depth_10_is_the_same_for_every_sequence(tmp_path):
         proc = run_cli("kusuoka", *eps, "--depth", "10", "--json", str(summary))
         outs.add((proc.stdout, summary.read_bytes()))
     assert len(outs) == 1
+
+
+def test_kusuoka_rows_carry_the_trace_and_the_exact_small_eigenvalue(tmp_path):
+    # kappa is tau11 + tau22 of its own row, and the smallest eigenvalue,
+    # (1/2)(3/5)^10 3^-20 for the word 1^10, comes without cancellation.
+    summary = tmp_path / "summary.json"
+    out = run_cli("kusuoka", "--depth", "10", "--json", str(summary)).stdout.decode()
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 3**10
+    off = [r["word"] for r in rows if float(r["kappa"]) != float(r["tau11"]) + float(r["tau22"])]
+    assert off == []
+    exact = Fraction(1, 2) * Fraction(3, 5) ** 10 / Fraction(3) ** 20
+    assert json.loads(summary.read_text())["min_eig"] == pytest.approx(float(exact), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["energy", "--u", "1e155*x^2", "--depth", "3"], ["convergence", "--u", "1e200*x", "--depth", "3"]],
+    ids=["energy", "convergence"],
+)
+def test_overflowing_form_terms_exit_one_with_one_error_line(argv):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: a form term overflows the double range")
+    assert proc.stderr.count(b"\n") == 1  # no RuntimeWarning, no traceback
+    assert proc.stdout == b""
+    # Below the double range the form is still reported.
+    total = json.loads(run_cli("energy", *EXP_FLAGS, "--u", "1e150*x^2", "--depth", "3").stdout)["total"]
+    assert total == 5.6607049169557e299
 
 
 @pytest.mark.parametrize("argv", [["kusuoka", "--eps-const", "0.5", "--depth", "13"], ["laplacian", "--depth", "20"]])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from stretched_gasket import (
     DEFAULT_CONSTANTS,
     DegenerateCable,
+    ExpTail,
     ParamSeq,
     QuadratureRule,
     TailProductZero,
+    TermOverflow,
     cable_tail_bound,
     convergence_rows,
     energy1,
@@ -103,9 +106,24 @@ def test_energy_splits_into_parts(rng):
     u = random_poly(rng, 2)
     v = random_poly(rng, 2)
     rep = energy_total(PREFIX_EXP, 3, u, v)
-    assert rep.e1 == pytest.approx(energy1(PREFIX_EXP, 3, u, v), rel=1e-13, abs=1e-16)
-    assert rep.e2 == pytest.approx(energy2(PREFIX_EXP, 3, u, v), rel=1e-13, abs=1e-16)
+    assert rep.e1 == energy1(PREFIX_EXP, 3, u, v)
+    assert rep.e2 == energy2(PREFIX_EXP, 3, u, v)
     assert rep.total == pytest.approx(rep.e1 + rep.e2, rel=1e-12, abs=1e-15)
+
+
+def test_overflowing_terms_raise_term_overflow():
+    # A term beyond the double range is refused where it is rounded to a
+    # double, without a cast warning and before fsum could meet inf - inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = parse("1e155*x^2")
+        with pytest.raises(TermOverflow, match="overflows the double range"):
+            energy_total(TAIL_ONLY, 3, u, u)
+        u = parse("1e200*x")
+        with pytest.raises(TermOverflow, match="overflows the double range"):
+            convergence_rows(TAIL_ONLY, u, u, 3)
+        u = parse("1e150*x^2")
+        assert energy_total(ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5)), 3, u, u).total == 5.6607049169557e299
 
 
 def test_cable_energy_generations_sum_to_energy2(rng):

@@ -28,6 +28,7 @@ from stretched_gasket import (
     tau_table,
     total_cable_mass,
     triple,
+    word_index,
     word_table,
 )
 from stretched_gasket.errors import DepthCapExceeded, PrefactorUnderflow
@@ -155,11 +156,23 @@ def test_gibbs_tau_matches_the_tau_table(regime):
         for i, word in enumerate(iter_words(l)):
             cm = gibbs_tau(word)
             assert cm.tau.tobytes() == taus[i].tobytes(), (l, word)
-            assert cm.kappa == pytest.approx(float(kappas[i]), rel=1e-15), (l, word)
+            assert cm.kappa == kappas[i], (l, word)
     # One word at the depth cap reads l factors, not the 3^l-row table.
     before = _scaled_linears.cache_info()
     assert 0.0 < kappa((1, 2, 3) * 4) < 1.0
     assert _scaled_linears.cache_info() == before
+
+
+def test_kappa_is_the_trace_of_tau():
+    # One route: every table row's kappa is its own tau11 + tau22, and the
+    # one-word kappa is that row's, for every word to depth 8.
+    for l in range(13):
+        taus = tau_table(l)
+        assert kappa_table(l).tobytes() == (taus[:, 0, 0] + taus[:, 1, 1]).tobytes(), l
+    for l in range(9):
+        table = kappa_table(l)
+        for word in iter_words(l):
+            assert kappa(word) == table[word_index(word)], word
 
 
 @pytest.mark.parametrize(
@@ -277,9 +290,10 @@ def test_cable_masses_structure():
             assert float(np.trace(p)) == pytest.approx(1.0, abs=1e-14)
             assert np.max(np.abs(p @ d - d)) <= 1e-14
             cm = cable_mass(seq, prefix, s, slot)
-            assert cm.mass == pytest.approx(m, rel=1e-12), (s, prefix, slot)
-            assert np.max(np.abs(cm.direction - d)) <= 1e-14, (s, prefix, slot)
-            assert np.max(np.abs(cm.projection - p)) <= 1e-14, (s, prefix, slot)
+            # One cable is its row of the stacked masses, bit for bit.
+            assert cm.mass == m, (s, prefix, slot)
+            assert cm.direction.tolist() == d.tolist(), (s, prefix, slot)
+            assert cm.projection.tolist() == p.tolist(), (s, prefix, slot)
 
 
 def test_cable_mass_prefix_validation():
