@@ -265,16 +265,12 @@ def cmd_ruelle(args, cfg, seq, constants) -> int:
 
 def cmd_kusuoka(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 3, int)
-    kappas = kus_mod.kappa_table(depth)
     taus = kus_mod.tau_table(depth)
+    kappas = kus_mod._trace(taus)
     words = _word_lists(depth)[depth]
     rows = zip(words, _reprs(kappas), _reprs(taus[:, 0, 0]), _reprs(taus[:, 0, 1]), _reprs(taus[:, 1, 1]))
     _emit(_csv_text(["word", "kappa", "tau11", "tau12", "tau22"], rows), args.out)
-    mean = 0.5 * (taus[:, 0, 0] + taus[:, 1, 1])
-    spread = np.sqrt((0.5 * (taus[:, 0, 0] - taus[:, 1, 1])) ** 2 + taus[:, 0, 1] ** 2)
-    # det tau_w = ((1/2)(3/5)^l)^2 9^-l = 1 / (4 * 25^l), since det B_i = 1/3:
-    # the small eigenvalue is det / (mean + spread), free of the cancellation in mean - spread.
-    min_eig = float(np.min(1.0 / (4 * 25**depth) / (mean + spread)))
+    min_eig = float(np.min(kus_mod._small_eigenvalues(taus, depth)))
     sum_kappa = math.fsum(kappas.tolist())
     if args.json is not None:
         summary = {

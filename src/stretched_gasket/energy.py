@@ -457,6 +457,14 @@ def _split(terms: np.ndarray) -> list[float]:
     return head.ravel().tolist() + (terms - head).astype(np.float64).ravel().tolist()
 
 
+def _fsum(terms) -> float:
+    """math.fsum of finite double terms; a total past the double range raises TermOverflow."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # every term is finite (_split): only the running sum can overflow
+        raise TermOverflow("a sum of form terms overflows the double range") from None
+
+
 def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
     """Elementwise contractions of stacked forms at every depth, from one moment pass.
 
@@ -523,7 +531,7 @@ def _terms(parts: list[np.ndarray]) -> tuple[list[float], list[float]]:
 
 def _report(l: int, parts: list[np.ndarray]) -> EnergyReport:
     tri, cab = _terms(parts)
-    return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
+    return EnergyReport(l, _fsum(tri), _fsum(cab), _fsum(tri + cab))
 
 
 # -- edge tableau (the tests' edge-by-edge routes) ------------------------
@@ -565,10 +573,8 @@ def energy1(
 ) -> float:
     """Triangle-edge part of the depth-l form: ``energy_total(...).e1``.
 
-    ``outer`` precomposes the fields with an affine map (the integrand
-    becomes the derivative of u o outer o F_w o side).  The recurrence
-    does not use it: its pulled-back fields enter one stacked moment pass
-    through ``_pulled_back_rows``.
+    ``outer`` precomposes the fields with an affine map (u o outer o F_w o
+    side); the recurrence's pulled-back fields go through ``_pulled_back_rows``.
     """
     return energy_total(seq, l, u, v, quad, constants, outer).e1
 
@@ -595,11 +601,7 @@ def energy_total(
     constants: Constants = DEFAULT_CONSTANTS,
     outer: AffineMap2 | None = None,
 ) -> EnergyReport:
-    """Full depth-l form: triangle part, cable part and their sum.
-
-    The grand total is one compensated sum over the contraction terms of
-    both parts.
-    """
+    """Full depth-l form: triangle part, cable part and their sum (one compensated sum of all terms)."""
     quad = resolve_quadrature(quad, u.degree, v.degree)
     (parts,) = _energy_rows(seq, (l,), u, v, quad, constants, outer)
     return _report(l, parts)
@@ -632,7 +634,7 @@ def energy2_limit(
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
     (parts,) = _energy_rows(seq, (s_max,), u, v, quad, constants, outer, limit=True)
-    value = math.fsum(_terms(parts)[1])
+    value = _fsum(_terms(parts)[1])
     return value, cable_tail_bound(seq, s_max, sup_bounds(u)[0], sup_bounds(v)[0], constants)
 
 
@@ -666,7 +668,7 @@ def recurrence_residual(
     quad = resolve_quadrature(quad, u.degree, v.degree)
     (whole,) = _energy_rows(seq, (l + 1,), u, v, quad, constants)
     parts = [_report(l, half).total for half in _pulled_back_rows(seq, l, u, v, quad, constants)]
-    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
+    rhs = _fsum(parts) / seq.lam(1) + _fsum(_split(whole[1]))
     return abs(_report(l + 1, whole).total - rhs)
 
 
@@ -702,8 +704,8 @@ def selfsimilar_residual(
         rep = _report(depth - 1, half)
         parts.append(rep.e1 + rep.e2)
         tails.append(cable_tail_bound(shifted, depth - 1, gu * opn, gv * opn, constants) / seq.lam(1))
-    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
-    return abs(lhs.e1 + lhs.e2 - rhs), math.fsum(tails)
+    rhs = _fsum(parts) / seq.lam(1) + _fsum(_split(whole[1]))
+    return abs(lhs.e1 + lhs.e2 - rhs), _fsum(tails)
 
 
 def convergence_rows(

@@ -22,7 +22,7 @@ class PrefactorUnderflow(GasketError):
 
 
 class TermOverflow(GasketError):
-    """A form term overflows the double range where it is rounded to a double."""
+    """A form term, or a sum of them, overflows the double range."""
 
 
 class TailProductZero(GasketError):

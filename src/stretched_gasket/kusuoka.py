@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _energy_rows, _terms, resolve_quadrature
+from .energy import _energy_rows, _fsum, _terms, resolve_quadrature
 from .errors import DegenerateCable
 from .geometry import (
     DEFAULT_DEPTH_CAP,
@@ -183,6 +183,18 @@ def _level_scale(l: int) -> float:
     return 3**l / (2 * 5**l)
 
 
+def _trace(taus: np.ndarray) -> np.ndarray:
+    """kappa = tau11 + tau22 of stacked cylinder matrices (..., 2, 2): kappa's one route."""
+    return taus[..., 0, 0] + taus[..., 1, 1]
+
+
+def _small_eigenvalues(taus: np.ndarray, l: int) -> np.ndarray:
+    """Smaller eigenvalues of level-l cylinder matrices, det / (mean + spread), free of the cancellation
+    in mean - spread: det tau_w = _level_scale(l)^2 9^-l = 1 / (4 * 25^l) as det B_i = 1/3."""
+    spread = np.sqrt((0.5 * (taus[:, 0, 0] - taus[:, 1, 1])) ** 2 + taus[:, 0, 1] ** 2)
+    return 1 / (4 * 25**l) / (0.5 * _trace(taus) + spread)
+
+
 @functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
 def _scaled_linears(l: int) -> np.ndarray:
     """Products P_w of the level factors for all length-l words, lexicographic,
@@ -210,7 +222,7 @@ def gibbs_tau(word: tuple[int, ...]) -> CylinderMass:
         m = _product2(m, _LEVEL_FACTORS[_triple_index(letter)])
     m = m.astype(np.float64)
     tau = _level_scale(len(word)) * _product2(m, m.T)
-    return CylinderMass(word, tau, float(np.trace(tau)))
+    return CylinderMass(word, tau, float(_trace(tau)))
 
 
 def kappa(word: tuple[int, ...]) -> float:
@@ -221,8 +233,7 @@ def kappa(word: tuple[int, ...]) -> float:
 @functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
 def kappa_table(l: int) -> np.ndarray:
     """All level-l cylinder masses, the traces of the ``tau_table`` rows.  Sums to 1."""
-    taus = tau_table(l)
-    out = taus[:, 0, 0] + taus[:, 1, 1]
+    out = _trace(tau_table(l))
     out.flags.writeable = False
     return out
 
@@ -308,4 +319,4 @@ def energy_via_measure(
         + taus[:, 1, 1] * guy * gvy
     )
     (parts,) = _energy_rows(seq, (depth,), u, v, quad, constants, limit=True)
-    return math.fsum(gasket.tolist() + _terms(parts)[1])
+    return _fsum(gasket.tolist() + _terms(parts)[1])

@@ -35,13 +35,13 @@ cable term contracts the Grams of (f o z)'' (g o z).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import (
     _contractions,
+    _fsum,
     _point_partials,
     _report,
     _terms,
@@ -49,7 +49,7 @@ from .energy import (
     resolve_quadrature,
 )
 from .geometry import _cable_stack, _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
-from .kusuoka import CableMass, cable_masses, gibbs_tau, tau_table
+from .kusuoka import CableMass, _trace, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, corner_values, hess_batch, vanishes_at_corners
 
@@ -94,8 +94,7 @@ def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
         t_tilde = carrier.projection
         seg = cable_segments(seq, carrier.generation)[_triple_index(carrier.slot, "cable slot")]
         location = compose(seq, carrier.prefix)(seg.point(0.5))
-    value = _laplacian_values(phi, t_tilde[None], location[None])[0]
-    return LaplacianSample(location, carrier, t_tilde, float(value))
+    return LaplacianSample(location, carrier, t_tilde, float(_laplacian_values(phi, t_tilde[None], location[None])[0]))
 
 
 def ibp_residual(
@@ -143,7 +142,7 @@ def ibp_table(
     rows = []
     for depth, (energy, measure) in zip(depths, _contractions(seq, depths, d, quad, constants, tops, forms)):
         gasket_terms, cable_terms = _terms(measure)
-        lhs, rhs = _report(depth, energy).total, math.fsum(gasket_terms + cable_terms)
+        lhs, rhs = _report(depth, energy).total, _fsum(gasket_terms + cable_terms)
         rows.append(
             {"depth": depth, "energy_lhs": lhs, "integral_rhs": rhs, "residual": abs(lhs + rhs)}
         )
@@ -168,7 +167,7 @@ def laplacian_samples(
     ``t12``, ``t22`` and the Laplacian ``value``.
     """
     taus = tau_table(depth)
-    kappas = taus[:, 0, 0] + taus[:, 1, 1]
+    kappas = _trace(taus)
     lin, off = word_table(seq, depth)
     cells = np.arange(len(kappas))
     ids = [np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)])]  # (generation, word, slot)

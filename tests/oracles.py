@@ -397,10 +397,10 @@ def kusuoka_text_by_rows(depth):
     Word tuples from ``iter_words`` joined, repr(float(...)) per cell and
     ``csv.writer`` with CRLF line ends, from the library's tau table: each
     row's kappa is its own tau11 + tau22, and its small eigenvalue the
-    exact determinant 1 / (4 * 25^l) over the large one.  Returns (csv
-    text, json text).
+    exact determinant over the large one.  Returns (csv text, json text).
     """
-    det = 1.0 / (4 * 25**depth)
+    # det tau_w = ((1/2) (3/5)^l)^2 (det B_i)^l with det B_i = 1/3, rounded once.
+    det = float((Fraction(3, 5) ** depth / 2) ** 2 / Fraction(3) ** (2 * depth))
     rows, kappas, min_eig = [], [], math.inf
     for w, t in zip(iter_words(depth), tau_table(depth).tolist()):
         (t11, t12), (_, t22) = t

@@ -207,15 +207,31 @@ def test_kusuoka_rows_carry_the_trace_and_the_exact_small_eigenvalue(tmp_path):
     assert json.loads(summary.read_text())["min_eig"] == pytest.approx(float(exact), rel=1e-15)
 
 
+def test_kusuoka_builds_its_tau_table_once(monkeypatch, capsys):
+    # kappa is read off the rows kusuoka prints, not off a second table.
+    builds = []
+    tau_table = cli.kus_mod.tau_table
+    monkeypatch.setattr(cli.kus_mod, "tau_table", lambda l: builds.append(l) or tau_table(l))
+    cli.kus_mod.kappa_table.cache_clear()
+    assert cli.main(["kusuoka", "--depth", "3"]) == 0
+    assert builds == [3]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["energy", "--u", "1e155*x^2", "--depth", "3"], ["convergence", "--u", "1e200*x", "--depth", "3"]],
-    ids=["energy", "convergence"],
+    "argv, message",
+    [
+        (["energy", "--u", "1e155*x^2", "--depth", "3"], b"error: a form term overflows the double range"),
+        (["convergence", "--u", "1e200*x", "--depth", "3"], b"error: a form term overflows the double range"),
+        # Every term fits in a double, their sum does not.
+        (["energy", "--u", "2e154*x^2", "--depth", "3"], b"error: a sum of form terms overflows the double range"),
+    ],
+    ids=["energy", "convergence", "energy-sum"],
 )
-def test_overflowing_form_terms_exit_one_with_one_error_line(argv):
+def test_overflowing_form_terms_exit_one_with_one_error_line(argv, message):
     proc = run_cli(*argv, check=False)
     assert proc.returncode == 1
-    assert proc.stderr.startswith(b"error: a form term overflows the double range")
+    assert proc.stderr.startswith(message)
     assert proc.stderr.count(b"\n") == 1  # no RuntimeWarning, no traceback
     assert proc.stdout == b""
     # Below the double range the form is still reported.

@@ -18,6 +18,7 @@ from stretched_gasket import (
     energy2,
     energy2_limit,
     energy_total,
+    energy_via_measure,
     get_quadrature,
     parse,
     recurrence_residual,
@@ -122,6 +123,18 @@ def test_overflowing_terms_raise_term_overflow():
         u = parse("1e200*x")
         with pytest.raises(TermOverflow, match="overflows the double range"):
             convergence_rows(TAIL_ONLY, u, u, 3)
+        # Every term of 2e154 x^2 fits in a double; fsum's overflow of their
+        # sum is refused the same way.
+        u = parse("2e154*x^2")
+        with pytest.raises(TermOverflow, match="sum of form terms overflows the double range"):
+            energy_total(TAIL_ONLY, 3, u, u)
+        for form in (
+            lambda: recurrence_residual(TAIL_ONLY, 3, u, u),
+            lambda: selfsimilar_residual(TAIL_ONLY, u, u, 3),
+            lambda: energy_via_measure(TAIL_ONLY, u, u, 3),
+        ):
+            with pytest.raises(TermOverflow, match="sum of form terms overflows the double range"):
+                form()
         u = parse("1e150*x^2")
         assert energy_total(ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5)), 3, u, u).total == 5.6607049169557e299
 
