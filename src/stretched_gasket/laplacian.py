@@ -94,7 +94,8 @@ def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
         t_tilde = carrier.projection
         seg = cable_segments(seq, carrier.generation)[_triple_index(carrier.slot, "cable slot")]
         location = compose(seq, carrier.prefix)(seg.point(0.5))
-    return LaplacianSample(location, carrier, t_tilde, float(_laplacian_values(phi, t_tilde[None], location[None])[0]))
+    value = _laplacian_values(phi, t_tilde[None], location[None])[0]
+    return LaplacianSample(location, carrier, t_tilde, float(value))
 
 
 def ibp_residual(
