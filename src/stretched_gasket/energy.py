@@ -48,6 +48,12 @@ The contraction uses exact compensated summation (math.fsum), and the
 symmetrized moment has the same bits for (u, v) and (v, u), so
 E(u, v) == E(v, u) exactly.
 
+The pass has one entry, ``_moment_terms``: fields, depths and forms in
+(``_FORMS``: the energy form E, the weak pairing's (u o z)'' (v o z), the
+IBP measure side with its cell form (3a/2) Lap f(b) g(b) at the
+barycenter b), fsum-ready terms out, summed with ``_fsum``, which refuses
+an overflowing total.  Other modules use that entry and build no moments.
+
 The one-step recurrence and self-similarity residuals read their
 generation-1 cable term from the left side's pass, and run the right
 side's three pulled-back fields (u o F^1_i, v o F^1_i) as one stacked
@@ -271,12 +277,6 @@ def _partials(xs: np.ndarray, ys: np.ndarray, d: int, *orders: tuple[int, int]) 
         (_falling(m, i) * _falling(n, j))[:, None] * xp[np.maximum(m - i, 0)] * yp[np.maximum(n - j, 0)]
         for i, j in orders
     ]
-
-
-def _point_partials(point: np.ndarray, d: int, i: int, j: int) -> np.ndarray:
-    """d^(i+j)/dx^i dy^j of every basis monomial at one world point: (D,)."""
-    at = point.astype(_EXT) - _CENTER
-    return _partials(at[:1], at[1:], d, (i, j))[0][:, 0]
 
 
 def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, quad: QuadratureRule, order: int) -> np.ndarray:
@@ -515,23 +515,43 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
         yield [[cells[l][f]] + [w * gm[f] for w, gm in zip(weights, cables)] for f in range(len(forms))]
 
 
-def _energy_rows(seq, depths, u, v, quad, constants, outer=None, *, limit=False):
-    """[triangle part, generation-1 cable part, ...] at every depth (``limit``: infinite windows)."""
-    d = max(u.degree, v.degree, 0)
-    tops = _top_moment(u, v, d, outer)[None]
-    for (parts,) in _contractions(seq, depths, d, quad, constants, tops, [(None, (1, 1))], limit=limit):
-        yield parts
-
-
 def _terms(parts: list[np.ndarray]) -> tuple[list[float], list[float]]:
     """fsum terms of the cell part and of the generations' cable parts, summed
     first in extended precision (as a fold accumulates them): 2 D^2 terms at any depth."""
     return _split(parts[0]), _split(sum(parts[1:], np.zeros_like(parts[0])))
 
 
-def _report(l: int, parts: list[np.ndarray]) -> EnergyReport:
-    tri, cab = _terms(parts)
+def _report(l: int, tri: list[float], cab: list[float]) -> EnergyReport:
     return EnergyReport(l, _fsum(tri), _fsum(cab), _fsum(tri + cab))
+
+
+def _barycentric_form(d: int, constants: Constants) -> np.ndarray:
+    """The IBP measure side's cell form (3a/2) Lap f(b) g(b) at the barycenter b of the base cell."""
+    at = barycenter().astype(_EXT) - _CENTER
+    fxx, fyy, g = (col[:, 0] for col in _partials(at[:1], at[1:], d, (2, 0), (0, 2), (0, 0)))
+    return 1.5 * constants.a * np.outer(fxx + fyy, g)
+
+
+#: The forms of the moment pass by name: symmetrized top moment or not, the derivative
+#: orders (left, right) of the side and cable Grams, and the cell form (None: the sides' a S).
+_FORMS = {
+    "energy": (True, (1, 1), None),  # E(u, v)
+    "pairing": (False, (2, 0), None),  # the weak pairing's (u o z)'' (v o z)
+    "ibp": (False, (2, 0), _barycentric_form),  # the IBP measure side
+}
+
+
+def _moment_terms(seq, depths, u, v, quad, constants, forms=("energy",), *, limit=False):
+    """The one entry to the moment pass: fields in, fsum-ready terms out.
+
+    Yields, for each depth of ``depths`` in order, one (cell terms, cable terms)
+    pair per named form of ``_FORMS`` (``limit``: cables at infinite windows)."""
+    d = max(u.degree, v.degree, 0)
+    rows = [_FORMS[name] for name in forms]
+    tops = np.stack([_top_moment(u, v, d, symmetric=symmetric) for symmetric, _, _ in rows])
+    cells = [(None if cell is None else cell(d, constants), order) for _, order, cell in rows]
+    for parts in _contractions(seq, depths, d, quad, constants, tops, cells, limit=limit):
+        yield [_terms(p) for p in parts]
 
 
 # -- edge tableau (the tests' edge-by-edge routes) ------------------------
@@ -569,14 +589,9 @@ def energy1(
     v: Poly2,
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
-    outer: AffineMap2 | None = None,
 ) -> float:
-    """Triangle-edge part of the depth-l form: ``energy_total(...).e1``.
-
-    ``outer`` precomposes the fields with an affine map (u o outer o F_w o
-    side); the recurrence's pulled-back fields go through ``_pulled_back_rows``.
-    """
-    return energy_total(seq, l, u, v, quad, constants, outer).e1
+    """Triangle-edge part of the depth-l form: ``energy_total(...).e1``."""
+    return energy_total(seq, l, u, v, quad, constants).e1
 
 
 def energy2(
@@ -586,10 +601,9 @@ def energy2(
     v: Poly2,
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
-    outer: AffineMap2 | None = None,
 ) -> float:
     """Cable part of the depth-l form, generations 1..l at finite window weights: ``energy_total(...).e2``."""
-    return energy_total(seq, l, u, v, quad, constants, outer).e2
+    return energy_total(seq, l, u, v, quad, constants).e2
 
 
 def energy_total(
@@ -599,12 +613,11 @@ def energy_total(
     v: Poly2,
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
-    outer: AffineMap2 | None = None,
 ) -> EnergyReport:
     """Full depth-l form: triangle part, cable part and their sum (one compensated sum of all terms)."""
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (parts,) = _energy_rows(seq, (l,), u, v, quad, constants, outer)
-    return _report(l, parts)
+    ((terms,),) = _moment_terms(seq, (l,), u, v, quad, constants)
+    return _report(l, *terms)
 
 
 def cable_tail_bound(seq: ParamSeq, s_max: int, gu: float, gv: float, constants: Constants = DEFAULT_CONSTANTS) -> float:
@@ -626,28 +639,26 @@ def energy2_limit(
     s_max: int,
     quad: QuadratureRule | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
-    outer: AffineMap2 | None = None,
 ) -> tuple[float, float]:
     """Limit cable form truncated at generation s_max, with a tail bound.
 
     Returns (value, tail); the tail takes the sup-gradient bounds of (u, v).
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (parts,) = _energy_rows(seq, (s_max,), u, v, quad, constants, outer, limit=True)
-    value = _fsum(_terms(parts)[1])
-    return value, cable_tail_bound(seq, s_max, sup_bounds(u)[0], sup_bounds(v)[0], constants)
+    (((_, cab),),) = _moment_terms(seq, (s_max,), u, v, quad, constants, limit=True)
+    return _fsum(cab), cable_tail_bound(seq, s_max, sup_bounds(u)[0], sup_bounds(v)[0], constants)
 
 
-def _pulled_back_rows(seq, l, u, v, quad, constants, *, limit=False) -> list[list[np.ndarray]]:
-    """Depth-l parts of the shifted sequence's form on u o F^1_i, v o F^1_i, i = 1, 2, 3.
-
-    The right-hand side of the one-step identity: the three pulled-back
-    top moments are stacked into one moment pass on ``seq.shift()``.
-    """
+def _one_step(seq, l, u, v, quad, constants, *, limit=False) -> tuple[EnergyReport, float, list[EnergyReport]]:
+    """The one-step identity's pieces: the depth-(l+1) report of (u, v), its
+    generation-1 cable sum, and the depth-l reports of the shifted sequence's
+    form on u o F^1_i, v o F^1_i, i = 1, 2, 3, whose pulled-back top moments
+    are stacked into one pass on ``seq.shift()``."""
     d = max(u.degree, v.degree, 0)
+    ((whole,),) = _contractions(seq, (l + 1,), d, quad, constants, _top_moment(u, v, d)[None], [(None, (1, 1))], limit=limit)
     tops = np.stack([_top_moment(u, v, d, f) for f in triple(seq.eps(1))])
     (halves,) = _contractions(seq.shift(), (l,), d, quad, constants, tops, [(None, (1, 1))] * 3, limit=limit)
-    return halves
+    return _report(l + 1, *_terms(whole)), _fsum(_split(whole[1])), [_report(l, *_terms(half)) for half in halves]
 
 
 def recurrence_residual(
@@ -666,10 +677,8 @@ def recurrence_residual(
     window.  Returns the absolute defect.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (whole,) = _energy_rows(seq, (l + 1,), u, v, quad, constants)
-    parts = [_report(l, half).total for half in _pulled_back_rows(seq, l, u, v, quad, constants)]
-    rhs = _fsum(parts) / seq.lam(1) + _fsum(_split(whole[1]))
-    return abs(_report(l + 1, whole).total - rhs)
+    whole, cable1, halves = _one_step(seq, l, u, v, quad, constants)
+    return abs(whole.total - (_fsum([half.total for half in halves]) / seq.lam(1) + cable1))
 
 
 def selfsimilar_residual(
@@ -695,16 +704,12 @@ def selfsimilar_residual(
     quad = resolve_quadrature(quad, u.degree, v.degree)
     shifted = seq.shift()
     gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
-    (whole,) = _energy_rows(seq, (depth,), u, v, quad, constants, limit=True)
-    lhs = _report(depth, whole)
-    parts, tails = [], [cable_tail_bound(seq, depth, gu, gv, constants)]
-    halves = _pulled_back_rows(seq, depth - 1, u, v, quad, constants, limit=True)
-    for f, half in zip(triple(seq.eps(1)), halves):
+    lhs, cable1, halves = _one_step(seq, depth - 1, u, v, quad, constants, limit=True)
+    tails = [cable_tail_bound(seq, depth, gu, gv, constants)]
+    for f in triple(seq.eps(1)):
         opn = float(np.linalg.norm(f.linear, 2))
-        rep = _report(depth - 1, half)
-        parts.append(rep.e1 + rep.e2)
         tails.append(cable_tail_bound(shifted, depth - 1, gu * opn, gv * opn, constants) / seq.lam(1))
-    rhs = _fsum(parts) / seq.lam(1) + _fsum(_split(whole[1]))
+    rhs = _fsum([half.e1 + half.e2 for half in halves]) / seq.lam(1) + cable1
     return abs(lhs.e1 + lhs.e2 - rhs), _fsum(tails)
 
 
@@ -730,8 +735,8 @@ def convergence_rows(
     gv, hv = sup_bounds(v)
     rows = []
     prev = None
-    for l, parts in enumerate(_energy_rows(seq, range(l_max + 1), u, v, quad, constants)):
-        rep = _report(l, parts)
+    for l, (terms,) in enumerate(_moment_terms(seq, range(l_max + 1), u, v, quad, constants)):
+        rep = _report(l, *terms)
         diam = 0.6**l * (seq.eps_tilde(1, l) if l >= 1 else 1.0)
         om = seq.one_minus_eps(l + 1)
         eps_next = seq.eps(l + 1)

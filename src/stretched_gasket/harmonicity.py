@@ -14,8 +14,8 @@ separately since admissible test functions vanish there.  So every
 interior vertex is one cable end, and the stars are index gathers on the
 geometry module's world arrays (``_vertex_arrays``), O(3^l) array work
 without an edge walk; ``vertex_stars`` returns them as one record array.
-The weak pairing is a contraction of the energy module's moment pass with
-(u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3); the weak
+The weak pairing is the energy module's moment pass on its ``pairing``
+form, (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3); the weak
 Laplacian composes u with every edge of the edge table at once.
 
 The residual probes (``vertex_stars``, ``harmonic_report``,
@@ -44,7 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .energy import _contractions, _terms, _top_moment, resolve_quadrature
+from .energy import _fsum, _moment_terms, resolve_quadrature
 from .errors import NonHarmonicError, StarNotClosed
 from .geometry import (
     HARMONIC_RATIO,
@@ -350,19 +350,15 @@ def weak_pairing(
     Equals E(u, v) for admissible v (vanishing at the base corners) on a
     harmonic pre-fractal; the arclength factors of density and measure
     cancel, leaving the parameter-space integral.  Evaluated as the
-    side form a (m_a o z)'' (m_b o z) and the cable forms of each
-    generation contracted with the plain (not symmetrized) moment pass,
-    O(l D^3).
+    ``pairing`` form of the energy module's moment pass, O(l D^3), and
+    summed with its overflow-guarded ``_fsum``.
     """
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
     quad = resolve_quadrature(quad, u.degree, v.degree)
     _require_harmonic(seq, l, constants)
-    d = max(u.degree, v.degree, 0)
-    tops = _top_moment(u, v, d, symmetric=False)[None]
-    ((parts,),) = _contractions(seq, (l,), d, quad, constants, tops, [(None, (2, 0))])
-    sides, cables = _terms(parts)
-    return -math.fsum(sides + cables)
+    (((sides, cables),),) = _moment_terms(seq, (l,), u, v, quad, constants, ("pairing",))
+    return -_fsum(sides + cables)
 
 
 # -- nondegeneracy constant ------------------------------------------------

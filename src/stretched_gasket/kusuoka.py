@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _energy_rows, _fsum, _terms, resolve_quadrature
-from .errors import DegenerateCable
+from .energy import _fsum, _moment_terms, resolve_quadrature
+from .errors import DegenerateCable, TermOverflow
 from .geometry import (
     DEFAULT_DEPTH_CAP,
     _images,
@@ -303,7 +303,7 @@ def energy_via_measure(
     barycenters, over all depth-level words.  Cable part: exact line
     quadrature of the rank-one masses against the gradients, generations
     up to the depth, limit window weights (the energy module's moment
-    pass).
+    pass).  A gasket product past the double range raises TermOverflow.
     For affine fields the gasket part is exactly (grad u, (Id/2) grad v),
     independent of depth.
     """
@@ -313,10 +313,13 @@ def energy_via_measure(
     gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
     gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
     taus = tau_table(depth)
-    gasket = (
-        taus[:, 0, 0] * gux * gvx
-        + taus[:, 0, 1] * (gux * gvy + guy * gvx)
-        + taus[:, 1, 1] * guy * gvy
-    )
-    (parts,) = _energy_rows(seq, (depth,), u, v, quad, constants, limit=True)
-    return _fsum(gasket.tolist() + _terms(parts)[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gasket = (
+            taus[:, 0, 0] * gux * gvx
+            + taus[:, 0, 1] * (gux * gvy + guy * gvx)
+            + taus[:, 1, 1] * guy * gvy
+        )
+    if not np.isfinite(gasket).all():
+        raise TermOverflow("a gasket term of the measure overflows the double range")
+    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, constants, limit=True)
+    return _fsum(gasket.tolist() + cables)

@@ -25,8 +25,8 @@ vanishes to rounding for affine phi.
 
 Both sides of every row come from one moment pass of the energy module
 to the deepest depth, O(depth D^3) for the whole sweep instead of one term
-per cell: the energy side contracts the symmetrized moments, the measure
-side the plain ones.  Since the cylinder matrices are
+per cell: its ``energy`` form on the energy side, its ``ibp`` form on the
+measure side.  Since the cylinder matrices are
 tau_w = DF_w (Id/2) DF_w^t / lam_tilde(l), the gasket term
 3a tr(tau_w Hess phi(x_w)) v(x_w) is the cell form
 (3a/2) Lap f(b) g(b) at the barycenter b, pulled back through F_w; the
@@ -39,15 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (
-    _contractions,
-    _fsum,
-    _point_partials,
-    _report,
-    _terms,
-    _top_moment,
-    resolve_quadrature,
-)
+from .energy import _fsum, _moment_terms, resolve_quadrature
 from .geometry import _cable_stack, _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
 from .kusuoka import CableMass, _trace, cable_masses, gibbs_tau, tau_table
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
@@ -134,16 +126,9 @@ def ibp_table(
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
     quad = resolve_quadrature(quad, phi.degree, v.degree)
     depths = list(depths)
-    d = max(phi.degree, v.degree, 0)
-    b = barycenter()
-    lap = _point_partials(b, d, 2, 0) + _point_partials(b, d, 0, 2)
-    gasket = 1.5 * constants.a * np.outer(lap, _point_partials(b, d, 0, 0))
-    tops = np.stack([_top_moment(phi, v, d), _top_moment(phi, v, d, symmetric=False)])
-    forms = [(None, (1, 1)), (gasket, (2, 0))]
     rows = []
-    for depth, (energy, measure) in zip(depths, _contractions(seq, depths, d, quad, constants, tops, forms)):
-        gasket_terms, cable_terms = _terms(measure)
-        lhs, rhs = _report(depth, energy).total, _fsum(gasket_terms + cable_terms)
+    for depth, (energy, measure) in zip(depths, _moment_terms(seq, depths, phi, v, quad, constants, ("energy", "ibp"))):
+        lhs, rhs = _fsum(energy[0] + energy[1]), _fsum(measure[0] + measure[1])
         rows.append(
             {"depth": depth, "energy_lhs": lhs, "integral_rhs": rhs, "residual": abs(lhs + rhs)}
         )

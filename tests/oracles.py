@@ -36,15 +36,16 @@ import numpy as np
 from stretched_gasket.energy import (
     _EXT,
     EnergyReport,
-    _energy_rows,
+    _contractions,
     _map_pullback,
     _plain_coeffs,
     _report,
     _segment_jets,
     _split,
     _tableau,
+    _terms,
+    _top_moment,
     cable_tail_bound,
-    energy_total,
     resolve_quadrature,
 )
 from stretched_gasket.errors import DegenerateCable
@@ -202,18 +203,32 @@ def fold_backward(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> EnergyRepo
     return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
 
 
+def _energy_rows(seq, depths, u, v, quad, constants, outer=None, *, limit=False):
+    """[triangle part, generation-1 cable part, ...] of the energy form on
+    (u o outer, v o outer) at every depth, one moment pass per call
+    (``limit``: infinite windows)."""
+    d = max(u.degree, v.degree, 0)
+    tops = _top_moment(u, v, d, outer)[None]
+    for (parts,) in _contractions(seq, depths, d, quad, constants, tops, [(None, (1, 1))], limit=limit):
+        yield parts
+
+
 def recurrence_residual_by_passes(seq, l, u, v, quad=None, constants=DEFAULT_CONSTANTS) -> float:
     """The one-step recurrence defect from four separate moment passes.
 
-    One pass for the depth-(l+1) form and one ``energy_total`` on the
-    shifted sequence for each pulled-back pair (u o F^1_i, v o F^1_i),
-    where the package stacks the three into one pass.
+    One pass for the depth-(l+1) form and one on the shifted sequence for
+    each pulled-back pair (u o F^1_i, v o F^1_i), where the package stacks
+    the three into one pass.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
     (whole,) = _energy_rows(seq, (l + 1,), u, v, quad, constants)
-    parts = [energy_total(seq.shift(), l, u, v, quad, constants, outer=f).total for f in triple(seq.eps(1))]
+    parts = [
+        _report(l, *_terms(half)).total
+        for f in triple(seq.eps(1))
+        for half in _energy_rows(seq.shift(), (l,), u, v, quad, constants, f)
+    ]
     rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
-    return abs(_report(l + 1, whole).total - rhs)
+    return abs(_report(l + 1, *_terms(whole)).total - rhs)
 
 
 def selfsimilar_residual_by_passes(seq, u, v, depth, quad=None, constants=DEFAULT_CONSTANTS) -> tuple[float, float]:
@@ -221,12 +236,12 @@ def selfsimilar_residual_by_passes(seq, u, v, depth, quad=None, constants=DEFAUL
     quad = resolve_quadrature(quad, u.degree, v.degree)
     gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
     (whole,) = _energy_rows(seq, (depth,), u, v, quad, constants, limit=True)
-    lhs = _report(depth, whole)
+    lhs = _report(depth, *_terms(whole))
     parts, tails = [], [cable_tail_bound(seq, depth, gu, gv, constants)]
     for f in triple(seq.eps(1)):
         opn = float(np.linalg.norm(f.linear, 2))
         (half,) = _energy_rows(seq.shift(), (depth - 1,), u, v, quad, constants, f, limit=True)
-        rep = _report(depth - 1, half)
+        rep = _report(depth - 1, *_terms(half))
         parts.append(rep.e1 + rep.e2)
         tails.append(cable_tail_bound(seq.shift(), depth - 1, gu * opn, gv * opn, constants) / seq.lam(1))
     rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
@@ -397,7 +412,9 @@ def kusuoka_text_by_rows(depth):
     Word tuples from ``iter_words`` joined, repr(float(...)) per cell and
     ``csv.writer`` with CRLF line ends, from the library's tau table: each
     row's kappa is its own tau11 + tau22, and its small eigenvalue the
-    exact determinant over the large one.  Returns (csv text, json text).
+    exact determinant over the large one.  The largest-mass word is the
+    first whose exact kappa (``exact_kappa_table``) equals the largest.
+    Returns (csv text, json text).
     """
     # det tau_w = ((1/2) (3/5)^l)^2 (det B_i)^l with det B_i = 1/3, rounded once.
     det = float((Fraction(3, 5) ** depth / 2) ** 2 / Fraction(3) ** (2 * depth))
@@ -409,11 +426,14 @@ def kusuoka_text_by_rows(depth):
         min_eig = min(min_eig, det / (0.5 * (t11 + t22) + math.sqrt(half * half + t12 * t12)))
         word = "".join(str(letter) for letter in w)
         rows.append([word, repr(kappas[-1]), repr(t11), repr(t12), repr(t22)])
+    # Equal masses in Q(sqrt3) may differ in their 50-digit roundings.
+    exact = exact_kappa_table(depth)
+    top = max(exact)
     summary = {
         "depth": depth,
         "sum_kappa": math.fsum(kappas),
         "min_eig": min_eig,
-        "max_kappa_word": rows[kappas.index(max(kappas))][0],
+        "max_kappa_word": rows[next(i for i, k in enumerate(exact) if top - k < top.scaleb(-40))][0],
     }
     text = _csv_by_rows(["word", "kappa", "tau11", "tau12", "tau22"], rows)
     return text, json.dumps(summary, indent=2, sort_keys=True) + "\n"

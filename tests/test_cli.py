@@ -218,6 +218,13 @@ def test_kusuoka_builds_its_tau_table_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_kusuoka_gate_fires_on_a_nan_eigenvalue(monkeypatch, capsys):
+    # NaN passes every "<" comparison; the gate asks for a positive value.
+    monkeypatch.setattr(cli.kus_mod, "_small_eigenvalues", lambda taus, l: [float("nan")] * len(taus))
+    assert cli.main(["kusuoka", "--depth", "2"]) == 2
+    assert capsys.readouterr().err == "assertion failed: cylinder matrix min eigenvalue nan is not positive\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

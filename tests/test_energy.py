@@ -1,9 +1,12 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stretched_gasket
 from stretched_gasket import (
     DEFAULT_CONSTANTS,
     DegenerateCable,
@@ -20,10 +23,13 @@ from stretched_gasket import (
     energy_total,
     energy_via_measure,
     get_quadrature,
+    ibp_table,
     parse,
     recurrence_residual,
     selfsimilar_residual,
     sup_bounds,
+    vanishing_cubic,
+    weak_pairing,
 )
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
@@ -137,6 +143,32 @@ def test_overflowing_terms_raise_term_overflow():
                 form()
         u = parse("1e150*x^2")
         assert energy_total(ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5)), 3, u, u).total == 5.6607049169557e299
+        # The weak pairing and both IBP sides sum the same terms; the measure
+        # route refuses its gasket products where it forms them.
+        u, v = parse("7.5e154*x^2"), 7.5e154 * vanishing_cubic()
+        for form in (lambda: weak_pairing(PREFIX_EXP, 3, u, v), lambda: ibp_table(PREFIX_EXP, u, v, (3,))):
+            with pytest.raises(TermOverflow, match="sum of form terms overflows the double range"):
+                form()
+        with pytest.raises(TermOverflow, match="gasket term of the measure overflows the double range"):
+            energy_via_measure(PREFIX_EXP, u, parse("7.5e154*y^2"), 3)
+        assert math.isfinite(weak_pairing(PREFIX_EXP, 3, parse("7e154*x^2"), 7e154 * vanishing_cubic()))
+
+
+def test_other_modules_reach_the_moment_pass_through_its_entry():
+    # Of the energy module's private names, the modules that read its forms
+    # import only the pass entry and the guarded sum: they build no moments.
+    package = Path(stretched_gasket.__file__).parent
+    for name in ("harmonicity", "kusuoka", "laplacian"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        imported = {
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        assert (None, "energy") not in imported, name
+        private = {alias for module, alias in imported if module == "energy" and alias.startswith("_")}
+        assert private <= {"_moment_terms", "_fsum"}, (name, private)
 
 
 def test_cable_energy_generations_sum_to_energy2(rng):

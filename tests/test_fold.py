@@ -28,6 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stretched_gasket import (
+    DEFAULT_CONSTANTS,
     AffineMap2,
     DepthCapExceeded,
     ExpTail,
@@ -50,11 +51,12 @@ from stretched_gasket import (
     weak_pairing,
 )
 from stretched_gasket import energy
-from stretched_gasket.energy import min_quad_order
+from stretched_gasket.energy import _one_step, _report, _terms, min_quad_order
 from stretched_gasket.geometry import _side_arrays
 
 from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
 from oracles import (
+    _energy_rows,
     cable_arrays,
     cable_energy,
     energy2_limit_by_edges,
@@ -76,9 +78,6 @@ SEQS = ALL_REGIMES + (LOW_PREFIX, HIGH_PREFIX)
 SEQ_IDS = ["const-half", "prefix-exp", "tail-only", "prefix-0.01", "prefix-0.99"]
 LIMIT_SEQS = (PREFIX_EXP, TAIL_ONLY, LOW_PREFIX, HIGH_PREFIX)
 LIMIT_IDS = SEQ_IDS[1:]
-
-#: An affine map with a rotation-free shear and an offset.
-SHEAR = AffineMap2(np.array([[0.7, -0.2], [0.1, 0.5]]), np.array([0.2, -0.1]))
 
 
 def _field_cases():
@@ -135,15 +134,18 @@ def test_moment_pass_matches_backward_fold(seq, case):
 
 @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
 def test_folded_energy_with_outer_maps(seq, rng):
+    # The recurrence's pulled-back fields u o F^1_i, v o F^1_i, the one use
+    # of outer maps, against the edge sum of the shifted sequence.
     u = random_poly(rng, 4)
     v = random_poly(rng, 3)
     quad = get_quadrature(8)
-    for outer in (SHEAR, *triple(seq.eps(1))):
-        for l in (0, 3, 6):
-            ref, _ = energy_by_edges(seq, l, u, v, quad, outer=outer)
-            _close(energy_total(seq, l, u, v, quad, outer=outer).total, ref.total)
-            _close(energy1(seq, l, u, v, quad, outer=outer), ref.e1)
-            _close(energy2(seq, l, u, v, quad, outer=outer), ref.e2)
+    for l in (0, 3, 6):
+        _, _, halves = _one_step(seq, l, u, v, quad, DEFAULT_CONSTANTS)
+        for f, rep in zip(triple(seq.eps(1)), halves):
+            ref, _ = energy_by_edges(seq.shift(), l, u, v, quad, outer=f)
+            _close(rep.total, ref.total)
+            _close(rep.e1, ref.e1)
+            _close(rep.e2, ref.e2)
 
 
 @pytest.mark.parametrize("case", FIELDS, ids=FIELD_IDS)
@@ -155,8 +157,8 @@ def test_folded_limit_cables_match_edge_sum(seq, case):
         got, _ = energy2_limit(seq, u, v, s_max, quad)
         _close(got, energy2_limit_by_edges(seq, s_max, u, v, quad))
     f2 = triple(seq.eps(1))[1]
-    got, _ = energy2_limit(seq, u, v, 3, quad, outer=f2)
-    _close(got, energy2_limit_by_edges(seq, 3, u, v, quad, outer=f2))
+    _, _, halves = _one_step(seq, 3, u, v, quad, DEFAULT_CONSTANTS, limit=True)
+    _close(halves[1].e2, energy2_limit_by_edges(seq.shift(), 3, u, v, quad, outer=f2))
 
 
 @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
@@ -166,8 +168,7 @@ def test_generation1_cables_match_cable_energy(seq, rng):
     # cable_energy composes each cable into one-variable polynomials.  The
     # pair (affine, vanishing cubic) is zero analytically, so the tolerance
     # is relative to the Cauchy-Schwarz scale sqrt(C(u, u) C(v, v)).
-    from stretched_gasket import DEFAULT_CONSTANTS
-    from stretched_gasket.energy import _energy_rows, _split, resolve_quadrature
+    from stretched_gasket.energy import _split, resolve_quadrature
 
     pairs = [(random_poly(rng, d), random_poly(rng, max(1, d - 1))) for d in range(1, 13)]
     pairs.append((parse("0.3 - 1.2*x + 0.7*y"), vanishing_cubic()))
@@ -206,15 +207,13 @@ def test_fold_reproduces_edge_sum_for_inexact_rules():
     # The Grams use the caller's rule, so even a rule too low for the
     # fields gives the edge sum's numbers; the public entry points refuse
     # such rules, so this goes through the internal assembly.
-    from stretched_gasket import DEFAULT_CONSTANTS
-    from stretched_gasket.energy import _energy_rows, _report
 
     x12 = parse("x^12")
     for order in (2, 8, 12):
         quad = get_quadrature(order)
         for l in (0, 2, 5):
             (parts,) = _energy_rows(PREFIX_EXP, (l,), x12, x12, quad, DEFAULT_CONSTANTS)
-            got = _report(l, parts)
+            got = _report(l, *_terms(parts))
             ref, _ = energy_by_edges(PREFIX_EXP, l, x12, x12, quad)
             _close(got.e1, ref.e1)
             _close(got.e2, ref.e2)
