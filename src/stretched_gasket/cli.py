@@ -12,14 +12,17 @@ use dotted keys, ``#`` comments and blank lines are ignored:
 
 Exit codes: 0 success, 1 usage or configuration error, 2 assertion
 failure (a computed invariant out of tolerance; the message names the
-failing quantity).  All outputs are deterministic for a fixed config:
-fixed enumeration orders, fixed float formatting, no wall clock.
+failing quantity).  Each gate asks ``not value <= bound``, so a NaN
+fails it.  All outputs are deterministic for a fixed config: fixed
+enumeration orders, fixed float formatting, no wall clock.  All numeric
+work runs before the first byte of an output; tables are then written
+in row blocks, so their text never exists whole.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
 import math
 import sys
@@ -122,34 +125,54 @@ def _quadrature(args, cfg):
     return None if order is None else energy_mod.get_quadrature(order)
 
 
-def _emit(text: str, out_path: str | None):
+#: Rows per block of a written table: 3^7, the depth-l words below one depth-(l - 7) prefix.
+_BLOCK_ROWS = 3**7
+
+
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """stdout, or ``out_path`` opened for text without newline translation."""
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, out_path: str | None):
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows) -> str:
-    """CRLF CSV of string rows, joined as they stream.  No field needs
-    quoting: fields are float reprs, digit words and fixed labels."""
-    return "\r\n".join(map(",".join, itertools.chain([header], rows))) + "\r\n"
+def _write_csv(out_path: str | None, header: list[str], n_rows: int, block_rows):
+    """CRLF CSV of ``n_rows`` rows, written ``_BLOCK_ROWS`` at a time: ``block_rows(start, stop)``
+    gives rows start..stop-1 as sequences of strings.  No field needs quoting: fields are
+    float reprs, digit words and fixed labels."""
+    with _output(out_path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            rows = block_rows(start, min(start + _BLOCK_ROWS, n_rows))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _word_str(word: tuple[int, ...]) -> str:
     return "".join(str(i) for i in word)
 
 
-def _word_lists(depth: int) -> list[list[str]]:
-    """Digit strings of the words of each length 0..depth, lexicographic."""
-    out = [[""]]
-    for _ in range(depth):
-        out.append([w + c for w in out[-1] for c in "123"])
-    return out
+def _word_strs(index: np.ndarray, length) -> list[str]:
+    """Digit strings of the words with lexicographic ``index`` among the words of their ``length``."""
+    index, length = np.broadcast_arrays(np.asarray(index, np.int64), np.asarray(length, np.int64))
+    width = max(int(length.max(initial=0)), 1)
+    # Letter k of a length-L word is digit L - 1 - k of its base-3 index, plus one;
+    # past the word's end a zero byte, which the bytes dtype drops.
+    places = length[:, None] - 1 - np.arange(width)
+    letters = (index[:, None] // (3 ** np.arange(width))[np.maximum(places, 0)] % 3 + ord("1")).astype(np.uint8)
+    letters[places < 0] = 0
+    return [word.decode() for word in letters.view(f"S{width}").ravel().tolist()]
 
 
 def _reprs(col: np.ndarray):
@@ -205,7 +228,10 @@ def cmd_geometry(args, cfg, seq, constants) -> int:
     edges = prefractal_edges(seq, depth, constants)
     _emit(_svg_text(depth, edges, kappas), args.out)
     if args.json is not None:
-        _emit(_json_text(_edges_json(depth, edges)), args.json)
+        with _output(args.json) as fh:
+            # json.dump writes the chunks that json.dumps would join.
+            json.dump(_edges_json(depth, edges), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 
@@ -244,7 +270,7 @@ def cmd_harmonicity(args, cfg, seq, constants) -> int:
     }
     _emit(_json_text(payload), args.out)
     gate = HARMONIC_GATES["assertion"] * constants.a
-    if rep.residual > gate:
+    if not rep.residual <= gate:
         return _assert_fail(
             f"harmonic residual {rep.residual:.3e} exceeds {gate:.1e} "
             f"at vertex {_word_str(rep.worst_word)}/{rep.worst_corner}"
@@ -258,7 +284,7 @@ def cmd_ruelle(args, cfg, seq, constants) -> int:
         eps = seq.eps(1)
     payload = kus_mod.perron_report(eps)
     _emit(_json_text(payload), args.out)
-    if payload["residual"] > 1e-12:
+    if not payload["residual"] <= 1e-12:
         return _assert_fail(f"eigen-residual {payload['residual']:.3e} exceeds 1e-12")
     return 0
 
@@ -272,21 +298,25 @@ def cmd_kusuoka(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 3, int)
     taus = kus_mod.tau_table(depth)
     kappas = kus_mod._trace(taus)
-    words = _word_lists(depth)[depth]
-    rows = zip(words, _reprs(kappas), _reprs(taus[:, 0, 0]), _reprs(taus[:, 0, 1]), _reprs(taus[:, 1, 1]))
-    _emit(_csv_text(["word", "kappa", "tau11", "tau12", "tau22"], rows), args.out)
     min_eig = float(np.min(kus_mod._small_eigenvalues(taus, depth)))
     sum_kappa = math.fsum(kappas.tolist())
+    columns = (kappas, taus[:, 0, 0], taus[:, 0, 1], taus[:, 1, 1])
+    _write_csv(
+        args.out,
+        ["word", "kappa", "tau11", "tau12", "tau22"],
+        len(kappas),
+        lambda a, b: zip(_word_strs(np.arange(a, b), depth), *(_reprs(c[a:b]) for c in columns)),
+    )
     if args.json is not None:
         top = kappas.max()
         summary = {
             "depth": depth,
             "sum_kappa": sum_kappa,
             "min_eig": min_eig,
-            "max_kappa_word": words[int(np.argmax(kappas >= top - _KAPPA_TIE_ULPS * np.spacing(top)))],
+            "max_kappa_word": _word_strs([np.argmax(kappas >= top - _KAPPA_TIE_ULPS * np.spacing(top))], depth)[0],
         }
         _emit(_json_text(summary), args.json)
-    if abs(sum_kappa - 1.0) > 1e-12:
+    if not abs(sum_kappa - 1.0) <= 1e-12:
         return _assert_fail(f"level mass sum {sum_kappa!r} deviates from 1 beyond 1e-12")
     if not min_eig > 0:
         return _assert_fail(f"cylinder matrix min eigenvalue {min_eig:.3e} is not positive")
@@ -304,13 +334,13 @@ def cmd_ibp(args, cfg, seq, constants) -> int:
         [str(r["depth"]), repr(r["energy_lhs"]), repr(r["integral_rhs"]), repr(r["residual"])]
         for r in rows_data
     ]
-    _emit(_csv_text(["depth", "energy_lhs", "integral_rhs", "residual"], rows), args.out)
+    _write_csv(args.out, ["depth", "energy_lhs", "integral_rhs", "residual"], len(rows), lambda a, b: rows[a:b])
     residuals = [r["residual"] for r in rows_data]
     if phi.degree <= 1:
-        bad = [r for r in residuals if r > 1e-10]
+        bad = [r for r in residuals if not r <= 1e-10]
         if bad:
             return _assert_fail(f"affine field residual {max(bad):.3e} exceeds 1e-10")
-    elif len(residuals) >= 2 and residuals[-1] > residuals[0]:
+    elif len(residuals) >= 2 and not residuals[-1] <= residuals[0]:
         return _assert_fail(
             f"residuals do not decay over depths {depths[0]}..{depths[-1]}: "
             f"{residuals[0]:.3e} -> {residuals[-1]:.3e}"
@@ -329,11 +359,11 @@ def cmd_convergence(args, cfg, seq, constants) -> int:
         [str(r["l"]), repr(r["total"]), "" if r["delta"] is None else repr(r["delta"])]
         for r in rows_data
     ]
-    _emit(_csv_text(["l", "energy", "delta"], rows), args.out)
+    _write_csv(args.out, ["l", "energy", "delta"], len(rows), lambda a, b: rows[a:b])
     for i in range(1, len(rows_data)):
         delta = rows_data[i]["delta"]
         envelope = rows_data[i - 1]["envelope"]
-        if abs(delta) > envelope:
+        if not abs(delta) <= envelope:
             return _assert_fail(
                 f"increment {delta:.3e} at l={rows_data[i]['l']} exceeds envelope {envelope:.3e}"
             )
@@ -349,7 +379,7 @@ def cmd_selfsim(args, cfg, seq, constants) -> int:
     residual, bound = energy_mod.selfsimilar_residual(seq, u, v, depth, quad, constants)
     payload = {"depth": depth, "residual": residual, "bound": bound, "eps_spec": seq.describe()}
     _emit(_json_text(payload), args.out)
-    if residual > bound + 1e-12:
+    if not residual <= bound + 1e-12:
         return _assert_fail(f"self-similarity residual {residual:.3e} exceeds bound {bound:.3e}")
     return 0
 
@@ -358,16 +388,20 @@ def cmd_laplacian(args, cfg, seq, constants) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 2, int)
     phi = parse_poly(_resolve(args, cfg, "phi", "phi", "x^2", str))
     table = lap_mod.laplacian_samples(seq, phi, depth, constants)
-    words = _word_lists(depth)
-    kinds = map(("cell", "cable").__getitem__, (table.generation > 0).tolist())
-    # A cell's word has the full depth; a generation-s cable's prefix has s - 1 letters.
-    word_strs = map(lambda g, i: words[g - 1 if g else depth][i], table.generation.tolist(), table.word.tolist())
-    slots = map(("", "1", "2", "3").__getitem__, table.slot.tolist())
-    rows = zip(kinds, word_strs, slots, _reprs(table.x), _reprs(table.y), _reprs(table.value))
-    _emit(_csv_text(["kind", "word", "slot", "x", "y", "value"], rows), args.out)
     cap = 2.0 * sup_bounds(phi)[1] + 1e-9
     worst = float(np.max(np.abs(table.value)))
-    if not worst <= cap:  # a NaN sample fails too
+    cable = table.generation > 0
+    # A cell's word has the full depth; a generation-s cable's prefix has s - 1 letters.
+    lengths = np.where(cable, table.generation - 1, depth)
+    columns = (table.x, table.y, table.value)
+
+    def block(a, b):
+        kinds = map(("cell", "cable").__getitem__, cable[a:b].tolist())
+        slots = map(("", "1", "2", "3").__getitem__, table.slot[a:b].tolist())
+        return zip(kinds, _word_strs(table.word[a:b], lengths[a:b]), slots, *(_reprs(c[a:b]) for c in columns))
+
+    _write_csv(args.out, ["kind", "word", "slot", "x", "y", "value"], len(table), block)
+    if not worst <= cap:
         return _assert_fail(f"Laplacian sample {worst:.3e} exceeds the Hessian bound {cap:.3e}")
     return 0
 

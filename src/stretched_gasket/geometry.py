@@ -361,8 +361,3 @@ def prefractal_edges(seq: ParamSeq, l: int, constants: Constants = DEFAULT_CONST
     p, q, v = (np.concatenate([a.reshape(-1, 2) for a in arrs]) for arrs in zip(tri, *cables))
     columns = [np.repeat(np.arange(l + 1), sizes), word, slot, pf, *p.T, *q.T, *v.T]
     return np.rec.fromarrays(columns, names="generation,word,slot,prefactor,px,py,qx,qy,vx,vy")
-
-
-def count_edges(l: int) -> tuple[int, int]:
-    """(triangle edges, cables) of the depth-l pre-fractal."""
-    return 3 * 3**l, 3 * (3**l - 1) // 2

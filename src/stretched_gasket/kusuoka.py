@@ -52,15 +52,6 @@ from .geometry import (
 from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
 from .scalarfield import Poly2, grad_batch
 
-#: Orthonormal basis of symmetric 2x2 matrices under the Frobenius inner product.
-SYM_BASIS = (
-    np.array([[1.0, 0.0], [0.0, 0.0]]),
-    np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0),
-    np.array([[0.0, 0.0], [0.0, 1.0]]),
-)
-for _m in SYM_BASIS:
-    _m.flags.writeable = False
-
 #: The level factors B_1, B_2, B_3 in longdouble, built entrywise (B_2, B_3 exact mirror images).
 _ROOT, _THIRD, _FIVE_SIXTHS = np.sqrt(np.longdouble(3)) / 6, np.longdouble(1) / 3, np.longdouble(5) / 6
 _LEVEL_FACTORS = np.array([[[1, 0], [0, _THIRD]], [[0.5, _ROOT], [_ROOT, _FIVE_SIXTHS]], [[0.5, -_ROOT], [-_ROOT, _FIVE_SIXTHS]]])
@@ -69,16 +60,6 @@ _LEVEL_FACTORS.flags.writeable = False
 #: Convergence tolerance and iteration cap of the Perron power iteration.
 PERRON_RTOL = 1e-14
 PERRON_MAX_ITER = 10_000
-
-
-def sym3(mat: np.ndarray) -> np.ndarray:
-    """Coordinates of a symmetric matrix in SYM_BASIS."""
-    return np.array([mat[0, 0], math.sqrt(2.0) * mat[0, 1], mat[1, 1]])
-
-
-def unsym3(vec: np.ndarray) -> np.ndarray:
-    off = vec[1] / math.sqrt(2.0)
-    return np.array([[vec[0], off], [off, vec[2]]])
 
 
 def _require_symmetric(mat: np.ndarray, tol: float = 1e-12):
@@ -94,12 +75,6 @@ def ruelle_apply(eps: float, mat: np.ndarray) -> np.ndarray:
         t = f.linear
         out += t.T @ mat @ t
     return 0.5 * (out + out.T)
-
-
-def sym_operator3(eps: float) -> np.ndarray:
-    """3x3 matrix of the level operator in SYM_BASIS."""
-    cols = [sym3(ruelle_apply(eps, b)) for b in SYM_BASIS]
-    return np.stack(cols, axis=1)
 
 
 def _perron_iteration(eps):
@@ -282,11 +257,6 @@ def cable_masses(
     world = _images(lin, vel).reshape(-1, 2)
     nrm2 = (world[:, None] @ world[..., None]).ravel()
     return cable_prefactor_limit(seq, s, constants) * nrm2, world / np.sqrt(nrm2)[:, None]
-
-
-def total_cable_mass(seq: ParamSeq, s_max: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
-    """Mass of all cables of generations 1..s_max."""
-    return math.fsum(m for s in range(1, s_max + 1) for m in cable_masses(seq, s, constants)[0].tolist())
 
 
 def energy_via_measure(

@@ -90,21 +90,6 @@ def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
     return LaplacianSample(location, carrier, t_tilde, float(value))
 
 
-def ibp_residual(
-    seq: ParamSeq,
-    phi: Poly2,
-    v: Poly2,
-    depth: int,
-    quad=None,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> float:
-    """| E_depth(phi, v) + integral of (Laplacian phi) v d(mu_depth) |.
-
-    v must vanish at the three base corners.  One row of ``ibp_table``.
-    """
-    return ibp_table(seq, phi, v, (depth,), quad, constants)[0]["residual"]
-
-
 def ibp_table(
     seq: ParamSeq,
     phi: Poly2,

@@ -1,10 +1,12 @@
 """Shared fixtures: the three stretch regimes used across the suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from stretched_gasket import ExpTail, ParamSeq
+from stretched_gasket import ExpTail, ParamSeq, geometry, kusuoka
 
 #: Constant sequence (no infinite tail product; finite-depth only).
 CONSTANT_HALF = ParamSeq.constant(0.5)
@@ -42,6 +44,19 @@ def regime(request):
 @pytest.fixture(params=LIMIT_REGIMES, ids=["prefix-exp", "tail-only"])
 def limit_regime(request):
     return request.param
+
+
+def cold_peak(fn) -> int:
+    """tracemalloc peak of fn() with the map and cylinder tables built inside it."""
+    geometry.word_table.cache_clear()
+    kusuoka._scaled_linears.cache_clear()
+    kusuoka.kappa_table.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_poly(rng, max_degree: int):

@@ -19,7 +19,9 @@ and a closed-form inner minimum that bounds its accuracy.  The cylinder
 tables have three: einsum contractions of the same fixed level factors
 (bit for bit), each sequence's own scaled map products (to rounding), and
 the exact cylinder matrices in Q(sqrt3), rounded to 50 digits only when
-compared.
+compared.  Four derived quantities that only the tests read live here
+too: the edge counts, one IBP row, the level operator's 3x3 matrix in a
+symmetric basis and the total cable mass.
 """
 
 import csv
@@ -67,8 +69,16 @@ from stretched_gasket.geometry import (
     word_table,
 )
 from stretched_gasket.harmonicity import ND_GRID, ND_REFINE, _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNERS
-from stretched_gasket.kusuoka import _LEVEL_FACTORS, _level_scale, cable_mass, kappa_table, tau_table
-from stretched_gasket.laplacian import laplacian_samples, teplyaev
+from stretched_gasket.kusuoka import (
+    _LEVEL_FACTORS,
+    _level_scale,
+    cable_mass,
+    cable_masses,
+    kappa_table,
+    ruelle_apply,
+    tau_table,
+)
+from stretched_gasket.laplacian import ibp_table, laplacian_samples, teplyaev
 from stretched_gasket.params import DEFAULT_CONSTANTS
 from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval, sup_bounds
 
@@ -723,3 +733,48 @@ def nd_gamma_closed_form(mats, scan: int = 20000, iters: int = 80) -> float:
         else:
             lo = a
     return float(min(g[k], *_nd_inner_min(mats, np.array([lo, hi, (lo + hi) / 2]))))
+
+
+# -- derived quantities read only by the tests -----------------------------
+
+
+def count_edges(l: int) -> tuple[int, int]:
+    """(triangle edges, cables) of the depth-l pre-fractal."""
+    return 3 * 3**l, 3 * (3**l - 1) // 2
+
+
+def ibp_residual(seq, phi, v, depth, quad=None, constants=DEFAULT_CONSTANTS) -> float:
+    """| E_depth(phi, v) + integral of (Laplacian phi) v d(mu_depth) |: one row of ``ibp_table``.
+
+    v must vanish at the three base corners.
+    """
+    return ibp_table(seq, phi, v, (depth,), quad, constants)[0]["residual"]
+
+
+#: Orthonormal basis of symmetric 2x2 matrices under the Frobenius inner product.
+SYM_BASIS = (
+    np.array([[1.0, 0.0], [0.0, 0.0]]),
+    np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0),
+    np.array([[0.0, 0.0], [0.0, 1.0]]),
+)
+
+
+def sym3(mat: np.ndarray) -> np.ndarray:
+    """Coordinates of a symmetric matrix in SYM_BASIS."""
+    return np.array([mat[0, 0], math.sqrt(2.0) * mat[0, 1], mat[1, 1]])
+
+
+def unsym3(vec: np.ndarray) -> np.ndarray:
+    off = vec[1] / math.sqrt(2.0)
+    return np.array([[vec[0], off], [off, vec[2]]])
+
+
+def sym_operator3(eps: float) -> np.ndarray:
+    """3x3 matrix of the level operator in SYM_BASIS."""
+    cols = [sym3(ruelle_apply(eps, b)) for b in SYM_BASIS]
+    return np.stack(cols, axis=1)
+
+
+def total_cable_mass(seq, s_max: int, constants=DEFAULT_CONSTANTS) -> float:
+    """Mass of all cables of generations 1..s_max."""
+    return math.fsum(m for s in range(1, s_max + 1) for m in cable_masses(seq, s, constants)[0].tolist())

@@ -18,7 +18,6 @@ from stretched_gasket import (
     affine,
     base_vertices,
     cable_segments,
-    count_edges,
     energy1,
     energy2_limit,
     energy_total,
@@ -26,7 +25,6 @@ from stretched_gasket import (
     get_quadrature,
     gibbs_tau,
     harmonic_residual,
-    ibp_residual,
     iter_words,
     kappa,
     kappa_table,
@@ -42,7 +40,7 @@ from stretched_gasket import (
 from stretched_gasket.scalarfield import grad_batch, hess_batch, parse
 
 from conftest import ALL_REGIMES, CONSTANT_HALF, LIMIT_REGIMES, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import adjoint_aggregate
+from oracles import adjoint_aggregate, count_edges, ibp_residual
 
 A_CONST = 1.0 / 3.0
 

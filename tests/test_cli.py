@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +13,7 @@ import pytest
 
 from stretched_gasket import ExpTail, ParamSeq, cli, parse
 
+from conftest import cold_peak
 from oracles import geometry_text_by_rows, kusuoka_text_by_rows, laplacian_text_by_rows
 
 BASE = [sys.executable, "-m", "stretched_gasket.cli"]
@@ -305,6 +308,122 @@ def test_tables_match_the_row_by_row_rendering(depth, tmp_path):
     svg, side = geometry_text_by_rows(seq, depth)
     assert proc.stdout == svg.encode()
     assert edges.read_bytes() == side.encode()
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_tables_match_the_row_by_row_rendering_over_many_blocks(depth, tmp_path, monkeypatch, capsys):
+    # Five-row blocks: the tables span up to 41 blocks, a partial one last,
+    # and the laplacian blocks straddle the cell and cable sections.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+    seq = ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5))  # EXP_FLAGS
+    phi = "x^3 - 0.7*x*y + y^4"
+    text, summary = kusuoka_text_by_rows(depth)
+    svg, edges = geometry_text_by_rows(seq, depth)
+    runs = [
+        (["kusuoka", "--depth", str(depth), "--json"], text, summary),
+        (["laplacian", "--depth", str(depth), "--phi", phi], laplacian_text_by_rows(seq, parse(phi), depth), None),
+        (["geometry", "--depth", str(depth), "--shade", "--json"], svg, edges),
+    ]
+    for argv, want, side in runs:
+        side_path, out_path = tmp_path / "side.json", tmp_path / "table.out"
+        side_arg = [str(side_path)] if side is not None else []
+        argv = [*argv[:1], *EXP_FLAGS, *argv[1:], *side_arg]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want, argv
+        if side is not None:
+            assert side_path.read_bytes() == side.encode()
+        assert cli.main([*argv, "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out_path.read_bytes() == want.encode(), argv
+
+
+def test_written_tables_stay_within_their_memory_ceilings(tmp_path, capsys):
+    # Ceilings are about twice the peaks measured (6.1 and 2.5 MiB); with
+    # the text built as one string the peaks were 30 and 8.4 MiB.  The
+    # cylinder and map tables are O(3^l); the text is held one block at a time.
+    mib = 2**20
+    table, edges = tmp_path / "k.csv", tmp_path / "e.json"
+    assert cold_peak(lambda: cli.main(["kusuoka", "--depth", "10", "--out", str(table)])) < 12 * mib
+    assert cold_peak(lambda: cli.main(["geometry", "--depth", "6", "--shade", "--json", str(edges)])) < 5 * mib
+    assert table.read_bytes().count(b"\r\n") == 3**10 + 1
+    assert capsys.readouterr().out.endswith("</svg>\n") and edges.read_bytes().endswith(b"]\n}\n")
+
+
+#: Runs the CLI as ``python -m stretched_gasket`` does and reports its RSS high-water mark.
+_PEAK_LAUNCHER = """
+import runpy, sys
+try:
+    runpy.run_module("stretched_gasket", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        sys.stderr.write(next(line for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")
+def test_kusuoka_at_the_depth_cap_stays_within_its_rss_ceiling():
+    # Measured 96 MiB written in blocks, 325 MiB as one string; the 3^12-row
+    # cylinder table and its map products are 32 MiB of it.
+    argv = [sys.executable, "-c", _PEAK_LAUNCHER, "kusuoka", "--depth", "12"]
+    proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=True)
+    peak_kb = int(proc.stderr.split()[-2])
+    assert peak_kb <= 150 * 1024, peak_kb
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, edit, message",
+    [
+        (["kusuoka", "--depth", "2"], "kus_mod", "_trace", lambda k: k * NAN, "level mass sum nan"),
+        (["ruelle", "--eps", "0.7"], "kus_mod", "perron_report", lambda p: {**p, "residual": NAN}, "eigen-residual nan"),
+        (
+            ["ibp", "--phi", "2*x - y", "--depths", "3,4"],
+            "lap_mod",
+            "ibp_table",
+            lambda rows: [{**r, "residual": NAN} for r in rows],
+            "affine field residual nan",
+        ),
+        (
+            ["ibp", "--phi", "x^2", "--depths", "3,4"],
+            "lap_mod",
+            "ibp_table",
+            lambda rows: [*rows[:-1], {**rows[-1], "residual": NAN}],
+            "residuals do not decay",
+        ),
+        (
+            ["harmonicity", "--depth", "2"],
+            "harm_mod",
+            "harmonic_report",
+            lambda rep: dataclasses.replace(rep, residual=NAN),
+            "harmonic residual nan",
+        ),
+        (
+            ["convergence", "--depth", "3"],
+            "energy_mod",
+            "convergence_rows",
+            lambda rows: [rows[0], {**rows[1], "delta": NAN}, *rows[2:]],
+            "increment nan at l=1",
+        ),
+        (
+            ["selfsim", "--depth", "3"],
+            "energy_mod",
+            "selfsimilar_residual",
+            lambda pair: (NAN, pair[1]),
+            "self-similarity residual nan",
+        ),
+    ],
+    ids=["kusuoka", "ruelle", "ibp-affine", "ibp-decay", "harmonicity", "convergence", "selfsim"],
+)
+def test_gates_fire_on_a_nan(argv, module, name, edit, message, monkeypatch, capsys):
+    # NaN fails every comparison, so each gate asks whether the value is within its bound.
+    assert cli.main([argv[0], *EXP_FLAGS, *argv[1:]]) == 0
+    real = getattr(getattr(cli, module), name)
+    monkeypatch.setattr(getattr(cli, module), name, lambda *args: edit(real(*args)))
+    capsys.readouterr()
+    assert cli.main([argv[0], *EXP_FLAGS, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"assertion failed: {message}")
 
 
 def test_missing_config_file_exits_one():

@@ -14,7 +14,6 @@ from stretched_gasket import (
     cable_prefactor_limit,
     cable_segments,
     compose,
-    count_edges,
     iter_words,
     prefractal_edges,
     triple,
@@ -26,7 +25,7 @@ from stretched_gasket.errors import GasketError, PrefactorUnderflow
 from stretched_gasket.geometry import SIDE_NAMES, rotation
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY
-from oracles import EdgeId, edge_walk
+from oracles import EdgeId, count_edges, edge_walk
 
 
 # -- elementary planar predicates, used by the disjointness checks ---------

@@ -24,15 +24,13 @@ from stretched_gasket import (
     perron_report,
     ruelle_apply,
     sup_bounds,
-    sym_operator3,
     tau_table,
-    total_cable_mass,
     triple,
     word_index,
     word_table,
 )
 from stretched_gasket.errors import DepthCapExceeded, PrefactorUnderflow
-from stretched_gasket.kusuoka import _product2, _require_symmetric, _scaled_linears, sym3, unsym3
+from stretched_gasket.kusuoka import _product2, _require_symmetric, _scaled_linears
 
 from conftest import ALL_REGIMES, CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
 from oracles import (
@@ -42,8 +40,12 @@ from oracles import (
     per_sequence_kappa_table,
     per_sequence_tau_table,
     scaled_linears_by_einsum,
+    sym3,
+    sym_operator3,
     tau_table_by_einsum,
+    total_cable_mass,
     ulp_errors,
+    unsym3,
 )
 
 

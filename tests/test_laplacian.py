@@ -7,7 +7,6 @@ import pytest
 from stretched_gasket import (
     Poly2,
     cable_mass,
-    ibp_residual,
     ibp_table,
     laplacian_samples,
     parse,
@@ -18,6 +17,7 @@ from stretched_gasket import (
 )
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
+from oracles import ibp_residual
 
 
 def test_affine_fields_are_harmonic_pointwise(regime):

@@ -8,7 +8,6 @@ samples as references.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,13 +27,13 @@ from stretched_gasket import (
     word_index,
     word_table,
 )
-from stretched_gasket import cli, geometry, harmonicity, kusuoka
+from stretched_gasket import cli, geometry, harmonicity
 from stretched_gasket.energy import min_quad_order, resolve_quadrature
 from stretched_gasket.errors import PrefactorUnderflow
 from stretched_gasket.geometry import SIDE_NAMES
 from stretched_gasket.harmonicity import _CABLE_ENDS
 
-from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, admissible, random_poly
+from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, admissible, cold_peak, random_poly
 from oracles import (
     EdgeId,
     boundary_vector_of,
@@ -175,18 +174,6 @@ def test_harmonic_gates_have_one_definition():
         harmonicity.HARMONIC_GATES["assertion"] = 1.0
 
 
-def _cold_peak(fn) -> int:
-    """tracemalloc peak of fn() with the map and cylinder tables built inside it."""
-    geometry.word_table.cache_clear()
-    kusuoka._scaled_linears.cache_clear()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_vertex_diagnostics_memory_at_depth_ten():
     # Ceilings are twice the peaks measured at depth 10 (44 and 38 MiB):
     # O(3^l) arrays, the samples as one column table.  The weak pairing
@@ -194,15 +181,15 @@ def test_vertex_diagnostics_memory_at_depth_ten():
     u = parse("x^2 - 0.5*x*y + y^3")
     v = vanishing_cubic()
     mib = 2**20
-    assert _cold_peak(lambda: harmonic_report(PREFIX_EXP, 10)) < 88 * mib
-    assert _cold_peak(lambda: weak_pairing(PREFIX_EXP, 10, u, v)) < 2 * mib
-    assert _cold_peak(lambda: laplacian_samples(PREFIX_EXP, u, 10)) < 76 * mib
+    assert cold_peak(lambda: harmonic_report(PREFIX_EXP, 10)) < 88 * mib
+    assert cold_peak(lambda: weak_pairing(PREFIX_EXP, 10, u, v)) < 2 * mib
+    assert cold_peak(lambda: laplacian_samples(PREFIX_EXP, u, 10)) < 76 * mib
 
 
 def test_weak_pairing_memory_at_the_depth_cap():
     # 430 MiB while the gate enumerated the 3^12-cell stars; 0.4 MiB now.
     u = parse("x^2 - 0.5*x*y + y^3")
-    assert _cold_peak(lambda: weak_pairing(PREFIX_EXP, 12, u, vanishing_cubic())) < 4 * 2**20
+    assert cold_peak(lambda: weak_pairing(PREFIX_EXP, 12, u, vanishing_cubic())) < 4 * 2**20
 
 
 # -- the local route of the weak-identity gate -----------------------------
