@@ -7,10 +7,12 @@ cable part, with exact limit weights when the stretch sequence has a
 convergent tail product); verifies discrete harmonicity of affine
 coordinates; computes cylinder measures through a transfer operator in
 matrix space; and evaluates a measurable Laplacian with integration by
-parts diagnostics.
+parts diagnostics.  The form has one normalization: triangle edges and
+cables share the constant a = b = 1/3 (``params.A``), the value that
+makes the cell masses a probability vector on every level.
 """
 
-from .params import Constants, DEFAULT_CONSTANTS, ExpTail, ParamSeq, seq_from_mapping
+from .params import ExpTail, ParamSeq, seq_from_mapping
 from .errors import (
     DegenerateCable,
     DepthCapExceeded,
@@ -94,9 +96,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap2",
     "CableMass",
-    "Constants",
     "CylinderMass",
-    "DEFAULT_CONSTANTS",
     "DegenerateCable",
     "DepthCapExceeded",
     "EnergyReport",

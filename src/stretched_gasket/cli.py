@@ -10,6 +10,10 @@ use dotted keys, ``#`` comments and blank lines are ignored:
     depth = 4
     quad.order = 8
 
+A key that no subcommand reads is refused with its line.  A tail flag
+(``--eps-const``, or ``--tail-c``/``--tail-r``) replaces a file's tail of
+the other kind, and flags of both kinds are refused.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 assertion
 failure (a computed invariant out of tolerance; the message names the
 failing quantity).  Each gate asks ``not value <= bound``, so a NaN
@@ -36,7 +40,7 @@ from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
 from .geometry import HARMONIC_RATIO, SIDE_NAMES, iter_words, prefractal_edges
 from .harmonicity import HARMONIC_GATES
-from .params import Constants, DEFAULT_CONSTANTS, ParamSeq, seq_from_mapping
+from .params import A, ParamSeq, seq_from_mapping
 from .scalarfield import corner_values, parse as parse_poly, sup_bounds, vanishes_at_corners, vanishing_cubic
 
 
@@ -58,8 +62,15 @@ def _assert_fail(message: str) -> int:
     return 2
 
 
+#: The keys a config file may set: each is read by at least one subcommand, and one file may
+#: serve every subcommand, so a key another subcommand reads passes.
+_CONFIG_KEYS = frozenset(
+    {"eps.prefix", "eps.tail.c", "eps.tail.r", "eps.const", "depth", "depths", "quad.order", "u", "v", "phi", "ratio", "eps", "shade"}
+)
+
+
 def read_config(path: str) -> dict[str, str]:
-    """Flat key=value file with dotted keys; later lines win."""
+    """Flat key=value file with dotted keys; later lines win, a key outside ``_CONFIG_KEYS`` is refused."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -69,7 +80,10 @@ def read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected key = value, got {line!r}")
             key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
+            out[key] = val.strip()
     return out
 
 
@@ -96,16 +110,15 @@ def _build_seq(args, cfg: dict[str, str]) -> ParamSeq:
         mapping["eps.const"] = float(cfg["eps.const"])
     if args.eps_prefix is not None:
         mapping["eps.prefix"] = _parse_floats(args.eps_prefix)
+    # A tail flag replaces the file's tail of the other kind; flags of both
+    # kinds stay together, and seq_from_mapping refuses them.
     if args.eps_const is not None:
         mapping.pop("eps.tail.c", None)
         mapping.pop("eps.tail.r", None)
-        mapping["eps.const"] = args.eps_const
-    if args.tail_c is not None:
+    if args.tail_c is not None or args.tail_r is not None:
         mapping.pop("eps.const", None)
-        mapping["eps.tail.c"] = args.tail_c
-    if args.tail_r is not None:
-        mapping.pop("eps.const", None)
-        mapping["eps.tail.r"] = args.tail_r
+    flags = {"eps.const": args.eps_const, "eps.tail.c": args.tail_c, "eps.tail.r": args.tail_r}
+    mapping.update((key, val) for key, val in flags.items() if val is not None)
     return seq_from_mapping(mapping)
 
 
@@ -221,11 +234,11 @@ def _edges_json(depth, edges) -> dict:
     return {"edges": out}
 
 
-def cmd_geometry(args, cfg, seq, constants) -> int:
+def cmd_geometry(args, cfg, seq) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 2, int)
     shade = args.shade or cfg.get("shade", "") == "true"
     kappas = kus_mod.kappa_table(depth) if shade else None
-    edges = prefractal_edges(seq, depth, constants)
+    edges = prefractal_edges(seq, depth)
     _emit(_svg_text(depth, edges, kappas), args.out)
     if args.json is not None:
         with _output(args.json) as fh:
@@ -238,7 +251,7 @@ def cmd_geometry(args, cfg, seq, constants) -> int:
 # -- reports ---------------------------------------------------------------
 
 
-def cmd_energy(args, cfg, seq, constants) -> int:
+def cmd_energy(args, cfg, seq) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 3, int)
     quad = _quadrature(args, cfg)
     u = parse_poly(_resolve(args, cfg, "u", "u", "x", str))
@@ -246,7 +259,7 @@ def cmd_energy(args, cfg, seq, constants) -> int:
     v = parse_poly(v_expr) if v_expr is not None else u
     if args.require_vanishing and not vanishes_at_corners(v):
         return _fail(f"v must vanish at A, B, C; corner values {corner_values(v)}")
-    rep = energy_mod.energy_total(seq, depth, u, v, quad, constants)
+    rep = energy_mod.energy_total(seq, depth, u, v, quad)
     payload = {
         "depth": depth,
         "e1": rep.e1,
@@ -258,10 +271,10 @@ def cmd_energy(args, cfg, seq, constants) -> int:
     return 0
 
 
-def cmd_harmonicity(args, cfg, seq, constants) -> int:
+def cmd_harmonicity(args, cfg, seq) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 4, int)
     ratio = _resolve(args, cfg, "ratio", "ratio", HARMONIC_RATIO, float)
-    rep = harm_mod.harmonic_report(seq, depth, constants, ratio)
+    rep = harm_mod.harmonic_report(seq, depth, ratio)
     payload = {
         "depth": depth,
         "residual": rep.residual,
@@ -269,7 +282,7 @@ def cmd_harmonicity(args, cfg, seq, constants) -> int:
         "nd_gamma": harm_mod.nd_gamma(seq.eps(1), ratio),
     }
     _emit(_json_text(payload), args.out)
-    gate = HARMONIC_GATES["assertion"] * constants.a
+    gate = HARMONIC_GATES["assertion"] * A
     if not rep.residual <= gate:
         return _assert_fail(
             f"harmonic residual {rep.residual:.3e} exceeds {gate:.1e} "
@@ -278,7 +291,7 @@ def cmd_harmonicity(args, cfg, seq, constants) -> int:
     return 0
 
 
-def cmd_ruelle(args, cfg, seq, constants) -> int:
+def cmd_ruelle(args, cfg, seq) -> int:
     eps = _resolve(args, cfg, "eps", "eps", None, float)
     if eps is None:
         eps = seq.eps(1)
@@ -294,7 +307,7 @@ def cmd_ruelle(args, cfg, seq, constants) -> int:
 _KAPPA_TIE_ULPS = 4
 
 
-def cmd_kusuoka(args, cfg, seq, constants) -> int:
+def cmd_kusuoka(args, cfg, seq) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 3, int)
     taus = kus_mod.tau_table(depth)
     kappas = kus_mod._trace(taus)
@@ -323,13 +336,13 @@ def cmd_kusuoka(args, cfg, seq, constants) -> int:
     return 0
 
 
-def cmd_ibp(args, cfg, seq, constants) -> int:
+def cmd_ibp(args, cfg, seq) -> int:
     depths = _resolve(args, cfg, "depths", "depths", (3, 4, 5, 6, 7, 8), _parse_ints)
     quad = _quadrature(args, cfg)
     phi = parse_poly(_resolve(args, cfg, "phi", "phi", "x^2", str))
     v_expr = _resolve(args, cfg, "v", "v", None, str)
     v = parse_poly(v_expr) if v_expr is not None else vanishing_cubic()
-    rows_data = lap_mod.ibp_table(seq, phi, v, depths, quad, constants)
+    rows_data = lap_mod.ibp_table(seq, phi, v, depths, quad)
     rows = [
         [str(r["depth"]), repr(r["energy_lhs"]), repr(r["integral_rhs"]), repr(r["residual"])]
         for r in rows_data
@@ -348,13 +361,13 @@ def cmd_ibp(args, cfg, seq, constants) -> int:
     return 0
 
 
-def cmd_convergence(args, cfg, seq, constants) -> int:
+def cmd_convergence(args, cfg, seq) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 5, int)
     quad = _quadrature(args, cfg)
     u = parse_poly(_resolve(args, cfg, "u", "u", "x^2", str))
     v_expr = _resolve(args, cfg, "v", "v", None, str)
     v = parse_poly(v_expr) if v_expr is not None else u
-    rows_data = energy_mod.convergence_rows(seq, u, v, depth, quad, constants)
+    rows_data = energy_mod.convergence_rows(seq, u, v, depth, quad)
     rows = [
         [str(r["l"]), repr(r["total"]), "" if r["delta"] is None else repr(r["delta"])]
         for r in rows_data
@@ -370,13 +383,13 @@ def cmd_convergence(args, cfg, seq, constants) -> int:
     return 0
 
 
-def cmd_selfsim(args, cfg, seq, constants) -> int:
+def cmd_selfsim(args, cfg, seq) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 4, int)
     quad = _quadrature(args, cfg)
     u = parse_poly(_resolve(args, cfg, "u", "u", "x^2", str))
     v_expr = _resolve(args, cfg, "v", "v", None, str)
     v = parse_poly(v_expr) if v_expr is not None else parse_poly("x*y + y^2")
-    residual, bound = energy_mod.selfsimilar_residual(seq, u, v, depth, quad, constants)
+    residual, bound = energy_mod.selfsimilar_residual(seq, u, v, depth, quad)
     payload = {"depth": depth, "residual": residual, "bound": bound, "eps_spec": seq.describe()}
     _emit(_json_text(payload), args.out)
     if not residual <= bound + 1e-12:
@@ -384,10 +397,10 @@ def cmd_selfsim(args, cfg, seq, constants) -> int:
     return 0
 
 
-def cmd_laplacian(args, cfg, seq, constants) -> int:
+def cmd_laplacian(args, cfg, seq) -> int:
     depth = _resolve(args, cfg, "depth", "depth", 2, int)
     phi = parse_poly(_resolve(args, cfg, "phi", "phi", "x^2", str))
-    table = lap_mod.laplacian_samples(seq, phi, depth, constants)
+    table = lap_mod.laplacian_samples(seq, phi, depth)
     cap = 2.0 * sup_bounds(phi)[1] + 1e-9
     worst = float(np.max(np.abs(table.value)))
     cable = table.generation > 0
@@ -427,7 +440,6 @@ def build_parser() -> _Parser:
     common.add_argument("--tail-c", type=float, help="exponential tail constant c")
     common.add_argument("--tail-r", type=float, help="exponential tail ratio r in (0,1)")
     common.add_argument("--eps-const", type=float, help="constant stretch value (no limit weights)")
-    common.add_argument("--const-a", type=float, help="energy constant a (default 1/3)")
     common.add_argument("--depth", type=int, help="construction depth")
     common.add_argument("--depths", type=_parse_ints, help="comma separated depth sweep")
     common.add_argument(
@@ -471,9 +483,7 @@ def main(argv=None) -> int:
     try:
         cfg = read_config(args.config) if args.config else {}
         seq = _build_seq(args, cfg)
-        a = _resolve(args, cfg, "const_a", "constants.a", None, float)
-        constants = Constants(a) if a is not None else DEFAULT_CONSTANTS
-        return _COMMANDS[args.command](args, cfg, seq, constants)
+        return _COMMANDS[args.command](args, cfg, seq)
     except PolyParseError as exc:
         return _fail(f"bad expression at position {exc.position}: {exc}")
     except (GasketError, ValueError, OSError) as exc:

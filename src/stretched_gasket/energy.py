@@ -5,7 +5,9 @@ depth-l pre-fractal:
 
   * every triangle edge of the 3^l cells carries a / lam_tilde(l);
   * every generation-s cable carries b / (lam_tilde(s-1) * eps_tilde(s,l)
-    * (1 - eps_s)).
+    * (1 - eps_s)),
+
+with a = b = 1/3 (``params.A``).
 
 The forms are evaluated without enumerating edges.  Polynomials of degree
 <= d form a space of dimension D = (d+1)(d+2)/2 that affine pullback maps
@@ -86,7 +88,7 @@ from .geometry import (
     barycenter,
     triple,
 )
-from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
+from .params import A, ParamSeq
 from .scalarfield import Poly2, sup_bounds
 
 DEFAULT_QUAD_ORDER = 8
@@ -465,7 +467,7 @@ def _fsum(terms) -> float:
         raise TermOverflow("a sum of form terms overflows the double range") from None
 
 
-def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
+def _contractions(seq, depths, d, quad, tops, forms, *, limit=False):
     """Elementwise contractions of stacked forms at every depth, from one moment pass.
 
     ``tops`` (F, D, D) are top moments and ``forms`` F pairs (cell form,
@@ -490,7 +492,7 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
     _require_budget(d, l_max * (3 + len(pairs)) + len(pairs) + len(forms) * (3 + len(set(depths)) + l_max))
     logs = [seq.log_eps(k) for k in range(1, l_max + 1)]
     side, levels = _level_tables(seq, logs, d, quad, pairs)
-    cell_forms = [constants.a * side[order] if cell is None else cell for cell, order in forms]
+    cell_forms = [A * side[order] if cell is None else cell for cell, order in forms]
     cells, cables, moments = {}, [], tops
     for k in range(l_max + 1):
         if k:
@@ -511,7 +513,7 @@ def _contractions(seq, depths, d, quad, constants, tops, forms, *, limit=False):
         weights, where = [], "infinity" if limit else l
         for k in range(1, l + 1):
             window = windows[k - 1] if limit else math.exp(math.fsum(logs[k - 1 : l]))
-            weights.append(_quotient(constants.b, window * lengths[k - 1], f"generation-{k} cable weight at depth {where}"))
+            weights.append(_quotient(A, window * lengths[k - 1], f"generation-{k} cable weight at depth {where}"))
         yield [[cells[l][f]] + [w * gm[f] for w, gm in zip(weights, cables)] for f in range(len(forms))]
 
 
@@ -525,11 +527,11 @@ def _report(l: int, tri: list[float], cab: list[float]) -> EnergyReport:
     return EnergyReport(l, _fsum(tri), _fsum(cab), _fsum(tri + cab))
 
 
-def _barycentric_form(d: int, constants: Constants) -> np.ndarray:
+def _barycentric_form(d: int) -> np.ndarray:
     """The IBP measure side's cell form (3a/2) Lap f(b) g(b) at the barycenter b of the base cell."""
     at = barycenter().astype(_EXT) - _CENTER
     fxx, fyy, g = (col[:, 0] for col in _partials(at[:1], at[1:], d, (2, 0), (0, 2), (0, 0)))
-    return 1.5 * constants.a * np.outer(fxx + fyy, g)
+    return 1.5 * A * np.outer(fxx + fyy, g)
 
 
 #: The forms of the moment pass by name: symmetrized top moment or not, the derivative
@@ -541,7 +543,7 @@ _FORMS = {
 }
 
 
-def _moment_terms(seq, depths, u, v, quad, constants, forms=("energy",), *, limit=False):
+def _moment_terms(seq, depths, u, v, quad, forms=("energy",), *, limit=False):
     """The one entry to the moment pass: fields in, fsum-ready terms out.
 
     Yields, for each depth of ``depths`` in order, one (cell terms, cable terms)
@@ -549,8 +551,8 @@ def _moment_terms(seq, depths, u, v, quad, constants, forms=("energy",), *, limi
     d = max(u.degree, v.degree, 0)
     rows = [_FORMS[name] for name in forms]
     tops = np.stack([_top_moment(u, v, d, symmetric=symmetric) for symmetric, _, _ in rows])
-    cells = [(None if cell is None else cell(d, constants), order) for _, order, cell in rows]
-    for parts in _contractions(seq, depths, d, quad, constants, tops, cells, limit=limit):
+    cells = [(None if cell is None else cell(d), order) for _, order, cell in rows]
+    for parts in _contractions(seq, depths, d, quad, tops, cells, limit=limit):
         yield [_terms(p) for p in parts]
 
 
@@ -588,10 +590,9 @@ def energy1(
     u: Poly2,
     v: Poly2,
     quad: QuadratureRule | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> float:
     """Triangle-edge part of the depth-l form: ``energy_total(...).e1``."""
-    return energy_total(seq, l, u, v, quad, constants).e1
+    return energy_total(seq, l, u, v, quad).e1
 
 
 def energy2(
@@ -600,10 +601,9 @@ def energy2(
     u: Poly2,
     v: Poly2,
     quad: QuadratureRule | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> float:
     """Cable part of the depth-l form, generations 1..l at finite window weights: ``energy_total(...).e2``."""
-    return energy_total(seq, l, u, v, quad, constants).e2
+    return energy_total(seq, l, u, v, quad).e2
 
 
 def energy_total(
@@ -612,15 +612,14 @@ def energy_total(
     u: Poly2,
     v: Poly2,
     quad: QuadratureRule | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> EnergyReport:
     """Full depth-l form: triangle part, cable part and their sum (one compensated sum of all terms)."""
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    ((terms,),) = _moment_terms(seq, (l,), u, v, quad, constants)
+    ((terms,),) = _moment_terms(seq, (l,), u, v, quad)
     return _report(l, *terms)
 
 
-def cable_tail_bound(seq: ParamSeq, s_max: int, gu: float, gv: float, constants: Constants = DEFAULT_CONSTANTS) -> float:
+def cable_tail_bound(seq: ParamSeq, s_max: int, gu: float, gv: float) -> float:
     """Bound for the dropped generations s > s_max of the limit cable form.
 
     Each generation is bounded by 6 b Gu Gv (1-eps_s) / eps_tilde_inf(s)
@@ -629,7 +628,7 @@ def cable_tail_bound(seq: ParamSeq, s_max: int, gu: float, gv: float, constants:
     summable envelope.  gu, gv are sup bounds of the gradients on the hull.
     """
     delta = seq.delta()
-    return 6.0 * constants.b * gu * gv / delta * seq.sum_one_minus_eps_from(s_max + 1)
+    return 6.0 * A * gu * gv / delta * seq.sum_one_minus_eps_from(s_max + 1)
 
 
 def energy2_limit(
@@ -638,26 +637,25 @@ def energy2_limit(
     v: Poly2,
     s_max: int,
     quad: QuadratureRule | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> tuple[float, float]:
     """Limit cable form truncated at generation s_max, with a tail bound.
 
     Returns (value, tail); the tail takes the sup-gradient bounds of (u, v).
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (((_, cab),),) = _moment_terms(seq, (s_max,), u, v, quad, constants, limit=True)
-    return _fsum(cab), cable_tail_bound(seq, s_max, sup_bounds(u)[0], sup_bounds(v)[0], constants)
+    (((_, cab),),) = _moment_terms(seq, (s_max,), u, v, quad, limit=True)
+    return _fsum(cab), cable_tail_bound(seq, s_max, sup_bounds(u)[0], sup_bounds(v)[0])
 
 
-def _one_step(seq, l, u, v, quad, constants, *, limit=False) -> tuple[EnergyReport, float, list[EnergyReport]]:
+def _one_step(seq, l, u, v, quad, *, limit=False) -> tuple[EnergyReport, float, list[EnergyReport]]:
     """The one-step identity's pieces: the depth-(l+1) report of (u, v), its
     generation-1 cable sum, and the depth-l reports of the shifted sequence's
     form on u o F^1_i, v o F^1_i, i = 1, 2, 3, whose pulled-back top moments
     are stacked into one pass on ``seq.shift()``."""
     d = max(u.degree, v.degree, 0)
-    ((whole,),) = _contractions(seq, (l + 1,), d, quad, constants, _top_moment(u, v, d)[None], [(None, (1, 1))], limit=limit)
+    ((whole,),) = _contractions(seq, (l + 1,), d, quad, _top_moment(u, v, d)[None], [(None, (1, 1))], limit=limit)
     tops = np.stack([_top_moment(u, v, d, f) for f in triple(seq.eps(1))])
-    (halves,) = _contractions(seq.shift(), (l,), d, quad, constants, tops, [(None, (1, 1))] * 3, limit=limit)
+    (halves,) = _contractions(seq.shift(), (l,), d, quad, tops, [(None, (1, 1))] * 3, limit=limit)
     return _report(l + 1, *_terms(whole)), _fsum(_split(whole[1])), [_report(l, *_terms(half)) for half in halves]
 
 
@@ -667,7 +665,6 @@ def recurrence_residual(
     u: Poly2,
     v: Poly2,
     quad: QuadratureRule | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> float:
     """Defect of the one-step decomposition of the depth-(l+1) form.
 
@@ -677,7 +674,7 @@ def recurrence_residual(
     window.  Returns the absolute defect.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    whole, cable1, halves = _one_step(seq, l, u, v, quad, constants)
+    whole, cable1, halves = _one_step(seq, l, u, v, quad)
     return abs(whole.total - (_fsum([half.total for half in halves]) / seq.lam(1) + cable1))
 
 
@@ -687,7 +684,6 @@ def selfsimilar_residual(
     v: Poly2,
     depth: int,
     quad: QuadratureRule | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> tuple[float, float]:
     """Defect of the self-similar identity for the limit form, plus bound.
 
@@ -704,11 +700,11 @@ def selfsimilar_residual(
     quad = resolve_quadrature(quad, u.degree, v.degree)
     shifted = seq.shift()
     gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
-    lhs, cable1, halves = _one_step(seq, depth - 1, u, v, quad, constants, limit=True)
-    tails = [cable_tail_bound(seq, depth, gu, gv, constants)]
+    lhs, cable1, halves = _one_step(seq, depth - 1, u, v, quad, limit=True)
+    tails = [cable_tail_bound(seq, depth, gu, gv)]
     for f in triple(seq.eps(1)):
         opn = float(np.linalg.norm(f.linear, 2))
-        tails.append(cable_tail_bound(shifted, depth - 1, gu * opn, gv * opn, constants) / seq.lam(1))
+        tails.append(cable_tail_bound(shifted, depth - 1, gu * opn, gv * opn) / seq.lam(1))
     rhs = _fsum([half.e1 + half.e2 for half in halves]) / seq.lam(1) + cable1
     return abs(lhs.e1 + lhs.e2 - rhs), _fsum(tails)
 
@@ -719,7 +715,6 @@ def convergence_rows(
     v: Poly2,
     l_max: int,
     quad: QuadratureRule | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[dict]:
     """Depth sweep of the full form with increment envelopes.
 
@@ -735,15 +730,15 @@ def convergence_rows(
     gv, hv = sup_bounds(v)
     rows = []
     prev = None
-    for l, (terms,) in enumerate(_moment_terms(seq, range(l_max + 1), u, v, quad, constants)):
+    for l, (terms,) in enumerate(_moment_terms(seq, range(l_max + 1), u, v, quad)):
         rep = _report(l, *terms)
         diam = 0.6**l * (seq.eps_tilde(1, l) if l >= 1 else 1.0)
         om = seq.one_minus_eps(l + 1)
         eps_next = seq.eps(l + 1)
         envelope = (
-            6.0 * constants.a * (hu * gv + gu * hv) * diam
+            6.0 * A * (hu * gv + gu * hv) * diam
             + abs(rep.e2) * om / eps_next
-            + 6.0 * constants.b * gu * gv * om / eps_next
+            + 6.0 * A * gu * gv * om / eps_next
         )
         rows.append(
             {

@@ -27,7 +27,10 @@ harmonicity module, which show that perturbed families break the vertex
 balance.  The energy forms, the cylinder measures and the Laplacian are
 defined for the harmonic family only: their weights use lam_k = (3/5)
 eps_k^2, which is the Perron eigenvalue of the level transfer operator
-only at ratio 1/3, so they take no ratio.
+only at ratio 1/3, so they take no ratio.  Harmonicity also forces the
+cable constant b to equal the triangle-edge constant a, and the edge
+weights (``triangle_edge_prefactor``, ``cable_prefactor``) use the one
+value a = b = 1/3 (``params.A``), so they take no constant either.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DepthCapExceeded, PrefactorUnderflow
-from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
+from .params import A, ParamSeq
 
 SQRT3 = math.sqrt(3.0)
 
@@ -281,9 +284,9 @@ def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATI
     return tuple(Segment(p, p + v, vel=v) for p, v in zip(starts, vels))
 
 
-def triangle_edge_prefactor(seq: ParamSeq, l: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
-    """Weight a / lam_tilde(l) carried by every depth-l triangle edge."""
-    return _quotient(constants.a, seq.lam_tilde(l), f"triangle edge prefactor at depth {l}")
+def triangle_edge_prefactor(seq: ParamSeq, l: int) -> float:
+    """Weight a / lam_tilde(l) carried by every depth-l triangle edge, a = ``params.A``."""
+    return _quotient(A, seq.lam_tilde(l), f"triangle edge prefactor at depth {l}")
 
 
 def _quotient(num, den, what: str):
@@ -294,20 +297,20 @@ def _quotient(num, den, what: str):
     return num / den
 
 
-def cable_prefactor(seq: ParamSeq, s: int, l: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
+def cable_prefactor(seq: ParamSeq, s: int, l: int) -> float:
     """Weight of a generation-s cable inside the depth-l energy form.
 
-    Combines the cell renormalization lam_tilde(s-1), the window product
-    eps_tilde(s, l) and the cable length 1 - eps_s.
+    b = a = ``params.A`` over the cell renormalization lam_tilde(s-1), the
+    window product eps_tilde(s, l) and the cable length 1 - eps_s.
     """
     den = seq.lam_tilde(s - 1) * seq.eps_tilde(s, l) * seq.one_minus_eps(s)
-    return _quotient(constants.b, den, f"generation-{s} cable prefactor at depth {l}")
+    return _quotient(A, den, f"generation-{s} cable prefactor at depth {l}")
 
 
-def cable_prefactor_limit(seq: ParamSeq, s: int, constants: Constants = DEFAULT_CONSTANTS) -> float:
+def cable_prefactor_limit(seq: ParamSeq, s: int) -> float:
     """Limit weight of a generation-s cable: window product taken to infinity."""
     den = seq.lam_tilde(s - 1) * seq.eps_tilde_inf(s) * seq.one_minus_eps(s)
-    return _quotient(constants.b, den, f"generation-{s} cable prefactor at depth infinity")
+    return _quotient(A, den, f"generation-{s} cable prefactor at depth infinity")
 
 
 def _side_arrays() -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +340,7 @@ def _world(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
     return corners, _images(lin, _side_arrays()[1]), cables
 
 
-def prefractal_edges(seq: ParamSeq, l: int, constants: Constants = DEFAULT_CONSTANTS) -> np.recarray:
+def prefractal_edges(seq: ParamSeq, l: int) -> np.recarray:
     """All edges of the depth-l pre-fractal in world coordinates, a row per edge.
 
     3 * 3^l triangle edges, then the cables of generations 1..l
@@ -351,12 +354,12 @@ def prefractal_edges(seq: ParamSeq, l: int, constants: Constants = DEFAULT_CONST
     its world start ``px``, ``py``, end ``qx``, ``qy`` and velocity ``vx``,
     ``vy``.  Depths outside ``word_table``'s range raise as it does.
     """
-    tri_pf = triangle_edge_prefactor(seq, l, constants)
+    tri_pf = triangle_edge_prefactor(seq, l)
     corners, sides, cables = _world(seq, l)
     sizes = 3 * np.array([len(corners)] + [len(starts) for starts, _, _ in cables])
     word = np.concatenate([np.arange(n // 3).repeat(3) for n in sizes])
     slot = np.concatenate([np.tile(np.arange(3) + (s > 0), n // 3) for s, n in enumerate(sizes)])
-    pf = np.repeat([tri_pf] + [cable_prefactor(seq, s, l, constants) for s in range(1, l + 1)], sizes)
+    pf = np.repeat([tri_pf] + [cable_prefactor(seq, s, l) for s in range(1, l + 1)], sizes)
     tri = (corners[:, _SIDE_FROM], corners[:, _SIDE_TO], sides)
     p, q, v = (np.concatenate([a.reshape(-1, 2) for a in arrs]) for arrs in zip(tri, *cables))
     columns = [np.repeat(np.arange(l + 1), sizes), word, slot, pf, *p.T, *q.T, *v.T]

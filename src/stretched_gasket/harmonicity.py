@@ -58,7 +58,7 @@ from .geometry import (
     triangle_edge_prefactor,
     triple,
 )
-from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
+from .params import ParamSeq
 from .scalarfield import Poly2, _compose_line, corner_values, poly1_derivative, vanishes_at_corners
 
 CORNER_NAMES = ("A", "B", "C")
@@ -84,9 +84,10 @@ _CORNER_SIDE, _CORNER_T = np.moveaxis(np.array(_CORNER_ENDS), 2, 0)
 
 #: Harmonicity gates by role.  ``assertion``: the CLI's harmonicity check,
 #: exit 2 when the largest interior boundary-vector norm exceeds it times
-#: the energy constant a.  ``weak_identity``: the precondition of the weak
-#: Laplacian and the weak pairing, a count of roundings: a local defect
-#: (``_local_defects``) above gamma_n relative to its scale is refused,
+#: the form constant a = 1/3 (``params.A``).  ``weak_identity``: the
+#: precondition of the weak Laplacian and the weak pairing, a count of
+#: roundings: a local defect (``_local_defects``) above gamma_n relative to
+#: its scale is refused,
 #: n = weak_identity * (l + 2 + sum_{k <= l} |log eps_k|) (``_defect_bound``).
 HARMONIC_GATES = MappingProxyType({"assertion": 1e-10, "weak_identity": 12.0})
 #: Unit roundoff of float64.
@@ -109,7 +110,7 @@ def _vertex_name(key: int, l: int) -> tuple[tuple[int, ...], str]:
     return tuple(d for d in (code // 4 ** (l - 1 - n) % 4 for n in range(l)) if d), CORNER_NAMES[corner]
 
 
-def _vertex_arrays(seq: ParamSeq, l: int, constants: Constants, beta_over_alpha: float):
+def _vertex_arrays(seq: ParamSeq, l: int, beta_over_alpha: float):
     """Every depth-l vertex in (word, corner) order: (keys, weights, tangents, points).
 
     Members of a vertex: the two sides of its depth-l cell there (SIDE_NAMES
@@ -131,7 +132,7 @@ def _vertex_arrays(seq: ParamSeq, l: int, constants: Constants, beta_over_alpha:
         keys.append(3 * (4 * np.repeat(_word_codes(s - 1), 6) + j) * 4 ** (l - s) + c)
         cells.append((3 * np.repeat(np.arange(n), 6) + j - 1) * below + c * ((below - 1) // 2))
         corners.append(c)
-        pf = cable_prefactor(seq, s, l, constants)
+        pf = cable_prefactor(seq, s, l)
         cable_w.append(np.tile([pf, -pf], 3 * n))
         cable_tan.append(np.repeat(vels, 2, axis=1).reshape(-1, 2))
         cable_pts.append(np.stack([starts, ends], axis=2).reshape(-1, 2))
@@ -140,11 +141,11 @@ def _vertex_arrays(seq: ParamSeq, l: int, constants: Constants, beta_over_alpha:
         np.concatenate(a)[order] for a in (keys, cells, corners, cable_w, cable_tan, cable_pts)
     )
     points = corner_img[cells, corners]
-    bad = np.flatnonzero(np.max(np.abs(cable_pts - points), axis=1) > _CLOSURE_TOL)
+    bad = np.flatnonzero(~(np.max(np.abs(cable_pts - points), axis=1) <= _CLOSURE_TOL))
     if bad.size:
         word, corner = _vertex_name(keys[bad[0]], l)
         raise StarNotClosed(f"edge ends at vertex {word}/{corner} do not coincide")
-    tri_pf = triangle_edge_prefactor(seq, l, constants)
+    tri_pf = triangle_edge_prefactor(seq, l)
     weights = np.column_stack([np.where(_CORNER_T[corners] == 0, tri_pf, -tri_pf), cable_w])
     tangents = np.concatenate([side_tan[cells[:, None], _CORNER_SIDE[corners]], cable_tan[:, None]], axis=1)
     return keys, weights, tangents, points
@@ -159,7 +160,6 @@ def _boundary(weights: np.ndarray, tangents: np.ndarray) -> np.ndarray:
 def vertex_stars(
     seq: ParamSeq,
     l: int,
-    constants: Constants = DEFAULT_CONSTANTS,
     beta_over_alpha: float = HARMONIC_RATIO,
 ) -> np.recarray:
     """All depth-l vertex stars, a row per vertex, sorted by (word, corner).
@@ -172,7 +172,7 @@ def vertex_stars(
     vertex boundary term's pairing with gradients.  ``_vertex_arrays``
     checks every star for closure (its edge ends meet at one point).
     """
-    keys, weights, tangents, points = _vertex_arrays(seq, l, constants, beta_over_alpha)
+    keys, weights, tangents, points = _vertex_arrays(seq, l, beta_over_alpha)
     columns = [keys, *points.T, weights, tangents, _boundary(weights, tangents)]
     dtype = [
         ("key", np.int64),
@@ -198,38 +198,36 @@ class HarmonicityReport:
 def harmonic_report(
     seq: ParamSeq,
     l: int,
-    constants: Constants = DEFAULT_CONSTANTS,
     beta_over_alpha: float = HARMONIC_RATIO,
 ) -> HarmonicityReport:
     """Max interior boundary-vector norm with the worst vertex named.
 
     The worst vertex is the first strict maximum in (word, corner) order,
-    unnamed when every norm is 0.  Base-corner sums are reported
-    separately (they do not vanish; test functions do, at those three
-    points).
+    unnamed when every norm is 0.  A NaN norm counts as the maximum: the
+    residual is then NaN and the first NaN vertex is named.  Base-corner
+    sums are reported separately (they do not vanish; test functions do,
+    at those three points).
     """
-    keys, weights, tangents, _ = _vertex_arrays(seq, l, constants, beta_over_alpha)
+    keys, weights, tangents, _ = _vertex_arrays(seq, l, beta_over_alpha)
     norms = np.hypot(*_boundary(weights, tangents).T)
     interior = norms[3:]
-    worst = float(np.max(interior, initial=0.0, where=~np.isnan(interior)))
-    word, corner = _vertex_name(keys[3 + np.argmax(interior == worst)], l) if worst > 0.0 else ((), "")
+    worst = float(np.max(interior, initial=0.0))
+    word, corner = _vertex_name(keys[3 + np.argmax(interior)], l) if not worst <= 0.0 else ((), "")
     return HarmonicityReport(l, worst, word, corner, len(interior), dict(zip(CORNER_NAMES, norms[:3].tolist())))
 
 
 def harmonic_residual(
     seq: ParamSeq,
     l: int,
-    constants: Constants = DEFAULT_CONSTANTS,
     beta_over_alpha: float = HARMONIC_RATIO,
 ) -> float:
     """Max over interior depth-l vertices of the boundary-vector norm."""
-    return harmonic_report(seq, l, constants, beta_over_alpha).residual
+    return harmonic_report(seq, l, beta_over_alpha).residual
 
 
 def _local_defects(
     seq: ParamSeq,
     l: int,
-    constants: Constants = DEFAULT_CONSTANTS,
     beta_over_alpha: float = HARMONIC_RATIO,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local boundary vectors r (l, 6, 2), their scales (l, 6) and closure gaps (l, 6).
@@ -262,11 +260,11 @@ def _local_defects(
     j, c = _END_LETTER - 1, _END_CORNER
     slot, t = np.arange(6) // 2, np.arange(6) % 2
     sides = _side_arrays()[1][_CORNER_SIDE[c]]
-    tri_w = np.where(_CORNER_T[c] == 0, 1.0, -1.0) * triangle_edge_prefactor(seq, l, constants)
+    tri_w = np.where(_CORNER_T[c] == 0, 1.0, -1.0) * triangle_edge_prefactor(seq, l)
     tri = tri_w[..., None] * (lin[:, j, None] @ suffix[0][:, c, None] @ sides[..., None])[..., 0]
     tri_size = abs(tri_w)[..., None] * (np.abs(lin[:, j, None]) @ suffix[1][:, c, None] @ np.abs(sides)[..., None])[..., 0]
     starts, vels = _cable_stack(seq, range(1, l + 1), beta_over_alpha)
-    pf = np.array([cable_prefactor(seq, s, l, constants) for s in range(1, l + 1)])
+    pf = np.array([cable_prefactor(seq, s, l) for s in range(1, l + 1)])
     cab = (np.where(t == 0, 1.0, -1.0) * pf[:, None])[..., None] * vels[:, slot]
     r = tri[:, :, 0] + tri[:, :, 1] + cab
     scale = np.hypot(*np.moveaxis(tri_size, -1, 0)).sum(axis=-1) + np.hypot(*np.moveaxis(cab, -1, 0))
@@ -298,9 +296,9 @@ def _cable_end_name(row: int, e: int) -> str:
     return f"the slot-{e // 2 + 1} cable end t={e % 2} of generation {row + 1}"
 
 
-def _require_harmonic(seq, l, constants):
+def _require_harmonic(seq, l):
     """Refuse a depth-l configuration with an open local star or a defect above ``_defect_bound``."""
-    r, scale, gap = _local_defects(seq, l, constants)
+    r, scale, gap = _local_defects(seq, l)
     open_ends = np.argwhere(~(gap <= _CLOSURE_TOL))
     if open_ends.size:
         raise StarNotClosed(f"edge ends at {_cable_end_name(*open_ends[0])} do not coincide")
@@ -318,7 +316,6 @@ def weak_laplacian_h1(
     seq: ParamSeq,
     l: int,
     u: Poly2,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> tuple[np.recarray, np.ndarray]:
     """Per-edge density of the weak Laplacian against arclength measure.
 
@@ -329,8 +326,8 @@ def weak_laplacian_h1(
     v against g dH^1 over all edges reproduces -E(u, v); see weak_pairing.
     Requires the configuration to be harmonic.
     """
-    _require_harmonic(seq, l, constants)
-    edges = prefractal_edges(seq, l, constants)
+    _require_harmonic(seq, l)
+    edges = prefractal_edges(seq, l)
     coeffs = _compose_line(u, edges.px, edges.py, edges.vx, edges.vy)
     c = np.column_stack([np.broadcast_to(a, len(edges)) for a in coeffs])
     scale = edges.prefactor / np.hypot(edges.vx, edges.vy)
@@ -342,7 +339,6 @@ def weak_pairing(
     l: int,
     u: Poly2,
     v: Poly2,
-    constants: Constants = DEFAULT_CONSTANTS,
     quad=None,
 ) -> float:
     """-sum over edges of w_e * integral (u o z)'' (v o z) dt.
@@ -356,8 +352,8 @@ def weak_pairing(
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    _require_harmonic(seq, l, constants)
-    (((sides, cables),),) = _moment_terms(seq, (l,), u, v, quad, constants, ("pairing",))
+    _require_harmonic(seq, l)
+    (((sides, cables),),) = _moment_terms(seq, (l,), u, v, quad, ("pairing",))
     return -_fsum(sides + cables)
 
 

@@ -49,7 +49,7 @@ from .geometry import (
     triple,
     word_table,
 )
-from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
+from .params import ParamSeq
 from .scalarfield import Poly2, grad_batch
 
 #: The level factors B_1, B_2, B_3 in longdouble, built entrywise (B_2, B_3 exact mirror images).
@@ -224,7 +224,6 @@ def cable_mass(
     prefix: tuple[int, ...],
     s: int,
     slot: int,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> CableMass:
     """Limit-measure matrix mass of the generation-s cable at (prefix, slot)."""
     if len(prefix) != s - 1:
@@ -234,16 +233,12 @@ def cable_mass(
     seg = cable_segments(seq, s)[_triple_index(slot, "cable slot")]
     vel = compose(seq, prefix).linear @ seg.velocity
     nrm2 = float(vel @ vel)
-    mass = cable_prefactor_limit(seq, s, constants) * nrm2
+    mass = cable_prefactor_limit(seq, s) * nrm2
     direction = vel / math.sqrt(nrm2)
     return CableMass(prefix, s, slot, mass, direction, np.outer(direction, direction))
 
 
-def cable_masses(
-    seq: ParamSeq,
-    s: int,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> tuple[np.ndarray, np.ndarray]:
+def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     """All generation-s cable masses and unit directions, (3^s,) and (3^s, 2).
 
     Rows run lexicographic in (prefix, slot), prefix over the depth-(s-1)
@@ -256,7 +251,7 @@ def cable_masses(
     # Stacked products round as the single products of cable_mass do.
     world = _images(lin, vel).reshape(-1, 2)
     nrm2 = (world[:, None] @ world[..., None]).ravel()
-    return cable_prefactor_limit(seq, s, constants) * nrm2, world / np.sqrt(nrm2)[:, None]
+    return cable_prefactor_limit(seq, s) * nrm2, world / np.sqrt(nrm2)[:, None]
 
 
 def energy_via_measure(
@@ -265,7 +260,6 @@ def energy_via_measure(
     v: Poly2,
     depth: int,
     quad=None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> float:
     """Energy straight from the measure data at one resolution.
 
@@ -291,5 +285,5 @@ def energy_via_measure(
         )
     if not np.isfinite(gasket).all():
         raise TermOverflow("a gasket term of the measure overflows the double range")
-    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, constants, limit=True)
+    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, limit=True)
     return _fsum(gasket.tolist() + cables)

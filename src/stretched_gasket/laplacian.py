@@ -42,7 +42,7 @@ import numpy as np
 from .energy import _fsum, _moment_terms, resolve_quadrature
 from .geometry import _cable_stack, _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
 from .kusuoka import CableMass, _trace, cable_masses, gibbs_tau, tau_table
-from .params import DEFAULT_CONSTANTS, Constants, ParamSeq
+from .params import ParamSeq
 from .scalarfield import Poly2, corner_values, hess_batch, vanishes_at_corners
 
 #: Cylinder masses below this count as underflowed: ``teplyaev`` refuses tau / kappa.
@@ -96,7 +96,6 @@ def ibp_table(
     v: Poly2,
     depths=range(3, 9),
     quad=None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[dict]:
     """Rows (depth, energy_lhs, integral_rhs, residual) over a depth sweep.
 
@@ -112,7 +111,7 @@ def ibp_table(
     quad = resolve_quadrature(quad, phi.degree, v.degree)
     depths = list(depths)
     rows = []
-    for depth, (energy, measure) in zip(depths, _moment_terms(seq, depths, phi, v, quad, constants, ("energy", "ibp"))):
+    for depth, (energy, measure) in zip(depths, _moment_terms(seq, depths, phi, v, quad, ("energy", "ibp"))):
         lhs, rhs = _fsum(energy[0] + energy[1]), _fsum(measure[0] + measure[1])
         rows.append(
             {"depth": depth, "energy_lhs": lhs, "integral_rhs": rhs, "residual": abs(lhs + rhs)}
@@ -120,12 +119,7 @@ def ibp_table(
     return rows
 
 
-def laplacian_samples(
-    seq: ParamSeq,
-    phi: Poly2,
-    depth: int,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> np.recarray:
+def laplacian_samples(seq: ParamSeq, phi: Poly2, depth: int) -> np.recarray:
     """Samples on every depth-level cylinder and all cables up to depth.
 
     One row per carrier, the ``teplyaev`` sample of each: cells in word
@@ -144,7 +138,7 @@ def laplacian_samples(
     ids = [np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)])]  # (generation, word, slot)
     t_tilde, locations = [taus / kappas[:, None, None]], [lin @ barycenter() + off]
     for s, p, v in zip(range(1, depth + 1), *_cable_stack(seq, range(1, depth + 1))):
-        _, dirs = cable_masses(seq, s, constants)
+        _, dirs = cable_masses(seq, s)
         plin, poff = word_table(seq, s - 1)
         # Midpoints with the arithmetic of Segment.point(0.5) on cable_segments.
         mids = p + 0.5 * ((p + v) - p)

@@ -1,4 +1,4 @@
-"""Stretching sequences and the constants derived from them.
+"""Stretching sequences, the constants derived from them, and the form constant a.
 
 A stretched-gasket construction is driven by a sequence {eps_i} in (0,1),
 one value per refinement depth.  The sequence is stored as a finite prefix
@@ -12,6 +12,12 @@ of explicit values followed by a tail rule, either
 Products of eps and of the per-level energy rates lam_i = (3/5) * eps_i^2
 are computed in log space with exact compensated summation so that deep
 products neither underflow nor drift.
+
+The energy forms weight triangle edges by a and cables by b.  Harmonicity
+of affine coordinates forces b = a, and ``A`` = 1/3 is the one value used:
+the three sides of a cell then carry a (3/2) Id = Id/2, the seed of the
+cylinder matrices tau_w, so the masses kappa_w sum to 1 on every level and
+tau_w carries no factor of a.  Any other a would only rescale the form.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .errors import TailProductZero
 # Largest double below 1; tail values are clamped here so every eps_i
 # stays inside the open interval (0,1) even when r^i underflows.
 _ONE_BELOW = math.nextafter(1.0, 0.0)
+
+#: The form constant a = b: triangle edges and cables carry it as the numerator of their weights.
+A = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -199,29 +208,6 @@ class ParamSeq:
         else:
             tail = {"kind": "const", "value": self.tail.value}
         return {"prefix": list(self.prefix), "tail": tail}
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Energy normalization constants.
-
-    a scales the triangle-edge part, b the cable part; harmonicity of
-    affine functions forces b = a, so only a is stored.  The default
-    a = 1/3 makes the depth-0 gasket measure a probability measure.
-    """
-
-    a: float = 1.0 / 3.0
-
-    def __post_init__(self):
-        if not (self.a > 0.0) or not math.isfinite(self.a):
-            raise ValueError(f"constant a must be positive, got {self.a}")
-
-    @property
-    def b(self) -> float:
-        return self.a
-
-
-DEFAULT_CONSTANTS = Constants()
 
 
 def seq_from_mapping(cfg: dict) -> ParamSeq:

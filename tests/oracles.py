@@ -79,8 +79,10 @@ from stretched_gasket.kusuoka import (
     tau_table,
 )
 from stretched_gasket.laplacian import ibp_table, laplacian_samples, teplyaev
-from stretched_gasket.params import DEFAULT_CONSTANTS
 from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval, sup_bounds
+
+#: The form constant a = b of the triangle edges and the cables, 1/3 as in the package.
+_A = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def segment_pairing(u, v, amap, seg, quad=None) -> float:
     return float((poly1_eval(du, quad.nodes) * poly1_eval(dv, quad.nodes)) @ quad.weights)
 
 
-def cable_energy(seq, s, u, v, quad=None, constants=DEFAULT_CONSTANTS, prefix_map=None) -> float:
+def cable_energy(seq, s, u, v, quad=None, prefix_map=None) -> float:
     """Unrenormalized cable sum of one generation: b/(1-eps_s) times the
     line energies of the three generation-s cables under an explicit
     prefix map (default: identity, the cables of the top-level cell).
@@ -123,7 +125,7 @@ def cable_energy(seq, s, u, v, quad=None, constants=DEFAULT_CONSTANTS, prefix_ma
         raise DegenerateCable(f"eps_{s} = 1: cables have length zero")
     amap = prefix_map or AffineMap2.identity()
     vals = [segment_pairing(u, v, amap, sg, quad) for sg in cable_segments(seq, s)]
-    return constants.b / seq.one_minus_eps(s) * math.fsum(vals)
+    return _A / seq.one_minus_eps(s) * math.fsum(vals)
 
 
 def _transform(p0, dv, outer):
@@ -148,7 +150,7 @@ def _pairings(u, v, p0, dv, quad) -> np.ndarray:
     return (du * dvv) @ quad.weights
 
 
-def energy_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None):
+def energy_by_edges(seq, l, u, v, quad, outer=None):
     """The depth-l form edge by edge from the batched edge tableau.
 
     Returns (report, edges): the EnergyReport of the compensated sums and
@@ -157,23 +159,23 @@ def energy_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None)
     """
     tab = _tableau(seq, l)
     p0, dv = _transform(tab.tri_p0, tab.tri_dv, outer)
-    tri_list = (triangle_edge_prefactor(seq, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
+    tri_list = (triangle_edge_prefactor(seq, l) * _pairings(u, v, p0, dv, quad)).tolist()
     cab_list = []
     for s in range(1, l + 1):
         p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
-        cab_list += (cable_prefactor(seq, s, l, constants) * _pairings(u, v, p0, dv, quad)).tolist()
-    ids = edge_ids(seq, l, constants)
+        cab_list += (cable_prefactor(seq, s, l) * _pairings(u, v, p0, dv, quad)).tolist()
+    ids = edge_ids(seq, l)
     report = EnergyReport(l, math.fsum(tri_list), math.fsum(cab_list), math.fsum(tri_list + cab_list))
     return report, tuple(zip(ids, tri_list + cab_list))
 
 
-def energy2_limit_by_edges(seq, s_max, u, v, quad, constants=DEFAULT_CONSTANTS, outer=None):
+def energy2_limit_by_edges(seq, s_max, u, v, quad, outer=None):
     """Limit cable form truncated at s_max, summed cable by cable."""
     tab = _tableau(seq, s_max)
     vals = []
     for s in range(1, s_max + 1):
         p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
-        vals += (cable_prefactor_limit(seq, s, constants) * _pairings(u, v, p0, dv, quad)).tolist()
+        vals += (cable_prefactor_limit(seq, s) * _pairings(u, v, p0, dv, quad)).tolist()
     return math.fsum(vals)
 
 
@@ -190,7 +192,7 @@ def cable_arrays(seq, s: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([sg.p for sg in segs]), np.stack([sg.velocity for sg in segs])
 
 
-def fold_backward(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> EnergyReport:
+def fold_backward(seq, l, u, v, quad) -> EnergyReport:
     """The depth-l form by folding cell forms from depth l up to the top cell.
 
     The adjoint of the package's forward moment pass: starting from the
@@ -200,12 +202,12 @@ def fold_backward(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> EnergyRepo
     O(l D^3) fold and rebuilds every cable Gram.
     """
     d = max(u.degree, v.degree, 0)
-    sides = constants.a * segment_form(*_side_arrays(), d, quad, 1, 1)
+    sides = _A * segment_form(*_side_arrays(), d, quad, 1, 1)
     forms = np.stack([sides, np.zeros_like(sides)])
     for k in range(l, 0, -1):
         pulls = [_map_pullback(f, d) for f in triple(seq.eps(k))]
         forms = np.stack([sum(np.dot(p.T, np.dot(h, p)) for p in pulls) for h in forms]) / _EXT(seq.lam(k))
-        weight = constants.b / (seq.eps_tilde(k, l) * seq.one_minus_eps(k))
+        weight = _A / (seq.eps_tilde(k, l) * seq.one_minus_eps(k))
         forms[1] += weight * segment_form(*cable_arrays(seq, k), d, quad, 1, 1)
     pullback = _map_pullback(AffineMap2.identity(), d, to_world=True)
     cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
@@ -213,17 +215,17 @@ def fold_backward(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> EnergyRepo
     return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
 
 
-def _energy_rows(seq, depths, u, v, quad, constants, outer=None, *, limit=False):
+def _energy_rows(seq, depths, u, v, quad, outer=None, *, limit=False):
     """[triangle part, generation-1 cable part, ...] of the energy form on
     (u o outer, v o outer) at every depth, one moment pass per call
     (``limit``: infinite windows)."""
     d = max(u.degree, v.degree, 0)
     tops = _top_moment(u, v, d, outer)[None]
-    for (parts,) in _contractions(seq, depths, d, quad, constants, tops, [(None, (1, 1))], limit=limit):
+    for (parts,) in _contractions(seq, depths, d, quad, tops, [(None, (1, 1))], limit=limit):
         yield parts
 
 
-def recurrence_residual_by_passes(seq, l, u, v, quad=None, constants=DEFAULT_CONSTANTS) -> float:
+def recurrence_residual_by_passes(seq, l, u, v, quad=None) -> float:
     """The one-step recurrence defect from four separate moment passes.
 
     One pass for the depth-(l+1) form and one on the shifted sequence for
@@ -231,34 +233,34 @@ def recurrence_residual_by_passes(seq, l, u, v, quad=None, constants=DEFAULT_CON
     the three into one pass.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    (whole,) = _energy_rows(seq, (l + 1,), u, v, quad, constants)
+    (whole,) = _energy_rows(seq, (l + 1,), u, v, quad)
     parts = [
         _report(l, *_terms(half)).total
         for f in triple(seq.eps(1))
-        for half in _energy_rows(seq.shift(), (l,), u, v, quad, constants, f)
+        for half in _energy_rows(seq.shift(), (l,), u, v, quad, f)
     ]
     rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
     return abs(_report(l + 1, *_terms(whole)).total - rhs)
 
 
-def selfsimilar_residual_by_passes(seq, u, v, depth, quad=None, constants=DEFAULT_CONSTANTS) -> tuple[float, float]:
+def selfsimilar_residual_by_passes(seq, u, v, depth, quad=None) -> tuple[float, float]:
     """The self-similar defect and its bound from four separate limit moment passes."""
     quad = resolve_quadrature(quad, u.degree, v.degree)
     gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
-    (whole,) = _energy_rows(seq, (depth,), u, v, quad, constants, limit=True)
+    (whole,) = _energy_rows(seq, (depth,), u, v, quad, limit=True)
     lhs = _report(depth, *_terms(whole))
-    parts, tails = [], [cable_tail_bound(seq, depth, gu, gv, constants)]
+    parts, tails = [], [cable_tail_bound(seq, depth, gu, gv)]
     for f in triple(seq.eps(1)):
         opn = float(np.linalg.norm(f.linear, 2))
-        (half,) = _energy_rows(seq.shift(), (depth - 1,), u, v, quad, constants, f, limit=True)
+        (half,) = _energy_rows(seq.shift(), (depth - 1,), u, v, quad, f, limit=True)
         rep = _report(depth - 1, *_terms(half))
         parts.append(rep.e1 + rep.e2)
-        tails.append(cable_tail_bound(seq.shift(), depth - 1, gu * opn, gv * opn, constants) / seq.lam(1))
+        tails.append(cable_tail_bound(seq.shift(), depth - 1, gu * opn, gv * opn) / seq.lam(1))
     rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
     return abs(lhs.e1 + lhs.e2 - rhs), math.fsum(tails)
 
 
-def gasket_hessian_sum(seq, depth, phi, v, constants=DEFAULT_CONSTANTS) -> list[float]:
+def gasket_hessian_sum(seq, depth, phi, v) -> list[float]:
     """Per-word <Hessian phi(x_w), tau_w> v(x_w), scaled to the form constant.
 
     The triangle-edge measure of one cell totals 3a tau_w (three unit
@@ -271,11 +273,11 @@ def gasket_hessian_sum(seq, depth, phi, v, constants=DEFAULT_CONSTANTS) -> list[
     hxx, hxy, hyy = hess_batch(phi, xs, ys)
     taus = tau_table(depth)
     pair = taus[:, 0, 0] * hxx + 2.0 * taus[:, 0, 1] * hxy + taus[:, 1, 1] * hyy
-    vals = 3.0 * constants.a * pair * v.eval_batch(xs, ys)
+    vals = 3.0 * _A * pair * v.eval_batch(xs, ys)
     return vals.tolist()
 
 
-def cable_second_derivative_sum(seq, depth, phi, v, quad, constants=DEFAULT_CONSTANTS) -> list[float]:
+def cable_second_derivative_sum(seq, depth, phi, v, quad) -> list[float]:
     """Per-cable integrals of (phi o z)'' (v o z) with depth-window weights."""
     tab = _tableau(seq, depth)
     out: list[float] = []
@@ -289,31 +291,31 @@ def cable_second_derivative_sum(seq, depth, phi, v, quad, constants=DEFAULT_CONS
         dy = dv[:, 1][:, None]
         dd = hxx * dx * dx + 2.0 * hxy * dx * dy + hyy * dy * dy
         vals = (dd * v.eval_batch(xs, ys)) @ quad.weights
-        pf = cable_prefactor(seq, s, depth, constants)
+        pf = cable_prefactor(seq, s, depth)
         out.extend((pf * vals).tolist())
     return out
 
 
-def ibp_rhs_by_cells(seq, depth, phi, v, quad, constants=DEFAULT_CONSTANTS) -> float:
+def ibp_rhs_by_cells(seq, depth, phi, v, quad) -> float:
     """Measure side of the IBP identity, cell by cell and cable by cable."""
     return math.fsum(
-        gasket_hessian_sum(seq, depth, phi, v, constants)
-        + cable_second_derivative_sum(seq, depth, phi, v, quad, constants)
+        gasket_hessian_sum(seq, depth, phi, v)
+        + cable_second_derivative_sum(seq, depth, phi, v, quad)
     )
 
 
-def edge_ids(seq, l, constants=DEFAULT_CONSTANTS):
+def edge_ids(seq, l):
     """The EdgeId of every depth-l edge, in the canonical edge order: triangle
     edges by (word, side), then cables by generation and (prefix, slot)."""
-    tri_pf = triangle_edge_prefactor(seq, l, constants)
+    tri_pf = triangle_edge_prefactor(seq, l)
     ids = [EdgeId("tri", word, side=name, prefactor=tri_pf) for word in iter_words(l) for name in SIDE_NAMES]
     for s in range(1, l + 1):
-        pf = cable_prefactor(seq, s, l, constants)
+        pf = cable_prefactor(seq, s, l)
         ids += [EdgeId("cable", p, slot=k, generation=s, prefactor=pf) for p in iter_words(s - 1) for k in (1, 2, 3)]
     return ids
 
 
-def edge_walk(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO):
+def edge_walk(seq, l, beta_over_alpha=HARMONIC_RATIO):
     """(edge id, local segment, map) of every depth-l edge, in the canonical edge order.
 
     Each word's map comes from ``compose``, one level at a time, not from
@@ -328,7 +330,7 @@ def edge_walk(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATI
         for prefix in iter_words(s - 1)
     ]
     pieces = ((seg, amap) for segs, amap in cells for seg in segs)
-    for eid, (seg, amap) in zip(edge_ids(seq, l, constants), pieces):
+    for eid, (seg, amap) in zip(edge_ids(seq, l), pieces):
         yield eid, seg, amap
 
 
@@ -350,7 +352,7 @@ def canonical_vertex(word, corner):
     return word[:k], corner
 
 
-def star_groups_by_edges(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HARMONIC_RATIO):
+def star_groups_by_edges(seq, l, beta_over_alpha=HARMONIC_RATIO):
     """Depth-l vertex stars by walking the edge list, sorted by (word, corner).
 
     Every edge end is grouped under its canonical vertex name.  Returns
@@ -358,7 +360,7 @@ def star_groups_by_edges(seq, l, constants=DEFAULT_CONSTANTS, beta_over_alpha=HA
     with members in edge-walk order (triangle sides word-major, then cables).
     """
     groups = {}
-    for eid, seg, amap in edge_walk(seq, l, constants, beta_over_alpha):
+    for eid, seg, amap in edge_walk(seq, l, beta_over_alpha):
         tangent = amap.linear @ seg.velocity
         if eid.kind == "tri":
             ends = [(canonical_vertex(eid.word, corner), t_end) for corner, t_end in _SIDE_CORNERS[eid.side]]
@@ -381,10 +383,10 @@ def boundary_vector_of(members) -> np.ndarray:
     return acc
 
 
-def weak_pairing_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> list[float]:
+def weak_pairing_by_edges(seq, l, u, v, quad) -> list[float]:
     """Per-edge terms w_e * integral (u o z)'' (v o z) dt of the weak pairing, in edge order."""
     parts = []
-    for eid, seg, amap in edge_walk(seq, l, constants):
+    for eid, seg, amap in edge_walk(seq, l):
         cu = poly1_derivative(poly1_derivative(compose_with_segment(u, amap, seg)))
         cv = compose_with_segment(v, amap, seg)
         parts.append(
@@ -393,7 +395,7 @@ def weak_pairing_by_edges(seq, l, u, v, quad, constants=DEFAULT_CONSTANTS) -> li
     return parts
 
 
-def laplacian_samples_by_carrier(seq, phi, depth, constants=DEFAULT_CONSTANTS):
+def laplacian_samples_by_carrier(seq, phi, depth):
     """Laplacian samples one carrier at a time: every depth-level cell, then all cables.
 
     ``teplyaev`` shares the table's Hessian kernel; what this checks
@@ -403,7 +405,7 @@ def laplacian_samples_by_carrier(seq, phi, depth, constants=DEFAULT_CONSTANTS):
     for s in range(1, depth + 1):
         for prefix in iter_words(s - 1):
             for slot in (1, 2, 3):
-                cm = cable_mass(seq, prefix, s, slot, constants)
+                cm = cable_mass(seq, prefix, s, slot)
                 out.append(teplyaev(phi, cm, seq))
     return out
 
@@ -449,7 +451,7 @@ def kusuoka_text_by_rows(depth):
     return text, json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
-def laplacian_text_by_rows(seq, phi, depth, constants=DEFAULT_CONSTANTS) -> str:
+def laplacian_text_by_rows(seq, phi, depth) -> str:
     """The ``laplacian`` table rendered row by row from the sample table.
 
     Carriers come from ``iter_words`` (cells, then cables by generation in
@@ -458,13 +460,13 @@ def laplacian_text_by_rows(seq, phi, depth, constants=DEFAULT_CONSTANTS) -> str:
     carriers = [("cell", w, "") for w in iter_words(depth)]
     carriers += [("cable", p, str(k)) for s in range(1, depth + 1) for p in iter_words(s - 1) for k in (1, 2, 3)]
     rows = []
-    for (kind, w, slot), r in zip(carriers, laplacian_samples(seq, phi, depth, constants)):
+    for (kind, w, slot), r in zip(carriers, laplacian_samples(seq, phi, depth)):
         word = "".join(str(letter) for letter in w)
         rows.append([kind, word, slot, repr(float(r.x)), repr(float(r.y)), repr(float(r.value))])
     return _csv_by_rows(["kind", "word", "slot", "x", "y", "value"], rows)
 
 
-def geometry_text_by_rows(seq, depth, constants=DEFAULT_CONSTANTS):
+def geometry_text_by_rows(seq, depth):
     """The ``geometry --shade`` SVG and its --json edge list, rendered edge by edge.
 
     Every shading polygon maps the base corners through its word's
@@ -487,7 +489,7 @@ def geometry_text_by_rows(seq, depth, constants=DEFAULT_CONSTANTS):
         op = 0.75 * float(table[i]) / top
         lines.append(f'<polygon points="{pts}" fill="#3a7bd5" fill-opacity="{op:.4f}"/>')
     edges = []
-    for eid, seg, amap in edge_walk(seq, depth, constants):
+    for eid, seg, amap in edge_walk(seq, depth):
         p = amap(seg.p)
         q = amap(seg.q)
         coords = f'x1="{p[0]:.6f}" y1="{-p[1]:.6f}" x2="{q[0]:.6f}" y2="{-q[1]:.6f}"'
@@ -653,16 +655,15 @@ def ulp_errors(values, exact) -> list[float]:
     return [float(abs(decimal.Decimal(v) - e) / decimal.Decimal(math.ulp(float(e)))) for v, e in zip(values, exact)]
 
 
-def adjoint_aggregate(seq, l, constants=DEFAULT_CONSTANTS) -> dict[tuple[int, ...], np.ndarray]:
+def adjoint_aggregate(seq, l) -> dict[tuple[int, ...], np.ndarray]:
     """Per-word cylinder matrices through the iterated adjoint route.
 
-    Seeds with a times the side-projection sum (equal to Id/2 at the
-    default a), applies the level adjoints branch by branch from the
+    Seeds with a = 1/3 times the side-projection sum, which is Id/2, applies the level adjoints branch by branch from the
     innermost level outward, and renormalizes by lam_tilde(l).  Agrees
     with the gibbs_tau closed form; the two routes share no code path
     beyond the raw map triples.
     """
-    seed = constants.a * _side_projection_sum()
+    seed = _A * _side_projection_sum()
     arr = seed[None, :, :]
     for s in range(l, 0, -1):
         mats = np.stack([f.linear for f in triple(seq.eps(s))])
@@ -743,12 +744,12 @@ def count_edges(l: int) -> tuple[int, int]:
     return 3 * 3**l, 3 * (3**l - 1) // 2
 
 
-def ibp_residual(seq, phi, v, depth, quad=None, constants=DEFAULT_CONSTANTS) -> float:
+def ibp_residual(seq, phi, v, depth, quad=None) -> float:
     """| E_depth(phi, v) + integral of (Laplacian phi) v d(mu_depth) |: one row of ``ibp_table``.
 
     v must vanish at the three base corners.
     """
-    return ibp_table(seq, phi, v, (depth,), quad, constants)[0]["residual"]
+    return ibp_table(seq, phi, v, (depth,), quad)[0]["residual"]
 
 
 #: Orthonormal basis of symmetric 2x2 matrices under the Frobenius inner product.
@@ -775,6 +776,6 @@ def sym_operator3(eps: float) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def total_cable_mass(seq, s_max: int, constants=DEFAULT_CONSTANTS) -> float:
+def total_cable_mass(seq, s_max: int) -> float:
     """Mass of all cables of generations 1..s_max."""
-    return math.fsum(m for s in range(1, s_max + 1) for m in cable_masses(seq, s, constants)[0].tolist())
+    return math.fsum(m for s in range(1, s_max + 1) for m in cable_masses(seq, s)[0].tolist())

@@ -6,7 +6,6 @@ exponential tail (0.05, 0.5); and the pure tail (0.1, 0.5).  Checks that
 need a positive infinite stretch product run on the tail regimes.
 """
 
-import json
 import math
 import subprocess
 import sys
@@ -14,7 +13,6 @@ import sys
 import numpy as np
 
 from stretched_gasket import (
-    Poly2,
     affine,
     base_vertices,
     cable_segments,
@@ -39,7 +37,7 @@ from stretched_gasket import (
 )
 from stretched_gasket.scalarfield import grad_batch, hess_batch, parse
 
-from conftest import ALL_REGIMES, CONSTANT_HALF, LIMIT_REGIMES, PREFIX_EXP, TAIL_ONLY, random_poly
+from conftest import ALL_REGIMES, CONSTANT_HALF, TAIL_ONLY, random_poly
 from oracles import adjoint_aggregate, count_edges, ibp_residual
 
 A_CONST = 1.0 / 3.0

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from stretched_gasket import ExpTail, ParamSeq, cli, parse
+from stretched_gasket import ExpTail, ParamSeq, cli, harmonicity, parse
 
 from conftest import cold_peak
 from oracles import geometry_text_by_rows, kusuoka_text_by_rows, laplacian_text_by_rows
@@ -130,6 +131,41 @@ def test_seed_flag_is_refused():
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"usage: ")
     assert b"unrecognized arguments: --seed 7" in proc.stderr
+
+
+def test_const_a_flag_is_refused():
+    proc = run_cli("energy", "--eps-const", "0.5", "--depth", "1", "--const-a", "0.25", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"usage: ")
+    assert b"unrecognized arguments: --const-a 0.25" in proc.stderr
+
+
+def test_config_keys_no_subcommand_reads_are_refused(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    # A key that another subcommand reads passes, so one file serves every subcommand.
+    cfg.write_text("eps.const = 0.5\ndepth = 1\nphi = x^2\n")
+    assert run_cli("energy", "--config", str(cfg)).returncode == 0
+    for key in ("depht", "constants.a"):
+        cfg.write_text(f"eps.const = 0.5\n# {key} is misspelt or gone\n\n{key} = 0.25\n")
+        proc = run_cli("energy", "--config", str(cfg), check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"error: {cfg}:4: unknown config key {key!r}\n"
+        assert proc.stdout == b""
+
+
+def test_tail_flags_of_both_kinds_are_refused(tmp_path):
+    proc = run_cli("energy", "--eps-const", "0.3", "--tail-c", "0.05", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: eps.const and eps.tail.* are mutually exclusive\n"
+    assert proc.stdout == b""
+    # A tail flag still replaces the config file's tail of the other kind.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps.const = 0.3\ndepth = 1\n")
+    spec = json.loads(run_cli("energy", "--config", str(cfg), "--tail-r", "0.25").stdout)["eps_spec"]
+    assert spec["tail"] == {"kind": "exp", "c": 0.1, "r": 0.25}
+    cfg.write_text("eps.tail.c = 0.05\ndepth = 1\n")
+    spec = json.loads(run_cli("energy", "--config", str(cfg), "--eps-const", "0.3").stdout)["eps_spec"]
+    assert spec["tail"] == {"kind": "const", "value": 0.3}
 
 
 def test_usage_errors_exit_one():
@@ -424,6 +460,22 @@ def test_gates_fire_on_a_nan(argv, module, name, edit, message, monkeypatch, cap
     capsys.readouterr()
     assert cli.main([argv[0], *EXP_FLAGS, *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith(f"assertion failed: {message}")
+
+
+def test_harmonicity_gate_fires_on_a_nan_vertex(monkeypatch, capsys):
+    # A NaN boundary vector is the largest norm: the residual is NaN and names its vertex.
+    boundary = harmonicity._boundary
+
+    def nan_at_last(weights, tangents):
+        out = boundary(weights, tangents)
+        out[-1] = NAN
+        return out
+
+    monkeypatch.setattr(harmonicity, "_boundary", nan_at_last)
+    assert cli.main(["harmonicity", *EXP_FLAGS, "--depth", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert math.isnan(json.loads(out)["residual"])
+    assert err == "assertion failed: harmonic residual nan exceeds 3.3e-11 at vertex 33/B\n"
 
 
 def test_missing_config_file_exits_one():

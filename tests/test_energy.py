@@ -8,8 +8,6 @@ import pytest
 
 import stretched_gasket
 from stretched_gasket import (
-    DEFAULT_CONSTANTS,
-    DegenerateCable,
     ExpTail,
     ParamSeq,
     QuadratureRule,

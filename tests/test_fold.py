@@ -28,7 +28,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stretched_gasket import (
-    DEFAULT_CONSTANTS,
     AffineMap2,
     DepthCapExceeded,
     ExpTail,
@@ -140,7 +139,7 @@ def test_folded_energy_with_outer_maps(seq, rng):
     v = random_poly(rng, 3)
     quad = get_quadrature(8)
     for l in (0, 3, 6):
-        _, _, halves = _one_step(seq, l, u, v, quad, DEFAULT_CONSTANTS)
+        _, _, halves = _one_step(seq, l, u, v, quad)
         for f, rep in zip(triple(seq.eps(1)), halves):
             ref, _ = energy_by_edges(seq.shift(), l, u, v, quad, outer=f)
             _close(rep.total, ref.total)
@@ -157,7 +156,7 @@ def test_folded_limit_cables_match_edge_sum(seq, case):
         got, _ = energy2_limit(seq, u, v, s_max, quad)
         _close(got, energy2_limit_by_edges(seq, s_max, u, v, quad))
     f2 = triple(seq.eps(1))[1]
-    _, _, halves = _one_step(seq, 3, u, v, quad, DEFAULT_CONSTANTS, limit=True)
+    _, _, halves = _one_step(seq, 3, u, v, quad, limit=True)
     _close(halves[1].e2, energy2_limit_by_edges(seq.shift(), 3, u, v, quad, outer=f2))
 
 
@@ -181,7 +180,7 @@ def test_generation1_cables_match_cable_energy(seq, rng):
         cross = cable_energy(seq, 1, u, v, quad)
         norms = cable_energy(seq, 1, u, u, quad) * cable_energy(seq, 1, v, v, quad)
         for l, window in weights:
-            (parts,) = _energy_rows(seq, (l or 1,), u, v, quad, DEFAULT_CONSTANTS, limit=l is None)
+            (parts,) = _energy_rows(seq, (l or 1,), u, v, quad, limit=l is None)
             got = math.fsum(_split(parts[1]))
             want = cross / window
             scale = math.sqrt(norms) / window
@@ -212,7 +211,7 @@ def test_fold_reproduces_edge_sum_for_inexact_rules():
     for order in (2, 8, 12):
         quad = get_quadrature(order)
         for l in (0, 2, 5):
-            (parts,) = _energy_rows(PREFIX_EXP, (l,), x12, x12, quad, DEFAULT_CONSTANTS)
+            (parts,) = _energy_rows(PREFIX_EXP, (l,), x12, x12, quad)
             got = _report(l, *_terms(parts))
             ref, _ = energy_by_edges(PREFIX_EXP, l, x12, x12, quad)
             _close(got.e1, ref.e1)

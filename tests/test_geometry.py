@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from stretched_gasket import (
-    DEFAULT_CONSTANTS,
     DepthCapExceeded,
     ExpTail,
     ParamSeq,
@@ -223,7 +222,7 @@ def test_edge_counts():
         tri, cab = count_edges(l)
         assert tri == 3 * 3**l
         assert cab == 3 * (3**l - 1) // 2
-        edges = prefractal_edges(TAIL_ONLY, l, DEFAULT_CONSTANTS)
+        edges = prefractal_edges(TAIL_ONLY, l)
         assert len(edges) == tri + cab
         assert np.count_nonzero(edges.generation == 0) == tri
         assert np.count_nonzero(edges.generation > 0) == cab
@@ -233,7 +232,7 @@ def test_prefractal_edge_order_is_canonical():
     # Triangle edges first in (word, side) order, then cables by generation
     # in (prefix, slot) order: the (generation, word, slot) rows ascend.
     for l in (2, 3):
-        edges = prefractal_edges(TAIL_ONLY, l, DEFAULT_CONSTANTS)
+        edges = prefractal_edges(TAIL_ONLY, l)
         ids = list(zip(edges.generation.tolist(), edges.word.tolist(), edges.slot.tolist()))
         assert ids == sorted(set(ids))
         assert set(edges.slot[edges.generation == 0].tolist()) == {0, 1, 2}
@@ -242,13 +241,13 @@ def test_prefractal_edge_order_is_canonical():
 
 def test_prefactors():
     seq = PREFIX_EXP
-    c = DEFAULT_CONSTANTS
-    for e in prefractal_edges(seq, 2, c):
+    a = 1.0 / 3.0
+    for e in prefractal_edges(seq, 2):
         if e.generation == 0:
-            assert e.prefactor == pytest.approx(c.a / seq.lam_tilde(2), rel=1e-14)
+            assert e.prefactor == pytest.approx(a / seq.lam_tilde(2), rel=1e-14)
         else:
             s = int(e.generation)
-            expected = c.b / (
+            expected = a / (
                 seq.lam_tilde(s - 1) * seq.eps_tilde(s, 2) * seq.one_minus_eps(s)
             )
             assert e.prefactor == pytest.approx(expected, rel=1e-14)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from stretched_gasket import (
-    DEFAULT_CONSTANTS,
     HARMONIC_RATIO,
     NonHarmonicError,
     energy_total,
@@ -22,6 +21,7 @@ from stretched_gasket import (
     weak_pairing,
 )
 from stretched_gasket.harmonicity import ND_GRID
+from stretched_gasket.params import A
 from stretched_gasket.scalarfield import compose_with_segment, poly1_derivative
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, admissible, random_poly
@@ -60,7 +60,7 @@ def test_stars_are_sorted_deterministically():
 
 
 def test_boundary_vector_vanishes_on_harmonic_family(regime):
-    gate = 1e-10 * DEFAULT_CONSTANTS.a
+    gate = 1e-10 * A
     for l in (1, 2):
         stars = vertex_stars(regime, l)
         for star in stars[stars.key >= 3]:
@@ -71,13 +71,13 @@ def test_boundary_vector_vanishes_on_harmonic_family(regime):
 def test_residual_zero_only_at_the_harmonic_ratio():
     # Scanning the vertical/horizontal ratio of the first map shows the
     # vertex sums cancel only at ratio 1/3.
-    gate = 1e-10 * DEFAULT_CONSTANTS.a
+    gate = 1e-10 * A
     for ratio in (0.2, 0.25, 1.0 / 3.0, 0.4, 0.5):
         res = harmonic_residual(CONSTANT_HALF, 2, beta_over_alpha=ratio)
         if ratio == 1.0 / 3.0:
             assert res <= gate
         else:
-            assert res > 1e-3 * DEFAULT_CONSTANTS.a, ratio
+            assert res > 1e-3 * A, ratio
 
 
 def test_harmonic_report_names_worst_vertex():
@@ -149,8 +149,8 @@ def test_weak_pairing_requires_harmonic_family(monkeypatch):
     # twice the float bound must be refused by both weak-identity routes.
     local = harmonicity._local_defects
 
-    def too_large(seq, l, constants):
-        r, scale, gap = local(seq, l, constants)
+    def too_large(seq, l):
+        r, scale, gap = local(seq, l)
         r = r.copy()
         r[-1, 3] = [2.0 * harmonicity._defect_bound(seq, l) * scale[-1, 3], 0.0]
         return r, scale, gap

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stretched_gasket import (
-    DEFAULT_CONSTANTS,
     ExpTail,
     ParamSeq,
     cable_mass,
@@ -23,7 +22,6 @@ from stretched_gasket import (
     perron,
     perron_report,
     ruelle_apply,
-    sup_bounds,
     tau_table,
     triple,
     word_index,
@@ -32,7 +30,7 @@ from stretched_gasket import (
 from stretched_gasket.errors import DepthCapExceeded, PrefactorUnderflow
 from stretched_gasket.kusuoka import _product2, _require_symmetric, _scaled_linears
 
-from conftest import ALL_REGIMES, CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
+from conftest import ALL_REGIMES, PREFIX_EXP, SEQUENCES, TAIL_ONLY
 from oracles import (
     adjoint_aggregate,
     exact_kappa_table,

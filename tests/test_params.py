@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stretched_gasket import Constants, ExpTail, ParamSeq, TailProductZero, seq_from_mapping
+from stretched_gasket import ExpTail, ParamSeq, TailProductZero, seq_from_mapping
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY
 
@@ -133,14 +133,6 @@ def test_validate_strict_window():
     ParamSeq.constant(0.8).validate_strict(6)
     with pytest.raises(ValueError):
         ParamSeq.constant(0.9).validate_strict(3)
-
-
-def test_constants():
-    c = Constants(0.25)
-    assert c.a == 0.25
-    assert c.b == 0.25
-    with pytest.raises(ValueError):
-        Constants(0.0)
 
 
 def test_seq_from_mapping_roundtrip():

@@ -167,6 +167,22 @@ def test_open_star_is_refused(monkeypatch):
         weak_pairing(PREFIX_EXP, 2, parse("x^2"), vanishing_cubic())
 
 
+def test_nan_star_is_refused(monkeypatch):
+    # A NaN cable start is no closer than 1e-12 to its cell corner: the check asks
+    # whether each gap is within the tolerance, so NaN fails it.
+    stack = geometry._cable_stack
+
+    def nan_start(seq, generations, beta_over_alpha=1.0 / 3.0):
+        starts, vels = stack(seq, generations, beta_over_alpha)
+        starts = starts.copy()
+        starts[-1, 0, 0] = np.nan
+        return starts, vels
+
+    monkeypatch.setattr(geometry, "_cable_stack", nan_start)
+    with pytest.raises(StarNotClosed, match="do not coincide"):
+        harmonic_report(PREFIX_EXP, 2)
+
+
 def test_harmonic_gates_have_one_definition():
     assert dict(harmonicity.HARMONIC_GATES) == {"assertion": 1e-10, "weak_identity": 12.0}
     assert cli.HARMONIC_GATES is harmonicity.HARMONIC_GATES
