@@ -1,16 +1,16 @@
 """Command line surface: geometry export and numeric reports.
 
-Configuration resolves in three layers: built-in defaults, then a flat
-key=value config file (``--config``), then explicit flags.  Config lines
-use dotted keys, ``#`` comments and blank lines are ignored:
+Each option is declared once, in ``_OPTIONS``; the parsers, the config
+keys and the values all derive from it.  A subcommand takes only the
+flags it reads, and a value is its flag's text, else the config file's,
+else the subcommand's default, through the option's one converter.
+Config lines use dotted keys, ``#`` comments and blank lines are ignored:
 
     eps.prefix = 0.9,0.8,0.7
     eps.tail.c = 0.05
-    eps.tail.r = 0.5
     depth = 4
-    quad.order = 8
 
-A key that no subcommand reads is refused with its line.  A tail flag
+A key no option declares is refused with its line.  A tail flag
 (``--eps-const``, or ``--tail-c``/``--tail-r``) replaces a file's tail of
 the other kind, and flags of both kinds are refused.
 
@@ -30,6 +30,8 @@ import contextlib
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
 from .geometry import HARMONIC_RATIO, SIDE_NAMES, iter_words, prefractal_edges
 from .harmonicity import HARMONIC_GATES
-from .params import A, ParamSeq, seq_from_mapping
+from .params import SEQ_KEYS, A, ParamSeq, seq_from_mapping
 from .scalarfield import corner_values, parse as parse_poly, sup_bounds, vanishes_at_corners, vanishing_cubic
 
 
@@ -62,15 +64,9 @@ def _assert_fail(message: str) -> int:
     return 2
 
 
-#: The keys a config file may set: each is read by at least one subcommand, and one file may
-#: serve every subcommand, so a key another subcommand reads passes.
-_CONFIG_KEYS = frozenset(
-    {"eps.prefix", "eps.tail.c", "eps.tail.r", "eps.const", "depth", "depths", "quad.order", "u", "v", "phi", "ratio", "eps", "shade"}
-)
-
-
 def read_config(path: str) -> dict[str, str]:
-    """Flat key=value file with dotted keys; later lines win, a key outside ``_CONFIG_KEYS`` is refused."""
+    """Flat key=value file with dotted keys; later lines win, a key no option declares is refused."""
+    keys = {opt.key for opt in _OPTIONS}
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -81,7 +77,7 @@ def read_config(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{ln}: expected key = value, got {line!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
             out[key] = val.strip()
     return out
@@ -98,44 +94,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.strip().split(","))
 
 
-def _build_seq(args, cfg: dict[str, str]) -> ParamSeq:
-    mapping: dict = {}
-    if "eps.prefix" in cfg:
-        mapping["eps.prefix"] = _parse_floats(cfg["eps.prefix"])
-    if "eps.tail.c" in cfg:
-        mapping["eps.tail.c"] = float(cfg["eps.tail.c"])
-    if "eps.tail.r" in cfg:
-        mapping["eps.tail.r"] = float(cfg["eps.tail.r"])
-    if "eps.const" in cfg:
-        mapping["eps.const"] = float(cfg["eps.const"])
-    if args.eps_prefix is not None:
-        mapping["eps.prefix"] = _parse_floats(args.eps_prefix)
-    # A tail flag replaces the file's tail of the other kind; flags of both
-    # kinds stay together, and seq_from_mapping refuses them.
-    if args.eps_const is not None:
-        mapping.pop("eps.tail.c", None)
-        mapping.pop("eps.tail.r", None)
-    if args.tail_c is not None or args.tail_r is not None:
-        mapping.pop("eps.const", None)
-    flags = {"eps.const": args.eps_const, "eps.tail.c": args.tail_c, "eps.tail.r": args.tail_r}
-    mapping.update((key, val) for key, val in flags.items() if val is not None)
-    return seq_from_mapping(mapping)
+def _parse_bool(text: str) -> bool:
+    """``true`` or ``false``; any other spelling is refused rather than read as false."""
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
-def _resolve(args, cfg, attr, key, default, conv):
-    val = getattr(args, attr, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return conv(cfg[key])
-    return default
-
-
-def _quadrature(args, cfg):
-    """The explicit Gauss rule, or None: the forms then pick the lowest
+def _quadrature(text: str):
+    """The explicit Gauss rule of this order.  Unset, the forms pick the lowest
     order exact for the field degrees, at least 8."""
-    order = _resolve(args, cfg, "quad_order", "quad.order", None, int)
-    return None if order is None else energy_mod.get_quadrature(order)
+    return energy_mod.get_quadrature(int(text))
 
 
 #: Rows per block of a written table: 3^7, the depth-l words below one depth-(l - 7) prefix.
@@ -234,14 +203,13 @@ def _edges_json(depth, edges) -> dict:
     return {"edges": out}
 
 
-def cmd_geometry(args, cfg, seq) -> int:
-    depth = _resolve(args, cfg, "depth", "depth", 2, int)
-    shade = args.shade or cfg.get("shade", "") == "true"
+def cmd_geometry(seq, *, depth, shade, out, json_out) -> int:
+    """SVG and JSON edge export."""
     kappas = kus_mod.kappa_table(depth) if shade else None
     edges = prefractal_edges(seq, depth)
-    _emit(_svg_text(depth, edges, kappas), args.out)
-    if args.json is not None:
-        with _output(args.json) as fh:
+    _emit(_svg_text(depth, edges, kappas), out)
+    if json_out is not None:
+        with _output(json_out) as fh:
             # json.dump writes the chunks that json.dumps would join.
             json.dump(_edges_json(depth, edges), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -251,13 +219,10 @@ def cmd_geometry(args, cfg, seq) -> int:
 # -- reports ---------------------------------------------------------------
 
 
-def cmd_energy(args, cfg, seq) -> int:
-    depth = _resolve(args, cfg, "depth", "depth", 3, int)
-    quad = _quadrature(args, cfg)
-    u = parse_poly(_resolve(args, cfg, "u", "u", "x", str))
-    v_expr = _resolve(args, cfg, "v", "v", None, str)
-    v = parse_poly(v_expr) if v_expr is not None else u
-    if args.require_vanishing and not vanishes_at_corners(v):
+def cmd_energy(seq, *, depth, quad, u, v, out, require_vanishing) -> int:
+    """Assembled form at one depth."""
+    v = u if v is None else v
+    if require_vanishing and not vanishes_at_corners(v):
         return _fail(f"v must vanish at A, B, C; corner values {corner_values(v)}")
     rep = energy_mod.energy_total(seq, depth, u, v, quad)
     payload = {
@@ -267,13 +232,12 @@ def cmd_energy(args, cfg, seq) -> int:
         "total": rep.total,
         "eps_spec": seq.describe(),
     }
-    _emit(_json_text(payload), args.out)
+    _emit(_json_text(payload), out)
     return 0
 
 
-def cmd_harmonicity(args, cfg, seq) -> int:
-    depth = _resolve(args, cfg, "depth", "depth", 4, int)
-    ratio = _resolve(args, cfg, "ratio", "ratio", HARMONIC_RATIO, float)
+def cmd_harmonicity(seq, *, depth, ratio, out) -> int:
+    """Vertex residual report."""
     rep = harm_mod.harmonic_report(seq, depth, ratio)
     payload = {
         "depth": depth,
@@ -281,7 +245,7 @@ def cmd_harmonicity(args, cfg, seq) -> int:
         "worst_vertex_word": f"{_word_str(rep.worst_word)}/{rep.worst_corner}",
         "nd_gamma": harm_mod.nd_gamma(seq.eps(1), ratio),
     }
-    _emit(_json_text(payload), args.out)
+    _emit(_json_text(payload), out)
     gate = HARMONIC_GATES["assertion"] * A
     if not rep.residual <= gate:
         return _assert_fail(
@@ -291,12 +255,10 @@ def cmd_harmonicity(args, cfg, seq) -> int:
     return 0
 
 
-def cmd_ruelle(args, cfg, seq) -> int:
-    eps = _resolve(args, cfg, "eps", "eps", None, float)
-    if eps is None:
-        eps = seq.eps(1)
-    payload = kus_mod.perron_report(eps)
-    _emit(_json_text(payload), args.out)
+def cmd_ruelle(seq, *, eps, out) -> int:
+    """Transfer operator eigenpair."""
+    payload = kus_mod.perron_report(seq.eps(1) if eps is None else eps)
+    _emit(_json_text(payload), out)
     if not payload["residual"] <= 1e-12:
         return _assert_fail(f"eigen-residual {payload['residual']:.3e} exceeds 1e-12")
     return 0
@@ -307,20 +269,20 @@ def cmd_ruelle(args, cfg, seq) -> int:
 _KAPPA_TIE_ULPS = 4
 
 
-def cmd_kusuoka(args, cfg, seq) -> int:
-    depth = _resolve(args, cfg, "depth", "depth", 3, int)
+def cmd_kusuoka(seq, *, depth, out, json_out) -> int:
+    """Cylinder mass table."""
     taus = kus_mod.tau_table(depth)
     kappas = kus_mod._trace(taus)
     min_eig = float(np.min(kus_mod._small_eigenvalues(taus, depth)))
     sum_kappa = math.fsum(kappas.tolist())
     columns = (kappas, taus[:, 0, 0], taus[:, 0, 1], taus[:, 1, 1])
     _write_csv(
-        args.out,
+        out,
         ["word", "kappa", "tau11", "tau12", "tau22"],
         len(kappas),
         lambda a, b: zip(_word_strs(np.arange(a, b), depth), *(_reprs(c[a:b]) for c in columns)),
     )
-    if args.json is not None:
+    if json_out is not None:
         top = kappas.max()
         summary = {
             "depth": depth,
@@ -328,7 +290,7 @@ def cmd_kusuoka(args, cfg, seq) -> int:
             "min_eig": min_eig,
             "max_kappa_word": _word_strs([np.argmax(kappas >= top - _KAPPA_TIE_ULPS * np.spacing(top))], depth)[0],
         }
-        _emit(_json_text(summary), args.json)
+        _emit(_json_text(summary), json_out)
     if not abs(sum_kappa - 1.0) <= 1e-12:
         return _assert_fail(f"level mass sum {sum_kappa!r} deviates from 1 beyond 1e-12")
     if not min_eig > 0:
@@ -336,18 +298,14 @@ def cmd_kusuoka(args, cfg, seq) -> int:
     return 0
 
 
-def cmd_ibp(args, cfg, seq) -> int:
-    depths = _resolve(args, cfg, "depths", "depths", (3, 4, 5, 6, 7, 8), _parse_ints)
-    quad = _quadrature(args, cfg)
-    phi = parse_poly(_resolve(args, cfg, "phi", "phi", "x^2", str))
-    v_expr = _resolve(args, cfg, "v", "v", None, str)
-    v = parse_poly(v_expr) if v_expr is not None else vanishing_cubic()
-    rows_data = lap_mod.ibp_table(seq, phi, v, depths, quad)
+def cmd_ibp(seq, *, depths, quad, phi, v, out) -> int:
+    """Integration by parts sweep."""
+    rows_data = lap_mod.ibp_table(seq, phi, vanishing_cubic() if v is None else v, depths, quad)
     rows = [
         [str(r["depth"]), repr(r["energy_lhs"]), repr(r["integral_rhs"]), repr(r["residual"])]
         for r in rows_data
     ]
-    _write_csv(args.out, ["depth", "energy_lhs", "integral_rhs", "residual"], len(rows), lambda a, b: rows[a:b])
+    _write_csv(out, ["depth", "energy_lhs", "integral_rhs", "residual"], len(rows), lambda a, b: rows[a:b])
     residuals = [r["residual"] for r in rows_data]
     if phi.degree <= 1:
         bad = [r for r in residuals if not r <= 1e-10]
@@ -361,18 +319,14 @@ def cmd_ibp(args, cfg, seq) -> int:
     return 0
 
 
-def cmd_convergence(args, cfg, seq) -> int:
-    depth = _resolve(args, cfg, "depth", "depth", 5, int)
-    quad = _quadrature(args, cfg)
-    u = parse_poly(_resolve(args, cfg, "u", "u", "x^2", str))
-    v_expr = _resolve(args, cfg, "v", "v", None, str)
-    v = parse_poly(v_expr) if v_expr is not None else u
-    rows_data = energy_mod.convergence_rows(seq, u, v, depth, quad)
+def cmd_convergence(seq, *, depth, quad, u, v, out) -> int:
+    """Energy depth sweep."""
+    rows_data = energy_mod.convergence_rows(seq, u, u if v is None else v, depth, quad)
     rows = [
         [str(r["l"]), repr(r["total"]), "" if r["delta"] is None else repr(r["delta"])]
         for r in rows_data
     ]
-    _write_csv(args.out, ["l", "energy", "delta"], len(rows), lambda a, b: rows[a:b])
+    _write_csv(out, ["l", "energy", "delta"], len(rows), lambda a, b: rows[a:b])
     for i in range(1, len(rows_data)):
         delta = rows_data[i]["delta"]
         envelope = rows_data[i - 1]["envelope"]
@@ -383,23 +337,18 @@ def cmd_convergence(args, cfg, seq) -> int:
     return 0
 
 
-def cmd_selfsim(args, cfg, seq) -> int:
-    depth = _resolve(args, cfg, "depth", "depth", 4, int)
-    quad = _quadrature(args, cfg)
-    u = parse_poly(_resolve(args, cfg, "u", "u", "x^2", str))
-    v_expr = _resolve(args, cfg, "v", "v", None, str)
-    v = parse_poly(v_expr) if v_expr is not None else parse_poly("x*y + y^2")
+def cmd_selfsim(seq, *, depth, quad, u, v, out) -> int:
+    """Self-similarity residual."""
     residual, bound = energy_mod.selfsimilar_residual(seq, u, v, depth, quad)
     payload = {"depth": depth, "residual": residual, "bound": bound, "eps_spec": seq.describe()}
-    _emit(_json_text(payload), args.out)
+    _emit(_json_text(payload), out)
     if not residual <= bound + 1e-12:
         return _assert_fail(f"self-similarity residual {residual:.3e} exceeds bound {bound:.3e}")
     return 0
 
 
-def cmd_laplacian(args, cfg, seq) -> int:
-    depth = _resolve(args, cfg, "depth", "depth", 2, int)
-    phi = parse_poly(_resolve(args, cfg, "phi", "phi", "x^2", str))
+def cmd_laplacian(seq, *, depth, phi, out) -> int:
+    """Pointwise Laplacian samples."""
     table = lap_mod.laplacian_samples(seq, phi, depth)
     cap = 2.0 * sup_bounds(phi)[1] + 1e-9
     worst = float(np.max(np.abs(table.value)))
@@ -413,7 +362,7 @@ def cmd_laplacian(args, cfg, seq) -> int:
         slots = map(("", "1", "2", "3").__getitem__, table.slot[a:b].tolist())
         return zip(kinds, _word_strs(table.word[a:b], lengths[a:b]), slots, *(_reprs(c[a:b]) for c in columns))
 
-    _write_csv(args.out, ["kind", "word", "slot", "x", "y", "value"], len(table), block)
+    _write_csv(out, ["kind", "word", "slot", "x", "y", "value"], len(table), block)
     if not worst <= cap:
         return _assert_fail(f"Laplacian sample {worst:.3e} exceeds the Hessian bound {cap:.3e}")
     return 0
@@ -432,58 +381,103 @@ _COMMANDS = {
 }
 
 
+@dataclass(frozen=True)
+class _Option:
+    """One option: its config key, its flag, the converter of its text (flag, file or default
+    alike), its help line, and the subcommands that read it with their default text (None:
+    unset).  ``dest`` names the value in the parsed flags and the handlers' keywords, by
+    default after the flag; ``const`` is the text of a flag that takes no value."""
+
+    key: str
+    flag: str
+    convert: Callable[[str], object]
+    help: str
+    readers: dict[str, str | None]
+    dest: str = ""
+    const: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "dest", self.dest or self.flag[2:].replace("-", "_"))
+
+
+_EVERY = dict.fromkeys(_COMMANDS)
+_DEPTHS = dict(geometry="2", energy="3", harmonicity="4", kusuoka="3", convergence="5", selfsim="4", laplacian="2")
+#: The subcommands that evaluate a form of two fields: each reads a Gauss rule and a second field.
+_FORMS = dict(energy=None, ibp=None, convergence=None, selfsim=None)
+_OPTIONS = (
+    _Option("eps.prefix", "--eps-prefix", _parse_floats, "comma separated leading stretch values", _EVERY),
+    _Option("eps.tail.c", "--tail-c", float, "exponential tail constant c", _EVERY),
+    _Option("eps.tail.r", "--tail-r", float, "exponential tail ratio r in (0,1)", _EVERY),
+    _Option("eps.const", "--eps-const", float, "constant stretch value (no limit weights)", _EVERY),
+    _Option("depth", "--depth", int, "construction depth", _DEPTHS),
+    _Option("depths", "--depths", _parse_ints, "comma separated depth sweep", {"ibp": "3,4,5,6,7,8"}),
+    _Option("quad.order", "--quad-order", _quadrature, "Gauss rule order (default: max(8, lowest exact))", _FORMS, dest="quad"),
+    _Option("u", "--u", parse_poly, "first field expression", {"energy": "x", "convergence": "x^2", "selfsim": "x^2"}),
+    _Option("v", "--v", parse_poly, "second field (default: the first); ibp's test function", {**_FORMS, "selfsim": "x*y + y^2"}),
+    _Option("phi", "--phi", parse_poly, "field expression", {"ibp": "x^2", "laplacian": "x^2"}),
+    _Option(
+        "ratio", "--ratio", float, "vertical/horizontal scale ratio of the first map (default 1/3; others break harmonicity)",
+        dict(harmonicity=repr(HARMONIC_RATIO)),
+    ),
+    _Option("eps", "--eps", float, "stretch value (default: first level)", {"ruelle": None}),
+    _Option("shade", "--shade", _parse_bool, "shade cells by their kappa mass", {"geometry": "false"}, const="true"),
+)
+
+#: The tail keys of the other kind: a tail flag drops the config file's tail of the other kind.
+_OTHER_TAIL = {"eps.const": ("eps.tail.c", "eps.tail.r"), "eps.tail.c": ("eps.const",), "eps.tail.r": ("eps.const",)}
+
+
+def _option_values(args, cfg: dict[str, str]) -> tuple[ParamSeq, dict]:
+    """The sequence and the handler's keywords.  Each option the subcommand reads takes its
+    flag's text, else the config file's, else the subcommand's default, converted once; the
+    switches pass as parsed."""
+    values = dict(vars(args))
+    command = values.pop("command")
+    del values["config"]
+    options = [opt for opt in _OPTIONS if command in opt.readers]
+    flags = {opt.key: values.pop(opt.dest) for opt in options}
+    flags = {key: text for key, text in flags.items() if text is not None}
+    # A tail flag drops the file's tail of the other kind; flags of both kinds stay, and seq_from_mapping refuses them.
+    kept = {key: text for key, text in cfg.items() if flags.keys().isdisjoint(_OTHER_TAIL.get(key, ()))}
+    texts = {**kept, **flags}
+    mapping = {}
+    for opt in options:
+        text = texts.get(opt.key, opt.readers[command])
+        try:
+            value = None if text is None else opt.convert(text)
+        except ValueError as exc:
+            raise ValueError(f"{opt.key}: {exc}") from None
+        if opt.key not in SEQ_KEYS:
+            values[opt.dest] = value
+        elif value is not None:
+            mapping[opt.key] = value
+    return seq_from_mapping(mapping), values
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="stretched-gasket", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--eps-prefix", help="comma separated leading stretch values")
-    common.add_argument("--tail-c", type=float, help="exponential tail constant c")
-    common.add_argument("--tail-r", type=float, help="exponential tail ratio r in (0,1)")
-    common.add_argument("--eps-const", type=float, help="constant stretch value (no limit weights)")
-    common.add_argument("--depth", type=int, help="construction depth")
-    common.add_argument("--depths", type=_parse_ints, help="comma separated depth sweep")
-    common.add_argument(
-        "--quad-order", type=int, help="Gauss rule order (default: 8, or the lowest exact order for the field degrees)"
-    )
-    common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--json", help="write the JSON side report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("geometry", parents=[common], help="SVG and JSON edge export")
-    p.add_argument("--shade", action="store_true", help="shade cells by their kappa mass")
-    p = sub.add_parser("energy", parents=[common], help="assembled form at one depth")
-    p.add_argument("--u", help="first field expression")
-    p.add_argument("--v", help="second field expression")
-    p.add_argument("--require-vanishing", action="store_true", help="reject v not vanishing at corners")
-    p = sub.add_parser("harmonicity", parents=[common], help="vertex residual report")
-    p.add_argument(
-        "--ratio",
-        type=float,
-        help="vertical/horizontal scale ratio of the first map (default 1/3; other values break harmonicity)",
-    )
-    p = sub.add_parser("ruelle", parents=[common], help="transfer operator eigenpair")
-    p.add_argument("--eps", type=float, help="stretch value (default: first level)")
-    sub.add_parser("kusuoka", parents=[common], help="cylinder mass table")
-    p = sub.add_parser("ibp", parents=[common], help="integration by parts sweep")
-    p.add_argument("--phi", help="field expression")
-    p.add_argument("--v", help="test function expression")
-    p = sub.add_parser("convergence", parents=[common], help="energy depth sweep")
-    p.add_argument("--u", help="first field expression")
-    p.add_argument("--v", help="second field expression")
-    p = sub.add_parser("selfsim", parents=[common], help="self-similarity residual")
-    p.add_argument("--u", help="first field expression")
-    p.add_argument("--v", help="second field expression")
-    p = sub.add_parser("laplacian", parents=[common], help="pointwise Laplacian samples")
-    p.add_argument("--phi", help="field expression")
+    for command, handler in _COMMANDS.items():
+        # No abbreviations: ``--quad`` or ``ibp --depth`` must not pass as another flag.
+        p = sub.add_parser(command, help=handler.__doc__, allow_abbrev=False)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--out", help="output file (default stdout)")
+        for opt in _OPTIONS:
+            if command in opt.readers:
+                kind = {"action": "store_const", "const": opt.const} if opt.const else {}
+                p.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kind)
+        if command in ("geometry", "kusuoka"):
+            p.add_argument("--json", dest="json_out", metavar="PATH", help="write the JSON side report to this path")
+        if command == "energy":
+            p.add_argument("--require-vanishing", action="store_true", help="reject v not vanishing at corners")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = read_config(args.config) if args.config else {}
-        seq = _build_seq(args, cfg)
-        return _COMMANDS[args.command](args, cfg, seq)
+        seq, values = _option_values(args, read_config(args.config) if args.config else {})
+        return _COMMANDS[args.command](seq, **values)
     except PolyParseError as exc:
         return _fail(f"bad expression at position {exc.position}: {exc}")
     except (GasketError, ValueError, OSError) as exc:

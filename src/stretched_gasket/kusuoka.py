@@ -3,8 +3,10 @@
 The level operator at stretch eps sends a symmetric 2x2 matrix A to
 sum_i T_i^t A T_i over the three contraction linear parts of the
 harmonic family.  Its dominant eigenpair is (lam, Q) with lam = (3/5)
-eps^2 and Q proportional to the identity; trace normalization tr Q = 2
-fixes the eigenmatrix.  Its
+eps^2 and Q proportional to the identity, since sum_i T_i^t T_i =
+(3/5) eps^2 Id; trace normalization tr Q = 2 fixes the eigenmatrix, and
+``perron`` returns the pair in closed form (a power iteration from the
+identity is its test oracle).  Its
 Hilbert-Schmidt adjoint conjugates the other way round, T_i M T_i^t; the
 adjoint route to the cylinder matrices is a test oracle
 (``tests/oracles.py``), checked against the closed form below.
@@ -35,11 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _fsum, _moment_terms, resolve_quadrature
-from .errors import DegenerateCable, TermOverflow
+from .errors import DegenerateCable, PrefactorUnderflow, TermOverflow
 from .geometry import (
     DEFAULT_DEPTH_CAP,
     _images,
-    _quotient,
     _require_depth,
     _triple_index,
     barycenter,
@@ -57,10 +58,6 @@ _ROOT, _THIRD, _FIVE_SIXTHS = np.sqrt(np.longdouble(3)) / 6, np.longdouble(1) / 
 _LEVEL_FACTORS = np.array([[[1, 0], [0, _THIRD]], [[0.5, _ROOT], [_ROOT, _FIVE_SIXTHS]], [[0.5, -_ROOT], [-_ROOT, _FIVE_SIXTHS]]])
 _LEVEL_FACTORS.flags.writeable = False
 
-#: Convergence tolerance and iteration cap of the Perron power iteration.
-PERRON_RTOL = 1e-14
-PERRON_MAX_ITER = 10_000
-
 
 def _require_symmetric(mat: np.ndarray, tol: float = 1e-12):
     if mat.shape != (2, 2) or abs(mat[0, 1] - mat[1, 0]) > tol * (1.0 + abs(mat[0, 1])):
@@ -77,41 +74,26 @@ def ruelle_apply(eps: float, mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _perron_iteration(eps):
-    q = np.eye(2)  # trace 2 is maintained by the renormalization below
-    for it in range(1, PERRON_MAX_ITER + 1):
-        nxt = ruelle_apply(eps, q)
-        tr = float(np.trace(nxt))
-        lam = tr / 2.0
-        nxt = nxt * _quotient(2.0, tr, f"trace of power iterate {it}")
-        if float(np.max(np.abs(nxt - q))) <= PERRON_RTOL * float(np.max(np.abs(nxt))):
-            return lam, nxt, it
-        q = nxt
-    raise ArithmeticError(f"no eigenpair convergence within {PERRON_MAX_ITER} iterations")
-
-
 def perron(eps: float) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair (lam, Q) of the level operator, tr Q = 2.
+    """Dominant eigenpair (lam, Q) of the level operator, tr Q = 2, in closed form.
 
-    Power iteration on symmetric matrices starting from the identity;
-    converged when the relative change of the normalized iterate drops
-    below PERRON_RTOL.  Raises past PERRON_MAX_ITER iterations.
+    The harmonic triple has sum_i T_i^t T_i = (3/5) eps^2 Id, so (lam, Q) =
+    ((3/5) eps^2, Id), lam rounded as ``ParamSeq.lam`` rounds it.  eps is
+    checked as ``triple`` checks it; a lam that underflows to 0.0 raises
+    PrefactorUnderflow.
     """
-    lam, q, _ = _perron_iteration(eps)
-    return lam, q
+    triple(eps)
+    lam = 0.6 * eps * eps
+    if lam == 0.0:
+        raise PrefactorUnderflow(f"Perron eigenvalue (3/5) eps^2 at eps = {eps!r}: denominator 0.0 underflows")
+    return lam, np.eye(2)
 
 
 def perron_report(eps: float) -> dict:
-    """Eigenpair plus diagnostics: eigen-residual and iteration count."""
-    lam, q, iters = _perron_iteration(eps)
+    """Eigenpair plus its eigen-residual |ruelle_apply(eps, Q) - lam Q|_F."""
+    lam, q = perron(eps)
     resid = ruelle_apply(eps, q) - lam * q
-    return {
-        "eps": eps,
-        "lambda": lam,
-        "q": [[q[0, 0], q[0, 1]], [q[1, 0], q[1, 1]]],
-        "residual": float(np.sqrt(np.sum(resid * resid))),
-        "iterations": iters,
-    }
+    return {"eps": eps, "lambda": lam, "q": q.tolist(), "residual": float(np.sqrt(np.sum(resid * resid)))}
 
 
 # -- cylinder matrices and masses ------------------------------------------

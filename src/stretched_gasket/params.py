@@ -9,6 +9,10 @@ of explicit values followed by a tail rule, either
   * constant: eps_i = value, whose infinite product is zero ("finite-depth
     only": every depth-l quantity works, limit quantities raise).
 
+``seq_from_mapping`` builds one from the four flat keys ``SEQ_KEYS`` of a
+config file (``eps.prefix``, ``eps.tail.c``, ``eps.tail.r``, ``eps.const``)
+and refuses any other key.
+
 Products of eps and of the per-level energy rates lam_i = (3/5) * eps_i^2
 are computed in log space with exact compensated summation so that deep
 products neither underflow nor drift.
@@ -210,13 +214,18 @@ class ParamSeq:
         return {"prefix": list(self.prefix), "tail": tail}
 
 
-def seq_from_mapping(cfg: dict) -> ParamSeq:
-    """Build a ParamSeq from flat dotted config keys.
+#: The keys ``seq_from_mapping`` reads.
+SEQ_KEYS = ("eps.prefix", "eps.tail.c", "eps.tail.r", "eps.const")
 
-    Recognized keys: ``eps.prefix`` (list of floats), ``eps.tail.c``,
-    ``eps.tail.r`` (exponential tail), ``eps.const`` (constant tail).
-    Unrelated keys are ignored so a full run config can be passed through.
-    """
+
+def seq_from_mapping(cfg: dict) -> ParamSeq:
+    """Build a ParamSeq from flat dotted keys: ``eps.prefix`` (list of floats),
+    ``eps.tail.c``, ``eps.tail.r`` (exponential tail), ``eps.const`` (constant
+    tail).  Any other key raises ValueError naming it, so a misspelt key
+    cannot select the default sequence."""
+    for key in cfg:
+        if key not in SEQ_KEYS:
+            raise ValueError(f"unknown sequence key {key!r}")
     prefix = tuple(cfg.get("eps.prefix", ()))
     if "eps.const" in cfg:
         if "eps.tail.c" in cfg or "eps.tail.r" in cfg:

@@ -19,9 +19,11 @@ and a closed-form inner minimum that bounds its accuracy.  The cylinder
 tables have three: einsum contractions of the same fixed level factors
 (bit for bit), each sequence's own scaled map products (to rounding), and
 the exact cylinder matrices in Q(sqrt3), rounded to 50 digits only when
-compared.  Four derived quantities that only the tests read live here
-too: the edge counts, one IBP row, the level operator's 3x3 matrix in a
-symmetric basis and the total cable mass.
+compared.  The level operator's Perron eigenpair, which the package
+takes in closed form, is found here by power iteration from the identity.
+Four derived quantities that only the tests read live here too: the edge
+counts, one IBP row, the level operator's 3x3 matrix in a symmetric basis
+and the total cable mass.
 """
 
 import csv
@@ -774,6 +776,26 @@ def sym_operator3(eps: float) -> np.ndarray:
     """3x3 matrix of the level operator in SYM_BASIS."""
     cols = [sym3(ruelle_apply(eps, b)) for b in SYM_BASIS]
     return np.stack(cols, axis=1)
+
+
+#: Convergence tolerance and iteration cap of the Perron power iteration.
+PERRON_RTOL = 1e-14
+PERRON_MAX_ITER = 10_000
+
+
+def perron_iteration(eps) -> tuple[float, np.ndarray, int]:
+    """(lam, Q, iterations) by power iteration on symmetric matrices from the identity,
+    tr Q = 2, converged when the relative change of the normalized iterate drops below
+    PERRON_RTOL; raises past PERRON_MAX_ITER iterations."""
+    q = np.eye(2)  # trace 2 is maintained by the renormalization below
+    for it in range(1, PERRON_MAX_ITER + 1):
+        nxt = ruelle_apply(eps, q)
+        tr = float(np.trace(nxt))
+        nxt = nxt * (2.0 / tr)
+        if float(np.max(np.abs(nxt - q))) <= PERRON_RTOL * float(np.max(np.abs(nxt))):
+            return tr / 2.0, nxt, it
+        q = nxt
+    raise ArithmeticError(f"no eigenpair convergence within {PERRON_MAX_ITER} iterations")
 
 
 def total_cable_mass(seq, s_max: int) -> float:

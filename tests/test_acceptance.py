@@ -38,7 +38,7 @@ from stretched_gasket import (
 from stretched_gasket.scalarfield import grad_batch, hess_batch, parse
 
 from conftest import ALL_REGIMES, CONSTANT_HALF, TAIL_ONLY, random_poly
-from oracles import adjoint_aggregate, count_edges, ibp_residual
+from oracles import adjoint_aggregate, count_edges, ibp_residual, perron_iteration
 
 A_CONST = 1.0 / 3.0
 
@@ -49,18 +49,19 @@ def check(num: int, label: str, ok: bool, detail: str):
 
 
 def test_criterion_01_perron_eigenpair():
-    lam1, q1 = perron(1.0)
-    worst_lam = abs(lam1 - 0.6)
-    worst_q = float(np.max(np.abs(q1 - np.eye(2))))
-    for eps in (0.3, 0.5, 0.9):
-        lam, _ = perron(eps)
-        worst_lam = max(worst_lam, abs(lam - 0.6 * eps * eps))
+    # The closed form against a power iteration from the identity.
+    worst_lam = worst_q = 0.0
+    for eps in (1.0, 0.3, 0.5, 0.9):
+        lam, q = perron(eps)
+        lam_it, q_it, _ = perron_iteration(eps)
+        worst_lam = max(worst_lam, abs(lam - lam_it))
+        worst_q = max(worst_q, float(np.max(np.abs(q - q_it))))
     check(
         1,
         "perron eigenpair",
         worst_lam <= 1e-12 and worst_q <= 1e-10,
-        f"max |lambda - (3/5) eps^2| = {worst_lam:.3e} (<= 1e-12), "
-        f"max |Q - Id| = {worst_q:.3e} (<= 1e-10)",
+        f"max |lambda - lambda_iter| = {worst_lam:.3e} (<= 1e-12), "
+        f"max |Q - Q_iter| = {worst_q:.3e} (<= 1e-10)",
     )
 
 

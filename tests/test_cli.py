@@ -168,6 +168,78 @@ def test_tail_flags_of_both_kinds_are_refused(tmp_path):
     assert spec["tail"] == {"kind": "const", "value": 0.3}
 
 
+#: The 22 (subcommand, flag) pairs that were accepted and then ignored, each now a usage error,
+#: and ``energy --quad``, a prefix of ``--quad-order`` (``ibp --depth`` is also one of ``--depths``).
+_UNREAD_FLAGS = [
+    *[(command, "--depths") for command in cli._COMMANDS if command != "ibp"],
+    *[(command, "--json") for command in cli._COMMANDS if command not in ("geometry", "kusuoka")],
+    *[(command, "--quad-order") for command in ("geometry", "harmonicity", "ruelle", "kusuoka", "laplacian")],
+    ("ruelle", "--depth"),
+    ("ibp", "--depth"),
+    ("energy", "--quad"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS, ids=["".join(pair) for pair in _UNREAD_FLAGS])
+def test_flags_the_subcommand_does_not_read_are_refused(command, flag, tmp_path, capsys):
+    value = str(tmp_path / "side.json") if flag == "--json" else "3"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--eps-const", "0.5", flag, value])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: unrecognized arguments: {flag} {value}\n" in err
+    assert not (tmp_path / "side.json").exists()
+
+
+@pytest.mark.parametrize("text", ["yes", "True", "1"])
+def test_shade_key_other_than_true_or_false_is_refused(text, tmp_path, capsys):
+    # Read as "not true", these printed an unshaded SVG and exited 0.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"eps.const = 0.5\ndepth = 1\nshade = {text}\n")
+    assert cli.main(["geometry", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: shade: expected true or false, got {text!r}\n")
+
+
+def test_shade_key_and_flag_shade_the_three_cells(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for text, polygons in (("true", 3), ("false", 0)):
+        cfg.write_text(f"eps.const = 0.5\ndepth = 1\nshade = {text}\n")
+        assert cli.main(["geometry", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.count("<polygon") == polygons
+        assert cli.main(["geometry", "--config", str(cfg), "--shade"]) == 0
+        assert capsys.readouterr().out.count("<polygon") == 3
+
+
+@pytest.mark.parametrize(
+    "command, key, text",
+    [
+        ("energy", "depth", "abc"),
+        ("ibp", "depths", "3,x"),
+        ("selfsim", "quad.order", "8.5"),
+        ("harmonicity", "ratio", "1/3"),
+        ("kusuoka", "eps.prefix", "0.9,half"),
+    ],
+)
+def test_malformed_flag_and_config_text_fail_alike(command, key, text, tmp_path, capsys):
+    # One converter per option: the flag and the file give the same single error line.
+    flag = next(opt.flag for opt in cli._OPTIONS if opt.key == key)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    assert cli.main([command, flag, text]) == 1
+    from_flag = capsys.readouterr()
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == from_flag
+    assert from_flag.out == "" and from_flag.err.startswith(f"error: {key}: ") and from_flag.err.count("\n") == 1
+
+
+def test_ruelle_eigenvalue_as_a_subnormal_double():
+    # lam = (3/5) eps^2 = 6e-311 is below the normal range but not 0.0.
+    proc = run_cli("ruelle", "--eps", "1e-155")
+    assert proc.stderr == b""
+    payload = json.loads(proc.stdout)
+    assert payload["lambda"] == 0.6 * 1e-155 * 1e-155 and payload["q"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_usage_errors_exit_one():
     assert run_cli("energy", "--no-such-flag", check=False).returncode == 1
     assert run_cli(check=False).returncode == 1
@@ -194,8 +266,10 @@ def test_prefactor_underflow_exits_one_without_traceback(command):
     # lam = (3/5) eps^2 underflows to 0.0 at eps = 1e-200.  The Laplacian
     # samples need a tail product, so they take eps_1 = 1e-200 before the
     # default exponential tail: the generation-2 cable weight underflows.
+    # ruelle and ibp read no depth.
     eps = ["--eps-prefix", "1e-200"] if command == "laplacian" else ["--eps-const", "1e-200"]
-    proc = run_cli(command, *eps, "--depth", "3", check=False)
+    depth = [] if command in ("ruelle", "ibp") else ["--depth", "3"]
+    proc = run_cli(command, *eps, *depth, check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: ")
     assert b"denominator 0.0 underflows" in proc.stderr

@@ -136,15 +136,18 @@ def test_validate_strict_window():
 
 
 def test_seq_from_mapping_roundtrip():
-    seq = seq_from_mapping(
-        {"eps.prefix": (0.9, 0.8), "eps.tail.c": 0.05, "eps.tail.r": 0.5, "unrelated": 1}
-    )
+    seq = seq_from_mapping({"eps.prefix": (0.9, 0.8), "eps.tail.c": 0.05, "eps.tail.r": 0.5})
     assert seq.prefix == (0.9, 0.8)
     assert seq.eps(3) == math.exp(-0.05 * 0.5**3)
     const = seq_from_mapping({"eps.const": 0.5})
     assert const.eps(7) == 0.5
     with pytest.raises(ValueError):
         seq_from_mapping({"eps.const": 0.5, "eps.tail.c": 0.1, "eps.tail.r": 0.5})
+    # A key it does not read is refused by name, not passed over.
+    with pytest.raises(ValueError, match="unknown sequence key 'unrelated'"):
+        seq_from_mapping({"eps.prefix": (0.9, 0.8), "eps.tail.c": 0.05, "eps.tail.r": 0.5, "unrelated": 1})
+    with pytest.raises(ValueError, match="unknown sequence key 'eps.tail.C'"):
+        seq_from_mapping({"eps.tail.C": 0.05, "eps.prefx": (0.9,)})
 
 
 def test_describe_is_plain_data():
