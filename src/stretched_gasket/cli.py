@@ -18,15 +18,19 @@ Exit codes: 0 success, 1 usage or configuration error, 2 assertion
 failure (a computed invariant out of tolerance; the message names the
 failing quantity).  Each gate asks ``not value <= bound``, so a NaN
 fails it.  All outputs are deterministic for a fixed config: fixed
-enumeration orders, fixed float formatting, no wall clock.  All numeric
-work runs before the first byte of an output; tables are then written
-in row blocks, so their text never exists whole.
+enumeration orders, fixed float formatting, no wall clock, and no bare
+``NaN`` or ``Infinity`` in JSON (a non-finite value is ``null``).  Every
+computation that can fail runs before the first byte of an output;
+tables are then written in row blocks, so their text never exists
+whole, and ``kusuoka`` computes its cylinder matrices block by block as
+it writes them, which cannot fail once the depth is checked.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -40,18 +44,25 @@ from . import harmonicity as harm_mod
 from . import kusuoka as kus_mod
 from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
-from .geometry import HARMONIC_RATIO, SIDE_NAMES, iter_words, prefractal_edges
+from .geometry import HARMONIC_RATIO, SIDE_NAMES, _require_depth, prefractal_edges
 from .harmonicity import HARMONIC_GATES
 from .params import SEQ_KEYS, A, ParamSeq, seq_from_mapping
 from .scalarfield import corner_values, parse as parse_poly, sup_bounds, vanishes_at_corners, vanishing_cubic
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse with usage errors mapped to exit code 1, and an argument no parser
+    takes refused by the (sub)parser that met it, with that parser's usage."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _fail(message: str) -> int:
@@ -126,8 +137,25 @@ def _emit(text: str, out_path: str | None):
         fh.write(text)
 
 
+def _strict(payload):
+    """``payload`` with each non-finite float as None, which JSON writes as ``null``."""
+    if isinstance(payload, float):
+        return payload if math.isfinite(payload) else None
+    if isinstance(payload, dict):
+        return {key: _strict(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_strict(value) for value in payload]
+    return payload
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _blocks(n_rows: int):
+    """The row ranges (start, stop) of ``_BLOCK_ROWS`` rows that cover ``n_rows`` rows."""
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        yield start, min(start + _BLOCK_ROWS, n_rows)
 
 
 def _write_csv(out_path: str | None, header: list[str], n_rows: int, block_rows):
@@ -136,9 +164,8 @@ def _write_csv(out_path: str | None, header: list[str], n_rows: int, block_rows)
     float reprs, digit words and fixed labels."""
     with _output(out_path) as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            rows = block_rows(start, min(start + _BLOCK_ROWS, n_rows))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+        for start, stop in _blocks(n_rows):
+            fh.write("\r\n".join(map(",".join, block_rows(start, stop))) + "\r\n")
 
 
 def _word_str(word: tuple[int, ...]) -> str:
@@ -161,58 +188,94 @@ def _reprs(col: np.ndarray):
     return map(repr, col.tolist())
 
 
+def _json_reprs(col: np.ndarray) -> list[str]:
+    """The floats of ``col`` as JSON writes them, a non-finite one as ``null``."""
+    texts = list(_reprs(col))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        texts[i] = "null"
+    return texts
+
+
 # -- geometry --------------------------------------------------------------
 
 
-def _svg_text(depth, edges, kappas) -> str:
-    """SVG of the edge table, over cells shaded by their ``kappas`` unless those are None."""
+def _write_svg(fh, depth, edges, kappas):
+    """SVG of the edge table, over cells shaded by their ``kappas`` unless those are None,
+    a block of ``_BLOCK_ROWS`` cells or edges at a time."""
     # Hull of the base triangle with a 5% margin; y axis flipped for SVG.
     margin = 0.05
     width = math.sqrt(3.0) / 2.0
     view = f"{-margin:.6f} {-0.5 - margin:.6f} {width + 2 * margin:.6f} {1.0 + 2 * margin:.6f}"
     sw = max(0.0012, 0.012 * 0.72**depth)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">',
-    ]
+    fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">\n')
     if kappas is not None:
-        # Corners A, B, C of each cell: the starts of its sides AB and BC, and the end of BC.
-        cells = edges[: 3 * len(kappas)].reshape(-1, 3)
-        corners = (cells.px[:, 0], cells.py[:, 0], cells.px[:, 1], cells.py[:, 1], cells.qx[:, 1], cells.qy[:, 1])
-        ops = (0.75 * kappas / float(np.max(kappas))).tolist()
-        for (ax, ay, bx, by, cx, cy), op in zip(zip(*(c.tolist() for c in corners)), ops):
-            pts = f"{ax:.6f},{-ay:.6f} {bx:.6f},{-by:.6f} {cx:.6f},{-cy:.6f}"
-            lines.append(f'<polygon points="{pts}" fill="#3a7bd5" fill-opacity="{op:.4f}"/>')
+        top = float(np.max(kappas))
+        for a, b in _blocks(len(kappas)):
+            # Corners A, B, C of each cell: the starts of its sides AB and BC, and the end of BC.
+            cells = edges[3 * a : 3 * b].reshape(-1, 3)
+            corners = (cells.px[:, 0], cells.py[:, 0], cells.px[:, 1], cells.py[:, 1], cells.qx[:, 1], cells.qy[:, 1])
+            ops = (0.75 * kappas[a:b] / top).tolist()
+            fh.writelines(
+                f'<polygon points="{ax:.6f},{-ay:.6f} {bx:.6f},{-by:.6f} {cx:.6f},{-cy:.6f}" '
+                f'fill="#3a7bd5" fill-opacity="{op:.4f}"/>\n'
+                for (ax, ay, bx, by, cx, cy), op in zip(zip(*(c.tolist() for c in corners)), ops)
+            )
     styles = (
         f'stroke="#1a1a1a" stroke-width="{sw:.6f}"',
         f'stroke="#c0392b" stroke-width="{sw:.6f}" stroke-dasharray="{2 * sw:.6f},{2 * sw:.6f}"',
     )
-    for cable, px, py, qx, qy in zip(*(edges[c].tolist() for c in ("generation", "px", "py", "qx", "qy"))):
-        lines.append(f'<line x1="{px:.6f}" y1="{-py:.6f}" x2="{qx:.6f}" y2="{-qy:.6f}" {styles[cable > 0]}/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    for a, b in _blocks(len(edges)):
+        columns = (edges[c][a:b].tolist() for c in ("generation", "px", "py", "qx", "qy"))
+        fh.writelines(
+            f'<line x1="{px:.6f}" y1="{-py:.6f}" x2="{qx:.6f}" y2="{-qy:.6f}" {styles[cable > 0]}/>\n'
+            for cable, px, py, qx, qy in zip(*columns)
+        )
+    fh.write("</svg>\n")
 
 
-def _edges_json(depth, edges) -> dict:
-    words = [[list(w) for w in iter_words(k)] for k in range(depth + 1)]
-    out = []
-    columns = (edges[c].tolist() for c in ("generation", "word", "slot", "px", "py", "qx", "qy"))
-    for g, i, slot, px, py, qx, qy in zip(*columns):
-        ident = {"kind": "cable", "slot": slot} if g else {"kind": "tri", "side": SIDE_NAMES[slot]}
-        out.append({**ident, "word": words[g - 1 if g else depth][i], "p": [px, py], "q": [qx, qy]})
-    return {"edges": out}
+#: One edge of the edge list as ``json.dump(..., indent=2, sort_keys=True)`` writes it, after the
+#: separator that precedes it in the list: kind, p and q, then side (or slot), then word.
+_EDGE_JSON = (
+    '{}{{\n      "kind": "{}",\n      "p": [\n        {},\n        {}\n      ],\n'
+    '      "q": [\n        {},\n        {}\n      ],\n      {},\n      "word": {}\n    }}'
+)
+
+
+def _write_edges_json(fh, depth, edges):
+    """``{"edges": [...]}`` as ``json.dump(..., indent=2, sort_keys=True)`` writes it, with a
+    trailing newline, a block of ``_BLOCK_ROWS`` edges at a time; a non-finite coordinate is
+    ``null``.  A triangle edge carries its cell word and side, a cable its prefix and slot."""
+    fh.write('{\n  "edges": [')
+    for a, b in _blocks(len(edges)):
+        block = edges[a:b]
+        generation = block.generation
+        words = _word_strs(block.word, np.where(generation > 0, generation - 1, depth))
+        coords = (_json_reprs(block[c]) for c in ("px", "py", "qx", "qy"))
+        fh.writelines(
+            _EDGE_JSON.format(
+                ",\n    " if i else "\n    ",
+                "cable" if g else "tri",
+                px, py, qx, qy,
+                f'"slot": {slot}' if g else f'"side": "{SIDE_NAMES[slot]}"',
+                "[\n        " + ",\n        ".join(word) + "\n      ]" if word else "[]",
+            )
+            for i, g, slot, word, px, py, qx, qy in zip(
+                range(a, b), generation.tolist(), block.slot.tolist(), words, *coords
+            )
+        )
+    fh.write("\n  ]\n}\n")
 
 
 def cmd_geometry(seq, *, depth, shade, out, json_out) -> int:
     """SVG and JSON edge export."""
     kappas = kus_mod.kappa_table(depth) if shade else None
     edges = prefractal_edges(seq, depth)
-    _emit(_svg_text(depth, edges, kappas), out)
+    with _output(out) as fh:
+        _write_svg(fh, depth, edges, kappas)
     if json_out is not None:
         with _output(json_out) as fh:
-            # json.dump writes the chunks that json.dumps would join.
-            json.dump(_edges_json(depth, edges), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_edges_json(fh, depth, edges)
     return 0
 
 
@@ -271,17 +334,24 @@ _KAPPA_TIE_ULPS = 4
 
 def cmd_kusuoka(seq, *, depth, out, json_out) -> int:
     """Cylinder mass table."""
-    taus = kus_mod.tau_table(depth)
-    kappas = kus_mod._trace(taus)
-    min_eig = float(np.min(kus_mod._small_eigenvalues(taus, depth)))
-    sum_kappa = math.fsum(kappas.tolist())
-    columns = (kappas, taus[:, 0, 0], taus[:, 0, 1], taus[:, 1, 1])
-    _write_csv(
-        out,
-        ["word", "kappa", "tau11", "tau12", "tau22"],
-        len(kappas),
-        lambda a, b: zip(_word_strs(np.arange(a, b), depth), *(_reprs(c[a:b]) for c in columns)),
-    )
+    _require_depth(depth)
+    # Each block's tau rows are computed, written and folded in one pass; kappa is kept for the summary.
+    kappas = np.empty(3**depth)
+    min_eig = np.inf
+
+    def block(a, b):
+        nonlocal min_eig
+        taus = kus_mod.tau_table(depth, a, b)
+        kappas[a:b] = kus_mod._trace(taus)
+        # np.minimum, not min: a NaN eigenvalue stays NaN whichever block holds it.
+        min_eig = np.minimum(min_eig, np.min(kus_mod._small_eigenvalues(taus, depth)))
+        columns = (kappas[a:b], taus[:, 0, 0], taus[:, 0, 1], taus[:, 1, 1])
+        return zip(_word_strs(np.arange(a, b), depth), *map(_reprs, columns))
+
+    _write_csv(out, ["word", "kappa", "tau11", "tau12", "tau22"], len(kappas), block)
+    min_eig = float(min_eig)
+    # The floats of kappas.tolist(), in its order, without a list of 3^l of them.
+    sum_kappa = math.fsum(itertools.chain.from_iterable(kappas[a:b].tolist() for a, b in _blocks(len(kappas))))
     if json_out is not None:
         top = kappas.max()
         summary = {

@@ -17,15 +17,18 @@ probability vector on each level, consistent under refinement.  They
 take no sequence: T_i / sqrt(lam_k) = sqrt(3/5) B_i at every level, with
 B_1 = diag(1, 1/3) and B_2, B_3 = [[1/2, +-sqrt3/6], [+-sqrt3/6, 5/6]], so
 tau([w]) = (1/2) (3/5)^l P_w P_w^t for P_w = B_{w_1} ... B_{w_l}; the B_i
-have singular values 1 and 1/3, so kappa([w]) >= 15^-l.  kappa has one
-route, tau11 + tau22 of the rounded tau_w.  Its 3-ulp accuracy to depth 8
-needs numpy's longdouble to be x87 80-bit (x86-64 Linux, CI's only
-platform); as plain double the products round at every level.  Cables
-carry rank-one matrix masses aligned with their mapped tangents:
-``cable_masses`` gives a generation's masses and unit directions as
-arrays, ``cable_mass`` one cable as a ``CableMass``.  The combined
-measure evaluates energies of scalar fields without assembling edge
-sums, which cross-checks the assembled forms.
+have singular values 1 and 1/3, so kappa([w]) >= 15^-l.  ``tau_table``
+gives any row range [start, stop) of a level with the whole table's bits,
+multiplying only the range's ancestors, so a caller that walks a level in
+ranges never holds it whole.  kappa has one route, tau11 + tau22 of the
+rounded tau_w.  Its 3-ulp accuracy to depth 8 needs numpy's longdouble to
+be x87 80-bit (x86-64 Linux, CI's only platform); as plain double the
+products round at every level.  Cables carry rank-one matrix masses
+aligned with their mapped tangents: ``cable_masses`` gives a
+generation's masses and unit directions as arrays, ``cable_mass`` one
+cable as a ``CableMass``.  The combined measure evaluates energies of
+scalar fields without assembling edge sums, which cross-checks the
+assembled forms.
 """
 
 from __future__ import annotations
@@ -152,19 +155,30 @@ def _small_eigenvalues(taus: np.ndarray, l: int) -> np.ndarray:
     return 1 / (4 * 25**l) / (0.5 * _trace(taus) + spread)
 
 
-@functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
-def _scaled_linears(l: int) -> np.ndarray:
-    """Products P_w of the level factors for all length-l words, lexicographic,
-    multiplied in longdouble and rounded once (one letter at a time, the
-    deepest level straight into doubles, to bound the transient memory)."""
-    _require_depth(l)
+def _linears(l: int, start: int, stop: int) -> np.ndarray:
+    """Products P_w of the level factors for the length-l words start..stop-1,
+    lexicographic, multiplied in longdouble and rounded once.  Only the
+    ancestors of the range are multiplied, one letter at a time and the
+    deepest level straight into doubles, so each row has the bits it has in
+    the whole table and the transient memory is set by the range."""
     out = np.eye(2, dtype=np.longdouble)[None, :, :]
+    first = 0  # index of out[0] among the words of its length
     for k in range(1, l + 1):
+        # The level-k ancestors of the range, [lo, hi); their parents are the rows of out.
+        lo, hi = start // 3 ** (l - k), -(-stop // 3 ** (l - k))
         new = np.empty((len(out), 3, 2, 2), np.float64 if k == l else np.longdouble)
         for i, factor in enumerate(_LEVEL_FACTORS):
             new[:, i] = _product2(out, factor)
-        out = new.reshape(-1, 2, 2)
-    out = np.asarray(out, np.float64)
+        out = new.reshape(-1, 2, 2)[lo - 3 * first : hi - 3 * first]
+        first = lo
+    return np.asarray(out[start - first : stop - first], np.float64)
+
+
+@functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
+def _scaled_linears(l: int) -> np.ndarray:
+    """Products P_w of the level factors for all length-l words (``_linears``' whole range), read-only."""
+    _require_depth(l)
+    out = _linears(l, 0, 3**l)
     out.flags.writeable = False
     return out
 
@@ -173,7 +187,7 @@ def gibbs_tau(word: tuple[int, ...]) -> CylinderMass:
     """Cylinder mass (1/2) (3/5)^l P_w P_w^t of a word of any length, from its l factors.
 
     The empty word gives tau = Id/2, kappa = 1: each level is a probability vector."""
-    # The arithmetic of _scaled_linears and tau_table: the tau_table row's bits.
+    # The arithmetic of _linears and tau_table: the tau_table row's bits.
     m = np.eye(2, dtype=np.longdouble)
     for letter in word:
         m = _product2(m, _LEVEL_FACTORS[_triple_index(letter)])
@@ -187,17 +201,33 @@ def kappa(word: tuple[int, ...]) -> float:
     return gibbs_tau(word).kappa
 
 
+#: Rows per range of the tables built in ranges: 3^7, the depth-l words below one depth-(l - 7) prefix.
+_RANGE_ROWS = 3**7
+
+
 @functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
 def kappa_table(l: int) -> np.ndarray:
-    """All level-l cylinder masses, the traces of the ``tau_table`` rows.  Sums to 1."""
-    out = _trace(tau_table(l))
+    """All level-l cylinder masses, the traces of the ``tau_table`` rows, formed
+    ``_RANGE_ROWS`` rows at a time.  Sums to 1."""
+    _require_depth(l)
+    out = np.empty(3**l)
+    for start in range(0, len(out), _RANGE_ROWS):
+        stop = min(start + _RANGE_ROWS, len(out))
+        out[start:stop] = _trace(tau_table(l, start, stop))
     out.flags.writeable = False
     return out
 
 
-def tau_table(l: int) -> np.ndarray:
-    """All level-l cylinder matrices, (3^l, 2, 2), lexicographic."""
-    mats = _scaled_linears(l)
+def tau_table(l: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Level-l cylinder matrices of the words start..stop-1 (all 3^l by default),
+    (stop - start, 2, 2), lexicographic.  Every row has the same bits whatever
+    the range; the whole table comes from the cached ``_scaled_linears``."""
+    _require_depth(l)
+    n = 3**l
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"row range [{start}, {stop}) is not within the {n} level-{l} words")
+    mats = _scaled_linears(l) if stop - start == n else _linears(l, start, stop)
     return _level_scale(l) * _product2(mats, mats.swapaxes(1, 2))
 
 

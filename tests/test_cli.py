@@ -187,8 +187,20 @@ def test_flags_the_subcommand_does_not_read_are_refused(command, flag, tmp_path,
         cli.main([command, "--eps-const", "0.5", flag, value])
     assert exc.value.code == 1
     out, err = capsys.readouterr()
-    assert out == "" and f"error: unrecognized arguments: {flag} {value}\n" in err
+    assert out == "" and err.startswith(f"usage: stretched-gasket {command} ")
+    assert err.endswith(f"stretched-gasket {command}: error: unrecognized arguments: {flag} {value}\n")
     assert not (tmp_path / "side.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["ibp", "--depth", "9"], ["kusuoka", "--quad-order", "9"]])
+def test_an_unread_flag_is_refused_with_the_subcommand_usage(argv):
+    # argparse's subparsers hand what they do not take to the top-level
+    # parser, which printed its own usage, naming no subcommand.
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 1 and proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert lines[0].startswith(f"usage: stretched-gasket {argv[0]} [-h]")
+    assert lines[-1] == f"stretched-gasket {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}"
 
 
 @pytest.mark.parametrize("text", ["yes", "True", "1"])
@@ -321,13 +333,24 @@ def test_kusuoka_rows_carry_the_trace_and_the_exact_small_eigenvalue(tmp_path):
 
 
 def test_kusuoka_builds_its_tau_table_once(monkeypatch, capsys):
-    # kappa is read off the rows kusuoka prints, not off a second table.
-    builds = []
+    # kappa is read off the rows kusuoka prints, not off a second table: the
+    # rows are asked for one writer block at a time, and the ranges cover the
+    # 3^l words exactly once, whether or not the blocks align with 3^7.
     tau_table = cli.kus_mod.tau_table
-    monkeypatch.setattr(cli.kus_mod, "tau_table", lambda l: builds.append(l) or tau_table(l))
-    cli.kus_mod.kappa_table.cache_clear()
-    assert cli.main(["kusuoka", "--depth", "3"]) == 0
-    assert builds == [3]
+    for depth, block_rows in ((3, 5), (8, 3**7)):
+        ranges = []
+
+        def recorded(l, start=0, stop=None):
+            ranges.append((l, start, stop))
+            return tau_table(l, start, stop)
+
+        monkeypatch.setattr(cli.kus_mod, "tau_table", recorded)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        cli.kus_mod.kappa_table.cache_clear()
+        assert cli.main(["kusuoka", "--depth", str(depth)]) == 0
+        rows = [i for l, start, stop in ranges for i in range(start, 3**l if stop is None else stop)]
+        assert {l for l, _, _ in ranges} == {depth} and len(ranges) == -(-(3**depth) // block_rows)
+        assert sorted(rows) == list(range(3**depth))
     capsys.readouterr()
 
 
@@ -448,13 +471,15 @@ def test_tables_match_the_row_by_row_rendering_over_many_blocks(depth, tmp_path,
 
 
 def test_written_tables_stay_within_their_memory_ceilings(tmp_path, capsys):
-    # Ceilings are about twice the peaks measured (6.1 and 2.5 MiB); with
-    # the text built as one string the peaks were 30 and 8.4 MiB.  The
-    # cylinder and map tables are O(3^l); the text is held one block at a time.
+    # Ceilings are about twice the peaks measured (1.36 and 1.78 MiB, the
+    # SVG text in the captured stdout included).  With the whole tau table
+    # and edge list built first the peaks were 5.9 and 2.5 MiB, and with the
+    # text built as one string 30 and 8.4 MiB.  kusuoka holds one block of
+    # tau rows and the 8-byte kappa per word; geometry the edge table.
     mib = 2**20
     table, edges = tmp_path / "k.csv", tmp_path / "e.json"
-    assert cold_peak(lambda: cli.main(["kusuoka", "--depth", "10", "--out", str(table)])) < 12 * mib
-    assert cold_peak(lambda: cli.main(["geometry", "--depth", "6", "--shade", "--json", str(edges)])) < 5 * mib
+    assert cold_peak(lambda: cli.main(["kusuoka", "--depth", "10", "--out", str(table)])) < 3 * mib
+    assert cold_peak(lambda: cli.main(["geometry", "--depth", "6", "--shade", "--json", str(edges)])) < 3.5 * mib
     assert table.read_bytes().count(b"\r\n") == 3**10 + 1
     assert capsys.readouterr().out.endswith("</svg>\n") and edges.read_bytes().endswith(b"]\n}\n")
 
@@ -470,14 +495,29 @@ finally:
 """
 
 
+def _child_peak_kb(*argv) -> int:
+    """VmHWM of the CLI child run on ``argv``, stdout discarded."""
+    cmd = [sys.executable, "-c", _PEAK_LAUNCHER, *argv]
+    proc = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=True)
+    return int(proc.stderr.split()[-2])
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")
 def test_kusuoka_at_the_depth_cap_stays_within_its_rss_ceiling():
-    # Measured 96 MiB written in blocks, 325 MiB as one string; the 3^12-row
-    # cylinder table and its map products are 32 MiB of it.
-    argv = [sys.executable, "-c", _PEAK_LAUNCHER, "kusuoka", "--depth", "12"]
-    proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=True)
-    peak_kb = int(proc.stderr.split()[-2])
-    assert peak_kb <= 150 * 1024, peak_kb
+    # Measured 35.7 MiB with the tau rows computed block by block, most of it
+    # the interpreter and numpy; 96 MiB with the whole 3^12-row cylinder
+    # table and its map products (32 MiB) built first, 325 MiB as one string.
+    peak_kb = _child_peak_kb("kusuoka", "--depth", "12")
+    assert peak_kb <= 55 * 1024, peak_kb
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")
+def test_geometry_at_depth_10_stays_within_its_rss_ceiling():
+    # Measured 96 MiB with the SVG and the edge JSON written in blocks, 219 MiB
+    # with the SVG text and the list of edge dicts built whole; building the
+    # 265,719-row edge table alone peaks at 62 MiB of tracemalloc.
+    peak_kb = _child_peak_kb("geometry", "--depth", "10", "--shade", "--json", os.devnull)
+    assert peak_kb <= 128 * 1024, peak_kb
 
 
 NAN = float("nan")
@@ -548,8 +588,75 @@ def test_harmonicity_gate_fires_on_a_nan_vertex(monkeypatch, capsys):
     monkeypatch.setattr(harmonicity, "_boundary", nan_at_last)
     assert cli.main(["harmonicity", *EXP_FLAGS, "--depth", "2"]) == 2
     out, err = capsys.readouterr()
-    assert math.isnan(json.loads(out)["residual"])
+    assert '"residual": null' in out and strict_json(out)["residual"] is None
     assert err == "assertion failed: harmonic residual nan exceeds 3.3e-11 at vertex 33/B\n"
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses the bare NaN, Infinity and -Infinity of Python's encoder."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+#: Every JSON output: the four reports on stdout and the two --json side files.
+_JSON_OUTPUTS = [
+    (["energy", "--depth", "2"], False),
+    (["harmonicity", "--depth", "2"], False),
+    (["ruelle", "--eps", "0.7"], False),
+    (["selfsim", "--depth", "2"], False),
+    (["kusuoka", "--depth", "2"], True),
+    (["geometry", "--depth", "2", "--shade"], True),
+]
+
+
+def _json_output(argv, side, tmp_path, capsys):
+    """The exit code and the JSON text of one run: its --json side file, else its stdout."""
+    path = tmp_path / "side.json"
+    code = cli.main([argv[0], *EXP_FLAGS, *argv[1:], *(["--json", str(path)] if side else [])])
+    out = capsys.readouterr().out
+    return code, path.read_text() if side else out
+
+
+@pytest.mark.parametrize("argv, side", _JSON_OUTPUTS, ids=[argv[0] for argv, _ in _JSON_OUTPUTS])
+def test_every_json_output_is_strict(argv, side, tmp_path, capsys):
+    code, text = _json_output(argv, side, tmp_path, capsys)
+    assert code == 0 and strict_json(text)
+
+
+def _nan_edge(real):
+    def edges(seq, depth):
+        table = real(seq, depth)
+        table.px[0], table.qy[-1] = NAN, math.inf
+        return table
+
+    return edges
+
+
+@pytest.mark.parametrize(
+    "argv, side, module, name, patch, field, code",
+    [
+        (["ruelle", "--eps", "0.7"], False, "kus_mod", "perron_report", lambda real: lambda eps: {**real(eps), "residual": NAN}, "residual", 2),
+        (["selfsim", "--depth", "2"], False, "energy_mod", "selfsimilar_residual", lambda real: lambda *a: (math.inf, real(*a)[1]), "residual", 2),
+        (["kusuoka", "--depth", "2"], True, "kus_mod", "_trace", lambda real: lambda taus: real(taus) * NAN, "sum_kappa", 2),
+        (["geometry", "--depth", "1"], True, "", "prefractal_edges", _nan_edge, "edges", 0),
+    ],
+    ids=["ruelle", "selfsim", "kusuoka", "geometry"],
+)
+def test_non_finite_values_are_written_as_null(argv, side, module, name, patch, field, code, tmp_path, monkeypatch, capsys):
+    # Python's encoder writes a NaN as the bare token NaN, which strict parsers refuse.
+    owner = getattr(cli, module) if module else cli
+    monkeypatch.setattr(owner, name, patch(getattr(owner, name)))
+    status, text = _json_output(argv, side, tmp_path, capsys)
+    payload = strict_json(text)
+    assert status == code
+    if field == "edges":
+        assert payload["edges"][0]["p"][0] is None and payload["edges"][-1]["q"][1] is None
+        assert None not in payload["edges"][0]["q"] + payload["edges"][-1]["p"]
+    else:
+        assert payload[field] is None
 
 
 def test_missing_config_file_exits_one():

@@ -28,7 +28,7 @@ from stretched_gasket import (
     word_table,
 )
 from stretched_gasket.errors import DepthCapExceeded, PrefactorUnderflow
-from stretched_gasket.kusuoka import _product2, _require_symmetric, _scaled_linears
+from stretched_gasket.kusuoka import _product2, _require_symmetric, _scaled_linears, _trace
 
 from conftest import ALL_REGIMES, PREFIX_EXP, SEQUENCES, TAIL_ONLY
 from oracles import (
@@ -165,14 +165,38 @@ def test_gibbs_tau_matches_the_tau_table(regime):
 
 def test_kappa_is_the_trace_of_tau():
     # One route: every table row's kappa is its own tau11 + tau22, and the
-    # one-word kappa is that row's, for every word to depth 8.
+    # one-word kappa is that row's, for every word to depth 8.  kappa_table
+    # takes its traces range by range, the whole tau table in one.
     for l in range(13):
         taus = tau_table(l)
-        assert kappa_table(l).tobytes() == (taus[:, 0, 0] + taus[:, 1, 1]).tobytes(), l
+        assert kappa_table(l).tobytes() == _trace(taus).tobytes() == (taus[:, 0, 0] + taus[:, 1, 1]).tobytes(), l
     for l in range(9):
         table = kappa_table(l)
         for word in iter_words(l):
             assert kappa(word) == table[word_index(word)], word
+
+
+def test_tau_table_row_ranges_are_the_whole_table_rows(rng):
+    # A range multiplies only its own ancestors, with the whole table's
+    # arithmetic, so every row keeps its bits wherever the range falls.
+    for l in range(9):
+        n = 3**l
+        whole = tau_table(l)
+        ranges = [(0, 0), (n, n), (0, n), (0, 1), (n - 1, n), (n // 2, n // 2 + 1)]
+        # Across the ends of the depth-k prefix blocks, 3^(l - k) rows each.
+        for k in range(1, l):
+            ranges += [(max(end - 2, 0), min(end + 3, n)) for end in (3 ** (l - k), n - 3 ** (l - k), 2 * 3 ** (l - k))]
+        ranges += [tuple(sorted(rng.integers(0, n + 1, 2).tolist())) for _ in range(20)]
+        for start, stop in ranges:
+            part = tau_table(l, start, stop)
+            assert part.shape == (stop - start, 2, 2), (l, start, stop)
+            assert part.tobytes() == whole[start:stop].tobytes(), (l, start, stop)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, 28), (28, 28)])
+def test_tau_table_refuses_a_range_outside_the_level(start, stop):
+    with pytest.raises(ValueError, match=rf"row range \[{start}, {stop}\) is not within the 27 level-3 words"):
+        tau_table(3, start, stop)
 
 
 @pytest.mark.parametrize(
