@@ -22,8 +22,10 @@ enumeration orders, fixed float formatting, no wall clock, and no bare
 ``NaN`` or ``Infinity`` in JSON (a non-finite value is ``null``).  Every
 computation that can fail runs before the first byte of an output;
 tables are then written in row blocks, so their text never exists
-whole, and ``kusuoka`` computes its cylinder matrices block by block as
-it writes them, which cannot fail once the depth is checked.
+whole.  ``kusuoka`` computes its cylinder matrices block by block as it
+writes them, which cannot fail once the depth is checked, and
+``laplacian`` its samples, once every generation's cable weight is
+checked; neither holds a whole depth-l table.
 """
 
 from __future__ import annotations
@@ -305,7 +307,7 @@ def cmd_harmonicity(seq, *, depth, ratio, out) -> int:
     payload = {
         "depth": depth,
         "residual": rep.residual,
-        "worst_vertex_word": f"{_word_str(rep.worst_word)}/{rep.worst_corner}",
+        "worst_vertex_word": f"{_word_str(rep.worst_word)}/{rep.worst_corner}" if rep.worst_corner else None,
         "nd_gamma": harm_mod.nd_gamma(seq.eps(1), ratio),
     }
     _emit(_json_text(payload), out)
@@ -419,20 +421,26 @@ def cmd_selfsim(seq, *, depth, quad, u, v, out) -> int:
 
 def cmd_laplacian(seq, *, depth, phi, out) -> int:
     """Pointwise Laplacian samples."""
-    table = lap_mod.laplacian_samples(seq, phi, depth)
+    _require_depth(depth)
+    lap_mod._require_cables(seq, depth)
     cap = 2.0 * sup_bounds(phi)[1] + 1e-9
-    worst = float(np.max(np.abs(table.value)))
-    cable = table.generation > 0
-    # A cell's word has the full depth; a generation-s cable's prefix has s - 1 letters.
-    lengths = np.where(cable, table.generation - 1, depth)
-    columns = (table.x, table.y, table.value)
+    # Each block's samples are computed, written and folded into the largest |value| in one pass.
+    worst = -np.inf
 
     def block(a, b):
-        kinds = map(("cell", "cable").__getitem__, cable[a:b].tolist())
-        slots = map(("", "1", "2", "3").__getitem__, table.slot[a:b].tolist())
-        return zip(kinds, _word_strs(table.word[a:b], lengths[a:b]), slots, *(_reprs(c[a:b]) for c in columns))
+        nonlocal worst
+        table = lap_mod._sample_rows(seq, phi, depth, a, b)
+        # np.maximum, not max: a NaN sample stays NaN whichever block holds it.
+        worst = np.maximum(worst, np.max(np.abs(table.value)))
+        cable = table.generation > 0
+        kinds = map(("cell", "cable").__getitem__, cable.tolist())
+        slots = map(("", "1", "2", "3").__getitem__, table.slot.tolist())
+        # A cell's word has the full depth; a generation-s cable's prefix has s - 1 letters.
+        words = _word_strs(table.word, np.where(cable, table.generation - 1, depth))
+        return zip(kinds, words, slots, *(_reprs(c) for c in (table.x, table.y, table.value)))
 
-    _write_csv(out, ["kind", "word", "slot", "x", "y", "value"], len(table), block)
+    _write_csv(out, ["kind", "word", "slot", "x", "y", "value"], lap_mod._sample_count(depth), block)
+    worst = float(worst)
     if not worst <= cap:
         return _assert_fail(f"Laplacian sample {worst:.3e} exceeds the Hessian bound {cap:.3e}")
     return 0

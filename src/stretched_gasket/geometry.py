@@ -18,8 +18,13 @@ The depth-l pre-fractal in world coordinates is one set of arrays
 (``_world``): the corners and side velocities of every cell and the
 starts, ends and velocities of every generation's cables, each mapped
 through its word's row of ``word_table``.  The edge table
-(``prefractal_edges``), the vertex stars, the SVG/JSON export and the
-tests' edge tableau all gather from it.
+(``prefractal_edges``), the SVG/JSON export and the tests' edge tableau
+gather from it.  ``_word_levels`` composes the maps of any range of
+words level by level, and only the range's ancestors, with the bits of
+the whole table: ``word_table`` is its last level over the whole range,
+and ``_word_rows`` over any range.  The paths that walk a depth in
+3^7-row ranges (``_ranges``) read their rows from it: the vertex stars,
+the Laplacian samples and the measure energy.
 
 The beta/alpha ratio (default 1/3, the harmonic family) is a parameter of
 the map primitives here and of the vertex-residual probes in the
@@ -215,26 +220,76 @@ def _require_depth(l: int) -> None:
         raise DepthCapExceeded(f"depth {l} exceeds cap {DEFAULT_DEPTH_CAP}")
 
 
+#: Rows per range of the tables built or read in ranges: 3^7, the depth-l words below one depth-(l - 7) prefix.
+_RANGE_ROWS = 3**7
+
+
+def _ranges(n_rows: int) -> Iterator[tuple[int, int]]:
+    """The row ranges (start, stop) of ``_RANGE_ROWS`` rows that cover ``n_rows`` rows, in order."""
+    for start in range(0, n_rows, _RANGE_ROWS):
+        yield start, min(start + _RANGE_ROWS, n_rows)
+
+
+def _level_maps(seq: ParamSeq, l: int, beta_over_alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts (l, 3, 2, 2) and offsets (l, 3, 2) of the maps F_1, F_2, F_3 of levels 1..l."""
+    maps = [triple(seq.eps(k), beta_over_alpha) for k in range(1, l + 1)]
+    return np.array([[m.linear for m in level] for level in maps]).reshape(l, 3, 2, 2), np.array(
+        [[m.offset for m in level] for level in maps]
+    ).reshape(l, 3, 2)
+
+
+def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: float = HARMONIC_RATIO):
+    """The ancestors of the depth-l words start..stop-1 at each level k = 0..l, in order:
+    (first, lin, off), the affine parts of the depth-k words first, first + 1, ...
+
+    Only these are composed, level by level, with the arithmetic of the
+    whole table, so every row has the bits of its ``word_table`` row and
+    the transient memory is set by the range.  At level l they are the
+    range itself.  A range outside [0, 3^l) raises ValueError.
+    """
+    _require_depth(l)
+    n = 3**l
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"row range [{start}, {stop}) is not within the {n} depth-{l} words")
+    tks, oks = _level_maps(seq, l, beta_over_alpha)
+    # Level k's [T_1 T_2 T_3], (2, 6): lin @ it is the three 2x2 products of each row at once.
+    wide = tks.transpose(0, 2, 1, 3).reshape(l, 2, 6)
+    lin, off, first = np.eye(2)[None, :, :], np.zeros((1, 2)), 0
+    yield first, lin, off
+    for k in range(1, l + 1):
+        # The level-k ancestors of the range, [lo, hi); their parents are the rows of lin.
+        lo, hi = start // 3 ** (l - k), -(-stop // 3 ** (l - k))
+        rows = slice(lo - 3 * first, hi - 3 * first)
+        # Stacked matmuls round as AffineMap2.compose does, so every row
+        # is bit-identical to compose(seq, w).
+        lin, off = (
+            (lin @ wide[k - 1]).reshape(-1, 2, 3, 2).swapaxes(1, 2).reshape(-1, 2, 2)[rows],
+            (_images(lin, oks[k - 1]) + off[:, None, :]).reshape(-1, 2)[rows],
+        )
+        first = lo
+        yield first, lin, off
+
+
+def _word_rows(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: float = HARMONIC_RATIO):
+    """Affine parts (lin, off) of the depth-l words start..stop-1 in word order, each row with
+    the bits of its ``word_table`` row: the last level of ``_word_levels``, the whole level
+    from the cached ``word_table``."""
+    if (start, stop) == (0, 3**l):
+        return word_table(seq, l, beta_over_alpha)
+    *_, (first, lin, off) = _word_levels(seq, l, start, stop, beta_over_alpha)
+    return lin[start - first : stop - first], off[start - first : stop - first]
+
+
 @functools.lru_cache(maxsize=64)
 def word_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
     """Batched affine parts of all depth-l compositions, in word order.
 
     Returns (lin, off): arrays of shape (3^l, 2, 2) and (3^l, 2) such that
-    row word_index(w) holds the linear part and offset of F_w.  Arrays are
-    read-only; callers must copy before mutating.
+    row word_index(w) holds the linear part and offset of F_w, the last
+    level of ``_word_levels`` over the whole range.  Arrays are read-only;
+    callers must copy before mutating.
     """
-    _require_depth(l)
-    lin = np.eye(2)[None, :, :].copy()
-    off = np.zeros((1, 2))
-    for k in range(1, l + 1):
-        maps = triple(seq.eps(k), beta_over_alpha)
-        tk = np.stack([m.linear for m in maps])  # (3,2,2)
-        ok = np.stack([m.offset for m in maps])  # (3,2)
-        # Stacked matmuls round as AffineMap2.compose does, so every row
-        # is bit-identical to compose(seq, w).
-        new_lin = (lin[:, None] @ tk).reshape(-1, 2, 2)
-        new_off = (_images(lin, ok) + off[:, None, :]).reshape(-1, 2)
-        lin, off = new_lin, new_off
+    *_, (_, lin, off) = _word_levels(seq, l, 0, 3**l, beta_over_alpha)
     lin.flags.writeable = False
     off.flags.writeable = False
     return lin, off
@@ -270,6 +325,18 @@ def _cable_stack(seq: ParamSeq, generations, beta_over_alpha: float = HARMONIC_R
     half = alpha * SQRT3 / 2.0
     starts = np.stack([half, beta / 2.0, half, -beta / 2.0, SQRT3 * (2.0 - alpha + beta) / 4.0, scale / 4.0], axis=-1)
     return starts.reshape(-1, 3, 2), scale[:, None, None] * _SLOT_DIRS
+
+
+def _cable_ends(seq: ParamSeq, generations, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[np.ndarray, np.ndarray]:
+    """Points and tangents, each (G, 6, 2), of the cable ends of G generations.
+
+    Column e = 2 (slot - 1) + t of row g: the end t of the slot's cable of
+    generation ``generations[g]`` in local cell coordinates, its start
+    (t = 0) or start + velocity (t = 1) as ``cable_segments`` has them, and
+    the cable's velocity.
+    """
+    starts, vels = _cable_stack(seq, generations, beta_over_alpha)
+    return np.stack([starts, starts + vels], axis=2).reshape(-1, 6, 2), np.repeat(vels, 2, axis=1)
 
 
 def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[Segment, Segment, Segment]:

@@ -11,9 +11,11 @@ Interior vertices carry exactly three incident edges: two triangle sides
 of the single cell owning the vertex and one cable end.  The three base
 corners carry two triangle sides and no cable; their sums are reported
 separately since admissible test functions vanish there.  So every
-interior vertex is one cable end, and the stars are index gathers on the
-geometry module's world arrays (``_vertex_arrays``), O(3^l) array work
-without an edge walk; ``vertex_stars`` returns them as one record array.
+interior vertex is one cable end, and the stars are index gathers on rows
+of the map tables, O(3^l) array work without an edge walk, done 3^7
+depth-l cells at a time (``_vertex_blocks``): ``harmonic_report`` reduces
+each block as it comes, and ``vertex_stars`` joins and sorts them into
+one record array.
 The weak pairing is the energy module's moment pass on its ``pairing``
 form, (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3); the weak
 Laplacian composes u with every edge of the edge table at once.
@@ -32,8 +34,8 @@ every r does.  The gate refuses an r whose norm, relative to the sizes of
 its three terms, exceeds gamma_n, n counting the roundings of those
 products, prefactors and sums (``_defect_bound``, Higham ch. 3-4), and a
 cable end off its cell corner.  ``harmonic_report`` keeps the
-enumeration, since its residual and worst vertex are output, and is the
-local route's test oracle.
+enumeration, in blocks, since its residual and worst vertex are output,
+and is the local route's test oracle.
 """
 
 from __future__ import annotations
@@ -49,9 +51,14 @@ from .errors import NonHarmonicError, StarNotClosed
 from .geometry import (
     HARMONIC_RATIO,
     SIDE_NAMES,
+    _cable_ends,
     _cable_stack,
+    _images,
+    _level_maps,
+    _ranges,
+    _require_depth,
     _side_arrays,
-    _world,
+    _word_levels,
     base_vertices,
     cable_prefactor,
     prefractal_edges,
@@ -77,6 +84,9 @@ _CABLE_ENDS = {
 #: _CABLE_ENDS as arrays over the cable end e = 2 (slot - 1) + t.
 _END_LETTER = np.array([j for j, _ in _CABLE_ENDS.values()])
 _END_CORNER = np.array([_CORNER_INDEX[c] for _, c in _CABLE_ENDS.values()])
+#: The inverse: the cable end e touching corner c of the cell with letter j, at [j - 1, c] (-1 for j = c + 1).
+_END_INDEX = np.full((3, 3), -1)
+_END_INDEX[_END_LETTER - 1, _END_CORNER] = np.arange(6)
 #: The two sides meeting at corners A, B, C (indices into SIDE_NAMES, in
 #: that order) and the endpoint t of each there.
 _CORNER_ENDS = [[(i, t) for i, name in enumerate(SIDE_NAMES) for cc, t in _SIDE_CORNERS[name] if cc == c] for c in CORNER_NAMES]
@@ -96,12 +106,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 _CLOSURE_TOL = 1e-12
 
 
-def _word_codes(k: int) -> np.ndarray:
-    """Every length-k word as base-4 digits, lexicographic: code order is tuple order."""
-    codes = np.zeros(1, dtype=np.int64)
-    for _ in range(k):
-        codes = (4 * codes[:, None] + np.arange(1, 4)).ravel()
-    return codes
+#: 3^k and 4^k for k = 0..13: the places of the base-3 word indices and of the base-4 vertex keys.
+_POWERS_OF_3, _POWERS_OF_4 = 3 ** np.arange(14), 4 ** np.arange(14)
 
 
 def _vertex_name(key: int, l: int) -> tuple[tuple[int, ...], str]:
@@ -110,45 +116,108 @@ def _vertex_name(key: int, l: int) -> tuple[tuple[int, ...], str]:
     return tuple(d for d in (code // 4 ** (l - 1 - n) % 4 for n in range(l)) if d), CORNER_NAMES[corner]
 
 
-def _vertex_arrays(seq: ParamSeq, l: int, beta_over_alpha: float):
-    """Every depth-l vertex in (word, corner) order: (keys, weights, tangents, points).
+def _corner_geometry(lin: np.ndarray, off: np.ndarray, cell: np.ndarray, corner: np.ndarray):
+    """Point (V, 2) of corner ``corner[v]`` of the cell with affine parts (lin, off)[cell[v]],
+    and the world tangents (V, 2, 2) of its two sides there, as ``geometry._world`` rounds them."""
+    # Row 3 i + k of a flattened (N, 3, 2) image table is its cell i's corner or side k.
+    points = (_images(lin, np.stack(base_vertices())) + off[:, None]).reshape(-1, 2)[3 * cell + corner]
+    return points, _images(lin, _side_arrays()[1]).reshape(-1, 2)[3 * cell[:, None] + _CORNER_SIDE[corner]]
 
-    Members of a vertex: the two sides of its depth-l cell there (SIDE_NAMES
-    order), then its cable end; weights (V, 3) are their prefactors, negated
-    at endpoint t = 1, tangents (V, 3, 2) their world tangents.  Base corners
-    come first, without cable (weight 0).  The end of a generation-s cable
-    with prefix index p touches corner c of the cell with letter j, owned by
-    the depth-l cell (3p + j - 1) 3^(l-s) + c (3^(l-s) - 1)/2 (letter c + 1
-    fixes corner c).  A key is the vertex word in base-4 digits padded to
-    length l, times 3, plus the corner.  All gathered from ``_world``.
+
+def _block_vertices(l: int, a: int, b: int):
+    """The corners of the depth-l cells a..b-1 that are not base corners, in (cell, corner)
+    order, as (cell - a, corner, key, s, e, p): corner c of the cell u j (c+1)^(l-s) is the
+    end e of the generation-s cable with prefix index p (``_CABLE_ENDS``)."""
+    # Base-3 digits of the cell words, last letter first, then a 3 that is no letter's; the run
+    # of trailing letters equal to the last.  Corner c of a cell u j (c+1)^(l-s) has run l - s.
+    digits = np.full((b - a, l + 1), 3)
+    digits[:, :l] = np.arange(a, b)[:, None] // _POWERS_OF_3[:l] % 3
+    cell, corner = np.repeat(np.arange(b - a), 3), np.tile(np.arange(3), b - a)
+    run = np.where(corner == digits[cell, 0], np.argmin(digits == digits[:, :1], axis=1)[cell], 0)
+    # A base corner's run is l.
+    (v,) = np.nonzero(run < l)
+    cell, corner, run = cell[v], corner[v], run[v]
+    codes = ((digits[:, :l] + 1) @ _POWERS_OF_4[:l])[cell]
+    keys = 3 * (codes - codes % _POWERS_OF_4[run]) + corner
+    # The letter j above the run, and the prefix below it.
+    e, p = _END_INDEX[digits[cell, run], corner], (cell + a) // _POWERS_OF_3[run + 1]
+    return cell, corner, keys, l - run, e, p
+
+
+def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
+    """The depth-l vertices in blocks: (keys, weights, tangents, points, gaps) per block.
+
+    Every vertex is the corner c of exactly one depth-l cell.  The first
+    block holds the three base corners, corner c of the cell (c+1)^l, with
+    no cable; each further one the other corners of the cells of a range of
+    ``geometry._ranges``, in (cell, corner) order (``_block_vertices``).
+    Members of a vertex: the two sides of its cell there (SIDE_NAMES
+    order), then its cable end; weights (V, 3) are their prefactors,
+    negated at endpoint t = 1, tangents (V, 3, 2) their world tangents, and
+    gaps (V,) the max-norm distance from the cable end to the cell corner
+    (a base corner has weight, tangent and gap 0 in the cable place).  A
+    key is the vertex word u j in base-4 digits padded to length l, times
+    3, plus the corner.  The cells and cable prefixes are rows of
+    ``_word_levels``, so every point and tangent has the bits
+    ``geometry._world`` gives it.
     """
-    corner_img, side_tan, world_cables = _world(seq, l, beta_over_alpha)
-    base = np.arange(3)
-    keys, cells, corners = [base], [base * ((3**l - 1) // 2)], [base]
-    cable_w, cable_tan, cable_pts = [np.zeros(3)], [np.zeros((3, 2))], [corner_img[cells[0], base]]
-    for s, (starts, ends, vels) in enumerate(world_cables, start=1):
-        n, below = len(starts), 3 ** (l - s)
-        j, c = np.tile(_END_LETTER, n), np.tile(_END_CORNER, n)
-        keys.append(3 * (4 * np.repeat(_word_codes(s - 1), 6) + j) * 4 ** (l - s) + c)
-        cells.append((3 * np.repeat(np.arange(n), 6) + j - 1) * below + c * ((below - 1) // 2))
-        corners.append(c)
-        pf = cable_prefactor(seq, s, l)
-        cable_w.append(np.tile([pf, -pf], 3 * n))
-        cable_tan.append(np.repeat(vels, 2, axis=1).reshape(-1, 2))
-        cable_pts.append(np.stack([starts, ends], axis=2).reshape(-1, 2))
-    order = np.argsort(np.concatenate(keys))
-    keys, cells, corners, cable_w, cable_tan, cable_pts = (
-        np.concatenate(a)[order] for a in (keys, cells, corners, cable_w, cable_tan, cable_pts)
-    )
-    points = corner_img[cells, corners]
-    bad = np.flatnonzero(~(np.max(np.abs(cable_pts - points), axis=1) <= _CLOSURE_TOL))
-    if bad.size:
-        word, corner = _vertex_name(keys[bad[0]], l)
-        raise StarNotClosed(f"edge ends at vertex {word}/{corner} do not coincide")
+    _require_depth(l)
+    local_ends, local_tans = _cable_ends(seq, range(1, l + 1), beta_over_alpha)
+    cable_pf = np.array([cable_prefactor(seq, s, l) for s in range(1, l + 1)])
     tri_pf = triangle_edge_prefactor(seq, l)
-    weights = np.column_stack([np.where(_CORNER_T[corners] == 0, tri_pf, -tri_pf), cable_w])
-    tangents = np.concatenate([side_tan[cells[:, None], _CORNER_SIDE[corners]], cable_tan[:, None]], axis=1)
-    return keys, weights, tangents, points
+    side_w = np.where(_CORNER_T == 0, tri_pf, -tri_pf)  # (3, 2): the side weights at corners A, B, C
+
+    def block(a, b):
+        cell, corner, keys, s, e, p = _block_vertices(l, a, b)
+        weights = np.empty((len(cell), 3))
+        weights[:, :2], weights[:, 2] = side_w[corner], np.where(e % 2 == 0, cable_pf[s - 1], -cable_pf[s - 1])
+        levels = list(_word_levels(seq, l, a, b, beta_over_alpha))
+        tangents, gaps = np.empty((len(cell), 3, 2)), np.empty(len(cell))
+        points, tangents[:, :2] = _corner_geometry(*levels[-1][1:], cell, corner)
+        # The cable ends of each generation s from the rows of their prefixes, ancestors at level s - 1.
+        for k, (first, plin, poff) in enumerate(levels[:-1]):
+            (at,) = np.nonzero(s == k + 1)
+            rows = p[at] - first
+            lin = plin[rows]
+            ends = (lin @ local_ends[k, e[at]][..., None])[..., 0] + poff[rows]
+            tangents[at, 2] = (lin @ local_tans[k, e[at]][..., None])[..., 0]
+            gap = np.abs(ends - points[at])
+            gaps[at] = np.maximum(gap[:, 0], gap[:, 1])
+        return keys, weights, tangents, points, gaps
+
+    # The base corner c is corner c of the cell (c+1)^l: compose the three words' maps side by side,
+    # each row with word_table's arithmetic.
+    base, lin, off = np.arange(3), np.eye(2)[None].repeat(3, axis=0), np.zeros((3, 2))
+    for tk, ok in zip(*_level_maps(seq, l, beta_over_alpha)):
+        lin, off = lin @ tk, (lin @ ok[..., None])[..., 0] + off
+    points, sides = _corner_geometry(lin, off, base, base)
+    tangents = np.concatenate([sides, np.zeros((3, 1, 2))], axis=1)
+    yield base, np.column_stack([side_w, np.zeros(3)]), tangents, points, np.zeros(3)
+    # At depth 0 the one cell's corners are the base corners.
+    for a, b in _ranges(3**l if l else 0):
+        yield block(a, b)
+
+
+def _closed_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
+    """``_vertex_blocks`` without the gaps; once every block is out, an open star (a gap
+    not within ``_CLOSURE_TOL``, NaN included) raises StarNotClosed naming the first in key order."""
+    first_open = None
+    for keys, weights, tangents, points, gaps in _vertex_blocks(seq, l, beta_over_alpha):
+        open_keys = keys[~(gaps <= _CLOSURE_TOL)]
+        if open_keys.size and (first_open is None or open_keys.min() < first_open):
+            first_open = int(open_keys.min())
+        yield keys, weights, tangents, points
+    if first_open is not None:
+        word, corner = _vertex_name(first_open, l)
+        raise StarNotClosed(f"edge ends at vertex {word}/{corner} do not coincide")
+
+
+def _vertex_arrays(seq: ParamSeq, l: int, beta_over_alpha: float):
+    """Every depth-l vertex in (word, corner) order: (keys, weights, tangents, points),
+    the blocks of ``_closed_blocks`` joined and sorted by key."""
+    keys, weights, tangents, points = (np.concatenate(a) for a in zip(*_closed_blocks(seq, l, beta_over_alpha)))
+    order = np.argsort(keys)
+    return keys[order], weights[order], tangents[order], points[order]
 
 
 def _boundary(weights: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -206,14 +275,24 @@ def harmonic_report(
     unnamed when every norm is 0.  A NaN norm counts as the maximum: the
     residual is then NaN and the first NaN vertex is named.  Base-corner
     sums are reported separately (they do not vanish; test functions do,
-    at those three points).
+    at those three points).  The vertices are gathered a block of
+    ``_vertex_blocks`` at a time, and each block is reduced to its maximum
+    and the smallest key that attains it, so no depth-l table is held whole.
     """
-    keys, weights, tangents, _ = _vertex_arrays(seq, l, beta_over_alpha)
-    norms = np.hypot(*_boundary(weights, tangents).T)
-    interior = norms[3:]
-    worst = float(np.max(interior, initial=0.0))
-    word, corner = _vertex_name(keys[3 + np.argmax(interior)], l) if not worst <= 0.0 else ((), "")
-    return HarmonicityReport(l, worst, word, corner, len(interior), dict(zip(CORNER_NAMES, norms[:3].tolist())))
+    blocks = _closed_blocks(seq, l, beta_over_alpha)
+    _, weights, tangents, _ = next(blocks)
+    corner_norms = dict(zip(CORNER_NAMES, np.hypot(*_boundary(weights, tangents).T).tolist()))
+    tops, n_interior = [], 0
+    for keys, weights, tangents, _ in blocks:
+        norms = np.hypot(*_boundary(weights, tangents).T)
+        top = np.max(norms)  # NaN where a norm is NaN
+        tops.append((float(top), int(np.min(keys[np.isnan(norms) if np.isnan(top) else norms == top]))))
+        n_interior += len(norms)
+    nan_keys = [key for top, key in tops if math.isnan(top)]
+    worst = math.nan if nan_keys else max([top for top, _ in tops], default=0.0)
+    at = min(nan_keys or [key for top, key in tops if top == worst], default=None)
+    word, corner = _vertex_name(at, l) if not worst <= 0.0 else ((), "")
+    return HarmonicityReport(l, worst, word, corner, n_interior, corner_norms)
 
 
 def harmonic_residual(

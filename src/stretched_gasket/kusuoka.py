@@ -34,6 +34,7 @@ assembled forms.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,9 +44,12 @@ from .energy import _fsum, _moment_terms, resolve_quadrature
 from .errors import DegenerateCable, PrefactorUnderflow, TermOverflow
 from .geometry import (
     DEFAULT_DEPTH_CAP,
+    _cable_stack,
     _images,
+    _ranges,
     _require_depth,
     _triple_index,
+    _word_rows,
     barycenter,
     cable_prefactor_limit,
     cable_segments,
@@ -158,29 +162,40 @@ def _small_eigenvalues(taus: np.ndarray, l: int) -> np.ndarray:
 def _linears(l: int, start: int, stop: int) -> np.ndarray:
     """Products P_w of the level factors for the length-l words start..stop-1,
     lexicographic, multiplied in longdouble and rounded once.  Only the
-    ancestors of the range are multiplied, one letter at a time and the
-    deepest level straight into doubles, so each row has the bits it has in
-    the whole table and the transient memory is set by the range."""
+    ancestors of the range are multiplied, a level at a time, so each row has
+    the bits it has in the whole table and the transient memory is set by the
+    range."""
     out = np.eye(2, dtype=np.longdouble)[None, :, :]
     first = 0  # index of out[0] among the words of its length
     for k in range(1, l + 1):
         # The level-k ancestors of the range, [lo, hi); their parents are the rows of out.
         lo, hi = start // 3 ** (l - k), -(-stop // 3 ** (l - k))
-        new = np.empty((len(out), 3, 2, 2), np.float64 if k == l else np.longdouble)
-        for i, factor in enumerate(_LEVEL_FACTORS):
-            new[:, i] = _product2(out, factor)
-        out = new.reshape(-1, 2, 2)[lo - 3 * first : hi - 3 * first]
+        out = _product2(out[:, None], _LEVEL_FACTORS).reshape(-1, 2, 2)[lo - 3 * first : hi - 3 * first]
         first = lo
     return np.asarray(out[start - first : stop - first], np.float64)
 
 
+def _products(l: int, start: int, stop: int) -> np.ndarray:
+    """The ``_linears`` rows start..stop-1, multiplied a range of ``geometry._ranges`` at a
+    time, so the transient memory beyond the result is one range's."""
+    out = np.empty((stop - start, 2, 2))
+    for a, b in _ranges(stop - start):
+        out[a:b] = _linears(l, start + a, start + b)
+    return out
+
+
 @functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
 def _scaled_linears(l: int) -> np.ndarray:
-    """Products P_w of the level factors for all length-l words (``_linears``' whole range), read-only."""
+    """Products P_w of the level factors for all length-l words, read-only: ``_products``' whole range."""
     _require_depth(l)
-    out = _linears(l, 0, 3**l)
+    out = _products(l, 0, 3**l)
     out.flags.writeable = False
     return out
+
+
+def _taus(mats: np.ndarray, l: int) -> np.ndarray:
+    """Level-l cylinder matrices (1/2) (3/5)^l P_w P_w^t of stacked products ``mats``."""
+    return _level_scale(l) * _product2(mats, mats.swapaxes(1, 2))
 
 
 def gibbs_tau(word: tuple[int, ...]) -> CylinderMass:
@@ -201,18 +216,13 @@ def kappa(word: tuple[int, ...]) -> float:
     return gibbs_tau(word).kappa
 
 
-#: Rows per range of the tables built in ranges: 3^7, the depth-l words below one depth-(l - 7) prefix.
-_RANGE_ROWS = 3**7
-
-
 @functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
 def kappa_table(l: int) -> np.ndarray:
     """All level-l cylinder masses, the traces of the ``tau_table`` rows, formed
-    ``_RANGE_ROWS`` rows at a time.  Sums to 1."""
+    a range of ``geometry._ranges`` at a time.  Sums to 1."""
     _require_depth(l)
     out = np.empty(3**l)
-    for start in range(0, len(out), _RANGE_ROWS):
-        stop = min(start + _RANGE_ROWS, len(out))
+    for start, stop in _ranges(len(out)):
         out[start:stop] = _trace(tau_table(l, start, stop))
     out.flags.writeable = False
     return out
@@ -227,8 +237,7 @@ def tau_table(l: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     stop = n if stop is None else stop
     if not 0 <= start <= stop <= n:
         raise ValueError(f"row range [{start}, {stop}) is not within the {n} level-{l} words")
-    mats = _scaled_linears(l) if stop - start == n else _linears(l, start, stop)
-    return _level_scale(l) * _product2(mats, mats.swapaxes(1, 2))
+    return _taus(_scaled_linears(l) if stop - start == n else _products(l, start, stop), l)
 
 
 def cable_mass(
@@ -250,6 +259,23 @@ def cable_mass(
     return CableMass(prefix, s, slot, mass, direction, np.outer(direction, direction))
 
 
+def _cable_weight(seq: ParamSeq, s: int) -> float:
+    """Limit weight of the generation-s cables; DegenerateCable where eps_s = 1, and
+    whatever ``cable_prefactor_limit`` refuses (an underflow, a tail without limit)."""
+    if seq.one_minus_eps(s) == 0.0:
+        raise DegenerateCable(f"eps_{s} = 1: cables have zero length")
+    return cable_prefactor_limit(seq, s)
+
+
+def _cable_directions(lin: np.ndarray, vel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared lengths and unit directions of the cables with local velocities ``vel`` (3, 2)
+    mapped by the prefix linear parts ``lin``, 3 rows per prefix in slot order."""
+    # Stacked products round as the single products of cable_mass do.
+    world = _images(lin, vel).reshape(-1, 2)
+    nrm2 = (world[:, None] @ world[..., None]).ravel()
+    return nrm2, world / np.sqrt(nrm2)[:, None]
+
+
 def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     """All generation-s cable masses and unit directions, (3^s,) and (3^s, 2).
 
@@ -257,13 +283,9 @@ def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     words.  Row i carries the rank-one density d d^t of ``directions[i]``.
     """
     lin, _ = word_table(seq, s - 1)
-    if seq.one_minus_eps(s) == 0.0:
-        raise DegenerateCable(f"eps_{s} = 1: cables have zero length")
-    vel = np.stack([sg.velocity for sg in cable_segments(seq, s)])
-    # Stacked products round as the single products of cable_mass do.
-    world = _images(lin, vel).reshape(-1, 2)
-    nrm2 = (world[:, None] @ world[..., None]).ravel()
-    return cable_prefactor_limit(seq, s) * nrm2, world / np.sqrt(nrm2)[:, None]
+    weight = _cable_weight(seq, s)
+    nrm2, directions = _cable_directions(lin, _cable_stack(seq, (s,))[1][0])
+    return weight * nrm2, directions
 
 
 def energy_via_measure(
@@ -276,26 +298,36 @@ def energy_via_measure(
     """Energy straight from the measure data at one resolution.
 
     Gasket part: cylinder matrices paired with the gradients at cell
-    barycenters, over all depth-level words.  Cable part: exact line
+    barycenters, over all depth-level words, a range of ``geometry._ranges``
+    at a time (word rows, and tau rows from the cached products), so no
+    depth-level table of terms is held whole.  Cable part: exact line
     quadrature of the rank-one masses against the gradients, generations
     up to the depth, limit window weights (the energy module's moment
-    pass).  A gasket product past the double range raises TermOverflow.
+    pass).  Both go into one exact ``math.fsum``, cells in word order, then
+    cables.  A gasket product past the double range raises TermOverflow.
     For affine fields the gasket part is exactly (grad u, (Id/2) grad v),
     independent of depth.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    lin, off = word_table(seq, depth)
-    centers = lin @ barycenter() + off
-    gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
-    gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
-    taus = tau_table(depth)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gasket = (
-            taus[:, 0, 0] * gux * gvx
-            + taus[:, 0, 1] * (gux * gvy + guy * gvx)
-            + taus[:, 1, 1] * guy * gvy
-        )
-    if not np.isfinite(gasket).all():
-        raise TermOverflow("a gasket term of the measure overflows the double range")
-    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, limit=True)
-    return _fsum(gasket.tolist() + cables)
+    mats = _scaled_linears(depth)
+
+    def blocks():
+        for start, stop in _ranges(len(mats)):
+            lin, off = _word_rows(seq, depth, start, stop)
+            centers = lin @ barycenter() + off
+            gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
+            gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
+            taus = _taus(mats[start:stop], depth)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gasket = (
+                    taus[:, 0, 0] * gux * gvx
+                    + taus[:, 0, 1] * (gux * gvy + guy * gvx)
+                    + taus[:, 1, 1] * guy * gvy
+                )
+            if not np.isfinite(gasket).all():
+                raise TermOverflow("a gasket term of the measure overflows the double range")
+            yield gasket.tolist()
+        (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, limit=True)
+        yield cables
+
+    return _fsum(itertools.chain.from_iterable(blocks()))

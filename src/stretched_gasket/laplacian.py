@@ -10,10 +10,13 @@ B_2, B_3 = [[1/2, +-sqrt3/6], [+-sqrt3/6, 5/6]], and kappa_w >= 15^-l, so
 only ``teplyaev`` (one word, no depth cap) can meet an underflowed mass.
 kappa_w is tau11 + tau22 of the rounded tau_w, its one route, and as
 accurate as ``kusuoka`` states: where longdouble is x87 80-bit.
-``laplacian_samples`` reads all carriers at once from the cylinder and map
-tables and the cable mass arrays and returns them as one record array, a
-row per carrier; ``teplyaev`` samples one carrier as a ``LaplacianSample``
-through the same Hessian kernel, with the bits of that carrier's row.
+``laplacian_samples`` returns one record array, a row per carrier, or any
+row range of it; it reads the carriers 3^7 rows at a time, each block from
+its own rows of the cylinder and map tables and of the cable masses, so
+no depth-l table but the returned one is held whole, and the CLI writes
+the blocks as it computes them.  ``teplyaev`` samples one carrier as a
+``LaplacianSample`` through the same Hessian kernel, with the bits of
+that carrier's row.
 
 The integration-by-parts defect pairs the depth form with the
 discretized integral of (Laplacian of phi) times v against the depth
@@ -40,8 +43,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _fsum, _moment_terms, resolve_quadrature
-from .geometry import _cable_stack, _images, _triple_index, barycenter, cable_segments, compose, word_point, word_table
-from .kusuoka import CableMass, _trace, cable_masses, gibbs_tau, tau_table
+from .geometry import (
+    _cable_stack,
+    _images,
+    _ranges,
+    _require_depth,
+    _triple_index,
+    _word_rows,
+    barycenter,
+    cable_segments,
+    compose,
+    word_point,
+)
+from .kusuoka import CableMass, _cable_directions, _cable_weight, _trace, gibbs_tau, tau_table
 from .params import ParamSeq
 from .scalarfield import Poly2, corner_values, hess_batch, vanishes_at_corners
 
@@ -119,33 +133,86 @@ def ibp_table(
     return rows
 
 
-def laplacian_samples(seq: ParamSeq, phi: Poly2, depth: int) -> np.recarray:
+def _require_cables(seq: ParamSeq, depth: int) -> None:
+    """Raise what the cables of generations 1..depth refuse, in generation order: a
+    degenerate cable, a weight that underflows or needs a tail product the sequence lacks."""
+    for s in range(1, depth + 1):
+        _cable_weight(seq, s)
+
+
+def _sample_count(depth: int) -> int:
+    """Rows of the depth-l sample table: 3^l cells and 3 (3^l - 1) / 2 cables."""
+    return 3**depth + 3 * (3**depth - 1) // 2
+
+
+#: Columns of the sample table: the carrier's (generation, word, slot), location, density and value.
+_SAMPLE_DTYPE = np.dtype(
+    [("generation", np.int64), ("word", np.int64), ("slot", np.int64)]
+    + [(name, np.float64) for name in ("x", "y", "t11", "t12", "t22", "value")]
+)
+
+
+def _sample_rows(seq: ParamSeq, phi: Poly2, depth: int, start: int, stop: int) -> np.recarray:
+    """Rows start..stop-1 of the sample table, from their own word, tau and cable rows, the
+    cables unchecked (``_require_cables``): the cells of the range, then each generation's cables."""
+    # Generation 0 is the 3^l cells, generation s the 3^s cables, in table order; spans (s, a, b)
+    # hold the carriers a..b-1 of generation s in the range.
+    spans, first = [], 0
+    for s, size in enumerate([3**depth] + [3**s for s in range(1, depth + 1)]):
+        if max(start, first) < min(stop, first + size):
+            spans.append((s, max(start - first, 0), min(stop - first, size)))
+        first += size
+    ids, t_tilde, locations = [], [], []  # ids: (generation, word, slot)
+    if spans[0][0] == 0:
+        _, a, b = spans.pop(0)
+        cells, taus = np.arange(a, b), tau_table(depth, a, b)
+        lin, off = _word_rows(seq, depth, a, b)
+        ids.append(np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)]))
+        t_tilde.append(taus / _trace(taus)[:, None, None])
+        locations.append(lin @ barycenter() + off)
+    for (s, a, b), p, v in zip(spans, *_cable_stack(seq, [s for s, _, _ in spans])):
+        # The cables' prefixes, and the cables' rows among the three of each prefix.
+        plin, poff = _word_rows(seq, s - 1, a // 3, -(-b // 3))
+        rows, cables = slice(a % 3, a % 3 + b - a), np.arange(a, b)
+        _, dirs = _cable_directions(plin, v)
+        # Midpoints with the arithmetic of Segment.point(0.5) on cable_segments.
+        mids = p + 0.5 * ((p + v) - p)
+        ids.append(np.column_stack([np.full(b - a, s), cables // 3, cables % 3 + 1]))
+        t_tilde.append((dirs[:, :, None] * dirs[:, None, :])[rows])
+        locations.append((_images(plin, mids) + poff[:, None]).reshape(-1, 2)[rows])
+    t_tilde, locations = np.concatenate(t_tilde), np.concatenate(locations)
+    values = _laplacian_values(phi, t_tilde, locations)
+    columns = [*np.concatenate(ids).T, *locations.T, t_tilde[:, 0, 0], t_tilde[:, 0, 1], t_tilde[:, 1, 1], values]
+    return np.rec.fromarrays(columns, dtype=_SAMPLE_DTYPE)
+
+
+def laplacian_samples(seq: ParamSeq, phi: Poly2, depth: int, start: int = 0, stop: int | None = None) -> np.recarray:
     """Samples on every depth-level cylinder and all cables up to depth.
 
     One row per carrier, the ``teplyaev`` sample of each: cells in word
     order, then cables by generation in (prefix, slot) order, read from
-    the cell tables (tau_table, word_table) and the cable masses at once.
+    the cell tables (tau_table, word_table) and the cable masses.
     Columns: ``generation`` (0 for a cell, s for a generation-s cable),
     ``word`` (lexicographic index of the cell word, or of the cable prefix
     among the depth-(s-1) words), ``slot`` (0 for a cell, 1..3 for a
     cable), the location ``x``, ``y``, the unit-trace density ``t11``,
     ``t12``, ``t22`` and the Laplacian ``value``.
+
+    ``start``/``stop`` select the rows start..stop-1 of the
+    3^l + 3 (3^l - 1) / 2 (all by default); a range outside them raises
+    ValueError.  The table is filled a range of ``geometry._ranges`` at a
+    time, each from its own word, tau and cable rows, so every row has the
+    same bits whatever the range, and only the returned table is held
+    whole.  The cables of every generation are checked first, so a range
+    raises what the whole table raises.
     """
-    taus = tau_table(depth)
-    kappas = _trace(taus)
-    lin, off = word_table(seq, depth)
-    cells = np.arange(len(kappas))
-    ids = [np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)])]  # (generation, word, slot)
-    t_tilde, locations = [taus / kappas[:, None, None]], [lin @ barycenter() + off]
-    for s, p, v in zip(range(1, depth + 1), *_cable_stack(seq, range(1, depth + 1))):
-        _, dirs = cable_masses(seq, s)
-        plin, poff = word_table(seq, s - 1)
-        # Midpoints with the arithmetic of Segment.point(0.5) on cable_segments.
-        mids = p + 0.5 * ((p + v) - p)
-        ids.append(np.column_stack([np.full(len(dirs), s), np.repeat(np.arange(len(plin)), 3), np.tile([1, 2, 3], len(plin))]))
-        t_tilde.append(dirs[:, :, None] * dirs[:, None, :])
-        locations.append((_images(plin, mids) + poff[:, None]).reshape(-1, 2))
-    t_tilde, locations = np.concatenate(t_tilde), np.concatenate(locations)
-    values = _laplacian_values(phi, t_tilde, locations)
-    columns = [*np.concatenate(ids).T, *locations.T, t_tilde[:, 0, 0], t_tilde[:, 0, 1], t_tilde[:, 1, 1], values]
-    return np.rec.fromarrays(columns, names="generation,word,slot,x,y,t11,t12,t22,value")
+    _require_depth(depth)
+    n = _sample_count(depth)
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"row range [{start}, {stop}) is not within the {n} depth-{depth} carriers")
+    _require_cables(seq, depth)
+    table = np.recarray(stop - start, dtype=_SAMPLE_DTYPE)
+    for a, b in _ranges(stop - start):
+        table[a:b] = _sample_rows(seq, phi, depth, start + a, start + b)
+    return table

@@ -21,6 +21,11 @@ tables have three: einsum contractions of the same fixed level factors
 the exact cylinder matrices in Q(sqrt3), rounded to 50 digits only when
 compared.  The level operator's Perron eigenpair, which the package
 takes in closed form, is found here by power iteration from the identity.
+The enumerating paths that the package walks in 3^7-row blocks keep
+their whole-table forms here, which the blocks must reproduce bit for bit:
+the measure energy's gasket sum over the whole word and cylinder tables,
+and the vertex stars gathered from the whole world arrays, sorted once,
+with the harmonicity report reduced from them.
 Four derived quantities that only the tests read live here too: the edge
 counts, one IBP row, the level operator's 3x3 matrix in a symmetric basis
 and the total cable mass.
@@ -42,6 +47,7 @@ from stretched_gasket.energy import (
     EnergyReport,
     _contractions,
     _map_pullback,
+    _moment_terms,
     _plain_coeffs,
     _report,
     _segment_jets,
@@ -59,6 +65,7 @@ from stretched_gasket.geometry import (
     AffineMap2,
     Segment,
     _side_arrays,
+    _world,
     barycenter,
     base_vertices,
     cable_prefactor,
@@ -70,7 +77,19 @@ from stretched_gasket.geometry import (
     triple,
     word_table,
 )
-from stretched_gasket.harmonicity import ND_GRID, ND_REFINE, _CABLE_ENDS, _CORNER_INDEX, _SIDE_CORNERS
+from stretched_gasket.harmonicity import (
+    _CABLE_ENDS,
+    _CORNER_INDEX,
+    _CORNER_SIDE,
+    _CORNER_T,
+    _END_CORNER,
+    _END_LETTER,
+    _SIDE_CORNERS,
+    CORNER_NAMES,
+    ND_GRID,
+    ND_REFINE,
+    _vertex_name,
+)
 from stretched_gasket.kusuoka import (
     _LEVEL_FACTORS,
     _level_scale,
@@ -801,3 +820,60 @@ def perron_iteration(eps) -> tuple[float, np.ndarray, int]:
 def total_cable_mass(seq, s_max: int) -> float:
     """Mass of all cables of generations 1..s_max."""
     return math.fsum(m for s in range(1, s_max + 1) for m in cable_masses(seq, s)[0].tolist())
+
+
+# -- whole-table forms of the blocked paths -----------------------------------
+
+
+def energy_via_measure_whole(seq, u, v, depth, quad=None) -> float:
+    """``energy_via_measure`` with the whole depth-level tables at once: every gasket term
+    from ``word_table`` and ``tau_table``, then the moment pass's cable terms, in one fsum."""
+    quad = resolve_quadrature(quad, u.degree, v.degree)
+    lin, off = word_table(seq, depth)
+    centers = lin @ barycenter() + off
+    gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
+    gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
+    taus = tau_table(depth)
+    gasket = taus[:, 0, 0] * gux * gvx + taus[:, 0, 1] * (gux * gvy + guy * gvx) + taus[:, 1, 1] * guy * gvy
+    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, limit=True)
+    return math.fsum(gasket.tolist() + cables)
+
+
+def vertex_arrays_from_world(seq, l, beta_over_alpha=HARMONIC_RATIO):
+    """Every depth-l vertex star, (keys, weights, tangents, points) sorted by key, gathered
+    from the whole world arrays: the base corners, then each generation's cable ends, each
+    end's cell corner and sides picked from the depth-l corner and side tables."""
+    corner_img, side_tan, world_cables = _world(seq, l, beta_over_alpha)
+    base = np.arange(3)
+    keys, cells, corners = [base], [base * ((3**l - 1) // 2)], [base]
+    cable_w, cable_tan = [np.zeros(3)], [np.zeros((3, 2))]
+    for s, (starts, ends, vels) in enumerate(world_cables, start=1):
+        n, below = len(starts), 3 ** (l - s)
+        j, c = np.tile(_END_LETTER, n), np.tile(_END_CORNER, n)
+        codes = np.zeros(1, dtype=np.int64)
+        for _ in range(s - 1):
+            codes = (4 * codes[:, None] + np.arange(1, 4)).ravel()
+        keys.append(3 * (4 * np.repeat(codes, 6) + j) * 4 ** (l - s) + c)
+        cells.append((3 * np.repeat(np.arange(n), 6) + j - 1) * below + c * ((below - 1) // 2))
+        corners.append(c)
+        pf = cable_prefactor(seq, s, l)
+        cable_w.append(np.tile([pf, -pf], 3 * n))
+        cable_tan.append(np.repeat(vels, 2, axis=1).reshape(-1, 2))
+    order = np.argsort(np.concatenate(keys))
+    keys, cells, corners, cable_w, cable_tan = (np.concatenate(a)[order] for a in (keys, cells, corners, cable_w, cable_tan))
+    tri_pf = triangle_edge_prefactor(seq, l)
+    weights = np.column_stack([np.where(_CORNER_T[corners] == 0, tri_pf, -tri_pf), cable_w])
+    tangents = np.concatenate([side_tan[cells[:, None], _CORNER_SIDE[corners]], cable_tan[:, None]], axis=1)
+    return keys, weights, tangents, corner_img[cells, corners]
+
+
+def harmonic_report_from_world(seq, l, beta_over_alpha=HARMONIC_RATIO):
+    """(residual, worst word, worst corner, n_interior, corner norms) of the whole sorted star
+    table: ``np.max`` and the first ``np.argmax`` over the interior norms (the first NaN, if any)."""
+    keys, weights, tangents, _ = vertex_arrays_from_world(seq, l, beta_over_alpha)
+    terms = weights[..., None] * tangents
+    norms = np.hypot(*(terms[:, 0] + terms[:, 1] + terms[:, 2]).T)
+    interior = norms[3:]
+    worst = float(np.max(interior, initial=0.0))
+    word, corner = _vertex_name(keys[3 + np.argmax(interior)], l) if not worst <= 0.0 else ((), "")
+    return worst, word, corner, len(interior), dict(zip(CORNER_NAMES, norms[:3].tolist()))

@@ -45,6 +45,13 @@ def test_harmonicity_json_schema():
     assert "/" in payload["worst_vertex_word"]
 
 
+def test_harmonicity_names_no_vertex_at_depth_zero(capsys):
+    # Depth 0 has only the base corners, so no interior vertex is named: null, not "/".
+    assert cli.main(["harmonicity", *EXP_FLAGS, "--depth", "0"]) == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert (payload["residual"], payload["worst_vertex_word"]) == (0.0, None)
+
+
 def test_ruelle_json():
     payload = json.loads(run_cli("ruelle", "--eps-const", "0.5", "--eps", "1.0").stdout)
     assert abs(payload["lambda"] - 0.6) <= 1e-12
@@ -283,6 +290,9 @@ def test_prefactor_underflow_exits_one_without_traceback(command):
     depth = [] if command in ("ruelle", "ibp") else ["--depth", "3"]
     proc = run_cli(command, *eps, *depth, check=False)
     assert proc.returncode == 1
+    # Nothing is written before the check: the laplacian table's rows come in
+    # blocks, and the failing cable weight belongs to rows after the cells.
+    assert proc.stdout == b""
     assert proc.stderr.startswith(b"error: ")
     assert b"denominator 0.0 underflows" in proc.stderr
     assert b"Traceback" not in proc.stderr
@@ -509,6 +519,16 @@ def test_kusuoka_at_the_depth_cap_stays_within_its_rss_ceiling():
     # table and its map products (32 MiB) built first, 325 MiB as one string.
     peak_kb = _child_peak_kb("kusuoka", "--depth", "12")
     assert peak_kb <= 55 * 1024, peak_kb
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")
+@pytest.mark.parametrize("command", ["harmonicity", "laplacian"])
+def test_blocked_commands_at_the_depth_cap_stay_within_their_rss_ceilings(command):
+    # Measured 33.2 and 32.6 MiB with the stars and the samples built 3^7
+    # cells or rows at a time, most of it the interpreter and numpy; 568 and
+    # 429 MiB with the whole star and sample tables.
+    peak_kb = _child_peak_kb(command, "--depth", "12")
+    assert peak_kb <= 64 * 1024, peak_kb
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")

@@ -21,7 +21,7 @@ from stretched_gasket import (
     word_table,
 )
 from stretched_gasket.errors import GasketError, PrefactorUnderflow
-from stretched_gasket.geometry import SIDE_NAMES, rotation
+from stretched_gasket.geometry import SIDE_NAMES, _word_rows, rotation
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY
 from oracles import EdgeId, count_edges, edge_walk
@@ -150,6 +150,35 @@ def test_word_table_matches_composition():
         k = word_index(w)
         assert np.allclose(lin[k], amap.linear, atol=1e-15)
         assert np.allclose(off[k], amap.offset, atol=1e-15)
+
+
+def _row_ranges(rng, l):
+    """Empty, single-row and whole ranges of the 3^l words, ranges across the ends of the
+    depth-k prefix blocks (3^(l - k) rows each), and 20 random ones."""
+    n = 3**l
+    ranges = [(0, 0), (n, n), (0, n), (0, 1), (n - 1, n), (n // 2, n // 2 + 1)]
+    for k in range(1, l):
+        ranges += [(max(end - 2, 0), min(end + 3, n)) for end in (3 ** (l - k), n - 3 ** (l - k), 2 * 3 ** (l - k))]
+    return ranges + [tuple(sorted(rng.integers(0, n + 1, 2).tolist())) for _ in range(20)]
+
+
+@pytest.mark.parametrize("seq, ratio", [(PREFIX_EXP, 1.0 / 3.0), (CONSTANT_HALF, 0.25)], ids=["prefix-exp", "const-half-0.25"])
+def test_word_rows_are_the_word_table_rows(seq, ratio, rng):
+    # A range composes only its own ancestors, with the whole table's
+    # arithmetic, so every row keeps its bits wherever the range falls.
+    for l in range(10):
+        lin, off = word_table(seq, l, ratio)
+        for start, stop in _row_ranges(rng, l):
+            part_lin, part_off = _word_rows(seq, l, start, stop, ratio)
+            assert part_lin.shape == (stop - start, 2, 2) and part_off.shape == (stop - start, 2), (l, start, stop)
+            assert part_lin.tobytes() == lin[start:stop].tobytes(), (l, start, stop)
+            assert part_off.tobytes() == off[start:stop].tobytes(), (l, start, stop)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, 28), (28, 28)])
+def test_word_rows_refuse_a_range_outside_the_level(start, stop):
+    with pytest.raises(ValueError, match=rf"row range \[{start}, {stop}\) is not within the 27 depth-3 words"):
+        _word_rows(PREFIX_EXP, 3, start, stop)
 
 
 def test_word_point_is_barycenter_image():

@@ -24,15 +24,17 @@ from stretched_gasket import (
     ruelle_apply,
     tau_table,
     triple,
+    vanishing_cubic,
     word_index,
     word_table,
 )
-from stretched_gasket.errors import DepthCapExceeded, PrefactorUnderflow
-from stretched_gasket.kusuoka import _product2, _require_symmetric, _scaled_linears, _trace
+from stretched_gasket.errors import DepthCapExceeded, GasketError, PrefactorUnderflow
+from stretched_gasket.kusuoka import _linears, _product2, _require_symmetric, _scaled_linears, _trace
 
-from conftest import ALL_REGIMES, PREFIX_EXP, SEQUENCES, TAIL_ONLY
+from conftest import ALL_REGIMES, CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY, cold_peak
 from oracles import (
     adjoint_aggregate,
+    energy_via_measure_whole,
     exact_kappa_table,
     gibbs_tau_by_einsum,
     per_sequence_kappa_table,
@@ -222,6 +224,13 @@ def test_cylinder_tables_equal_the_einsum_contractions_bit_for_bit(seq):
         assert np.max(np.abs(own - ref) / ref) <= 8 * l * np.finfo(float).eps, l
 
 
+def test_scaled_linears_are_filled_range_by_range_with_the_whole_products():
+    # The cache is filled 3^7 rows at a time; each range multiplies its own
+    # ancestors, so the table is the one-range product table bit for bit.
+    for l in range(13):
+        assert _scaled_linears(l).tobytes() == _linears(l, 0, 3**l).tobytes(), l
+
+
 def test_explicit_products_keep_einsums_signed_zeros(rng):
     # Zero factors against negative ones make -0.0 products, whose einsum
     # sum from 0.0 is +0.0.
@@ -379,6 +388,33 @@ def test_total_cable_mass_grows_and_stays_bounded():
     # The same geometric envelope that bounds the dropped cable energy of
     # constant fields bounds the total mass (gradient bounds 1).
     assert t5 <= total_cable_mass(TAIL_ONLY, 9) + cable_tail_bound(TAIL_ONLY, 5, 1.0, 1.0)
+
+
+def _outcome(route, *args):
+    """The value of route(*args), or the type and message of the package error it raises."""
+    try:
+        return route(*args)
+    except GasketError as exc:
+        return type(exc), str(exc)
+
+
+def test_blocked_measure_energy_equals_the_whole_table_sum(regime):
+    # One exact fsum over the blocks' gasket terms and the cables, in the
+    # order of the whole-table sum: the same double at every depth (and, on
+    # the constant sequence, whose cables have no limit weight, the same error).
+    pairs = [(parse("x^2 - 0.5*x*y + y^3"), vanishing_cubic()), (parse("2*x - y + 1"), parse("x*y"))]
+    for u, v in pairs:
+        for depth in range(11):
+            got = _outcome(energy_via_measure, regime, u, v, depth)
+            assert got == _outcome(energy_via_measure_whole, regime, u, v, depth), depth
+            assert isinstance(got, float) == (regime is not CONSTANT_HALF or depth == 0), got
+
+
+def test_measure_energy_memory_at_depth_ten():
+    # Twice the peak measured with the gasket terms taken 3^7 cells at a
+    # time (2.4 MiB); the whole word, tau and term tables peaked at 11.7 MiB.
+    u, v = parse("x^2 - 0.5*x*y + y^3"), vanishing_cubic()
+    assert cold_peak(lambda: energy_via_measure(PREFIX_EXP, u, v, 10)) < 5 * 2**20
 
 
 def test_energy_via_measure_matches_quadrature_route_for_affine(rng):

@@ -1,10 +1,11 @@
 """The vertex diagnostics on the word tables against the edge-walk routes.
 
-``vertex_stars``/``harmonic_report`` gather the stars from the world
-arrays of the word tables, ``weak_pairing`` folds its form through the level pullbacks and
-``laplacian_samples`` reads the cell and cable tables.  ``tests/oracles.py``
-keeps the edge walk, the per-edge weak pairing and the one-carrier-at-a-time
-samples as references.
+``vertex_stars``/``harmonic_report`` gather the stars from the rows of the
+word tables, 3^7 cells at a time, ``weak_pairing`` folds its form through
+the level pullbacks and ``laplacian_samples`` reads the cell and cable rows
+3^7 carriers at a time.  ``tests/oracles.py`` keeps the edge walk, the
+per-edge weak pairing, the one-carrier-at-a-time samples and the stars
+gathered from the whole world arrays as references.
 """
 
 import math
@@ -15,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stretched_gasket import (
+    ExpTail,
+    ParamSeq,
     StarNotClosed,
     get_quadrature,
     harmonic_report,
@@ -37,8 +40,10 @@ from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, ad
 from oracles import (
     EdgeId,
     boundary_vector_of,
+    harmonic_report_from_world,
     laplacian_samples_by_carrier,
     star_groups_by_edges,
+    vertex_arrays_from_world,
     weak_pairing_by_edges,
 )
 
@@ -95,6 +100,51 @@ def test_vertex_vectors_match_edge_walk(regime):
                 assert (rep.worst_word, rep.worst_corner) == (word, corner), (ratio, l)
 
 
+def _report_tuple(rep):
+    return rep.residual, rep.worst_word, rep.worst_corner, rep.n_interior, rep.corner_norms
+
+
+def test_vertex_blocks_reproduce_the_whole_world_tables(regime):
+    # Depth 8 has three cell blocks.  Each star is gathered from rows with
+    # the world arrays' arithmetic, so the sorted stars and the report
+    # reduced block by block keep the whole tables' bits.
+    for ratio in RATIOS:
+        for l in range(9):
+            got = harmonicity._vertex_arrays(regime, l, ratio)
+            want = vertex_arrays_from_world(regime, l, ratio)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (ratio, l)
+            report = _report_tuple(harmonic_report(regime, l, beta_over_alpha=ratio))
+            assert repr(report) == repr(harmonic_report_from_world(regime, l, ratio)), (ratio, l)
+
+
+def test_equal_norms_name_the_first_vertex_in_key_order(monkeypatch):
+    # At depth 9 the first vertex in key order, (1,)/B, lies in the second
+    # cell block (its cell is 1 2^8), while the first block holds larger
+    # keys of the same norm: ties between blocks go to the smaller key.
+    monkeypatch.setattr(harmonicity, "_boundary", lambda weights, tangents: np.ones((len(weights), 2)))
+    rep = harmonic_report(PREFIX_EXP, 9)
+    assert (rep.residual, rep.worst_word, rep.worst_corner) == (math.sqrt(2.0), (1,), "B")
+
+
+def test_the_first_nan_vertex_in_key_order_is_named(monkeypatch):
+    # NaN where a boundary vector's x exceeds a threshold, in the blocks and
+    # in the whole sorted table alike: the first NaN in key order is named.
+    keys, weights, tangents, _ = vertex_arrays_from_world(PREFIX_EXP, 9, 0.25)
+    terms = weights[..., None] * tangents
+    top = np.quantile((terms[:, 0] + terms[:, 1] + terms[:, 2])[3:, 0], 0.9)
+    boundary = harmonicity._boundary
+
+    def nan_above(weights, tangents):
+        out = boundary(weights, tangents)
+        out[out[:, 0] > top] = np.nan
+        return out
+
+    first = keys[3 + np.flatnonzero((terms[:, 0] + terms[:, 1] + terms[:, 2])[3:, 0] > top)[0]]
+    monkeypatch.setattr(harmonicity, "_boundary", nan_above)
+    rep = harmonic_report(PREFIX_EXP, 9, beta_over_alpha=0.25)
+    assert math.isnan(rep.residual) and (rep.worst_word, rep.worst_corner) == harmonicity._vertex_name(first, 9)
+
+
 def test_folded_weak_pairing_matches_edge_sum(regime, rng):
     # Every degree up to depth 3; the per-edge route is slow beyond, so
     # depths 4 and 5 take the quadratic and the quartic field.
@@ -130,6 +180,32 @@ def test_laplacian_samples_match_teplyaev(seq, rng):
                 assert [a.x, a.y] == b.location.tolist(), b.carrier
                 assert [[a.t11, a.t12], [a.t12, a.t22]] == b.t_tilde.tolist(), b.carrier
                 assert a.value == b.value, (depth, b.carrier)
+
+
+def test_laplacian_sample_ranges_are_slices_of_the_whole_table(rng):
+    # Rows are built from their own word, tau and cable rows, 3^7 at a time:
+    # any range, across generations and blocks, is a slice of the whole table.
+    phi = parse("(x-0.3)^6 + 0.7*y^5*x - 1.3*x^3*y^2")
+    for depth in range(9):
+        whole = laplacian_samples(PREFIX_EXP, phi, depth)
+        n = len(whole)
+        # The first rows of the cables and of each generation, and the ends of the 3^7-row blocks.
+        firsts = [3**depth + (3**s - 3) // 2 for s in range(1, depth + 1)] + list(range(3**7, n, 3**7))
+        ranges = [(0, 0), (n, n), (0, n), (0, 1), (n - 1, n)] + [(max(f - 2, 0), min(f + 3, n)) for f in firsts]
+        ranges += [tuple(sorted(rng.integers(0, n + 1, 2).tolist())) for _ in range(20)]
+        for start, stop in ranges:
+            part = laplacian_samples(PREFIX_EXP, phi, depth, start, stop)
+            assert part.dtype == whole.dtype and part.tobytes() == whole[start:stop].tobytes(), (depth, start, stop)
+
+
+def test_laplacian_sample_ranges_raise_what_the_whole_table_raises():
+    # The generation-2 cable weight underflows; a range of one cell raises it too.
+    seq = ParamSeq(prefix=(1e-200,), tail=ExpTail(0.05, 0.5))
+    for start, stop in ((0, 1), (0, 0), (None, None)):
+        with pytest.raises(PrefactorUnderflow, match="generation-2 cable prefactor"):
+            laplacian_samples(seq, parse("x^2"), 3, *(() if start is None else (start, stop)))
+    with pytest.raises(ValueError, match=r"row range \[0, 67\) is not within the 66 depth-3 carriers"):
+        laplacian_samples(PREFIX_EXP, parse("x^2"), 3, 0, 67)
 
 
 def test_depth_zero_has_only_the_base_corners():
@@ -191,15 +267,23 @@ def test_harmonic_gates_have_one_definition():
 
 
 def test_vertex_diagnostics_memory_at_depth_ten():
-    # Ceilings are twice the peaks measured at depth 10 (44 and 38 MiB):
-    # O(3^l) arrays, the samples as one column table.  The weak pairing
-    # enumerates no vertex: its gate reads 6 l local vectors (0.3 MiB).
+    # Ceilings are about twice the peaks measured at depth 10 (2.2 and 10.8
+    # MiB): the report holds one block of 3^7 cells' stars, the samples the
+    # returned table (10.6 MB) and one block of rows.  With whole depth-10
+    # tables the peaks were 44 and 38 MiB.  The weak pairing enumerates no
+    # vertex: its gate reads 6 l local vectors (0.3 MiB).
     u = parse("x^2 - 0.5*x*y + y^3")
     v = vanishing_cubic()
     mib = 2**20
-    assert cold_peak(lambda: harmonic_report(PREFIX_EXP, 10)) < 88 * mib
+    assert cold_peak(lambda: harmonic_report(PREFIX_EXP, 10)) < 4.5 * mib
     assert cold_peak(lambda: weak_pairing(PREFIX_EXP, 10, u, v)) < 2 * mib
-    assert cold_peak(lambda: laplacian_samples(PREFIX_EXP, u, 10)) < 76 * mib
+    assert cold_peak(lambda: laplacian_samples(PREFIX_EXP, u, 10)) < 22 * mib
+
+
+def test_harmonic_report_memory_at_the_depth_cap():
+    # 2.2 MiB, one block of stars, as at depth 10; 442 MiB with the whole
+    # 3^13-vertex star table gathered and sorted.
+    assert cold_peak(lambda: harmonic_report(PREFIX_EXP, 12)) < 4.5 * 2**20
 
 
 def test_weak_pairing_memory_at_the_depth_cap():
