@@ -24,16 +24,13 @@ from .errors import (
     TermOverflow,
 )
 from .geometry import (
-    AffineMap2,
     HARMONIC_RATIO,
-    Segment,
     base_vertices,
     barycenter,
     cable_prefactor,
     cable_prefactor_limit,
     cable_segments,
     compose,
-    iter_words,
     prefractal_edges,
     triangle_edge_prefactor,
     triple,
@@ -58,7 +55,6 @@ from .energy import (
     cable_tail_bound,
     convergence_rows,
     energy1,
-    energy2,
     energy2_limit,
     energy_total,
     get_quadrature,
@@ -94,7 +90,6 @@ from .laplacian import LaplacianSample, ibp_table, laplacian_samples, teplyaev
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap2",
     "CableMass",
     "CylinderMass",
     "DegenerateCable",
@@ -110,7 +105,6 @@ __all__ = [
     "Poly2",
     "PolyParseError",
     "QuadratureRule",
-    "Segment",
     "StarNotClosed",
     "TailProductZero",
     "TermOverflow",
@@ -122,7 +116,6 @@ __all__ = [
     "convergence_rows",
     "corner_values",
     "energy1",
-    "energy2",
     "energy2_limit",
     "energy_total",
     "energy_via_measure",
@@ -136,7 +129,6 @@ __all__ = [
     "cable_prefactor_limit",
     "cable_segments",
     "compose",
-    "iter_words",
     "kappa",
     "kappa_table",
     "laplacian_samples",

@@ -46,7 +46,7 @@ from . import harmonicity as harm_mod
 from . import kusuoka as kus_mod
 from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
-from .geometry import HARMONIC_RATIO, SIDE_NAMES, _require_depth, prefractal_edges
+from .geometry import HARMONIC_RATIO, SIDE_NAMES, _ranges, _require_depth, prefractal_edges
 from .harmonicity import HARMONIC_GATES
 from .params import SEQ_KEYS, A, ParamSeq, seq_from_mapping
 from .scalarfield import corner_values, parse as parse_poly, sup_bounds, vanishes_at_corners, vanishing_cubic
@@ -120,10 +120,6 @@ def _quadrature(text: str):
     return energy_mod.get_quadrature(int(text))
 
 
-#: Rows per block of a written table: 3^7, the depth-l words below one depth-(l - 7) prefix.
-_BLOCK_ROWS = 3**7
-
-
 @contextlib.contextmanager
 def _output(out_path: str | None):
     """stdout, or ``out_path`` opened for text without newline translation."""
@@ -154,19 +150,13 @@ def _json_text(payload) -> str:
     return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _blocks(n_rows: int):
-    """The row ranges (start, stop) of ``_BLOCK_ROWS`` rows that cover ``n_rows`` rows."""
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        yield start, min(start + _BLOCK_ROWS, n_rows)
-
-
 def _write_csv(out_path: str | None, header: list[str], n_rows: int, block_rows):
-    """CRLF CSV of ``n_rows`` rows, written ``_BLOCK_ROWS`` at a time: ``block_rows(start, stop)``
-    gives rows start..stop-1 as sequences of strings.  No field needs quoting: fields are
-    float reprs, digit words and fixed labels."""
+    """CRLF CSV of ``n_rows`` rows, written a range of ``geometry._ranges`` at a time:
+    ``block_rows(start, stop)`` gives rows start..stop-1 as sequences of strings.  No field
+    needs quoting: fields are float reprs, digit words and fixed labels."""
     with _output(out_path) as fh:
         fh.write(",".join(header) + "\r\n")
-        for start, stop in _blocks(n_rows):
+        for start, stop in _ranges(n_rows):
             fh.write("\r\n".join(map(",".join, block_rows(start, stop))) + "\r\n")
 
 
@@ -203,7 +193,7 @@ def _json_reprs(col: np.ndarray) -> list[str]:
 
 def _write_svg(fh, depth, edges, kappas):
     """SVG of the edge table, over cells shaded by their ``kappas`` unless those are None,
-    a block of ``_BLOCK_ROWS`` cells or edges at a time."""
+    a range of ``geometry._ranges`` of cells or edges at a time."""
     # Hull of the base triangle with a 5% margin; y axis flipped for SVG.
     margin = 0.05
     width = math.sqrt(3.0) / 2.0
@@ -213,7 +203,7 @@ def _write_svg(fh, depth, edges, kappas):
     fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">\n')
     if kappas is not None:
         top = float(np.max(kappas))
-        for a, b in _blocks(len(kappas)):
+        for a, b in _ranges(len(kappas)):
             # Corners A, B, C of each cell: the starts of its sides AB and BC, and the end of BC.
             cells = edges[3 * a : 3 * b].reshape(-1, 3)
             corners = (cells.px[:, 0], cells.py[:, 0], cells.px[:, 1], cells.py[:, 1], cells.qx[:, 1], cells.qy[:, 1])
@@ -227,7 +217,7 @@ def _write_svg(fh, depth, edges, kappas):
         f'stroke="#1a1a1a" stroke-width="{sw:.6f}"',
         f'stroke="#c0392b" stroke-width="{sw:.6f}" stroke-dasharray="{2 * sw:.6f},{2 * sw:.6f}"',
     )
-    for a, b in _blocks(len(edges)):
+    for a, b in _ranges(len(edges)):
         columns = (edges[c][a:b].tolist() for c in ("generation", "px", "py", "qx", "qy"))
         fh.writelines(
             f'<line x1="{px:.6f}" y1="{-py:.6f}" x2="{qx:.6f}" y2="{-qy:.6f}" {styles[cable > 0]}/>\n'
@@ -246,10 +236,10 @@ _EDGE_JSON = (
 
 def _write_edges_json(fh, depth, edges):
     """``{"edges": [...]}`` as ``json.dump(..., indent=2, sort_keys=True)`` writes it, with a
-    trailing newline, a block of ``_BLOCK_ROWS`` edges at a time; a non-finite coordinate is
-    ``null``.  A triangle edge carries its cell word and side, a cable its prefix and slot."""
+    trailing newline, a range of ``geometry._ranges`` of edges at a time; a non-finite
+    coordinate is ``null``.  A triangle edge carries its cell word and side, a cable its prefix and slot."""
     fh.write('{\n  "edges": [')
-    for a, b in _blocks(len(edges)):
+    for a, b in _ranges(len(edges)):
         block = edges[a:b]
         generation = block.generation
         words = _word_strs(block.word, np.where(generation > 0, generation - 1, depth))
@@ -353,7 +343,7 @@ def cmd_kusuoka(seq, *, depth, out, json_out) -> int:
     _write_csv(out, ["word", "kappa", "tau11", "tau12", "tau22"], len(kappas), block)
     min_eig = float(min_eig)
     # The floats of kappas.tolist(), in its order, without a list of 3^l of them.
-    sum_kappa = math.fsum(itertools.chain.from_iterable(kappas[a:b].tolist() for a, b in _blocks(len(kappas))))
+    sum_kappa = math.fsum(itertools.chain.from_iterable(kappas[a:b].tolist() for a, b in _ranges(len(kappas))))
     if json_out is not None:
         top = kappas.max()
         summary = {

@@ -79,7 +79,6 @@ import numpy as np
 from .errors import TermOverflow, WorkingSetTooLarge
 from .geometry import (
     _SIDE_FROM,
-    AffineMap2,
     _cable_stack,
     _quotient,
     _require_depth,
@@ -205,16 +204,17 @@ def _exponents(d: int) -> tuple[np.ndarray, np.ndarray]:
     return m, n
 
 
-def _pullback(maps, d: int, *, to_world: bool = False) -> np.ndarray:
-    """(S, D, D): the pullback matrix of each of S affine maps on the centered basis.
+def _pullback(lin: np.ndarray, off: np.ndarray, d: int, *, to_world: bool = False) -> np.ndarray:
+    """(S, D, D): the pullback matrix of each of S affine maps (lin (S, 2, 2), off (S, 2))
+    on the centered basis.
 
-    P[s] @ coeffs(p) = coeffs(p o maps[s]), with the input on the plain
-    basis instead for ``to_world`` (p is a field in world coordinates);
-    the output is always centered.  One pass over the monomials serves
-    the whole stack.
+    P[s] @ coeffs(p) = coeffs(p o F_s), F_s x = lin[s] @ x + off[s], with
+    the input on the plain basis instead for ``to_world`` (p is a field in
+    world coordinates); the output is always centered.  One pass over the
+    monomials serves the whole stack.
     """
-    linear = np.stack([f.linear for f in maps]).astype(_EXT)
-    offset = linear @ _CENTER + np.stack([f.offset for f in maps]).astype(_EXT)
+    linear = lin.astype(_EXT)
+    offset = linear @ _CENTER + off.astype(_EXT)
     if not to_world:
         offset = offset - _CENTER
     m_idx, n_idx = _exponents(d)
@@ -248,15 +248,15 @@ def _plain_coeffs(p: Poly2, d: int) -> np.ndarray:
     return out
 
 
-def _map_pullback(amap: AffineMap2, d: int, *, to_world: bool = False) -> np.ndarray:
-    """Pullback by one map: ``_pullback`` of a stack of one."""
-    return _pullback((amap,), d, to_world=to_world)[0]
+def _map_pullback(lin: np.ndarray, off: np.ndarray, d: int, *, to_world: bool = False) -> np.ndarray:
+    """Pullback by one map (lin (2, 2), off (2,)): ``_pullback`` of a stack of one."""
+    return _pullback(lin[None], off[None], d, to_world=to_world)[0]
 
 
 @functools.lru_cache(maxsize=16)
 def _centering(d: int) -> np.ndarray:
     """Pullback by the identity from the plain to the centered basis."""
-    out = _map_pullback(AffineMap2.identity(), d, to_world=True)
+    out = _map_pullback(np.eye(2), np.zeros(2), d, to_world=True)
     out.flags.writeable = False
     return out
 
@@ -420,8 +420,8 @@ def _level_tables(seq: ParamSeq, logs: list[float], d: int, quad: QuadratureRule
             gram_groups.setdefault(key, g)
     new = {key: {} for key in [*pull_groups, *gram_groups]}
     if pull_groups:
-        maps = [f for g in pull_groups.values() for f in triple(seq.eps(g))]
-        stack = _pullback(maps, d).reshape(len(pull_groups), 3, _dim(d), _dim(d))
+        lins, offs = zip(*(triple(seq.eps(g)) for g in pull_groups.values()))
+        stack = _pullback(np.concatenate(lins), np.concatenate(offs), d).reshape(len(pull_groups), 3, _dim(d), _dim(d))
         for key, pulls in zip(pull_groups, stack):
             new[key]["pullbacks"] = pulls.copy()
     if gram_groups:
@@ -436,15 +436,16 @@ def _level_tables(seq: ParamSeq, logs: list[float], d: int, quad: QuadratureRule
     return found[keys[0]], [found[key] for key in keys[1:]]
 
 
-def _top_moment(u: Poly2, v: Poly2, d: int, outer: AffineMap2 | None = None, *, symmetric: bool = True) -> np.ndarray:
+def _top_moment(u: Poly2, v: Poly2, d: int, outer: tuple | None = None, *, symmetric: bool = True) -> np.ndarray:
     """M_0 = c_u c_v^T, symmetrized for the energy forms.
 
-    c_u, c_v are the centered-basis coefficients of u o outer and v o outer.
+    c_u, c_v are the centered-basis coefficients of u o outer and v o outer,
+    ``outer`` a map (lin (2, 2), off (2,)) or None for the identity.
     The symmetrized moment has the same bits for (u, v) and (v, u).  The
     degree guard runs here too, as callers build the moment before the pass.
     """
     _require_budget(d, 3)
-    pullback = _centering(d) if outer is None else _map_pullback(outer, d, to_world=True)
+    pullback = _centering(d) if outer is None else _map_pullback(*outer, d, to_world=True)
     top = np.outer(*[pullback @ _plain_coeffs(p, d) for p in (u, v)])
     return 0.5 * (top + top.T) if symmetric else top
 
@@ -595,17 +596,6 @@ def energy1(
     return energy_total(seq, l, u, v, quad).e1
 
 
-def energy2(
-    seq: ParamSeq,
-    l: int,
-    u: Poly2,
-    v: Poly2,
-    quad: QuadratureRule | None = None,
-) -> float:
-    """Cable part of the depth-l form, generations 1..l at finite window weights: ``energy_total(...).e2``."""
-    return energy_total(seq, l, u, v, quad).e2
-
-
 def energy_total(
     seq: ParamSeq,
     l: int,
@@ -654,7 +644,7 @@ def _one_step(seq, l, u, v, quad, *, limit=False) -> tuple[EnergyReport, float, 
     are stacked into one pass on ``seq.shift()``."""
     d = max(u.degree, v.degree, 0)
     ((whole,),) = _contractions(seq, (l + 1,), d, quad, _top_moment(u, v, d)[None], [(None, (1, 1))], limit=limit)
-    tops = np.stack([_top_moment(u, v, d, f) for f in triple(seq.eps(1))])
+    tops = np.stack([_top_moment(u, v, d, f) for f in zip(*triple(seq.eps(1)))])
     (halves,) = _contractions(seq.shift(), (l,), d, quad, tops, [(None, (1, 1))] * 3, limit=limit)
     return _report(l + 1, *_terms(whole)), _fsum(_split(whole[1])), [_report(l, *_terms(half)) for half in halves]
 
@@ -702,8 +692,8 @@ def selfsimilar_residual(
     gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
     lhs, cable1, halves = _one_step(seq, depth - 1, u, v, quad, limit=True)
     tails = [cable_tail_bound(seq, depth, gu, gv)]
-    for f in triple(seq.eps(1)):
-        opn = float(np.linalg.norm(f.linear, 2))
+    for lin in triple(seq.eps(1))[0]:
+        opn = float(np.linalg.norm(lin, 2))
         tails.append(cable_tail_bound(shifted, depth - 1, gu * opn, gv * opn) / seq.lam(1))
     rhs = _fsum([half.e1 + half.e2 for half in halves]) / seq.lam(1) + cable1
     return abs(lhs.e1 + lhs.e2 - rhs), _fsum(tails)

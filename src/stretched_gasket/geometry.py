@@ -14,17 +14,24 @@ the rotations through -2*pi/3 and +2*pi/3 about the barycenter direction.
 Cables of generation s join the images F^s_i of the corner points inside a
 cell of depth s-1 and have length 1 - eps_s.
 
+Every affine map is a (linear, offset) pair of arrays: ``triple`` gives
+a level's three maps as (3, 2, 2) and (3, 2) arrays, and ``_word_levels``
+is the one function that composes them.  It composes the maps of any
+range of words level by level, and only the range's ancestors, with the
+bits of the whole table: ``word_table`` is its last level over the whole
+range, ``_word_rows`` over any range, and ``compose`` over the one row of
+a word of any length.  The paths that walk a depth in 3^7-row ranges
+(``_ranges``, which the CLI's writers share) read their rows from it:
+the vertex stars, the Laplacian samples and the measure energy.  The two
+that enumerate a level, ``word_table`` and ``_word_rows``, stop at the
+depth cap; a one-row read does not.
+
 The depth-l pre-fractal in world coordinates is one set of arrays
 (``_world``): the corners and side velocities of every cell and the
 starts, ends and velocities of every generation's cables, each mapped
 through its word's row of ``word_table``.  The edge table
 (``prefractal_edges``), the SVG/JSON export and the tests' edge tableau
-gather from it.  ``_word_levels`` composes the maps of any range of
-words level by level, and only the range's ancestors, with the bits of
-the whole table: ``word_table`` is its last level over the whole range,
-and ``_word_rows`` over any range.  The paths that walk a depth in
-3^7-row ranges (``_ranges``) read their rows from it: the vertex stars,
-the Laplacian samples and the measure energy.
+gather from it.
 
 The beta/alpha ratio (default 1/3, the harmonic family) is a parameter of
 the map primitives here and of the vertex-residual probes in the
@@ -41,9 +48,7 @@ value a = b = 1/3 (``params.A``), so they take no constant either.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -82,56 +87,6 @@ def barycenter() -> np.ndarray:
     return _BARYCENTER
 
 
-def rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    m = np.array([[c, -s], [s, c]])
-    return m
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMap2:
-    """Affine map x -> linear @ x + offset on the plane."""
-
-    linear: np.ndarray
-    offset: np.ndarray
-
-    def __call__(self, pt: np.ndarray) -> np.ndarray:
-        return self.linear @ pt + self.offset
-
-    def compose(self, inner: "AffineMap2") -> "AffineMap2":
-        """self o inner."""
-        return AffineMap2(self.linear @ inner.linear, self.linear @ inner.offset + self.offset)
-
-    @staticmethod
-    def identity() -> "AffineMap2":
-        return AffineMap2(np.eye(2), np.zeros(2))
-
-
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """Straight segment parametrized affinely over t in [0,1].
-
-    ``vel`` optionally pins the exact tangent; endpoint subtraction loses
-    low bits when the segment is much shorter than its distance from the
-    origin, which matters for near-degenerate cables.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    vel: np.ndarray | None = None
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.vel if self.vel is not None else self.q - self.p
-
-    def point(self, t: float) -> np.ndarray:
-        return self.p + t * (self.q - self.p)
-
-    @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.q - self.p)))
-
-
 def _alpha_beta(eps: float, beta_over_alpha: float) -> tuple[float, float]:
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0,1], got {eps}")
@@ -152,27 +107,20 @@ def _triple_cached(eps: float, beta_over_alpha: float):
     m22 = (3.0 * alpha + beta) / 4.0
     t2 = np.array([[m11, d], [d, m22]])
     t3 = np.array([[m11, -d], [-d, m22]])
-    f1 = AffineMap2(t1, np.zeros(2))
-    f2 = AffineMap2(t2, _B - t2 @ _B)
-    f3 = AffineMap2(t3, _C - t3 @ _C)
-    for f in (f1, f2, f3):
-        f.linear.flags.writeable = False
-        f.offset.flags.writeable = False
-    return f1, f2, f3
+    lin, off = np.array([t1, t2, t3]), np.array([np.zeros(2), _B - t2 @ _B, _C - t3 @ _C])
+    lin.flags.writeable = False
+    off.flags.writeable = False
+    return lin, off
 
 
-def triple(eps: float, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[AffineMap2, AffineMap2, AffineMap2]:
-    """The level maps (F_1, F_2, F_3) for one stretching value.
+def triple(eps: float, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[np.ndarray, np.ndarray]:
+    """The level maps F_1, F_2, F_3 for one stretching value, as read-only arrays.
 
-    eps = 1 is accepted: it gives the harmonic-gasket maps, where cables
-    degenerate to points and neighbouring cells touch.
+    Returns (lin, off) of shapes (3, 2, 2) and (3, 2): F_i x = lin[i - 1] @ x
+    + off[i - 1].  eps = 1 is accepted: it gives the harmonic-gasket maps,
+    where cables degenerate to points and neighbouring cells touch.
     """
     return _triple_cached(float(eps), float(beta_over_alpha))
-
-
-def iter_words(l: int) -> Iterator[tuple[int, ...]]:
-    """All words of length l in lexicographic order."""
-    return itertools.product((1, 2, 3), repeat=l)
 
 
 def _triple_index(value: int, what: str = "word letter") -> int:
@@ -190,25 +138,26 @@ def word_index(word: tuple[int, ...]) -> int:
     return idx
 
 
-def compose(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMONIC_RATIO) -> AffineMap2:
-    """F_w for a word w, position k using the level-k triple."""
-    out = AffineMap2.identity()
-    for k, letter in enumerate(word, start=1):
-        out = out.compose(triple(seq.eps(k), beta_over_alpha)[_triple_index(letter)])
-    return out
+def compose(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMONIC_RATIO) -> tuple[np.ndarray, np.ndarray]:
+    """F_w for a word w of any length, position k using the level-k triple.
+
+    Returns (lin, off) of shapes (2, 2) and (2,): the one row of
+    ``_word_levels`` over the word, so it has the bits of its ``word_table``
+    row.  It enumerates nothing, so no depth cap applies.
+    """
+    i = word_index(word)
+    *_, (_, lin, off) = _word_levels(seq, len(word), i, i + 1, beta_over_alpha)
+    return lin[0], off[0]
 
 
 def word_point(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMONIC_RATIO) -> np.ndarray:
     """Representative point of a cylinder cell: image of the barycenter."""
-    return compose(seq, word, beta_over_alpha)(_BARYCENTER)
+    lin, off = compose(seq, word, beta_over_alpha)
+    return lin @ _BARYCENTER + off
 
 
 def _images(lin: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """lin[n] @ vecs[k] for every n, k: (N, K, 2).
-
-    One stacked matvec each, which rounds as ``AffineMap2`` does: rows of
-    ``word_table`` map points and tangents exactly as ``compose`` maps do.
-    """
+    """lin[n] @ vecs[k] for every n, k: (N, K, 2), one stacked matvec each."""
     return (lin[:, None] @ vecs[..., None])[..., 0]
 
 
@@ -233,9 +182,7 @@ def _ranges(n_rows: int) -> Iterator[tuple[int, int]]:
 def _level_maps(seq: ParamSeq, l: int, beta_over_alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Linear parts (l, 3, 2, 2) and offsets (l, 3, 2) of the maps F_1, F_2, F_3 of levels 1..l."""
     maps = [triple(seq.eps(k), beta_over_alpha) for k in range(1, l + 1)]
-    return np.array([[m.linear for m in level] for level in maps]).reshape(l, 3, 2, 2), np.array(
-        [[m.offset for m in level] for level in maps]
-    ).reshape(l, 3, 2)
+    return np.array([lin for lin, _ in maps]).reshape(l, 3, 2, 2), np.array([off for _, off in maps]).reshape(l, 3, 2)
 
 
 def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: float = HARMONIC_RATIO):
@@ -245,9 +192,12 @@ def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: 
     Only these are composed, level by level, with the arithmetic of the
     whole table, so every row has the bits of its ``word_table`` row and
     the transient memory is set by the range.  At level l they are the
-    range itself.  A range outside [0, 3^l) raises ValueError.
+    range itself.  This is the one place where maps are composed.  A
+    negative depth or a range outside [0, 3^l) raises ValueError; the depth
+    cap is left to the callers that enumerate a level.
     """
-    _require_depth(l)
+    if l < 0:
+        raise ValueError(f"depth must be >= 0, got {l}")
     n = 3**l
     if not 0 <= start <= stop <= n:
         raise ValueError(f"row range [{start}, {stop}) is not within the {n} depth-{l} words")
@@ -260,8 +210,7 @@ def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: 
         # The level-k ancestors of the range, [lo, hi); their parents are the rows of lin.
         lo, hi = start // 3 ** (l - k), -(-stop // 3 ** (l - k))
         rows = slice(lo - 3 * first, hi - 3 * first)
-        # Stacked matmuls round as AffineMap2.compose does, so every row
-        # is bit-identical to compose(seq, w).
+        # lin @ T and lin @ o + off for each row and each of the level's three maps.
         lin, off = (
             (lin @ wide[k - 1]).reshape(-1, 2, 3, 2).swapaxes(1, 2).reshape(-1, 2, 2)[rows],
             (_images(lin, oks[k - 1]) + off[:, None, :]).reshape(-1, 2)[rows],
@@ -273,7 +222,8 @@ def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: 
 def _word_rows(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: float = HARMONIC_RATIO):
     """Affine parts (lin, off) of the depth-l words start..stop-1 in word order, each row with
     the bits of its ``word_table`` row: the last level of ``_word_levels``, the whole level
-    from the cached ``word_table``."""
+    from the cached ``word_table``.  A depth past the cap raises DepthCapExceeded."""
+    _require_depth(l)
     if (start, stop) == (0, 3**l):
         return word_table(seq, l, beta_over_alpha)
     *_, (first, lin, off) = _word_levels(seq, l, start, stop, beta_over_alpha)
@@ -287,8 +237,10 @@ def word_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
     Returns (lin, off): arrays of shape (3^l, 2, 2) and (3^l, 2) such that
     row word_index(w) holds the linear part and offset of F_w, the last
     level of ``_word_levels`` over the whole range.  Arrays are read-only;
-    callers must copy before mutating.
+    callers must copy before mutating.  A depth past the cap raises
+    DepthCapExceeded.
     """
+    _require_depth(l)
     *_, (_, lin, off) = _word_levels(seq, l, 0, 3**l, beta_over_alpha)
     lin.flags.writeable = False
     off.flags.writeable = False
@@ -339,16 +291,19 @@ def _cable_ends(seq: ParamSeq, generations, beta_over_alpha: float = HARMONIC_RA
     return np.stack([starts, starts + vels], axis=2).reshape(-1, 6, 2), np.repeat(vels, 2, axis=1)
 
 
-def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[Segment, Segment, Segment]:
-    """The three generation-s cables in local cell coordinates.
+def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[np.ndarray, np.ndarray]:
+    """The three generation-s cables in local cell coordinates: one generation of ``_cable_stack``.
 
-    Slot 1 runs from F^s_1(B) to F^s_2(A), slot 2 from F^s_1(C) to
-    F^s_3(A), slot 3 from F^s_2(C) to F^s_3(B); each has length
-    1 - eps_s for the harmonic family.  A depth-(s-1) prefix map carries
-    them into the pre-fractal.
+    Returns (starts, vels), each (3, 2) in slot order; the cable of slot
+    k runs over starts[k - 1] + t vels[k - 1], t in [0, 1].  Slot 1 runs
+    from F^s_1(B) to F^s_2(A), slot 2 from F^s_1(C) to F^s_3(A), slot 3
+    from F^s_2(C) to F^s_3(B); each has length 1 - eps_s for the harmonic
+    family.  The velocity is exact rather than an endpoint difference, which
+    would lose low bits on short cables far from the origin.  A
+    depth-(s-1) prefix map carries them into the pre-fractal.
     """
     (starts,), (vels,) = _cable_stack(seq, (s,), beta_over_alpha)
-    return tuple(Segment(p, p + v, vel=v) for p, v in zip(starts, vels))
+    return starts, vels
 
 
 def triangle_edge_prefactor(seq: ParamSeq, l: int) -> float:
@@ -393,8 +348,8 @@ def _world(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
     ``sides`` (3^l, 3, 2) the world velocities of the sides in SIDE_NAMES
     order, and ``cables`` for each generation s = 1..l the (starts, ends,
     velocities) of its cables, each (3^(s-1), 3, 2) in (prefix, slot)
-    order.  Every point and tangent is one ``_images`` matvec, so it rounds
-    as the ``AffineMap2`` of its word maps it.
+    order.  Every point and tangent is one ``_images`` matvec of its
+    word's ``word_table`` row.
     """
     lin, off = word_table(seq, l, beta_over_alpha)
     corners = _images(lin, np.stack(base_vertices())) + off[:, None]

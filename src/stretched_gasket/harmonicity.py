@@ -61,6 +61,7 @@ from .geometry import (
     _word_levels,
     base_vertices,
     cable_prefactor,
+    compose,
     prefractal_edges,
     triangle_edge_prefactor,
     triple,
@@ -185,11 +186,9 @@ def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
             gaps[at] = np.maximum(gap[:, 0], gap[:, 1])
         return keys, weights, tangents, points, gaps
 
-    # The base corner c is corner c of the cell (c+1)^l: compose the three words' maps side by side,
-    # each row with word_table's arithmetic.
-    base, lin, off = np.arange(3), np.eye(2)[None].repeat(3, axis=0), np.zeros((3, 2))
-    for tk, ok in zip(*_level_maps(seq, l, beta_over_alpha)):
-        lin, off = lin @ tk, (lin @ ok[..., None])[..., 0] + off
+    # The base corner c is corner c of the cell (c+1)^l.
+    base = np.arange(3)
+    lin, off = (np.stack(a) for a in zip(*(compose(seq, (c + 1,) * l, beta_over_alpha) for c in base.tolist())))
     points, sides = _corner_geometry(lin, off, base, base)
     tangents = np.concatenate([sides, np.zeros((3, 1, 2))], axis=1)
     yield base, np.column_stack([side_w, np.zeros(3)]), tangents, points, np.zeros(3)
@@ -327,9 +326,7 @@ def _local_defects(
     """
     if l == 0:
         return np.zeros((0, 6, 2)), np.zeros((0, 6)), np.zeros((0, 6))
-    maps = [triple(seq.eps(k), beta_over_alpha) for k in range(1, l + 1)]
-    lin = np.array([[f.linear for f in level] for level in maps])
-    off = np.array([[f.offset for f in level] for level in maps])
+    lin, off = _level_maps(seq, l, beta_over_alpha)
     # suffix[0, s - 1] = S(s) for the three corners, suffix[1] its |DF| product.
     suffix = np.empty((2, l, 3, 2, 2))
     suffix[:, -1] = np.eye(2)
@@ -494,4 +491,4 @@ def nd_gamma(eps_i: float, beta_over_alpha: float = HARMONIC_RATIO) -> float:
     orthogonal to a common direction; scales linearly in eps_i because
     every DF_i does.
     """
-    return nd_gamma_of([f.linear for f in triple(eps_i, beta_over_alpha)])
+    return nd_gamma_of(triple(eps_i, beta_over_alpha)[0])

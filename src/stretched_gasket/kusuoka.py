@@ -75,8 +75,7 @@ def ruelle_apply(eps: float, mat: np.ndarray) -> np.ndarray:
     """One application of the level operator: sum of T_i^t mat T_i."""
     _require_symmetric(mat)
     out = np.zeros((2, 2))
-    for f in triple(eps):
-        t = f.linear
+    for t in triple(eps)[0]:
         out += t.T @ mat @ t
     return 0.5 * (out + out.T)
 
@@ -251,8 +250,10 @@ def cable_mass(
         raise ValueError(f"prefix length {len(prefix)} does not match generation {s}")
     if seq.one_minus_eps(s) == 0.0:
         raise DegenerateCable(f"eps_{s} = 1: cable has zero length")
-    seg = cable_segments(seq, s)[_triple_index(slot, "cable slot")]
-    vel = compose(seq, prefix).linear @ seg.velocity
+    _, vels = cable_segments(seq, s)
+    local = vels[_triple_index(slot, "cable slot")]
+    lin, _ = compose(seq, prefix)
+    vel = lin @ local
     nrm2 = float(vel @ vel)
     mass = cable_prefactor_limit(seq, s) * nrm2
     direction = vel / math.sqrt(nrm2)

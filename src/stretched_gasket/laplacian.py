@@ -98,8 +98,12 @@ def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
         if not isinstance(carrier, CableMass):
             raise TypeError(f"carrier must be a word tuple or CableMass, got {carrier!r}")
         t_tilde = carrier.projection
-        seg = cable_segments(seq, carrier.generation)[_triple_index(carrier.slot, "cable slot")]
-        location = compose(seq, carrier.prefix)(seg.point(0.5))
+        starts, vels = cable_segments(seq, carrier.generation)
+        k = _triple_index(carrier.slot, "cable slot")
+        p, v = starts[k], vels[k]
+        lin, off = compose(seq, carrier.prefix)
+        # The midpoint p + 0.5 ((p + v) - p) of the cable's ends, as _sample_rows forms it.
+        location = lin @ (p + 0.5 * ((p + v) - p)) + off
     value = _laplacian_values(phi, t_tilde[None], location[None])[0]
     return LaplacianSample(location, carrier, t_tilde, float(value))
 
@@ -175,7 +179,7 @@ def _sample_rows(seq: ParamSeq, phi: Poly2, depth: int, start: int, stop: int) -
         plin, poff = _word_rows(seq, s - 1, a // 3, -(-b // 3))
         rows, cables = slice(a % 3, a % 3 + b - a), np.arange(a, b)
         _, dirs = _cable_directions(plin, v)
-        # Midpoints with the arithmetic of Segment.point(0.5) on cable_segments.
+        # Midpoints of the cables' ends p and p + v.
         mids = p + 0.5 * ((p + v) - p)
         ids.append(np.column_stack([np.full(b - a, s), cables // 3, cables % 3 + 1]))
         t_tilde.append((dirs[:, :, None] * dirs[:, None, :])[rows])

@@ -209,10 +209,11 @@ def _compose_line(p: Poly2, x0, y0, dx, dy) -> list:
     return acc
 
 
-def compose_with_segment(p: Poly2, amap, seg) -> np.ndarray:
-    """Coefficients (ascending in t) of p(amap(seg(t))) for t in [0,1]: ``_compose_line`` of one edge."""
-    p0 = amap(seg.p)
-    d = amap.linear @ seg.velocity
+def compose_with_segment(p: Poly2, lin: np.ndarray, off: np.ndarray, start: np.ndarray, vel: np.ndarray) -> np.ndarray:
+    """Coefficients (ascending in t) of p(F(start + t vel)) for t in [0,1], F x = lin @ x + off:
+    ``_compose_line`` of one mapped segment."""
+    p0 = lin @ start + off
+    d = lin @ vel
     return np.array(_compose_line(p, float(p0[0]), float(p0[1]), float(d[0]), float(d[1])))
 
 
@@ -221,13 +222,6 @@ def poly1_derivative(coeffs: np.ndarray) -> np.ndarray:
     if coeffs.shape[-1] <= 1:
         return np.zeros(coeffs.shape[:-1] + (1,))
     return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
-
-
-def poly1_eval(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(ts)
-    for c in coeffs[::-1]:
-        out = out * ts + c
-    return out
 
 
 # -- named constructions ---------------------------------------------------

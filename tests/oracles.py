@@ -7,9 +7,15 @@ The routes here enumerate the 3^l cells and their edges instead: the
 batched edge tableau (a view of the world arrays, used only against the
 moment pass), an edge walk that composes each word's map on its own and
 carries each edge's ``EdgeId``, one segment's composed polynomial, or word
-tables plus cylinder matrices.  They share no code with the moment pass or
-the gathers beyond the map triples, the cable segments and the quadrature
-rule, so agreement is a real cross-check.  ``fold_backward`` is the moment
+tables plus cylinder matrices.  The package holds every map as a
+(linear, offset) pair of arrays and composes maps in one place
+(``geometry._word_levels``); the object oracle here (``AffineMap2``,
+``Segment`` and ``compose_objects``, one ``AffineMap2.compose`` per
+letter) composes them on its own, and the edge walk, the per-edge
+energies and the per-word routes' references are built on it.  They
+share no code with the moment pass or the gathers beyond the map
+triples, the cable segments and the quadrature rule, so agreement is a
+real cross-check.  ``fold_backward`` is the moment
 pass's adjoint: the same level pullbacks and Grams, aggregated from the
 bottom cell up.  The ``*_by_passes`` residuals run one moment pass per
 pulled-back field pair, where the package stacks the three into one.
@@ -26,15 +32,18 @@ their whole-table forms here, which the blocks must reproduce bit for bit:
 the measure energy's gasket sum over the whole word and cylinder tables,
 and the vertex stars gathered from the whole world arrays, sorted once,
 with the harmonicity report reduced from them.
-Four derived quantities that only the tests read live here too: the edge
-counts, one IBP row, the level operator's 3x3 matrix in a symmetric basis
-and the total cable mass.
+The quantities and helpers that only the tests read live here too: the
+word enumeration, the cable part of a form, Horner evaluation of a
+univariate polynomial, the plane rotation, the edge counts, one IBP row,
+the level operator's 3x3 matrix in a symmetric basis and the total cable
+mass.
 """
 
 import csv
 import decimal
 import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -56,23 +65,21 @@ from stretched_gasket.energy import (
     _terms,
     _top_moment,
     cable_tail_bound,
+    energy_total,
     resolve_quadrature,
 )
 from stretched_gasket.errors import DegenerateCable
 from stretched_gasket.geometry import (
     HARMONIC_RATIO,
     SIDE_NAMES,
-    AffineMap2,
-    Segment,
     _side_arrays,
+    _triple_index,
     _world,
     barycenter,
     base_vertices,
     cable_prefactor,
     cable_prefactor_limit,
     cable_segments,
-    compose,
-    iter_words,
     triangle_edge_prefactor,
     triple,
     word_table,
@@ -92,18 +99,137 @@ from stretched_gasket.harmonicity import (
 )
 from stretched_gasket.kusuoka import (
     _LEVEL_FACTORS,
+    _cable_weight,
     _level_scale,
     cable_mass,
     cable_masses,
+    gibbs_tau,
     kappa_table,
     ruelle_apply,
     tau_table,
 )
-from stretched_gasket.laplacian import ibp_table, laplacian_samples, teplyaev
-from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, poly1_eval, sup_bounds
+from stretched_gasket.laplacian import KAPPA_FLOOR, _laplacian_values, ibp_table, laplacian_samples, teplyaev
+from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, sup_bounds
 
 #: The form constant a = b of the triangle edges and the cables, 1/3 as in the package.
 _A = 1.0 / 3.0
+
+
+def iter_words(l: int):
+    """All words of length l in lexicographic order."""
+    return itertools.product((1, 2, 3), repeat=l)
+
+
+def energy2(seq, l, u, v, quad=None) -> float:
+    """Cable part of the depth-l form: ``energy_total(...).e2``."""
+    return energy_total(seq, l, u, v, quad).e2
+
+
+def poly1_eval(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Ascending univariate coefficients evaluated at ``ts`` by Horner's rule."""
+    out = np.zeros_like(ts)
+    for c in coeffs[::-1]:
+        out = out * ts + c
+    return out
+
+
+def rotation(theta: float) -> np.ndarray:
+    """The plane rotation through ``theta``."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+# -- the object oracle of the map arrays ------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class AffineMap2:
+    """Affine map x -> linear @ x + offset on the plane."""
+
+    linear: np.ndarray
+    offset: np.ndarray
+
+    def __call__(self, pt: np.ndarray) -> np.ndarray:
+        return self.linear @ pt + self.offset
+
+    def compose(self, inner: "AffineMap2") -> "AffineMap2":
+        """self o inner."""
+        return AffineMap2(self.linear @ inner.linear, self.linear @ inner.offset + self.offset)
+
+    @staticmethod
+    def identity() -> "AffineMap2":
+        return AffineMap2(np.eye(2), np.zeros(2))
+
+
+@dataclass(frozen=True, eq=False)
+class Segment:
+    """Straight segment parametrized affinely over t in [0,1], with its exact velocity ``vel``."""
+
+    p: np.ndarray
+    q: np.ndarray
+    vel: np.ndarray
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return self.vel
+
+    def point(self, t: float) -> np.ndarray:
+        return self.p + t * (self.q - self.p)
+
+    @property
+    def length(self) -> float:
+        return float(np.hypot(*(self.q - self.p)))
+
+
+def object_triple(eps, beta_over_alpha=HARMONIC_RATIO) -> tuple[AffineMap2, AffineMap2, AffineMap2]:
+    """The level maps F_1, F_2, F_3 as objects, from the rows of ``triple``."""
+    return tuple(AffineMap2(lin, off) for lin, off in zip(*triple(eps, beta_over_alpha)))
+
+
+def compose_objects(seq, word, beta_over_alpha=HARMONIC_RATIO) -> AffineMap2:
+    """F_w by the per-letter object fold: one ``AffineMap2.compose`` per letter, level 1 outermost."""
+    out = AffineMap2.identity()
+    for k, letter in enumerate(word, start=1):
+        out = out.compose(object_triple(seq.eps(k), beta_over_alpha)[_triple_index(letter)])
+    return out
+
+
+def cable_objects(seq, s, beta_over_alpha=HARMONIC_RATIO) -> tuple[Segment, Segment, Segment]:
+    """The three generation-s cables as ``Segment`` objects, from ``cable_segments``."""
+    starts, vels = cable_segments(seq, s, beta_over_alpha)
+    return tuple(Segment(p, p + v, v) for p, v in zip(starts, vels))
+
+
+def restrict(p, amap: AffineMap2, seg: Segment) -> np.ndarray:
+    """Coefficients (ascending in t) of p(amap(seg(t))): ``compose_with_segment`` on the objects' arrays."""
+    return compose_with_segment(p, amap.linear, amap.offset, seg.p, seg.velocity)
+
+
+def cable_mass_by_objects(seq, prefix, s, slot) -> tuple[float, np.ndarray]:
+    """(mass, direction) of ``cable_mass`` from the object fold: the prefix map's linear part
+    times the cable's velocity, under the cable weight, which raises what ``cable_mass`` raises."""
+    weight = _cable_weight(seq, s)
+    vel = compose_objects(seq, prefix).linear @ cable_objects(seq, s)[slot - 1].velocity
+    nrm2 = float(vel @ vel)
+    return weight * nrm2, vel / math.sqrt(nrm2)
+
+
+def teplyaev_by_objects(phi, carrier, seq) -> tuple[np.ndarray, float]:
+    """(location, value) of ``teplyaev`` with the location from the object fold: the
+    barycenter's image for a word, the image of its cable's ``Segment.point(0.5)`` for a
+    ``CableMass``.  The density and the Hessian kernel are the package's."""
+    if isinstance(carrier, tuple):
+        cm = gibbs_tau(carrier)
+        if cm.kappa < KAPPA_FLOOR:
+            raise ArithmeticError(f"cylinder mass underflow at word {carrier}")
+        t_tilde, location = cm.tau / cm.kappa, compose_objects(seq, carrier)(barycenter())
+    else:
+        seg = cable_objects(seq, carrier.generation)[carrier.slot - 1]
+        t_tilde, location = carrier.projection, compose_objects(seq, carrier.prefix)(seg.point(0.5))
+    return location, float(_laplacian_values(phi, t_tilde[None], location[None])[0])
+
+
+# -- edge-by-edge routes ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -131,8 +257,8 @@ def segment_pairing(u, v, amap, seg, quad=None) -> float:
     polynomials.
     """
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    du = poly1_derivative(compose_with_segment(u, amap, seg))
-    dv = poly1_derivative(compose_with_segment(v, amap, seg))
+    du = poly1_derivative(restrict(u, amap, seg))
+    dv = poly1_derivative(restrict(v, amap, seg))
     return float((poly1_eval(du, quad.nodes) * poly1_eval(dv, quad.nodes)) @ quad.weights)
 
 
@@ -145,15 +271,15 @@ def cable_energy(seq, s, u, v, quad=None, prefix_map=None) -> float:
     if seq.one_minus_eps(s) == 0.0:
         raise DegenerateCable(f"eps_{s} = 1: cables have length zero")
     amap = prefix_map or AffineMap2.identity()
-    vals = [segment_pairing(u, v, amap, sg, quad) for sg in cable_segments(seq, s)]
+    vals = [segment_pairing(u, v, amap, sg, quad) for sg in cable_objects(seq, s)]
     return _A / seq.one_minus_eps(s) * math.fsum(vals)
 
 
 def _transform(p0, dv, outer):
     if outer is None:
         return p0, dv
-    lt = outer.linear.T
-    return p0 @ lt + outer.offset, dv @ lt
+    lin, off = outer
+    return p0 @ lin.T + off, dv @ lin.T
 
 
 def _pairings(u, v, p0, dv, quad) -> np.ndarray:
@@ -207,12 +333,6 @@ def segment_form(p0, dv, d, quad, left: int, right: int) -> np.ndarray:
     return (_segment_jets(p0, dv, d, quad, left) * w) @ _segment_jets(p0, dv, d, quad, right).T
 
 
-def cable_arrays(seq, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and velocities (3, 2) of the generation-s cables, from their ``Segment`` objects."""
-    segs = cable_segments(seq, s)
-    return np.stack([sg.p for sg in segs]), np.stack([sg.velocity for sg in segs])
-
-
 def fold_backward(seq, l, u, v, quad) -> EnergyReport:
     """The depth-l form by folding cell forms from depth l up to the top cell.
 
@@ -226,11 +346,11 @@ def fold_backward(seq, l, u, v, quad) -> EnergyReport:
     sides = _A * segment_form(*_side_arrays(), d, quad, 1, 1)
     forms = np.stack([sides, np.zeros_like(sides)])
     for k in range(l, 0, -1):
-        pulls = [_map_pullback(f, d) for f in triple(seq.eps(k))]
+        pulls = [_map_pullback(lin, off, d) for lin, off in zip(*triple(seq.eps(k)))]
         forms = np.stack([sum(np.dot(p.T, np.dot(h, p)) for p in pulls) for h in forms]) / _EXT(seq.lam(k))
         weight = _A / (seq.eps_tilde(k, l) * seq.one_minus_eps(k))
-        forms[1] += weight * segment_form(*cable_arrays(seq, k), d, quad, 1, 1)
-    pullback = _map_pullback(AffineMap2.identity(), d, to_world=True)
+        forms[1] += weight * segment_form(*cable_segments(seq, k), d, quad, 1, 1)
+    pullback = _map_pullback(np.eye(2), np.zeros(2), d, to_world=True)
     cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
     tri, cab = [_split(0.5 * (h + h.T) * np.outer(cu, cv)) for h in forms]
     return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
@@ -257,7 +377,7 @@ def recurrence_residual_by_passes(seq, l, u, v, quad=None) -> float:
     (whole,) = _energy_rows(seq, (l + 1,), u, v, quad)
     parts = [
         _report(l, *_terms(half)).total
-        for f in triple(seq.eps(1))
+        for f in zip(*triple(seq.eps(1)))
         for half in _energy_rows(seq.shift(), (l,), u, v, quad, f)
     ]
     rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
@@ -271,8 +391,8 @@ def selfsimilar_residual_by_passes(seq, u, v, depth, quad=None) -> tuple[float, 
     (whole,) = _energy_rows(seq, (depth,), u, v, quad, limit=True)
     lhs = _report(depth, *_terms(whole))
     parts, tails = [], [cable_tail_bound(seq, depth, gu, gv)]
-    for f in triple(seq.eps(1)):
-        opn = float(np.linalg.norm(f.linear, 2))
+    for f in zip(*triple(seq.eps(1))):
+        opn = float(np.linalg.norm(f[0], 2))
         (half,) = _energy_rows(seq.shift(), (depth - 1,), u, v, quad, f, limit=True)
         rep = _report(depth - 1, *_terms(half))
         parts.append(rep.e1 + rep.e2)
@@ -339,14 +459,14 @@ def edge_ids(seq, l):
 def edge_walk(seq, l, beta_over_alpha=HARMONIC_RATIO):
     """(edge id, local segment, map) of every depth-l edge, in the canonical edge order.
 
-    Each word's map comes from ``compose``, one level at a time, not from
-    the word table.
+    Each word's map comes from the object fold ``compose_objects``, one
+    letter at a time, not from the package's ``_word_levels``.
     """
     corner = dict(zip("ABC", base_vertices()))
-    sides = [Segment(corner[name[0]], corner[name[1]]) for name in SIDE_NAMES]
-    cells = [(sides, compose(seq, word, beta_over_alpha)) for word in iter_words(l)]
+    sides = [Segment(corner[name[0]], corner[name[1]], corner[name[1]] - corner[name[0]]) for name in SIDE_NAMES]
+    cells = [(sides, compose_objects(seq, word, beta_over_alpha)) for word in iter_words(l)]
     cells += [
-        (cable_segments(seq, s, beta_over_alpha), compose(seq, prefix, beta_over_alpha))
+        (cable_objects(seq, s, beta_over_alpha), compose_objects(seq, prefix, beta_over_alpha))
         for s in range(1, l + 1)
         for prefix in iter_words(s - 1)
     ]
@@ -408,8 +528,8 @@ def weak_pairing_by_edges(seq, l, u, v, quad) -> list[float]:
     """Per-edge terms w_e * integral (u o z)'' (v o z) dt of the weak pairing, in edge order."""
     parts = []
     for eid, seg, amap in edge_walk(seq, l):
-        cu = poly1_derivative(poly1_derivative(compose_with_segment(u, amap, seg)))
-        cv = compose_with_segment(v, amap, seg)
+        cu = poly1_derivative(poly1_derivative(restrict(u, amap, seg)))
+        cv = restrict(v, amap, seg)
         parts.append(
             eid.prefactor * float((poly1_eval(cu, quad.nodes) * poly1_eval(cv, quad.nodes)) @ quad.weights)
         )
@@ -491,7 +611,7 @@ def geometry_text_by_rows(seq, depth):
     """The ``geometry --shade`` SVG and its --json edge list, rendered edge by edge.
 
     Every shading polygon maps the base corners through its word's
-    ``compose`` map, every edge maps its endpoints through the ``edge_walk``
+    ``compose_objects`` map, every edge maps its endpoints through the ``edge_walk``
     map, and each is formatted as its own line.  Returns (svg text, json text).
     """
     margin = 0.05
@@ -505,7 +625,7 @@ def geometry_text_by_rows(seq, depth):
     table = kappa_table(depth)
     top = float(np.max(table))
     for i, word in enumerate(iter_words(depth)):
-        amap = compose(seq, word)
+        amap = compose_objects(seq, word)
         pts = " ".join(f"{p[0]:.6f},{-p[1]:.6f}" for p in map(amap, base_vertices()))
         op = 0.75 * float(table[i]) / top
         lines.append(f'<polygon points="{pts}" fill="#3a7bd5" fill-opacity="{op:.4f}"/>')
@@ -579,7 +699,7 @@ def scaled_level(seq, k) -> np.ndarray:
     give those tables bit for bit.
     """
     scale = 1.0 / math.sqrt(seq.lam(k))
-    return np.stack([f.linear * scale for f in triple(seq.eps(k))])
+    return triple(seq.eps(k))[0] * scale
 
 
 def per_sequence_scaled_linears(seq, l) -> np.ndarray:
@@ -687,7 +807,7 @@ def adjoint_aggregate(seq, l) -> dict[tuple[int, ...], np.ndarray]:
     seed = _A * _side_projection_sum()
     arr = seed[None, :, :]
     for s in range(l, 0, -1):
-        mats = np.stack([f.linear for f in triple(seq.eps(s))])
+        mats = triple(seq.eps(s))[0]
         arr = np.einsum("jab,wbc,jdc->jwad", mats, arr, mats).reshape(-1, 2, 2)
     arr = arr / seq.lam_tilde(l)
     return {w: arr[i] for i, w in enumerate(iter_words(l))}

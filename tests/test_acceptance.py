@@ -23,7 +23,6 @@ from stretched_gasket import (
     get_quadrature,
     gibbs_tau,
     harmonic_residual,
-    iter_words,
     kappa,
     kappa_table,
     nd_gamma,
@@ -38,7 +37,7 @@ from stretched_gasket import (
 from stretched_gasket.scalarfield import grad_batch, hess_batch, parse
 
 from conftest import ALL_REGIMES, CONSTANT_HALF, TAIL_ONLY, random_poly
-from oracles import adjoint_aggregate, count_edges, ibp_residual, perron_iteration
+from oracles import adjoint_aggregate, count_edges, ibp_residual, iter_words, perron_iteration
 
 A_CONST = 1.0 / 3.0
 
@@ -121,7 +120,7 @@ def _brute_force_kappa(seq, word):
     m = np.eye(2)
     lam = 1.0
     for pos, letter in enumerate(word, start=1):
-        m = m @ triple(seq.eps(pos))[letter - 1].linear
+        m = m @ triple(seq.eps(pos))[0][letter - 1]
         lam *= 0.6 * seq.eps(pos) ** 2
     return float(np.trace(m @ (0.5 * np.eye(2)) @ m.T)) / lam
 
@@ -169,14 +168,15 @@ def test_criterion_07_geometry_exactness():
     worst_len = 0.0
     for seq in ALL_REGIMES:
         for s in (1, 2, 3, 6):
-            for seg in cable_segments(seq, s):
-                worst_len = max(worst_len, abs(seg.length - seq.one_minus_eps(s)))
-    f1, f2, _ = triple(1.0)
+            starts, vels = cable_segments(seq, s)
+            lengths = np.hypot(*((starts + vels) - starts).T)
+            worst_len = max(worst_len, float(np.max(np.abs(lengths - seq.one_minus_eps(s)))))
+    lin, off = triple(1.0)
     meet = np.array([3.0 * math.sqrt(3.0) / 10.0, 0.1])
     b = base_vertices()[1]
     a = base_vertices()[0]
     worst_meet = max(
-        float(np.max(np.abs(f1(b) - meet))), float(np.max(np.abs(f2(a) - meet)))
+        float(np.max(np.abs(lin[0] @ b + off[0] - meet))), float(np.max(np.abs(lin[1] @ a + off[1] - meet)))
     )
     counts_ok = True
     for l in range(0, 7):
@@ -189,8 +189,8 @@ def test_criterion_07_geometry_exactness():
     for seq in ALL_REGIMES:
         for i in (1, 2, 3, 5):
             eps = seq.eps(i)
-            lin = triple(eps)[1].linear
-            worst_eig = max(worst_eig, float(np.max(np.abs(lin @ w - 0.6 * eps * w))))
+            t2 = triple(eps)[0][1]
+            worst_eig = max(worst_eig, float(np.max(np.abs(t2 @ w - 0.6 * eps * w))))
     check(
         7,
         "geometry exactness",

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from stretched_gasket import ExpTail, ParamSeq, cli, harmonicity, parse
+from stretched_gasket import ExpTail, ParamSeq, cli, geometry, harmonicity, parse
 
 from conftest import cold_peak
 from oracles import geometry_text_by_rows, kusuoka_text_by_rows, laplacian_text_by_rows
@@ -345,7 +345,9 @@ def test_kusuoka_rows_carry_the_trace_and_the_exact_small_eigenvalue(tmp_path):
 def test_kusuoka_builds_its_tau_table_once(monkeypatch, capsys):
     # kappa is read off the rows kusuoka prints, not off a second table: the
     # rows are asked for one writer block at a time, and the ranges cover the
-    # 3^l words exactly once, whether or not the blocks align with 3^7.
+    # 3^l words exactly once, whether or not the blocks align with 3^7.  The
+    # writer blocks are the library's ranges, so the products walk 5-row
+    # ranges too.
     tau_table = cli.kus_mod.tau_table
     for depth, block_rows in ((3, 5), (8, 3**7)):
         ranges = []
@@ -355,7 +357,7 @@ def test_kusuoka_builds_its_tau_table_once(monkeypatch, capsys):
             return tau_table(l, start, stop)
 
         monkeypatch.setattr(cli.kus_mod, "tau_table", recorded)
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(geometry, "_RANGE_ROWS", block_rows)
         cli.kus_mod.kappa_table.cache_clear()
         assert cli.main(["kusuoka", "--depth", str(depth)]) == 0
         rows = [i for l, start, stop in ranges for i in range(start, 3**l if stop is None else stop)]
@@ -456,8 +458,10 @@ def test_tables_match_the_row_by_row_rendering(depth, tmp_path):
 @pytest.mark.parametrize("depth", [3, 4])
 def test_tables_match_the_row_by_row_rendering_over_many_blocks(depth, tmp_path, monkeypatch, capsys):
     # Five-row blocks: the tables span up to 41 blocks, a partial one last,
-    # and the laplacian blocks straddle the cell and cable sections.
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+    # and the laplacian blocks straddle the cell and cable sections.  The
+    # library's ranges are the same constant, so the tables' own rows are
+    # built in 5-row ranges too.
+    monkeypatch.setattr(geometry, "_RANGE_ROWS", 5)
     seq = ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5))  # EXP_FLAGS
     phi = "x^3 - 0.7*x*y + y^4"
     text, summary = kusuoka_text_by_rows(depth)

@@ -16,7 +16,6 @@ from stretched_gasket import (
     cable_tail_bound,
     convergence_rows,
     energy1,
-    energy2,
     energy2_limit,
     energy_total,
     energy_via_measure,
@@ -31,7 +30,7 @@ from stretched_gasket import (
 )
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import cable_energy, energy_by_edges
+from oracles import cable_energy, compose_objects, energy2, energy_by_edges, iter_words
 
 X = parse("x")
 Y = parse("y")
@@ -170,8 +169,6 @@ def test_other_modules_reach_the_moment_pass_through_its_entry():
 
 
 def test_cable_energy_generations_sum_to_energy2(rng):
-    from stretched_gasket import compose, iter_words
-
     u = random_poly(rng, 2)
     v = random_poly(rng, 2)
     l = 3
@@ -179,7 +176,7 @@ def test_cable_energy_generations_sum_to_energy2(rng):
     # Finite-depth weights: generation s carries 1/(lam_tilde(s-1) *
     # eps_tilde(s, l)), summed over the 3^(s-1) prefix cells.
     total = math.fsum(
-        cable_energy(seq, s, u, v, prefix_map=compose(seq, w))
+        cable_energy(seq, s, u, v, prefix_map=compose_objects(seq, w))
         / (seq.lam_tilde(s - 1) * seq.eps_tilde(s, l))
         for s in range(1, l + 1)
         for w in iter_words(s - 1)

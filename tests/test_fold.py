@@ -28,15 +28,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stretched_gasket import (
-    AffineMap2,
     DepthCapExceeded,
     ExpTail,
     GasketError,
     ParamSeq,
     QuadratureRule,
+    cable_segments,
     convergence_rows,
     energy1,
-    energy2,
     energy2_limit,
     energy_total,
     get_quadrature,
@@ -56,8 +55,8 @@ from stretched_gasket.geometry import _side_arrays
 from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
 from oracles import (
     _energy_rows,
-    cable_arrays,
     cable_energy,
+    energy2,
     energy2_limit_by_edges,
     energy_by_edges,
     fold_backward,
@@ -140,7 +139,7 @@ def test_folded_energy_with_outer_maps(seq, rng):
     quad = get_quadrature(8)
     for l in (0, 3, 6):
         _, _, halves = _one_step(seq, l, u, v, quad)
-        for f, rep in zip(triple(seq.eps(1)), halves):
+        for f, rep in zip(zip(*triple(seq.eps(1))), halves):
             ref, _ = energy_by_edges(seq.shift(), l, u, v, quad, outer=f)
             _close(rep.total, ref.total)
             _close(rep.e1, ref.e1)
@@ -155,7 +154,7 @@ def test_folded_limit_cables_match_edge_sum(seq, case):
     for s_max in _depths(u, v):
         got, _ = energy2_limit(seq, u, v, s_max, quad)
         _close(got, energy2_limit_by_edges(seq, s_max, u, v, quad))
-    f2 = triple(seq.eps(1))[1]
+    f2 = tuple(arr[1] for arr in triple(seq.eps(1)))
     _, _, halves = _one_step(seq, 3, u, v, quad, limit=True)
     _close(halves[1].e2, energy2_limit_by_edges(seq.shift(), 3, u, v, quad, outer=f2))
 
@@ -288,10 +287,10 @@ def test_sweeps_push_the_moments_once(monkeypatch):
         passes.append(len(logs))
         return tables(seq, logs, *args)
 
-    def counting_pullback(maps, d, *, to_world=False):
+    def counting_pullback(lin, off, d, *, to_world=False):
         if not to_world:
-            stacks.append(len(maps))
-        return pullback(maps, d, to_world=to_world)
+            stacks.append(len(lin))
+        return pullback(lin, off, d, to_world=to_world)
 
     monkeypatch.setattr(energy, "_level_tables", counting_tables)
     monkeypatch.setattr(energy, "_pullback", counting_pullback)
@@ -351,7 +350,7 @@ def test_batched_grams_equal_the_per_generation_grams(seq, d, l_max, order):
         assert side[orders].shape == (energy._dim(d), energy._dim(d))
         assert np.array_equal(side[orders], segment_form(*_side_arrays(), d, quad, *orders))
         for k in range(1, l_max + 1):
-            assert np.array_equal(levels[k - 1][orders], segment_form(*cable_arrays(seq, k), d, quad, *orders)), (orders, k)
+            assert np.array_equal(levels[k - 1][orders], segment_form(*cable_segments(seq, k), d, quad, *orders)), (orders, k)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -361,9 +360,9 @@ def test_stacked_level_pullbacks_equal_the_single_map_pullbacks(seq, d):
     energy._TABLES.clear()
     _, levels = energy._level_tables(seq, _logs(seq, 3), d, get_quadrature(), [])
     for k in range(1, 4):
-        want = np.stack([energy._map_pullback(f, d) for f in triple(seq.eps(k))])
+        want = np.stack([energy._map_pullback(lin, off, d) for lin, off in zip(*triple(seq.eps(k)))])
         assert np.array_equal(levels[k - 1]["pullbacks"], want), k
-    assert np.array_equal(energy._centering(d), energy._map_pullback(AffineMap2.identity(), d, to_world=True))
+    assert np.array_equal(energy._centering(d), energy._map_pullback(np.eye(2), np.zeros(2), d, to_world=True))
 
 
 def _logs(seq, l_max):

@@ -11,9 +11,9 @@ from stretched_gasket import (
     base_vertices,
     cable_prefactor,
     cable_prefactor_limit,
+    barycenter,
     cable_segments,
     compose,
-    iter_words,
     prefractal_edges,
     triple,
     word_index,
@@ -21,10 +21,10 @@ from stretched_gasket import (
     word_table,
 )
 from stretched_gasket.errors import GasketError, PrefactorUnderflow
-from stretched_gasket.geometry import SIDE_NAMES, _word_rows, rotation
+from stretched_gasket.geometry import SIDE_NAMES, _word_rows
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY
-from oracles import EdgeId, count_edges, edge_walk
+from oracles import EdgeId, compose_objects, count_edges, edge_walk, iter_words, rotation
 
 
 # -- elementary planar predicates, used by the disjointness checks ---------
@@ -60,9 +60,9 @@ def triangles_disjoint(t1: np.ndarray, t2: np.ndarray, gap: float = 0.0) -> bool
     return False
 
 
-def cell_triangle(amap) -> np.ndarray:
-    """Corner images of one cell, rows (A, B, C) mapped."""
-    return np.stack([amap(p) for p in base_vertices()])
+def cell_triangle(lin: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Corner images of one cell under the map (lin, off), rows (A, B, C) mapped."""
+    return np.stack([lin @ p + off for p in base_vertices()])
 
 
 SQRT3 = math.sqrt(3.0)
@@ -80,40 +80,44 @@ def test_base_triangle_is_unit_equilateral():
 def test_fixed_points():
     a, b, c = base_vertices()
     for eps in (0.3, 0.5, 0.9, 1.0):
-        f1, f2, f3 = triple(eps)
-        assert np.allclose(f1(a), a, atol=1e-15)
-        assert np.allclose(f2(b), b, atol=1e-15)
-        assert np.allclose(f3(c), c, atol=1e-15)
+        lin, off = triple(eps)
+        assert lin.shape == (3, 2, 2) and off.shape == (3, 2)
+        for i, corner in enumerate((a, b, c)):
+            assert np.allclose(lin[i] @ corner + off[i], corner, atol=1e-15)
 
 
 def test_linear_parts_are_symmetric_exactly():
     for eps in (0.2, 0.5, 0.77, 1.0):
-        for f in triple(eps):
-            assert f.linear[0, 1] == f.linear[1, 0]
+        lin, _ = triple(eps)
+        assert np.array_equal(lin[:, 0, 1], lin[:, 1, 0])
+
+
+def test_triple_arrays_are_read_only():
+    for arr in triple(0.4):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_maps_conjugate_by_rotation():
     # The second and third maps are the first conjugated by the rotations
     # that permute the corners (through the barycenter).
-    from stretched_gasket import barycenter
-
     g = barycenter()
     for eps in (0.3, 0.8):
-        f1, f2, f3 = triple(eps)
+        lin, off = triple(eps)
         # Corners run clockwise (A top-left, B right-top, C right-bottom),
         # so the corner cycle A -> B -> C is the rotation by -2*pi/3.
-        for f, theta in ((f2, -2 * math.pi / 3), (f3, 2 * math.pi / 3)):
+        for i, theta in ((1, -2 * math.pi / 3), (2, 2 * math.pi / 3)):
             r = rotation(theta)
-            conj = r @ f1.linear @ r.T
-            assert np.allclose(conj, f.linear, atol=1e-14)
+            conj = r @ lin[0] @ r.T
+            assert np.allclose(conj, lin[i], atol=1e-14)
             # Offsets agree once both maps are expressed around the barycenter.
-            assert np.allclose(f(g), g + r @ (f1(g) - g), atol=1e-14)
+            assert np.allclose(lin[i] @ g + off[i], g + r @ (lin[0] @ g + off[0] - g), atol=1e-14)
 
 
 def test_contraction_operator_norms():
     for eps in (0.2, 0.5, 0.9, 1.0):
-        for f in triple(eps):
-            s = np.linalg.svd(f.linear, compute_uv=False)
+        for t in triple(eps)[0]:
+            s = np.linalg.svd(t, compute_uv=False)
             assert s[0] == pytest.approx(0.6 * eps, abs=1e-14)
             assert s[1] == pytest.approx(0.2 * eps, abs=1e-14)
 
@@ -121,16 +125,16 @@ def test_contraction_operator_norms():
 def test_eigen_direction_of_second_map():
     w = np.array([0.5, SQRT3 / 2])
     for eps in (0.3, 0.5, 0.9, 1.0):
-        f2 = triple(eps)[1]
-        assert np.max(np.abs(f2.linear @ w - 0.6 * eps * w)) <= 1e-14
+        t2 = triple(eps)[0][1]
+        assert np.max(np.abs(t2 @ w - 0.6 * eps * w)) <= 1e-14
 
 
 def test_harmonic_family_degeneracy_at_eps_one():
     a, b, c = base_vertices()
-    f1, f2, f3 = triple(1.0)
+    lin, off = triple(1.0)
     meet = np.array([3 * SQRT3 / 10, 0.1])
-    assert np.max(np.abs(f1(b) - meet)) <= 1e-14
-    assert np.max(np.abs(f2(a) - meet)) <= 1e-14
+    assert np.max(np.abs(lin[0] @ b + off[0] - meet)) <= 1e-14
+    assert np.max(np.abs(lin[1] @ a + off[1] - meet)) <= 1e-14
 
 
 def test_word_enumeration_and_index():
@@ -144,12 +148,17 @@ def test_word_enumeration_and_index():
 
 
 def test_word_table_matches_composition():
+    # Row word_index(w) is F_w: the one-row read and the object fold give its bits.
     lin, off = word_table(PREFIX_EXP, 3)
     for w in ((1, 2, 3), (3, 1, 2), (2, 2, 2)):
-        amap = compose(PREFIX_EXP, w)
         k = word_index(w)
-        assert np.allclose(lin[k], amap.linear, atol=1e-15)
-        assert np.allclose(off[k], amap.offset, atol=1e-15)
+        w_lin, w_off = compose(PREFIX_EXP, w)
+        assert w_lin.shape == (2, 2) and w_off.shape == (2,)
+        assert np.array_equal(lin[k], w_lin)
+        assert np.array_equal(off[k], w_off)
+        amap = compose_objects(PREFIX_EXP, w)
+        assert np.array_equal(lin[k], amap.linear)
+        assert np.array_equal(off[k], amap.offset)
 
 
 def _row_ranges(rng, l):
@@ -182,10 +191,9 @@ def test_word_rows_refuse_a_range_outside_the_level(start, stop):
 
 
 def test_word_point_is_barycenter_image():
-    from stretched_gasket import barycenter
-
     w = (2, 1, 3)
-    assert np.allclose(word_point(PREFIX_EXP, w), compose(PREFIX_EXP, w)(barycenter()))
+    lin, off = compose(PREFIX_EXP, w)
+    assert np.array_equal(word_point(PREFIX_EXP, w), lin @ barycenter() + off)
 
 
 @pytest.mark.parametrize("letter", [0, 4])
@@ -219,9 +227,11 @@ def test_prefactor_underflow_names_generation_and_depth():
 def test_cable_lengths_and_velocity():
     for seq in (CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY):
         for s in (1, 2, 3, 5):
-            for seg in cable_segments(seq, s):
-                assert abs(seg.length - seq.one_minus_eps(s)) <= 1e-14
-                assert np.allclose(seg.velocity, seg.q - seg.p, atol=1e-15)
+            starts, vels = cable_segments(seq, s)
+            assert starts.shape == vels.shape == (3, 2)
+            ends = starts + vels
+            assert np.all(np.abs(np.hypot(*(ends - starts).T) - seq.one_minus_eps(s)) <= 1e-14)
+            assert np.allclose(vels, ends - starts, atol=1e-15)
 
 
 def _word(index: int, k: int) -> tuple[int, ...]:
@@ -240,8 +250,8 @@ def test_cables_anchor_to_cell_corners():
         for e in edges[edges.generation > 0]:
             prefix = _word(int(e.word), int(e.generation) - 1)
             (i0, p0), (i1, p1) = ends[int(e.slot)]
-            start = compose(seq, prefix + (i0,))(p0)
-            stop = compose(seq, prefix + (i1,))(p1)
+            (lin0, off0), (lin1, off1) = compose(seq, prefix + (i0,)), compose(seq, prefix + (i1,))
+            start, stop = lin0 @ p0 + off0, lin1 @ p1 + off1
             assert np.max(np.abs([e.px, e.py] - start)) <= 1e-13
             assert np.max(np.abs([e.qx, e.qy] - stop)) <= 1e-13
 
@@ -305,18 +315,15 @@ def test_cells_disjoint_for_moderate_stretch():
     for eps in (0.2, 0.5, 0.9):
         seq = ParamSeq.constant(eps)
         for l in (1, 2):
-            lin, off = word_table(seq, l)
-            tris = [
-                cell_triangle(compose(seq, w)) for w in iter_words(l)
-            ]
+            tris = [cell_triangle(*compose(seq, w)) for w in iter_words(l)]
             for i in range(len(tris)):
                 for j in range(i + 1, len(tris)):
                     assert triangles_disjoint(tris[i], tris[j]), (eps, l, i, j)
 
 
 def test_cells_touch_at_eps_one():
-    f1, f2 = triple(1.0)[:2]
-    assert not triangles_disjoint(cell_triangle(f1), cell_triangle(f2))
+    lin, off = triple(1.0)
+    assert not triangles_disjoint(cell_triangle(lin[0], off[0]), cell_triangle(lin[1], off[1]))
 
 
 def test_triangle_contains():
@@ -326,5 +333,13 @@ def test_triangle_contains():
 
 
 def test_depth_cap():
+    # The enumerating reads stop at the cap; a one-row read enumerates nothing and does not.
     with pytest.raises(DepthCapExceeded):
         word_table(TAIL_ONLY, 13)
+    with pytest.raises(DepthCapExceeded, match="depth 13 exceeds cap 12"):
+        _word_rows(TAIL_ONLY, 13, 0, 5)
+    word = (2, 3, 1) * 5
+    lin, off = compose(TAIL_ONLY, word)
+    assert np.array_equal(word_point(TAIL_ONLY, word), lin @ barycenter() + off)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        _word_rows(TAIL_ONLY, -1, 0, 0)

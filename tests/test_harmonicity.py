@@ -22,10 +22,10 @@ from stretched_gasket import (
 )
 from stretched_gasket.harmonicity import ND_GRID
 from stretched_gasket.params import A
-from stretched_gasket.scalarfield import compose_with_segment, poly1_derivative
+from stretched_gasket.scalarfield import poly1_derivative
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, admissible, random_poly
-from oracles import canonical_vertex, edge_walk, nd_gamma_closed_form, nd_gamma_full_grid
+from oracles import canonical_vertex, edge_walk, nd_gamma_closed_form, nd_gamma_full_grid, restrict
 
 
 def test_canonical_vertex_strips_fixing_letter():
@@ -99,7 +99,7 @@ def test_eigen_direction_product_identity(regime):
     for l in range(0, 9):
         m = w.copy()
         for i in range(2, l + 2):
-            m = triple(regime.eps(i))[1].linear @ m
+            m = triple(regime.eps(i))[0][1] @ m
         lhs = regime.eps_tilde(1, l + 1) / regime.lam_tilde(l + 1) * m
         rhs = w / (0.6 * regime.eps(1))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs)), l
@@ -121,10 +121,10 @@ def test_weak_laplacian_densities_match_the_edge_walk(regime, rng):
         assert densities.shape == (len(walk), 3)
         pairing = []
         for g, (eid, seg, amap) in zip(densities, walk):
-            c2 = poly1_derivative(poly1_derivative(compose_with_segment(u, amap, seg)))
+            c2 = poly1_derivative(poly1_derivative(restrict(u, amap, seg)))
             length = float(np.hypot(*(amap.linear @ seg.velocity)))
             assert g.tolist() == (eid.prefactor / length * c2).tolist(), eid
-            prod = np.convolve(g, compose_with_segment(v, amap, seg))
+            prod = np.convolve(g, restrict(v, amap, seg))
             pairing.append(length * math.fsum(c / (k + 1) for k, c in enumerate(prod.tolist())))
         want = -weak_pairing(regime, l, u, v)
         assert abs(math.fsum(pairing) - want) <= 1e-12 * abs(want), (l, math.fsum(pairing), want)
@@ -185,7 +185,7 @@ def test_nd_gamma_blocked_grid_is_bit_identical_to_full_grid(rng):
     cases = [(e, HARMONIC_RATIO) for e in rng.uniform(1e-4, 1.0, 100)]
     cases += [(e, r) for r in (0.25, 0.5) for e in (1e-4, 0.3, 0.77, 1.0)]
     for eps, ratio in cases:
-        mats = [f.linear for f in triple(float(eps), ratio)]
+        mats = list(triple(float(eps), ratio)[0])
         assert nd_gamma_of(mats) == nd_gamma_full_grid(mats), (eps, ratio)
     for _ in range(5):
         mats = list(rng.normal(size=(3, 2, 2)))
@@ -195,7 +195,7 @@ def test_nd_gamma_blocked_grid_is_bit_identical_to_full_grid(rng):
 @pytest.mark.parametrize("ratio", [HARMONIC_RATIO, 0.25])
 def test_nd_gamma_within_grid_slack_of_closed_form_oracle(ratio):
     for eps in (1.5e-4, 0.01, 0.3, 0.5, 0.99):
-        mats = [f.linear for f in triple(eps, ratio)]
+        mats = list(triple(eps, ratio)[0])
         slack = max(np.linalg.norm(m, 2) for m in mats) * 2.0 * math.pi / ND_GRID
         gap = nd_gamma(eps, ratio) - nd_gamma_closed_form(mats)
         assert 0.0 <= gap <= slack, (eps, ratio, gap, slack)

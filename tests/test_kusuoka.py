@@ -15,7 +15,6 @@ from stretched_gasket import (
     energy2_limit,
     energy_via_measure,
     gibbs_tau,
-    iter_words,
     kappa,
     kappa_table,
     parse,
@@ -37,6 +36,7 @@ from oracles import (
     energy_via_measure_whole,
     exact_kappa_table,
     gibbs_tau_by_einsum,
+    iter_words,
     per_sequence_kappa_table,
     per_sequence_tau_table,
     perron_iteration,
@@ -56,7 +56,7 @@ def brute_force_kappa(seq, word):
     m = np.eye(2)
     lam = 1.0
     for pos, letter in enumerate(word, start=1):
-        t = triple(seq.eps(pos))[letter - 1].linear
+        t = triple(seq.eps(pos))[0][letter - 1]
         m = m @ t
         lam *= 0.6 * seq.eps(pos) ** 2
     return float(np.trace(m @ (0.5 * np.eye(2)) @ m.T)) / lam
@@ -88,8 +88,7 @@ def adjoint_apply(eps: float, mat: np.ndarray) -> np.ndarray:
     """
     _require_symmetric(mat)
     out = np.zeros((2, 2))
-    for f in triple(eps):
-        t = f.linear
+    for t in triple(eps)[0]:
         out += t @ mat @ t.T
     return 0.5 * (out + out.T)
 

@@ -1,10 +1,15 @@
-"""Lint step: no module of the package or of the tests imports a name it never uses."""
+"""Lint step: no module of the package or of the tests imports a name it never uses, every
+top-level function or class of the package has a use, and every exported name has one
+outside its own module."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "stretched_gasket").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = ROOT / "src" / "stretched_gasket"
+MODULES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -23,10 +28,38 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+    return sorted((line, name) for name, line in imported.items() if name not in used | set(exported_names(tree)))
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    """The names a module lists in its ``__all__``."""
+    return [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+
+
+def references(node: ast.AST) -> set[str]:
+    """The names a syntax tree reads: bare names and attribute names."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreferenced_definitions(sources: dict[str, str], exported: set[str], named: str) -> list[tuple[str, str]]:
+    """(module, name) of every top-level function or class of ``sources`` (module -> text) that
+    no other top-level statement of them references, that is not ``exported`` and that the text
+    ``named`` does not name."""
+    statements = [(module, node) for module, text in sources.items() for node in ast.parse(text).body]
+    uses = [(node, references(node)) for _, node in statements]
+    return sorted(
+        (module, node.name)
+        for module, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in names for other, names in uses if other is not node)
+        and node.name not in exported
+        and not re.search(rf"\b{node.name}\b", named)
+    )
 
 
 def test_unused_imports_are_found():
@@ -41,3 +74,55 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def test_unreferenced_definitions_are_found():
+    # A self-call is no use; an export, a use in another module and a name in the
+    # benchmark's text are.
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef unused():\n    return unused()\n\n\nclass Kept:\n    pass\n\n\ndef timed():\n    pass\n",
+        "b": "from a import used\n\nused()\n",
+    }
+    assert unreferenced_definitions(sources, exported={"Kept"}, named='TARGETS = [("a", "timed")]') == [("a", "unused")]
+
+
+def test_every_package_definition_has_a_use():
+    # Each top-level function or class of src/ is referenced from src/, exported, or named in
+    # perfbench/ (which wraps some by name); one kept only for the tests belongs in tests/.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    exported = set(exported_names(ast.parse(sources["__init__"])))
+    named = "\n".join(path.read_text(encoding="utf-8") for path in PERFBENCH)
+    assert unreferenced_definitions(sources, exported, named) == []
+
+
+def _readme_code() -> str:
+    """The README's fenced code blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return "\n".join(re.findall(r"```.*?```", text, re.S) + re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S)))
+
+
+def _definitions(tree: ast.Module):
+    """The names a module's top-level functions, classes and assignments bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_public_surface():
+    # Every name in __all__ has a use outside the module that defines it: in the CLI or
+    # another module of src/, in the README's code, or in perfbench/.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    home = {name: module for module, tree in trees.items() for name in _definitions(tree)}
+    used = {module: references(tree) for module, tree in trees.items() if module != "__init__"}
+    readme = _readme_code()
+    perfbench = set().union(*(references(ast.parse(path.read_text(encoding="utf-8"))) for path in PERFBENCH))
+    unused = [
+        name
+        for name in exported_names(trees["__init__"])
+        if not any(name in names for module, names in used.items() if module != home[name])
+        and not re.search(rf"\b{name}\b", readme)
+        and name not in perfbench
+    ]
+    assert unused == []

@@ -1,4 +1,5 @@
-"""The README's CLI section against the parser: the flags of each subcommand and the config keys."""
+"""The README against the package: the library quick start runs as written, and the CLI
+section lists the flags of each subcommand and the config keys."""
 
 import argparse
 import re
@@ -6,7 +7,21 @@ from pathlib import Path
 
 from stretched_gasket import cli
 
-_CLI_SECTION = re.search(r"^## CLI$(.*?)^## ", (Path(__file__).parents[1] / "README.md").read_text(), re.M | re.S)[1]
+_README = (Path(__file__).parents[1] / "README.md").read_text()
+_QUICK_START = re.search(r"^## Library quick start$(.*?)^## ", _README, re.M | re.S)[1]
+_CLI_SECTION = re.search(r"^## CLI$(.*?)^## ", _README, re.M | re.S)[1]
+
+
+def test_readme_quick_start_runs(capsys):
+    # The blocks run in order in one namespace, as a reader would paste them.
+    blocks = re.findall(r"^```python\n(.*?)^```$", _QUICK_START, re.M | re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    out = capsys.readouterr().out
+    assert f"\n{namespace['kappa']((1, 2))}\n" in out
+    assert out.endswith(f"\n{namespace['word_point'](namespace['seq'], (2, 1, 3))}\n")
 
 
 def _flags(text: str) -> set[str]:

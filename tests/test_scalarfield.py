@@ -20,11 +20,11 @@ from stretched_gasket.scalarfield import (
     grad_batch,
     hess_batch,
     poly1_derivative,
-    poly1_eval,
     to_string,
 )
 
 from conftest import random_poly
+from oracles import poly1_eval
 
 
 def test_arithmetic_and_degree():
@@ -133,14 +133,12 @@ def test_batched_evaluation_matches_scalar(rng):
 
 
 def test_segment_composition_is_exact_1d_polynomial(rng):
-    from stretched_gasket import AffineMap2, Segment
-
     p = random_poly(rng, 3)
-    amap = AffineMap2(np.array([[0.3, 0.1], [0.1, 0.4]]), np.array([0.2, -0.1]))
-    seg = Segment(np.array([0.1, 0.2]), np.array([0.8, -0.3]))
-    coeffs = compose_with_segment(p, amap, seg)
+    lin, off = np.array([[0.3, 0.1], [0.1, 0.4]]), np.array([0.2, -0.1])
+    start, end = np.array([0.1, 0.2]), np.array([0.8, -0.3])
+    coeffs = compose_with_segment(p, lin, off, start, end - start)
     for t in (0.0, 0.31, 0.77, 1.0):
-        direct = p.value(*amap(seg.point(t)))
+        direct = p.value(*(lin @ (start + t * (end - start)) + off))
         assert poly1_eval(coeffs, np.array([t]))[0] == pytest.approx(direct, rel=1e-13, abs=1e-15)
     d = poly1_derivative(coeffs)
     h = 1e-6
