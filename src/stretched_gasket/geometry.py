@@ -157,8 +157,31 @@ def word_point(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HA
 
 
 def _images(lin: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """lin[n] @ vecs[k] for every n, k: (N, K, 2), one stacked matvec each."""
-    return (lin[:, None] @ vecs[..., None])[..., 0]
+    """lin[n] @ vecs[k] for every n, k of lin (N, 2, 2) and vecs (K, 2): (N, K, 2).
+
+    One 2-D BLAS product of the (2N, 2) row stack with the (2, K) vectors,
+    rounded as the stacked 2x2 matvecs (``tests/oracles.py``) round every
+    entry, fma(a_0, v_0, a_1 v_1).  The GEMM kernel rounds the entry of rows
+    x, y as fma(x_1, y_1, x_0 y_0), so both operands enter with their
+    columns reversed.  A single vector is duplicated to two and the first
+    kept: one column takes numpy's GEMV path, which rounds otherwise.
+    """
+    cols = vecs[:, ::-1].T
+    if len(vecs) == 1:
+        cols = np.repeat(cols, 2, axis=1)
+    out = (lin[..., ::-1].reshape(-1, 2) @ cols).reshape(len(lin), 2, cols.shape[1]).swapaxes(1, 2)
+    return out[:, : len(vecs)]
+
+
+def _level_products(lin: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """lin[n] @ T_i for every n of lin (N, 2, 2) and each map of a level, given as
+    [T_1 T_2 T_3] (2, 6): (3N, 2, 2) in (n, i) order.
+
+    One GEMM over the (2N, 2) row stack.  The stacked per-row product
+    ``lin @ wide`` (``tests/oracles.py``) makes one GEMM call per row, so
+    the two share a kernel and round every entry alike.
+    """
+    return (lin.reshape(-1, 2) @ wide).reshape(-1, 2, 3, 2).swapaxes(1, 2).reshape(-1, 2, 2)
 
 
 def _require_depth(l: int) -> None:
@@ -192,9 +215,11 @@ def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: 
     Only these are composed, level by level, with the arithmetic of the
     whole table, so every row has the bits of its ``word_table`` row and
     the transient memory is set by the range.  At level l they are the
-    range itself.  This is the one place where maps are composed.  A
-    negative depth or a range outside [0, 3^l) raises ValueError; the depth
-    cap is left to the callers that enumerate a level.
+    range itself.  This is the one place where maps are composed: a level
+    is one GEMM for the linear parts (``_level_products``) and one image
+    table for the offsets (``_images``), each with the bits of the stacked
+    per-row products.  A negative depth or a range outside [0, 3^l) raises
+    ValueError; the depth cap is left to the callers that enumerate a level.
     """
     if l < 0:
         raise ValueError(f"depth must be >= 0, got {l}")
@@ -202,7 +227,7 @@ def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: 
     if not 0 <= start <= stop <= n:
         raise ValueError(f"row range [{start}, {stop}) is not within the {n} depth-{l} words")
     tks, oks = _level_maps(seq, l, beta_over_alpha)
-    # Level k's [T_1 T_2 T_3], (2, 6): lin @ it is the three 2x2 products of each row at once.
+    # Level k's [T_1 T_2 T_3], (2, 6), as ``_level_products`` takes them.
     wide = tks.transpose(0, 2, 1, 3).reshape(l, 2, 6)
     lin, off, first = np.eye(2)[None, :, :], np.zeros((1, 2)), 0
     yield first, lin, off
@@ -212,7 +237,7 @@ def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: 
         rows = slice(lo - 3 * first, hi - 3 * first)
         # lin @ T and lin @ o + off for each row and each of the level's three maps.
         lin, off = (
-            (lin @ wide[k - 1]).reshape(-1, 2, 3, 2).swapaxes(1, 2).reshape(-1, 2, 2)[rows],
+            _level_products(lin, wide[k - 1])[rows],
             (_images(lin, oks[k - 1]) + off[:, None, :]).reshape(-1, 2)[rows],
         )
         first = lo
@@ -279,16 +304,16 @@ def _cable_stack(seq: ParamSeq, generations, beta_over_alpha: float = HARMONIC_R
     return starts.reshape(-1, 3, 2), scale[:, None, None] * _SLOT_DIRS
 
 
-def _cable_ends(seq: ParamSeq, generations, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[np.ndarray, np.ndarray]:
-    """Points and tangents, each (G, 6, 2), of the cable ends of G generations.
+def _cable_ends(seq: ParamSeq, generations, beta_over_alpha: float = HARMONIC_RATIO) -> np.ndarray:
+    """The cable ends, then the cable velocities, of G generations: (G, 9, 2).
 
-    Column e = 2 (slot - 1) + t of row g: the end t of the slot's cable of
-    generation ``generations[g]`` in local cell coordinates, its start
-    (t = 0) or start + velocity (t = 1) as ``cable_segments`` has them, and
-    the cable's velocity.
+    Column e = 2 (slot - 1) + t of row g is the end t of the slot's cable
+    of generation ``generations[g]`` in local cell coordinates, its start
+    (t = 0) or start + velocity (t = 1) as ``cable_segments`` has them;
+    column 6 + slot - 1 is that cable's velocity.
     """
     starts, vels = _cable_stack(seq, generations, beta_over_alpha)
-    return np.stack([starts, starts + vels], axis=2).reshape(-1, 6, 2), np.repeat(vels, 2, axis=1)
+    return np.concatenate([np.stack([starts, starts + vels], axis=2).reshape(-1, 6, 2), vels], axis=1)
 
 
 def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[np.ndarray, np.ndarray]:

@@ -160,10 +160,12 @@ def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
     key is the vertex word u j in base-4 digits padded to length l, times
     3, plus the corner.  The cells and cable prefixes are rows of
     ``_word_levels``, so every point and tangent has the bits
-    ``geometry._world`` gives it.
+    ``geometry._world`` gives it.  Each prefix row maps its generation's
+    six cable ends and three velocities once, one ``_images`` table per
+    level, and the vertices gather their cable end from it.
     """
     _require_depth(l)
-    local_ends, local_tans = _cable_ends(seq, range(1, l + 1), beta_over_alpha)
+    local = _cable_ends(seq, range(1, l + 1), beta_over_alpha)
     cable_pf = np.array([cable_prefactor(seq, s, l) for s in range(1, l + 1)])
     tri_pf = triangle_edge_prefactor(seq, l)
     side_w = np.where(_CORNER_T == 0, tri_pf, -tri_pf)  # (3, 2): the side weights at corners A, B, C
@@ -173,18 +175,19 @@ def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
         weights = np.empty((len(cell), 3))
         weights[:, :2], weights[:, 2] = side_w[corner], np.where(e % 2 == 0, cable_pf[s - 1], -cable_pf[s - 1])
         levels = list(_word_levels(seq, l, a, b, beta_over_alpha))
-        tangents, gaps = np.empty((len(cell), 3, 2)), np.empty(len(cell))
+        tangents = np.empty((len(cell), 3, 2))
         points, tangents[:, :2] = _corner_geometry(*levels[-1][1:], cell, corner)
-        # The cable ends of each generation s from the rows of their prefixes, ancestors at level s - 1.
-        for k, (first, plin, poff) in enumerate(levels[:-1]):
-            (at,) = np.nonzero(s == k + 1)
-            rows = p[at] - first
-            lin = plin[rows]
-            ends = (lin @ local_ends[k, e[at]][..., None])[..., 0] + poff[rows]
-            tangents[at, 2] = (lin @ local_tans[k, e[at]][..., None])[..., 0]
-            gap = np.abs(ends - points[at])
-            gaps[at] = np.maximum(gap[:, 0], gap[:, 1])
-        return keys, weights, tangents, points, gaps
+        # Each generation s's cable ends and velocities mapped once per prefix row, the ancestors
+        # at level s - 1, stacked over the generations: prefix p's row follows the rows of the
+        # levels above at its place in its own level.
+        prefixes = levels[:-1]
+        images = np.concatenate([_images(plin, local[k]) for k, (_, plin, _) in enumerate(prefixes)])
+        offs = np.concatenate([poff for _, _, poff in prefixes])
+        above = np.cumsum([0] + [len(poff) for _, _, poff in prefixes])[:-1]
+        row = (above - [first for first, _, _ in prefixes])[s - 1] + p
+        tangents[:, 2] = images[row, 6 + e // 2]
+        gap = np.abs(images[row, e] + offs[row] - points)
+        return keys, weights, tangents, points, np.maximum(gap[:, 0], gap[:, 1])
 
     # The base corner c is corner c of the cell (c+1)^l.
     base = np.arange(3)

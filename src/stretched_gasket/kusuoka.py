@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,7 @@ from .geometry import (
     cable_segments,
     compose,
     triple,
+    word_index,
     word_table,
 )
 from .params import ParamSeq
@@ -245,7 +245,11 @@ def cable_mass(
     s: int,
     slot: int,
 ) -> CableMass:
-    """Limit-measure matrix mass of the generation-s cable at (prefix, slot)."""
+    """Limit-measure matrix mass of the generation-s cable at (prefix, slot).
+
+    A cable that the prefix map shrinks until its |v|^2 underflows raises
+    PrefactorUnderflow (``_unit_directions``), as does ``cable_masses``.
+    """
     if len(prefix) != s - 1:
         raise ValueError(f"prefix length {len(prefix)} does not match generation {s}")
     if seq.one_minus_eps(s) == 0.0:
@@ -256,7 +260,7 @@ def cable_mass(
     vel = lin @ local
     nrm2 = float(vel @ vel)
     mass = cable_prefactor_limit(seq, s) * nrm2
-    direction = vel / math.sqrt(nrm2)
+    (direction,) = _unit_directions(vel[None], np.array([nrm2]), s, 3 * word_index(prefix) + slot - 1)
     return CableMass(prefix, s, slot, mass, direction, np.outer(direction, direction))
 
 
@@ -268,13 +272,33 @@ def _cable_weight(seq: ParamSeq, s: int) -> float:
     return cable_prefactor_limit(seq, s)
 
 
-def _cable_directions(lin: np.ndarray, vel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared lengths and unit directions of the cables with local velocities ``vel`` (3, 2)
-    mapped by the prefix linear parts ``lin``, 3 rows per prefix in slot order."""
+def _unit_directions(world: np.ndarray, nrm2: np.ndarray, s: int, first: int) -> np.ndarray:
+    """world / sqrt(nrm2) for mapped generation-s cable velocities (N, 2) with squared lengths
+    ``nrm2``, the cables first, first + 1, ... in (prefix, slot) order.  A cable whose |v|^2
+    underflowed to 0.0, or whose direction is not finite, raises PrefactorUnderflow naming
+    its prefix, slot and generation."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        directions = world / np.sqrt(nrm2)[:, None]
+    bad = np.flatnonzero(~(nrm2 > 0.0) | ~np.isfinite(directions).all(axis=1))
+    if bad.size:
+        index, slot = divmod(first + int(bad[0]), 3)
+        prefix = "".join(str(index // 3**n % 3 + 1) for n in reversed(range(s - 1))) or "()"
+        raise PrefactorUnderflow(
+            f"generation-{s} cable at prefix {prefix}, slot {slot + 1}: mapped |v|^2 "
+            f"{float(nrm2[bad[0]])!r} underflows or its direction is not finite"
+        )
+    return directions
+
+
+def _cable_directions(lin: np.ndarray, vel: np.ndarray, s: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared lengths and unit directions of the generation-s cables with local velocities
+    ``vel`` (3, 2) mapped by the prefix linear parts ``lin`` of the depth-(s - 1) words
+    first, first + 1, ..., 3 rows per prefix in slot order; ``_unit_directions`` refuses an
+    underflowed cable."""
     # Stacked products round as the single products of cable_mass do.
     world = _images(lin, vel).reshape(-1, 2)
     nrm2 = (world[:, None] @ world[..., None]).ravel()
-    return nrm2, world / np.sqrt(nrm2)[:, None]
+    return nrm2, _unit_directions(world, nrm2, s, 3 * first)
 
 
 def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +309,7 @@ def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     """
     lin, _ = word_table(seq, s - 1)
     weight = _cable_weight(seq, s)
-    nrm2, directions = _cable_directions(lin, _cable_stack(seq, (s,))[1][0])
+    nrm2, directions = _cable_directions(lin, _cable_stack(seq, (s,))[1][0], s, 0)
     return weight * nrm2, directions
 
 
@@ -315,7 +339,7 @@ def energy_via_measure(
     def blocks():
         for start, stop in _ranges(len(mats)):
             lin, off = _word_rows(seq, depth, start, stop)
-            centers = lin @ barycenter() + off
+            centers = _images(lin, barycenter()[None])[:, 0] + off
             gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
             gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
             taus = _taus(mats[start:stop], depth)

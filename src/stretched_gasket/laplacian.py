@@ -49,6 +49,7 @@ from .geometry import (
     _ranges,
     _require_depth,
     _triple_index,
+    _word_levels,
     _word_rows,
     barycenter,
     cable_segments,
@@ -156,6 +157,31 @@ _SAMPLE_DTYPE = np.dtype(
 )
 
 
+def _prefix_rows(seq: ParamSeq, spans) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The prefix maps (lin, off) of the cable spans (s, a, b), generation s's cables a..b-1:
+    the depth-(s - 1) words a // 3 .. ceil(b / 3) - 1, from ``_word_levels`` walks to the
+    deepest prefix level.  Spans whose prefixes' descendants there overlap share one walk over
+    their union, so whole generations and the head of the next are one walk, while the tail of
+    one generation and the head of the next, apart at that level, get one each."""
+    prefixes = [(s - 1, a // 3, -(-b // 3)) for s, a, b in spans]
+    deepest = max([k for k, _, _ in prefixes], default=0)
+    # Each span's descendants [lo, hi) at the deepest level, in order of lo.
+    reach = sorted((lo * 3 ** (deepest - k), hi * 3 ** (deepest - k), i) for i, (k, lo, hi) in enumerate(prefixes))
+    out = [None] * len(spans)
+    while reach:
+        lo, hi, _ = reach[0]
+        served = []
+        while reach and reach[0][0] <= hi:
+            _, top, i = reach.pop(0)
+            hi, served = max(hi, top), served + [i]
+        levels = list(_word_levels(seq, deepest, lo, hi))
+        for i in served:
+            k, first_word, stop_word = prefixes[i]
+            first, lin, off = levels[k]
+            out[i] = lin[first_word - first : stop_word - first], off[first_word - first : stop_word - first]
+    return out
+
+
 def _sample_rows(seq: ParamSeq, phi: Poly2, depth: int, start: int, stop: int) -> np.recarray:
     """Rows start..stop-1 of the sample table, from their own word, tau and cable rows, the
     cables unchecked (``_require_cables``): the cells of the range, then each generation's cables."""
@@ -173,12 +199,11 @@ def _sample_rows(seq: ParamSeq, phi: Poly2, depth: int, start: int, stop: int) -
         lin, off = _word_rows(seq, depth, a, b)
         ids.append(np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)]))
         t_tilde.append(taus / _trace(taus)[:, None, None])
-        locations.append(lin @ barycenter() + off)
-    for (s, a, b), p, v in zip(spans, *_cable_stack(seq, [s for s, _, _ in spans])):
-        # The cables' prefixes, and the cables' rows among the three of each prefix.
-        plin, poff = _word_rows(seq, s - 1, a // 3, -(-b // 3))
+        locations.append(_images(lin, barycenter()[None])[:, 0] + off)
+    for (s, a, b), (plin, poff), p, v in zip(spans, _prefix_rows(seq, spans), *_cable_stack(seq, [s for s, _, _ in spans])):
+        # The cables' rows among the three of each prefix.
         rows, cables = slice(a % 3, a % 3 + b - a), np.arange(a, b)
-        _, dirs = _cable_directions(plin, v)
+        _, dirs = _cable_directions(plin, v, s, a // 3)
         # Midpoints of the cables' ends p and p + v.
         mids = p + 0.5 * ((p + v) - p)
         ids.append(np.column_stack([np.full(b - a, s), cables // 3, cables % 3 + 1]))
@@ -208,7 +233,9 @@ def laplacian_samples(seq: ParamSeq, phi: Poly2, depth: int, start: int = 0, sto
     time, each from its own word, tau and cable rows, so every row has the
     same bits whatever the range, and only the returned table is held
     whole.  The cables of every generation are checked first, so a range
-    raises what the whole table raises.
+    raises what the whole table raises; only a cable whose mapped |v|^2
+    underflows (``kusuoka._unit_directions``) is refused by the range that
+    holds it.
     """
     _require_depth(depth)
     n = _sample_count(depth)

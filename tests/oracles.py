@@ -12,7 +12,10 @@ tables plus cylinder matrices.  The package holds every map as a
 (``geometry._word_levels``); the object oracle here (``AffineMap2``,
 ``Segment`` and ``compose_objects``, one ``AffineMap2.compose`` per
 letter) composes them on its own, and the edge walk, the per-edge
-energies and the per-word routes' references are built on it.  They
+energies and the per-word routes' references are built on it.  The
+package's two products, a level's GEMM and the image table, are one BLAS
+call each; their stacked per-row forms (``level_products_stacked``,
+``images_stacked``) are the bit oracle they must reproduce.  They
 share no code with the moment pass or the gathers beyond the map
 triples, the cable segments and the quadrature rule, so agreement is a
 real cross-check.  ``fold_backward`` is the moment
@@ -68,7 +71,7 @@ from stretched_gasket.energy import (
     energy_total,
     resolve_quadrature,
 )
-from stretched_gasket.errors import DegenerateCable
+from stretched_gasket.errors import DegenerateCable, PrefactorUnderflow
 from stretched_gasket.geometry import (
     HARMONIC_RATIO,
     SIDE_NAMES,
@@ -139,6 +142,20 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+# -- the stacked products of the map primitives -------------------------------
+
+
+def images_stacked(lin, vecs) -> np.ndarray:
+    """lin[n] @ vecs[k] for every n, k, one stacked 2x2 matvec each: the rounding of
+    ``geometry._images``, fma(a_0, v_0, a_1 v_1) per entry."""
+    return (lin[:, None] @ vecs[..., None])[..., 0]
+
+
+def level_products_stacked(lin, wide) -> np.ndarray:
+    """``geometry._level_products`` as one stacked 2x2-by-2x6 product per row."""
+    return (lin @ wide).reshape(-1, 2, 3, 2).swapaxes(1, 2).reshape(-1, 2, 2)
+
+
 # -- the object oracle of the map arrays ------------------------------------
 
 
@@ -207,11 +224,16 @@ def restrict(p, amap: AffineMap2, seg: Segment) -> np.ndarray:
 
 def cable_mass_by_objects(seq, prefix, s, slot) -> tuple[float, np.ndarray]:
     """(mass, direction) of ``cable_mass`` from the object fold: the prefix map's linear part
-    times the cable's velocity, under the cable weight, which raises what ``cable_mass`` raises."""
+    times the cable's velocity, under the cable weight, which raises what ``cable_mass`` raises,
+    as does a mapped velocity whose |v|^2 underflowed to 0.0 or whose direction is not finite."""
     weight = _cable_weight(seq, s)
     vel = compose_objects(seq, prefix).linear @ cable_objects(seq, s)[slot - 1].velocity
     nrm2 = float(vel @ vel)
-    return weight * nrm2, vel / math.sqrt(nrm2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direction = vel / math.sqrt(nrm2)
+    if not (nrm2 > 0.0 and np.isfinite(direction).all()):
+        raise PrefactorUnderflow(f"generation-{s} cable: mapped |v|^2 {nrm2!r} underflows or its direction is not finite")
+    return weight * nrm2, direction
 
 
 def teplyaev_by_objects(phi, carrier, seq) -> tuple[np.ndarray, float]:

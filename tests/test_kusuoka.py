@@ -10,7 +10,9 @@ from stretched_gasket import (
     ParamSeq,
     cable_mass,
     cable_masses,
+    cable_segments,
     cable_tail_bound,
+    compose,
     energy1,
     energy2_limit,
     energy_via_measure,
@@ -22,13 +24,14 @@ from stretched_gasket import (
     perron_report,
     ruelle_apply,
     tau_table,
+    teplyaev,
     triple,
     vanishing_cubic,
     word_index,
     word_table,
 )
 from stretched_gasket.errors import DepthCapExceeded, GasketError, PrefactorUnderflow
-from stretched_gasket.kusuoka import _linears, _product2, _require_symmetric, _scaled_linears, _trace
+from stretched_gasket.kusuoka import _cable_directions, _linears, _product2, _require_symmetric, _scaled_linears, _trace
 
 from conftest import ALL_REGIMES, CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY, cold_peak
 from oracles import (
@@ -331,6 +334,23 @@ def test_cable_masses_structure():
 def test_cable_mass_prefix_validation():
     with pytest.raises(ValueError):
         cable_mass(TAIL_ONLY, (1, 2), 2, 1)
+
+
+def test_underflowed_cables_are_refused():
+    # The exp-tail sequence of the benchmark's energy-deep tail_only-8: 300 prefix letters
+    # shrink every generation-301 cable so far that its |v|^2 rounds to 0.0.
+    seq = ParamSeq(prefix=(), tail=ExpTail(0.038383, 0.5273))
+    prefix, digits = (2, 3) * 150, "23" * 150
+    for slot in (1, 2, 3):
+        with pytest.raises(PrefactorUnderflow, match=f"generation-301 cable at prefix {digits}, slot {slot}: mapped"):
+            cable_mass(seq, prefix, 301, slot)
+    # Its Laplacian sample was NaN: the carrier is now refused before a sample is taken.
+    with pytest.raises(PrefactorUnderflow, match="generation-301 cable"):
+        teplyaev(parse("x^2"), cable_mass(seq, prefix, 301, 1), seq)
+    # The table route names the same cable by its row among the prefix rows.
+    lin, _ = compose(seq, prefix)
+    with pytest.raises(PrefactorUnderflow, match=f"generation-301 cable at prefix {digits}, slot 1: mapped"):
+        _cable_directions(lin[None], cable_segments(seq, 301)[1], 301, word_index(prefix))
 
 
 @pytest.mark.parametrize("letter", [0, 4])

@@ -1,6 +1,6 @@
 """Lint step: no module of the package or of the tests imports a name it never uses, every
-top-level function or class of the package has a use, and every exported name has one
-outside its own module."""
+top-level function or class of the package has a use, every exported name has one
+outside its own module, and the enumerating paths make no stacked per-row products."""
 
 import ast
 import re
@@ -93,6 +93,41 @@ def test_every_package_definition_has_a_use():
     exported = set(exported_names(ast.parse(sources["__init__"])))
     named = "\n".join(path.read_text(encoding="utf-8") for path in PERFBENCH)
     assert unreferenced_definitions(sources, exported, named) == []
+
+
+#: The enumerating functions, by module, whose per-row 2x2 products go through ``geometry._images``.
+FLAT_PRODUCT_FUNCTIONS = {"harmonicity": {"_vertex_blocks"}, "laplacian": {"_sample_rows"}, "kusuoka": {"energy_via_measure"}}
+
+
+def stacked_products(source: str, functions: set[str]) -> list[tuple[str, int]]:
+    """(function, line) of every ``@``, ``@=`` or ``matmul`` inside the named top-level
+    functions of ``source``, nested functions included."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for sub in ast.walk(node):
+                matmult = isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult)
+                if matmult or getattr(sub, "id", getattr(sub, "attr", None)) == "matmul":
+                    found.append((node.name, sub.lineno))
+    return sorted(found)
+
+
+def test_stacked_products_are_found():
+    source = (
+        "import numpy as np\nfrom numpy import matmul\n\n\ndef f(a, b):\n    def g():\n        return a @ b\n\n"
+        "    c = np.matmul(a, b) + matmul(a, b)\n    c @= b\n    return g, np.dot(a, b)\n\n\ndef h(a, b):\n    return a @ b\n"
+    )
+    assert stacked_products(source, {"f"}) == [("f", 7), ("f", 9), ("f", 9), ("f", 10)]
+
+
+def test_enumerating_paths_make_no_stacked_products():
+    # Their per-row products are image tables of geometry._images, one GEMM each.
+    found = [
+        f"{module}.{name}:{line}"
+        for module, functions in FLAT_PRODUCT_FUNCTIONS.items()
+        for name, line in stacked_products((PACKAGE / f"{module}.py").read_text(encoding="utf-8"), functions)
+    ]
+    assert found == []
 
 
 def _readme_code() -> str:
