@@ -40,6 +40,7 @@ and is the local route's test oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -444,45 +445,165 @@ ND_GRID = 720
 ND_REFINE = 3
 #: Bytes of one row block of an ``nd_gamma_of`` grid (91 rows at ND_GRID).
 _ND_BLOCK_BYTES = 1 << 19
+#: Margin of a row bound, relative to the grid's largest image entry, and
+#: its absolute part for subnormal rounding (``nd_gamma_of``).
+_ND_MARGIN = 2.0**-40
+_ND_SUBNORMAL = 2.0**-1070
+#: Candidate vectors shorter than this, relative to the grid's largest image
+#: entry, are divided by it instead of by their length.
+_ND_TINY = 2.0**-500
+
+
+@functools.lru_cache(maxsize=4)
+def _nd_candidates(n: int) -> np.ndarray:
+    """Coefficients of the candidate vectors of ``_nd_window_min`` over n images:
+    w_i + w_j and w_i - w_j for i < j, or w_0 alone if n is 1."""
+    coef = np.zeros((max(n * n - n, 1), n))
+    coef[0, 0] = 1.0
+    row = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            coef[row : row + 2, i] = 1.0
+            coef[row : row + 2, j] = 1.0, -1.0
+            row += 2
+    coef.flags.writeable = False
+    return coef
+
+
+def _nd_window_min(w, ends=None, exp: int = 0) -> np.ndarray:
+    """Per row, min over unit e of max_i |<w_i, e>| for images w (n, m, 2) scaled by 2^-exp.
+
+    e runs over the whole circle, or over the arc from the unit vector
+    ends[0] counterclockwise to ends[1], less than a half turn.  Each
+    |<w_i, e>| is concave between its zeros, so the minimum lies at an end
+    of the arc, where two terms cross (e perpendicular to a candidate
+    v = w_i + w_j or w_i - w_j), or where the largest term vanishes; then
+    every term vanishes, a crossing too unless there is one term (v = w_0).
+    At e perpendicular to v, |<w_k, e>| is |v x w_k| / |v|; a zero v gives
+    0, which the minimum is not below.  An end e is the candidate v = (e_y, -e_x), and
+    the e perpendicular to v lies on the arc iff <v, ends[0]> and
+    <v, ends[1]> do not have the same sign.
+    """
+    n, m = w.shape[:2]
+    coef = _nd_candidates(n)
+    c, k = len(coef), 0 if ends is None else 2
+    terms = np.empty((n + k, 2, m))
+    np.ldexp(np.moveaxis(w, -1, 1), -exp, out=terms[:n])
+    v = np.empty((c + k, 2, m))
+    np.matmul(coef, terms[:n].reshape(n, 2 * m), out=v[:c].reshape(c, 2 * m))
+    if k:
+        v[c:] = (ends[:, ::-1] * (1.0, -1.0))[..., None]
+        terms[n:] = -v[c:]
+    cross = v[:, None, 0] * terms[:, 1]
+    cross -= v[:, None, 1] * terms[:, 0]
+    outside = cross[:, n] * cross[:, n + 1] > 0.0 if k else None
+    vals = np.abs(cross, out=cross)[:, :n].max(axis=1) / np.maximum(np.sqrt(np.square(v).sum(axis=1)), _ND_TINY)
+    if k:
+        vals[outside] = np.inf
+    return vals.min(axis=0)
+
+
+def _nd_grid(mats, tc, te, width, m):
+    """(thetas, phis, es, images) of an m x m ``nd_gamma_of`` grid of the given width
+    around (tc, te): es are the unit vectors e(phi), images[i, r] = M_i c(theta_r)."""
+    steps = np.arange(m) / m - 0.5
+    thetas, phis = tc + width * steps, te + width * steps
+    cs, es, images = np.empty((m, 2)), np.empty((m, 2)), np.empty((len(mats), m, 2))
+    cs[:, 0], cs[:, 1], es[:, 0], es[:, 1] = np.cos(thetas), np.sin(thetas), np.cos(phis), np.sin(phis)
+    for image, mat in zip(images, mats):
+        np.matmul(cs, mat.T, out=image)
+    return thetas, phis, es, images
+
+
+def _nd_row_bounds(images, es, whole: bool) -> np.ndarray:
+    """A lower bound of every grid value in each row of an ``nd_gamma_of`` grid.
+
+    ``_nd_window_min`` over the phi window, or over the circle if the grid is
+    ``whole`` (both angles over the whole circle), of the images scaled by a
+    power of two to a largest entry in [1/2, 1), less _ND_MARGIN, scaled
+    back, less _ND_SUBNORMAL; -inf for every row if an image overflowed.  On
+    a whole grid of even size row r + m/2 takes row r's bound: its c is -c
+    up to rounding, which the margin covers, and -c has the values of c.
+    """
+    top, m = float(np.abs(images).max()), images.shape[1]
+    if not math.isfinite(top):
+        return np.full(m, -math.inf)
+    exp = math.frexp(top)[1]
+    if whole and m % 2 == 0:
+        mins = np.tile(_nd_window_min(images[:, : m // 2], exp=exp), 2)
+    else:
+        mins = _nd_window_min(images, None if whole else es[[0, -1]], exp)
+    return np.ldexp(mins - _ND_MARGIN, exp) - _ND_SUBNORMAL
+
+
+def _nd_rows(images, idx, es, acc, buf) -> np.ndarray:
+    """Grid values max_i |<images[i, r], e>| of the rows r in idx (at least two), in acc."""
+    rows, acc, buf = images[:, idx], acc[: len(idx)], buf[: len(idx)]
+    np.abs(np.matmul(rows[0], es.T, out=acc), out=acc)
+    for image in rows[1:]:
+        np.maximum(acc, np.abs(np.matmul(image, es.T, out=buf), out=buf), out=acc)
+    return acc
 
 
 def nd_gamma_of(mats) -> float:
     """Grid minimum over unit (c, e) of max_i |<M_i c, e>|, for finite M_i.
 
     ND_GRID x ND_GRID angular grid, then ND_REFINE rounds of 241 x 241 grids
-    around the running minimizer, each reduced in row blocks of _ND_BLOCK_BYTES
-    to its first strict minimum in C order (bit-identical to the whole grid).
-    The objective is Lipschitz in the two angles, so the value exceeds the true
-    minimum by less than max_i ||M_i|| * 2 pi / ND_GRID; refinement keeps the
-    coarse basin, so that gap stays (1.9e-5 relative for the harmonic triple).
+    around the running minimizer, each reduced to its first strict minimum in
+    C order.  The objective is Lipschitz in the two angles, so the value
+    exceeds the true minimum by less than max_i ||M_i|| * 2 pi / ND_GRID;
+    refinement keeps the coarse basin, so that gap stays (1.9e-5 relative for
+    the harmonic triple).
+
+    Each round is a branch and bound over the rows theta_r (Horst & Tuy,
+    Global Optimization, 3rd ed., 1996).  With w_i = M_i c(theta_r), the
+    row's grid values are max_i |<w_i, e(phi)>| at the round's phi, and
+    ``_nd_row_bounds`` bounds them from below by the exact minimum of that
+    function over the phi window (the whole circle in the first round):
+    each |<w_i, e>| is concave between its zeros, so the minimum lies at an
+    end of the window, at a zero (e perpendicular to w_i) or at a crossing
+    (e perpendicular to w_i -/+ w_j).  The bound is less a margin for
+    rounding: the bound and the grid values each err by a few tens of ulps
+    of the grid's largest image entry, and the margin is at least 2^-40 of
+    it, plus 2^-1070 for the absolute rounding of subnormal products.  The
+    best-bounded row and its neighbour give a grid value u; a row bounded
+    above u holds only values above u and is not evaluated, so the first
+    strict minimum in C order, and the returned double, are those of the
+    whole grid.  A NaN bound never exceeds u, and images that overflow
+    bound no row.  The other rows are reduced in row blocks of
+    _ND_BLOCK_BYTES, gathered at least two at a time: numpy sends a one-row
+    product to GEMV, which rounds otherwise than the grid's GEMM.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
     if not all(np.isfinite(m).all() for m in mats):
         raise ValueError("nondegeneracy matrices must be finite")
 
-    def grid_min(tc, sc, te, se, m):
-        thetas = tc + sc * (np.arange(m) / m - 0.5)
-        phis = te + se * (np.arange(m) / m - 0.5)
-        cs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        es = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        images, rows = [cs @ mat.T for mat in mats], _ND_BLOCK_BYTES // (8 * m)
-        acc_rows, buf_rows = np.empty((2, rows, m))
-        val, at = math.inf, 0
-        for r0 in range(0, m, rows):
-            acc, buf = acc_rows[: m - r0], buf_rows[: m - r0]
-            np.abs(np.matmul(images[0][r0 : r0 + rows], es.T, out=acc), out=acc)
-            for image in images[1:]:
-                np.maximum(acc, np.abs(np.matmul(image[r0 : r0 + rows], es.T, out=buf), out=buf), out=acc)
+    def grid_min(tc, te, width, m):
+        thetas, phis, es, images = _nd_grid(mats, tc, te, width, m)
+
+        def scan(idx, acc, buf, val, at):
+            acc = _nd_rows(images, idx, es, acc, buf)
             k = int(np.argmin(acc))
-            if acc.flat[k] < val:
-                val, at = float(acc.flat[k]), r0 * m + k
+            here = int(idx[k // m]) * m + k % m
+            return (float(acc.flat[k]), here) if acc.flat[k] < val or (acc.flat[k] == val and here < at) else (val, at)
+
+        bounds = _nd_row_bounds(images, es, whole=width > math.pi)
+        first = max(int(np.argmin(bounds)), 1) - 1
+        val, at = scan(np.arange(first, first + 2), *np.empty((2, 2, m)), math.inf, 0)
+        bounds[first : first + 2] = math.inf
+        live, rows = np.flatnonzero(~(bounds > val)), _ND_BLOCK_BYTES // (8 * m)
+        if len(live) % rows == 1:
+            live = np.append(live, live[-1])
+        acc, buf = np.empty((2, min(rows, len(live)), m))
+        for r0 in range(0, len(live), rows):
+            val, at = scan(live[r0 : r0 + rows], acc, buf, val, at)
         return val, float(thetas[at // m]), float(phis[at % m])
 
     two_pi = 2.0 * math.pi
-    val, tc, te = grid_min(math.pi, two_pi, math.pi, two_pi, ND_GRID)
+    val, tc, te = grid_min(math.pi, math.pi, two_pi, ND_GRID)
     span = two_pi / ND_GRID
     for _ in range(ND_REFINE):
-        val, tc, te = grid_min(tc, 2.0 * span, te, 2.0 * span, 241)
+        val, tc, te = grid_min(tc, te, 2.0 * span, 241)
         span = 2.0 * span / 241
     return val
 

@@ -1,12 +1,14 @@
 """Shared fixtures: the three stretch regimes used across the suite."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from stretched_gasket import ExpTail, ParamSeq, geometry, kusuoka
+from stretched_gasket import ExpTail, ParamSeq, geometry, kusuoka, seq_from_mapping
 
 #: Constant sequence (no infinite tail product; finite-depth only).
 CONSTANT_HALF = ParamSeq.constant(0.5)
@@ -14,6 +16,20 @@ CONSTANT_HALF = ParamSeq.constant(0.5)
 PREFIX_EXP = ParamSeq(prefix=(0.9, 0.8, 0.7), tail=ExpTail(0.05, 0.5))
 #: Pure exponential tail (positive product).
 TAIL_ONLY = ParamSeq(prefix=(), tail=ExpTail(0.1, 0.5))
+
+#: The benchmark's reference pools (``perfbench/refs.json``), read only.
+BENCH_REFS = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json").read_text())
+
+
+def benchmark_seq(spec):
+    """A pool configuration's stretching sequence, built as the benchmark builds it."""
+    mapping = {"eps.prefix": tuple(spec["prefix"])}
+    if spec["tail"]["kind"] == "const":
+        mapping["eps.const"] = spec["tail"]["value"]
+    else:
+        mapping["eps.tail.c"], mapping["eps.tail.r"] = spec["tail"]["c"], spec["tail"]["r"]
+    return seq_from_mapping(mapping)
+
 
 ALL_REGIMES = (CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY)
 LIMIT_REGIMES = (PREFIX_EXP, TAIL_ONLY)

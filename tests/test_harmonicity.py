@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stretched_gasket import (
     HARMONIC_RATIO,
@@ -20,12 +22,12 @@ from stretched_gasket import (
     weak_laplacian_h1,
     weak_pairing,
 )
-from stretched_gasket.harmonicity import ND_GRID
+from stretched_gasket.harmonicity import ND_GRID, _nd_grid, _nd_row_bounds, _nd_window_min
 from stretched_gasket.params import A
 from stretched_gasket.scalarfield import poly1_derivative
 
-from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, admissible, random_poly
-from oracles import canonical_vertex, edge_walk, nd_gamma_closed_form, nd_gamma_full_grid, restrict
+from conftest import BENCH_REFS, CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, admissible, benchmark_seq, random_poly
+from oracles import _nd_inner_min, canonical_vertex, edge_walk, nd_gamma_closed_form, nd_gamma_full_grid, restrict
 
 
 def test_canonical_vertex_strips_fixing_letter():
@@ -179,17 +181,98 @@ def test_nd_gamma_rank_one_mock_is_zero():
     assert nd_gamma_of((m, m, m)) == nd_gamma_full_grid((m, m, m))
 
 
+def _nd_edge_cases(rng):
+    """Matrix triples that stress the row bounds of ``nd_gamma_of``."""
+    rank_one = np.array([[1.0, 0.0], [0.0, 0.0]])
+    a, b = rng.normal(size=(2, 2, 2))
+    return {
+        # Every bound is 0 and no row is pruned.
+        "rank-one mock": (rank_one, rank_one, rank_one),
+        # w_i = +/- w_j: a zero crossing vector in every row.
+        "equal images": (a, a, b),
+        "opposite images": (a, -a, b),
+        "zero matrices": (np.zeros((2, 2)),) * 3,
+        "two zero matrices": (np.zeros((2, 2)), np.zeros((2, 2)), b),
+        "one matrix": (b,),
+        "scaled 1e300": tuple(1e300 * m for m in (a, b, a @ b)),
+        "scaled 1e-300": tuple(1e-300 * m for m in (a, b, a @ b)),
+        # Exactly one row survives the last round's bounds; as a one-row
+        # product (GEMV) it would move the minimum.
+        "one survivor": triple(1.0, 2.0)[0],
+    }
+
+
+def _nd_pool_stretches():
+    """eps_k of the vertex-diagnostics pool at the levels the benchmark calls nd_gamma for."""
+    return [benchmark_seq(cfg["seq"]).eps(k) for cfg in BENCH_REFS["vertex-diagnostics"] for k in (1, 2, 3, 4)]
+
+
 def test_nd_gamma_blocked_grid_is_bit_identical_to_full_grid(rng):
-    # The row blocks must pick the same grid point as one argmin over the
-    # whole grid, so equality is exact, not approximate.
+    # The row bounds and row blocks must pick the same grid point as one
+    # argmin over the whole grid, so equality is exact, not approximate.
     cases = [(e, HARMONIC_RATIO) for e in rng.uniform(1e-4, 1.0, 100)]
-    cases += [(e, r) for r in (0.25, 0.5) for e in (1e-4, 0.3, 0.77, 1.0)]
+    cases += [(e, r) for r in (0.25, 0.5, -0.5, 2.0, 1e3) for e in (1e-4, 0.3, 0.77, 1.0)]
+    cases += [(e, HARMONIC_RATIO) for e in (1e-300, 1e-310, 1e-320, 5e-324)]
+    pool = _nd_pool_stretches()
+    assert len(pool) == 108
+    cases += [(e, HARMONIC_RATIO) for e in pool]
     for eps, ratio in cases:
         mats = list(triple(float(eps), ratio)[0])
         assert nd_gamma_of(mats) == nd_gamma_full_grid(mats), (eps, ratio)
+    for name, mats in _nd_edge_cases(rng).items():
+        assert nd_gamma_of(mats) == nd_gamma_full_grid(mats), name
+    # Images that overflow bound no row.
+    with np.errstate(over="ignore"):
+        mats = (np.array([[1.7e308, 1.7e308], [1.0, -1.0]]), np.eye(2), np.eye(2))
+        assert nd_gamma_of(mats) == nd_gamma_full_grid(mats)
     for _ in range(5):
         mats = list(rng.normal(size=(3, 2, 2)))
         assert nd_gamma_of(mats) == nd_gamma_full_grid(mats)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.3, 1.0])
+def test_nd_gamma_evaluates_few_rows_of_the_harmonic_triple(eps, monkeypatch):
+    # The bounds leave about a dozen of the 720 coarse rows and a pair or
+    # two of the 241 rows of each refinement round to evaluate.
+    evaluated = {}
+    rows = harmonicity._nd_rows
+
+    def counting(images, idx, es, acc, buf):
+        evaluated[images.shape[1]] = evaluated.get(images.shape[1], 0) + len(idx)
+        return rows(images, idx, es, acc, buf)
+
+    monkeypatch.setattr(harmonicity, "_nd_rows", counting)
+    nd_gamma(eps)
+    assert evaluated[ND_GRID] <= 16 and evaluated[241] <= 4 * 3, evaluated
+
+
+#: Triples of the map family and random matrices for the row-bound property.
+ND_MATRICES = st.one_of(
+    st.builds(
+        lambda eps, ratio: triple(eps, ratio)[0],
+        st.floats(1e-6, 1.0),
+        st.sampled_from([HARMONIC_RATIO, 0.25, -0.5, 2.0, 1e3]),
+    ),
+    # Seeded normal matrices: no two images are equal, so every crossing is one.
+    st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).normal(size=(3, 2, 2))),
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(mats=ND_MATRICES)
+def test_nd_row_bounds_hold_every_grid_value(mats):
+    # On the whole coarse grid and on a refinement window around its
+    # minimizer, no computed grid value of a row lies below the row's bound.
+    thetas, phis, es, images = _nd_grid(mats, math.pi, math.pi, 2.0 * math.pi, ND_GRID)
+    vals = np.abs(images @ es.T).max(axis=0)
+    assert np.all(vals.min(axis=1) >= _nd_row_bounds(images, es, whole=True))
+    j, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    _, _, es, window = _nd_grid(mats, thetas[j], phis[k], 4.0 * math.pi / ND_GRID, 241)
+    vals = np.abs(window @ es.T).max(axis=0)
+    assert np.all(vals.min(axis=1) >= _nd_row_bounds(window, es, whole=False))
+    # Before its margin, the whole-circle bound is the exact inner minimum.
+    gap = np.abs(_nd_window_min(images) - _nd_inner_min(mats, thetas))
+    assert np.all(gap <= 4.0 * np.finfo(float).eps * np.abs(images).max())
 
 
 @pytest.mark.parametrize("ratio", [HARMONIC_RATIO, 0.25])
@@ -210,11 +293,14 @@ def test_nd_gamma_rejects_non_finite_matrices(bad):
 
 def test_nd_gamma_peak_memory_is_bounded():
     # The whole 720 x 720 grid, stacked for three maps, would hold 24 MiB.
-    nd_gamma(0.3)
-    tracemalloc.start()
-    try:
-        nd_gamma(0.3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    # The rank-one mock prunes no row, so its rows are reduced in blocks.
+    rank_one = np.array([[1.0, 0.0], [0.0, 0.0]])
+    for call in (lambda: nd_gamma(0.3), lambda: nd_gamma_of((rank_one,) * 3)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

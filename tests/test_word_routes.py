@@ -8,33 +8,21 @@ word (an underflowed cell mass, a cable weight the sequence has no limit
 for), the oracle refuses it with the same error.
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from stretched_gasket import CableMass, GasketError, barycenter, cable_mass, compose, parse, seq_from_mapping, teplyaev, word_point
+from stretched_gasket import CableMass, GasketError, barycenter, cable_mass, compose, parse, teplyaev, word_point
+
+from conftest import BENCH_REFS, benchmark_seq
 
 from oracles import cable_mass_by_objects, compose_objects, teplyaev_by_objects
 
-_REFS = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json").read_text())
 #: Word lengths: every depth up to the cap, then three far past it.
 LENGTHS = (*range(13), 20, 300, 1300)
 PHI = parse("x^3 - 0.7*x*y + y^4")
 
 
-def _seq(spec):
-    """A configuration's stretching sequence, built as the benchmark builds it."""
-    mapping = {"eps.prefix": tuple(spec["prefix"])}
-    if spec["tail"]["kind"] == "const":
-        mapping["eps.const"] = spec["tail"]["value"]
-    else:
-        mapping["eps.tail.c"], mapping["eps.tail.r"] = spec["tail"]["c"], spec["tail"]["r"]
-    return seq_from_mapping(mapping)
-
-
-CONFIGS = [(f"{workload}/{cfg['id']}", cfg["seq"]) for workload in ("energy-deep", "vertex-diagnostics") for cfg in _REFS[workload]]
+CONFIGS = [(f"{workload}/{cfg['id']}", cfg["seq"]) for workload in ("energy-deep", "vertex-diagnostics") for cfg in BENCH_REFS[workload]]
 
 
 def _bits(value):
@@ -62,7 +50,7 @@ def _outcome(fn):
 
 @pytest.mark.parametrize("spec", [spec for _, spec in CONFIGS], ids=[name for name, _ in CONFIGS])
 def test_per_word_routes_equal_the_object_fold(spec, rng):
-    seq = _seq(spec)
+    seq = benchmark_seq(spec)
     bary = barycenter()
     compared = 0
     for l in LENGTHS:
