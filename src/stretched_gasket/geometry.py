@@ -407,7 +407,7 @@ def prefractal_edges(seq: ParamSeq, l: int) -> np.recarray:
     word = np.concatenate([np.arange(n // 3).repeat(3) for n in sizes])
     slot = np.concatenate([np.tile(np.arange(3) + (s > 0), n // 3) for s, n in enumerate(sizes)])
     pf = np.repeat([tri_pf] + [cable_prefactor(seq, s, l) for s in range(1, l + 1)], sizes)
-    tri = (corners[:, _SIDE_FROM], corners[:, _SIDE_TO], sides)
+    tri = (np.take(corners, _SIDE_FROM, axis=1), np.take(corners, _SIDE_TO, axis=1), sides)
     p, q, v = (np.concatenate([a.reshape(-1, 2) for a in arrs]) for arrs in zip(tri, *cables))
     columns = [np.repeat(np.arange(l + 1), sizes), word, slot, pf, *p.T, *q.T, *v.T]
     return np.rec.fromarrays(columns, names="generation,word,slot,prefactor,px,py,qx,qy,vx,vy")

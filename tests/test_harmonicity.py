@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from stretched_gasket import (
     HARMONIC_RATIO,
     NonHarmonicError,
+    compose,
     energy_total,
     harmonic_report,
     harmonic_residual,
@@ -22,7 +23,7 @@ from stretched_gasket import (
     weak_laplacian_h1,
     weak_pairing,
 )
-from stretched_gasket.harmonicity import ND_GRID, _nd_grid, _nd_row_bounds, _nd_window_min
+from stretched_gasket.harmonicity import ND_GRID, _base_corner_maps, _nd_gamma_cached, _nd_grid, _nd_row_bounds, _nd_window_min
 from stretched_gasket.params import A
 from stretched_gasket.scalarfield import poly1_derivative
 
@@ -91,6 +92,17 @@ def test_harmonic_report_names_worst_vertex():
     # Base corners carry the non-vanishing sums (one per corner).
     assert set(rep.corner_norms) == {"A", "B", "C"}
     assert all(v > 0.0 for v in rep.corner_norms.values())
+
+
+@pytest.mark.parametrize("ratio", [HARMONIC_RATIO, 0.25])
+def test_base_corner_walk_is_bit_identical_to_compose(regime, ratio):
+    # Rows 0, 4 and 8 of each level's 3-row products: the GEMM row contract of
+    # geometry._level_products and _images, so each row has compose's bits.
+    for l in range(13):
+        lin, off = _base_corner_maps(regime, l, ratio)
+        for c in range(3):
+            want_lin, want_off = compose(regime, (c + 1,) * l, ratio)
+            assert lin[c].tobytes() == want_lin.tobytes() and off[c].tobytes() == want_off.tobytes(), (l, c)
 
 
 def test_eigen_direction_product_identity(regime):
@@ -242,7 +254,7 @@ def test_nd_gamma_evaluates_few_rows_of_the_harmonic_triple(eps, monkeypatch):
         return rows(images, idx, es, acc, buf)
 
     monkeypatch.setattr(harmonicity, "_nd_rows", counting)
-    nd_gamma(eps)
+    nd_gamma_of(triple(eps)[0])
     assert evaluated[ND_GRID] <= 16 and evaluated[241] <= 4 * 3, evaluated
 
 
@@ -284,6 +296,26 @@ def test_nd_gamma_within_grid_slack_of_closed_form_oracle(ratio):
         assert 0.0 <= gap <= slack, (eps, ratio, gap, slack)
 
 
+def test_nd_gamma_searches_each_eps_and_ratio_once():
+    _nd_gamma_cached.cache_clear()
+    cases = [(eps, ratio) for eps in (0.3, 0.77) for ratio in (HARMONIC_RATIO, 0.25)]
+    for _ in range(2):
+        for eps, ratio in cases:
+            assert nd_gamma(eps, ratio) == nd_gamma_of(triple(eps, ratio)[0]), (eps, ratio)
+    # The ratio is part of the key: the same eps at another ratio is another value.
+    assert nd_gamma(0.3, 0.25) != nd_gamma(0.3, HARMONIC_RATIO)
+    # An int or numpy eps reads the entry of its float.
+    assert nd_gamma(np.float64(0.3)) == nd_gamma(0.3) and nd_gamma(1) == nd_gamma(1.0)
+    info = _nd_gamma_cached.cache_info()
+    assert (info.misses, info.currsize) == (5, 5), info
+    # No exception is cached: an invalid eps or ratio raises on every call.
+    for _ in range(2):
+        for eps, ratio in ((0.0, HARMONIC_RATIO), (1.5, HARMONIC_RATIO), (math.nan, HARMONIC_RATIO), (0.3, math.inf)):
+            with pytest.raises(ValueError):
+                nd_gamma(eps, ratio)
+    assert _nd_gamma_cached.cache_info().currsize == 5
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nd_gamma_rejects_non_finite_matrices(bad):
     m = np.array([[1.0, 0.0], [0.0, bad]])
@@ -295,7 +327,7 @@ def test_nd_gamma_peak_memory_is_bounded():
     # The whole 720 x 720 grid, stacked for three maps, would hold 24 MiB.
     # The rank-one mock prunes no row, so its rows are reduced in blocks.
     rank_one = np.array([[1.0, 0.0], [0.0, 0.0]])
-    for call in (lambda: nd_gamma(0.3), lambda: nd_gamma_of((rank_one,) * 3)):
+    for call in (lambda: nd_gamma_of(triple(0.3)[0]), lambda: nd_gamma_of((rank_one,) * 3)):
         call()
         tracemalloc.start()
         try:

@@ -130,6 +130,54 @@ def test_enumerating_paths_make_no_stacked_products():
     assert found == []
 
 
+#: The vertex-path functions, by module, whose row gathers go through ``np.take`` or ``np.compress``.
+BASIC_INDEXING_FUNCTIONS = {
+    "harmonicity": {"_vertex_blocks", "_corner_geometry", "_block_vertices", "_vertex_arrays"},
+    "geometry": {"prefractal_edges"},
+}
+
+
+def _basic_index(node: ast.AST) -> bool:
+    """Whether a subscript's index is a slice, an int, None or Ellipsis, or a tuple of these."""
+    if isinstance(node, ast.Tuple):
+        return all(_basic_index(elt) for elt in node.elts)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) and isinstance(node.operand, ast.Constant):
+        return type(node.operand.value) is int
+    constant = isinstance(node, ast.Constant) and (node.value in (None, Ellipsis) or type(node.value) is int)
+    return constant or isinstance(node, ast.Slice)
+
+
+def index_gathers(source: str, functions: set[str]) -> list[tuple[str, int]]:
+    """(function, line) of every subscript with an index other than ``_basic_index``'s
+    inside the named top-level functions of ``source``, nested functions included."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            subscripts = [sub for sub in ast.walk(node) if isinstance(sub, ast.Subscript)]
+            found += [(node.name, sub.lineno) for sub in subscripts if not _basic_index(sub.slice)]
+    return sorted(found)
+
+
+def test_index_gathers_are_found():
+    source = (
+        "def f(a, i):\n    def g():\n        return a[i]\n\n"
+        "    b = a[:, None, 1:2, ..., 0, -1] + a[None] + a[...] + a[-1][1:]\n"
+        "    a[i, 0] = a[a > 0] + a[[0, 1]] + a[:, i] + a[-i] + a[True] + a[1.0]\n    return g\n\n\n"
+        "def h(a, i):\n    return a[i]\n"
+    )
+    assert index_gathers(source, {"f"}) == [("f", 3)] + [("f", 6)] * 7
+
+
+def test_vertex_path_gathers_rows_through_take():
+    # An index-array subscript of a multi-column array runs about 10 times slower than np.take.
+    found = [
+        f"{module}.{name}:{line}"
+        for module, functions in BASIC_INDEXING_FUNCTIONS.items()
+        for name, line in index_gathers((PACKAGE / f"{module}.py").read_text(encoding="utf-8"), functions)
+    ]
+    assert found == []
+
+
 def _readme_code() -> str:
     """The README's fenced code blocks and inline code spans."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
