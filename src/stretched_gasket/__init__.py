@@ -68,7 +68,6 @@ from .harmonicity import (
     nd_gamma,
     nd_gamma_of,
     vertex_stars,
-    weak_laplacian_h1,
     weak_pairing,
 )
 from .kusuoka import (
@@ -152,7 +151,6 @@ __all__ = [
     "vanishing_at_ABC",
     "vanishing_cubic",
     "vertex_stars",
-    "weak_laplacian_h1",
     "weak_pairing",
     "word_index",
     "word_point",

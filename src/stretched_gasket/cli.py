@@ -23,9 +23,10 @@ enumeration orders, fixed float formatting, no wall clock, and no bare
 computation that can fail runs before the first byte of an output;
 tables are then written in row blocks, so their text never exists
 whole.  ``kusuoka`` computes its cylinder matrices block by block as it
-writes them, which cannot fail once the depth is checked, and
-``laplacian`` its samples, once every generation's cable weight is
-checked; neither holds a whole depth-l table.
+writes them, which cannot fail once the depth is checked, ``laplacian``
+its samples, once every generation's cable weight is checked, and
+``geometry`` its edge rows, once the triangle and every generation's
+cable prefactor are; none of them holds a whole depth-l table.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from . import harmonicity as harm_mod
 from . import kusuoka as kus_mod
 from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
-from .geometry import HARMONIC_RATIO, SIDE_NAMES, _ranges, _require_depth, prefractal_edges
+from .geometry import HARMONIC_RATIO, SIDE_NAMES, _carrier_count, _edge_rows, _ranges, _require_depth, _require_edges
 from .harmonicity import HARMONIC_GATES
 from .params import SEQ_KEYS, A, ParamSeq, seq_from_mapping
 from .scalarfield import corner_values, parse as parse_poly, sup_bounds, vanishes_at_corners, vanishing_cubic
@@ -191,9 +192,9 @@ def _json_reprs(col: np.ndarray) -> list[str]:
 # -- geometry --------------------------------------------------------------
 
 
-def _write_svg(fh, depth, edges, kappas):
-    """SVG of the edge table, over cells shaded by their ``kappas`` unless those are None,
-    a range of ``geometry._ranges`` of cells or edges at a time."""
+def _write_svg(fh, seq, depth, kappas):
+    """SVG of the edge table, over cells shaded by their ``kappas`` unless those are None, its
+    rows built a range of ``geometry._ranges`` of cells or edges at a time."""
     # Hull of the base triangle with a 5% margin; y axis flipped for SVG.
     margin = 0.05
     width = math.sqrt(3.0) / 2.0
@@ -205,7 +206,7 @@ def _write_svg(fh, depth, edges, kappas):
         top = float(np.max(kappas))
         for a, b in _ranges(len(kappas)):
             # Corners A, B, C of each cell: the starts of its sides AB and BC, and the end of BC.
-            cells = edges[3 * a : 3 * b].reshape(-1, 3)
+            cells = _edge_rows(seq, depth, 3 * a, 3 * b).reshape(-1, 3)
             corners = (cells.px[:, 0], cells.py[:, 0], cells.px[:, 1], cells.py[:, 1], cells.qx[:, 1], cells.qy[:, 1])
             ops = (0.75 * kappas[a:b] / top).tolist()
             fh.writelines(
@@ -217,8 +218,9 @@ def _write_svg(fh, depth, edges, kappas):
         f'stroke="#1a1a1a" stroke-width="{sw:.6f}"',
         f'stroke="#c0392b" stroke-width="{sw:.6f}" stroke-dasharray="{2 * sw:.6f},{2 * sw:.6f}"',
     )
-    for a, b in _ranges(len(edges)):
-        columns = (edges[c][a:b].tolist() for c in ("generation", "px", "py", "qx", "qy"))
+    for a, b in _ranges(_carrier_count(depth, 3)):
+        block = _edge_rows(seq, depth, a, b)
+        columns = (block[c].tolist() for c in ("generation", "px", "py", "qx", "qy"))
         fh.writelines(
             f'<line x1="{px:.6f}" y1="{-py:.6f}" x2="{qx:.6f}" y2="{-qy:.6f}" {styles[cable > 0]}/>\n'
             for cable, px, py, qx, qy in zip(*columns)
@@ -234,13 +236,13 @@ _EDGE_JSON = (
 )
 
 
-def _write_edges_json(fh, depth, edges):
+def _write_edges_json(fh, seq, depth):
     """``{"edges": [...]}`` as ``json.dump(..., indent=2, sort_keys=True)`` writes it, with a
-    trailing newline, a range of ``geometry._ranges`` of edges at a time; a non-finite
+    trailing newline, the edge rows built a range of ``geometry._ranges`` at a time; a non-finite
     coordinate is ``null``.  A triangle edge carries its cell word and side, a cable its prefix and slot."""
     fh.write('{\n  "edges": [')
-    for a, b in _ranges(len(edges)):
-        block = edges[a:b]
+    for a, b in _ranges(_carrier_count(depth, 3)):
+        block = _edge_rows(seq, depth, a, b)
         generation = block.generation
         words = _word_strs(block.word, np.where(generation > 0, generation - 1, depth))
         coords = (_json_reprs(block[c]) for c in ("px", "py", "qx", "qy"))
@@ -260,14 +262,14 @@ def _write_edges_json(fh, depth, edges):
 
 
 def cmd_geometry(seq, *, depth, shade, out, json_out) -> int:
-    """SVG and JSON edge export."""
+    """SVG and JSON edge export, the edge rows built as they are written once every prefactor is checked."""
     kappas = kus_mod.kappa_table(depth) if shade else None
-    edges = prefractal_edges(seq, depth)
+    _require_edges(seq, depth)
     with _output(out) as fh:
-        _write_svg(fh, depth, edges, kappas)
+        _write_svg(fh, seq, depth, kappas)
     if json_out is not None:
         with _output(json_out) as fh:
-            _write_edges_json(fh, depth, edges)
+            _write_edges_json(fh, seq, depth)
     return 0
 
 
@@ -429,7 +431,7 @@ def cmd_laplacian(seq, *, depth, phi, out) -> int:
         words = _word_strs(table.word, np.where(cable, table.generation - 1, depth))
         return zip(kinds, words, slots, *(_reprs(c) for c in (table.x, table.y, table.value)))
 
-    _write_csv(out, ["kind", "word", "slot", "x", "y", "value"], lap_mod._sample_count(depth), block)
+    _write_csv(out, ["kind", "word", "slot", "x", "y", "value"], _carrier_count(depth), block)
     worst = float(worst)
     if not worst <= cap:
         return _assert_fail(f"Laplacian sample {worst:.3e} exceeds the Hessian bound {cap:.3e}")

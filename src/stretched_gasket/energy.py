@@ -59,9 +59,10 @@ an overflowing total.  Other modules use that entry and build no moments.
 The one-step recurrence and self-similarity residuals read their
 generation-1 cable term from the left side's pass, and run the right
 side's three pulled-back fields (u o F^1_i, v o F^1_i) as one stacked
-pass on the shifted sequence.  The batched edge tableau
-(``_tableau``, a view of the geometry module's world arrays) remains only
-for the tests' edge-by-edge routes in ``tests/oracles.py``.
+pass on the shifted sequence.  The batched edge tableau (``_tableau``,
+the start and velocity columns of the geometry module's edge table, cut by
+generation) remains only for the tests' edge-by-edge routes in
+``tests/oracles.py``.
 
 The limit cable form replaces the finite window product eps_tilde(s, l)
 with the infinite one and is reported together with a rigorous tail bound.
@@ -78,13 +79,12 @@ import numpy as np
 
 from .errors import TermOverflow, WorkingSetTooLarge
 from .geometry import (
-    _SIDE_FROM,
     _cable_stack,
     _quotient,
     _require_depth,
     _side_arrays,
-    _world,
     barycenter,
+    prefractal_edges,
     triple,
 )
 from .params import A, ParamSeq
@@ -204,18 +204,18 @@ def _exponents(d: int) -> tuple[np.ndarray, np.ndarray]:
     return m, n
 
 
-def _pullback(lin: np.ndarray, off: np.ndarray, d: int, *, to_world: bool = False) -> np.ndarray:
+def _pullback(lin: np.ndarray, off: np.ndarray, d: int, *, from_plain: bool = False) -> np.ndarray:
     """(S, D, D): the pullback matrix of each of S affine maps (lin (S, 2, 2), off (S, 2))
     on the centered basis.
 
     P[s] @ coeffs(p) = coeffs(p o F_s), F_s x = lin[s] @ x + off[s], with
-    the input on the plain basis instead for ``to_world`` (p is a field in
+    the input on the plain basis instead when ``from_plain`` (p is a field in
     world coordinates); the output is always centered.  One pass over the
     monomials serves the whole stack.
     """
     linear = lin.astype(_EXT)
     offset = linear @ _CENTER + off.astype(_EXT)
-    if not to_world:
+    if not from_plain:
         offset = offset - _CENTER
     m_idx, n_idx = _exponents(d)
     out = np.zeros((len(linear), _dim(d), _dim(d)), dtype=_EXT)
@@ -248,15 +248,15 @@ def _plain_coeffs(p: Poly2, d: int) -> np.ndarray:
     return out
 
 
-def _map_pullback(lin: np.ndarray, off: np.ndarray, d: int, *, to_world: bool = False) -> np.ndarray:
+def _map_pullback(lin: np.ndarray, off: np.ndarray, d: int, *, from_plain: bool = False) -> np.ndarray:
     """Pullback by one map (lin (2, 2), off (2,)): ``_pullback`` of a stack of one."""
-    return _pullback(lin[None], off[None], d, to_world=to_world)[0]
+    return _pullback(lin[None], off[None], d, from_plain=from_plain)[0]
 
 
 @functools.lru_cache(maxsize=16)
 def _centering(d: int) -> np.ndarray:
     """Pullback by the identity from the plain to the centered basis."""
-    out = _map_pullback(np.eye(2), np.zeros(2), d, to_world=True)
+    out = _map_pullback(np.eye(2), np.zeros(2), d, from_plain=True)
     out.flags.writeable = False
     return out
 
@@ -445,7 +445,7 @@ def _top_moment(u: Poly2, v: Poly2, d: int, outer: tuple | None = None, *, symme
     degree guard runs here too, as callers build the moment before the pass.
     """
     _require_budget(d, 3)
-    pullback = _centering(d) if outer is None else _map_pullback(*outer, d, to_world=True)
+    pullback = _centering(d) if outer is None else _map_pullback(*outer, d, from_plain=True)
     top = np.outer(*[pullback @ _plain_coeffs(p, d) for p in (u, v)])
     return 0.5 * (top + top.T) if symmetric else top
 
@@ -573,13 +573,13 @@ class _Tableau:
 
 @functools.lru_cache(maxsize=64)
 def _tableau(seq: ParamSeq, l: int) -> _Tableau:
-    corners, sides, cables = _world(seq, l)
-    tri_p0, tri_dv = corners[:, _SIDE_FROM].reshape(-1, 2), sides.reshape(-1, 2)
-    cab_p0 = tuple(starts.reshape(-1, 2) for starts, _, _ in cables)
-    cab_dv = tuple(vels.reshape(-1, 2) for _, _, vels in cables)
-    for arr in (tri_p0, tri_dv, *cab_p0, *cab_dv):
+    edges = prefractal_edges(seq, l)
+    # The edge table's start and velocity columns, cut where each generation ends.
+    cuts = np.cumsum([3 * 3**l] + [3**s for s in range(1, l + 1)])[:-1]
+    p0, dv = (np.split(np.column_stack(cols), cuts) for cols in ((edges.px, edges.py), (edges.vx, edges.vy)))
+    for arr in (*p0, *dv):
         arr.flags.writeable = False
-    return _Tableau(l, tri_p0, tri_dv, cab_p0, cab_dv)
+    return _Tableau(l, p0[0], dv[0], tuple(p0[1:]), tuple(dv[1:]))
 
 
 # -- the forms -------------------------------------------------------------

@@ -26,12 +26,12 @@ the vertex stars, the Laplacian samples and the measure energy.  The two
 that enumerate a level, ``word_table`` and ``_word_rows``, stop at the
 depth cap; a one-row read does not.
 
-The depth-l pre-fractal in world coordinates is one set of arrays
-(``_world``): the corners and side velocities of every cell and the
-starts, ends and velocities of every generation's cables, each mapped
-through its word's row of ``word_table``.  The edge table
-(``prefractal_edges``), the SVG/JSON export and the tests' edge tableau
-gather from it.
+The carriers of the depth-l pre-fractal, its cells in word order and
+then its cables by generation in (prefix, slot) order, have one walk
+(``_carrier_walk``): a row range gives its cells' map rows and its
+cables' prefix rows.  The Laplacian samples and the edge table
+(``prefractal_edges``, built a range at a time by ``_edge_rows``, which
+the SVG/JSON export reads by range) read their rows from it.
 
 The beta/alpha ratio (default 1/3, the harmonic family) is a parameter of
 the map primitives here and of the vertex-residual probes in the
@@ -366,25 +366,90 @@ def _side_arrays() -> tuple[np.ndarray, np.ndarray]:
     return corners[_SIDE_FROM], corners[_SIDE_TO] - corners[_SIDE_FROM]
 
 
-def _world(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
-    """The depth-l pre-fractal in world coordinates: (corners, sides, cables).
+def _carrier_count(l: int, cell_rows: int = 1) -> int:
+    """Rows of a depth-l carrier table: ``cell_rows`` per cell, then 3 (3^l - 1) / 2 cables."""
+    return cell_rows * 3**l + 3 * (3**l - 1) // 2
 
-    ``corners`` (3^l, 3, 2) holds F_w(A), F_w(B), F_w(C) in word order,
-    ``sides`` (3^l, 3, 2) the world velocities of the sides in SIDE_NAMES
-    order, and ``cables`` for each generation s = 1..l the (starts, ends,
-    velocities) of its cables, each (3^(s-1), 3, 2) in (prefix, slot)
-    order.  Every point and tangent is one ``_images`` matvec of its
-    word's ``word_table`` row.
-    """
-    lin, off = word_table(seq, l, beta_over_alpha)
-    corners = _images(lin, np.stack(base_vertices())) + off[:, None]
-    cables = []
-    for s, p, v in zip(range(1, l + 1), *_cable_stack(seq, range(1, l + 1), beta_over_alpha)):
-        plin, poff = word_table(seq, s - 1, beta_over_alpha)
-        # Starts, ends p + v (as cable_segments has them) and velocities in one matvec.
-        images = _images(plin, np.concatenate([p, p + v, v]))
-        cables.append((images[:, :3] + poff[:, None], images[:, 3:6] + poff[:, None], images[:, 6:]))
-    return corners, _images(lin, _side_arrays()[1]), cables
+
+def _prefix_rows(seq: ParamSeq, spans) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The prefix maps (lin, off) of the cable spans (s, a, b), the depth-(s - 1) words a // 3 ..
+    ceil(b / 3) - 1: one ``_word_levels`` walk to the deepest prefix level per run of spans whose
+    descendants there overlap, as whole generations and the head of the next do."""
+    prefixes = [(s - 1, a // 3, -(-b // 3)) for s, a, b in spans]
+    deepest = max([k for k, _, _ in prefixes], default=0)
+    # Each span's descendants [lo, hi) at the deepest level, in order of lo.
+    reach = sorted((lo * 3 ** (deepest - k), hi * 3 ** (deepest - k), i) for i, (k, lo, hi) in enumerate(prefixes))
+    out = [None] * len(spans)
+    while reach:
+        lo, hi, _ = reach[0]
+        served = []
+        while reach and reach[0][0] <= hi:
+            _, top, i = reach.pop(0)
+            hi, served = max(hi, top), served + [i]
+        levels = list(_word_levels(seq, deepest, lo, hi))
+        for i in served:
+            k, first_word, stop_word = prefixes[i]
+            first, lin, off = levels[k]
+            out[i] = lin[first_word - first : stop_word - first], off[first_word - first : stop_word - first]
+    return out
+
+
+def _carrier_walk(seq: ParamSeq, l: int, start: int, stop: int, cell_rows: int = 1):
+    """Rows start..stop-1 of a depth-l carrier table, ``cell_rows`` rows per cell (generation
+    s = 0) then the 3^s cables of each generation s in (prefix, slot) order, as spans (s, a, b,
+    lin, off): rows a..b-1 of generation s with the maps of the cells a // cell_rows ..
+    ceil(b / cell_rows) - 1 (``_word_rows``) or of the prefixes a // 3 .. ceil(b / 3) - 1
+    (``_prefix_rows``), each with the bits of its ``word_table`` row."""
+    spans, first = [], 0
+    for s, size in enumerate([cell_rows * 3**l] + [3**s for s in range(1, l + 1)]):
+        if max(start, first) < min(stop, first + size):
+            spans.append((s, max(start - first, 0), min(stop - first, size)))
+        first += size
+    if spans and spans[0][0] == 0:
+        _, a, b = spans.pop(0)
+        yield (0, a, b, *_word_rows(seq, l, a // cell_rows, -(-b // cell_rows)))
+    for span, maps in zip(spans, _prefix_rows(seq, spans)):
+        yield (*span, *maps)
+
+
+#: Columns of the edge table: the edge's (generation, word, slot), prefactor, start, end and velocity.
+_EDGE_DTYPE = np.dtype(
+    [("generation", np.int64), ("word", np.int64), ("slot", np.int64)]
+    + [(name, np.float64) for name in ("prefactor", "px", "py", "qx", "qy", "vx", "vy")]
+)
+
+
+def _require_edges(seq: ParamSeq, l: int) -> None:
+    """Raise what the depth-l edge table refuses before its first row: a depth outside [0, cap],
+    then a triangle or generation-s cable prefactor that underflows, in generation order."""
+    _require_depth(l)
+    triangle_edge_prefactor(seq, l)
+    for s in range(1, l + 1):
+        cable_prefactor(seq, s, l)
+
+
+def _edge_rows(seq: ParamSeq, l: int, start: int, stop: int) -> np.recarray:
+    """Rows start..stop-1 (a nonempty range) of the depth-l edge table, unchecked
+    (``_require_edges``): each cell of the carrier walk maps the ends and velocities of the
+    base sides, each cable prefix those of its cables (``_cable_ends``), in one ``_images``
+    table, so a row has the bits of its edge mapped by its word's ``word_table`` row."""
+    # The base sides in the layout of ``_cable_ends``: each side's two ends, then the velocities.
+    ends = np.take(np.stack(base_vertices()), np.stack([_SIDE_FROM, _SIDE_TO], axis=1).ravel(), axis=0)
+    sides = np.concatenate([ends, _side_arrays()[1]])
+    ids, prefactors, points, vels = [], [], [], []
+    spans = list(_carrier_walk(seq, l, start, stop, cell_rows=3))
+    cables = iter(_cable_ends(seq, [s for s, *_ in spans if s]))
+    for s, a, b, lin, off in spans:
+        images = _images(lin, sides if s == 0 else next(cables))
+        # Row 3 i + k of a flattened (N, 3, ...) table is side or cable k of the span's word i.
+        first, edges = a % 3, np.arange(a, b)
+        ids.append(np.column_stack([np.full(b - a, s), edges // 3, edges % 3 + (s > 0)]))
+        prefactors.append(np.full(b - a, triangle_edge_prefactor(seq, l) if s == 0 else cable_prefactor(seq, s, l)))
+        points.append((images[:, :6] + off[:, None]).reshape(-1, 4)[first : first + b - a])
+        vels.append(images[:, 6:].reshape(-1, 2)[first : first + b - a])
+    points, vels = np.concatenate(points), np.concatenate(vels)
+    columns = [*np.concatenate(ids).T, np.concatenate(prefactors), *points.T, *vels.T]
+    return np.rec.fromarrays(columns, dtype=_EDGE_DTYPE)
 
 
 def prefractal_edges(seq: ParamSeq, l: int) -> np.recarray:
@@ -399,15 +464,12 @@ def prefractal_edges(seq: ParamSeq, l: int) -> np.recarray:
     words), ``slot`` (position 0..2 of the side in SIDE_NAMES, or the cable
     slot 1..3), the energy ``prefactor`` of the edge in the depth-l form,
     its world start ``px``, ``py``, end ``qx``, ``qy`` and velocity ``vx``,
-    ``vy``.  Depths outside ``word_table``'s range raise as it does.
+    ``vy``, filled a range of ``_ranges`` at a time.  A depth outside [0, cap]
+    or an underflowing prefactor raises first (``_require_edges``).
     """
-    tri_pf = triangle_edge_prefactor(seq, l)
-    corners, sides, cables = _world(seq, l)
-    sizes = 3 * np.array([len(corners)] + [len(starts) for starts, _, _ in cables])
-    word = np.concatenate([np.arange(n // 3).repeat(3) for n in sizes])
-    slot = np.concatenate([np.tile(np.arange(3) + (s > 0), n // 3) for s, n in enumerate(sizes)])
-    pf = np.repeat([tri_pf] + [cable_prefactor(seq, s, l) for s in range(1, l + 1)], sizes)
-    tri = (np.take(corners, _SIDE_FROM, axis=1), np.take(corners, _SIDE_TO, axis=1), sides)
-    p, q, v = (np.concatenate([a.reshape(-1, 2) for a in arrs]) for arrs in zip(tri, *cables))
-    columns = [np.repeat(np.arange(l + 1), sizes), word, slot, pf, *p.T, *q.T, *v.T]
-    return np.rec.fromarrays(columns, names="generation,word,slot,prefactor,px,py,qx,qy,vx,vy")
+    _require_edges(seq, l)
+    n = _carrier_count(l, 3)
+    table = np.recarray(n, dtype=_EDGE_DTYPE)
+    for a, b in _ranges(n):
+        table[a:b] = _edge_rows(seq, l, a, b)
+    return table

@@ -21,16 +21,17 @@ copies rows of an (N, 2) table about 10 times faster than ``a[idx]``
 (7 against 75 us for 6,558 rows, on a 2-vCPU Xeon), with the same bits.
 The base corners' maps are one 3-row walk (``_base_corner_maps``).
 The weak pairing is the energy module's moment pass on its ``pairing``
-form, (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3); the weak
-Laplacian composes u with every edge of the edge table at once.
+form, (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3); the
+per-edge densities of the weak Laplacian, which pair to the same value
+edge by edge, are its test oracle (``tests/oracles.py``).
 
 The residual probes (``vertex_stars``, ``harmonic_report``,
 ``harmonic_residual``) and ``nd_gamma`` take the map ratio beta/alpha, so
 perturbed families can be shown to break the vertex balance.  The weak
-pairing and the weak Laplacian are defined for the harmonic family only,
-like the forms they contract.  ``nd_gamma`` searches each distinct
-(eps, ratio) pair once and keeps the value in a process-wide lru cache
-of at most 4096 scalars, so the levels of a constant tail share one grid.
+pairing is defined for the harmonic family only, like the forms it
+contracts.  ``nd_gamma`` searches each distinct (eps, ratio) pair once
+and keeps the value in a process-wide lru cache of at most 4096 scalars,
+so the levels of a constant tail share one grid.
 
 Their gate enumerates no vertex.  The boundary vector of the end e of a
 generation-s cable with prefix p is DF_p r(s, e, l), one of 6 l local
@@ -69,12 +70,11 @@ from .geometry import (
     _word_levels,
     base_vertices,
     cable_prefactor,
-    prefractal_edges,
     triangle_edge_prefactor,
     triple,
 )
 from .params import ParamSeq
-from .scalarfield import Poly2, _compose_line, corner_values, poly1_derivative, vanishes_at_corners
+from .scalarfield import Poly2, corner_values, vanishes_at_corners
 
 CORNER_NAMES = ("A", "B", "C")
 _CORNER_INDEX = {"A": 0, "B": 1, "C": 2}
@@ -126,7 +126,7 @@ def _vertex_name(key: int, l: int) -> tuple[tuple[int, ...], str]:
 
 def _corner_geometry(lin: np.ndarray, off: np.ndarray, cell: np.ndarray, corner: np.ndarray):
     """Point (V, 2) of corner ``corner[v]`` of the cell with affine parts (lin, off)[cell[v]],
-    and the world tangents (V, 2, 2) of its two sides there, as ``geometry._world`` rounds them."""
+    and the world tangents (V, 2, 2) of its two sides there, as the edge table rounds them."""
     # Row 3 i + k of a flattened (N, 3, 2) image table is its cell i's corner or side k.
     points = np.take((_images(lin, np.stack(base_vertices())) + off[:, None]).reshape(-1, 2), 3 * cell + corner, axis=0)
     side_rows = 3 * cell[:, None] + np.take(_CORNER_SIDE, corner, axis=0)
@@ -189,8 +189,8 @@ def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
     (a base corner has weight, tangent and gap 0 in the cable place).  A
     key is the vertex word u j in base-4 digits padded to length l, times
     3, plus the corner.  The cells and cable prefixes are rows of
-    ``_word_levels``, so every point and tangent has the bits
-    ``geometry._world`` gives it.  Each prefix row maps its generation's
+    ``_word_levels``, so each point and tangent has its edge row's bits
+    (``geometry._edge_rows``).  Each prefix row maps its generation's
     six cable ends and three velocities once, one ``_images`` table per
     level, and the vertices gather their cable end from it.
     """
@@ -420,28 +420,6 @@ def _require_harmonic(seq, l):
             f"depth-{l} residual {defect[row, e]:.3e} exceeds {bound:.1e} relative to its terms at "
             f"{_cable_end_name(row, e)}; boundary terms would pollute the weak identity"
         )
-
-
-def weak_laplacian_h1(
-    seq: ParamSeq,
-    l: int,
-    u: Poly2,
-) -> tuple[np.recarray, np.ndarray]:
-    """Per-edge density of the weak Laplacian against arclength measure.
-
-    On edge e with prefactor w_e, world parametrization z and length L_e,
-    the density along the edge is g(z(t)) = w_e (u o z)''(t) / L_e.
-    Returns (edges, densities): the ``prefractal_edges`` table and, in row
-    e, the ascending t-coefficients of g on edge e.  Pairing any admissible
-    v against g dH^1 over all edges reproduces -E(u, v); see weak_pairing.
-    Requires the configuration to be harmonic.
-    """
-    _require_harmonic(seq, l)
-    edges = prefractal_edges(seq, l)
-    coeffs = _compose_line(u, edges.px, edges.py, edges.vx, edges.vy)
-    c = np.column_stack([np.broadcast_to(a, len(edges)) for a in coeffs])
-    scale = edges.prefactor / np.hypot(edges.vx, edges.vy)
-    return edges, scale[:, None] * poly1_derivative(poly1_derivative(c))
 
 
 def weak_pairing(

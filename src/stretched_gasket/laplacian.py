@@ -11,10 +11,11 @@ only ``teplyaev`` (one word, no depth cap) can meet an underflowed mass.
 kappa_w is tau11 + tau22 of the rounded tau_w, its one route, and as
 accurate as ``kusuoka`` states: where longdouble is x87 80-bit.
 ``laplacian_samples`` returns one record array, a row per carrier, or any
-row range of it; it reads the carriers 3^7 rows at a time, each block from
-its own rows of the cylinder and map tables and of the cable masses, so
-no depth-l table but the returned one is held whole, and the CLI writes
-the blocks as it computes them.  ``teplyaev`` samples one carrier as a
+row range of it; it reads the carriers 3^7 rows at a time from the
+geometry module's carrier walk (``_carrier_walk``), each block from its
+own rows of the cylinder and map tables and of the cable masses, so no
+depth-l table but the returned one is held whole, and the CLI writes the
+blocks as it computes them.  ``teplyaev`` samples one carrier as a
 ``LaplacianSample`` through the same Hessian kernel, with the bits of
 that carrier's row.
 
@@ -45,12 +46,12 @@ import numpy as np
 from .energy import _fsum, _moment_terms, resolve_quadrature
 from .geometry import (
     _cable_stack,
+    _carrier_count,
+    _carrier_walk,
     _images,
     _ranges,
     _require_depth,
     _triple_index,
-    _word_levels,
-    _word_rows,
     barycenter,
     cable_segments,
     compose,
@@ -145,11 +146,6 @@ def _require_cables(seq: ParamSeq, depth: int) -> None:
         _cable_weight(seq, s)
 
 
-def _sample_count(depth: int) -> int:
-    """Rows of the depth-l sample table: 3^l cells and 3 (3^l - 1) / 2 cables."""
-    return 3**depth + 3 * (3**depth - 1) // 2
-
-
 #: Columns of the sample table: the carrier's (generation, word, slot), location, density and value.
 _SAMPLE_DTYPE = np.dtype(
     [("generation", np.int64), ("word", np.int64), ("slot", np.int64)]
@@ -157,58 +153,28 @@ _SAMPLE_DTYPE = np.dtype(
 )
 
 
-def _prefix_rows(seq: ParamSeq, spans) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The prefix maps (lin, off) of the cable spans (s, a, b), generation s's cables a..b-1:
-    the depth-(s - 1) words a // 3 .. ceil(b / 3) - 1, from ``_word_levels`` walks to the
-    deepest prefix level.  Spans whose prefixes' descendants there overlap share one walk over
-    their union, so whole generations and the head of the next are one walk, while the tail of
-    one generation and the head of the next, apart at that level, get one each."""
-    prefixes = [(s - 1, a // 3, -(-b // 3)) for s, a, b in spans]
-    deepest = max([k for k, _, _ in prefixes], default=0)
-    # Each span's descendants [lo, hi) at the deepest level, in order of lo.
-    reach = sorted((lo * 3 ** (deepest - k), hi * 3 ** (deepest - k), i) for i, (k, lo, hi) in enumerate(prefixes))
-    out = [None] * len(spans)
-    while reach:
-        lo, hi, _ = reach[0]
-        served = []
-        while reach and reach[0][0] <= hi:
-            _, top, i = reach.pop(0)
-            hi, served = max(hi, top), served + [i]
-        levels = list(_word_levels(seq, deepest, lo, hi))
-        for i in served:
-            k, first_word, stop_word = prefixes[i]
-            first, lin, off = levels[k]
-            out[i] = lin[first_word - first : stop_word - first], off[first_word - first : stop_word - first]
-    return out
-
-
 def _sample_rows(seq: ParamSeq, phi: Poly2, depth: int, start: int, stop: int) -> np.recarray:
-    """Rows start..stop-1 of the sample table, from their own word, tau and cable rows, the
-    cables unchecked (``_require_cables``): the cells of the range, then each generation's cables."""
-    # Generation 0 is the 3^l cells, generation s the 3^s cables, in table order; spans (s, a, b)
-    # hold the carriers a..b-1 of generation s in the range.
-    spans, first = [], 0
-    for s, size in enumerate([3**depth] + [3**s for s in range(1, depth + 1)]):
-        if max(start, first) < min(stop, first + size):
-            spans.append((s, max(start - first, 0), min(stop - first, size)))
-        first += size
+    """Rows start..stop-1 of the sample table, each span of the carrier walk from its own word,
+    tau and cable rows, the cables unchecked (``_require_cables``)."""
     ids, t_tilde, locations = [], [], []  # ids: (generation, word, slot)
-    if spans[0][0] == 0:
-        _, a, b = spans.pop(0)
-        cells, taus = np.arange(a, b), tau_table(depth, a, b)
-        lin, off = _word_rows(seq, depth, a, b)
-        ids.append(np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)]))
-        t_tilde.append(taus / _trace(taus)[:, None, None])
-        locations.append(_images(lin, barycenter()[None])[:, 0] + off)
-    for (s, a, b), (plin, poff), p, v in zip(spans, _prefix_rows(seq, spans), *_cable_stack(seq, [s for s, _, _ in spans])):
+    spans = list(_carrier_walk(seq, depth, start, stop))
+    segments = zip(*_cable_stack(seq, [s for s, *_ in spans if s]))
+    for s, a, b, lin, off in spans:
+        if s == 0:
+            cells, taus = np.arange(a, b), tau_table(depth, a, b)
+            ids.append(np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)]))
+            t_tilde.append(taus / _trace(taus)[:, None, None])
+            locations.append(_images(lin, barycenter()[None])[:, 0] + off)
+            continue
+        p, v = next(segments)
         # The cables' rows among the three of each prefix.
         rows, cables = slice(a % 3, a % 3 + b - a), np.arange(a, b)
-        _, dirs = _cable_directions(plin, v, s, a // 3)
+        _, dirs = _cable_directions(lin, v, s, a // 3)
         # Midpoints of the cables' ends p and p + v.
         mids = p + 0.5 * ((p + v) - p)
         ids.append(np.column_stack([np.full(b - a, s), cables // 3, cables % 3 + 1]))
         t_tilde.append((dirs[:, :, None] * dirs[:, None, :])[rows])
-        locations.append((_images(plin, mids) + poff[:, None]).reshape(-1, 2)[rows])
+        locations.append((_images(lin, mids) + off[:, None]).reshape(-1, 2)[rows])
     t_tilde, locations = np.concatenate(t_tilde), np.concatenate(locations)
     values = _laplacian_values(phi, t_tilde, locations)
     columns = [*np.concatenate(ids).T, *locations.T, t_tilde[:, 0, 0], t_tilde[:, 0, 1], t_tilde[:, 1, 1], values]
@@ -238,7 +204,7 @@ def laplacian_samples(seq: ParamSeq, phi: Poly2, depth: int, start: int = 0, sto
     holds it.
     """
     _require_depth(depth)
-    n = _sample_count(depth)
+    n = _carrier_count(depth)
     stop = n if stop is None else stop
     if not 0 <= start <= stop <= n:
         raise ValueError(f"row range [{start}, {stop}) is not within the {n} depth-{depth} carriers")

@@ -217,13 +217,6 @@ def compose_with_segment(p: Poly2, lin: np.ndarray, off: np.ndarray, start: np.n
     return np.array(_compose_line(p, float(p0[0]), float(p0[1]), float(d[0]), float(d[1])))
 
 
-def poly1_derivative(coeffs: np.ndarray) -> np.ndarray:
-    """d/dt of ascending univariate coefficients (along the last axis)."""
-    if coeffs.shape[-1] <= 1:
-        return np.zeros(coeffs.shape[:-1] + (1,))
-    return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
-
-
 # -- named constructions ---------------------------------------------------
 
 

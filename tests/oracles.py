@@ -2,12 +2,15 @@
 
 The package evaluates every depth-l form by pushing the field moments down
 through the level pullbacks, and the vertex diagnostics, the edge table and
-the geometry export by gathers on its world arrays (``geometry._world``).
-The routes here enumerate the 3^l cells and their edges instead: the
-batched edge tableau (a view of the world arrays, used only against the
-moment pass), an edge walk that composes each word's map on its own and
-carries each edge's ``EdgeId``, one segment's composed polynomial, or word
-tables plus cylinder matrices.  The package holds every map as a
+the geometry export from row ranges of one carrier walk
+(``geometry._carrier_walk``).  The routes here enumerate the 3^l cells and
+their edges instead: the whole world arrays (``_world``), which every edge
+row and vertex star must reproduce bit for bit, the batched edge tableau
+(the edge table's columns, used only against the moment pass), the weak
+Laplacian's per-edge densities (``weak_laplacian_h1``, the edge-by-edge
+form of ``weak_pairing``), an edge walk that composes each word's map on
+its own and carries each edge's ``EdgeId``, one segment's composed
+polynomial, or word tables plus cylinder matrices.  The package holds every map as a
 (linear, offset) pair of arrays and composes maps in one place
 (``geometry._word_levels``); the object oracle here (``AffineMap2``,
 ``Segment`` and ``compose_objects``, one ``AffineMap2.compose`` per
@@ -75,14 +78,16 @@ from stretched_gasket.errors import DegenerateCable, PrefactorUnderflow
 from stretched_gasket.geometry import (
     HARMONIC_RATIO,
     SIDE_NAMES,
+    _cable_stack,
+    _images,
     _side_arrays,
     _triple_index,
-    _world,
     barycenter,
     base_vertices,
     cable_prefactor,
     cable_prefactor_limit,
     cable_segments,
+    prefractal_edges,
     triangle_edge_prefactor,
     triple,
     word_table,
@@ -112,10 +117,71 @@ from stretched_gasket.kusuoka import (
     tau_table,
 )
 from stretched_gasket.laplacian import KAPPA_FLOOR, _laplacian_values, ibp_table, laplacian_samples, teplyaev
-from stretched_gasket.scalarfield import compose_with_segment, grad_batch, hess_batch, poly1_derivative, sup_bounds
+from stretched_gasket.scalarfield import _compose_line, compose_with_segment, grad_batch, hess_batch, sup_bounds
 
 #: The form constant a = b of the triangle edges and the cables, 1/3 as in the package.
 _A = 1.0 / 3.0
+
+
+def poly1_derivative(coeffs: np.ndarray) -> np.ndarray:
+    """d/dt of ascending univariate coefficients (along the last axis)."""
+    if coeffs.shape[-1] <= 1:
+        return np.zeros(coeffs.shape[:-1] + (1,))
+    return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
+
+
+def _world(seq, l, beta_over_alpha=HARMONIC_RATIO):
+    """The depth-l pre-fractal in world coordinates: (corners, sides, cables).
+
+    ``corners`` (3^l, 3, 2) holds F_w(A), F_w(B), F_w(C) in word order,
+    ``sides`` (3^l, 3, 2) the world velocities of the sides in SIDE_NAMES
+    order, and ``cables`` for each generation s = 1..l the (starts, ends,
+    velocities) of its cables, each (3^(s-1), 3, 2) in (prefix, slot)
+    order.  Every point and tangent is one ``_images`` matvec of its
+    word's whole ``word_table`` row.
+    """
+    lin, off = word_table(seq, l, beta_over_alpha)
+    corners = _images(lin, np.stack(base_vertices())) + off[:, None]
+    cables = []
+    for s, p, v in zip(range(1, l + 1), *_cable_stack(seq, range(1, l + 1), beta_over_alpha)):
+        plin, poff = word_table(seq, s - 1, beta_over_alpha)
+        # Starts, ends p + v (as cable_segments has them) and velocities in one matvec.
+        images = _images(plin, np.concatenate([p, p + v, v]))
+        cables.append((images[:, :3] + poff[:, None], images[:, 3:6] + poff[:, None], images[:, 6:]))
+    return corners, _images(lin, _side_arrays()[1]), cables
+
+
+def world_edge_table(seq, l):
+    """The depth-l edge table gathered from the whole world arrays, with the columns of
+    ``prefractal_edges``: triangle edges in (word, side) order, then each generation's cables
+    in (prefix, slot) order."""
+    corners, sides, cables = _world(seq, l)
+    sizes = [3 * 3**l] + [3**s for s in range(1, l + 1)]
+    word = np.concatenate([np.arange(n // 3).repeat(3) for n in sizes])
+    slot = np.concatenate([np.tile(np.arange(3) + (s > 0), n // 3) for s, n in enumerate(sizes)])
+    pf = np.repeat([triangle_edge_prefactor(seq, l)] + [cable_prefactor(seq, s, l) for s in range(1, l + 1)], sizes)
+    # Sides AB, BC, AC run from corners A, B, A to corners B, C, C.
+    tri = (corners[:, [0, 1, 0]], corners[:, [1, 2, 2]], sides)
+    p, q, v = (np.concatenate([a.reshape(-1, 2) for a in arrs]) for arrs in zip(tri, *cables))
+    columns = [np.repeat(np.arange(l + 1), sizes), word, slot, pf, *p.T, *q.T, *v.T]
+    return np.rec.fromarrays(columns, names="generation,word,slot,prefactor,px,py,qx,qy,vx,vy")
+
+
+def weak_laplacian_h1(seq, l, u):
+    """Per-edge density of the weak Laplacian against arclength measure, the per-edge
+    oracle of ``weak_pairing``.
+
+    On edge e with prefactor w_e, world parametrization z and length L_e,
+    the density along the edge is g(z(t)) = w_e (u o z)''(t) / L_e.
+    Returns (edges, densities): the ``prefractal_edges`` table and, in row
+    e, the ascending t-coefficients of g on edge e.  Pairing any admissible
+    v against g dH^1 over all edges reproduces -E(u, v).
+    """
+    edges = prefractal_edges(seq, l)
+    coeffs = _compose_line(u, edges.px, edges.py, edges.vx, edges.vy)
+    c = np.column_stack([np.broadcast_to(a, len(edges)) for a in coeffs])
+    scale = edges.prefactor / np.hypot(edges.vx, edges.vy)
+    return edges, scale[:, None] * poly1_derivative(poly1_derivative(c))
 
 
 def iter_words(l: int):
@@ -372,7 +438,7 @@ def fold_backward(seq, l, u, v, quad) -> EnergyReport:
         forms = np.stack([sum(np.dot(p.T, np.dot(h, p)) for p in pulls) for h in forms]) / _EXT(seq.lam(k))
         weight = _A / (seq.eps_tilde(k, l) * seq.one_minus_eps(k))
         forms[1] += weight * segment_form(*cable_segments(seq, k), d, quad, 1, 1)
-    pullback = _map_pullback(np.eye(2), np.zeros(2), d, to_world=True)
+    pullback = _map_pullback(np.eye(2), np.zeros(2), d, from_plain=True)
     cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
     tri, cab = [_split(0.5 * (h + h.T) * np.outer(cu, cv)) for h in forms]
     return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))

@@ -485,15 +485,17 @@ def test_tables_match_the_row_by_row_rendering_over_many_blocks(depth, tmp_path,
 
 
 def test_written_tables_stay_within_their_memory_ceilings(tmp_path, capsys):
-    # Ceilings are about twice the peaks measured (1.36 and 1.78 MiB, the
+    # Ceilings are about twice the peaks measured (1.36 and 1.67 MiB, the
     # SVG text in the captured stdout included).  With the whole tau table
-    # and edge list built first the peaks were 5.9 and 2.5 MiB, and with the
-    # text built as one string 30 and 8.4 MiB.  kusuoka holds one block of
-    # tau rows and the 8-byte kappa per word; geometry the edge table.
+    # and edge list built first the peaks were 5.9 and 2.5 MiB, with the
+    # text built as one string 30 and 8.4 MiB, and with the whole edge table
+    # built before the first byte 1.78 MiB for geometry.  kusuoka holds one
+    # block of tau rows and the 8-byte kappa per word; geometry one range of
+    # edge rows at a time (all 3,279 at depth 6) and the kappa per cell.
     mib = 2**20
     table, edges = tmp_path / "k.csv", tmp_path / "e.json"
     assert cold_peak(lambda: cli.main(["kusuoka", "--depth", "10", "--out", str(table)])) < 3 * mib
-    assert cold_peak(lambda: cli.main(["geometry", "--depth", "6", "--shade", "--json", str(edges)])) < 3.5 * mib
+    assert cold_peak(lambda: cli.main(["geometry", "--depth", "6", "--shade", "--json", str(edges)])) < 3.4 * mib
     assert table.read_bytes().count(b"\r\n") == 3**10 + 1
     assert capsys.readouterr().out.endswith("</svg>\n") and edges.read_bytes().endswith(b"]\n}\n")
 
@@ -537,11 +539,12 @@ def test_blocked_commands_at_the_depth_cap_stay_within_their_rss_ceilings(comman
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")
 def test_geometry_at_depth_10_stays_within_its_rss_ceiling():
-    # Measured 96 MiB with the SVG and the edge JSON written in blocks, 219 MiB
-    # with the SVG text and the list of edge dicts built whole; building the
-    # 265,719-row edge table alone peaks at 62 MiB of tracemalloc.
+    # Measured 34.7 MiB with the edge rows built a range at a time as the SVG
+    # and the edge JSON are written, most of it the interpreter and numpy;
+    # 99 MiB with the whole 265,719-row edge table built first (62 MiB of
+    # tracemalloc), 219 MiB with the SVG text and the edge dicts built whole.
     peak_kb = _child_peak_kb("geometry", "--depth", "10", "--shade", "--json", os.devnull)
-    assert peak_kb <= 128 * 1024, peak_kb
+    assert peak_kb <= 64 * 1024, peak_kb
 
 
 NAN = float("nan")
@@ -651,12 +654,16 @@ def test_every_json_output_is_strict(argv, side, tmp_path, capsys):
 
 
 def _nan_edge(real):
-    def edges(seq, depth):
-        table = real(seq, depth)
-        table.px[0], table.qy[-1] = NAN, math.inf
+    def rows(seq, depth, start, stop):
+        # The table's first start x and last end y, in whichever ranges hold them.
+        table = real(seq, depth, start, stop)
+        if start == 0:
+            table.px[0] = NAN
+        if stop == geometry._carrier_count(depth, 3):
+            table.qy[-1] = math.inf
         return table
 
-    return edges
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -665,7 +672,7 @@ def _nan_edge(real):
         (["ruelle", "--eps", "0.7"], False, "kus_mod", "perron_report", lambda real: lambda eps: {**real(eps), "residual": NAN}, "residual", 2),
         (["selfsim", "--depth", "2"], False, "energy_mod", "selfsimilar_residual", lambda real: lambda *a: (math.inf, real(*a)[1]), "residual", 2),
         (["kusuoka", "--depth", "2"], True, "kus_mod", "_trace", lambda real: lambda taus: real(taus) * NAN, "sum_kappa", 2),
-        (["geometry", "--depth", "1"], True, "", "prefractal_edges", _nan_edge, "edges", 0),
+        (["geometry", "--depth", "1"], True, "", "_edge_rows", _nan_edge, "edges", 0),
     ],
     ids=["ruelle", "selfsim", "kusuoka", "geometry"],
 )

@@ -287,10 +287,10 @@ def test_sweeps_push_the_moments_once(monkeypatch):
         passes.append(len(logs))
         return tables(seq, logs, *args)
 
-    def counting_pullback(lin, off, d, *, to_world=False):
-        if not to_world:
+    def counting_pullback(lin, off, d, *, from_plain=False):
+        if not from_plain:
             stacks.append(len(lin))
-        return pullback(lin, off, d, to_world=to_world)
+        return pullback(lin, off, d, from_plain=from_plain)
 
     monkeypatch.setattr(energy, "_level_tables", counting_tables)
     monkeypatch.setattr(energy, "_pullback", counting_pullback)
@@ -362,7 +362,7 @@ def test_stacked_level_pullbacks_equal_the_single_map_pullbacks(seq, d):
     for k in range(1, 4):
         want = np.stack([energy._map_pullback(lin, off, d) for lin, off in zip(*triple(seq.eps(k)))])
         assert np.array_equal(levels[k - 1]["pullbacks"], want), k
-    assert np.array_equal(energy._centering(d), energy._map_pullback(np.eye(2), np.zeros(2), d, to_world=True))
+    assert np.array_equal(energy._centering(d), energy._map_pullback(np.eye(2), np.zeros(2), d, from_plain=True))
 
 
 def _logs(seq, l_max):

@@ -20,11 +20,12 @@ from stretched_gasket import (
     word_point,
     word_table,
 )
+from stretched_gasket.energy import _tableau
 from stretched_gasket.errors import GasketError, PrefactorUnderflow
-from stretched_gasket.geometry import SIDE_NAMES, _word_rows
+from stretched_gasket.geometry import SIDE_NAMES, _carrier_count, _edge_rows, _word_rows
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY
-from oracles import EdgeId, compose_objects, count_edges, edge_walk, iter_words, rotation
+from oracles import EdgeId, compose_objects, count_edges, edge_walk, iter_words, rotation, world_edge_table
 
 
 # -- elementary planar predicates, used by the disjointness checks ---------
@@ -182,6 +183,46 @@ def test_word_rows_are_the_word_table_rows(seq, ratio, rng):
             assert part_lin.shape == (stop - start, 2, 2) and part_off.shape == (stop - start, 2), (l, start, stop)
             assert part_lin.tobytes() == lin[start:stop].tobytes(), (l, start, stop)
             assert part_off.tobytes() == off[start:stop].tobytes(), (l, start, stop)
+
+
+def _edge_ranges(rng, l):
+    """Nonempty ranges of the depth-l edge table's rows: the whole table, its first and last
+    rows, ranges that split one cell's three sides or cross two cells, ranges that start at
+    the first cable or cross into it, ranges across every generation boundary, and 20 random ones."""
+    n, cells = _carrier_count(l, 3), 3 * 3**l
+    ranges = [(0, n), (0, 1), (n - 1, n), (1, 2), (0, 2), (1, 3), (2, 4), (4, 8), (cells, n), (cells, cells + 1)]
+    ranges += [(cells - 1, cells + 2), (cells - 4, n)]
+    first = cells
+    for s in range(1, l):
+        first += 3**s
+        ranges.append((first - 2, first + 4))
+    for _ in range(20):
+        a = int(rng.integers(0, n))
+        ranges.append((a, int(rng.integers(a + 1, n + 1))))
+    return [(max(a, 0), min(b, n)) for a, b in ranges if max(a, 0) < min(b, n)]
+
+
+def test_edge_rows_are_the_world_table_rows(regime, rng):
+    # A range maps only its own cells and cable prefixes, each through its
+    # word's row with the whole table's arithmetic, so every row keeps the
+    # bits of the whole world arrays' gather wherever the range falls.
+    for l in range(10):
+        want = world_edge_table(regime, l)
+        for start, stop in _edge_ranges(rng, l):
+            got = _edge_rows(regime, l, start, stop)
+            assert got.dtype == want.dtype and len(got) == stop - start, (l, start, stop)
+            assert got.tobytes() == want[start:stop].tobytes(), (l, start, stop)
+
+
+def test_tableau_cuts_the_edge_table_by_generation(regime):
+    # The tests' edge tableau is the table's start and velocity columns, one
+    # block for the triangle edges and one per cable generation.
+    for l in range(5):
+        tab, want = _tableau(regime, l), world_edge_table(regime, l)
+        assert len(tab.cab_p0) == len(tab.cab_dv) == l
+        assert [len(p0) for p0 in (tab.tri_p0, *tab.cab_p0)] == [3 * 3**l] + [3**s for s in range(1, l + 1)]
+        assert np.concatenate([tab.tri_p0, *tab.cab_p0]).tobytes() == np.column_stack([want.px, want.py]).tobytes()
+        assert np.concatenate([tab.tri_dv, *tab.cab_dv]).tobytes() == np.column_stack([want.vx, want.vy]).tobytes()
 
 
 @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, 28), (28, 28)])

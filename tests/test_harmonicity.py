@@ -20,15 +20,22 @@ from stretched_gasket import (
     triple,
     vanishing_at_ABC,
     vertex_stars,
-    weak_laplacian_h1,
     weak_pairing,
 )
 from stretched_gasket.harmonicity import ND_GRID, _base_corner_maps, _nd_gamma_cached, _nd_grid, _nd_row_bounds, _nd_window_min
 from stretched_gasket.params import A
-from stretched_gasket.scalarfield import poly1_derivative
 
 from conftest import BENCH_REFS, CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, admissible, benchmark_seq, random_poly
-from oracles import _nd_inner_min, canonical_vertex, edge_walk, nd_gamma_closed_form, nd_gamma_full_grid, restrict
+from oracles import (
+    _nd_inner_min,
+    canonical_vertex,
+    edge_walk,
+    nd_gamma_closed_form,
+    nd_gamma_full_grid,
+    poly1_derivative,
+    restrict,
+    weak_laplacian_h1,
+)
 
 
 def test_canonical_vertex_strips_fixing_letter():
@@ -160,7 +167,7 @@ def test_weak_pairing_rejects_non_vanishing_test_function():
 
 def test_weak_pairing_requires_harmonic_family(monkeypatch):
     # The forms take no map ratio, so force the gate: one local defect at
-    # twice the float bound must be refused by both weak-identity routes.
+    # twice the float bound must be refused.
     local = harmonicity._local_defects
 
     def too_large(seq, l):
@@ -173,8 +180,6 @@ def test_weak_pairing_requires_harmonic_family(monkeypatch):
     message = r"^depth-2 residual \S+ exceeds \S+ relative to its terms at the slot-2 cable end t=1 of generation 2; "
     with pytest.raises(NonHarmonicError, match=message):
         weak_pairing(TAIL_ONLY, 2, parse("x"), vanishing_at_ABC(parse("1")))
-    with pytest.raises(NonHarmonicError, match=message):
-        weak_laplacian_h1(TAIL_ONLY, 2, parse("x"))
 
 
 def test_nd_gamma_positive_and_linear_in_stretch():

@@ -96,7 +96,12 @@ def test_every_package_definition_has_a_use():
 
 
 #: The enumerating functions, by module, whose per-row 2x2 products go through ``geometry._images``.
-FLAT_PRODUCT_FUNCTIONS = {"harmonicity": {"_vertex_blocks"}, "laplacian": {"_sample_rows"}, "kusuoka": {"energy_via_measure"}}
+FLAT_PRODUCT_FUNCTIONS = {
+    "geometry": {"_edge_rows"},
+    "harmonicity": {"_vertex_blocks"},
+    "laplacian": {"_sample_rows"},
+    "kusuoka": {"energy_via_measure"},
+}
 
 
 def stacked_products(source: str, functions: set[str]) -> list[tuple[str, int]]:
@@ -133,7 +138,7 @@ def test_enumerating_paths_make_no_stacked_products():
 #: The vertex-path functions, by module, whose row gathers go through ``np.take`` or ``np.compress``.
 BASIC_INDEXING_FUNCTIONS = {
     "harmonicity": {"_vertex_blocks", "_corner_geometry", "_block_vertices", "_vertex_arrays"},
-    "geometry": {"prefractal_edges"},
+    "geometry": {"prefractal_edges", "_edge_rows"},
 }
 
 

@@ -19,12 +19,11 @@ from stretched_gasket.scalarfield import (
     compose_with_segment,
     grad_batch,
     hess_batch,
-    poly1_derivative,
     to_string,
 )
 
 from conftest import random_poly
-from oracles import poly1_eval
+from oracles import poly1_derivative, poly1_eval
 
 
 def test_arithmetic_and_degree():
