@@ -36,6 +36,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -192,9 +193,10 @@ def _json_reprs(col: np.ndarray) -> list[str]:
 # -- geometry --------------------------------------------------------------
 
 
-def _write_svg(fh, seq, depth, kappas):
+def _write_svg(fh, seq, depth, kappas, side):
     """SVG of the edge table, over cells shaded by their ``kappas`` unless those are None, its
-    rows built a range of ``geometry._ranges`` of cells or edges at a time."""
+    rows built a range of ``geometry._ranges`` of cells or edges at a time; each range of edges
+    also goes to ``_write_edges_json`` on ``side`` unless that is None."""
     # Hull of the base triangle with a 5% margin; y axis flipped for SVG.
     margin = 0.05
     width = math.sqrt(3.0) / 2.0
@@ -225,6 +227,8 @@ def _write_svg(fh, seq, depth, kappas):
             f'<line x1="{px:.6f}" y1="{-py:.6f}" x2="{qx:.6f}" y2="{-qy:.6f}" {styles[cable > 0]}/>\n'
             for cable, px, py, qx, qy in zip(*columns)
         )
+        if side is not None:
+            _write_edges_json(side, depth, a, block)
     fh.write("</svg>\n")
 
 
@@ -236,40 +240,40 @@ _EDGE_JSON = (
 )
 
 
-def _write_edges_json(fh, seq, depth):
-    """``{"edges": [...]}`` as ``json.dump(..., indent=2, sort_keys=True)`` writes it, with a
-    trailing newline, the edge rows built a range of ``geometry._ranges`` at a time; a non-finite
-    coordinate is ``null``.  A triangle edge carries its cell word and side, a cable its prefix and slot."""
-    fh.write('{\n  "edges": [')
-    for a, b in _ranges(_carrier_count(depth, 3)):
-        block = _edge_rows(seq, depth, a, b)
-        generation = block.generation
-        words = _word_strs(block.word, np.where(generation > 0, generation - 1, depth))
-        coords = (_json_reprs(block[c]) for c in ("px", "py", "qx", "qy"))
-        fh.writelines(
-            _EDGE_JSON.format(
-                ",\n    " if i else "\n    ",
-                "cable" if g else "tri",
-                px, py, qx, qy,
-                f'"slot": {slot}' if g else f'"side": "{SIDE_NAMES[slot]}"',
-                "[\n        " + ",\n        ".join(word) + "\n      ]" if word else "[]",
-            )
-            for i, g, slot, word, px, py, qx, qy in zip(
-                range(a, b), generation.tolist(), block.slot.tolist(), words, *coords
-            )
+def _write_edges_json(fh, depth, a, block):
+    """The edge rows a, a + 1, ... of ``block`` as items of ``{"edges": [...]}`` written by
+    ``json.dump(..., indent=2, sort_keys=True)``; a non-finite coordinate is ``null``.  A
+    triangle edge carries its cell word and side, a cable its prefix and slot."""
+    generation = block.generation
+    words = _word_strs(block.word, np.where(generation > 0, generation - 1, depth))
+    coords = (_json_reprs(block[c]) for c in ("px", "py", "qx", "qy"))
+    fh.writelines(
+        _EDGE_JSON.format(
+            ",\n    " if i else "\n    ",
+            "cable" if g else "tri",
+            px, py, qx, qy,
+            f'"slot": {slot}' if g else f'"side": "{SIDE_NAMES[slot]}"',
+            "[\n        " + ",\n        ".join(word) + "\n      ]" if word else "[]",
         )
-    fh.write("\n  ]\n}\n")
+        for i, g, slot, word, px, py, qx, qy in zip(
+            range(a, a + len(block)), generation.tolist(), block.slot.tolist(), words, *coords
+        )
+    )
 
 
 def cmd_geometry(seq, *, depth, shade, out, json_out) -> int:
-    """SVG and JSON edge export, the edge rows built as they are written once every prefactor is checked."""
+    """SVG and JSON edge export, the edge rows built once every prefactor is checked and each
+    range of them written to both files, which are open together; one path for both is refused."""
+    if None not in (out, json_out) and os.path.realpath(out) == os.path.realpath(json_out):
+        return _fail(f"--out and --json name the same file: {json_out}")
     kappas = kus_mod.kappa_table(depth) if shade else None
     _require_edges(seq, depth)
-    with _output(out) as fh:
-        _write_svg(fh, seq, depth, kappas)
-    if json_out is not None:
-        with _output(json_out) as fh:
-            _write_edges_json(fh, seq, depth)
+    with _output(out) as fh, contextlib.nullcontext() if json_out is None else _output(json_out) as side:
+        if side is not None:
+            side.write('{\n  "edges": [')
+        _write_svg(fh, seq, depth, kappas, side)
+        if side is not None:
+            side.write("\n  ]\n}\n")
     return 0
 
 

@@ -22,7 +22,7 @@ bits of the whole table: ``word_table`` is its last level over the whole
 range, ``_word_rows`` over any range, and ``compose`` over the one row of
 a word of any length.  The paths that walk a depth in 3^7-row ranges
 (``_ranges``, which the CLI's writers share) read their rows from it:
-the vertex stars, the Laplacian samples and the measure energy.  The two
+the vertex stars and the Laplacian samples.  The two
 that enumerate a level, ``word_table`` and ``_word_rows``, stop at the
 depth cap; a one-row read does not.
 

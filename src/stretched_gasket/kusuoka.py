@@ -6,10 +6,8 @@ harmonic family.  Its dominant eigenpair is (lam, Q) with lam = (3/5)
 eps^2 and Q proportional to the identity, since sum_i T_i^t T_i =
 (3/5) eps^2 Id; trace normalization tr Q = 2 fixes the eigenmatrix, and
 ``perron`` returns the pair in closed form (a power iteration from the
-identity is its test oracle).  Its
-Hilbert-Schmidt adjoint conjugates the other way round, T_i M T_i^t; the
-adjoint route to the cylinder matrices is a test oracle
-(``tests/oracles.py``), checked against the closed form below.
+identity is its test oracle).  Its Hilbert-Schmidt adjoint, T_i M T_i^t,
+gives the cylinder matrices by a test oracle (``tests/oracles.py``).
 
 Cylinder matrices tau([w]) = DF_w (Id/2) DF_w^t / lam_tilde(l) define
 the gasket-part matrix measure; their traces kappa([w]) form a
@@ -18,23 +16,27 @@ take no sequence: T_i / sqrt(lam_k) = sqrt(3/5) B_i at every level, with
 B_1 = diag(1, 1/3) and B_2, B_3 = [[1/2, +-sqrt3/6], [+-sqrt3/6, 5/6]], so
 tau([w]) = (1/2) (3/5)^l P_w P_w^t for P_w = B_{w_1} ... B_{w_l}; the B_i
 have singular values 1 and 1/3, so kappa([w]) >= 15^-l.  ``tau_table``
-gives any row range [start, stop) of a level with the whole table's bits,
-multiplying only the range's ancestors, so a caller that walks a level in
-ranges never holds it whole.  kappa has one route, tau11 + tau22 of the
+gives any row range of a level with the whole table's bits, multiplying
+only the range's ancestors.  kappa has one route, tau11 + tau22 of the
 rounded tau_w.  Its 3-ulp accuracy to depth 8 needs numpy's longdouble to
 be x87 80-bit (x86-64 Linux, CI's only platform); as plain double the
 products round at every level.  Cables carry rank-one matrix masses
 aligned with their mapped tangents: ``cable_masses`` gives a
 generation's masses and unit directions as arrays, ``cable_mass`` one
-cable as a ``CableMass``.  The combined measure evaluates energies of
-scalar fields without assembling edge sums, which cross-checks the
-assembled forms.
+cable as a ``CableMass``.
+
+The combined measure evaluates energies of scalar fields without edge
+sums, a cross-check of the assembled forms.  Its gasket half,
+sum_w tr(tau_w G(F_w b)) over the depth-l cells with G = sym(grad u
+grad v^t), peels one level at a time: it is (1/2) (3/5)^l tr((L_l ...
+L_1 G)(b)) for (L_k H)(x) = sum_i B_i H(F^k_i x) B_i, a 3D x 3D matrix
+on the symmetric entries of H over the D monomials of degree <= deg u +
+deg v - 2, so it costs O(l) and enumerates no cell.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +50,6 @@ from .geometry import (
     _ranges,
     _require_depth,
     _triple_index,
-    _word_rows,
     barycenter,
     cable_prefactor_limit,
     cable_segments,
@@ -58,7 +59,7 @@ from .geometry import (
     word_table,
 )
 from .params import ParamSeq
-from .scalarfield import Poly2, grad_batch
+from .scalarfield import Poly2, _compose_affine, _dense
 
 #: The level factors B_1, B_2, B_3 in longdouble, built entrywise (B_2, B_3 exact mirror images).
 _ROOT, _THIRD, _FIVE_SIXTHS = np.sqrt(np.longdouble(3)) / 6, np.longdouble(1) / 3, np.longdouble(5) / 6
@@ -313,46 +314,38 @@ def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     return weight * nrm2, directions
 
 
-def energy_via_measure(
-    seq: ParamSeq,
-    u: Poly2,
-    v: Poly2,
-    depth: int,
-    quad=None,
-) -> float:
-    """Energy straight from the measure data at one resolution.
+#: B_i H B_i on the entries (h11, h12, h22) of a symmetric H, (map i, entry out, entry in), for B_i = [[p, q], [q, r]].
+_CONJUGATIONS = np.array([[[p * p, 2 * p * q, q * q], [p * q, p * r + q * q, q * r], [q * q, 2 * q * r, r * r]] for (p, q), (_, r) in _LEVEL_FACTORS.tolist()])
 
-    Gasket part: cylinder matrices paired with the gradients at cell
-    barycenters, over all depth-level words, a range of ``geometry._ranges``
-    at a time (word rows, and tau rows from the cached products), so no
-    depth-level table of terms is held whole.  Cable part: exact line
-    quadrature of the rank-one masses against the gradients, generations
-    up to the depth, limit window weights (the energy module's moment
-    pass).  Both go into one exact ``math.fsum``, cells in word order, then
-    cables.  A gasket product past the double range raises TermOverflow.
-    For affine fields the gasket part is exactly (grad u, (Id/2) grad v),
-    independent of depth.
-    """
+
+def _gasket_half(seq: ParamSeq, u: Poly2, v: Poly2, depth: int) -> float:
+    """The gasket half of the measure energy by the level operators, in longdouble on the monomials
+    centred at b; a value past the double range raises TermOverflow."""
+    # deg G, and no less than either gradient's degree: G = 0 where a field is constant.
+    d, centre = max(u.degree, 1) + max(v.degree, 1) - 2, barycenter().astype(np.longdouble)
+    grads = np.array([[_dense(p, d, np.longdouble) for p in field.grad()] for field in (u, v)])
+    outer = np.zeros((2, 2, d + 1, d + 1), np.longdouble)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, m, n in zip(*np.nonzero(grads[0])):
+            outer[a, :, m:, n:] += grads[0, a, m, n] * grads[1, :, : d + 1 - m, : d + 1 - n]
+        sym = np.stack([outer[0, 0], (outer[0, 1] + outer[1, 0]) / 2, outer[1, 1]])
+        held = _compose_affine(sym, np.eye(2, dtype=np.longdouble)[None], centre[None])[0]
+        for k in range(1, depth + 1):
+            lin, off = (t.astype(np.longdouble) for t in triple(seq.eps(k)))
+            held = np.einsum("ief,if...->e...", _CONJUGATIONS, _compose_affine(held, lin, lin @ centre + off - centre))
+        value = (held[0, 0, 0] + held[2, 0, 0]) * np.longdouble(3) ** depth / (2 * np.longdouble(5) ** depth)
+    if not abs(value) <= np.finfo(np.float64).max:
+        raise TermOverflow("the gasket half of the measure overflows the double range")
+    return float(value)
+
+
+def energy_via_measure(seq: ParamSeq, u: Poly2, v: Poly2, depth: int, quad=None) -> float:
+    """Energy straight from the measure data at one resolution, in O(depth): the gasket half, and
+    the cables' rank-one masses against the gradients by exact line quadrature with limit window
+    weights (the energy module's moment pass), in one exact ``math.fsum``.  For affine fields the
+    gasket half is (grad u, (Id/2) grad v) at every depth."""
     quad = resolve_quadrature(quad, u.degree, v.degree)
-    mats = _scaled_linears(depth)
-
-    def blocks():
-        for start, stop in _ranges(len(mats)):
-            lin, off = _word_rows(seq, depth, start, stop)
-            centers = _images(lin, barycenter()[None])[:, 0] + off
-            gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
-            gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
-            taus = _taus(mats[start:stop], depth)
-            with np.errstate(over="ignore", invalid="ignore"):
-                gasket = (
-                    taus[:, 0, 0] * gux * gvx
-                    + taus[:, 0, 1] * (gux * gvy + guy * gvx)
-                    + taus[:, 1, 1] * guy * gvy
-                )
-            if not np.isfinite(gasket).all():
-                raise TermOverflow("a gasket term of the measure overflows the double range")
-            yield gasket.tolist()
-        (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, limit=True)
-        yield cables
-
-    return _fsum(itertools.chain.from_iterable(blocks()))
+    _require_depth(depth)
+    gasket = _gasket_half(seq, u, v, depth)
+    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, limit=True)
+    return _fsum([gasket, *cables])

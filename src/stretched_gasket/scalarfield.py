@@ -2,9 +2,10 @@
 
 Test functions for the energy forms are bivariate polynomials with exact
 symbolic calculus: gradients and Hessians are formed by coefficient
-manipulation, and restriction to a mapped segment produces a univariate
-polynomial in the curve parameter, so line integrals can be evaluated by
-Gauss quadrature of known exactness.
+manipulation, and substitution of affine maps (``_compose_affine``) gives
+the coefficients of p o F; restricted to a mapped segment that is a
+univariate polynomial in the curve parameter, so line integrals can be
+evaluated by Gauss quadrature of known exactness.
 
 The expression grammar accepted by :func:`parse`:
 
@@ -166,55 +167,53 @@ def _power_table(arr: np.ndarray, top: int) -> list[np.ndarray]:
     return pows
 
 
-def grad_batch(p: Poly2, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx, gy = p.grad()
-    return gx.eval_batch(xs, ys), gy.eval_batch(xs, ys)
-
-
 def hess_batch(p: Poly2, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hxx, hxy, hyy = p.hess()
     return hxx.eval_batch(xs, ys), hxy.eval_batch(xs, ys), hyy.eval_batch(xs, ys)
 
 
-# -- segment restriction ---------------------------------------------------
+# -- affine substitution ---------------------------------------------------
 
 
-def _conv(a: list, b: list) -> list:
-    """Product of ascending coefficient lists; entries may be floats or equal-shape arrays."""
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+def _compose_affine(coeffs: np.ndarray, lin: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """(S, E, d + 1, d + 1): the coefficients of p o F_s, F_s x = lin[s] @ x + off[s], for the E
+    polynomials p of degree <= d in ``coeffs`` (E, d + 1, d + 1), entry [m, n] that of x^m y^n.
+    The powers of y o F_s meet the coefficients of each x^m, then Horner's scheme in x o F_s sums
+    those; no step passes degree d, so none drops a term."""
+    d = coeffs.shape[-1] - 1
+    a, b, c = (t[:, :, None, None, None] for t in (lin[..., 0], lin[..., 1], off))
+
+    def times(p, r):
+        # p times coordinate r of each map, lin[s, r] @ x + off[s, r].
+        out = c[:, r] * p
+        out[..., 1:, :] += a[:, r] * p[..., :-1, :]
+        out[..., 1:] += b[:, r] * p[..., :-1]
+        return out
+
+    powers = [np.zeros((len(lin), 1, d + 1, d + 1), coeffs.dtype)]
+    powers[0][..., 0, 0] = 1
+    for _ in range(d):
+        powers.append(times(powers[-1], 1))
+    rows = np.einsum("emn,snij->mseij", coeffs, np.concatenate(powers, axis=1))
+    out = rows[d]
+    for m in range(d - 1, -1, -1):
+        out = times(out, 0) + rows[m]
     return out
 
 
-def _compose_line(p: Poly2, x0, y0, dx, dy) -> list:
-    """Coefficients (ascending in t) of p(x0 + t dx, y0 + t dy).
-
-    The result degree equals deg(p); substitution is exact coefficient
-    arithmetic via binomial expansion of the two affine coordinates.  Given
-    arrays of coordinates, each coefficient is the array over those lines.
-    """
-    if not p.coeffs:
-        return [0.0]
-    xpows, ypows = [[1.0]], [[1.0]]
-    for _ in range(max(m for m, _ in p.coeffs)):
-        xpows.append(_conv(xpows[-1], [x0, dx]))
-    for _ in range(max(n for _, n in p.coeffs)):
-        ypows.append(_conv(ypows[-1], [y0, dy]))
-    acc = [0.0] * (p.degree + 1)
+def _dense(p: Poly2, d: int, dtype=np.float64) -> np.ndarray:
+    """The coefficients of p as a (d + 1, d + 1) array, entry [m, n] that of x^m y^n; d >= deg p."""
+    out = np.zeros((d + 1, d + 1), dtype)
     for (m, n), c in p.coeffs.items():
-        for i, v in enumerate(_conv(xpows[m], ypows[n])):
-            acc[i] += c * v
-    return acc
+        out[m, n] = c
+    return out
 
 
 def compose_with_segment(p: Poly2, lin: np.ndarray, off: np.ndarray, start: np.ndarray, vel: np.ndarray) -> np.ndarray:
     """Coefficients (ascending in t) of p(F(start + t vel)) for t in [0,1], F x = lin @ x + off:
-    ``_compose_line`` of one mapped segment."""
-    p0 = lin @ start + off
-    d = lin @ vel
-    return np.array(_compose_line(p, float(p0[0]), float(p0[1]), float(d[0]), float(d[1])))
+    ``_compose_affine`` by the map t -> F(start) + t lin @ vel, of degree deg(p)."""
+    segment = np.column_stack([lin @ vel, np.zeros(2)])
+    return _compose_affine(_dense(p, max(p.degree, 0))[None], segment[None], (lin @ start + off)[None])[0, 0, :, 0]
 
 
 # -- named constructions ---------------------------------------------------

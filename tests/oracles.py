@@ -117,10 +117,16 @@ from stretched_gasket.kusuoka import (
     tau_table,
 )
 from stretched_gasket.laplacian import KAPPA_FLOOR, _laplacian_values, ibp_table, laplacian_samples, teplyaev
-from stretched_gasket.scalarfield import _compose_line, compose_with_segment, grad_batch, hess_batch, sup_bounds
+from stretched_gasket.scalarfield import Poly2, hess_batch, sup_bounds
 
 #: The form constant a = b of the triangle edges and the cables, 1/3 as in the package.
 _A = 1.0 / 3.0
+
+
+def grad_batch(p, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of p evaluated on arrays of matching shape, one ``eval_batch`` per partial."""
+    gx, gy = p.grad()
+    return gx.eval_batch(xs, ys), gy.eval_batch(xs, ys)
 
 
 def poly1_derivative(coeffs: np.ndarray) -> np.ndarray:
@@ -165,6 +171,33 @@ def world_edge_table(seq, l):
     p, q, v = (np.concatenate([a.reshape(-1, 2) for a in arrs]) for arrs in zip(tri, *cables))
     columns = [np.repeat(np.arange(l + 1), sizes), word, slot, pf, *p.T, *q.T, *v.T]
     return np.rec.fromarrays(columns, names="generation,word,slot,prefactor,px,py,qx,qy,vx,vy")
+
+
+def _conv(a: list, b: list) -> list:
+    """Product of ascending coefficient lists; entries may be floats or equal-shape arrays."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _compose_line(p, x0, y0, dx, dy) -> list:
+    """Coefficients (ascending in t) of p(x0 + t dx, y0 + t dy) by binomial expansion of the
+    two affine coordinates; given arrays of coordinates, each coefficient is the array over
+    those lines."""
+    if not p.coeffs:
+        return [0.0]
+    xpows, ypows = [[1.0]], [[1.0]]
+    for _ in range(max(m for m, _ in p.coeffs)):
+        xpows.append(_conv(xpows[-1], [x0, dx]))
+    for _ in range(max(n for _, n in p.coeffs)):
+        ypows.append(_conv(ypows[-1], [y0, dy]))
+    acc = [0.0] * (p.degree + 1)
+    for (m, n), c in p.coeffs.items():
+        for i, v in enumerate(_conv(xpows[m], ypows[n])):
+            acc[i] += c * v
+    return acc
 
 
 def weak_laplacian_h1(seq, l, u):
@@ -284,8 +317,9 @@ def cable_objects(seq, s, beta_over_alpha=HARMONIC_RATIO) -> tuple[Segment, Segm
 
 
 def restrict(p, amap: AffineMap2, seg: Segment) -> np.ndarray:
-    """Coefficients (ascending in t) of p(amap(seg(t))): ``compose_with_segment`` on the objects' arrays."""
-    return compose_with_segment(p, amap.linear, amap.offset, seg.p, seg.velocity)
+    """Coefficients (ascending in t) of p(amap(seg(t))): ``_compose_line`` of the mapped segment."""
+    p0, dv = amap.linear @ seg.p + amap.offset, amap.linear @ seg.velocity
+    return np.array(_compose_line(p, float(p0[0]), float(p0[1]), float(dv[0]), float(dv[1])))
 
 
 def cable_mass_by_objects(seq, prefix, s, slot) -> tuple[float, np.ndarray]:
@@ -1033,16 +1067,27 @@ def total_cable_mass(seq, s_max: int) -> float:
 # -- whole-table forms of the blocked paths -----------------------------------
 
 
-def energy_via_measure_whole(seq, u, v, depth, quad=None) -> float:
-    """``energy_via_measure`` with the whole depth-level tables at once: every gasket term
-    from ``word_table`` and ``tau_table``, then the moment pass's cable terms, in one fsum."""
-    quad = resolve_quadrature(quad, u.degree, v.degree)
+def measure_gasket_terms(seq, u, v, depth, *, absolute=False) -> np.ndarray:
+    """The gasket terms tr(tau_w G(F_w b)), G = sym(grad u grad v^t), of every depth-level
+    cell in word order, enumerated from the whole ``word_table`` and ``tau_table``.  With
+    ``absolute``, each term's rounding scale instead: every coefficient, tau entry and
+    coordinate replaced by its absolute value."""
     lin, off = word_table(seq, depth)
     centers = lin @ barycenter() + off
+    taus = tau_table(depth)
+    if absolute:
+        u, v = (Poly2({k: abs(c) for k, c in p.coeffs.items()}) for p in (u, v))
+        centers, taus = np.abs(centers), np.abs(taus)
     gux, guy = grad_batch(u, centers[:, 0], centers[:, 1])
     gvx, gvy = grad_batch(v, centers[:, 0], centers[:, 1])
-    taus = tau_table(depth)
-    gasket = taus[:, 0, 0] * gux * gvx + taus[:, 0, 1] * (gux * gvy + guy * gvx) + taus[:, 1, 1] * guy * gvy
+    return taus[:, 0, 0] * gux * gvx + taus[:, 0, 1] * (gux * gvy + guy * gvx) + taus[:, 1, 1] * guy * gvy
+
+
+def energy_via_measure_whole(seq, u, v, depth, quad=None) -> float:
+    """``energy_via_measure`` by enumeration: every gasket term of ``measure_gasket_terms``,
+    then the moment pass's cable terms, in one fsum."""
+    quad = resolve_quadrature(quad, u.degree, v.degree)
+    gasket = measure_gasket_terms(seq, u, v, depth)
     (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, limit=True)
     return math.fsum(gasket.tolist() + cables)
 

@@ -34,10 +34,10 @@ from stretched_gasket import (
     vanishing_at_ABC,
     vanishing_cubic,
 )
-from stretched_gasket.scalarfield import grad_batch, hess_batch, parse
+from stretched_gasket.scalarfield import hess_batch, parse
 
 from conftest import ALL_REGIMES, CONSTANT_HALF, TAIL_ONLY, random_poly
-from oracles import adjoint_aggregate, count_edges, ibp_residual, iter_words, perron_iteration
+from oracles import adjoint_aggregate, count_edges, grad_batch, ibp_residual, iter_words, perron_iteration
 
 A_CONST = 1.0 / 3.0
 

@@ -538,6 +538,30 @@ def test_blocked_commands_at_the_depth_cap_stay_within_their_rss_ceilings(comman
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")
+def test_geometry_reads_each_edge_range_once_for_both_files(tmp_path, monkeypatch, capsys):
+    # The SVG lines and the JSON edges come from one edge read per range; the shading
+    # reads the cells' rows before them.  Five-row ranges: many of each.
+    monkeypatch.setattr(geometry, "_RANGE_ROWS", 5)
+    real, calls = cli._edge_rows, []
+    monkeypatch.setattr(cli, "_edge_rows", lambda seq, depth, a, b: calls.append((a, b)) or real(seq, depth, a, b))
+    depth, edges = 3, tmp_path / "edges.json"
+    assert cli.main(["geometry", *EXP_FLAGS, "--depth", str(depth), "--shade", "--json", str(edges)]) == 0
+    svg, side = geometry_text_by_rows(ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5)), depth)
+    assert capsys.readouterr().out == svg and edges.read_text() == side
+    cells = [(3 * a, 3 * b) for a, b in geometry._ranges(3**depth)]
+    assert calls == cells + list(geometry._ranges(geometry._carrier_count(depth, 3)))
+
+
+def test_geometry_refuses_one_path_for_the_svg_and_the_json(tmp_path, capsys):
+    # Both files are open while the rows are written, so one path for both is refused
+    # before any output.
+    path = tmp_path / "both.out"
+    argv = ["geometry", *EXP_FLAGS, "--depth", "1", "--out", str(path), "--json", str(tmp_path / "." / "both.out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: --out and --json name the same file: {tmp_path / '.' / 'both.out'}\n"
+    assert not path.exists()
+
+
 def test_geometry_at_depth_10_stays_within_its_rss_ceiling():
     # Measured 34.7 MiB with the edge rows built a range at a time as the SVG
     # and the edge JSON are written, most of it the interpreter and numpy;

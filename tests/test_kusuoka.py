@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from stretched_gasket import (
     ExpTail,
     ParamSeq,
+    affine,
     cable_mass,
     cable_masses,
     cable_segments,
@@ -30,16 +33,18 @@ from stretched_gasket import (
     word_index,
     word_table,
 )
+from stretched_gasket import kusuoka
 from stretched_gasket.errors import DepthCapExceeded, GasketError, PrefactorUnderflow
-from stretched_gasket.kusuoka import _cable_directions, _linears, _product2, _require_symmetric, _scaled_linears, _trace
+from stretched_gasket.kusuoka import _cable_directions, _gasket_half, _linears, _product2, _require_symmetric, _scaled_linears, _trace
 
-from conftest import ALL_REGIMES, CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY, cold_peak
+from conftest import ALL_REGIMES, CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY, cold_peak, random_poly
 from oracles import (
     adjoint_aggregate,
     energy_via_measure_whole,
     exact_kappa_table,
     gibbs_tau_by_einsum,
     iter_words,
+    measure_gasket_terms,
     per_sequence_kappa_table,
     per_sequence_tau_table,
     perron_iteration,
@@ -417,23 +422,78 @@ def _outcome(route, *args):
         return type(exc), str(exc)
 
 
-def test_blocked_measure_energy_equals_the_whole_table_sum(regime):
-    # One exact fsum over the blocks' gasket terms and the cables, in the
-    # order of the whole-table sum: the same double at every depth (and, on
-    # the constant sequence, whose cables have no limit weight, the same error).
-    pairs = [(parse("x^2 - 0.5*x*y + y^3"), vanishing_cubic()), (parse("2*x - y + 1"), parse("x*y"))]
-    for u, v in pairs:
+#: The operator's distance from the enumerated gasket sum, relative to the sum of the
+#: gasket terms' rounding scales (``measure_gasket_terms(..., absolute=True)``): each
+#: enumerated term rounds its gradients in double, and a term can cancel to below its own
+#: rounding, as the vanishing cubic's gradient does at the barycenter.  The largest
+#: measured over the fields and depths below is 1.6 u.
+MEASURE_OPERATOR_RTOL = 8 * 2.0**-53
+
+
+def test_measure_energy_operator_matches_the_enumerated_sum(regime, rng):
+    # The gasket half by the level operators against the sum over the 3^l cells, for
+    # fields of degree 1 to 6 at l <= 10; the cables are the same terms on both sides.
+    # On the constant sequence, whose cables have no limit weight, the same error.
+    fields = [(random_poly(rng, deg), random_poly(rng, deg)) for deg in range(1, 7)]
+    for u, v in [(parse("x^2 - 0.5*x*y + y^3"), vanishing_cubic()), *fields]:
         for depth in range(11):
             got = _outcome(energy_via_measure, regime, u, v, depth)
-            assert got == _outcome(energy_via_measure_whole, regime, u, v, depth), depth
+            want = _outcome(energy_via_measure_whole, regime, u, v, depth)
             assert isinstance(got, float) == (regime is not CONSTANT_HALF or depth == 0), got
+            if not isinstance(got, float):
+                assert got == want, depth
+                continue
+            terms = measure_gasket_terms(regime, u, v, depth)
+            bound = MEASURE_OPERATOR_RTOL * math.fsum(measure_gasket_terms(regime, u, v, depth, absolute=True).tolist())
+            assert abs(_gasket_half(regime, u, v, depth) - math.fsum(terms.tolist())) <= bound, (u, depth)
+            # One rounding of the total on each side.
+            assert abs(got - want) <= bound + math.ulp(want), (u, depth, got, want)
+
+
+def test_measure_energy_gasket_half_of_a_constant_field_is_zero(regime):
+    for v in (parse("x^2 - 0.5*x*y + y^3"), parse("0"), parse("2.5")):
+        for depth in (0, 1, 7, 12):
+            assert _gasket_half(regime, parse("2.5"), v, depth) == 0.0
+            assert _gasket_half(regime, v, parse("-1"), depth) == 0.0
+
+
+def test_measure_energy_gasket_half_of_affine_fields_is_half_their_gradient_product(regime, rng):
+    # (grad u, (Id/2) grad v) at every depth, within 1 ulp of the exact rational value:
+    # the operator runs in longdouble and rounds once (0.505 ulp the largest measured).
+    for _ in range(10):
+        a = rng.uniform(-1, 1, 6).tolist()
+        exact = (Fraction(a[1]) * Fraction(a[4]) + Fraction(a[2]) * Fraction(a[5])) / 2
+        for depth in range(13):
+            got = _gasket_half(regime, affine(*a[:3]), affine(*a[3:]), depth)
+            assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact))), (a, depth)
+
+
+def test_measure_energy_builds_no_depth_level_table(monkeypatch):
+    # O(depth): at the depth cap the route composes no word, multiplies no cylinder
+    # product and reads no table, in any module that imported those names.
+    u, v = parse("x^2 - 0.5*x*y + y^3"), vanishing_cubic()
+    want = energy_via_measure(PREFIX_EXP, u, v, 12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a depth-level table was built")
+
+    for name in ("_word_levels", "word_table", "_linears", "_scaled_linears"):
+        for module in [m for key, m in sys.modules.items() if key.startswith("stretched_gasket") and hasattr(m, name)]:
+            monkeypatch.setattr(module, name, refuse)
+    assert energy_via_measure(PREFIX_EXP, u, v, 12) == want
+    # Past the cap the depth is refused before any work.
+    for name in ("_gasket_half", "_moment_terms"):
+        monkeypatch.setattr(kusuoka, name, refuse)
+    with pytest.raises(DepthCapExceeded, match="depth 13 exceeds cap 12"):
+        energy_via_measure(PREFIX_EXP, u, v, 13)
 
 
 def test_measure_energy_memory_at_depth_ten():
-    # Twice the peak measured with the gasket terms taken 3^7 cells at a
-    # time (2.4 MiB); the whole word, tau and term tables peaked at 11.7 MiB.
+    # Twice the peak measured with the gasket half by the level operators, most of it
+    # the cables' moment pass (1.0 MiB); the gasket terms taken 3^7 cells at a time
+    # peaked at 2.4 MiB, the whole word, tau and term tables at 11.7 MiB.
     u, v = parse("x^2 - 0.5*x*y + y^3"), vanishing_cubic()
-    assert cold_peak(lambda: energy_via_measure(PREFIX_EXP, u, v, 10)) < 5 * 2**20
+    assert cold_peak(lambda: energy_via_measure(PREFIX_EXP, u, v, 10)) < 2 * 2**20
 
 
 def test_energy_via_measure_matches_quadrature_route_for_affine(rng):

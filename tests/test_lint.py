@@ -100,7 +100,6 @@ FLAT_PRODUCT_FUNCTIONS = {
     "geometry": {"_edge_rows"},
     "harmonicity": {"_vertex_blocks"},
     "laplacian": {"_sample_rows"},
-    "kusuoka": {"energy_via_measure"},
 }
 
 

@@ -16,14 +16,15 @@ from stretched_gasket import (
     vanishing_cubic,
 )
 from stretched_gasket.scalarfield import (
+    _compose_affine,
+    _dense,
     compose_with_segment,
-    grad_batch,
     hess_batch,
     to_string,
 )
 
 from conftest import random_poly
-from oracles import poly1_derivative, poly1_eval
+from oracles import AffineMap2, Segment, grad_batch, poly1_derivative, poly1_eval, restrict
 
 
 def test_arithmetic_and_degree():
@@ -143,6 +144,24 @@ def test_segment_composition_is_exact_1d_polynomial(rng):
     h = 1e-6
     fd = (poly1_eval(coeffs, np.array([0.5 + h]))[0] - poly1_eval(coeffs, np.array([0.5 - h]))[0]) / (2 * h)
     assert poly1_eval(d, np.array([0.5]))[0] == pytest.approx(fd, rel=1e-8)
+
+
+def test_affine_substitution_matches_the_composite_and_the_line_oracle(rng):
+    # Stacked maps and polynomials of every degree to 6: the coefficients of p o F_s,
+    # evaluated, are p at F_s x; on a segment they are the binomial line oracle's.
+    for degree in range(7):
+        polys = [random_poly(rng, degree), random_poly(rng, degree)]
+        lin, off = rng.uniform(-1, 1, (3, 2, 2)), rng.uniform(-1, 1, (3, 2))
+        out = _compose_affine(np.stack([_dense(p, degree) for p in polys]), lin, off)
+        xs, ys = rng.uniform(-1, 1, (2, 5))
+        for s in range(3):
+            fx, fy = lin[s] @ np.stack([xs, ys]) + off[s][:, None]
+            for e, p in enumerate(polys):
+                composite = Poly2({k: float(c) for k, c in np.ndenumerate(out[s, e])})
+                assert composite.eval_batch(xs, ys) == pytest.approx(p.eval_batch(fx, fy), rel=1e-12, abs=1e-12)
+            start, vel = off[(s + 1) % 3], off[(s + 2) % 3]
+            want = restrict(polys[0], AffineMap2(lin[s], off[s]), Segment(start, start + vel, vel))
+            assert compose_with_segment(polys[0], lin[s], off[s], start, vel) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_affine_helper():
