@@ -48,7 +48,8 @@ from . import harmonicity as harm_mod
 from . import kusuoka as kus_mod
 from . import laplacian as lap_mod
 from .errors import GasketError, PolyParseError
-from .geometry import HARMONIC_RATIO, SIDE_NAMES, _carrier_count, _edge_rows, _ranges, _require_depth, _require_edges
+from .geometry import HARMONIC_RATIO, SIDE_NAMES, _carrier_count, _edge_rows, _images, _ranges, _require_depth
+from .geometry import _require_edges, _word_rows, base_vertices
 from .harmonicity import HARMONIC_GATES
 from .params import SEQ_KEYS, A, ParamSeq, seq_from_mapping
 from .scalarfield import corner_values, parse as parse_poly, sup_bounds, vanishes_at_corners, vanishing_cubic
@@ -207,14 +208,14 @@ def _write_svg(fh, seq, depth, kappas, side):
     if kappas is not None:
         top = float(np.max(kappas))
         for a, b in _ranges(len(kappas)):
-            # Corners A, B, C of each cell: the starts of its sides AB and BC, and the end of BC.
-            cells = _edge_rows(seq, depth, 3 * a, 3 * b).reshape(-1, 3)
-            corners = (cells.px[:, 0], cells.py[:, 0], cells.px[:, 1], cells.py[:, 1], cells.qx[:, 1], cells.qy[:, 1])
+            # Corners A, B, C of each cell, mapped as the edge rows map their ends.
+            lin, off = _word_rows(seq, depth, a, b)
+            corners = (_images(lin, np.stack(base_vertices())) + off[:, None]).reshape(-1, 6)
             ops = (0.75 * kappas[a:b] / top).tolist()
             fh.writelines(
                 f'<polygon points="{ax:.6f},{-ay:.6f} {bx:.6f},{-by:.6f} {cx:.6f},{-cy:.6f}" '
                 f'fill="#3a7bd5" fill-opacity="{op:.4f}"/>\n'
-                for (ax, ay, bx, by, cx, cy), op in zip(zip(*(c.tolist() for c in corners)), ops)
+                for (ax, ay, bx, by, cx, cy), op in zip(corners.tolist(), ops)
             )
     styles = (
         f'stroke="#1a1a1a" stroke-width="{sw:.6f}"',
@@ -261,10 +262,22 @@ def _write_edges_json(fh, depth, a, block):
     )
 
 
+def _one_file(out: str | None, json_out: str | None) -> bool:
+    """Whether ``json_out`` names the SVG's file, ``out`` or else stdout, by its path or by another
+    name (a hard link, /dev/stdout); /dev/null may take both."""
+    if json_out is None or os.path.exists(json_out) and os.path.samefile(json_out, os.devnull):
+        return False
+    if out is not None and os.path.realpath(out) == os.path.realpath(json_out):
+        return True
+    with contextlib.suppress(OSError, ValueError):  # a file not made yet, or a stdout with no descriptor
+        return os.path.samestat(os.stat(json_out), os.fstat(sys.stdout.fileno()) if out is None else os.stat(out))
+    return False
+
+
 def cmd_geometry(seq, *, depth, shade, out, json_out) -> int:
     """SVG and JSON edge export, the edge rows built once every prefactor is checked and each
-    range of them written to both files, which are open together; one path for both is refused."""
-    if None not in (out, json_out) and os.path.realpath(out) == os.path.realpath(json_out):
+    range of them written to both files, which are open together; one file for both is refused."""
+    if _one_file(out, json_out):
         return _fail(f"--out and --json name the same file: {json_out}")
     kappas = kus_mod.kappa_table(depth) if shade else None
     _require_edges(seq, depth)

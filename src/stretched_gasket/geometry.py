@@ -19,12 +19,12 @@ a level's three maps as (3, 2, 2) and (3, 2) arrays, and ``_word_levels``
 is the one function that composes them.  It composes the maps of any
 range of words level by level, and only the range's ancestors, with the
 bits of the whole table: ``word_table`` is its last level over the whole
-range, ``_word_rows`` over any range, and ``compose`` over the one row of
-a word of any length.  The paths that walk a depth in 3^7-row ranges
-(``_ranges``, which the CLI's writers share) read their rows from it:
-the vertex stars and the Laplacian samples.  The two
-that enumerate a level, ``word_table`` and ``_word_rows``, stop at the
-depth cap; a one-row read does not.
+range (cached, and read by no route here), ``_word_rows`` over any range,
+and ``compose`` over the one row of a word of any length, which
+``word_point`` maps as one ``_images`` row.  The paths that walk a depth
+in 3^7-row ranges (``_ranges``, which the CLI's writers share) read their
+rows from it.  The two that enumerate a level, ``word_table`` and
+``_word_rows``, stop at the depth cap; a one-row read does not.
 
 The carriers of the depth-l pre-fractal, its cells in word order and
 then its cables by generation in (prefix, slot) order, have one walk
@@ -34,12 +34,13 @@ cables' prefix rows.  The Laplacian samples and the edge table
 the SVG/JSON export reads by range) read their rows from it.
 
 The beta/alpha ratio (default 1/3, the harmonic family) is a parameter of
-the map primitives here and of the vertex-residual probes in the
-harmonicity module, which show that perturbed families break the vertex
-balance.  The energy forms, the cylinder measures and the Laplacian are
-defined for the harmonic family only: their weights use lam_k = (3/5)
-eps_k^2, which is the Perron eigenvalue of the level transfer operator
-only at ratio 1/3, so they take no ratio.  Harmonicity also forces the
+the level maps and of the walks (``triple``, ``_word_levels``,
+``_cable_stack``) that the harmonicity module's vertex-residual probes
+read, which show that perturbed families break the vertex balance.  The
+energy forms, the cylinder measures and the Laplacian are defined for
+the harmonic family only: their weights use lam_k = (3/5) eps_k^2, which
+is the Perron eigenvalue of the level transfer operator only at ratio
+1/3, so they take no ratio.  Harmonicity also forces the
 cable constant b to equal the triangle-edge constant a, and the edge
 weights (``triangle_edge_prefactor``, ``cable_prefactor``) use the one
 value a = b = 1/3 (``params.A``), so they take no constant either.
@@ -138,7 +139,7 @@ def word_index(word: tuple[int, ...]) -> int:
     return idx
 
 
-def compose(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMONIC_RATIO) -> tuple[np.ndarray, np.ndarray]:
+def compose(seq: ParamSeq, word: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """F_w for a word w of any length, position k using the level-k triple.
 
     Returns (lin, off) of shapes (2, 2) and (2,): the one row of
@@ -146,14 +147,14 @@ def compose(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMO
     row.  It enumerates nothing, so no depth cap applies.
     """
     i = word_index(word)
-    *_, (_, lin, off) = _word_levels(seq, len(word), i, i + 1, beta_over_alpha)
+    *_, (_, lin, off) = _word_levels(seq, len(word), i, i + 1)
     return lin[0], off[0]
 
 
-def word_point(seq: ParamSeq, word: tuple[int, ...], beta_over_alpha: float = HARMONIC_RATIO) -> np.ndarray:
-    """Representative point of a cylinder cell: image of the barycenter."""
-    lin, off = compose(seq, word, beta_over_alpha)
-    return lin @ _BARYCENTER + off
+def word_point(seq: ParamSeq, word: tuple[int, ...]) -> np.ndarray:
+    """Representative point of a cylinder cell: the barycenter's image, as one ``_images`` row."""
+    lin, off = compose(seq, word)
+    return _images(lin[None], _BARYCENTER[None])[0, 0] + off
 
 
 def _images(lin: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -244,19 +245,17 @@ def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: 
         yield first, lin, off
 
 
-def _word_rows(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: float = HARMONIC_RATIO):
-    """Affine parts (lin, off) of the depth-l words start..stop-1 in word order, each row with
-    the bits of its ``word_table`` row: the last level of ``_word_levels``, the whole level
-    from the cached ``word_table``.  A depth past the cap raises DepthCapExceeded."""
+def _word_rows(seq: ParamSeq, l: int, start: int, stop: int):
+    """Affine parts (lin, off) of the depth-l words start..stop-1 in word order: the last
+    level of ``_word_levels``, so each row has the bits of its ``word_table`` row.  A depth
+    past the cap raises DepthCapExceeded."""
     _require_depth(l)
-    if (start, stop) == (0, 3**l):
-        return word_table(seq, l, beta_over_alpha)
-    *_, (first, lin, off) = _word_levels(seq, l, start, stop, beta_over_alpha)
+    *_, (first, lin, off) = _word_levels(seq, l, start, stop)
     return lin[start - first : stop - first], off[start - first : stop - first]
 
 
 @functools.lru_cache(maxsize=64)
-def word_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
+def word_table(seq: ParamSeq, l: int):
     """Batched affine parts of all depth-l compositions, in word order.
 
     Returns (lin, off): arrays of shape (3^l, 2, 2) and (3^l, 2) such that
@@ -266,7 +265,7 @@ def word_table(seq: ParamSeq, l: int, beta_over_alpha: float = HARMONIC_RATIO):
     DepthCapExceeded.
     """
     _require_depth(l)
-    *_, (_, lin, off) = _word_levels(seq, l, 0, 3**l, beta_over_alpha)
+    *_, (_, lin, off) = _word_levels(seq, l, 0, 3**l)
     lin.flags.writeable = False
     off.flags.writeable = False
     return lin, off
@@ -316,7 +315,7 @@ def _cable_ends(seq: ParamSeq, generations, beta_over_alpha: float = HARMONIC_RA
     return np.concatenate([np.stack([starts, starts + vels], axis=2).reshape(-1, 6, 2), vels], axis=1)
 
 
-def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATIO) -> tuple[np.ndarray, np.ndarray]:
+def cable_segments(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The three generation-s cables in local cell coordinates: one generation of ``_cable_stack``.
 
     Returns (starts, vels), each (3, 2) in slot order; the cable of slot
@@ -327,7 +326,7 @@ def cable_segments(seq: ParamSeq, s: int, beta_over_alpha: float = HARMONIC_RATI
     would lose low bits on short cables far from the origin.  A
     depth-(s-1) prefix map carries them into the pre-fractal.
     """
-    (starts,), (vels,) = _cable_stack(seq, (s,), beta_over_alpha)
+    (starts,), (vels,) = _cable_stack(seq, (s,))
     return starts, vels
 
 

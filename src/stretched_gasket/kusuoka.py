@@ -50,13 +50,12 @@ from .geometry import (
     _ranges,
     _require_depth,
     _triple_index,
+    _word_rows,
     barycenter,
     cable_prefactor_limit,
-    cable_segments,
     compose,
     triple,
     word_index,
-    word_table,
 )
 from .params import ParamSeq
 from .scalarfield import Poly2, _compose_affine, _dense
@@ -199,15 +198,12 @@ def _taus(mats: np.ndarray, l: int) -> np.ndarray:
 
 
 def gibbs_tau(word: tuple[int, ...]) -> CylinderMass:
-    """Cylinder mass (1/2) (3/5)^l P_w P_w^t of a word of any length, from its l factors.
+    """Cylinder mass (1/2) (3/5)^l P_w P_w^t of a word of any length: its one-row ``_linears``
+    read, so it has its ``tau_table`` row's bits and no depth cap.
 
     The empty word gives tau = Id/2, kappa = 1: each level is a probability vector."""
-    # The arithmetic of _linears and tau_table: the tau_table row's bits.
-    m = np.eye(2, dtype=np.longdouble)
-    for letter in word:
-        m = _product2(m, _LEVEL_FACTORS[_triple_index(letter)])
-    m = m.astype(np.float64)
-    tau = _level_scale(len(word)) * _product2(m, m.T)
+    i = word_index(word)
+    (tau,) = _taus(_linears(len(word), i, i + 1), len(word))
     return CylinderMass(word, tau, float(_trace(tau)))
 
 
@@ -240,29 +236,20 @@ def tau_table(l: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     return _taus(_scaled_linears(l) if stop - start == n else _products(l, start, stop), l)
 
 
-def cable_mass(
-    seq: ParamSeq,
-    prefix: tuple[int, ...],
-    s: int,
-    slot: int,
-) -> CableMass:
+def cable_mass(seq: ParamSeq, prefix: tuple[int, ...], s: int, slot: int) -> CableMass:
     """Limit-measure matrix mass of the generation-s cable at (prefix, slot).
 
-    A cable that the prefix map shrinks until its |v|^2 underflows raises
-    PrefactorUnderflow (``_unit_directions``), as does ``cable_masses``.
+    Its one-row ``cable_masses`` call, so it has that row's bits; a cable that the prefix map
+    shrinks until its |v|^2 underflows raises PrefactorUnderflow (``_unit_directions``).
     """
     if len(prefix) != s - 1:
         raise ValueError(f"prefix length {len(prefix)} does not match generation {s}")
-    if seq.one_minus_eps(s) == 0.0:
-        raise DegenerateCable(f"eps_{s} = 1: cable has zero length")
-    _, vels = cable_segments(seq, s)
-    local = vels[_triple_index(slot, "cable slot")]
+    weight = _cable_weight(seq, s)
+    k = _triple_index(slot, "cable slot")
     lin, _ = compose(seq, prefix)
-    vel = lin @ local
-    nrm2 = float(vel @ vel)
-    mass = cable_prefactor_limit(seq, s) * nrm2
-    (direction,) = _unit_directions(vel[None], np.array([nrm2]), s, 3 * word_index(prefix) + slot - 1)
-    return CableMass(prefix, s, slot, mass, direction, np.outer(direction, direction))
+    vel = _cable_stack(seq, (s,))[1][0, k : k + 1]
+    (nrm2,), (direction,) = _cable_directions(lin[None], vel, s, 3 * word_index(prefix) + k)
+    return CableMass(prefix, s, slot, weight * float(nrm2), direction, np.outer(direction, direction))
 
 
 def _cable_weight(seq: ParamSeq, s: int) -> float:
@@ -292,14 +279,13 @@ def _unit_directions(world: np.ndarray, nrm2: np.ndarray, s: int, first: int) ->
 
 
 def _cable_directions(lin: np.ndarray, vel: np.ndarray, s: int, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared lengths and unit directions of the generation-s cables with local velocities
-    ``vel`` (3, 2) mapped by the prefix linear parts ``lin`` of the depth-(s - 1) words
-    first, first + 1, ..., 3 rows per prefix in slot order; ``_unit_directions`` refuses an
-    underflowed cable."""
-    # Stacked products round as the single products of cable_mass do.
+    """Squared lengths and unit directions of generation-s cables, the local velocities ``vel``
+    (K, 2) mapped by each prefix linear part of ``lin`` (N, 2, 2): the cables first, first + 1,
+    ... in (prefix, slot) order, K per prefix, each with the same bits in any table (one
+    ``_images`` table); ``_unit_directions`` refuses an underflowed cable."""
     world = _images(lin, vel).reshape(-1, 2)
     nrm2 = (world[:, None] @ world[..., None]).ravel()
-    return nrm2, _unit_directions(world, nrm2, s, 3 * first)
+    return nrm2, _unit_directions(world, nrm2, s, first)
 
 
 def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +294,7 @@ def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     Rows run lexicographic in (prefix, slot), prefix over the depth-(s-1)
     words.  Row i carries the rank-one density d d^t of ``directions[i]``.
     """
-    lin, _ = word_table(seq, s - 1)
+    lin, _ = _word_rows(seq, s - 1, 0, 3 ** (s - 1))
     weight = _cable_weight(seq, s)
     nrm2, directions = _cable_directions(lin, _cable_stack(seq, (s,))[1][0], s, 0)
     return weight * nrm2, directions

@@ -87,25 +87,23 @@ def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
     A word tuple names a gasket cylinder (density tau/kappa at the cell
     barycenter image); a CableMass names a cable (density: projection
     onto the cable direction, at the midpoint).  The one-carrier call of
-    the ``laplacian_samples`` kernel: location, density and value are the
-    bits of that carrier's row.
+    the ``laplacian_samples`` kernels (a ``gibbs_tau`` row, a one-row
+    ``_images`` location): location, density and value are the bits of
+    that carrier's row.
     """
     if isinstance(carrier, tuple) and all(isinstance(i, int) for i in carrier):
         cm = gibbs_tau(carrier)
         if cm.kappa < KAPPA_FLOOR:
             raise ArithmeticError(f"cylinder mass underflow at word {carrier}")
-        t_tilde = cm.tau / cm.kappa
-        location = word_point(seq, carrier)
+        t_tilde, location = cm.tau / cm.kappa, word_point(seq, carrier)
     else:
         if not isinstance(carrier, CableMass):
             raise TypeError(f"carrier must be a word tuple or CableMass, got {carrier!r}")
         t_tilde = carrier.projection
-        starts, vels = cable_segments(seq, carrier.generation)
-        k = _triple_index(carrier.slot, "cable slot")
-        p, v = starts[k], vels[k]
+        p, v = (a[_triple_index(carrier.slot, "cable slot")] for a in cable_segments(seq, carrier.generation))
         lin, off = compose(seq, carrier.prefix)
         # The midpoint p + 0.5 ((p + v) - p) of the cable's ends, as _sample_rows forms it.
-        location = lin @ (p + 0.5 * ((p + v) - p)) + off
+        location = _images(lin[None], (p + 0.5 * ((p + v) - p))[None])[0, 0] + off
     value = _laplacian_values(phi, t_tilde[None], location[None])[0]
     return LaplacianSample(location, carrier, t_tilde, float(value))
 
@@ -169,7 +167,7 @@ def _sample_rows(seq: ParamSeq, phi: Poly2, depth: int, start: int, stop: int) -
         p, v = next(segments)
         # The cables' rows among the three of each prefix.
         rows, cables = slice(a % 3, a % 3 + b - a), np.arange(a, b)
-        _, dirs = _cable_directions(lin, v, s, a // 3)
+        _, dirs = _cable_directions(lin, v, s, a - a % 3)
         # Midpoints of the cables' ends p and p + v.
         mids = p + 0.5 * ((p + v) - p)
         ids.append(np.column_stack([np.full(b - a, s), cables // 3, cables % 3 + 1]))
@@ -186,7 +184,7 @@ def laplacian_samples(seq: ParamSeq, phi: Poly2, depth: int, start: int = 0, sto
 
     One row per carrier, the ``teplyaev`` sample of each: cells in word
     order, then cables by generation in (prefix, slot) order, read from
-    the cell tables (tau_table, word_table) and the cable masses.
+    the cell rows (tau_table, the map rows) and the cable masses.
     Columns: ``generation`` (0 for a cell, s for a generation-s cable),
     ``word`` (lexicographic index of the cell word, or of the cable prefix
     among the depth-(s-1) words), ``slot`` (0 for a cell, 1..3 for a

@@ -82,6 +82,7 @@ from stretched_gasket.geometry import (
     _images,
     _side_arrays,
     _triple_index,
+    _word_levels,
     barycenter,
     base_vertices,
     cable_prefactor,
@@ -136,6 +137,13 @@ def poly1_derivative(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
 
 
+def level_rows(seq, l, start, stop, beta_over_alpha=HARMONIC_RATIO):
+    """Affine parts (lin, off) of the depth-l words start..stop-1 at any ratio: the last level
+    of ``_word_levels``, as ``_word_rows`` reads it at the harmonic ratio."""
+    *_, (first, lin, off) = _word_levels(seq, l, start, stop, beta_over_alpha)
+    return lin[start - first : stop - first], off[start - first : stop - first]
+
+
 def _world(seq, l, beta_over_alpha=HARMONIC_RATIO):
     """The depth-l pre-fractal in world coordinates: (corners, sides, cables).
 
@@ -144,13 +152,13 @@ def _world(seq, l, beta_over_alpha=HARMONIC_RATIO):
     order, and ``cables`` for each generation s = 1..l the (starts, ends,
     velocities) of its cables, each (3^(s-1), 3, 2) in (prefix, slot)
     order.  Every point and tangent is one ``_images`` matvec of its
-    word's whole ``word_table`` row.
+    word's row of the whole level (``level_rows``).
     """
-    lin, off = word_table(seq, l, beta_over_alpha)
+    lin, off = level_rows(seq, l, 0, 3**l, beta_over_alpha)
     corners = _images(lin, np.stack(base_vertices())) + off[:, None]
     cables = []
     for s, p, v in zip(range(1, l + 1), *_cable_stack(seq, range(1, l + 1), beta_over_alpha)):
-        plin, poff = word_table(seq, s - 1, beta_over_alpha)
+        plin, poff = level_rows(seq, s - 1, 0, 3 ** (s - 1), beta_over_alpha)
         # Starts, ends p + v (as cable_segments has them) and velocities in one matvec.
         images = _images(plin, np.concatenate([p, p + v, v]))
         cables.append((images[:, :3] + poff[:, None], images[:, 3:6] + poff[:, None], images[:, 6:]))
@@ -311,8 +319,8 @@ def compose_objects(seq, word, beta_over_alpha=HARMONIC_RATIO) -> AffineMap2:
 
 
 def cable_objects(seq, s, beta_over_alpha=HARMONIC_RATIO) -> tuple[Segment, Segment, Segment]:
-    """The three generation-s cables as ``Segment`` objects, from ``cable_segments``."""
-    starts, vels = cable_segments(seq, s, beta_over_alpha)
+    """The three generation-s cables as ``Segment`` objects, from ``_cable_stack``."""
+    (starts,), (vels,) = _cable_stack(seq, (s,), beta_over_alpha)
     return tuple(Segment(p, p + v, v) for p, v in zip(starts, vels))
 
 

@@ -540,7 +540,8 @@ def test_blocked_commands_at_the_depth_cap_stay_within_their_rss_ceilings(comman
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")
 def test_geometry_reads_each_edge_range_once_for_both_files(tmp_path, monkeypatch, capsys):
     # The SVG lines and the JSON edges come from one edge read per range; the shading
-    # reads the cells' rows before them.  Five-row ranges: many of each.
+    # maps the cells' corners from their map rows and reads no edge row.  Five-row
+    # ranges: many of each.
     monkeypatch.setattr(geometry, "_RANGE_ROWS", 5)
     real, calls = cli._edge_rows, []
     monkeypatch.setattr(cli, "_edge_rows", lambda seq, depth, a, b: calls.append((a, b)) or real(seq, depth, a, b))
@@ -548,8 +549,7 @@ def test_geometry_reads_each_edge_range_once_for_both_files(tmp_path, monkeypatc
     assert cli.main(["geometry", *EXP_FLAGS, "--depth", str(depth), "--shade", "--json", str(edges)]) == 0
     svg, side = geometry_text_by_rows(ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5)), depth)
     assert capsys.readouterr().out == svg and edges.read_text() == side
-    cells = [(3 * a, 3 * b) for a, b in geometry._ranges(3**depth)]
-    assert calls == cells + list(geometry._ranges(geometry._carrier_count(depth, 3)))
+    assert calls == list(geometry._ranges(geometry._carrier_count(depth, 3)))
 
 
 def test_geometry_refuses_one_path_for_the_svg_and_the_json(tmp_path, capsys):
@@ -562,9 +562,31 @@ def test_geometry_refuses_one_path_for_the_svg_and_the_json(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_geometry_refuses_a_json_path_that_is_the_svg_stream():
+    # /dev/stdout names the pipe the SVG goes to: the two would interleave in it.
+    proc = run_cli("geometry", *EXP_FLAGS, "--depth", "2", "--json", "/dev/stdout", check=False)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: --out and --json name the same file: /dev/stdout\n"
+
+
+def test_geometry_refuses_a_hard_link_to_the_svg_and_lets_dev_null_take_both(tmp_path, capsys):
+    # A hard link names the --out file by another path; it is refused before the first byte.
+    svg, link = tmp_path / "edges.svg", tmp_path / "edges.json"
+    svg.write_text("kept")
+    os.link(svg, link)
+    assert cli.main(["geometry", *EXP_FLAGS, "--depth", "1", "--out", str(svg), "--json", str(link)]) == 1
+    assert capsys.readouterr().err == f"error: --out and --json name the same file: {link}\n"
+    assert svg.read_text() == "kept"
+    # /dev/null is one file too, but nothing is read back from it.
+    assert cli.main(["geometry", *EXP_FLAGS, "--depth", "1", "--out", os.devnull, "--json", os.devnull]) == 0
+
+
 def test_geometry_at_depth_10_stays_within_its_rss_ceiling():
-    # Measured 34.7 MiB with the edge rows built a range at a time as the SVG
-    # and the edge JSON are written, most of it the interpreter and numpy;
+    # Measured 33.4 MiB with the polygons' corners mapped from their cells' map
+    # rows and the edge rows built a range at a time as the SVG and the edge
+    # JSON are written, most of it the interpreter and numpy (34.7 MiB with the
+    # polygons read from the cells' edge rows);
     # 99 MiB with the whole 265,719-row edge table built first (62 MiB of
     # tracemalloc), 219 MiB with the SVG text and the edge dicts built whole.
     peak_kb = _child_peak_kb("geometry", "--depth", "10", "--shade", "--json", os.devnull)

@@ -1,10 +1,12 @@
 import math
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
 from stretched_gasket import (
+    HARMONIC_RATIO,
     DepthCapExceeded,
     ExpTail,
     ParamSeq,
@@ -12,8 +14,12 @@ from stretched_gasket import (
     cable_prefactor,
     cable_prefactor_limit,
     barycenter,
+    cable_masses,
     cable_segments,
+    cli,
     compose,
+    laplacian_samples,
+    parse,
     prefractal_edges,
     triple,
     word_index,
@@ -25,7 +31,17 @@ from stretched_gasket.errors import GasketError, PrefactorUnderflow
 from stretched_gasket.geometry import SIDE_NAMES, _carrier_count, _edge_rows, _word_rows
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY
-from oracles import EdgeId, compose_objects, count_edges, edge_walk, iter_words, rotation, world_edge_table
+from oracles import (
+    EdgeId,
+    compose_objects,
+    count_edges,
+    edge_walk,
+    geometry_text_by_rows,
+    iter_words,
+    level_rows,
+    rotation,
+    world_edge_table,
+)
 
 
 # -- elementary planar predicates, used by the disjointness checks ---------
@@ -176,10 +192,13 @@ def _row_ranges(rng, l):
 def test_word_rows_are_the_word_table_rows(seq, ratio, rng):
     # A range composes only its own ancestors, with the whole table's
     # arithmetic, so every row keeps its bits wherever the range falls.
+    # _word_rows and word_table take the harmonic ratio; at another the
+    # walk's own ranges are held to its whole level.
+    harmonic = ratio == HARMONIC_RATIO
     for l in range(10):
-        lin, off = word_table(seq, l, ratio)
+        lin, off = word_table(seq, l) if harmonic else level_rows(seq, l, 0, 3**l, ratio)
         for start, stop in _row_ranges(rng, l):
-            part_lin, part_off = _word_rows(seq, l, start, stop, ratio)
+            part_lin, part_off = _word_rows(seq, l, start, stop) if harmonic else level_rows(seq, l, start, stop, ratio)
             assert part_lin.shape == (stop - start, 2, 2) and part_off.shape == (stop - start, 2), (l, start, stop)
             assert part_lin.tobytes() == lin[start:stop].tobytes(), (l, start, stop)
             assert part_off.tobytes() == off[start:stop].tobytes(), (l, start, stop)
@@ -223,6 +242,34 @@ def test_tableau_cuts_the_edge_table_by_generation(regime):
         assert [len(p0) for p0 in (tab.tri_p0, *tab.cab_p0)] == [3 * 3**l] + [3**s for s in range(1, l + 1)]
         assert np.concatenate([tab.tri_p0, *tab.cab_p0]).tobytes() == np.column_stack([want.px, want.py]).tobytes()
         assert np.concatenate([tab.tri_dv, *tab.cab_dv]).tobytes() == np.column_stack([want.vx, want.vy]).tobytes()
+
+
+def test_no_route_reads_the_whole_word_table(monkeypatch, tmp_path, capsys):
+    # word_table is the public cached table only: the samples, the edge table, the cable
+    # masses and the shaded export read their map rows by range, and keep their bytes
+    # where every package module's word_table raises.
+    phi = parse("x^3 - 0.7*x*y + y^4")
+
+    def outputs():
+        samples = [laplacian_samples(PREFIX_EXP, phi, l).tobytes() for l in range(8)]
+        edges = [prefractal_edges(PREFIX_EXP, l).tobytes() for l in range(8)]
+        return samples + edges + [b"".join(a.tobytes() for a in cable_masses(PREFIX_EXP, s)) for s in range(1, 9)]
+
+    want = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole word table was read")
+
+    modules = [module for name, module in sys.modules.items() if name.startswith("stretched_gasket") and hasattr(module, "word_table")]
+    assert modules
+    for module in modules:
+        monkeypatch.setattr(module, "word_table", refuse)
+    assert outputs() == want
+    edges = tmp_path / "edges.json"
+    flags = ["--eps-prefix", "0.9,0.8,0.7", "--tail-c", "0.05", "--tail-r", "0.5"]
+    assert cli.main(["geometry", *flags, "--depth", "6", "--shade", "--json", str(edges)]) == 0
+    svg, side = geometry_text_by_rows(PREFIX_EXP, 6)
+    assert capsys.readouterr().out == svg and edges.read_text() == side
 
 
 @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, 28), (28, 28)])

@@ -21,6 +21,7 @@ from stretched_gasket import (
     vanishing_at_ABC,
     vertex_stars,
     weak_pairing,
+    word_index,
 )
 from stretched_gasket.harmonicity import ND_GRID, _base_corner_maps, _nd_gamma_cached, _nd_grid, _nd_row_bounds, _nd_window_min
 from stretched_gasket.params import A
@@ -32,6 +33,7 @@ from oracles import (
     edge_walk,
     nd_gamma_closed_form,
     nd_gamma_full_grid,
+    level_rows,
     poly1_derivative,
     restrict,
     weak_laplacian_h1,
@@ -104,11 +106,16 @@ def test_harmonic_report_names_worst_vertex():
 @pytest.mark.parametrize("ratio", [HARMONIC_RATIO, 0.25])
 def test_base_corner_walk_is_bit_identical_to_compose(regime, ratio):
     # Rows 0, 4 and 8 of each level's 3-row products: the GEMM row contract of
-    # geometry._level_products and _images, so each row has compose's bits.
+    # geometry._level_products and _images, so each row has compose's bits,
+    # and at another ratio the bits of its one-row level walk.
     for l in range(13):
         lin, off = _base_corner_maps(regime, l, ratio)
         for c in range(3):
-            want_lin, want_off = compose(regime, (c + 1,) * l, ratio)
+            if ratio == HARMONIC_RATIO:
+                want_lin, want_off = compose(regime, (c + 1,) * l)
+            else:
+                i = word_index((c + 1,) * l)
+                (want_lin,), (want_off,) = level_rows(regime, l, i, i + 1, ratio)
             assert lin[c].tobytes() == want_lin.tobytes() and off[c].tobytes() == want_off.tobytes(), (l, c)
 
 

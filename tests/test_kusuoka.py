@@ -352,10 +352,13 @@ def test_underflowed_cables_are_refused():
     # Its Laplacian sample was NaN: the carrier is now refused before a sample is taken.
     with pytest.raises(PrefactorUnderflow, match="generation-301 cable"):
         teplyaev(parse("x^2"), cable_mass(seq, prefix, 301, 1), seq)
-    # The table route names the same cable by its row among the prefix rows.
+    # The table route names the same cable by its flat index among the cables, whatever
+    # slot its rows start at.
     lin, _ = compose(seq, prefix)
     with pytest.raises(PrefactorUnderflow, match=f"generation-301 cable at prefix {digits}, slot 1: mapped"):
-        _cable_directions(lin[None], cable_segments(seq, 301)[1], 301, word_index(prefix))
+        _cable_directions(lin[None], cable_segments(seq, 301)[1], 301, 3 * word_index(prefix))
+    with pytest.raises(PrefactorUnderflow, match=f"generation-301 cable at prefix {digits}, slot 2: mapped"):
+        _cable_directions(lin[None], cable_segments(seq, 301)[1][1:], 301, 3 * word_index(prefix) + 1)
 
 
 @pytest.mark.parametrize("letter", [0, 4])

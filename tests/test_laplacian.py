@@ -6,6 +6,7 @@ import pytest
 from stretched_gasket import (
     Poly2,
     cable_mass,
+    cable_masses,
     ibp_table,
     laplacian_samples,
     parse,
@@ -13,10 +14,36 @@ from stretched_gasket import (
     teplyaev,
     vanishing_at_ABC,
     vanishing_cubic,
+    word_point,
 )
+from stretched_gasket import laplacian
+from stretched_gasket.errors import TailProductZero
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import ibp_residual
+from oracles import ibp_residual, iter_words
+
+
+def test_one_carrier_reads_are_their_table_rows(regime):
+    # word_point and a cell's teplyaev sample are one-row reads of the sample table's cell
+    # rows, and cable_mass the one-row call of cable_masses' kernel: each has its table
+    # row's bits.  A constant tail has no limit cable weight: both cable routes refuse it,
+    # and the cell rows are read past the samples' cable check.
+    phi = parse("x^3 - 0.7*x*y + y^4")
+    for l in range(7):
+        words = list(iter_words(l))
+        cells = laplacian._sample_rows(regime, phi, l, 0, 3**l)
+        points = np.array([word_point(regime, word) for word in words]).reshape(-1, 2)
+        assert points.tobytes() == np.column_stack([cells.x, cells.y]).tobytes(), l
+        assert np.array([teplyaev(phi, word, regime).value for word in words]).tobytes() == cells.value.tobytes(), l
+        try:
+            masses, directions = cable_masses(regime, l + 1)
+        except TailProductZero:
+            with pytest.raises(TailProductZero):
+                cable_mass(regime, words[-1], l + 1, 3)
+            continue
+        cables = [cable_mass(regime, prefix, l + 1, slot) for prefix in iter_words(l) for slot in (1, 2, 3)]
+        assert np.array([cm.mass for cm in cables]).tobytes() == masses.tobytes(), l
+        assert np.array([cm.direction for cm in cables]).tobytes() == directions.tobytes(), l
 
 
 def test_affine_fields_are_harmonic_pointwise(regime):

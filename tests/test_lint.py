@@ -124,14 +124,28 @@ def test_stacked_products_are_found():
     assert stacked_products(source, {"f"}) == [("f", 7), ("f", 9), ("f", 9), ("f", 10)]
 
 
-def test_enumerating_paths_make_no_stacked_products():
-    # Their per-row products are image tables of geometry._images, one GEMM each.
-    found = [
+def _package_products(functions_by_module: dict[str, set[str]]) -> list[str]:
+    """module.function:line of every product ``stacked_products`` finds in the named package functions."""
+    return [
         f"{module}.{name}:{line}"
-        for module, functions in FLAT_PRODUCT_FUNCTIONS.items()
+        for module, functions in functions_by_module.items()
         for name, line in stacked_products((PACKAGE / f"{module}.py").read_text(encoding="utf-8"), functions)
     ]
-    assert found == []
+
+
+def test_enumerating_paths_make_no_stacked_products():
+    # Their per-row products are image tables of geometry._images, one GEMM each.
+    assert _package_products(FLAT_PRODUCT_FUNCTIONS) == []
+
+
+#: The one-object reads, by module: each is a one-row call of its table's kernel.
+ONE_ROW_FUNCTIONS = {"geometry": {"word_point"}, "kusuoka": {"gibbs_tau", "cable_mass"}, "laplacian": {"teplyaev"}}
+
+
+def test_one_object_reads_make_no_products_of_their_own():
+    # word_point and teplyaev map their point as a one-row geometry._images table, gibbs_tau
+    # is a row of kusuoka._linears and cable_mass a row of _cable_directions.
+    assert _package_products(ONE_ROW_FUNCTIONS) == []
 
 
 #: The vertex-path functions, by module, whose row gathers go through ``np.take`` or ``np.compress``.

@@ -5,9 +5,11 @@ product each over the whole (2N, 2) row stack; every entry must keep the
 bits of the stacked 2x2 products (``tests/oracles.py``), whatever the row
 count, the vector count and the scale of the rows.  A BLAS kernel that
 rounds otherwise fails here; CI runs this file under several OpenBLAS core
-types.  The per-word routes multiply one row with ``lin @ x``, which must
-round as a row of ``_images``, and the enumerating routes must keep their
-bytes when both primitives are replaced by the stacked forms.
+types.  The per-word routes map their one vector as a one-row ``_images``
+table; the object oracle they are held to (``AffineMap2``) maps it with
+``lin @ x``, which must round as a row of ``_images``.  The enumerating
+routes must keep their bytes when both primitives are replaced by the
+stacked forms.
 """
 
 import sys
@@ -68,7 +70,8 @@ def test_level_products_equal_the_stacked_products(n, rng):
 
 
 def test_single_row_products_equal_image_rows(rng):
-    # word_point, cable_mass and teplyaev map their one vector with lin @ x.
+    # The object-fold oracle of word_point, cable_mass and teplyaev maps its one vector
+    # with lin @ x; the package routes map it as a one-row _images table.
     starts, vels = cable_segments(PREFIX_EXP, 3)
     vecs = np.concatenate([[barycenter()], np.stack(base_vertices()), vels, starts + 0.5 * vels, rng.standard_normal((20, 2))])
     for lin in _rows(rng, 200):

@@ -28,7 +28,6 @@ from stretched_gasket import (
     vertex_stars,
     weak_pairing,
     word_index,
-    word_table,
 )
 from stretched_gasket import cli, geometry, harmonicity
 from stretched_gasket.energy import min_quad_order, resolve_quadrature
@@ -42,6 +41,7 @@ from oracles import (
     boundary_vector_of,
     harmonic_report_from_world,
     laplacian_samples_by_carrier,
+    level_rows,
     star_groups_by_edges,
     vertex_arrays_from_world,
     weak_pairing_by_edges,
@@ -328,7 +328,8 @@ def _local_boundaries(seq, l, ratio):
     for key in stars.key.tolist():
         word, corner = harmonicity._vertex_name(key, l)
         s, e = len(word), end_of[(word[-1], corner)]
-        lin = word_table(seq, s - 1, ratio)[0][word_index(word[:-1])]
+        i = word_index(word[:-1])
+        (lin,), _ = level_rows(seq, s - 1, i, i + 1, ratio)
         local.append(lin @ r[s - 1, e])
         size.append(np.abs(lin).sum(axis=1).max() * scale[s - 1, e])
     bound = harmonicity._defect_bound(seq, l) * np.array(size)
