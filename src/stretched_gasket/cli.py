@@ -392,11 +392,14 @@ def cmd_ibp(seq, *, depths, quad, phi, v, out) -> int:
         bad = [r for r in residuals if not r <= 1e-10]
         if bad:
             return _assert_fail(f"affine field residual {max(bad):.3e} exceeds 1e-10")
-    elif len(residuals) >= 2 and not residuals[-1] <= residuals[0]:
-        return _assert_fail(
-            f"residuals do not decay over depths {depths[0]}..{depths[-1]}: "
-            f"{residuals[0]:.3e} -> {residuals[-1]:.3e}"
-        )
+    elif len(residuals) >= 2:
+        # The rows keep the requested order, which need not be by depth.
+        shallow, *_, deep = sorted(rows_data, key=lambda r: r["depth"])
+        if not deep["residual"] <= shallow["residual"]:
+            return _assert_fail(
+                f"residuals do not decay over depths {shallow['depth']}..{deep['depth']}: "
+                f"{shallow['residual']:.3e} -> {deep['residual']:.3e}"
+            )
     return 0
 
 

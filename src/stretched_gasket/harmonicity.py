@@ -11,15 +11,15 @@ Interior vertices carry exactly three incident edges: two triangle sides
 of the single cell owning the vertex and one cable end.  The three base
 corners carry two triangle sides and no cable; their sums are reported
 separately since admissible test functions vanish there.  So every
-interior vertex is one cable end, and the stars are index gathers on rows
-of the map tables, O(3^l) array work without an edge walk, done 3^7
+interior vertex is one cable end, and every vertex, base corners
+included, is a corner of one depth-l cell: the stars are index gathers on
+rows of the map tables, O(3^l) array work without an edge walk, done 3^7
 depth-l cells at a time (``_vertex_blocks``): ``harmonic_report`` reduces
 each block as it comes, and ``vertex_stars`` joins and sorts them into
 one record array.  Every gather of rows by an index array goes through
 ``np.take`` (``np.compress`` for a boolean selection): with numpy 2.4 it
 copies rows of an (N, 2) table about 10 times faster than ``a[idx]``
 (7 against 75 us for 6,558 rows, on a 2-vCPU Xeon), with the same bits.
-The base corners' maps are one 3-row walk (``_base_corner_maps``).
 The weak pairing is the energy module's moment pass on its ``pairing``
 form, (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3); the
 per-edge densities of the weak Laplacian, which pair to the same value
@@ -63,7 +63,6 @@ from .geometry import (
     _cable_stack,
     _images,
     _level_maps,
-    _level_products,
     _ranges,
     _require_depth,
     _side_arrays,
@@ -93,8 +92,11 @@ _CABLE_ENDS = {
 _END_LETTER = np.array([j for j, _ in _CABLE_ENDS.values()])
 _END_CORNER = np.array([_CORNER_INDEX[c] for _, c in _CABLE_ENDS.values()])
 #: The inverse: the cable end e touching corner c of the cell with letter j, at [j - 1, c] (-1 for j = c + 1).
-_END_INDEX = np.full((3, 3), -1)
+#: Row 3 is for the sentinel digit 3 above a base corner's run: no cable end, read as end 0 of
+#: generation 0's zero cable (``_vertex_blocks``).
+_END_INDEX = np.full((4, 3), -1)
 _END_INDEX[_END_LETTER - 1, _END_CORNER] = np.arange(6)
+_END_INDEX[3] = 0
 #: The two sides meeting at corners A, B, C (indices into SIDE_NAMES, in
 #: that order) and the endpoint t of each there.
 _CORNER_ENDS = [[(i, t) for i, name in enumerate(SIDE_NAMES) for cc, t in _SIDE_CORNERS[name] if cc == c] for c in CORNER_NAMES]
@@ -134,121 +136,83 @@ def _corner_geometry(lin: np.ndarray, off: np.ndarray, cell: np.ndarray, corner:
 
 
 def _block_vertices(l: int, a: int, b: int):
-    """The corners of the depth-l cells a..b-1 that are not base corners, in (cell, corner)
-    order, as (cell - a, corner, key, s, e, p): corner c of the cell u j (c+1)^(l-s) is the
-    end e of the generation-s cable with prefix index p (``_CABLE_ENDS``)."""
+    """The corners of the depth-l cells a..b-1, in (cell, corner) order, as (cell - a, corner,
+    key, s, e, p): corner c of the cell u j (c+1)^(l-s) is the end e of the generation-s cable
+    with prefix index p (``_CABLE_ENDS``); a base corner, c of (c+1)^l, has s = 0 and e = p = 0."""
     # Base-3 digits of the cell words, last letter first, then a 3 that is no letter's; the run
     # of trailing letters equal to the last.  Corner c of a cell u j (c+1)^(l-s) has run l - s.
     digits = np.full((b - a, l + 1), 3)
     digits[:, :l] = np.arange(a, b)[:, None] // _POWERS_OF_3[:l] % 3
     cell, corner = np.repeat(np.arange(b - a), 3), np.tile(np.arange(3), b - a)
     run = np.where(corner == np.take(digits[:, 0], cell), np.take(np.argmin(digits == digits[:, :1], axis=1), cell), 0)
-    # A base corner's run is l.
-    cell, corner, run = (np.compress(run < l, x) for x in (cell, corner, run))
     codes = np.take((digits[:, :l] + 1) @ _POWERS_OF_4[:l], cell)
     keys = 3 * (codes - codes % np.take(_POWERS_OF_4, run)) + corner
-    # The letter j above the run, and the prefix below it.
+    # The letter j above the run (the sentinel 3 above a base corner's), and the prefix below it.
     digit = np.take(digits, (l + 1) * cell + run)
     e, p = np.take(_END_INDEX, 3 * digit + corner), (cell + a) // np.take(_POWERS_OF_3, run + 1)
     return cell, corner, keys, l - run, e, p
 
 
-#: Rows 0, 4 and 8 of a level's (3 rows x 3 maps) table: row c extended by the letter c + 1.
-_DIAGONAL = np.array([0, 4, 8])
-
-
-def _base_corner_maps(seq: ParamSeq, l: int, beta_over_alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affine parts (3, 2, 2) and (3, 2) of the words (c+1)^l, c = 0, 1, 2, in one 3-row walk.
-
-    Each level composes the three rows with the arithmetic of
-    ``geometry._word_levels`` (one ``_level_products`` GEMM and one
-    ``_images`` table over all three) and keeps row c's product with the
-    map c + 1, so row c has the bits of ``compose(seq, (c+1,) * l)``.
-    """
-    tks, oks = _level_maps(seq, l, beta_over_alpha)
-    lin, off = np.tile(np.eye(2), (3, 1, 1)), np.zeros((3, 2))
-    for wide, level_off in zip(tks.transpose(0, 2, 1, 3).reshape(l, 2, 6), oks):
-        lin, off = (
-            np.take(_level_products(lin, wide), _DIAGONAL, axis=0),
-            np.take((_images(lin, level_off) + off[:, None, :]).reshape(-1, 2), _DIAGONAL, axis=0),
-        )
-    return lin, off
-
-
 def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
-    """The depth-l vertices in blocks: (keys, weights, tangents, points, gaps) per block.
+    """The depth-l vertices in blocks: (keys, weights, tangents, points) per block.
 
-    Every vertex is the corner c of exactly one depth-l cell.  The first
-    block holds the three base corners, corner c of the cell (c+1)^l, with
-    no cable; each further one the other corners of the cells of a range of
+    Every vertex, base corners included, is the corner c of exactly one
+    depth-l cell; each block holds the corners of the cells of a range of
     ``geometry._ranges``, in (cell, corner) order (``_block_vertices``).
     Members of a vertex: the two sides of its cell there (SIDE_NAMES
     order), then its cable end; weights (V, 3) are their prefactors,
-    negated at endpoint t = 1, tangents (V, 3, 2) their world tangents, and
-    gaps (V,) the max-norm distance from the cable end to the cell corner
-    (a base corner has weight, tangent and gap 0 in the cable place).  A
-    key is the vertex word u j in base-4 digits padded to length l, times
-    3, plus the corner.  The cells and cable prefixes are rows of
-    ``_word_levels``, so each point and tangent has its edge row's bits
-    (``geometry._edge_rows``).  Each prefix row maps its generation's
-    six cable ends and three velocities once, one ``_images`` table per
-    level, and the vertices gather their cable end from it.
+    negated at endpoint t = 1, and tangents (V, 3, 2) their world tangents
+    (a base corner, with no cable, has weight and tangent 0 in the cable
+    place).  A key is the vertex word u j in base-4 digits padded to length
+    l, times 3, plus the corner; the base corners' are 0, 1, 2.  The cells
+    and cable prefixes are rows of ``_word_levels``, so each point and
+    tangent has its edge row's bits (``geometry._edge_rows``).  Each prefix
+    row maps its generation's six cable ends and three velocities once, one
+    ``_images`` table per level, and the vertices gather their cable end
+    from it.  Once every block is out, an open star (a cable end farther
+    than ``_CLOSURE_TOL`` from its cell corner, NaN included) raises
+    StarNotClosed naming the first in key order.
     """
     _require_depth(l)
-    local = _cable_ends(seq, range(1, l + 1), beta_over_alpha)
-    cable_pf = np.array([cable_prefactor(seq, s, l) for s in range(1, l + 1)])
+    # By generation s = 0..l; generation 0 is the zero cable that the base corners read.
+    local = np.concatenate([np.zeros((1, 9, 2)), _cable_ends(seq, range(1, l + 1), beta_over_alpha)])
+    cable_pf = np.array([0.0] + [cable_prefactor(seq, s, l) for s in range(1, l + 1)])
     tri_pf = triangle_edge_prefactor(seq, l)
     side_w = np.where(_CORNER_T == 0, tri_pf, -tri_pf)  # (3, 2): the side weights at corners A, B, C
-
-    def block(a, b):
+    # Every key is below 3 4^l.
+    first_open = past_keys = 3 * 4**l
+    for a, b in _ranges(3**l):
         cell, corner, keys, s, e, p = _block_vertices(l, a, b)
         weights = np.empty((len(cell), 3))
-        pf = np.take(cable_pf, s - 1)
+        pf = np.take(cable_pf, s)
         weights[:, :2], weights[:, 2] = np.take(side_w, corner, axis=0), np.where(e % 2 == 0, pf, -pf)
         levels = list(_word_levels(seq, l, a, b, beta_over_alpha))
         tangents = np.empty((len(cell), 3, 2))
         points, tangents[:, :2] = _corner_geometry(*levels[-1][1:], cell, corner)
         # Each generation s's cable ends and velocities mapped once per prefix row, the ancestors
         # at level s - 1, stacked over the generations: prefix p's row follows the rows of the
-        # levels above at its place in its own level.  Row 9 r + k of the flattened (R, 9, 2)
-        # table is the end k < 6 or velocity k - 6 of prefix row r.
-        prefixes = levels[:-1]
+        # generations above at its place in its own level.  Row 9 r + k of the flattened (R, 9, 2)
+        # table is the end k < 6 or velocity k - 6 of prefix row r; row 0, generation 0's, is zero.
+        prefixes = [(0, np.zeros((1, 2, 2)), np.zeros((1, 2)))] + levels[:-1]
         images = np.concatenate([_images(plin, ends) for ends, (_, plin, _) in zip(local, prefixes)]).reshape(-1, 2)
         offs = np.concatenate([poff for _, _, poff in prefixes])
         above = np.cumsum([0] + [len(poff) for _, _, poff in prefixes])[:-1]
-        row = np.take(above - [first for first, _, _ in prefixes], s - 1) + p
+        row = np.take(above - [first for first, _, _ in prefixes], s) + p
         tangents[:, 2] = np.take(images, 9 * row + 6 + e // 2, axis=0)
         gap = np.abs(np.take(images, 9 * row + e, axis=0) + np.take(offs, row, axis=0) - points)
-        return keys, weights, tangents, points, np.maximum(gap[:, 0], gap[:, 1])
-
-    # The base corner c is corner c of the cell (c+1)^l.
-    base = np.arange(3)
-    points, sides = _corner_geometry(*_base_corner_maps(seq, l, beta_over_alpha), base, base)
-    tangents = np.concatenate([sides, np.zeros((3, 1, 2))], axis=1)
-    yield base, np.column_stack([side_w, np.zeros(3)]), tangents, points, np.zeros(3)
-    # At depth 0 the one cell's corners are the base corners.
-    for a, b in _ranges(3**l if l else 0):
-        yield block(a, b)
-
-
-def _closed_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
-    """``_vertex_blocks`` without the gaps; once every block is out, an open star (a gap
-    not within ``_CLOSURE_TOL``, NaN included) raises StarNotClosed naming the first in key order."""
-    first_open = None
-    for keys, weights, tangents, points, gaps in _vertex_blocks(seq, l, beta_over_alpha):
-        open_keys = keys[~(gaps <= _CLOSURE_TOL)]
-        if open_keys.size and (first_open is None or open_keys.min() < first_open):
-            first_open = int(open_keys.min())
+        closed = np.maximum(gap[:, 0], gap[:, 1]) <= _CLOSURE_TOL
+        # A base corner (s = 0) has no cable end to meet.
+        first_open = np.compress((s > 0) & ~closed, keys).min(initial=first_open)
         yield keys, weights, tangents, points
-    if first_open is not None:
+    if first_open < past_keys:
         word, corner = _vertex_name(first_open, l)
-        raise StarNotClosed(f"edge ends at vertex {word}/{corner} do not coincide")
+        raise StarNotClosed(f"edge ends at vertex {''.join(map(str, word))}/{corner} do not coincide")
 
 
 def _vertex_arrays(seq: ParamSeq, l: int, beta_over_alpha: float):
     """Every depth-l vertex in (word, corner) order: (keys, weights, tangents, points),
-    the blocks of ``_closed_blocks`` joined and sorted by key."""
-    keys, weights, tangents, points = (np.concatenate(a) for a in zip(*_closed_blocks(seq, l, beta_over_alpha)))
+    the blocks of ``_vertex_blocks`` joined and sorted by key."""
+    keys, weights, tangents, points = (np.concatenate(a) for a in zip(*_vertex_blocks(seq, l, beta_over_alpha)))
     order = np.argsort(keys)
     return tuple(np.take(a, order, axis=0) for a in (keys, weights, tangents, points))
 
@@ -271,7 +235,7 @@ def vertex_stars(
     vertex ``x``, ``y``, the signed member ``weight`` (3,) and world
     ``tangent`` (3, 2) (two cell sides, then the cable end; a base corner
     has weight 0 in the cable place), and the ``boundary`` vector (2,), the
-    vertex boundary term's pairing with gradients.  ``_vertex_arrays``
+    vertex boundary term's pairing with gradients.  ``_vertex_blocks``
     checks every star for closure (its edge ends meet at one point).
     """
     keys, weights, tangents, points = _vertex_arrays(seq, l, beta_over_alpha)
@@ -312,14 +276,16 @@ def harmonic_report(
     ``_vertex_blocks`` at a time, and each block is reduced to its maximum
     and the smallest key that attains it, so no depth-l table is held whole.
     """
-    blocks = _closed_blocks(seq, l, beta_over_alpha)
-    _, weights, tangents, _ = next(blocks)
-    corner_norms = dict(zip(CORNER_NAMES, np.hypot(*_boundary(weights, tangents).T).tolist()))
-    tops, n_interior = [], 0
-    for keys, weights, tangents, _ in blocks:
+    corner_norms, tops, n_interior = {}, [], 0
+    for keys, weights, tangents, _ in _vertex_blocks(seq, l, beta_over_alpha):
         norms = np.hypot(*_boundary(weights, tangents).T)
-        top = np.max(norms)  # NaN where a norm is NaN
-        tops.append((float(top), int(np.min(keys[np.isnan(norms) if np.isnan(top) else norms == top]))))
+        base = keys < 3  # the base corners' keys are their corner indices
+        for k, norm in zip(np.compress(base, keys).tolist(), np.compress(base, norms).tolist()):
+            corner_norms[CORNER_NAMES[k]] = norm
+        keys, norms = np.compress(~base, keys), np.compress(~base, norms)
+        if norms.size:
+            top = np.max(norms)  # NaN where a norm is NaN
+            tops.append((float(top), int(np.min(keys[np.isnan(norms) if np.isnan(top) else norms == top]))))
         n_interior += len(norms)
     nan_keys = [key for top, key in tops if math.isnan(top)]
     worst = math.nan if nan_keys else max([top for top, _ in tops], default=0.0)

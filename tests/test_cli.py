@@ -92,6 +92,21 @@ def test_ibp_csv():
     assert float(rows[1]["residual"]) <= float(rows[0]["residual"])
 
 
+def test_ibp_decay_gate_compares_the_deepest_depth_with_the_shallowest(monkeypatch, capsys):
+    # The sweep's rows keep the requested order; the gate reads them by depth.
+    outs = []
+    for depths in ("3,5", "5,3"):
+        assert cli.main(["ibp", "--depths", depths]) == 0
+        outs.append(capsys.readouterr().out.split("\r\n"))
+    assert outs[0][0] == outs[1][0] and outs[0][1:3] == outs[1][2:0:-1]
+    # A residual that grows with depth fails in either order, named shallowest first.
+    real = cli.lap_mod.ibp_table
+    monkeypatch.setattr(cli.lap_mod, "ibp_table", lambda *args: [{**r, "residual": r["residual"] * 100.0 ** r["depth"]} for r in real(*args)])
+    for depths in ("3,5", "5,3"):
+        assert cli.main(["ibp", "--depths", depths]) == 2
+        assert capsys.readouterr().err.startswith("assertion failed: residuals do not decay over depths 3..5: ")
+
+
 def test_laplacian_csv():
     out = run_cli("laplacian", *EXP_FLAGS, "--depth", "1", "--phi", "x^2 + y^2").stdout.decode()
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -653,12 +668,13 @@ def test_harmonicity_gate_fires_on_a_nan_vertex(monkeypatch, capsys):
     # A NaN boundary vector is the largest norm: the residual is NaN and names its vertex.
     boundary = harmonicity._boundary
 
-    def nan_at_last(weights, tangents):
+    def nan_at_last_interior(weights, tangents):
+        # The depth-2 block's last row is base corner C, corner C of the cell 33; 33/B precedes it.
         out = boundary(weights, tangents)
-        out[-1] = NAN
+        out[-2] = NAN
         return out
 
-    monkeypatch.setattr(harmonicity, "_boundary", nan_at_last)
+    monkeypatch.setattr(harmonicity, "_boundary", nan_at_last_interior)
     assert cli.main(["harmonicity", *EXP_FLAGS, "--depth", "2"]) == 2
     out, err = capsys.readouterr()
     assert '"residual": null' in out and strict_json(out)["residual"] is None

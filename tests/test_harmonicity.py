@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stretched_gasket import (
     HARMONIC_RATIO,
     NonHarmonicError,
-    compose,
     energy_total,
     harmonic_report,
     harmonic_residual,
@@ -21,9 +20,8 @@ from stretched_gasket import (
     vanishing_at_ABC,
     vertex_stars,
     weak_pairing,
-    word_index,
 )
-from stretched_gasket.harmonicity import ND_GRID, _base_corner_maps, _nd_gamma_cached, _nd_grid, _nd_row_bounds, _nd_window_min
+from stretched_gasket.harmonicity import ND_GRID, _nd_gamma_cached, _nd_grid, _nd_row_bounds, _nd_window_min
 from stretched_gasket.params import A
 
 from conftest import BENCH_REFS, CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, admissible, benchmark_seq, random_poly
@@ -33,7 +31,6 @@ from oracles import (
     edge_walk,
     nd_gamma_closed_form,
     nd_gamma_full_grid,
-    level_rows,
     poly1_derivative,
     restrict,
     weak_laplacian_h1,
@@ -101,22 +98,6 @@ def test_harmonic_report_names_worst_vertex():
     # Base corners carry the non-vanishing sums (one per corner).
     assert set(rep.corner_norms) == {"A", "B", "C"}
     assert all(v > 0.0 for v in rep.corner_norms.values())
-
-
-@pytest.mark.parametrize("ratio", [HARMONIC_RATIO, 0.25])
-def test_base_corner_walk_is_bit_identical_to_compose(regime, ratio):
-    # Rows 0, 4 and 8 of each level's 3-row products: the GEMM row contract of
-    # geometry._level_products and _images, so each row has compose's bits,
-    # and at another ratio the bits of its one-row level walk.
-    for l in range(13):
-        lin, off = _base_corner_maps(regime, l, ratio)
-        for c in range(3):
-            if ratio == HARMONIC_RATIO:
-                want_lin, want_off = compose(regime, (c + 1,) * l)
-            else:
-                i = word_index((c + 1,) * l)
-                (want_lin,), (want_off,) = level_rows(regime, l, i, i + 1, ratio)
-            assert lin[c].tobytes() == want_lin.tobytes() and off[c].tobytes() == want_off.tobytes(), (l, c)
 
 
 def test_eigen_direction_product_identity(regime):

@@ -236,10 +236,10 @@ def test_open_star_is_refused(monkeypatch):
         return starts + 1e-9, vels
 
     monkeypatch.setattr(geometry, "_cable_stack", shifted)
-    with pytest.raises(StarNotClosed, match="do not coincide"):
+    with pytest.raises(StarNotClosed, match=r"^edge ends at vertex 1/B do not coincide$"):
         harmonic_report(PREFIX_EXP, 2)
     monkeypatch.setattr(harmonicity, "_cable_stack", shifted)
-    with pytest.raises(StarNotClosed, match="do not coincide"):
+    with pytest.raises(StarNotClosed, match=r"^edge ends at the slot-1 cable end t=0 of generation 1 do not coincide$"):
         weak_pairing(PREFIX_EXP, 2, parse("x^2"), vanishing_cubic())
 
 
