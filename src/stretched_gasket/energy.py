@@ -34,7 +34,16 @@ side Grams on nothing but the degree and the rule, so every pass reads
 them from one table cache (``_TABLES``): a level's entry is keyed on
 (log eps_k, d, rule), the side's on (d, rule), the rule by its node and
 weight bytes, and least recently used entries leave once the tables
-held pass ``_TABLE_BUDGET`` (64 MiB).  A pass builds whatever it misses
+held pass ``_TABLE_BUDGET`` (64 MiB).  The same cache keeps each top
+moment's chain: the entry of a top M_0 is keyed on the value bytes of
+its entries (``_chain_key``, the padding of an x87 longdouble left out)
+and d, and holds the moments M_0..M_k with the log eps_1..eps_k they
+were pushed through.  A pass resumes from the longest stored prefix
+whose logs equal its own, pushes only the levels beyond it (lam_k is
+checked on each of them) and stores the extended chain once the pass
+has finished; a chain larger than the budget is neither copied nor
+kept.  A stored moment is the value the pass computes from the same
+top and levels, so the bits do not move.  A pass builds whatever it misses
 in stacked evaluations, not one level at a time: the pullbacks of every
 missing level in one pass over the monomials, and their cable Grams (and
 the side Grams) from one evaluation of the monomial jets per derivative
@@ -58,11 +67,11 @@ an overflowing total.  Other modules use that entry and build no moments.
 
 The one-step recurrence and self-similarity residuals read their
 generation-1 cable term from the left side's pass, and run the right
-side's three pulled-back fields (u o F^1_i, v o F^1_i) as one stacked
-pass on the shifted sequence.  The batched edge tableau (``_tableau``,
-the start and velocity columns of the geometry module's edge table, cut by
-generation) remains only for the tests' edge-by-edge routes in
-``tests/oracles.py``.
+side's three pulled-back fields (u o F^1_i, v o F^1_i), built by one
+stacked pullback, as one stacked pass on the shifted sequence.  The
+batched edge tableau (``_tableau``, the start and velocity columns of the
+geometry module's edge table, cut by generation) remains only for the
+tests' edge-by-edge routes in ``tests/oracles.py``.
 
 The limit cable form replaces the finite window product eps_tilde(s, l)
 with the infinite one and is reported together with a rigorous tail bound.
@@ -327,7 +336,7 @@ def _grams(seq: ParamSeq, groups: list[int], d: int, quad: QuadratureRule, pairs
 
 # -- level tables ----------------------------------------------------------
 
-#: Byte budget of the level-table cache ``_TABLES`` (64 MiB).
+#: Byte budget of the table cache ``_TABLES``, level tables and moment chains (64 MiB).
 _TABLE_BUDGET = 64 << 20
 
 #: Byte budget of one moment pass's dense working set (512 MiB), checked
@@ -397,6 +406,23 @@ def _rule_key(quad: QuadratureRule) -> tuple:
     return tuple((arr.dtype.str, arr.tobytes()) for arr in (quad.nodes, quad.weights))
 
 
+#: Bytes of a longdouble's value: the x87 80-bit format (64-bit significand,
+#: little-endian) fills 10 of its 12 or 16 bytes and leaves the rest as
+#: padding, which no operation defines.
+_VALUE_BYTES = 10 if np.finfo(_EXT).nmant == 63 else np.dtype(_EXT).itemsize
+
+
+def _chain_key(top: np.ndarray, d: int) -> tuple:
+    """A top moment's key in ``_TABLES``: the value bytes of its entries, without padding, and d."""
+    raw = np.ascontiguousarray(top).view(np.uint8).reshape(*top.shape, -1)
+    return raw[..., :_VALUE_BYTES].tobytes(), d
+
+
+def _shared_levels(stored, logs: list[float]) -> int:
+    """How many levels, from the first, a stored chain's logs share with ``logs``."""
+    return next((k for k, (a, b) in enumerate(zip(stored, logs)) if a != b), min(len(stored), len(logs)))
+
+
 def _level_tables(seq: ParamSeq, logs: list[float], d: int, quad: QuadratureRule, pairs) -> tuple[dict, list[dict]]:
     """The side Grams and, for each level k = 1..len(logs), its pullbacks and cable Grams.
 
@@ -436,18 +462,21 @@ def _level_tables(seq: ParamSeq, logs: list[float], d: int, quad: QuadratureRule
     return found[keys[0]], [found[key] for key in keys[1:]]
 
 
-def _top_moment(u: Poly2, v: Poly2, d: int, outer: tuple | None = None, *, symmetric: bool = True) -> np.ndarray:
-    """M_0 = c_u c_v^T, symmetrized for the energy forms.
+def _top_moments(u: Poly2, v: Poly2, d: int, outer: tuple | None = None, *, symmetric: bool = True) -> np.ndarray:
+    """(S, D, D): M_0 = c_u c_v^T for each map of ``outer``, symmetrized for the energy forms.
 
-    c_u, c_v are the centered-basis coefficients of u o outer and v o outer,
-    ``outer`` a map (lin (2, 2), off (2,)) or None for the identity.
+    c_u, c_v are the centered-basis coefficients of u o F_s and v o F_s,
+    ``outer`` a stack of S maps (lin (S, 2, 2), off (S, 2)), pulled back
+    in one ``_pullback``, or None for the identity alone (S = 1).
     The symmetrized moment has the same bits for (u, v) and (v, u).  The
-    degree guard runs here too, as callers build the moment before the pass.
+    degree guard runs here too, as callers build the moments before the pass.
     """
-    _require_budget(d, 3)
-    pullback = _centering(d) if outer is None else _map_pullback(*outer, d, from_plain=True)
-    top = np.outer(*[pullback @ _plain_coeffs(p, d) for p in (u, v)])
-    return 0.5 * (top + top.T) if symmetric else top
+    count = 1 if outer is None else len(outer[0])
+    _require_budget(d, 3 * count)
+    pullbacks = _centering(d)[None] if outer is None else _pullback(*outer, d, from_plain=True)
+    cu, cv = (pullbacks @ _plain_coeffs(p, d) for p in (u, v))
+    top = cu[:, :, None] * cv[:, None, :]
+    return 0.5 * (top + top.transpose(0, 2, 1)) if symmetric else top
 
 
 def _split(terms: np.ndarray) -> list[float]:
@@ -481,30 +510,52 @@ def _contractions(seq, depths, d, quad, tops, forms, *, limit=False):
     ``depths`` in order, the list over f of the elementwise products [cell
     part, generation-1 part, ..., generation-l part] (``_terms`` splits
     them for math.fsum).
+
+    Each top's moments M_0..M_{l_max} come from its stored chain as far as
+    its logs agree, are pushed beyond it, and are stored as its new chain.
     """
     depths = list(depths)
     for l in depths:
         _require_depth(l)
     l_max = max(depths, default=0)
     pairs = list(dict.fromkeys(order for _, order in forms))
+    keep = (l_max + 1) * _dim(d) ** 2 * np.dtype(_EXT).itemsize <= _TABLES.budget
     # Tables: three pullbacks and a cable Gram per pair for every level, the
-    # side Grams; per form: top, moment, push temporary, cell part per
-    # depth and a cable part per level.
-    _require_budget(d, l_max * (3 + len(pairs)) + len(pairs) + len(forms) * (3 + len(set(depths)) + l_max))
+    # side Grams; per form: top, push temporary, its chain (the current
+    # moment alone when no chain is kept), cell part per depth and a cable
+    # part per level.
+    held = l_max + 1 if keep else 1
+    _require_budget(d, l_max * (3 + len(pairs)) + len(pairs) + len(forms) * (2 + held + len(set(depths)) + l_max))
     logs = [seq.log_eps(k) for k in range(1, l_max + 1)]
     side, levels = _level_tables(seq, logs, d, quad, pairs)
     cell_forms = [A * side[order] if cell is None else cell for cell, order in forms]
-    cells, cables, moments = {}, [], tops
+    keys = [_chain_key(top, d) for top in tops]
+    stored = [_TABLES.get(key) for key in keys]
+    starts = [_shared_levels(entry.get("logs", ()), logs) for entry in stored]
+    chains = [np.empty((l_max + 1, *top.shape), _EXT) if keep and start < l_max else None for top, start in zip(tops, starts)]
+    cells, cables, moments = {}, [], list(tops)
     for k in range(l_max + 1):
         if k:
             pulls = levels[k - 1]["pullbacks"]
-            # np.dot, not matmul: it is the faster longdouble product.
-            pushed = [sum(np.dot(p, np.dot(m, p.T)) for p in pulls) for m in moments]
-            moments = _quotient(np.stack(pushed), _EXT(seq.lam(k)), f"lam_{k} of the level-{k} moment step")
+            # Only the moments past their stored chain's shared levels are pushed.
+            todo, pushed = [m for m, start in zip(moments, starts) if start < k], iter(())
+            if todo:
+                # np.dot, not matmul: it is the faster longdouble product.
+                sums = np.stack([sum(np.dot(p, np.dot(m, p.T)) for p in pulls) for m in todo])
+                pushed = iter(_quotient(sums, _EXT(seq.lam(k)), f"lam_{k} of the level-{k} moment step"))
+            moments = [next(pushed) if start < k else entry["moments"][k] for entry, start in zip(stored, starts)]
+        for chain, m in zip(chains, moments):
+            if chain is not None:
+                chain[k] = m
         if k in depths:
             cells[k] = [cell * m for cell, m in zip(cell_forms, moments)]
         if k < l_max:
             cables.append([levels[k][order] * m for (_, order), m in zip(forms, moments)])
+    for key, chain in zip(keys, chains):
+        if chain is not None:
+            chain_logs = np.array(logs)
+            chain.flags.writeable = chain_logs.flags.writeable = False
+            _TABLES.add(key, {"moments": chain, "logs": chain_logs})
     # Read once per level, after the pass, so that an underflowing lam_k is
     # reported first.  The finite windows are exp(fsum) of the logs, as
     # ParamSeq.eps_tilde forms them; fsum rounds exactly, so the bits agree.
@@ -551,7 +602,7 @@ def _moment_terms(seq, depths, u, v, quad, forms=("energy",), *, limit=False):
     pair per named form of ``_FORMS`` (``limit``: cables at infinite windows)."""
     d = max(u.degree, v.degree, 0)
     rows = [_FORMS[name] for name in forms]
-    tops = np.stack([_top_moment(u, v, d, symmetric=symmetric) for symmetric, _, _ in rows])
+    tops = np.concatenate([_top_moments(u, v, d, symmetric=symmetric) for symmetric, _, _ in rows])
     cells = [(None if cell is None else cell(d), order) for _, order, cell in rows]
     for parts in _contractions(seq, depths, d, quad, tops, cells, limit=limit):
         yield [_terms(p) for p in parts]
@@ -643,8 +694,8 @@ def _one_step(seq, l, u, v, quad, *, limit=False) -> tuple[EnergyReport, float, 
     form on u o F^1_i, v o F^1_i, i = 1, 2, 3, whose pulled-back top moments
     are stacked into one pass on ``seq.shift()``."""
     d = max(u.degree, v.degree, 0)
-    ((whole,),) = _contractions(seq, (l + 1,), d, quad, _top_moment(u, v, d)[None], [(None, (1, 1))], limit=limit)
-    tops = np.stack([_top_moment(u, v, d, f) for f in zip(*triple(seq.eps(1)))])
+    ((whole,),) = _contractions(seq, (l + 1,), d, quad, _top_moments(u, v, d), [(None, (1, 1))], limit=limit)
+    tops = _top_moments(u, v, d, triple(seq.eps(1)))
     (halves,) = _contractions(seq.shift(), (l,), d, quad, tops, [(None, (1, 1))] * 3, limit=limit)
     return _report(l + 1, *_terms(whole)), _fsum(_split(whole[1])), [_report(l, *_terms(half)) for half in halves]
 

@@ -135,22 +135,47 @@ def _corner_geometry(lin: np.ndarray, off: np.ndarray, cell: np.ndarray, corner:
     return points, np.take(_images(lin, _side_arrays()[1]).reshape(-1, 2), side_rows, axis=0)
 
 
-def _block_vertices(l: int, a: int, b: int):
-    """The corners of the depth-l cells a..b-1, in (cell, corner) order, as (cell - a, corner,
-    key, s, e, p): corner c of the cell u j (c+1)^(l-s) is the end e of the generation-s cable
-    with prefix index p (``_CABLE_ENDS``); a base corner, c of (c+1)^l, has s = 0 and e = p = 0."""
+def _cell_corners(l: int, cells: np.ndarray):
+    """The corners of the depth-l cells ``cells``, in (cell, corner) order, as (i, corner, key, s,
+    e, p) for a corner of cells[i]: corner c of the cell u j (c+1)^(l-s) is the end e of the
+    generation-s cable with prefix index p (``_CABLE_ENDS``); a base corner, c of (c+1)^l, has
+    s = 0 and e = p = 0."""
     # Base-3 digits of the cell words, last letter first, then a 3 that is no letter's; the run
     # of trailing letters equal to the last.  Corner c of a cell u j (c+1)^(l-s) has run l - s.
-    digits = np.full((b - a, l + 1), 3)
-    digits[:, :l] = np.arange(a, b)[:, None] // _POWERS_OF_3[:l] % 3
-    cell, corner = np.repeat(np.arange(b - a), 3), np.tile(np.arange(3), b - a)
+    digits = np.full((len(cells), l + 1), 3)
+    digits[:, :l] = cells[:, None] // _POWERS_OF_3[:l] % 3
+    cell, corner = np.repeat(np.arange(len(cells)), 3), np.tile(np.arange(3), len(cells))
     run = np.where(corner == np.take(digits[:, 0], cell), np.take(np.argmin(digits == digits[:, :1], axis=1), cell), 0)
     codes = np.take((digits[:, :l] + 1) @ _POWERS_OF_4[:l], cell)
     keys = 3 * (codes - codes % np.take(_POWERS_OF_4, run)) + corner
     # The letter j above the run (the sentinel 3 above a base corner's), and the prefix below it.
     digit = np.take(digits, (l + 1) * cell + run)
-    e, p = np.take(_END_INDEX, 3 * digit + corner), (cell + a) // np.take(_POWERS_OF_3, run + 1)
+    e, p = np.take(_END_INDEX, 3 * digit + corner), np.take(cells, cell) // np.take(_POWERS_OF_3, run + 1)
     return cell, corner, keys, l - run, e, p
+
+
+def _block_vertices(l: int):
+    """For each range (a, b) of ``geometry._ranges`` over the depth-l cells: a, b and the
+    corners of the cells a..b-1 as ``_cell_corners`` gives them.
+
+    Only the first block's digits are taken.  A later block starts at a multiple a of its
+    size 3^n and differs from the first only in the digits above the low n: its keys are the
+    first block's plus 3 times the base-4 code of a's digits, its p plus a // 3^(run + 1),
+    and only the corners of its cells 0...0, 1...1 and 2...2 (c (3^n - 1) / 2 for c = 0, 1,
+    2), whose runs may pass the low n digits, are taken from their own cells' digits.
+    """
+    blocks = _ranges(3**l)
+    a, b = next(blocks)
+    cell, corner, keys, s, e, p = _cell_corners(l, np.arange(a, b))
+    yield a, b, cell, corner, keys, s, e, p
+    for a, b in blocks:
+        deep = (b - a - 1) // 2 * np.arange(3)
+        rows = (3 * deep[:, None] + np.arange(3)).ravel()
+        code = (a // _POWERS_OF_3[:l] % 3) @ _POWERS_OF_4[:l]
+        shifted = [keys + 3 * code, s.copy(), e.copy(), p + a // np.take(_POWERS_OF_3, l - s + 1)]
+        for arr, own in zip(shifted, _cell_corners(l, a + deep)[2:]):
+            np.put(arr, rows, own)
+        yield a, b, cell, corner, *shifted
 
 
 def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
@@ -181,8 +206,7 @@ def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
     side_w = np.where(_CORNER_T == 0, tri_pf, -tri_pf)  # (3, 2): the side weights at corners A, B, C
     # Every key is below 3 4^l.
     first_open = past_keys = 3 * 4**l
-    for a, b in _ranges(3**l):
-        cell, corner, keys, s, e, p = _block_vertices(l, a, b)
+    for a, b, cell, corner, keys, s, e, p in _block_vertices(l):
         weights = np.empty((len(cell), 3))
         pf = np.take(cable_pf, s)
         weights[:, :2], weights[:, 2] = np.take(side_w, corner, axis=0), np.where(e % 2 == 0, pf, -pf)

@@ -69,7 +69,7 @@ from stretched_gasket.energy import (
     _split,
     _tableau,
     _terms,
-    _top_moment,
+    _top_moments,
     cable_tail_bound,
     energy_total,
     resolve_quadrature,
@@ -491,7 +491,7 @@ def _energy_rows(seq, depths, u, v, quad, outer=None, *, limit=False):
     (u o outer, v o outer) at every depth, one moment pass per call
     (``limit``: infinite windows)."""
     d = max(u.degree, v.degree, 0)
-    tops = _top_moment(u, v, d, outer)[None]
+    tops = _top_moments(u, v, d, None if outer is None else (outer[0][None], outer[1][None]))
     for (parts,) in _contractions(seq, depths, d, quad, tops, [(None, (1, 1))], limit=limit):
         yield parts
 

@@ -12,7 +12,10 @@ evaluation per derivative order, and a repeat builds nothing.  The
 batched Grams and stacked pullbacks equal the per-generation and per-map
 products bit for bit, and no form depends on what the cache holds: warm
 or cold, past its byte budget, for sequences with equal eps_k but
-different log eps_k, and for a custom rule of a Gauss rule's order.  The
+different log eps_k, and for a custom rule of a Gauss rule's order.  A
+top moment's stored chain makes a later pass push only the levels past
+the stored ones whose logs it shares, keyed on the top's exact value, and
+an underflowing lam_k is refused the same cold and warm.  The
 recurrence residuals' stacked pass equals one pass per pulled-back pair,
 and fields beyond the pass's memory budget are refused before any
 allocation.
@@ -50,6 +53,7 @@ from stretched_gasket import (
 )
 from stretched_gasket import energy
 from stretched_gasket.energy import _one_step, _report, _terms, min_quad_order
+from stretched_gasket.errors import PrefactorUnderflow
 from stretched_gasket.geometry import _side_arrays
 
 from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
@@ -444,8 +448,10 @@ def test_the_cache_stays_within_its_budget(monkeypatch):
         for (seq, quad), want in zip(cases, cold):
             assert _outputs(seq, quad) == want
             energy_total(seq, 3, high, high)
+            # The held bytes count the moment chains beside the level tables.
             held = sum(arr.nbytes for entry in cache._entries.values() for arr in entry.values())
             assert held == cache.nbytes <= cache.budget
+            assert any("moments" in entry for entry in cache._entries.values())
 
     unbounded = energy._TableCache(1 << 40)
     fill(unbounded)
@@ -454,6 +460,168 @@ def test_the_cache_stays_within_its_budget(monkeypatch):
     fill(small)
     assert small._entries
 
+
+
+# -- the moment chains ------------------------------------------------------
+
+
+def _pushes(monkeypatch) -> list:
+    """Records (level, moments pushed) for every level step of every pass from now on."""
+    steps, quotient = [], energy._quotient
+
+    def counting(num, den, what):
+        if "moment step" in what:
+            steps.append((int(what.split("_")[1].split()[0]), len(num)))
+        return quotient(num, den, what)
+
+    monkeypatch.setattr(energy, "_quotient", counting)
+    return steps
+
+
+def _chains():
+    return {key: entry for key, entry in energy._TABLES._entries.items() if "moments" in entry}
+
+
+def test_warm_chains_give_the_cold_bits():
+    from stretched_gasket import energy_via_measure
+
+    v = vanishing_cubic()
+    for seq in (PREFIX_EXP, TAIL_ONLY):
+        cold = {}
+        for l in range(13):
+            energy._TABLES.clear()
+            cold[l] = energy_total(seq, l, SWEEP_U, v)
+        for depths in (range(13), range(12, -1, -1)):
+            energy._TABLES.clear()
+            assert [energy_total(seq, l, SWEEP_U, v) for l in depths] == [cold[l] for l in depths]
+        sweeps = (
+            lambda: convergence_rows(seq, SWEEP_U, v, 10),
+            lambda: ibp_table(seq, SWEEP_U, v, range(3, 11)),
+            lambda: weak_pairing(seq, 7, SWEEP_U, v),
+            lambda: energy2_limit(seq, SWEEP_U, v, 9),
+            lambda: (recurrence_residual(seq, 8, SWEEP_U, v), selfsimilar_residual(seq, SWEEP_U, v, 9)),
+            lambda: energy_via_measure(seq, SWEEP_U, v, 9),
+        )
+        cold = [_cold_call(sweep) for sweep in sweeps]
+        # Warm: after the ladder, then again after every sweep has stored its chains.
+        energy._TABLES.clear()
+        for l in range(8, 12):
+            energy_total(seq, l, SWEEP_U, v)
+        for _ in range(2):
+            assert [sweep() for sweep in sweeps] == cold
+
+
+def _cold_call(fn):
+    energy._TABLES.clear()
+    return fn()
+
+
+def test_a_deeper_form_pushes_only_the_new_levels(monkeypatch):
+    steps = _pushes(monkeypatch)
+    v = vanishing_cubic()
+    energy._TABLES.clear()
+    energy_total(PREFIX_EXP, 10, SWEEP_U, v)
+    assert steps == [(k, 1) for k in range(1, 11)]
+    steps.clear()
+    energy_total(PREFIX_EXP, 11, SWEEP_U, v)
+    assert steps == [(11, 1)]
+    steps.clear()
+    # Shallower depths and the sweeps of the same top read the stored chain.
+    energy_total(PREFIX_EXP, 4, SWEEP_U, v)
+    convergence_rows(PREFIX_EXP, SWEEP_U, v, 10)
+    assert steps == []
+
+
+def test_the_residuals_share_their_chains(monkeypatch):
+    steps = _pushes(monkeypatch)
+    v = vanishing_cubic()
+    energy._TABLES.clear()
+    # The left side to depth 9 on the sequence, the three pulled-back tops to depth 8 on its shift.
+    recurrence_residual(PREFIX_EXP, 8, SWEEP_U, v)
+    assert steps == [(k, 1) for k in range(1, 10)] + [(k, 3) for k in range(1, 9)]
+    steps.clear()
+    # Both residuals take the one step from depth 8: selfsimilar_residual at 9 pushes nothing.
+    selfsimilar_residual(PREFIX_EXP, SWEEP_U, v, 9)
+    assert steps == []
+    # One level deeper: the left side's level 10, then the halves' level 9.
+    selfsimilar_residual(PREFIX_EXP, SWEEP_U, v, 10)
+    assert steps == [(10, 1), (9, 3)]
+
+
+def test_a_chain_resumes_at_the_first_level_whose_log_differs(monkeypatch):
+    steps = _pushes(monkeypatch)
+    v = vanishing_cubic()
+    tail = ExpTail(0.05, 0.5)
+    a, b = ParamSeq(prefix=(0.9, 0.8), tail=tail), ParamSeq(prefix=(0.9, 0.7), tail=tail)
+    cold = [_cold_call(lambda: energy_total(seq, 5, SWEEP_U, v)) for seq in (a, b)]
+    energy._TABLES.clear()
+    assert energy_total(a, 5, SWEEP_U, v) == cold[0]
+    steps.clear()
+    assert energy_total(b, 5, SWEEP_U, v) == cold[1]
+    assert steps == [(k, 1) for k in range(2, 6)]
+    # Equal eps_1 but different log eps_1 share no level.
+    energy._TABLES.clear()
+    energy_total(TAIL_LEVEL, 3, SWEEP_U, v)
+    steps.clear()
+    energy_total(PREFIX_LEVEL, 3, SWEEP_U, v)
+    assert steps == [(k, 1) for k in range(1, 4)]
+
+
+def test_a_chain_is_keyed_on_the_exact_top(monkeypatch):
+    steps = _pushes(monkeypatch)
+    d, quad = 3, get_quadrature()
+    top = energy._top_moments(SWEEP_U, vanishing_cubic(), d)
+    nudged = top.copy()
+    nudged[0, 4, 7] = np.nextafter(top[0, 4, 7], np.inf)
+    assert nudged[0, 4, 7] != top[0, 4, 7]
+
+    def parts(tops):
+        return list(energy._contractions(PREFIX_EXP, (6,), d, quad, tops, [(None, (1, 1))]))
+
+    cold = [_cold_call(lambda: parts(t)) for t in (top, nudged)]
+    energy._TABLES.clear()
+    steps.clear()
+    for t, want in zip((top, nudged), cold):
+        assert all(np.array_equal(x, y) for x, y in zip(parts(t)[0][0], want[0][0]))
+    # The tops differ in the last bit of one entry: two chains, each pushed in full.
+    assert steps == [(k, 1) for k in range(1, 7)] * 2 and len(_chains()) == 2
+    # Equal values share a chain whatever their padding bytes hold.
+    itemsize = np.dtype(np.longdouble).itemsize
+    if energy._VALUE_BYTES < itemsize:
+        padded = top.copy()
+        padded.view(np.uint8).reshape(*top.shape, itemsize)[..., energy._VALUE_BYTES :] = 0xAB
+        assert padded.tobytes() != top.tobytes() and energy._chain_key(padded, d) == energy._chain_key(top, d)
+        steps.clear()
+        parts(padded)
+        assert steps == []
+
+
+def test_an_underflowing_lam_is_refused_cold_and_warm():
+    seq = ParamSeq(prefix=(0.9, 1e-170), tail=ExpTail(0.05, 0.5))
+    u, v = parse("x^2"), parse("y")
+    message = "lam_2 of the level-2 moment step: denominator 0.0 underflows"
+    energy._TABLES.clear()
+    with pytest.raises(PrefactorUnderflow, match=message):
+        energy_total(seq, 4, u, v)
+    assert _chains() == {}
+    # Warm: level 1 is stored; the pass still checks lam_2 and stores nothing past level 1.
+    energy_total(seq, 1, u, v)
+    for _ in range(2):
+        with pytest.raises(PrefactorUnderflow, match=message):
+            energy_total(seq, 4, u, v)
+        assert [len(entry["moments"]) for entry in _chains().values()] == [2]
+
+
+def test_the_working_set_guard_counts_the_chain(monkeypatch):
+    counts, guard = [], energy._require_budget
+    monkeypatch.setattr(energy, "_require_budget", lambda d, matrices: counts.append(matrices) or guard(d, matrices))
+    v = vanishing_cubic()
+    energy._TABLES.clear()
+    energy_total(PREFIX_EXP, 6, SWEEP_U, v)
+    # A cache too small for the chain keeps none, and the pass counts only its current moment.
+    monkeypatch.setattr(energy, "_TABLES", energy._TableCache(1 << 10))
+    energy_total(PREFIX_EXP, 6, SWEEP_U, v)
+    assert counts[1] - counts[3] == 6 and _chains() == {}
 
 # -- the fused residuals against one pass per pulled-back pair --------------
 
@@ -469,6 +637,8 @@ def test_fused_residuals_equal_the_three_pass_routes(seq, l, high):
 
 
 def _outcome(fn, *args):
+    # From a cleared cache, so that neither route reads the other's moment chains.
+    energy._TABLES.clear()
     try:
         return fn(*args)
     except GasketError as exc:

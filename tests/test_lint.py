@@ -150,7 +150,7 @@ def test_one_object_reads_make_no_products_of_their_own():
 
 #: The vertex-path functions, by module, whose row gathers go through ``np.take`` or ``np.compress``.
 BASIC_INDEXING_FUNCTIONS = {
-    "harmonicity": {"_vertex_blocks", "_corner_geometry", "_block_vertices", "_vertex_arrays"},
+    "harmonicity": {"_vertex_blocks", "_corner_geometry", "_cell_corners", "_block_vertices", "_vertex_arrays"},
     "geometry": {"prefractal_edges", "_edge_rows"},
 }
 

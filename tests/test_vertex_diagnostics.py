@@ -117,6 +117,17 @@ def test_vertex_blocks_reproduce_the_whole_world_tables(regime):
             assert repr(report) == repr(harmonic_report_from_world(regime, l, ratio)), (ratio, l)
 
 
+
+def test_later_vertex_blocks_equal_their_own_cells_digits():
+    # Blocks after the first are the first block's rows shifted by their prefix digits, with the
+    # three corners whose run covers the low digits rebuilt; every block equals its own cells' rows.
+    for l in range(13):
+        blocks = list(harmonicity._block_vertices(l))
+        assert [(a, b) for a, b, *_ in blocks] == list(geometry._ranges(3**l))
+        for a, b, *got in blocks:
+            want = harmonicity._cell_corners(l, np.arange(a, b))
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), (l, a)
+
 def test_equal_norms_name_the_first_vertex_in_key_order(monkeypatch):
     # At depth 9 the first vertex in key order, (1,)/B, lies in the second
     # cell block (its cell is 1 2^8), while the first block holds larger
