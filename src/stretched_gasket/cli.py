@@ -117,12 +117,6 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-def _quadrature(text: str):
-    """The explicit Gauss rule of this order.  Unset, the forms pick the lowest
-    order exact for the field degrees, at least 8."""
-    return energy_mod.get_quadrature(int(text))
-
-
 @contextlib.contextmanager
 def _output(out_path: str | None):
     """stdout, or ``out_path`` opened for text without newline translation."""
@@ -293,12 +287,12 @@ def cmd_geometry(seq, *, depth, shade, out, json_out) -> int:
 # -- reports ---------------------------------------------------------------
 
 
-def cmd_energy(seq, *, depth, quad, u, v, out, require_vanishing) -> int:
+def cmd_energy(seq, *, depth, u, v, out, require_vanishing) -> int:
     """Assembled form at one depth."""
     v = u if v is None else v
     if require_vanishing and not vanishes_at_corners(v):
         return _fail(f"v must vanish at A, B, C; corner values {corner_values(v)}")
-    rep = energy_mod.energy_total(seq, depth, u, v, quad)
+    rep = energy_mod.energy_total(seq, depth, u, v)
     payload = {
         "depth": depth,
         "e1": rep.e1,
@@ -379,9 +373,9 @@ def cmd_kusuoka(seq, *, depth, out, json_out) -> int:
     return 0
 
 
-def cmd_ibp(seq, *, depths, quad, phi, v, out) -> int:
+def cmd_ibp(seq, *, depths, phi, v, out) -> int:
     """Integration by parts sweep."""
-    rows_data = lap_mod.ibp_table(seq, phi, vanishing_cubic() if v is None else v, depths, quad)
+    rows_data = lap_mod.ibp_table(seq, phi, vanishing_cubic() if v is None else v, depths)
     rows = [
         [str(r["depth"]), repr(r["energy_lhs"]), repr(r["integral_rhs"]), repr(r["residual"])]
         for r in rows_data
@@ -403,9 +397,9 @@ def cmd_ibp(seq, *, depths, quad, phi, v, out) -> int:
     return 0
 
 
-def cmd_convergence(seq, *, depth, quad, u, v, out) -> int:
+def cmd_convergence(seq, *, depth, u, v, out) -> int:
     """Energy depth sweep."""
-    rows_data = energy_mod.convergence_rows(seq, u, u if v is None else v, depth, quad)
+    rows_data = energy_mod.convergence_rows(seq, u, u if v is None else v, depth)
     rows = [
         [str(r["l"]), repr(r["total"]), "" if r["delta"] is None else repr(r["delta"])]
         for r in rows_data
@@ -421,9 +415,9 @@ def cmd_convergence(seq, *, depth, quad, u, v, out) -> int:
     return 0
 
 
-def cmd_selfsim(seq, *, depth, quad, u, v, out) -> int:
+def cmd_selfsim(seq, *, depth, u, v, out) -> int:
     """Self-similarity residual."""
-    residual, bound = energy_mod.selfsimilar_residual(seq, u, v, depth, quad)
+    residual, bound = energy_mod.selfsimilar_residual(seq, u, v, depth)
     payload = {"depth": depth, "residual": residual, "bound": bound, "eps_spec": seq.describe()}
     _emit(_json_text(payload), out)
     if not residual <= bound + 1e-12:
@@ -492,8 +486,6 @@ class _Option:
 
 _EVERY = dict.fromkeys(_COMMANDS)
 _DEPTHS = dict(geometry="2", energy="3", harmonicity="4", kusuoka="3", convergence="5", selfsim="4", laplacian="2")
-#: The subcommands that evaluate a form of two fields: each reads a Gauss rule and a second field.
-_FORMS = dict(energy=None, ibp=None, convergence=None, selfsim=None)
 _OPTIONS = (
     _Option("eps.prefix", "--eps-prefix", _parse_floats, "comma separated leading stretch values", _EVERY),
     _Option("eps.tail.c", "--tail-c", float, "exponential tail constant c", _EVERY),
@@ -501,9 +493,11 @@ _OPTIONS = (
     _Option("eps.const", "--eps-const", float, "constant stretch value (no limit weights)", _EVERY),
     _Option("depth", "--depth", int, "construction depth", _DEPTHS),
     _Option("depths", "--depths", _parse_ints, "comma separated depth sweep", {"ibp": "3,4,5,6,7,8"}),
-    _Option("quad.order", "--quad-order", _quadrature, "Gauss rule order (default: max(8, lowest exact))", _FORMS, dest="quad"),
     _Option("u", "--u", parse_poly, "first field expression", {"energy": "x", "convergence": "x^2", "selfsim": "x^2"}),
-    _Option("v", "--v", parse_poly, "second field (default: the first); ibp's test function", {**_FORMS, "selfsim": "x*y + y^2"}),
+    _Option(
+        "v", "--v", parse_poly, "second field (default: the first); ibp's test function",
+        dict(energy=None, ibp=None, convergence=None, selfsim="x*y + y^2"),
+    ),
     _Option("phi", "--phi", parse_poly, "field expression", {"ibp": "x^2", "laplacian": "x^2"}),
     _Option(
         "ratio", "--ratio", float, "vertical/horizontal scale ratio of the first map (default 1/3; others break harmonicity)",
@@ -548,7 +542,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="stretched-gasket", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, handler in _COMMANDS.items():
-        # No abbreviations: ``--quad`` or ``ibp --depth`` must not pass as another flag.
+        # No abbreviations: ``ibp --depth`` must not pass as ``--depths``.
         p = sub.add_parser(command, help=handler.__doc__, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output file (default stdout)")

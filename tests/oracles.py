@@ -38,6 +38,9 @@ their whole-table forms here, which the blocks must reproduce bit for bit:
 the measure energy's gasket sum over the whole word and cylinder tables,
 and the vertex stars gathered from the whole world arrays, sorted once,
 with the harmonicity report reduced from them.
+The IBP measure side's cell sum has two references: the enumerated one
+(``gasket_hessian_sum``) and the measure's level operators run on
+G = v D^2 phi (``ibp_gasket_half``), in O(l) to the depth cap.
 The quantities and helpers that only the tests read live here too: the
 word enumeration, the cable part of a form, Horner evaluation of a
 univariate polynomial, the plane rotation, the edge counts, one IBP row,
@@ -107,6 +110,7 @@ from stretched_gasket.harmonicity import (
     _vertex_name,
 )
 from stretched_gasket.kusuoka import (
+    _CONJUGATIONS,
     _LEVEL_FACTORS,
     _cable_weight,
     _level_scale,
@@ -118,7 +122,7 @@ from stretched_gasket.kusuoka import (
     tau_table,
 )
 from stretched_gasket.laplacian import KAPPA_FLOOR, _laplacian_values, ibp_table, laplacian_samples, teplyaev
-from stretched_gasket.scalarfield import Poly2, hess_batch, sup_bounds
+from stretched_gasket.scalarfield import Poly2, _compose_affine, _dense, hess_batch, sup_bounds
 
 #: The form constant a = b of the triangle edges and the cables, 1/3 as in the package.
 _A = 1.0 / 3.0
@@ -531,21 +535,48 @@ def selfsimilar_residual_by_passes(seq, u, v, depth, quad=None) -> tuple[float, 
     return abs(lhs.e1 + lhs.e2 - rhs), math.fsum(tails)
 
 
-def gasket_hessian_sum(seq, depth, phi, v) -> list[float]:
+def gasket_hessian_sum(seq, depth, phi, v, *, absolute=False) -> list[float]:
     """Per-word <Hessian phi(x_w), tau_w> v(x_w), scaled to the form constant.
 
     The triangle-edge measure of one cell totals 3a tau_w (three unit
     side-projections sum to (3/2) Id), so pairing Hessians directly with
-    3a tau avoids dividing by small kappa.
+    3a tau avoids dividing by small kappa.  With ``absolute``, each term's
+    rounding scale instead: every coefficient, tau entry and coordinate
+    replaced by its absolute value.
     """
     lin, off = word_table(seq, depth)
     centers = np.einsum("wab,b->wa", lin, barycenter()) + off
+    taus = tau_table(depth)
+    if absolute:
+        phi, v = (Poly2({k: abs(c) for k, c in p.coeffs.items()}) for p in (phi, v))
+        centers, taus = np.abs(centers), np.abs(taus)
     xs, ys = centers[:, 0], centers[:, 1]
     hxx, hxy, hyy = hess_batch(phi, xs, ys)
-    taus = tau_table(depth)
     pair = taus[:, 0, 0] * hxx + 2.0 * taus[:, 0, 1] * hxy + taus[:, 1, 1] * hyy
     vals = 3.0 * _A * pair * v.eval_batch(xs, ys)
     return vals.tolist()
+
+
+def ibp_gasket_half(seq, phi, v, depth) -> float:
+    """The sum of ``gasket_hessian_sum`` in O(depth), by the measure's level operators.
+
+    The cell term 3a tr(tau_w G(F_w b)) with G = v D^2 phi is the gasket term of the
+    measure energy with G in place of sym(grad u grad v^t), so ``kusuoka._gasket_half``'s
+    loop, run on G, gives the sum over the depth-level cells as 3a (1/2) (3/5)^l
+    tr((L_l ... L_1 G)(b)), in longdouble on the monomials centred at b.  It shares no
+    code with the moment pass beyond the polynomial type and the map triples.
+    """
+    d, centre = max(phi.degree - 2, 0) + max(v.degree, 0), barycenter().astype(np.longdouble)
+    hess = np.array([_dense(h, d, np.longdouble) for h in phi.hess()])
+    weights = _dense(v, d, np.longdouble)
+    g = np.zeros_like(hess)
+    for m, n in zip(*np.nonzero(weights)):
+        g[:, m:, n:] += weights[m, n] * hess[:, : d + 1 - m, : d + 1 - n]
+    held = _compose_affine(g, np.eye(2, dtype=np.longdouble)[None], centre[None])[0]
+    for k in range(1, depth + 1):
+        lin, off = (t.astype(np.longdouble) for t in triple(seq.eps(k)))
+        held = np.einsum("ief,if...->e...", _CONJUGATIONS, _compose_affine(held, lin, lin @ centre + off - centre))
+    return float(3 * _A * (held[0, 0, 0] + held[2, 0, 0]) * np.longdouble(3) ** depth / (2 * np.longdouble(5) ** depth))
 
 
 def cable_second_derivative_sum(seq, depth, phi, v, quad) -> list[float]:

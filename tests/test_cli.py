@@ -167,8 +167,8 @@ def test_config_keys_no_subcommand_reads_are_refused(tmp_path):
     # A key that another subcommand reads passes, so one file serves every subcommand.
     cfg.write_text("eps.const = 0.5\ndepth = 1\nphi = x^2\n")
     assert run_cli("energy", "--config", str(cfg)).returncode == 0
-    for key in ("depht", "constants.a"):
-        cfg.write_text(f"eps.const = 0.5\n# {key} is misspelt or gone\n\n{key} = 0.25\n")
+    for key in ("depht", "constants.a", "quad.order"):
+        cfg.write_text(f"eps.const = 0.5\n# {key} is misspelt or gone\n\n{key} = 2\n")
         proc = run_cli("energy", "--config", str(cfg), check=False)
         assert proc.returncode == 1
         assert proc.stderr.decode() == f"error: {cfg}:4: unknown config key {key!r}\n"
@@ -190,15 +190,17 @@ def test_tail_flags_of_both_kinds_are_refused(tmp_path):
     assert spec["tail"] == {"kind": "const", "value": 0.3}
 
 
-#: The 22 (subcommand, flag) pairs that were accepted and then ignored, each now a usage error,
-#: and ``energy --quad``, a prefix of ``--quad-order`` (``ibp --depth`` is also one of ``--depths``).
+#: Flags a subcommand does not take, each a usage error: the pairs that were once accepted and
+#: then ignored; ``--quad-order``, which no subcommand takes since the forms use the lowest exact
+#: Gauss order, at least 8; and ``energy --require``, a prefix of ``--require-vanishing``
+#: (``ibp --depth`` is also one of ``--depths``).
 _UNREAD_FLAGS = [
     *[(command, "--depths") for command in cli._COMMANDS if command != "ibp"],
     *[(command, "--json") for command in cli._COMMANDS if command not in ("geometry", "kusuoka")],
-    *[(command, "--quad-order") for command in ("geometry", "harmonicity", "ruelle", "kusuoka", "laplacian")],
+    *[(command, "--quad-order") for command in cli._COMMANDS],
     ("ruelle", "--depth"),
     ("ibp", "--depth"),
-    ("energy", "--quad"),
+    ("energy", "--require"),
 ]
 
 
@@ -225,6 +227,15 @@ def test_an_unread_flag_is_refused_with_the_subcommand_usage(argv):
     assert lines[-1] == f"stretched-gasket {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}"
 
 
+def test_the_benchmark_defect_probe_is_refused_naming_the_order():
+    # A rule too low for x^12 may not print an energy.  The flag is gone, so the probe is a
+    # usage error whose line names it; the benchmark passes exit 1 with "quad" and "order".
+    proc = run_cli("energy", "--u", "x^12", "--depth", "2", "--quad-order", "2", check=False)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"quad" in proc.stderr and b"order" in proc.stderr
+    assert proc.stderr.decode().splitlines()[-1] == "stretched-gasket energy: error: unrecognized arguments: --quad-order 2"
+
+
 @pytest.mark.parametrize("text", ["yes", "True", "1"])
 def test_shade_key_other_than_true_or_false_is_refused(text, tmp_path, capsys):
     # Read as "not true", these printed an unshaded SVG and exited 0.
@@ -249,7 +260,7 @@ def test_shade_key_and_flag_shade_the_three_cells(tmp_path, capsys):
     [
         ("energy", "depth", "abc"),
         ("ibp", "depths", "3,x"),
-        ("selfsim", "quad.order", "8.5"),
+        ("selfsim", "eps.tail.r", "half"),
         ("harmonicity", "ratio", "1/3"),
         ("kusuoka", "eps.prefix", "0.9,half"),
     ],

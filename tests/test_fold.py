@@ -586,7 +586,7 @@ def test_a_chain_is_keyed_on_the_exact_top(monkeypatch):
     # The tops differ in the last bit of one entry: two chains, each pushed in full.
     assert steps == [(k, 1) for k in range(1, 7)] * 2 and len(_chains()) == 2
     # Equal values share a chain whatever their padding bytes hold.
-    itemsize = np.dtype(np.longdouble).itemsize
+    itemsize = np.dtype(energy._EXT).itemsize
     if energy._VALUE_BYTES < itemsize:
         padded = top.copy()
         padded.view(np.uint8).reshape(*top.shape, itemsize)[..., energy._VALUE_BYTES :] = 0xAB

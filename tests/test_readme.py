@@ -43,11 +43,11 @@ def test_readme_lists_each_subcommands_flags():
     documented = {command: every | _flags(cell) for command, cell in rows}
     assert len(rows) == len(documented)
     assert documented == _parser_flags()
-    assert sum(map(len, documented.values())) == 81
+    assert sum(map(len, documented.values())) == 77
 
 
 def test_readme_names_the_declared_config_keys():
     sentence = re.search(r"The config\s+keys are (.*?)\.\s", _CLI_SECTION, re.S)[1]
     keys = re.findall(r"`([^`]+)`", sentence)
-    assert len(keys) == len(set(keys)) == 13
+    assert len(keys) == len(set(keys)) == 12
     assert set(keys) == {opt.key for opt in cli._OPTIONS}
