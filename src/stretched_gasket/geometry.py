@@ -18,20 +18,25 @@ Every affine map is a (linear, offset) pair of arrays: ``triple`` gives
 a level's three maps as (3, 2, 2) and (3, 2) arrays, and ``_word_levels``
 is the one function that composes them.  It composes the maps of any
 range of words level by level, and only the range's ancestors, with the
-bits of the whole table: ``word_table`` is its last level over the whole
-range (cached, and read by no route here), ``_word_rows`` over any range,
-and ``compose`` over the one row of a word of any length, which
-``word_point`` maps as one ``_images`` row.  The paths that walk a depth
-in 3^7-row ranges (``_ranges``, which the CLI's writers share) read their
-rows from it.  The two that enumerate a level, ``word_table`` and
-``_word_rows``, stop at the depth cap; a one-row read does not.
+bits of the whole table.  ``_ancestors`` is the one range walk: it works
+out a row range's ancestors at each level, for ``_word_levels`` and for
+the cylinder products of the kusuoka module.  ``_word_rows`` is the one
+range read, the last level of ``_word_levels`` over a range: the CLI's
+writers, the carrier walk, the cable masses and ``word_table`` (the
+whole range, cached, and read by no route here) read their map rows
+from it.  Only ``compose``, the one row of a word of any length, which
+``word_point`` maps as one ``_images`` row, and the harmonicity
+module's vertex blocks, which read every level, walk ``_word_levels``
+themselves.  The range reads stop at the depth cap; a one-row read does
+not.
 
 The carriers of the depth-l pre-fractal, its cells in word order and
 then its cables by generation in (prefix, slot) order, have one walk
-(``_carrier_walk``): a row range gives its cells' map rows and its
-cables' prefix rows.  The Laplacian samples and the edge table
-(``prefractal_edges``, built a range at a time by ``_edge_rows``, which
-the SVG/JSON export reads by range) read their rows from it.
+(``_carrier_walk``): a row range gives, span by span, the ``_word_rows``
+read of its cells or of its cables' prefixes.  The Laplacian samples and
+the edge table (``prefractal_edges``, built a range at a time by
+``_edge_rows``, which the SVG/JSON export reads by range) read their
+rows from it.
 
 The beta/alpha ratio (default 1/3, the harmonic family) is a parameter of
 the level maps and of the walks (``triple``, ``_word_levels``,
@@ -209,18 +214,30 @@ def _level_maps(seq: ParamSeq, l: int, beta_over_alpha: float) -> tuple[np.ndarr
     return np.array([lin for lin, _ in maps]).reshape(l, 3, 2, 2), np.array([off for _, off in maps]).reshape(l, 3, 2)
 
 
+def _ancestors(l: int, start: int, stop: int) -> Iterator[tuple[int, slice]]:
+    """The ancestors of the depth-l words start..stop-1 at each level k = 1..l, in order:
+    (first, rows), the index of the first among the depth-k words and their rows among the
+    children of the level-(k - 1) ancestors, three to a parent in word order.  The one place
+    where a row range's ancestors are worked out; at level l they are the range itself."""
+    first = 0
+    for k in range(1, l + 1):
+        lo, hi = start // 3 ** (l - k), -(-stop // 3 ** (l - k))
+        yield lo, slice(lo - 3 * first, hi - 3 * first)
+        first = lo
+
+
 def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: float = HARMONIC_RATIO):
     """The ancestors of the depth-l words start..stop-1 at each level k = 0..l, in order:
     (first, lin, off), the affine parts of the depth-k words first, first + 1, ...
 
-    Only these are composed, level by level, with the arithmetic of the
-    whole table, so every row has the bits of its ``word_table`` row and
-    the transient memory is set by the range.  At level l they are the
-    range itself.  This is the one place where maps are composed: a level
-    is one GEMM for the linear parts (``_level_products``) and one image
-    table for the offsets (``_images``), each with the bits of the stacked
-    per-row products.  A negative depth or a range outside [0, 3^l) raises
-    ValueError; the depth cap is left to the callers that enumerate a level.
+    Only these (``_ancestors``) are composed, level by level, with the
+    arithmetic of the whole table, so every row has the bits of its
+    ``word_table`` row and the transient memory is set by the range.  This
+    is the one place where maps are composed: a level is one GEMM for the
+    linear parts (``_level_products``) and one image table for the offsets
+    (``_images``), each with the bits of the stacked per-row products.  A
+    negative depth or a range outside [0, 3^l) raises ValueError; the depth
+    cap is left to the callers that enumerate a level.
     """
     if l < 0:
         raise ValueError(f"depth must be >= 0, got {l}")
@@ -230,18 +247,11 @@ def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: 
     tks, oks = _level_maps(seq, l, beta_over_alpha)
     # Level k's [T_1 T_2 T_3], (2, 6), as ``_level_products`` takes them.
     wide = tks.transpose(0, 2, 1, 3).reshape(l, 2, 6)
-    lin, off, first = np.eye(2)[None, :, :], np.zeros((1, 2)), 0
-    yield first, lin, off
-    for k in range(1, l + 1):
-        # The level-k ancestors of the range, [lo, hi); their parents are the rows of lin.
-        lo, hi = start // 3 ** (l - k), -(-stop // 3 ** (l - k))
-        rows = slice(lo - 3 * first, hi - 3 * first)
-        # lin @ T and lin @ o + off for each row and each of the level's three maps.
-        lin, off = (
-            _level_products(lin, wide[k - 1])[rows],
-            (_images(lin, oks[k - 1]) + off[:, None, :]).reshape(-1, 2)[rows],
-        )
-        first = lo
+    lin, off = np.eye(2)[None, :, :], np.zeros((1, 2))
+    yield 0, lin, off
+    for k, (first, rows) in enumerate(_ancestors(l, start, stop)):
+        # lin @ T and lin @ o + off for each parent row and each of the level's three maps.
+        lin, off = _level_products(lin, wide[k])[rows], (_images(lin, oks[k]) + off[:, None, :]).reshape(-1, 2)[rows]
         yield first, lin, off
 
 
@@ -259,13 +269,12 @@ def word_table(seq: ParamSeq, l: int):
     """Batched affine parts of all depth-l compositions, in word order.
 
     Returns (lin, off): arrays of shape (3^l, 2, 2) and (3^l, 2) such that
-    row word_index(w) holds the linear part and offset of F_w, the last
-    level of ``_word_levels`` over the whole range.  Arrays are read-only;
-    callers must copy before mutating.  A depth past the cap raises
+    row word_index(w) holds the linear part and offset of F_w, the
+    ``_word_rows`` read of the whole range.  Arrays are read-only; callers
+    must copy before mutating.  A depth past the cap raises
     DepthCapExceeded.
     """
-    _require_depth(l)
-    *_, (_, lin, off) = _word_levels(seq, l, 0, 3**l)
+    lin, off = _word_rows(seq, l, 0, 3**l)
     lin.flags.writeable = False
     off.flags.writeable = False
     return lin, off
@@ -370,45 +379,19 @@ def _carrier_count(l: int, cell_rows: int = 1) -> int:
     return cell_rows * 3**l + 3 * (3**l - 1) // 2
 
 
-def _prefix_rows(seq: ParamSeq, spans) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The prefix maps (lin, off) of the cable spans (s, a, b), the depth-(s - 1) words a // 3 ..
-    ceil(b / 3) - 1: one ``_word_levels`` walk to the deepest prefix level per run of spans whose
-    descendants there overlap, as whole generations and the head of the next do."""
-    prefixes = [(s - 1, a // 3, -(-b // 3)) for s, a, b in spans]
-    deepest = max([k for k, _, _ in prefixes], default=0)
-    # Each span's descendants [lo, hi) at the deepest level, in order of lo.
-    reach = sorted((lo * 3 ** (deepest - k), hi * 3 ** (deepest - k), i) for i, (k, lo, hi) in enumerate(prefixes))
-    out = [None] * len(spans)
-    while reach:
-        lo, hi, _ = reach[0]
-        served = []
-        while reach and reach[0][0] <= hi:
-            _, top, i = reach.pop(0)
-            hi, served = max(hi, top), served + [i]
-        levels = list(_word_levels(seq, deepest, lo, hi))
-        for i in served:
-            k, first_word, stop_word = prefixes[i]
-            first, lin, off = levels[k]
-            out[i] = lin[first_word - first : stop_word - first], off[first_word - first : stop_word - first]
-    return out
-
-
 def _carrier_walk(seq: ParamSeq, l: int, start: int, stop: int, cell_rows: int = 1):
     """Rows start..stop-1 of a depth-l carrier table, ``cell_rows`` rows per cell (generation
     s = 0) then the 3^s cables of each generation s in (prefix, slot) order, as spans (s, a, b,
-    lin, off): rows a..b-1 of generation s with the maps of the cells a // cell_rows ..
-    ceil(b / cell_rows) - 1 (``_word_rows``) or of the prefixes a // 3 .. ceil(b / 3) - 1
-    (``_prefix_rows``), each with the bits of its ``word_table`` row."""
-    spans, first = [], 0
+    lin, off): rows a..b-1 of generation s with the ``_word_rows`` read of the cells
+    a // cell_rows .. ceil(b / cell_rows) - 1, or of the depth-(s - 1) prefixes a // 3 ..
+    ceil(b / 3) - 1, so each has the bits of its ``word_table`` row."""
+    first = 0
     for s, size in enumerate([cell_rows * 3**l] + [3**s for s in range(1, l + 1)]):
         if max(start, first) < min(stop, first + size):
-            spans.append((s, max(start - first, 0), min(stop - first, size)))
+            a, b = max(start - first, 0), min(stop - first, size)
+            depth, per = (l, cell_rows) if s == 0 else (s - 1, 3)
+            yield (s, a, b, *_word_rows(seq, depth, a // per, -(-b // per)))
         first += size
-    if spans and spans[0][0] == 0:
-        _, a, b = spans.pop(0)
-        yield (0, a, b, *_word_rows(seq, l, a // cell_rows, -(-b // cell_rows)))
-    for span, maps in zip(spans, _prefix_rows(seq, spans)):
-        yield (*span, *maps)
 
 
 #: Columns of the edge table: the edge's (generation, word, slot), prefactor, start, end and velocity.

@@ -45,6 +45,7 @@ from .energy import _fsum, _moment_terms, resolve_quadrature
 from .errors import DegenerateCable, PrefactorUnderflow, TermOverflow
 from .geometry import (
     DEFAULT_DEPTH_CAP,
+    _ancestors,
     _cable_stack,
     _images,
     _ranges,
@@ -161,16 +162,12 @@ def _small_eigenvalues(taus: np.ndarray, l: int) -> np.ndarray:
 def _linears(l: int, start: int, stop: int) -> np.ndarray:
     """Products P_w of the level factors for the length-l words start..stop-1,
     lexicographic, multiplied in longdouble and rounded once.  Only the
-    ancestors of the range are multiplied, a level at a time, so each row has
-    the bits it has in the whole table and the transient memory is set by the
-    range."""
-    out = np.eye(2, dtype=np.longdouble)[None, :, :]
-    first = 0  # index of out[0] among the words of its length
-    for k in range(1, l + 1):
-        # The level-k ancestors of the range, [lo, hi); their parents are the rows of out.
-        lo, hi = start // 3 ** (l - k), -(-stop // 3 ** (l - k))
-        out = _product2(out[:, None], _LEVEL_FACTORS).reshape(-1, 2, 2)[lo - 3 * first : hi - 3 * first]
-        first = lo
+    range's ancestors (``geometry._ancestors``) are multiplied, a level at a
+    time, so each row has the bits it has in the whole table and the
+    transient memory is set by the range."""
+    out, first = np.eye(2, dtype=np.longdouble)[None, :, :], 0
+    for first, rows in _ancestors(l, start, stop):
+        out = _product2(out[:, None], _LEVEL_FACTORS).reshape(-1, 2, 2)[rows]
     return np.asarray(out[start - first : stop - first], np.float64)
 
 

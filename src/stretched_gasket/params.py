@@ -152,11 +152,6 @@ class ParamSeq:
         terms.append(-self.tail.c * self.tail.r ** (m + self.tail.skipped) / (1.0 - self.tail.r))
         return math.fsum(terms)
 
-    @property
-    def has_tail_product(self) -> bool:
-        """True when the infinite product of eps_i is positive."""
-        return isinstance(self.tail, ExpTail)
-
     def delta(self) -> float:
         """Lower bound for every eps_tilde_inf(s): the full product (s = 1)."""
         return self.eps_tilde_inf(1)
@@ -188,19 +183,6 @@ class ParamSeq:
             tail = ExpTail(tail.c, tail.r)
             object.__setattr__(tail, "skipped", self.tail.skipped + 1)
         return ParamSeq(prefix=self.prefix[1:], tail=tail)
-
-    def validate_strict(self, depth: int) -> None:
-        """Check eps_i < 5/6 (contraction entries below 1/2) for i <= depth.
-
-        The strict small-parameter regime is incompatible with a positive
-        infinite product (it forces the product to zero), so the check is
-        offered per finite index range rather than at construction.
-        """
-        for i in range(1, depth + 1):
-            if self.eps(i) >= 5.0 / 6.0:
-                raise ValueError(
-                    f"strict validation failed: eps_{i} = {self.eps(i):.6f} >= 5/6"
-                )
 
     def describe(self) -> dict:
         """JSON-friendly description of the sequence."""

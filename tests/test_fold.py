@@ -27,7 +27,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stretched_gasket import (
@@ -35,6 +35,7 @@ from stretched_gasket import (
     ExpTail,
     GasketError,
     ParamSeq,
+    Poly2,
     QuadratureRule,
     cable_segments,
     convergence_rows,
@@ -46,6 +47,7 @@ from stretched_gasket import (
     parse,
     recurrence_residual,
     selfsimilar_residual,
+    sup_bounds,
     triple,
     vanishing_at_ABC,
     vanishing_cubic,
@@ -231,6 +233,32 @@ def test_symmetry_is_exact_for_folded_forms(rng):
             assert (a.e1, a.e2, a.total) == (b.e1, b.e2, b.total)
 
 
+#: Fields of degree <= 5 with coefficients of size 1e-3 to 1: the squares of smaller ones can
+#: underflow into the subnormals, where each side's rounding is no longer relative.
+FIELDS_5 = st.dictionaries(
+    st.sampled_from([(m, n) for m in range(6) for n in range(6 - m)]), st.floats(-1.0, 1.0).filter(lambda c: abs(c) >= 1e-3)
+).map(Poly2)
+#: The property sequences, constant tails and the edge sequence.
+ANY_TAIL = st.one_of(SEQUENCES, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(ParamSeq.constant), st.just(EDGE_SEQ))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seq=ANY_TAIL, r=FIELDS_5, l=st.integers(0, 8))
+@example(seq=EDGE_SEQ, r=parse("x^5 - 0.5*x^2*y^3 + y^4 - y"), l=8)
+def test_energy_is_bounded_by_the_sup_gradient(seq, r, l):
+    # E_l(r, r) <= G^2 (E_l(x, x) + E_l(y, y)) for G = sup_bounds(r)[0]: each line energy is
+    # at most |grad r|^2 |z'|^2 times its positive weight, and every edge lies in the box
+    # that sup_bounds covers.  The ratio of the two sides reaches 1/2 for a linear field
+    # where E_l(x, x) = E_l(y, y).
+    g = sup_bounds(r)[0]
+    try:
+        field = energy_total(seq, l, r, r).total
+        coordinates = math.fsum(energy_total(seq, l, p, p).total for p in (parse("x"), parse("y")))
+    except GasketError:
+        assume(False)
+    assert field <= g * g * coordinates
+
+
 # -- depth sweeps ----------------------------------------------------------
 
 SWEEP_U = parse("x^2 - 0.5*x*y + y^3")
@@ -384,7 +412,7 @@ def _outputs(seq, quad=None):
     """Forms that read every kind of table: (1, 1) and (2, 0) Grams, finite and limit windows."""
     v = vanishing_cubic()
     out = [energy_total(seq, 6, SWEEP_U, v, quad), ibp_table(seq, SWEEP_U, v, (2, 5), quad), weak_pairing(seq, 4, SWEEP_U, v, quad=quad)]
-    return out + [energy2_limit(seq, SWEEP_U, v, 5, quad)] if seq.has_tail_product else out
+    return out + [energy2_limit(seq, SWEEP_U, v, 5, quad)] if isinstance(seq.tail, ExpTail) else out
 
 
 def _cold(seq, quad=None):

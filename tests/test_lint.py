@@ -1,6 +1,7 @@
 """Lint step: no module of the package or of the tests imports a name it never uses, every
 top-level function or class of the package has a use, every exported name has one
-outside its own module, and the enumerating paths make no stacked per-row products."""
+outside its own module, the enumerating paths make no stacked per-row products, and a row
+range's ancestors are worked out in one place."""
 
 import ast
 import re
@@ -146,6 +147,44 @@ def test_one_object_reads_make_no_products_of_their_own():
     # word_point and teplyaev map their point as a one-row geometry._images table, gibbs_tau
     # is a row of kusuoka._linears and cable_mass a row of _cable_directions.
     assert _package_products(ONE_ROW_FUNCTIONS) == []
+
+
+#: The functions of src/ that may read each range-walk function: a row range's ancestors are
+#: worked out in ``geometry._ancestors`` alone, and every range read of map rows goes through
+#: ``_word_rows``; ``compose`` (one row of any length) and ``_vertex_blocks`` (every level) walk
+#: ``_word_levels`` themselves.
+RANGE_WALK_READERS = {
+    "_ancestors": {"geometry._word_levels", "kusuoka._linears"},
+    "_word_levels": {"geometry._word_rows", "geometry.compose", "harmonicity._vertex_blocks"},
+}
+
+
+def readers(sources: dict[str, str], name: str) -> list[str]:
+    """module.function of every top-level function or class of ``sources`` (module -> text) that
+    reads ``name``, nested functions included, and module:line of every other top-level
+    statement that does."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if name in references(node):
+                named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                found.append(f"{module}.{node.name}" if named else f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_range_walk_readers_are_found():
+    # An import binds no read; a nested function, an attribute read and an alias are reads.
+    sources = {
+        "a": "def _walk():\n    pass\n\n\ndef rows():\n    return _walk()\n\n\nstep = _walk\n",
+        "b": "from a import _walk\nimport a\n\n\ndef f():\n    def g():\n        return a._walk()\n\n    return g\n",
+    }
+    assert readers(sources, "_walk") == ["a.rows", "a:9", "b.f"]
+
+
+def test_a_row_range_is_walked_in_one_place():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: [f for f in readers(sources, name) if f not in allowed] for name, allowed in RANGE_WALK_READERS.items()}
+    assert found == {name: [] for name in RANGE_WALK_READERS}
 
 
 #: The vertex-path functions, by module, whose row gathers go through ``np.take`` or ``np.compress``.

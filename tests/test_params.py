@@ -65,7 +65,7 @@ def test_eps_tilde_inf_closed_form():
 
 
 def test_constant_tail_has_no_infinite_product():
-    assert not CONSTANT_HALF.has_tail_product
+    assert not isinstance(CONSTANT_HALF.tail, ExpTail)
     with pytest.raises(TailProductZero):
         CONSTANT_HALF.eps_tilde_inf(1)
     with pytest.raises(TailProductZero):
@@ -127,12 +127,6 @@ def test_validation_rejects_out_of_range():
         ExpTail(0.1, 1.0)
     with pytest.raises(ValueError):
         ParamSeq.constant(1.0)
-
-
-def test_validate_strict_window():
-    ParamSeq.constant(0.8).validate_strict(6)
-    with pytest.raises(ValueError):
-        ParamSeq.constant(0.9).validate_strict(3)
 
 
 def test_seq_from_mapping_roundtrip():
