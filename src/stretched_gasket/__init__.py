@@ -51,13 +51,11 @@ from .scalarfield import (
 )
 from .energy import (
     EnergyReport,
-    QuadratureRule,
     cable_tail_bound,
     convergence_rows,
     energy1,
     energy2_limit,
     energy_total,
-    get_quadrature,
     recurrence_residual,
     selfsimilar_residual,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "ParamSeq",
     "Poly2",
     "PolyParseError",
-    "QuadratureRule",
     "StarNotClosed",
     "TailProductZero",
     "TermOverflow",
@@ -118,7 +115,6 @@ __all__ = [
     "energy2_limit",
     "energy_total",
     "energy_via_measure",
-    "get_quadrature",
     "gibbs_tau",
     "harmonic_report",
     "harmonic_residual",

@@ -257,8 +257,8 @@ def _write_edges_json(fh, depth, a, block):
 
 
 def _one_file(out: str | None, json_out: str | None) -> bool:
-    """Whether ``json_out`` names the SVG's file, ``out`` or else stdout, by its path or by another
-    name (a hard link, /dev/stdout); /dev/null may take both."""
+    """Whether ``json_out`` names the main output's file, ``out`` or else stdout, by its path or by
+    another name (a hard link, /dev/stdout); /dev/null may take both."""
     if json_out is None or os.path.exists(json_out) and os.path.samefile(json_out, os.devnull):
         return False
     if out is not None and os.path.realpath(out) == os.path.realpath(json_out):
@@ -270,9 +270,7 @@ def _one_file(out: str | None, json_out: str | None) -> bool:
 
 def cmd_geometry(seq, *, depth, shade, out, json_out) -> int:
     """SVG and JSON edge export, the edge rows built once every prefactor is checked and each
-    range of them written to both files, which are open together; one file for both is refused."""
-    if _one_file(out, json_out):
-        return _fail(f"--out and --json name the same file: {json_out}")
+    range of them written to both files, which are open together."""
     kappas = kus_mod.kappa_table(depth) if shade else None
     _require_edges(seq, depth)
     with _output(out) as fh, contextlib.nullcontext() if json_out is None else _output(json_out) as side:
@@ -561,6 +559,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         seq, values = _option_values(args, read_config(args.config) if args.config else {})
+        # geometry writes both files at once, kusuoka one after the other: each needs two files.
+        if _one_file(values["out"], values.get("json_out")):
+            return _fail(f"--out and --json name the same file: {values['json_out']}")
         return _COMMANDS[args.command](seq, **values)
     except PolyParseError as exc:
         return _fail(f"bad expression at position {exc.position}: {exc}")

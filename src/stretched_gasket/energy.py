@@ -30,34 +30,34 @@ costs O(3^l) and a backward fold of the forms (the pass's adjoint, kept as
 a test oracle) O(l D^3) per depth.
 
 Level k's three pullbacks and its cable Grams depend on eps_k alone, the
-side Grams on nothing but the degree and the rule, so every pass reads
-them from one table cache (``_TABLES``): a level's entry is keyed on
-(log eps_k, d, rule), the side's on (d, rule), the rule by its node and
-weight bytes, and least recently used entries leave once the tables
-held pass ``_TABLE_BUDGET`` (64 MiB).  The same cache keeps each top
-moment's chain: the entry of a top M_0 is keyed on the value bytes of
-its entries (``_chain_key``, the padding of an x87 longdouble left out)
-and d, and holds the moments M_0..M_k with the log eps_1..eps_k they
-were pushed through.  A pass resumes from the longest stored prefix
-whose logs equal its own, pushes only the levels beyond it (lam_k is
-checked on each of them) and stores the extended chain once the pass
-has finished; a chain larger than the budget is neither copied nor
-kept.  A stored moment is the value the pass computes from the same
-top and levels, so the bits do not move.  A pass builds whatever it misses
-in stacked evaluations, not one level at a time: the pullbacks of every
-missing level in one pass over the monomials, and their cable Grams (and
-the side Grams) from one evaluation of the monomial jets per derivative
-order and one batched product; the bits are those of the per-map and
-per-generation products, so a result does not depend on what the cache
-holds.  Before allocating, a pass estimates its dense working set (D x D
-tables and moments) and refuses one above ``_PASS_BUDGET`` (512 MiB)
-with ``WorkingSetTooLarge``.  The Gram entries are integrals of
-derivatives along straight segments, evaluated with the caller's Gauss
-rule, so every rule gives the numbers the edge sum gives; the rule must
-be exact for the field degrees (``min_quad_order``).
-The contraction uses exact compensated summation (math.fsum), and the
-symmetrized moment has the same bits for (u, v) and (v, u), so
-E(u, v) == E(v, u) exactly.
+side Grams on nothing but the degree and the Gauss order, so every pass
+reads them from one table cache (``_TABLES``): a level's entry is keyed
+on (log eps_k, d, order), the side's on (d, order), and least recently
+used entries leave once the tables held pass ``_TABLE_BUDGET`` (64 MiB).
+The same cache keeps each top moment's chain: the entry of a top M_0 is
+keyed on the value bytes of its entries (``_chain_key``, the padding of
+an x87 longdouble left out) and d, and holds the moments M_0..M_k with
+the log eps_1..eps_k they were pushed through.  A pass resumes from the
+longest stored prefix whose logs equal its own, pushes only the levels
+beyond it (lam_k is checked on each of them) and stores the extended
+chain once the pass has finished; a chain larger than the budget is
+neither copied nor kept.  A stored moment is the value the pass computes
+from the same top and levels, so the bits do not move.  A pass builds
+whatever it misses in stacked evaluations, not one level at a time: the
+pullbacks of every missing level in one pass over the monomials, and
+their cable Grams (and the side Grams) from one evaluation of the
+monomial jets per derivative order and one batched product; the bits are
+those of the per-map and per-generation products, so a result does not
+depend on what the cache holds.  Before allocating, a pass estimates its
+dense working set (D x D tables and moments) and refuses one above
+``_PASS_BUDGET`` (512 MiB) with ``WorkingSetTooLarge``.  The Gram entries
+are integrals of polynomial derivatives along straight segments, so any
+Gauss rule exact for the field degrees gives them up to rounding.  The
+pass picks the order itself (``_gauss_order``: the lowest exact one, at
+least 8) and builds the nodes and weights (``_gauss``) only when it
+builds a Gram, after the working-set guard has passed.  The contraction
+uses exact compensated summation (math.fsum), and the symmetrized moment
+has the same bits for (u, v) and (v, u), so E(u, v) == E(v, u) exactly.
 
 The pass has one entry, ``_moment_terms``: fields, depths and forms in
 (``_FORMS``: the energy form E, the weak pairing's (u o z)'' (v o z), the
@@ -98,72 +98,6 @@ from .geometry import (
 )
 from .params import A, ParamSeq
 from .scalarfield import Poly2, sup_bounds
-
-DEFAULT_QUAD_ORDER = 8
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Gauss-Legendre rule on [0,1], exact for degree <= 2n-1."""
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def gauss(cls, order: int = DEFAULT_QUAD_ORDER) -> "QuadratureRule":
-        if order < 1:
-            raise ValueError(f"quadrature order must be >= 1, got {order}")
-        x, w = np.polynomial.legendre.leggauss(order)
-        nodes = 0.5 * (x + 1.0)
-        weights = 0.5 * w
-        rule = cls(order, nodes, weights)
-        rule._verify()
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        return rule
-
-    def _verify(self):
-        # Monomial exactness check on every degree the rule claims.
-        for k in range(2 * self.order):
-            got = float(self.weights @ self.nodes**k)
-            want = 1.0 / (k + 1)
-            if abs(got - want) > 5e-14:
-                raise ValueError(
-                    f"quadrature self-check failed at degree {k}: {got} vs {want}"
-                )
-
-
-@functools.lru_cache(maxsize=16)
-def get_quadrature(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
-    return QuadratureRule.gauss(order)
-
-
-def min_quad_order(deg_u: int, deg_v: int) -> int:
-    """Lowest Gauss order exact for the line integrands of fields of these degrees.
-
-    Along a straight segment z, (u o z)'(v o z)' and (u o z)''(v o z) are
-    polynomials of degree deg_u + deg_v - 2 in the curve parameter, and an
-    n-point rule is exact up to degree 2n - 1.
-    """
-    return max(1, math.ceil((deg_u + deg_v - 1) / 2))
-
-
-def resolve_quadrature(quad: QuadratureRule | None, deg_u: int, deg_v: int) -> QuadratureRule:
-    """The rule to use for a field pair: ``quad`` if exact, else refuse.
-
-    ``None`` selects order max(8, min_quad_order); an explicit rule below
-    the minimum raises ValueError instead of returning a wrong integral.
-    """
-    need = min_quad_order(deg_u, deg_v)
-    if quad is None:
-        return get_quadrature(max(DEFAULT_QUAD_ORDER, need))
-    if quad.order < need:
-        raise ValueError(
-            f"quadrature order {quad.order} is below {need}, the lowest order "
-            f"exact for fields of degrees {deg_u} and {deg_v}"
-        )
-    return quad
 
 
 @dataclass(frozen=True)
@@ -290,12 +224,36 @@ def _partials(xs: np.ndarray, ys: np.ndarray, d: int, *orders: tuple[int, int]) 
     ]
 
 
-def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, quad: QuadratureRule, order: int) -> np.ndarray:
+def _gauss_order(deg_u: int, deg_v: int) -> int:
+    """The moment pass's Gauss order for fields of these degrees: the lowest exact one, at least 8.
+
+    Along a straight segment z, (u o z)'(v o z)' and (u o z)''(v o z) are
+    polynomials of degree deg_u + deg_v - 2 in the curve parameter, and an
+    n-point rule is exact up to degree 2n - 1.
+    """
+    return max(8, math.ceil((deg_u + deg_v - 1) / 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``points``-point Gauss-Legendre rule on [0, 1], checked on
+    every monomial degree the rule claims to integrate exactly (<= 2 points - 1)."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    for k in range(2 * points):
+        got, want = float(weights @ nodes**k), 1.0 / (k + 1)
+        if abs(got - want) > 5e-14:
+            raise ValueError(f"quadrature self-check failed at degree {k}: {got} vs {want}")
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, nodes: np.ndarray, order: int) -> np.ndarray:
     """order-th t-derivative of every basis monomial along each segment p0 + t dv.
 
-    Shape (D, S * nodes), segment-major, at the Gauss nodes.
+    Shape (D, S * nodes), segment-major, at the quadrature ``nodes`` on [0, 1].
     """
-    ts = quad.nodes.astype(_EXT)
+    ts = nodes.astype(_EXT)
     p0 = p0.astype(_EXT) - _CENTER
     dv = dv.astype(_EXT)
     xs = (p0[:, 0:1] + dv[:, 0:1] * ts).ravel()
@@ -311,13 +269,14 @@ def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, quad: QuadratureRule, 
     return dx * dx * pxx + 2.0 * dx * dy * pxy + dy * dy * pyy
 
 
-def _grams(seq: ParamSeq, groups: list[int], d: int, quad: QuadratureRule, pairs) -> dict:
+def _grams(seq: ParamSeq, groups: list[int], d: int, points: int, pairs) -> dict:
     """Gram stacks of segment groups for each derivative-order pair, from stacked evaluations.
 
     Group 0 is the three sides of a cell (listed first when present),
     group k >= 1 the three generation-k cables.  Returns, for each (left,
     right) of ``pairs``, a (len(groups), D, D) stack, each Gram summing
-    over its segments the quadrature of (m_a o z)^(left) (m_b o z)^(right).
+    over its segments the ``points``-point Gauss quadrature of
+    (m_a o z)^(left) (m_b o z)^(right).
     One ``_segment_jets`` evaluation per derivative order serves every
     group and pair, and one batched product gives every group's Gram.
     """
@@ -326,11 +285,12 @@ def _grams(seq: ParamSeq, groups: list[int], d: int, quad: QuadratureRule, pairs
         side_p0, side_dv = _side_arrays()
         p0, dv = np.concatenate([side_p0[None], p0]), np.concatenate([side_dv[None], dv])
     p0, dv = p0.reshape(-1, 2), dv.reshape(-1, 2)
+    nodes, weights = _gauss(points)
     jets = {
-        order: _segment_jets(p0, dv, d, quad, order).reshape(_dim(d), len(groups), -1).transpose(1, 0, 2)
+        order: _segment_jets(p0, dv, d, nodes, order).reshape(_dim(d), len(groups), -1).transpose(1, 0, 2)
         for order in {o for pair in pairs for o in pair}
     }
-    w = np.tile(quad.weights.astype(_EXT), 3)
+    w = np.tile(weights.astype(_EXT), 3)
     return {(left, right): (jets[left] * w) @ jets[right].transpose(0, 2, 1) for left, right in pairs}
 
 
@@ -397,15 +357,6 @@ def _require_budget(d: int, matrices: int) -> None:
         )
 
 
-def _rule_key(quad: QuadratureRule) -> tuple:
-    """A rule's nodes and weights as dtype and bytes, never its order alone.
-
-    The rule's own arrays, not a longdouble copy: the padding bytes of a
-    converted longdouble array are not defined.
-    """
-    return tuple((arr.dtype.str, arr.tobytes()) for arr in (quad.nodes, quad.weights))
-
-
 #: Bytes of a longdouble's value: the x87 80-bit format (64-bit significand,
 #: little-endian) fills 10 of its 12 or 16 bytes and leaves the rest as
 #: padding, which no operation defines.
@@ -423,7 +374,7 @@ def _shared_levels(stored, logs: list[float]) -> int:
     return next((k for k, (a, b) in enumerate(zip(stored, logs)) if a != b), min(len(stored), len(logs)))
 
 
-def _level_tables(seq: ParamSeq, logs: list[float], d: int, quad: QuadratureRule, pairs) -> tuple[dict, list[dict]]:
+def _level_tables(seq: ParamSeq, logs: list[float], d: int, points: int, pairs) -> tuple[dict, list[dict]]:
     """The side Grams and, for each level k = 1..len(logs), its pullbacks and cable Grams.
 
     ``logs[k - 1]`` is log eps_k.  Returns (side, levels): ``side`` maps
@@ -432,10 +383,9 @@ def _level_tables(seq: ParamSeq, logs: list[float], d: int, quad: QuadratureRule
     ``_TABLES``; the missing ones are built together, in one ``_pullback``
     call and one ``_grams`` evaluation, once per distinct key, and stored.
     A level is keyed on log eps_k, not eps_k, because its cable length
-    1 - eps_k is expm1 of it.
+    1 - eps_k is expm1 of it, and on the Gauss order ``points`` of its Grams.
     """
-    rule = _rule_key(quad)
-    keys = [(d, rule)] + [(log, d, rule) for log in logs]
+    keys = [(d, points)] + [(log, d, points) for log in logs]
     found = dict(zip(keys, (_TABLES.get(key) for key in keys)))
     # Group 0 is the side, group k level k; the first level of a key stands for it.
     pull_groups, gram_groups = {}, {}
@@ -452,7 +402,7 @@ def _level_tables(seq: ParamSeq, logs: list[float], d: int, quad: QuadratureRule
             new[key]["pullbacks"] = pulls.copy()
     if gram_groups:
         missing = [pair for pair in pairs if any(pair not in found[key] for key in gram_groups)]
-        grams = _grams(seq, list(gram_groups.values()), d, quad, missing)
+        grams = _grams(seq, list(gram_groups.values()), d, points, missing)
         for i, key in enumerate(gram_groups):
             new[key].update({pair: grams[pair][i].copy() for pair in missing})
     for key, tables in new.items():
@@ -497,7 +447,7 @@ def _fsum(terms) -> float:
         raise TermOverflow("a sum of form terms overflows the double range") from None
 
 
-def _contractions(seq, depths, d, quad, tops, forms, *, limit=False):
+def _contractions(seq, depths, d, points, tops, forms, *, limit=False):
     """Elementwise contractions of stacked forms at every depth, from one moment pass.
 
     ``tops`` (F, D, D) are top moments and ``forms`` F pairs (cell form,
@@ -506,10 +456,10 @@ def _contractions(seq, depths, d, quad, tops, forms, *, limit=False):
     the depth-l moment of tops[f] and the generation-k cable Gram of orders
     (left, right), at weight w(k, l) = b / (eps_tilde(k, l) (1 - eps_k)),
     or the infinite window for ``limit``, with its depth-(k-1) moment; the
-    tables come from ``_level_tables``.  Yields, for each depth l of
-    ``depths`` in order, the list over f of the elementwise products [cell
-    part, generation-1 part, ..., generation-l part] (``_terms`` splits
-    them for math.fsum).
+    tables come from ``_level_tables``, the Grams at Gauss order
+    ``points``.  Yields, for each depth l of ``depths`` in order, the list
+    over f of the elementwise products [cell part, generation-1 part, ...,
+    generation-l part] (``_terms`` splits them for math.fsum).
 
     Each top's moments M_0..M_{l_max} come from its stored chain as far as
     its logs agree, are pushed beyond it, and are stored as its new chain.
@@ -527,7 +477,7 @@ def _contractions(seq, depths, d, quad, tops, forms, *, limit=False):
     held = l_max + 1 if keep else 1
     _require_budget(d, l_max * (3 + len(pairs)) + len(pairs) + len(forms) * (2 + held + len(set(depths)) + l_max))
     logs = [seq.log_eps(k) for k in range(1, l_max + 1)]
-    side, levels = _level_tables(seq, logs, d, quad, pairs)
+    side, levels = _level_tables(seq, logs, d, points, pairs)
     cell_forms = [A * side[order] if cell is None else cell for cell, order in forms]
     keys = [_chain_key(top, d) for top in tops]
     stored = [_TABLES.get(key) for key in keys]
@@ -595,16 +545,17 @@ _FORMS = {
 }
 
 
-def _moment_terms(seq, depths, u, v, quad, forms=("energy",), *, limit=False):
+def _moment_terms(seq, depths, u, v, forms=("energy",), *, limit=False):
     """The one entry to the moment pass: fields in, fsum-ready terms out.
 
     Yields, for each depth of ``depths`` in order, one (cell terms, cable terms)
-    pair per named form of ``_FORMS`` (``limit``: cables at infinite windows)."""
+    pair per named form of ``_FORMS`` (``limit``: cables at infinite windows),
+    the Grams at the Gauss order ``_gauss_order`` picks for the fields."""
     d = max(u.degree, v.degree, 0)
     rows = [_FORMS[name] for name in forms]
     tops = np.concatenate([_top_moments(u, v, d, symmetric=symmetric) for symmetric, _, _ in rows])
     cells = [(None if cell is None else cell(d), order) for _, order, cell in rows]
-    for parts in _contractions(seq, depths, d, quad, tops, cells, limit=limit):
+    for parts in _contractions(seq, depths, d, _gauss_order(u.degree, v.degree), tops, cells, limit=limit):
         yield [_terms(p) for p in parts]
 
 
@@ -636,27 +587,29 @@ def _tableau(seq: ParamSeq, l: int) -> _Tableau:
 # -- the forms -------------------------------------------------------------
 
 
-def energy1(
-    seq: ParamSeq,
-    l: int,
-    u: Poly2,
-    v: Poly2,
-    quad: QuadratureRule | None = None,
-) -> float:
+def _quad_slot(quad) -> None:
+    """Refuse anything but None in a form's trailing ``quad`` slot.
+
+    The forms choose their own Gauss rule (``_gauss_order``).  The slot
+    stays on the seven functions that perfbench's library jobs call with
+    ``quad=None``, and only for those calls; it leaves with them (ROADMAP
+    item 7).
+    """
+    if quad is not None:
+        raise ValueError(f"quad takes None only, the forms choose their own Gauss rule; got {quad!r}")
+
+
+def energy1(seq: ParamSeq, l: int, u: Poly2, v: Poly2) -> float:
     """Triangle-edge part of the depth-l form: ``energy_total(...).e1``."""
-    return energy_total(seq, l, u, v, quad).e1
+    return energy_total(seq, l, u, v).e1
 
 
-def energy_total(
-    seq: ParamSeq,
-    l: int,
-    u: Poly2,
-    v: Poly2,
-    quad: QuadratureRule | None = None,
-) -> EnergyReport:
-    """Full depth-l form: triangle part, cable part and their sum (one compensated sum of all terms)."""
-    quad = resolve_quadrature(quad, u.degree, v.degree)
-    ((terms,),) = _moment_terms(seq, (l,), u, v, quad)
+def energy_total(seq: ParamSeq, l: int, u: Poly2, v: Poly2, quad=None) -> EnergyReport:
+    """Full depth-l form: triangle part, cable part and their sum (one compensated sum of all terms).
+
+    ``quad`` takes None only (``_quad_slot``)."""
+    _quad_slot(quad)
+    ((terms,),) = _moment_terms(seq, (l,), u, v)
     return _report(l, *terms)
 
 
@@ -672,60 +625,42 @@ def cable_tail_bound(seq: ParamSeq, s_max: int, gu: float, gv: float) -> float:
     return 6.0 * A * gu * gv / delta * seq.sum_one_minus_eps_from(s_max + 1)
 
 
-def energy2_limit(
-    seq: ParamSeq,
-    u: Poly2,
-    v: Poly2,
-    s_max: int,
-    quad: QuadratureRule | None = None,
-) -> tuple[float, float]:
+def energy2_limit(seq: ParamSeq, u: Poly2, v: Poly2, s_max: int) -> tuple[float, float]:
     """Limit cable form truncated at generation s_max, with a tail bound.
 
     Returns (value, tail); the tail takes the sup-gradient bounds of (u, v).
     """
-    quad = resolve_quadrature(quad, u.degree, v.degree)
-    (((_, cab),),) = _moment_terms(seq, (s_max,), u, v, quad, limit=True)
+    (((_, cab),),) = _moment_terms(seq, (s_max,), u, v, limit=True)
     return _fsum(cab), cable_tail_bound(seq, s_max, sup_bounds(u)[0], sup_bounds(v)[0])
 
 
-def _one_step(seq, l, u, v, quad, *, limit=False) -> tuple[EnergyReport, float, list[EnergyReport]]:
+def _one_step(seq, l, u, v, *, limit=False) -> tuple[EnergyReport, float, list[EnergyReport]]:
     """The one-step identity's pieces: the depth-(l+1) report of (u, v), its
     generation-1 cable sum, and the depth-l reports of the shifted sequence's
     form on u o F^1_i, v o F^1_i, i = 1, 2, 3, whose pulled-back top moments
-    are stacked into one pass on ``seq.shift()``."""
-    d = max(u.degree, v.degree, 0)
-    ((whole,),) = _contractions(seq, (l + 1,), d, quad, _top_moments(u, v, d), [(None, (1, 1))], limit=limit)
+    are stacked into one pass on ``seq.shift()``; the Grams at ``_gauss_order``."""
+    d, points = max(u.degree, v.degree, 0), _gauss_order(u.degree, v.degree)
+    ((whole,),) = _contractions(seq, (l + 1,), d, points, _top_moments(u, v, d), [(None, (1, 1))], limit=limit)
     tops = _top_moments(u, v, d, triple(seq.eps(1)))
-    (halves,) = _contractions(seq.shift(), (l,), d, quad, tops, [(None, (1, 1))] * 3, limit=limit)
+    (halves,) = _contractions(seq.shift(), (l,), d, points, tops, [(None, (1, 1))] * 3, limit=limit)
     return _report(l + 1, *_terms(whole)), _fsum(_split(whole[1])), [_report(l, *_terms(half)) for half in halves]
 
 
-def recurrence_residual(
-    seq: ParamSeq,
-    l: int,
-    u: Poly2,
-    v: Poly2,
-    quad: QuadratureRule | None = None,
-) -> float:
+def recurrence_residual(seq: ParamSeq, l: int, u: Poly2, v: Poly2, quad=None) -> float:
     """Defect of the one-step decomposition of the depth-(l+1) form.
 
     The depth-(l+1) form equals 1/lam_1 times the sum over i of the
     depth-l form of the shifted sequence applied to the pullbacks through
     F^1_i, plus the generation-1 cable sum weighted by the depth-(l+1)
-    window.  Returns the absolute defect.
+    window.  Returns the absolute defect.  ``quad`` takes None only
+    (``_quad_slot``).
     """
-    quad = resolve_quadrature(quad, u.degree, v.degree)
-    whole, cable1, halves = _one_step(seq, l, u, v, quad)
+    _quad_slot(quad)
+    whole, cable1, halves = _one_step(seq, l, u, v)
     return abs(whole.total - (_fsum([half.total for half in halves]) / seq.lam(1) + cable1))
 
 
-def selfsimilar_residual(
-    seq: ParamSeq,
-    u: Poly2,
-    v: Poly2,
-    depth: int,
-    quad: QuadratureRule | None = None,
-) -> tuple[float, float]:
+def selfsimilar_residual(seq: ParamSeq, u: Poly2, v: Poly2, depth: int, quad=None) -> tuple[float, float]:
     """Defect of the self-similar identity for the limit form, plus bound.
 
     Both sides are approximated at matched geometric resolution: the left
@@ -734,14 +669,15 @@ def selfsimilar_residual(
     depth-(depth-1) approximants of the shifted sequence with the level-1
     maps, so both resolve words of length ``depth``.  Returns
     (residual, truncation bound), the bound being the sum of the tail
-    bounds of every limit truncation involved.
+    bounds of every limit truncation involved.  ``quad`` takes None only
+    (``_quad_slot``).
     """
+    _quad_slot(quad)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    quad = resolve_quadrature(quad, u.degree, v.degree)
     shifted = seq.shift()
     gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
-    lhs, cable1, halves = _one_step(seq, depth - 1, u, v, quad, limit=True)
+    lhs, cable1, halves = _one_step(seq, depth - 1, u, v, limit=True)
     tails = [cable_tail_bound(seq, depth, gu, gv)]
     for lin in triple(seq.eps(1))[0]:
         opn = float(np.linalg.norm(lin, 2))
@@ -750,28 +686,22 @@ def selfsimilar_residual(
     return abs(lhs.e1 + lhs.e2 - rhs), _fsum(tails)
 
 
-def convergence_rows(
-    seq: ParamSeq,
-    u: Poly2,
-    v: Poly2,
-    l_max: int,
-    quad: QuadratureRule | None = None,
-) -> list[dict]:
+def convergence_rows(seq: ParamSeq, u: Poly2, v: Poly2, l_max: int, quad=None) -> list[dict]:
     """Depth sweep of the full form with increment envelopes.
 
     Row l reports E_l and delta = E_l - E_{l-1}; the envelope column
     bounds |E_{l+1} - E_l| by the cell-oscillation term (Hessian and
     gradient sup bounds times the largest cell diameter) plus the exact
     cable reweighting and one new cable generation.  Every row comes from
-    one moment pass to l_max.
+    one moment pass to l_max.  ``quad`` takes None only (``_quad_slot``).
     """
+    _quad_slot(quad)
     _require_depth(l_max)
-    quad = resolve_quadrature(quad, u.degree, v.degree)
     gu, hu = sup_bounds(u)
     gv, hv = sup_bounds(v)
     rows = []
     prev = None
-    for l, (terms,) in enumerate(_moment_terms(seq, range(l_max + 1), u, v, quad)):
+    for l, (terms,) in enumerate(_moment_terms(seq, range(l_max + 1), u, v)):
         rep = _report(l, *terms)
         diam = 0.6**l * (seq.eps_tilde(1, l) if l >= 1 else 1.0)
         om = seq.one_minus_eps(l + 1)

@@ -54,7 +54,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .energy import _fsum, _moment_terms, resolve_quadrature
+from .energy import _fsum, _moment_terms, _quad_slot
 from .errors import NonHarmonicError, StarNotClosed
 from .geometry import (
     HARMONIC_RATIO,
@@ -412,26 +412,21 @@ def _require_harmonic(seq, l):
         )
 
 
-def weak_pairing(
-    seq: ParamSeq,
-    l: int,
-    u: Poly2,
-    v: Poly2,
-    quad=None,
-) -> float:
+def weak_pairing(seq: ParamSeq, l: int, u: Poly2, v: Poly2, quad=None) -> float:
     """-sum over edges of w_e * integral (u o z)'' (v o z) dt.
 
     Equals E(u, v) for admissible v (vanishing at the base corners) on a
     harmonic pre-fractal; the arclength factors of density and measure
     cancel, leaving the parameter-space integral.  Evaluated as the
     ``pairing`` form of the energy module's moment pass, O(l D^3), and
-    summed with its overflow-guarded ``_fsum``.
+    summed with its overflow-guarded ``_fsum``.  ``quad`` takes None only
+    (``energy._quad_slot``).
     """
+    _quad_slot(quad)
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
-    quad = resolve_quadrature(quad, u.degree, v.degree)
     _require_harmonic(seq, l)
-    (((sides, cables),),) = _moment_terms(seq, (l,), u, v, quad, ("pairing",))
+    (((sides, cables),),) = _moment_terms(seq, (l,), u, v, ("pairing",))
     return -_fsum(sides + cables)
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _fsum, _moment_terms, resolve_quadrature
+from .energy import _fsum, _moment_terms, _quad_slot
 from .errors import DegenerateCable, PrefactorUnderflow, TermOverflow
 from .geometry import (
     DEFAULT_DEPTH_CAP,
@@ -326,9 +326,10 @@ def energy_via_measure(seq: ParamSeq, u: Poly2, v: Poly2, depth: int, quad=None)
     """Energy straight from the measure data at one resolution, in O(depth): the gasket half, and
     the cables' rank-one masses against the gradients by exact line quadrature with limit window
     weights (the energy module's moment pass), in one exact ``math.fsum``.  For affine fields the
-    gasket half is (grad u, (Id/2) grad v) at every depth."""
-    quad = resolve_quadrature(quad, u.degree, v.degree)
+    gasket half is (grad u, (Id/2) grad v) at every depth.  The moment pass runs first, so that its
+    working-set guard refuses a degree before the gasket half builds its dense arrays.  ``quad``
+    takes None only (``energy._quad_slot``)."""
+    _quad_slot(quad)
     _require_depth(depth)
-    gasket = _gasket_half(seq, u, v, depth)
-    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, limit=True)
-    return _fsum([gasket, *cables])
+    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, limit=True)
+    return _fsum([_gasket_half(seq, u, v, depth), *cables])

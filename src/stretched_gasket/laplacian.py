@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _fsum, _moment_terms, resolve_quadrature
+from .energy import _fsum, _moment_terms, _quad_slot
 from .geometry import (
     _cable_stack,
     _carrier_count,
@@ -108,13 +108,7 @@ def teplyaev(phi: Poly2, carrier, seq: ParamSeq) -> LaplacianSample:
     return LaplacianSample(location, carrier, t_tilde, float(value))
 
 
-def ibp_table(
-    seq: ParamSeq,
-    phi: Poly2,
-    v: Poly2,
-    depths=range(3, 9),
-    quad=None,
-) -> list[dict]:
+def ibp_table(seq: ParamSeq, phi: Poly2, v: Poly2, depths=range(3, 9), quad=None) -> list[dict]:
     """Rows (depth, energy_lhs, integral_rhs, residual) over a depth sweep.
 
     The measure side pairs the Hessian-cylinder densities at cell
@@ -122,14 +116,15 @@ def ibp_table(
     depth-window weights of the form on the energy side, so the two sides
     share one resolution.  Every row comes from one moment pass to the
     deepest depth, O(max depth) for the sweep; ``depths`` may be empty,
-    unsorted or repeated, and rows follow its order.
+    unsorted or repeated, and rows follow its order.  ``quad`` takes None
+    only (``energy._quad_slot``).
     """
+    _quad_slot(quad)
     if not vanishes_at_corners(v):
         raise ValueError(f"test function must vanish at A, B, C; corner values {corner_values(v)}")
-    quad = resolve_quadrature(quad, phi.degree, v.degree)
     depths = list(depths)
     rows = []
-    for depth, (energy, measure) in zip(depths, _moment_terms(seq, depths, phi, v, quad, ("energy", "ibp"))):
+    for depth, (energy, measure) in zip(depths, _moment_terms(seq, depths, phi, v, ("energy", "ibp"))):
         lhs, rhs = _fsum(energy[0] + energy[1]), _fsum(measure[0] + measure[1])
         rows.append(
             {"depth": depth, "energy_lhs": lhs, "integral_rhs": rhs, "residual": abs(lhs + rhs)}

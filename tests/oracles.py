@@ -20,10 +20,11 @@ package's two products, a level's GEMM and the image table, are one BLAS
 call each; their stacked per-row forms (``level_products_stacked``,
 ``images_stacked``) are the bit oracle they must reproduce.  They
 share no code with the moment pass or the gathers beyond the map
-triples, the cable segments and the quadrature rule, so agreement is a
-real cross-check.  ``fold_backward`` is the moment
-pass's adjoint: the same level pullbacks and Grams, aggregated from the
-bottom cell up.  The ``*_by_passes`` residuals run one moment pass per
+triples and the cable segments, so agreement is a real cross-check; the
+edge-by-edge routes build their Gauss rules from numpy's ``leggauss``
+(``gauss_rule``), at the moment pass's order unless a test names one.
+``fold_backward`` is the moment pass's adjoint: the same level pullbacks
+and Grams, aggregated from the bottom cell up.  The ``*_by_passes`` residuals run one moment pass per
 pulled-back field pair, where the package stacks the three into one.
 The nondegeneracy constant has two references: the
 whole-grid reduction that the blocked grid must reproduce bit for bit,
@@ -64,6 +65,7 @@ from stretched_gasket.energy import (
     _EXT,
     EnergyReport,
     _contractions,
+    _gauss_order,
     _map_pullback,
     _moment_terms,
     _plain_coeffs,
@@ -75,7 +77,6 @@ from stretched_gasket.energy import (
     _top_moments,
     cable_tail_bound,
     energy_total,
-    resolve_quadrature,
 )
 from stretched_gasket.errors import DegenerateCable, PrefactorUnderflow
 from stretched_gasket.geometry import (
@@ -234,9 +235,22 @@ def iter_words(l: int):
     return itertools.product((1, 2, 3), repeat=l)
 
 
-def energy2(seq, l, u, v, quad=None) -> float:
+def energy2(seq, l, u, v) -> float:
     """Cable part of the depth-l form: ``energy_total(...).e2``."""
-    return energy_total(seq, l, u, v, quad).e2
+    return energy_total(seq, l, u, v).e2
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``points``-point Gauss-Legendre rule on [0, 1], from numpy's
+    ``leggauss``: the one rule builder of the edge-by-edge routes."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _order(u, v, points):
+    """``points``, or the moment pass's Gauss order for (u, v) when None."""
+    return _gauss_order(u.degree, v.degree) if points is None else points
 
 
 def poly1_eval(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -384,28 +398,27 @@ class EdgeId:
     prefactor: float = 0.0
 
 
-def segment_pairing(u, v, amap, seg, quad=None) -> float:
+def segment_pairing(u, v, amap, seg, points=None) -> float:
     """Line energy of one edge: integral over [0,1] of (u o z)' (v o z)'.
 
     z is the mapped segment t -> amap(seg(t)), composed into one-variable
     polynomials.
     """
-    quad = resolve_quadrature(quad, u.degree, v.degree)
+    nodes, weights = gauss_rule(_order(u, v, points))
     du = poly1_derivative(restrict(u, amap, seg))
     dv = poly1_derivative(restrict(v, amap, seg))
-    return float((poly1_eval(du, quad.nodes) * poly1_eval(dv, quad.nodes)) @ quad.weights)
+    return float((poly1_eval(du, nodes) * poly1_eval(dv, nodes)) @ weights)
 
 
-def cable_energy(seq, s, u, v, quad=None, prefix_map=None) -> float:
+def cable_energy(seq, s, u, v, points=None, prefix_map=None) -> float:
     """Unrenormalized cable sum of one generation: b/(1-eps_s) times the
     line energies of the three generation-s cables under an explicit
     prefix map (default: identity, the cables of the top-level cell).
     """
-    quad = resolve_quadrature(quad, u.degree, v.degree)
     if seq.one_minus_eps(s) == 0.0:
         raise DegenerateCable(f"eps_{s} = 1: cables have length zero")
     amap = prefix_map or AffineMap2.identity()
-    vals = [segment_pairing(u, v, amap, sg, quad) for sg in cable_objects(seq, s)]
+    vals = [segment_pairing(u, v, amap, sg, points) for sg in cable_objects(seq, s)]
     return _A / seq.one_minus_eps(s) * math.fsum(vals)
 
 
@@ -416,9 +429,9 @@ def _transform(p0, dv, outer):
     return p0 @ lin.T + off, dv @ lin.T
 
 
-def _pairings(u, v, p0, dv, quad) -> np.ndarray:
+def _pairings(u, v, p0, dv, points) -> np.ndarray:
     """Per-edge line energies for a block of edges, in block order."""
-    ts = quad.nodes
+    ts, weights = gauss_rule(_order(u, v, points))
     xs = p0[:, 0][:, None] + dv[:, 0][:, None] * ts[None, :]
     ys = p0[:, 1][:, None] + dv[:, 1][:, None] * ts[None, :]
     gux, guy = grad_batch(u, xs, ys)
@@ -428,11 +441,11 @@ def _pairings(u, v, p0, dv, quad) -> np.ndarray:
     else:
         gvx, gvy = grad_batch(v, xs, ys)
         dvv = gvx * dv[:, 0][:, None] + gvy * dv[:, 1][:, None]
-    return (du * dvv) @ quad.weights
+    return (du * dvv) @ weights
 
 
-def energy_by_edges(seq, l, u, v, quad, outer=None):
-    """The depth-l form edge by edge from the batched edge tableau.
+def energy_by_edges(seq, l, u, v, points=None, outer=None):
+    """The depth-l form edge by edge from the batched edge tableau, at Gauss order ``points``.
 
     Returns (report, edges): the EnergyReport of the compensated sums and
     every (EdgeId, weighted line energy) in canonical edge order (triangle
@@ -440,34 +453,35 @@ def energy_by_edges(seq, l, u, v, quad, outer=None):
     """
     tab = _tableau(seq, l)
     p0, dv = _transform(tab.tri_p0, tab.tri_dv, outer)
-    tri_list = (triangle_edge_prefactor(seq, l) * _pairings(u, v, p0, dv, quad)).tolist()
+    tri_list = (triangle_edge_prefactor(seq, l) * _pairings(u, v, p0, dv, points)).tolist()
     cab_list = []
     for s in range(1, l + 1):
         p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
-        cab_list += (cable_prefactor(seq, s, l) * _pairings(u, v, p0, dv, quad)).tolist()
+        cab_list += (cable_prefactor(seq, s, l) * _pairings(u, v, p0, dv, points)).tolist()
     ids = edge_ids(seq, l)
     report = EnergyReport(l, math.fsum(tri_list), math.fsum(cab_list), math.fsum(tri_list + cab_list))
     return report, tuple(zip(ids, tri_list + cab_list))
 
 
-def energy2_limit_by_edges(seq, s_max, u, v, quad, outer=None):
+def energy2_limit_by_edges(seq, s_max, u, v, points=None, outer=None):
     """Limit cable form truncated at s_max, summed cable by cable."""
     tab = _tableau(seq, s_max)
     vals = []
     for s in range(1, s_max + 1):
         p0, dv = _transform(tab.cab_p0[s - 1], tab.cab_dv[s - 1], outer)
-        vals += (cable_prefactor_limit(seq, s) * _pairings(u, v, p0, dv, quad)).tolist()
+        vals += (cable_prefactor_limit(seq, s) * _pairings(u, v, p0, dv, points)).tolist()
     return math.fsum(vals)
 
 
-def segment_form(p0, dv, d, quad, left: int, right: int) -> np.ndarray:
-    """Gram of one group of segments: the sum over them of the quadrature of
-    (m_a o z)^(left) (m_b o z)^(right), one 2-D product per group."""
-    w = np.tile(quad.weights.astype(_EXT), len(p0))
-    return (_segment_jets(p0, dv, d, quad, left) * w) @ _segment_jets(p0, dv, d, quad, right).T
+def segment_form(p0, dv, d, points, left: int, right: int) -> np.ndarray:
+    """Gram of one group of segments: the sum over them of the ``points``-point Gauss
+    quadrature of (m_a o z)^(left) (m_b o z)^(right), one 2-D product per group."""
+    nodes, weights = gauss_rule(points)
+    w = np.tile(weights.astype(_EXT), len(p0))
+    return (_segment_jets(p0, dv, d, nodes, left) * w) @ _segment_jets(p0, dv, d, nodes, right).T
 
 
-def fold_backward(seq, l, u, v, quad) -> EnergyReport:
+def fold_backward(seq, l, u, v, points=None) -> EnergyReport:
     """The depth-l form by folding cell forms from depth l up to the top cell.
 
     The adjoint of the package's forward moment pass: starting from the
@@ -476,58 +490,63 @@ def fold_backward(seq, l, u, v, quad) -> EnergyReport:
     fields meet the folded forms only at the top.  Each depth pays its own
     O(l D^3) fold and rebuilds every cable Gram.
     """
-    d = max(u.degree, v.degree, 0)
-    sides = _A * segment_form(*_side_arrays(), d, quad, 1, 1)
+    d, points = max(u.degree, v.degree, 0), _order(u, v, points)
+    sides = _A * segment_form(*_side_arrays(), d, points, 1, 1)
     forms = np.stack([sides, np.zeros_like(sides)])
     for k in range(l, 0, -1):
         pulls = [_map_pullback(lin, off, d) for lin, off in zip(*triple(seq.eps(k)))]
         forms = np.stack([sum(np.dot(p.T, np.dot(h, p)) for p in pulls) for h in forms]) / _EXT(seq.lam(k))
         weight = _A / (seq.eps_tilde(k, l) * seq.one_minus_eps(k))
-        forms[1] += weight * segment_form(*cable_segments(seq, k), d, quad, 1, 1)
+        forms[1] += weight * segment_form(*cable_segments(seq, k), d, points, 1, 1)
     pullback = _map_pullback(np.eye(2), np.zeros(2), d, from_plain=True)
     cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
     tri, cab = [_split(0.5 * (h + h.T) * np.outer(cu, cv)) for h in forms]
     return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
 
 
-def _energy_rows(seq, depths, u, v, quad, outer=None, *, limit=False):
+def _energy_rows(seq, depths, u, v, points=None, outer=None, *, limit=False):
     """[triangle part, generation-1 cable part, ...] of the energy form on
-    (u o outer, v o outer) at every depth, one moment pass per call
-    (``limit``: infinite windows)."""
+    (u o outer, v o outer) at every depth, one moment pass per call at
+    Gauss order ``points`` (``limit``: infinite windows)."""
     d = max(u.degree, v.degree, 0)
     tops = _top_moments(u, v, d, None if outer is None else (outer[0][None], outer[1][None]))
-    for (parts,) in _contractions(seq, depths, d, quad, tops, [(None, (1, 1))], limit=limit):
+    for (parts,) in _contractions(seq, depths, d, _order(u, v, points), tops, [(None, (1, 1))], limit=limit):
         yield parts
 
 
-def recurrence_residual_by_passes(seq, l, u, v, quad=None) -> float:
+def energy_at_order(seq, l, u, v, points) -> EnergyReport:
+    """The depth-l form from one moment pass whose Grams take the ``points``-point Gauss rule,
+    which the public forms choose themselves (``energy._gauss_order``)."""
+    (parts,) = _energy_rows(seq, (l,), u, v, points)
+    return _report(l, *_terms(parts))
+
+
+def recurrence_residual_by_passes(seq, l, u, v) -> float:
     """The one-step recurrence defect from four separate moment passes.
 
     One pass for the depth-(l+1) form and one on the shifted sequence for
     each pulled-back pair (u o F^1_i, v o F^1_i), where the package stacks
     the three into one pass.
     """
-    quad = resolve_quadrature(quad, u.degree, v.degree)
-    (whole,) = _energy_rows(seq, (l + 1,), u, v, quad)
+    (whole,) = _energy_rows(seq, (l + 1,), u, v)
     parts = [
         _report(l, *_terms(half)).total
         for f in zip(*triple(seq.eps(1)))
-        for half in _energy_rows(seq.shift(), (l,), u, v, quad, f)
+        for half in _energy_rows(seq.shift(), (l,), u, v, outer=f)
     ]
     rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
     return abs(_report(l + 1, *_terms(whole)).total - rhs)
 
 
-def selfsimilar_residual_by_passes(seq, u, v, depth, quad=None) -> tuple[float, float]:
+def selfsimilar_residual_by_passes(seq, u, v, depth) -> tuple[float, float]:
     """The self-similar defect and its bound from four separate limit moment passes."""
-    quad = resolve_quadrature(quad, u.degree, v.degree)
     gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
-    (whole,) = _energy_rows(seq, (depth,), u, v, quad, limit=True)
+    (whole,) = _energy_rows(seq, (depth,), u, v, limit=True)
     lhs = _report(depth, *_terms(whole))
     parts, tails = [], [cable_tail_bound(seq, depth, gu, gv)]
     for f in zip(*triple(seq.eps(1))):
         opn = float(np.linalg.norm(f[0], 2))
-        (half,) = _energy_rows(seq.shift(), (depth - 1,), u, v, quad, f, limit=True)
+        (half,) = _energy_rows(seq.shift(), (depth - 1,), u, v, outer=f, limit=True)
         rep = _report(depth - 1, *_terms(half))
         parts.append(rep.e1 + rep.e2)
         tails.append(cable_tail_bound(seq.shift(), depth - 1, gu * opn, gv * opn) / seq.lam(1))
@@ -579,11 +598,11 @@ def ibp_gasket_half(seq, phi, v, depth) -> float:
     return float(3 * _A * (held[0, 0, 0] + held[2, 0, 0]) * np.longdouble(3) ** depth / (2 * np.longdouble(5) ** depth))
 
 
-def cable_second_derivative_sum(seq, depth, phi, v, quad) -> list[float]:
+def cable_second_derivative_sum(seq, depth, phi, v, points=None) -> list[float]:
     """Per-cable integrals of (phi o z)'' (v o z) with depth-window weights."""
     tab = _tableau(seq, depth)
     out: list[float] = []
-    ts = quad.nodes
+    ts, weights = gauss_rule(_order(phi, v, points))
     for s in range(1, depth + 1):
         p0, dv = tab.cab_p0[s - 1], tab.cab_dv[s - 1]
         xs = p0[:, 0][:, None] + dv[:, 0][:, None] * ts[None, :]
@@ -592,17 +611,17 @@ def cable_second_derivative_sum(seq, depth, phi, v, quad) -> list[float]:
         dx = dv[:, 0][:, None]
         dy = dv[:, 1][:, None]
         dd = hxx * dx * dx + 2.0 * hxy * dx * dy + hyy * dy * dy
-        vals = (dd * v.eval_batch(xs, ys)) @ quad.weights
+        vals = (dd * v.eval_batch(xs, ys)) @ weights
         pf = cable_prefactor(seq, s, depth)
         out.extend((pf * vals).tolist())
     return out
 
 
-def ibp_rhs_by_cells(seq, depth, phi, v, quad) -> float:
+def ibp_rhs_by_cells(seq, depth, phi, v, points=None) -> float:
     """Measure side of the IBP identity, cell by cell and cable by cable."""
     return math.fsum(
         gasket_hessian_sum(seq, depth, phi, v)
-        + cable_second_derivative_sum(seq, depth, phi, v, quad)
+        + cable_second_derivative_sum(seq, depth, phi, v, points)
     )
 
 
@@ -685,14 +704,15 @@ def boundary_vector_of(members) -> np.ndarray:
     return acc
 
 
-def weak_pairing_by_edges(seq, l, u, v, quad) -> list[float]:
+def weak_pairing_by_edges(seq, l, u, v, points=None) -> list[float]:
     """Per-edge terms w_e * integral (u o z)'' (v o z) dt of the weak pairing, in edge order."""
+    nodes, weights = gauss_rule(_order(u, v, points))
     parts = []
     for eid, seg, amap in edge_walk(seq, l):
         cu = poly1_derivative(poly1_derivative(restrict(u, amap, seg)))
         cv = restrict(v, amap, seg)
         parts.append(
-            eid.prefactor * float((poly1_eval(cu, quad.nodes) * poly1_eval(cv, quad.nodes)) @ quad.weights)
+            eid.prefactor * float((poly1_eval(cu, nodes) * poly1_eval(cv, nodes)) @ weights)
         )
     return parts
 
@@ -1046,12 +1066,12 @@ def count_edges(l: int) -> tuple[int, int]:
     return 3 * 3**l, 3 * (3**l - 1) // 2
 
 
-def ibp_residual(seq, phi, v, depth, quad=None) -> float:
+def ibp_residual(seq, phi, v, depth) -> float:
     """| E_depth(phi, v) + integral of (Laplacian phi) v d(mu_depth) |: one row of ``ibp_table``.
 
     v must vanish at the three base corners.
     """
-    return ibp_table(seq, phi, v, (depth,), quad)[0]["residual"]
+    return ibp_table(seq, phi, v, (depth,))[0]["residual"]
 
 
 #: Orthonormal basis of symmetric 2x2 matrices under the Frobenius inner product.
@@ -1122,12 +1142,11 @@ def measure_gasket_terms(seq, u, v, depth, *, absolute=False) -> np.ndarray:
     return taus[:, 0, 0] * gux * gvx + taus[:, 0, 1] * (gux * gvy + guy * gvx) + taus[:, 1, 1] * guy * gvy
 
 
-def energy_via_measure_whole(seq, u, v, depth, quad=None) -> float:
+def energy_via_measure_whole(seq, u, v, depth) -> float:
     """``energy_via_measure`` by enumeration: every gasket term of ``measure_gasket_terms``,
     then the moment pass's cable terms, in one fsum."""
-    quad = resolve_quadrature(quad, u.degree, v.degree)
     gasket = measure_gasket_terms(seq, u, v, depth)
-    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, quad, limit=True)
+    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, limit=True)
     return math.fsum(gasket.tolist() + cables)
 
 

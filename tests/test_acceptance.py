@@ -20,7 +20,6 @@ from stretched_gasket import (
     energy2_limit,
     energy_total,
     energy_via_measure,
-    get_quadrature,
     gibbs_tau,
     harmonic_residual,
     kappa,
@@ -37,7 +36,15 @@ from stretched_gasket import (
 from stretched_gasket.scalarfield import hess_batch, parse
 
 from conftest import ALL_REGIMES, CONSTANT_HALF, TAIL_ONLY, random_poly
-from oracles import adjoint_aggregate, count_edges, grad_batch, ibp_residual, iter_words, perron_iteration
+from oracles import (
+    adjoint_aggregate,
+    count_edges,
+    energy_at_order,
+    grad_batch,
+    ibp_residual,
+    iter_words,
+    perron_iteration,
+)
 
 A_CONST = 1.0 / 3.0
 
@@ -292,9 +299,11 @@ def test_criterion_11_calculus_and_quadrature():
     u = random_poly(rng, 4)
     v = random_poly(rng, 4)
     worst_quad = 0.0
+    # Gauss orders 8 (the forms' own for these degrees) and 16, through the pass's private order.
     for seq in (CONSTANT_HALF, TAIL_ONLY):
-        e8 = energy_total(seq, 3, u, v, get_quadrature(8)).total
-        e16 = energy_total(seq, 3, u, v, get_quadrature(16)).total
+        e8 = energy_at_order(seq, 3, u, v, 8).total
+        e16 = energy_at_order(seq, 3, u, v, 16).total
+        assert e8 == energy_total(seq, 3, u, v).total
         worst_quad = max(worst_quad, abs(e16 - e8) / max(1.0, abs(e8)))
     check(
         11,

@@ -588,6 +588,14 @@ def test_geometry_refuses_one_path_for_the_svg_and_the_json(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_kusuoka_refuses_one_path_for_the_table_and_the_json(tmp_path, capsys):
+    # The summary is written after the table, so one path for both would keep the summary alone.
+    path = tmp_path / "both.out"
+    assert cli.main(["kusuoka", "--depth", "2", "--out", str(path), "--json", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: --out and --json name the same file: {path}\n"
+    assert not path.exists()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
 def test_geometry_refuses_a_json_path_that_is_the_svg_stream():
     # /dev/stdout names the pipe the SVG goes to: the two would interleave in it.

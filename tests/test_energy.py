@@ -10,7 +10,6 @@ import stretched_gasket
 from stretched_gasket import (
     ExpTail,
     ParamSeq,
-    QuadratureRule,
     TailProductZero,
     TermOverflow,
     cable_tail_bound,
@@ -19,7 +18,6 @@ from stretched_gasket import (
     energy2_limit,
     energy_total,
     energy_via_measure,
-    get_quadrature,
     ibp_table,
     parse,
     recurrence_residual,
@@ -29,25 +27,30 @@ from stretched_gasket import (
     weak_pairing,
 )
 
+from stretched_gasket import energy
+
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, random_poly
-from oracles import cable_energy, compose_objects, energy2, energy_by_edges, iter_words
+from oracles import cable_energy, compose_objects, energy2, energy_at_order, energy_by_edges, iter_words
 
 X = parse("x")
 Y = parse("y")
 
 
-def test_quadrature_integrates_monomials_exactly():
+def test_quadrature_integrates_monomials_exactly(monkeypatch):
+    # The moment pass's rule builder, and its self-check against a rule that is not exact.
     for order in (4, 8, 12):
-        q = QuadratureRule.gauss(order)
+        nodes, weights = energy._gauss(order)
         for k in range(2 * order):
-            integral = float(np.dot(q.weights, q.nodes**k))
+            integral = float(np.dot(weights, nodes**k))
             assert integral == pytest.approx(1.0 / (k + 1), abs=5e-14)
-    with pytest.raises(ValueError):
-        QuadratureRule(order=2, nodes=np.array([0.0, 1.0]), weights=np.array([0.5, 0.5]))._verify()
+    trapezoid = (np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda order: trapezoid)
+    with pytest.raises(ValueError, match="self-check failed at degree 2"):
+        energy._gauss.__wrapped__(2)
 
 
 def test_quadrature_cache_returns_same_rule():
-    assert get_quadrature(8) is get_quadrature(8)
+    assert energy._gauss(8) is energy._gauss(8)
 
 
 def test_coordinate_triangle_energy_is_depth_independent(regime):
@@ -92,17 +95,18 @@ def test_per_edge_sums_match_batched_total(rng):
     u = random_poly(rng, 3)
     v = random_poly(rng, 3)
     rep = energy_total(PREFIX_EXP, 3, u, v)
-    _, edges = energy_by_edges(PREFIX_EXP, 3, u, v, get_quadrature(8))
+    _, edges = energy_by_edges(PREFIX_EXP, 3, u, v)
     assert math.fsum(x for _, x in edges) == pytest.approx(rep.total, rel=1e-13, abs=1e-16)
     tri_sum = math.fsum(x for eid, x in edges if eid.kind == "tri")
     assert tri_sum == pytest.approx(rep.e1, rel=1e-13, abs=1e-16)
 
 
 def test_quadrature_order_doubling(rng):
+    # Gauss orders 8 (the pass's own for these degrees) and 16, set through the pass's private order.
     u = random_poly(rng, 4)
     v = random_poly(rng, 4)
-    e8 = energy_total(TAIL_ONLY, 3, u, v, get_quadrature(8)).total
-    e16 = energy_total(TAIL_ONLY, 3, u, v, get_quadrature(16)).total
+    e8, e16 = (energy_at_order(TAIL_ONLY, 3, u, v, order).total for order in (8, 16))
+    assert e8 == energy_total(TAIL_ONLY, 3, u, v).total
     assert abs(e16 - e8) <= 1e-13 * max(1.0, abs(e8))
 
 
@@ -142,20 +146,22 @@ def test_overflowing_terms_raise_term_overflow():
             energy_via_measure(TAIL_ONLY, u, u, 3)
         u = parse("1e150*x^2")
         assert energy_total(ParamSeq(prefix=(0.9,), tail=ExpTail(0.05, 0.5)), 3, u, u).total == 5.6607049169557e299
-        # The weak pairing and both IBP sides sum the same terms; the measure
-        # route refuses its gasket half, whose true value overflows.
+        # The weak pairing and both IBP sides sum the same terms.  The measure
+        # route runs its moment pass before its gasket half, and a cable term
+        # of this pair is already past the double range.
         u, v = parse("7.5e154*x^2"), 7.5e154 * vanishing_cubic()
         for form in (lambda: weak_pairing(PREFIX_EXP, 3, u, v), lambda: ibp_table(PREFIX_EXP, u, v, (3,))):
             with pytest.raises(TermOverflow, match="sum of form terms overflows the double range"):
                 form()
-        with pytest.raises(TermOverflow, match="gasket half of the measure overflows the double range"):
+        with pytest.raises(TermOverflow, match="a form term overflows the double range"):
             energy_via_measure(PREFIX_EXP, u, parse("7.5e154*y^2"), 3)
         assert math.isfinite(weak_pairing(PREFIX_EXP, 3, parse("7e154*x^2"), 7e154 * vanishing_cubic()))
 
 
 def test_other_modules_reach_the_moment_pass_through_its_entry():
     # Of the energy module's private names, the modules that read its forms
-    # import only the pass entry and the guarded sum: they build no moments.
+    # import only the pass entry, the guarded sum and the check of their
+    # None-only ``quad`` slots: they build no moments and no Gauss rule.
     package = Path(stretched_gasket.__file__).parent
     for name in ("harmonicity", "kusuoka", "laplacian"):
         tree = ast.parse((package / f"{name}.py").read_text())
@@ -167,7 +173,7 @@ def test_other_modules_reach_the_moment_pass_through_its_entry():
         }
         assert (None, "energy") not in imported, name
         private = {alias for module, alias in imported if module == "energy" and alias.startswith("_")}
-        assert private <= {"_moment_terms", "_fsum"}, (name, private)
+        assert private <= {"_moment_terms", "_fsum", "_quad_slot"}, (name, private)
 
 
 def test_cable_energy_generations_sum_to_energy2(rng):

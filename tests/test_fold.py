@@ -11,16 +11,18 @@ builds its pullbacks in one stacked call and its Grams from one
 evaluation per derivative order, and a repeat builds nothing.  The
 batched Grams and stacked pullbacks equal the per-generation and per-map
 products bit for bit, and no form depends on what the cache holds: warm
-or cold, past its byte budget, for sequences with equal eps_k but
-different log eps_k, and for a custom rule of a Gauss rule's order.  A
-top moment's stored chain makes a later pass push only the levels past
+or cold, past its byte budget, and for sequences with equal eps_k but
+different log eps_k.  A top moment's stored chain makes a later pass push only the levels past
 the stored ones whose logs it shares, keyed on the top's exact value, and
 an underflowing lam_k is refused the same cold and warm.  The
 recurrence residuals' stacked pass equals one pass per pulled-back pair,
 and fields beyond the pass's memory budget are refused before any
-allocation.
+allocation and before a Gauss rule is built.  The forms choose their own
+Gauss rule; the cases below that name an order set it through the pass's
+private order, and the seven ``quad`` slots take None only.
 """
 
+import inspect
 import math
 import time
 import tracemalloc
@@ -36,13 +38,12 @@ from stretched_gasket import (
     GasketError,
     ParamSeq,
     Poly2,
-    QuadratureRule,
     cable_segments,
     convergence_rows,
     energy1,
     energy2_limit,
     energy_total,
-    get_quadrature,
+    energy_via_measure,
     ibp_table,
     parse,
     recurrence_residual,
@@ -53,9 +54,11 @@ from stretched_gasket import (
     vanishing_cubic,
     weak_pairing,
 )
+import stretched_gasket
 from stretched_gasket import energy
-from stretched_gasket.energy import _one_step, _report, _terms, min_quad_order
-from stretched_gasket.errors import PrefactorUnderflow
+from stretched_gasket.cli import main
+from stretched_gasket.energy import _gauss_order, _one_step
+from stretched_gasket.errors import PrefactorUnderflow, WorkingSetTooLarge
 from stretched_gasket.geometry import _side_arrays
 
 from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
@@ -64,6 +67,7 @@ from oracles import (
     cable_energy,
     energy2,
     energy2_limit_by_edges,
+    energy_at_order,
     energy_by_edges,
     fold_backward,
     ibp_rhs_by_cells,
@@ -85,7 +89,7 @@ LIMIT_IDS = SEQ_IDS[1:]
 
 
 def _field_cases():
-    """(u, v, quadrature order) with the order at or above the minimum."""
+    """(u, v, Gauss order of the oracles and the private pass) with the order exact for (u, v)."""
     rng = np.random.default_rng(4412)
     return [
         (random_poly(rng, 2), random_poly(rng, 3), 2),
@@ -112,26 +116,25 @@ def _depths(u, v):
 @pytest.mark.parametrize("case", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
 def test_folded_energy_matches_edge_sum(seq, case):
+    # The pass at the case's order, and the public form at its own.
     u, v, order = case
-    quad = get_quadrature(order)
     for l in _depths(u, v):
-        ref, _ = energy_by_edges(seq, l, u, v, quad)
-        rep = energy_total(seq, l, u, v, quad)
-        _close(rep.e1, ref.e1)
-        _close(rep.e2, ref.e2)
-        _close(rep.total, ref.total)
-    _close(energy1(seq, l, u, v, quad), ref.e1)
-    _close(energy2(seq, l, u, v, quad), ref.e2)
+        ref, _ = energy_by_edges(seq, l, u, v, order)
+        for rep in (energy_at_order(seq, l, u, v, order), energy_total(seq, l, u, v)):
+            _close(rep.e1, ref.e1)
+            _close(rep.e2, ref.e2)
+            _close(rep.total, ref.total)
+    _close(energy1(seq, l, u, v), ref.e1)
+    _close(energy2(seq, l, u, v), ref.e2)
 
 
 @pytest.mark.parametrize("case", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
 def test_moment_pass_matches_backward_fold(seq, case):
     u, v, order = case
-    quad = get_quadrature(order)
     for l in DEPTHS:
-        ref = fold_backward(seq, l, u, v, quad)
-        rep = energy_total(seq, l, u, v, quad)
+        ref = fold_backward(seq, l, u, v, order)
+        rep = energy_at_order(seq, l, u, v, order)
         for got, want in ((rep.e1, ref.e1), (rep.e2, ref.e2), (rep.total, ref.total)):
             assert abs(got - want) <= 1e-14 * abs(want), (l, got, want)
 
@@ -142,11 +145,10 @@ def test_folded_energy_with_outer_maps(seq, rng):
     # of outer maps, against the edge sum of the shifted sequence.
     u = random_poly(rng, 4)
     v = random_poly(rng, 3)
-    quad = get_quadrature(8)
     for l in (0, 3, 6):
-        _, _, halves = _one_step(seq, l, u, v, quad)
+        _, _, halves = _one_step(seq, l, u, v)
         for f, rep in zip(zip(*triple(seq.eps(1))), halves):
-            ref, _ = energy_by_edges(seq.shift(), l, u, v, quad, outer=f)
+            ref, _ = energy_by_edges(seq.shift(), l, u, v, outer=f)
             _close(rep.total, ref.total)
             _close(rep.e1, ref.e1)
             _close(rep.e2, ref.e2)
@@ -155,14 +157,14 @@ def test_folded_energy_with_outer_maps(seq, rng):
 @pytest.mark.parametrize("case", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("seq", LIMIT_SEQS, ids=LIMIT_IDS)
 def test_folded_limit_cables_match_edge_sum(seq, case):
+    # The public limit form at its own order; the edge sums at the case's.
     u, v, order = case
-    quad = get_quadrature(order)
     for s_max in _depths(u, v):
-        got, _ = energy2_limit(seq, u, v, s_max, quad)
-        _close(got, energy2_limit_by_edges(seq, s_max, u, v, quad))
+        got, _ = energy2_limit(seq, u, v, s_max)
+        _close(got, energy2_limit_by_edges(seq, s_max, u, v, order))
     f2 = tuple(arr[1] for arr in triple(seq.eps(1)))
-    _, _, halves = _one_step(seq, 3, u, v, quad, limit=True)
-    _close(halves[1].e2, energy2_limit_by_edges(seq.shift(), 3, u, v, quad, outer=f2))
+    _, _, halves = _one_step(seq, 3, u, v, limit=True)
+    _close(halves[1].e2, energy2_limit_by_edges(seq.shift(), 3, u, v, order, outer=f2))
 
 
 @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
@@ -172,7 +174,7 @@ def test_generation1_cables_match_cable_energy(seq, rng):
     # cable_energy composes each cable into one-variable polynomials.  The
     # pair (affine, vanishing cubic) is zero analytically, so the tolerance
     # is relative to the Cauchy-Schwarz scale sqrt(C(u, u) C(v, v)).
-    from stretched_gasket.energy import _split, resolve_quadrature
+    from stretched_gasket.energy import _split
 
     pairs = [(random_poly(rng, d), random_poly(rng, max(1, d - 1))) for d in range(1, 13)]
     pairs.append((parse("0.3 - 1.2*x + 0.7*y"), vanishing_cubic()))
@@ -181,11 +183,11 @@ def test_generation1_cables_match_cable_energy(seq, rng):
         weights.append((None, seq.eps_tilde_inf(1)))
     for u, v in pairs:
         # deg u >= deg v: one rule exact for all three pairs.
-        quad = resolve_quadrature(None, u.degree, u.degree)
-        cross = cable_energy(seq, 1, u, v, quad)
-        norms = cable_energy(seq, 1, u, u, quad) * cable_energy(seq, 1, v, v, quad)
+        order = _gauss_order(u.degree, u.degree)
+        cross = cable_energy(seq, 1, u, v, order)
+        norms = cable_energy(seq, 1, u, u, order) * cable_energy(seq, 1, v, v, order)
         for l, window in weights:
-            (parts,) = _energy_rows(seq, (l or 1,), u, v, quad, limit=l is None)
+            (parts,) = _energy_rows(seq, (l or 1,), u, v, order, limit=l is None)
             got = math.fsum(_split(parts[1]))
             want = cross / window
             scale = math.sqrt(norms) / window
@@ -200,25 +202,22 @@ def test_folded_ibp_measure_side_matches_cell_sum(seq, rng):
         (random_poly(rng, 3), vanishing_cubic(), 3),
         (parse("x^12"), vanishing_at_ABC(random_poly(rng, 2)), 12),
     ]
+    # The public sweep at its own order; the cell and edge sums at the case's.
     for phi, v, order in cases:
-        quad = get_quadrature(order)
-        for row in ibp_table(seq, phi, v, _depths(phi, v), quad):
-            _close(row["integral_rhs"], ibp_rhs_by_cells(seq, row["depth"], phi, v, quad))
-            _close(row["energy_lhs"], energy_by_edges(seq, row["depth"], phi, v, quad)[0].total)
+        for row in ibp_table(seq, phi, v, _depths(phi, v)):
+            _close(row["integral_rhs"], ibp_rhs_by_cells(seq, row["depth"], phi, v, order))
+            _close(row["energy_lhs"], energy_by_edges(seq, row["depth"], phi, v, order)[0].total)
 
 
 def test_fold_reproduces_edge_sum_for_inexact_rules():
-    # The Grams use the caller's rule, so even a rule too low for the
-    # fields gives the edge sum's numbers; the public entry points refuse
-    # such rules, so this goes through the internal assembly.
-
+    # The Grams take the Gauss order they are given, so even a rule too
+    # low for the fields gives the edge sum's numbers; the public forms
+    # choose an exact one, so this sets the pass's private order.
     x12 = parse("x^12")
     for order in (2, 8, 12):
-        quad = get_quadrature(order)
         for l in (0, 2, 5):
-            (parts,) = _energy_rows(PREFIX_EXP, (l,), x12, x12, quad)
-            got = _report(l, *_terms(parts))
-            ref, _ = energy_by_edges(PREFIX_EXP, l, x12, x12, quad)
+            got = energy_at_order(PREFIX_EXP, l, x12, x12, order)
+            ref, _ = energy_by_edges(PREFIX_EXP, l, x12, x12, order)
             _close(got.e1, ref.e1)
             _close(got.e2, ref.e2)
 
@@ -342,9 +341,9 @@ def test_sweeps_build_the_grams_once(monkeypatch):
     orders = []
     jets = energy._segment_jets
 
-    def counting(p0, dv, d, quad, order):
+    def counting(p0, dv, d, nodes, order):
         orders.append(order)
-        return jets(p0, dv, d, quad, order)
+        return jets(p0, dv, d, nodes, order)
 
     monkeypatch.setattr(energy, "_segment_jets", counting)
     v = vanishing_cubic()
@@ -375,14 +374,13 @@ def test_sweeps_build_the_grams_once(monkeypatch):
 def test_batched_grams_equal_the_per_generation_grams(seq, d, l_max, order):
     # D = (d + 1)(d + 2) / 2 runs up to 91.  The cleared cache makes every
     # Gram come from one stacked build.
-    quad = get_quadrature(order)
     energy._TABLES.clear()
-    side, levels = energy._level_tables(seq, _logs(seq, l_max), d, quad, [(1, 1), (2, 0)])
+    side, levels = energy._level_tables(seq, _logs(seq, l_max), d, order, [(1, 1), (2, 0)])
     for orders in ((1, 1), (2, 0)):
         assert side[orders].shape == (energy._dim(d), energy._dim(d))
-        assert np.array_equal(side[orders], segment_form(*_side_arrays(), d, quad, *orders))
+        assert np.array_equal(side[orders], segment_form(*_side_arrays(), d, order, *orders))
         for k in range(1, l_max + 1):
-            assert np.array_equal(levels[k - 1][orders], segment_form(*cable_segments(seq, k), d, quad, *orders)), (orders, k)
+            assert np.array_equal(levels[k - 1][orders], segment_form(*cable_segments(seq, k), d, order, *orders)), (orders, k)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -390,7 +388,7 @@ def test_batched_grams_equal_the_per_generation_grams(seq, d, l_max, order):
 @example(seq=EDGE_SEQ, d=12)
 def test_stacked_level_pullbacks_equal_the_single_map_pullbacks(seq, d):
     energy._TABLES.clear()
-    _, levels = energy._level_tables(seq, _logs(seq, 3), d, get_quadrature(), [])
+    _, levels = energy._level_tables(seq, _logs(seq, 3), d, 8, [])
     for k in range(1, 4):
         want = np.stack([energy._map_pullback(lin, off, d) for lin, off in zip(*triple(seq.eps(k)))])
         assert np.array_equal(levels[k - 1]["pullbacks"], want), k
@@ -408,73 +406,52 @@ TAIL_LEVEL = ParamSeq(prefix=(), tail=ExpTail(1e-3, 0.5))
 PREFIX_LEVEL = ParamSeq(prefix=(math.exp(TAIL_LEVEL.log_eps(1)),), tail=ExpTail(1e-3, 0.5))
 
 
-def _outputs(seq, quad=None):
+def _outputs(seq):
     """Forms that read every kind of table: (1, 1) and (2, 0) Grams, finite and limit windows."""
     v = vanishing_cubic()
-    out = [energy_total(seq, 6, SWEEP_U, v, quad), ibp_table(seq, SWEEP_U, v, (2, 5), quad), weak_pairing(seq, 4, SWEEP_U, v, quad=quad)]
-    return out + [energy2_limit(seq, SWEEP_U, v, 5, quad)] if isinstance(seq.tail, ExpTail) else out
+    out = [energy_total(seq, 6, SWEEP_U, v), ibp_table(seq, SWEEP_U, v, (2, 5)), weak_pairing(seq, 4, SWEEP_U, v)]
+    return out + [energy2_limit(seq, SWEEP_U, v, 5)] if isinstance(seq.tail, ExpTail) else out
 
 
-def _cold(seq, quad=None):
+def _cold(seq):
     energy._TABLES.clear()
-    return _outputs(seq, quad)
+    return _outputs(seq)
 
 
 def test_forms_keep_their_bits_on_a_warm_cache():
-    cases = [(seq, quad) for seq in SEQS for quad in (None, get_quadrature(5))]
-    cold = [_cold(seq, quad) for seq, quad in cases]
+    cold = [_cold(seq) for seq in SEQS]
     energy._TABLES.clear()
-    # Other degrees and rules warm the cache first, then every case runs twice.
+    # Other degrees and Gauss orders warm the cache first (degree 12 at
+    # orders 8 and 12, degree 10 at order 9), then every case runs twice.
     for seq in SEQS:
-        energy_total(seq, 9, parse("x^7 - y^5"), parse("x*y^6"))
-        weak_pairing(seq, 3, SWEEP_U, vanishing_cubic(), quad=get_quadrature(11))
+        energy_total(seq, 9, parse("x^12 - y^5"), parse("x*y"))
+        energy_total(seq, 9, parse("x^12 - y^5"), parse("x*y^11"))
+        weak_pairing(seq, 3, parse("x^9"), vanishing_at_ABC(parse("y^7")))
     for _ in range(2):
-        assert [_outputs(seq, quad) for seq, quad in reversed(cases)] == cold[::-1]
+        assert [_outputs(seq) for seq in reversed(SEQS)] == cold[::-1]
 
 
 def test_equal_eps_with_different_logs_share_no_tables():
     a, b = TAIL_LEVEL, PREFIX_LEVEL
     assert a.eps(1) == b.eps(1) and a.log_eps(1) != b.log_eps(1)
     # Their generation-1 cables differ, so a shared entry would be wrong.
-    quad = get_quadrature()
     energy._TABLES.clear()
-    grams = [energy._level_tables(seq, _logs(seq, 1), 3, quad, [(1, 1)])[1][0][(1, 1)] for seq in (a, b)]
+    grams = [energy._level_tables(seq, _logs(seq, 1), 3, 8, [(1, 1)])[1][0][(1, 1)] for seq in (a, b)]
     assert not np.array_equal(*grams)
     cold = [_cold(a), _cold(b)]
     energy._TABLES.clear()
     assert [_outputs(seq) for seq in (a, b, a, b)] == cold * 2
 
 
-def test_a_custom_rule_of_a_gauss_order_shares_no_tables():
-    gauss = get_quadrature(8)
-    nine = QuadratureRule.gauss(9)
-    custom = QuadratureRule(8, nine.nodes, nine.weights)
-    # Equal nodes and weights share a key, whatever the object and
-    # whatever bytes freed memory held before the key was taken.
-    assert _key_after(QuadratureRule.gauss(8), 0x00) == _key_after(gauss, 0xAB) != _key_after(custom, 0xAB)
-    energy._TABLES.clear()
-    sides = [energy._level_tables(PREFIX_EXP, [], 3, quad, [(1, 1)])[0][(1, 1)] for quad in (gauss, custom)]
-    assert not np.array_equal(*sides)
-    cold = [_cold(PREFIX_EXP, gauss), _cold(PREFIX_EXP, custom)]
-    energy._TABLES.clear()
-    assert [_outputs(PREFIX_EXP, quad) for quad in (gauss, custom, gauss, custom)] == cold * 2
-
-
-def _key_after(quad, byte):
-    np.frombuffer(bytes([byte]) * 128, dtype=np.uint8).copy()
-    return energy._rule_key(quad)
-
-
 def test_the_cache_stays_within_its_budget(monkeypatch):
-    cases = [(seq, quad) for seq in SEQS for quad in (None, get_quadrature(5))]
-    cold = [_cold(seq, quad) for seq, quad in cases]
+    cold = [_cold(seq) for seq in SEQS]
     # Degree 12 (D = 91): one level's pullbacks alone pass the budget.
     high = parse("x^12 + y^7")
 
     def fill(cache):
         monkeypatch.setattr(energy, "_TABLES", cache)
-        for (seq, quad), want in zip(cases, cold):
-            assert _outputs(seq, quad) == want
+        for seq, want in zip(SEQS, cold):
+            assert _outputs(seq) == want
             energy_total(seq, 3, high, high)
             # The held bytes count the moment chains beside the level tables.
             held = sum(arr.nbytes for entry in cache._entries.values() for arr in entry.values())
@@ -597,14 +574,14 @@ def test_a_chain_resumes_at_the_first_level_whose_log_differs(monkeypatch):
 
 def test_a_chain_is_keyed_on_the_exact_top(monkeypatch):
     steps = _pushes(monkeypatch)
-    d, quad = 3, get_quadrature()
+    d = 3
     top = energy._top_moments(SWEEP_U, vanishing_cubic(), d)
     nudged = top.copy()
     nudged[0, 4, 7] = np.nextafter(top[0, 4, 7], np.inf)
     assert nudged[0, 4, 7] != top[0, 4, 7]
 
     def parts(tops):
-        return list(energy._contractions(PREFIX_EXP, (6,), d, quad, tops, [(None, (1, 1))]))
+        return list(energy._contractions(PREFIX_EXP, (6,), d, 8, tops, [(None, (1, 1))]))
 
     cold = [_cold_call(lambda: parts(t)) for t in (top, nudged)]
     energy._TABLES.clear()
@@ -676,35 +653,43 @@ def _outcome(fn, *args):
 # -- quadrature order against field degrees --------------------------------
 
 
-def test_min_quad_order():
-    assert min_quad_order(1, 1) == 1
-    assert min_quad_order(3, 3) == 3
-    assert min_quad_order(9, 8) == 8
-    assert min_quad_order(9, 9) == 9
-    assert min_quad_order(12, 12) == 12
-    assert min_quad_order(-1, 0) == 1
-
-
-def test_low_explicit_order_is_refused():
-    x12 = parse("x^12")
-    for order in (2, 8, 11):
-        with pytest.raises(ValueError, match="quadrature order"):
-            energy_total(TAIL_ONLY, 2, x12, x12, get_quadrature(order))
-        with pytest.raises(ValueError, match="quadrature order"):
-            energy2_limit(TAIL_ONLY, x12, x12, 2, get_quadrature(order))
-    v = vanishing_at_ABC(parse("x^9"))
-    with pytest.raises(ValueError, match="quadrature order"):
-        ibp_table(TAIL_ONLY, x12, v, (2,), get_quadrature(8))
-    with pytest.raises(ValueError, match="quadrature order"):
-        weak_pairing(TAIL_ONLY, 1, x12, v, quad=get_quadrature(8))
-
-
 def test_default_order_covers_the_field_degrees():
+    # The lowest exact order, at least 8: degree sums up to 17 keep order 8.
+    assert [_gauss_order(*degrees) for degrees in ((-1, 0), (1, 1), (9, 8), (9, 9), (12, 12))] == [8, 8, 8, 9, 12]
     x12 = parse("x^12")
-    assert energy_total(TAIL_ONLY, 2, x12, x12).total == energy_total(TAIL_ONLY, 2, x12, x12, get_quadrature(12)).total
-    # Degree sums up to 17 keep the order-8 default.
+    assert energy_total(TAIL_ONLY, 2, x12, x12) == energy_at_order(TAIL_ONLY, 2, x12, x12, 12)
     u, v = parse("x^9"), parse("y^8")
-    assert energy_total(TAIL_ONLY, 2, u, v).total == energy_total(TAIL_ONLY, 2, u, v, get_quadrature(8)).total
+    assert energy_total(TAIL_ONLY, 2, u, v) == energy_at_order(TAIL_ONLY, 2, u, v, 8)
+
+
+X2 = parse("x^2")
+
+#: The seven functions that keep a trailing ``quad`` slot, each called with a value in it the
+#: way perfbench's library jobs call them (positionally; ``weak_pairing`` by keyword).
+QUAD_SLOTS = {
+    "energy_total": lambda quad: energy_total(TAIL_ONLY, 2, X2, X2, quad),
+    "convergence_rows": lambda quad: convergence_rows(TAIL_ONLY, X2, X2, 2, quad),
+    "ibp_table": lambda quad: ibp_table(TAIL_ONLY, X2, vanishing_cubic(), (2,), quad),
+    "recurrence_residual": lambda quad: recurrence_residual(TAIL_ONLY, 2, X2, X2, quad),
+    "selfsimilar_residual": lambda quad: selfsimilar_residual(TAIL_ONLY, X2, X2, 2, quad),
+    "energy_via_measure": lambda quad: energy_via_measure(TAIL_ONLY, X2, X2, 2, quad),
+    "weak_pairing": lambda quad: weak_pairing(TAIL_ONLY, 2, X2, vanishing_cubic(), quad=quad),
+}
+
+
+@pytest.mark.parametrize("name", QUAD_SLOTS)
+def test_a_quad_slot_takes_none_only(name):
+    call = QUAD_SLOTS[name]
+    call(None)
+    for value in (8, np.polynomial.legendre.leggauss(8)):
+        with pytest.raises(ValueError, match="quad takes None only"):
+            call(value)
+
+
+def test_the_quad_slots_are_the_seven():
+    public = [getattr(stretched_gasket, name) for name in stretched_gasket.__all__]
+    slots = {fn.__name__ for fn in public if inspect.isfunction(fn) and "quad" in inspect.signature(fn).parameters}
+    assert slots == set(QUAD_SLOTS)
 
 
 # -- memory ----------------------------------------------------------------
@@ -732,8 +717,6 @@ def test_memory_stays_bounded_at_the_depth_cap():
 def test_a_degree_beyond_the_pass_budget_is_refused(capsys):
     # D = 20,301 monomials: one D x D moment alone is 6.6 GB.  The refusal
     # comes before any D x D allocation.
-    from stretched_gasket.cli import main
-
     start = time.perf_counter()
     tracemalloc.start()
     try:
@@ -747,11 +730,55 @@ def test_a_degree_beyond_the_pass_budget_is_refused(capsys):
     assert elapsed < 1.0 and peak < 16 * 2**20, (elapsed, peak)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--u", "x^3000", "--depth", "1"],
+        ["energy", "--u", "x^8000", "--depth", "1"],
+        ["energy", "--u", "x^100000", "--depth", "2"],
+        ["convergence", "--u", "x^100000"],
+        ["ibp", "--phi", "x^100000"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[2].replace('^', '')}",
+)
+def test_the_budget_is_checked_before_a_gauss_rule_is_built(argv, capsys):
+    # The exact order of these degrees is 1,500 to 50,000 nodes, a rule that fails its own
+    # check, takes 23 s to build or needs a 74.5 GiB companion matrix: the working-set guard
+    # comes first.  Parsing x^100000 alone takes about 2 s under tracemalloc.
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1, (code, err)
+    degree = argv[2][2:]
+    assert err[0].startswith(f"error: fields of degree {degree} ") and err[0].endswith("above its 512 MiB budget"), err
+    assert elapsed < 10.0 and peak < 16 * 2**20, (elapsed, peak)
+
+
+def test_the_measure_energy_checks_the_budget_before_the_gasket_half():
+    # The gasket half of two degree-3000 fields holds 575 MB of coefficient
+    # products; the moment pass refuses the degree first.
+    u, v = parse("x^3000"), parse("y^3000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkingSetTooLarge, match="fields of degree 3000 "):
+            energy_via_measure(PREFIX_EXP, u, v, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 def test_degree_30_still_runs_at_depth_2():
     # D = 496: about 70 MiB of tables and moments, inside the budget.  Both
     # routes lose digits to the expanded coefficients at this degree (5.5e-8
     # apart on this field), so they are compared to 1e-6.
     u = parse("(x-0.3)^30 + y^30")
     got = energy_total(PREFIX_EXP, 2, u, u)
-    want, _ = energy_by_edges(PREFIX_EXP, 2, u, u, get_quadrature(min_quad_order(30, 30)))
+    want, _ = energy_by_edges(PREFIX_EXP, 2, u, u)
     assert got.total == pytest.approx(want.total, rel=1e-6)

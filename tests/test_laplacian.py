@@ -18,7 +18,7 @@ from stretched_gasket import (
     word_point,
 )
 from stretched_gasket import laplacian
-from stretched_gasket.energy import _moment_terms, resolve_quadrature
+from stretched_gasket.energy import _moment_terms
 from stretched_gasket.errors import TailProductZero
 
 from conftest import CONSTANT_HALF, PREFIX_EXP, TAIL_ONLY, admissible, random_poly
@@ -169,8 +169,7 @@ def test_ibp_gasket_half_by_the_level_operator(regime, rng):
     fields = [(random_poly(rng, deg), admissible(random_poly(rng, 3))) for deg in range(2, 7)]
     depths = range(13)
     for phi, v in fields:
-        quad = resolve_quadrature(None, phi.degree, v.degree)
-        for depth, ((cells, _),) in zip(depths, _moment_terms(regime, depths, phi, v, quad, ("ibp",))):
+        for depth, ((cells, _),) in zip(depths, _moment_terms(regime, depths, phi, v, ("ibp",))):
             got = ibp_gasket_half(regime, phi, v, depth)
             bound = IBP_OPERATOR_RTOL * math.fsum(gasket_hessian_sum(regime, depth, phi, v, absolute=True))
             assert abs(got - math.fsum(cells)) <= bound, (phi, depth)

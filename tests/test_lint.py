@@ -1,7 +1,8 @@
 """Lint step: no module of the package or of the tests imports a name it never uses, every
 top-level function or class of the package has a use, every exported name has one
-outside its own module, the enumerating paths make no stacked per-row products, and a row
-range's ancestors are worked out in one place."""
+outside its own module, the enumerating paths make no stacked per-row products, a row
+range's ancestors are worked out in one place, and one function builds the Gauss rule,
+reached only from the moment pass."""
 
 import ast
 import re
@@ -185,6 +186,39 @@ def test_a_row_range_is_walked_in_one_place():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     found = {name: [f for f in readers(sources, name) if f not in allowed] for name, allowed in RANGE_WALK_READERS.items()}
     assert found == {name: [] for name in RANGE_WALK_READERS}
+
+
+#: The readers, within src/, of the Gauss rule's builder and of each step that reaches it:
+#: numpy's ``leggauss`` is called by ``energy._gauss`` alone, which only the moment pass's Gram
+#: build reaches, and the Gauss order is chosen by ``_gauss_order``, read by the pass entries alone.
+RULE_READERS = {
+    "leggauss": ["energy._gauss"],
+    "_gauss": ["energy._grams"],
+    "_grams": ["energy._level_tables"],
+    "_level_tables": ["energy._contractions"],
+    "_contractions": ["energy._moment_terms", "energy._one_step"],
+    "_gauss_order": ["energy._moment_terms", "energy._one_step"],
+}
+
+
+def rule_readers(sources: dict[str, str]) -> dict[str, list[str]]:
+    """The readers of each name of ``RULE_READERS`` in ``sources`` (module -> text)."""
+    return {name: readers(sources, name) for name in RULE_READERS}
+
+
+def test_stray_rule_builders_are_found():
+    # A second leggauss call beside the pass, and a module that builds the pass's rule itself.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    sources["energy"] += "\n\ndef _stray(points):\n    return np.polynomial.legendre.leggauss(points)\n"
+    sources["kusuoka"] += "\n\ndef _nodes():\n    return _gauss(8)[0]\n"
+    found = rule_readers(sources)
+    assert found["leggauss"] == ["energy._gauss", "energy._stray"]
+    assert found["_gauss"] == ["energy._grams", "kusuoka._nodes"]
+
+
+def test_one_gauss_rule_builder_reached_only_from_the_pass():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert rule_readers(sources) == RULE_READERS
 
 
 #: The vertex-path functions, by module, whose row gathers go through ``np.take`` or ``np.compress``.
