@@ -71,7 +71,8 @@ side's three pulled-back fields (u o F^1_i, v o F^1_i), built by one
 stacked pullback, as one stacked pass on the shifted sequence.  The
 batched edge tableau (``_tableau``, the start and velocity columns of the
 geometry module's edge table, cut by generation) remains only for the
-tests' edge-by-edge routes in ``tests/oracles.py``.
+tests' edge-by-edge routes in ``tests/oracles.py``; it keeps the last
+tableau built (76.5 MB at the depth cap).
 
 The limit cable form replaces the finite window product eps_tilde(s, l)
 with the infinite one and is reported together with a rigorous tail bound.
@@ -573,7 +574,7 @@ class _Tableau:
     cab_dv: tuple[np.ndarray, ...]
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def _tableau(seq: ParamSeq, l: int) -> _Tableau:
     edges = prefractal_edges(seq, l)
     # The edge table's start and velocity columns, cut where each generation ends.

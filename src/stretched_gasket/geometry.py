@@ -23,12 +23,12 @@ out a row range's ancestors at each level, for ``_word_levels`` and for
 the cylinder products of the kusuoka module.  ``_word_rows`` is the one
 range read, the last level of ``_word_levels`` over a range: the CLI's
 writers, the carrier walk, the cable masses and ``word_table`` (the
-whole range, cached, and read by no route here) read their map rows
-from it.  Only ``compose``, the one row of a word of any length, which
-``word_point`` maps as one ``_images`` row, and the harmonicity
-module's vertex blocks, which read every level, walk ``_word_levels``
-themselves.  The range reads stop at the depth cap; a one-row read does
-not.
+whole range, the last table read kept, and read by no route here) read
+their map rows from it.  Only ``compose``, the one row of a word of any
+length, which ``word_point`` maps as one ``_images`` row, and the
+harmonicity module's vertex blocks, which read every level, walk
+``_word_levels`` themselves.  The range reads stop at the depth cap; a
+one-row read does not.
 
 The carriers of the depth-l pre-fractal, its cells in word order and
 then its cables by generation in (prefix, slot) order, have one walk
@@ -264,15 +264,16 @@ def _word_rows(seq: ParamSeq, l: int, start: int, stop: int):
     return lin[start - first : stop - first], off[start - first : stop - first]
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def word_table(seq: ParamSeq, l: int):
     """Batched affine parts of all depth-l compositions, in word order.
 
     Returns (lin, off): arrays of shape (3^l, 2, 2) and (3^l, 2) such that
     row word_index(w) holds the linear part and offset of F_w, the
     ``_word_rows`` read of the whole range.  Arrays are read-only; callers
-    must copy before mutating.  A depth past the cap raises
-    DepthCapExceeded.
+    must copy before mutating.  Only the last table read is kept (24.3 MiB
+    at the depth cap): no route of the package reads it.  A depth past the
+    cap raises DepthCapExceeded.
     """
     lin, off = _word_rows(seq, l, 0, 3**l)
     lin.flags.writeable = False

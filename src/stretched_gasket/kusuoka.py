@@ -17,10 +17,12 @@ B_1 = diag(1, 1/3) and B_2, B_3 = [[1/2, +-sqrt3/6], [+-sqrt3/6, 5/6]], so
 tau([w]) = (1/2) (3/5)^l P_w P_w^t for P_w = B_{w_1} ... B_{w_l}; the B_i
 have singular values 1 and 1/3, so kappa([w]) >= 15^-l.  ``tau_table``
 gives any row range of a level with the whole table's bits, multiplying
-only the range's ancestors.  kappa has one route, tau11 + tau22 of the
-rounded tau_w.  Its 3-ulp accuracy to depth 8 needs numpy's longdouble to
-be x87 80-bit (x86-64 Linux, CI's only platform); as plain double the
-products round at every level.  Cables carry rank-one matrix masses
+only the range's ancestors.  A whole level's products are multiplied once
+per process and cached (``_scaled_linears``): a whole ``tau_table`` and
+``kappa_table`` both read them, in either order.  kappa has one route,
+tau11 + tau22 of the rounded tau_w.  Its 3-ulp accuracy to depth 8 needs
+numpy's longdouble to be x87 80-bit (x86-64 Linux, CI's only platform);
+as plain double the products round at every level.  Cables carry rank-one matrix masses
 aligned with their mapped tangents: ``cable_masses`` gives a
 generation's masses and unit directions as arrays, ``cable_mass`` one
 cable as a ``CableMass``.
@@ -211,12 +213,13 @@ def kappa(word: tuple[int, ...]) -> float:
 
 @functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
 def kappa_table(l: int) -> np.ndarray:
-    """All level-l cylinder masses, the traces of the ``tau_table`` rows, formed
-    a range of ``geometry._ranges`` at a time.  Sums to 1."""
+    """All level-l cylinder masses, the traces of the ``tau_table`` rows, formed from the cached
+    ``_scaled_linears`` a range of ``geometry._ranges`` at a time.  Sums to 1."""
     _require_depth(l)
-    out = np.empty(3**l)
+    mats = _scaled_linears(l)
+    out = np.empty(len(mats))
     for start, stop in _ranges(len(out)):
-        out[start:stop] = _trace(tau_table(l, start, stop))
+        out[start:stop] = _trace(_taus(mats[start:stop], l))
     out.flags.writeable = False
     return out
 

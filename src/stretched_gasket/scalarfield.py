@@ -99,9 +99,14 @@ class Poly2:
     def __pow__(self, k: int) -> "Poly2":
         if k < 0 or k != int(k):
             raise ValueError(f"exponent must be a nonnegative integer, got {k}")
-        out = Poly2.const(1.0)
-        for _ in range(int(k)):
-            out = out * self
+        # By squaring: one squaring per binary digit of k after the first, one product per set digit.
+        out, base, k = Poly2.const(1.0), self, int(k)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:

@@ -67,6 +67,11 @@ def cold_peak(fn) -> int:
     geometry.word_table.cache_clear()
     kusuoka._scaled_linears.cache_clear()
     kusuoka.kappa_table.cache_clear()
+    return traced_peak(fn)
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak of fn(), with the caches as they are."""
     tracemalloc.start()
     try:
         fn()

@@ -408,6 +408,26 @@ def test_cylinder_caches_hold_one_table_per_depth():
         assert info.maxsize == 13 and info.currsize == 13 and info.misses == 13, info
 
 
+@pytest.mark.parametrize("l", [8, 12])
+@pytest.mark.parametrize("first, second", [(tau_table, kappa_table), (kappa_table, tau_table)], ids=["tau-kappa", "kappa-tau"])
+def test_a_level_is_multiplied_once_for_both_tables(monkeypatch, first, second, l):
+    # kappa_table traces the products that a whole tau_table reads, so the second table
+    # multiplies nothing, in either order: 3 and 243 range products at depths 8 and 12
+    # when kappa_table took its rows through tau_table's ranges.
+    _scaled_linears.cache_clear()
+    kappa_table.cache_clear()
+    first(l)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _linears(*args)
+
+    monkeypatch.setattr(kusuoka, "_linears", counted)
+    second(l)
+    assert calls == []
+
+
 def test_total_cable_mass_grows_and_stays_bounded():
     t2 = total_cable_mass(TAIL_ONLY, 2)
     t5 = total_cable_mass(TAIL_ONLY, 5)
