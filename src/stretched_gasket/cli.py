@@ -433,15 +433,15 @@ def cmd_laplacian(seq, *, depth, phi, out) -> int:
 
     def block(a, b):
         nonlocal worst
-        table = lap_mod._sample_rows(seq, phi, depth, a, b)
+        generation, word, slot, x, y, *_, value = lap_mod._sample_rows(seq, phi, depth, a, b)
         # np.maximum, not max: a NaN sample stays NaN whichever block holds it.
-        worst = np.maximum(worst, np.max(np.abs(table.value)))
-        cable = table.generation > 0
+        worst = np.maximum(worst, np.max(np.abs(value)))
+        cable = generation > 0
         kinds = map(("cell", "cable").__getitem__, cable.tolist())
-        slots = map(("", "1", "2", "3").__getitem__, table.slot.tolist())
+        slots = map(("", "1", "2", "3").__getitem__, slot.tolist())
         # A cell's word has the full depth; a generation-s cable's prefix has s - 1 letters.
-        words = _word_strs(table.word, np.where(cable, table.generation - 1, depth))
-        return zip(kinds, words, slots, *(_reprs(c) for c in (table.x, table.y, table.value)))
+        words = _word_strs(word, np.where(cable, generation - 1, depth))
+        return zip(kinds, words, slots, *(_reprs(c) for c in (x, y, value)))
 
     _write_csv(out, ["kind", "word", "slot", "x", "y", "value"], _carrier_count(depth), block)
     worst = float(worst)

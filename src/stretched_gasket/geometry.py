@@ -21,20 +21,23 @@ range of words level by level, and only the range's ancestors, with the
 bits of the whole table.  ``_ancestors`` is the one range walk: it works
 out a row range's ancestors at each level, for ``_word_levels`` and for
 the cylinder products of the kusuoka module.  ``_word_rows`` is the one
-range read, the last level of ``_word_levels`` over a range: the CLI's
-writers, the carrier walk, the cable masses and ``word_table`` (the
-whole range, the last table read kept, and read by no route here) read
-their map rows from it.  Only ``compose``, the one row of a word of any
-length, which ``word_point`` maps as one ``_images`` row, and the
-harmonicity module's vertex blocks, which read every level, walk
+range read, the last level of ``_word_levels`` over a range, holding
+only the level being built beside its parent: the CLI's writers, the
+carrier walk, the cable masses and ``word_table`` (the whole range, the
+last table read kept, and read by no route here) read their map rows
+from it.  Only ``compose``, the one row of a word of any length, which
+``word_point`` maps as one ``_images`` row, and the two readers of every
+level, the carrier walk and the harmonicity module's vertex blocks, walk
 ``_word_levels`` themselves.  The range reads stop at the depth cap; a
 one-row read does not.
 
 The carriers of the depth-l pre-fractal, its cells in word order and
 then its cables by generation in (prefix, slot) order, have one walk
-(``_carrier_walk``): a row range gives, span by span, the ``_word_rows``
-read of its cells or of its cables' prefixes.  The Laplacian samples and
-the edge table (``prefractal_edges``, built a range at a time by
+(``_carrier_walk``): a row range gives, span by span, the map rows of
+its cells or of its cables' prefixes, the cells one ``_word_rows`` read
+and the prefixes of every generation that fits in one range the levels
+of one walk, so a range costs O(l) level steps.  The Laplacian samples
+and the edge table (``prefractal_edges``, built a range at a time by
 ``_edge_rows``, which the SVG/JSON export reads by range) read their
 rows from it.
 
@@ -257,10 +260,12 @@ def _word_levels(seq: ParamSeq, l: int, start: int, stop: int, beta_over_alpha: 
 
 def _word_rows(seq: ParamSeq, l: int, start: int, stop: int):
     """Affine parts (lin, off) of the depth-l words start..stop-1 in word order: the last
-    level of ``_word_levels``, so each row has the bits of its ``word_table`` row.  A depth
-    past the cap raises DepthCapExceeded."""
+    level of ``_word_levels``, so each row has the bits of its ``word_table`` row.  Each level
+    is dropped once the next is built, so only the level being built is held beside its
+    parent.  A depth past the cap raises DepthCapExceeded."""
     _require_depth(l)
-    *_, (first, lin, off) = _word_levels(seq, l, start, stop)
+    for first, lin, off in _word_levels(seq, l, start, stop):
+        pass
     return lin[start - first : stop - first], off[start - first : stop - first]
 
 
@@ -383,16 +388,29 @@ def _carrier_count(l: int, cell_rows: int = 1) -> int:
 def _carrier_walk(seq: ParamSeq, l: int, start: int, stop: int, cell_rows: int = 1):
     """Rows start..stop-1 of a depth-l carrier table, ``cell_rows`` rows per cell (generation
     s = 0) then the 3^s cables of each generation s in (prefix, slot) order, as spans (s, a, b,
-    lin, off): rows a..b-1 of generation s with the ``_word_rows`` read of the cells
+    lin, off): rows a..b-1 of generation s with the map rows of the cells
     a // cell_rows .. ceil(b / cell_rows) - 1, or of the depth-(s - 1) prefixes a // 3 ..
-    ceil(b / 3) - 1, so each has the bits of its ``word_table`` row."""
-    first = 0
+    ceil(b / 3) - 1, so each has the bits of its ``word_table`` row.
+
+    The cells are one ``_word_rows`` read.  The prefixes of every generation whose prefix level
+    fits in one range (3^(s - 1) <= ``_RANGE_ROWS``) are levels of one ``_word_levels`` walk over
+    every word of the deepest such level, and a deeper generation's are one ``_word_rows`` read
+    per span, so a range costs O(l) level steps, not one walk per generation."""
+    spans, first = [], 0
     for s, size in enumerate([cell_rows * 3**l] + [3**s for s in range(1, l + 1)]):
         if max(start, first) < min(stop, first + size):
-            a, b = max(start - first, 0), min(stop - first, size)
-            depth, per = (l, cell_rows) if s == 0 else (s - 1, 3)
-            yield (s, a, b, *_word_rows(seq, depth, a // per, -(-b // per)))
+            spans.append((s, max(start - first, 0), min(stop - first, size)))
         first += size
+    shallow = max([s - 1 for s, _, _ in spans if s and 3 ** (s - 1) <= _RANGE_ROWS], default=-1)
+    levels = list(_word_levels(seq, shallow, 0, 3**shallow)) if shallow >= 0 else []
+    for s, a, b in spans:
+        depth, per = (l, cell_rows) if s == 0 else (s - 1, 3)
+        lo, hi = a // per, -(-b // per)
+        if depth <= shallow:
+            _, lin, off = levels[depth]
+            yield s, a, b, lin[lo:hi], off[lo:hi]
+        else:
+            yield (s, a, b, *_word_rows(seq, depth, lo, hi))
 
 
 #: Columns of the edge table: the edge's (generation, word, slot), prefactor, start, end and velocity.

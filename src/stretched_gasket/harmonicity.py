@@ -16,10 +16,14 @@ included, is a corner of one depth-l cell: the stars are index gathers on
 rows of the map tables, O(3^l) array work without an edge walk, done 3^7
 depth-l cells at a time (``_vertex_blocks``): ``harmonic_report`` reduces
 each block as it comes, and ``vertex_stars`` joins and sorts them into
-one record array.  Every gather of rows by an index array goes through
-``np.take`` (``np.compress`` for a boolean selection): with numpy 2.4 it
-copies rows of an (N, 2) table about 10 times faster than ``a[idx]``
-(7 against 75 us for 6,558 rows, on a 2-vCPU Xeon), with the same bits.
+one record array.  Which cable end meets which cell corner depends on
+the depth alone: the first block's index arrays are built once per depth
+and process (``_first_block``, at most 2.05 MB for depths 0..12), and
+every later block shifts them by its prefix digits.  Every gather of
+rows by an index array goes through ``np.take`` (``np.compress`` for a
+boolean selection): with numpy 2.4 it copies rows of an (N, 2) table
+about 10 times faster than ``a[idx]`` (7 against 75 us for 6,558 rows,
+on a 2-vCPU Xeon), with the same bits.
 The weak pairing is the energy module's moment pass on its ``pairing``
 form, (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3); the
 per-edge densities of the weak Laplacian, which pair to the same value
@@ -57,6 +61,8 @@ import numpy as np
 from .energy import _fsum, _moment_terms, _quad_slot
 from .errors import NonHarmonicError, StarNotClosed
 from .geometry import (
+    _RANGE_ROWS,
+    DEFAULT_DEPTH_CAP,
     HARMONIC_RATIO,
     SIDE_NAMES,
     _cable_ends,
@@ -154,19 +160,31 @@ def _cell_corners(l: int, cells: np.ndarray):
     return cell, corner, keys, l - run, e, p
 
 
+@functools.lru_cache(maxsize=DEFAULT_DEPTH_CAP + 1)
+def _first_block(l: int):
+    """The corners of the first ``geometry._ranges`` block of depth-l cells, as ``_cell_corners``
+    gives them, in read-only arrays.  They depend on the depth alone, so each depth's are built
+    once per process: at most 13 entries, 2.05 MB in all (315 KB each from depth 7 on)."""
+    arrays = _cell_corners(l, np.arange(min(3**l, _RANGE_ROWS)))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _block_vertices(l: int):
     """For each range (a, b) of ``geometry._ranges`` over the depth-l cells: a, b and the
     corners of the cells a..b-1 as ``_cell_corners`` gives them.
 
-    Only the first block's digits are taken.  A later block starts at a multiple a of its
-    size 3^n and differs from the first only in the digits above the low n: its keys are the
-    first block's plus 3 times the base-4 code of a's digits, its p plus a // 3^(run + 1),
-    and only the corners of its cells 0...0, 1...1 and 2...2 (c (3^n - 1) / 2 for c = 0, 1,
-    2), whose runs may pass the low n digits, are taken from their own cells' digits.
+    The first block's are ``_first_block``'s, shared and read-only.  A later block starts at a
+    multiple a of its size 3^n and differs from the first only in the digits above the low n:
+    its keys are the first block's plus 3 times the base-4 code of a's digits, its p plus
+    a // 3^(run + 1), and only the corners of its cells 0...0, 1...1 and 2...2
+    (c (3^n - 1) / 2 for c = 0, 1, 2), whose runs may pass the low n digits, are taken from
+    their own cells' digits.
     """
     blocks = _ranges(3**l)
     a, b = next(blocks)
-    cell, corner, keys, s, e, p = _cell_corners(l, np.arange(a, b))
+    cell, corner, keys, s, e, p = _first_block(l)
     yield a, b, cell, corner, keys, s, e, p
     for a, b in blocks:
         deep = (b - a - 1) // 2 * np.arange(3)
@@ -242,9 +260,10 @@ def _vertex_arrays(seq: ParamSeq, l: int, beta_over_alpha: float):
 
 
 def _boundary(weights: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    """Each vertex's boundary vector: the sum over its members of weight * tangent."""
-    terms = weights[..., None] * tangents
-    return terms[:, 0] + terms[:, 1] + terms[:, 2]
+    """Each vertex's boundary vector: the sum over its members of weight * tangent, in member
+    order, formed member by member so that no (V, 3, 2) table of terms is held."""
+    w, t = weights[:, :, None], tangents
+    return w[:, 0] * t[:, 0] + w[:, 1] * t[:, 1] + w[:, 2] * t[:, 2]
 
 
 def vertex_stars(

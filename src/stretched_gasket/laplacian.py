@@ -13,9 +13,11 @@ accurate as ``kusuoka`` states: where longdouble is x87 80-bit.
 ``laplacian_samples`` returns one record array, a row per carrier, or any
 row range of it; it reads the carriers 3^7 rows at a time from the
 geometry module's carrier walk (``_carrier_walk``), each block from its
-own rows of the cylinder and map tables and of the cable masses, so no
-depth-l table but the returned one is held whole, and the CLI writes the
-blocks as it computes them.  ``teplyaev`` samples one carrier as a
+own rows of the cylinder and map tables and of the cable masses, as
+columns (``_sample_rows``) that it writes into the fields of the one
+returned table, so no depth-l table but that one is held whole and no
+block is copied twice; the CLI formats each block's columns as it
+computes them.  ``teplyaev`` samples one carrier as a
 ``LaplacianSample`` through the same Hessian kernel, with the bits of
 that carrier's row.
 
@@ -146,16 +148,18 @@ _SAMPLE_DTYPE = np.dtype(
 )
 
 
-def _sample_rows(seq: ParamSeq, phi: Poly2, depth: int, start: int, stop: int) -> np.recarray:
-    """Rows start..stop-1 of the sample table, each span of the carrier walk from its own word,
-    tau and cable rows, the cables unchecked (``_require_cables``)."""
+def _sample_rows(seq: ParamSeq, phi: Poly2, depth: int, start: int, stop: int) -> list[np.ndarray]:
+    """Rows start..stop-1 of the sample table as its columns, in ``_SAMPLE_DTYPE`` order, each
+    span of the carrier walk from its own word, tau and cable rows, the cables unchecked
+    (``_require_cables``).  The callers write or format the columns as they are: no record
+    array is built for a range."""
     ids, t_tilde, locations = [], [], []  # ids: (generation, word, slot)
     spans = list(_carrier_walk(seq, depth, start, stop))
     segments = zip(*_cable_stack(seq, [s for s, *_ in spans if s]))
     for s, a, b, lin, off in spans:
         if s == 0:
             cells, taus = np.arange(a, b), tau_table(depth, a, b)
-            ids.append(np.column_stack([np.zeros_like(cells), cells, np.zeros_like(cells)]))
+            ids.append(np.stack([np.zeros_like(cells), cells, np.zeros_like(cells)]))
             t_tilde.append(taus / _trace(taus)[:, None, None])
             locations.append(_images(lin, barycenter()[None])[:, 0] + off)
             continue
@@ -165,13 +169,12 @@ def _sample_rows(seq: ParamSeq, phi: Poly2, depth: int, start: int, stop: int) -
         _, dirs = _cable_directions(lin, v, s, a - a % 3)
         # Midpoints of the cables' ends p and p + v.
         mids = p + 0.5 * ((p + v) - p)
-        ids.append(np.column_stack([np.full(b - a, s), cables // 3, cables % 3 + 1]))
+        ids.append(np.stack([np.full(b - a, s), cables // 3, cables % 3 + 1]))
         t_tilde.append((dirs[:, :, None] * dirs[:, None, :])[rows])
         locations.append((_images(lin, mids) + off[:, None]).reshape(-1, 2)[rows])
     t_tilde, locations = np.concatenate(t_tilde), np.concatenate(locations)
     values = _laplacian_values(phi, t_tilde, locations)
-    columns = [*np.concatenate(ids).T, *locations.T, t_tilde[:, 0, 0], t_tilde[:, 0, 1], t_tilde[:, 1, 1], values]
-    return np.rec.fromarrays(columns, dtype=_SAMPLE_DTYPE)
+    return [*np.concatenate(ids, axis=1), *locations.T, t_tilde[:, 0, 0], t_tilde[:, 0, 1], t_tilde[:, 1, 1], values]
 
 
 def laplacian_samples(seq: ParamSeq, phi: Poly2, depth: int, start: int = 0, stop: int | None = None) -> np.recarray:
@@ -202,7 +205,8 @@ def laplacian_samples(seq: ParamSeq, phi: Poly2, depth: int, start: int = 0, sto
     if not 0 <= start <= stop <= n:
         raise ValueError(f"row range [{start}, {stop}) is not within the {n} depth-{depth} carriers")
     _require_cables(seq, depth)
-    table = np.recarray(stop - start, dtype=_SAMPLE_DTYPE)
+    table = np.empty(stop - start, dtype=_SAMPLE_DTYPE)
     for a, b in _ranges(stop - start):
-        table[a:b] = _sample_rows(seq, phi, depth, start + a, start + b)
-    return table
+        for name, column in zip(_SAMPLE_DTYPE.names, _sample_rows(seq, phi, depth, start + a, start + b)):
+            table[name][a:b] = column
+    return table.view(np.recarray)

@@ -33,10 +33,10 @@ def test_one_carrier_reads_are_their_table_rows(regime):
     phi = parse("x^3 - 0.7*x*y + y^4")
     for l in range(7):
         words = list(iter_words(l))
-        cells = laplacian._sample_rows(regime, phi, l, 0, 3**l)
+        *_, x, y, _, _, _, value = laplacian._sample_rows(regime, phi, l, 0, 3**l)
         points = np.array([word_point(regime, word) for word in words]).reshape(-1, 2)
-        assert points.tobytes() == np.column_stack([cells.x, cells.y]).tobytes(), l
-        assert np.array([teplyaev(phi, word, regime).value for word in words]).tobytes() == cells.value.tobytes(), l
+        assert points.tobytes() == np.column_stack([x, y]).tobytes(), l
+        assert np.array([teplyaev(phi, word, regime).value for word in words]).tobytes() == value.tobytes(), l
         try:
             masses, directions = cable_masses(regime, l + 1)
         except TailProductZero:

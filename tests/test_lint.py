@@ -152,11 +152,13 @@ def test_one_object_reads_make_no_products_of_their_own():
 
 #: The functions of src/ that may read each range-walk function: a row range's ancestors are
 #: worked out in ``geometry._ancestors`` alone, and every range read of map rows goes through
-#: ``_word_rows``; ``compose`` (one row of any length) and ``_vertex_blocks`` (every level) walk
-#: ``_word_levels`` themselves.
+#: ``_word_rows``; ``compose`` (one row of any length) walks ``_word_levels`` itself, and so do
+#: the two readers of every level of a walk, which ``_word_rows`` (the last level only) cannot
+#: serve: ``_vertex_blocks`` (each cable generation's prefixes are the range's ancestors) and
+#: ``_carrier_walk`` (the prefixes of every shallow cable generation of a range from one walk).
 RANGE_WALK_READERS = {
     "_ancestors": {"geometry._word_levels", "kusuoka._linears"},
-    "_word_levels": {"geometry._word_rows", "geometry.compose", "harmonicity._vertex_blocks"},
+    "_word_levels": {"geometry._word_rows", "geometry.compose", "geometry._carrier_walk", "harmonicity._vertex_blocks"},
 }
 
 
@@ -180,6 +182,14 @@ def test_range_walk_readers_are_found():
         "b": "from a import _walk\nimport a\n\n\ndef f():\n    def g():\n        return a._walk()\n\n    return g\n",
     }
     assert readers(sources, "_walk") == ["a.rows", "a:9", "b.f"]
+
+
+def test_stray_range_walk_readers_are_refused():
+    # A second walk of every level beside the allowed readers, in a module that has none.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    sources["laplacian"] += "\n\ndef _stray(seq, l):\n    return list(_word_levels(seq, l, 0, 3**l))\n"
+    found = [f for f in readers(sources, "_word_levels") if f not in RANGE_WALK_READERS["_word_levels"]]
+    assert found == ["laplacian._stray"]
 
 
 def test_a_row_range_is_walked_in_one_place():

@@ -126,6 +126,26 @@ def test_later_vertex_blocks_equal_their_own_cells_digits():
             want = harmonicity._cell_corners(l, np.arange(a, b))
             assert all(np.array_equal(x, y) for x, y in zip(got, want)), (l, a)
 
+
+def test_first_block_corners_are_built_once_per_depth_and_shared(monkeypatch):
+    # The first block's corners depend on the depth alone: every sequence reads the same
+    # read-only arrays, built by one call of 3^7 cells; later blocks rebuild three cells each.
+    harmonicity._first_block.cache_clear()
+    calls = []
+    real = harmonicity._cell_corners
+    monkeypatch.setattr(harmonicity, "_cell_corners", lambda l, cells: calls.append(len(cells)) or real(l, cells))
+    firsts = []
+    for seq in (PREFIX_EXP, TAIL_ONLY, EDGE_SEQ):
+        keys, *_ = next(harmonicity._vertex_blocks(seq, 8, geometry.HARMONIC_RATIO))
+        firsts.append(keys)
+        harmonic_report(seq, 8)
+    assert calls == [3**7] + [3] * 2 * 3
+    assert all(keys is harmonicity._first_block(8)[2] for keys in firsts)
+    assert not any(arr.flags.writeable for arr in harmonicity._first_block(8))
+    with pytest.raises(ValueError):
+        firsts[0][0] = 0
+
+
 def test_equal_norms_name_the_first_vertex_in_key_order(monkeypatch):
     # At depth 9 the first vertex in key order, (1,)/B, lies in the second
     # cell block (its cell is 1 2^8), while the first block holds larger
