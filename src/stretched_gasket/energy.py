@@ -9,70 +9,55 @@ depth-l pre-fractal:
 
 with a = b = 1/3 (``params.A``).
 
-The forms are evaluated without enumerating edges.  Polynomials of degree
-<= d form a space of dimension D = (d+1)(d+2)/2 that affine pullback maps
-to itself, so a field is its coefficient vector c on the monomial basis
-and each level map F^k_i acts by a D x D pullback matrix P_i.  The field
-moment M_0 = c_u c_v^T (symmetrized for the energy forms) is pushed down
-one level at a time,
+The forms are read from one chain of symmetric matrix polynomials, without
+enumerating edges.  Each integrand is dv^T G(z) dv along a segment z = p0 +
+t dv, with G = sym(grad u grad v^T) for the energy form and G = v D^2 u
+for the weak pairing's (u o z)'' (v o z) and the IBP measure side.  The
+level maps' linear parts are sqrt(lam_k (3/5)) B_i for fixed factors B_i
+(``geometry._LEVEL_FACTORS``), so the chain H_0 = G, H_k(x) = sum_i B_i
+H_(k-1)(F^k_i x) B_i, which sums P_w^T G(F_w x) P_w over the depth-k words
+(P_w = B_(w_1) ... B_(w_k)), gives every form as a readout:
 
-    M_k = (1/lam_k) sum_i P_i M_{k-1} P_i^T,
+    E_l = a (3/5)^l r_side . H_l + sum_{k<=l} w(k, l) r_k . H_(k-1),
 
-so M_k sums the pulled-back coefficient products of the 3^k depth-k cells
-divided by lam_tilde(k).  Every form is then a contraction:
+with r_side and r_k the integrals of the monomials along the cell sides and
+the generation-k cables, weighted by (dx^2, 2 dx dy, dy^2), and w(k, l) =
+b (3/5)^(k-1) / (eps_tilde(k, l) (1 - eps_k)).  The IBP cell term and the
+measure energy's gasket half are the barycenter readout c (3/5)^l (h11 +
+h22)(b).  A state is (h11, h12, h22) on the D' = (n+1)(n+2)/2 monomials of
+degree <= n = deg u + deg v - 2 centred at b; a level step, three D' x D'
+pullbacks and the conjugations ``_CONJUGATIONS``, costs O(D'^2), and one
+chain to depth L gives every depth l <= L.  The readouts are exact: a
+Gauss rule of n // 2 + 1 longdouble points (``_gauss``) integrates the
+restricted monomials exactly.  The moment pass this chain replaced is the
+oracle of ``tests/oracles.py``.
 
-    E_l = <a S, M_l> + sum_{k<=l} w(k, l) <G_k, M_{k-1}>,
+Level k's pullbacks and cable readout depend on eps_k alone, so every form
+and field pair of a degree reads them from one table cache (``_TABLES``),
+keyed on (log eps_k, n) and bounded by ``_TABLE_BUDGET`` (64 MiB, least
+recently used entries leaving first); the missing ones are built in one
+stacked call each, with the bits of the per-map and per-generation builds.
+The same cache keeps each top state's chain H_0..H_k, keyed on the value
+bytes of the top (``_chain_key``) and n, with the log eps_1..eps_k it was
+stepped through: a chain resumes from the longest stored prefix with its
+own logs, steps only the levels beyond it (checking lam_k on each) and
+stores the result, with the bits it would compute afresh.  Before
+allocating, a chain refuses a dense working set above ``_PASS_BUDGET`` (512
+MiB) with ``WorkingSetTooLarge``: at depth 12 it admits n <= 42 (fields of
+degree 22 for u = v), at depth 1 n <= 78 (degree 40).  The readouts are
+summed exactly (math.fsum of every term's double head and remainder), and
+G = sym(grad u grad v^T) has the same bits for (u, v) and (v, u), so
+E(u, v) == E(v, u) exactly.
 
-with S the Gram matrix of the three sides of a cell, G_k that of the
-three generation-k cables and w(k, l) = b / (eps_tilde(k, l) (1 - eps_k)).
-One pass to depth L gives every E_l, l <= L, in O(L D^3); the edge sum
-costs O(3^l) and a backward fold of the forms (the pass's adjoint, kept as
-a test oracle) O(l D^3) per depth.
-
-Level k's three pullbacks and its cable Grams depend on eps_k alone, the
-side Grams on nothing but the degree and the Gauss order, so every pass
-reads them from one table cache (``_TABLES``): a level's entry is keyed
-on (log eps_k, d, order), the side's on (d, order), and least recently
-used entries leave once the tables held pass ``_TABLE_BUDGET`` (64 MiB).
-The same cache keeps each top moment's chain: the entry of a top M_0 is
-keyed on the value bytes of its entries (``_chain_key``, the padding of
-an x87 longdouble left out) and d, and holds the moments M_0..M_k with
-the log eps_1..eps_k they were pushed through.  A pass resumes from the
-longest stored prefix whose logs equal its own, pushes only the levels
-beyond it (lam_k is checked on each of them) and stores the extended
-chain once the pass has finished; a chain larger than the budget is
-neither copied nor kept.  A stored moment is the value the pass computes
-from the same top and levels, so the bits do not move.  A pass builds
-whatever it misses in stacked evaluations, not one level at a time: the
-pullbacks of every missing level in one pass over the monomials, and
-their cable Grams (and the side Grams) from one evaluation of the
-monomial jets per derivative order and one batched product; the bits are
-those of the per-map and per-generation products, so a result does not
-depend on what the cache holds.  Before allocating, a pass estimates its
-dense working set (D x D tables and moments) and refuses one above
-``_PASS_BUDGET`` (512 MiB) with ``WorkingSetTooLarge``.  The Gram entries
-are integrals of polynomial derivatives along straight segments, so any
-Gauss rule exact for the field degrees gives them up to rounding.  The
-pass picks the order itself (``_gauss_order``: the lowest exact one, at
-least 8) and builds the nodes and weights (``_gauss``) only when it
-builds a Gram, after the working-set guard has passed.  The contraction
-uses exact compensated summation (math.fsum), and the symmetrized moment
-has the same bits for (u, v) and (v, u), so E(u, v) == E(v, u) exactly.
-
-The pass has one entry, ``_moment_terms``: fields, depths and forms in
-(``_FORMS``: the energy form E, the weak pairing's (u o z)'' (v o z), the
-IBP measure side with its cell form (3a/2) Lap f(b) g(b) at the
-barycenter b), fsum-ready terms out, summed with ``_fsum``, which refuses
-an overflowing total.  Other modules use that entry and build no moments.
-
-The one-step recurrence and self-similarity residuals read their
-generation-1 cable term from the left side's pass, and run the right
-side's three pulled-back fields (u o F^1_i, v o F^1_i), built by one
-stacked pullback, as one stacked pass on the shifted sequence.  The
-batched edge tableau (``_tableau``, the start and velocity columns of the
-geometry module's edge table, cut by generation) remains only for the
-tests' edge-by-edge routes in ``tests/oracles.py``; it keeps the last
-tableau built (76.5 MB at the depth cap).
+The chain has one entry, ``_moment_terms``: fields, depths and forms
+(``_FORMS``) in, fsum-ready terms out, summed with ``_fsum``, which refuses
+an overflowing total; other modules build no states.  The one-step
+recurrence and self-similarity residuals read their generation-1 cable
+term from the left side's chain and run the three pulled-back fields (u o
+F^1_i, v o F^1_i) as one stacked chain on the shifted sequence.  The
+batched edge tableau (``_tableau``, the geometry module's edge table cut by
+generation, the last one kept: 76.5 MB at the depth cap) serves only the
+tests' edge-by-edge routes in ``tests/oracles.py``.
 
 The limit cable form replaces the finite window product eps_tilde(s, l)
 with the infinite one and is reported together with a rigorous tail bound.
@@ -87,8 +72,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TermOverflow, WorkingSetTooLarge
+from .errors import PrefactorUnderflow, TermOverflow, WorkingSetTooLarge
 from .geometry import (
+    _LEVEL_FACTORS,
     _cable_stack,
     _quotient,
     _require_depth,
@@ -111,18 +97,23 @@ class EnergyReport:
     total: float
 
 
-# -- monomial moment pass -------------------------------------------------
+# -- the level chain -------------------------------------------------------
 
-#: Working precision of the moment pass.  Where numpy's longdouble is the
-#: 80-bit x87 format it carries 11 bits beyond double, which absorbs the
-#: cancellation of a contraction <G, M> (short cables, fields that vanish
-#: along a side) and keeps the forms at least as accurate as the edge sum;
-#: where longdouble is double the pass runs in double.
+#: Working precision of the chain.  Where numpy's longdouble is the 80-bit
+#: x87 format it carries 11 bits beyond double, which absorbs the
+#: cancellation of a readout (short cables, fields that vanish along a
+#: side); where longdouble is double the chain runs in double.
 _EXT = np.longdouble
 
 #: Origin of the monomial basis: the barycenter of the base triangle, so
 #: every cell-local coordinate stays within 0.58 of it.
 _CENTER = barycenter().astype(_EXT)
+
+#: B_i H B_i on the entries (h11, h12, h22) of a symmetric H, (map i, entry out, entry in),
+#: for the level factors B_i = [[p, q], [q, r]] (``geometry._LEVEL_FACTORS``), and as the
+#: (entry out, (map i, entry in)) matrix that the level step applies.
+_CONJUGATIONS = np.array([[[p * p, 2 * p * q, q * q], [p * q, p * r + q * q, q * r], [q * q, 2 * q * r, r * r]] for (p, q), (_, r) in _LEVEL_FACTORS.tolist()])
+_CONJUGATION_ROWS = np.ascontiguousarray(_CONJUGATIONS.transpose(1, 0, 2).reshape(3, 9))
 
 
 def _dim(d: int) -> int:
@@ -192,116 +183,129 @@ def _plain_coeffs(p: Poly2, d: int) -> np.ndarray:
     return out
 
 
-def _map_pullback(lin: np.ndarray, off: np.ndarray, d: int, *, from_plain: bool = False) -> np.ndarray:
-    """Pullback by one map (lin (2, 2), off (2,)): ``_pullback`` of a stack of one."""
-    return _pullback(lin[None], off[None], d, from_plain=from_plain)[0]
-
-
 @functools.lru_cache(maxsize=16)
 def _centering(d: int) -> np.ndarray:
     """Pullback by the identity from the plain to the centered basis."""
-    out = _map_pullback(np.eye(2), np.zeros(2), d, from_plain=True)
-    out.flags.writeable = False
+    return _read_only(_pullback(np.eye(2)[None], np.zeros((1, 2)), d, from_plain=True)[0])
+
+
+def _degrees(u: Poly2, v: Poly2) -> tuple[int, int]:
+    """(d, n): the larger field degree, at least 0, and the chain's degree n = deg u + deg v - 2
+    with each degree at least 1, which bounds every form's G (G = 0 for a constant field)."""
+    return max(u.degree, v.degree, 0), max(u.degree, 1) + max(v.degree, 1) - 2
+
+
+@functools.lru_cache(maxsize=32)
+def _derivatives(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, factor), each (2, D_(d-1)): the partials d/dx, d/dy of a degree-d vector c are
+    c[source] * factor."""
+    m, n = _exponents(d - 1)
+    return _read_only(np.stack([_slot(m + 1, n), _slot(m, n + 1)])), _read_only(np.stack([m + 1, n + 1]).astype(_EXT))
+
+
+def _gradient(c: np.ndarray, d: int) -> np.ndarray:
+    """(..., 2, D_(d-1)): the partials d/dx and d/dy of degree-d coefficient vectors c (..., D_d)."""
+    source, factor = _derivatives(d)
+    return c[..., source] * factor
+
+
+@functools.lru_cache(maxsize=32)
+def _product_pairs(g: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The slot pairs (a, b), a <= b, of two degree-g vectors with a product of degree <= n (<= 2g),
+    grouped by the product's slot: (a, b, the diagonal pairs, where each of the D_n groups starts)."""
+    m, k = _exponents(g)
+    a, b = np.triu_indices(_dim(g))
+    a, b = a[m[a] + k[a] + m[b] + k[b] <= n], b[m[a] + k[a] + m[b] + k[b] <= n]
+    slots = _slot(m[a] + m[b], k[a] + k[b])
+    order = np.argsort(slots, kind="stable")
+    a, b = a[order], b[order]
+    return tuple(_read_only(arr) for arr in (a, b, np.flatnonzero(a == b), np.searchsorted(slots[order], np.arange(_dim(n)))))
+
+
+def _product(p: np.ndarray, q: np.ndarray, g: int, n: int) -> np.ndarray:
+    """(..., D_n): the degree-<=n part of the products of degree-g stacks p, q (..., D_g), with the
+    same bits for (q, p): a slot pair adds its cross products p_a q_b + p_b q_a, which commute."""
+    a, b, diagonal, starts = _product_pairs(g, n)
+    terms = p[..., a] * q[..., b] + p[..., b] * q[..., a]
+    terms[..., diagonal] *= 0.5
+    return np.add.reduceat(terms, starts, axis=-1)
+
+
+def _fields(u: Poly2, v: Poly2, d: int, outer: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Centered coefficients (S, D_d) of u o F_s and v o F_s for the S maps of ``outer`` (lin (S, 2, 2),
+    off (S, 2)), pulled back in one ``_pullback``, or None for the identity (S = 1)."""
+    pullbacks = _centering(d)[None] if outer is None else _pullback(*outer, d, from_plain=True)
+    return pullbacks @ _plain_coeffs(u, d), pullbacks @ _plain_coeffs(v, d)
+
+
+def _gradient_top(cu: np.ndarray, cv: np.ndarray, d: int, n: int) -> np.ndarray:
+    """(S, 3, D_n): G = sym(grad u grad v^T), entries (h11, h12, h22), of centered fields (S, D_d),
+    with the same bits for (v, u): h12 = (u_x v_y + u_y v_x) / 2 adds two commuting products."""
+    out = np.zeros((len(cu), 3, _dim(n)), _EXT)
+    if d >= 1:
+        products = _product(_gradient(cu, d)[:, [0, 0, 1, 1]], _gradient(cv, d)[:, [0, 1, 0, 1]], d - 1, n)
+        out[:, 0], out[:, 1], out[:, 2] = products[:, 0], 0.5 * (products[:, 1] + products[:, 2]), products[:, 3]
     return out
 
 
-def _falling(k: np.ndarray, i: int) -> np.ndarray:
-    out = np.ones(k.shape, dtype=_EXT)
-    for j in range(i):
-        out = out * (k - j)
+def _hessian_top(cu: np.ndarray, cv: np.ndarray, d: int, n: int) -> np.ndarray:
+    """(S, 3, D_n): G = v D^2 u, entries (v u_xx, v u_xy, v u_yy), of centered fields (S, D_d)."""
+    out = np.zeros((len(cu), 3, _dim(n)), _EXT)
+    if d >= 2:  # u_xx, u_xy and u_yy, padded to degree d
+        hessian = np.zeros((len(cu), 3, _dim(d)), _EXT)
+        hessian[..., : _dim(d - 2)] = _gradient(_gradient(cu, d), d - 1).reshape(len(cu), 4, -1)[:, [0, 1, 3]]
+        out[:] = _product(hessian, cv[:, None], d, n)
     return out
-
-
-def _partials(xs: np.ndarray, ys: np.ndarray, d: int, *orders: tuple[int, int]) -> list[np.ndarray]:
-    """d^(i+j)/dx^i dy^j of every basis monomial at centered points, (D, npts)
-    for each (i, j) of ``orders``; the powers of the points are taken once."""
-    m, n = _exponents(d)
-    top = np.arange(d + 1)[:, None]
-    xp = xs[None, :] ** top
-    yp = ys[None, :] ** top
-    return [
-        (_falling(m, i) * _falling(n, j))[:, None] * xp[np.maximum(m - i, 0)] * yp[np.maximum(n - j, 0)]
-        for i, j in orders
-    ]
-
-
-def _gauss_order(deg_u: int, deg_v: int) -> int:
-    """The moment pass's Gauss order for fields of these degrees: the lowest exact one, at least 8.
-
-    Along a straight segment z, (u o z)'(v o z)' and (u o z)''(v o z) are
-    polynomials of degree deg_u + deg_v - 2 in the curve parameter, and an
-    n-point rule is exact up to degree 2n - 1.
-    """
-    return max(8, math.ceil((deg_u + deg_v - 1) / 2))
 
 
 @functools.lru_cache(maxsize=16)
 def _gauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``points``-point Gauss-Legendre rule on [0, 1], checked on
-    every monomial degree the rule claims to integrate exactly (<= 2 points - 1)."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    """Nodes and weights, in ``_EXT``, of the ``points``-point Gauss-Legendre rule on [0, 1]: numpy's
+    double nodes refined by Newton steps, checked on every degree it integrates exactly (< 2 points)."""
+    x = np.polynomial.legendre.leggauss(points)[0].astype(_EXT)
+    for _ in range(3):
+        p, dp = _legendre(points, x)
+        x = x - p / dp
+    _, dp = _legendre(points, x)
+    nodes, weights = (x + 1) / 2, 1 / ((1 - x * x) * dp * dp)
     for k in range(2 * points):
-        got, want = float(weights @ nodes**k), 1.0 / (k + 1)
-        if abs(got - want) > 5e-14:
+        got, want = weights @ nodes**k, _EXT(1) / (k + 1)
+        if abs(got - want) > 4 * points * np.finfo(_EXT).eps:
             raise ValueError(f"quadrature self-check failed at degree {k}: {got} vs {want}")
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return _read_only(nodes), _read_only(weights)
 
 
-def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, nodes: np.ndarray, order: int) -> np.ndarray:
-    """order-th t-derivative of every basis monomial along each segment p0 + t dv.
+def _legendre(q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Legendre polynomial P_q and its derivative at x, by the three-term recurrence."""
+    p0, p1, d0, d1 = np.ones_like(x), x, np.zeros_like(x), np.ones_like(x)
+    for k in range(2, q + 1):
+        p0, p1, d0, d1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k, d1, d0 + (2 * k - 1) * p1
+    return p1, d1
 
-    Shape (D, S * nodes), segment-major, at the quadrature ``nodes`` on [0, 1].
-    """
-    ts = nodes.astype(_EXT)
-    p0 = p0.astype(_EXT) - _CENTER
+
+def _segment_integrals(p0: np.ndarray, dv: np.ndarray, n: int) -> np.ndarray:
+    """(G, 3, D_n): the readout of each group of three segments p0 + t dv (G, 3, 2), t in [0, 1]:
+    entry (e, m) sums the integrals of monomial m along them weighted by dx^2, 2 dx dy or dy^2
+    (e = h11, h12, h22), so H . readout = sum_z int_0^1 dv^T H(z(t)) dv dt.  Exact up to rounding:
+    the ``n // 2 + 1``-point rule integrates the degree-n restricted monomials exactly."""
+    nodes, weights = _gauss(n // 2 + 1)
     dv = dv.astype(_EXT)
-    xs = (p0[:, 0:1] + dv[:, 0:1] * ts).ravel()
-    ys = (p0[:, 1:2] + dv[:, 1:2] * ts).ravel()
-    dx = np.repeat(dv[:, 0], len(ts))
-    dy = np.repeat(dv[:, 1], len(ts))
-    if order == 0:
-        return _partials(xs, ys, d, (0, 0))[0]
-    if order == 1:
-        px, py = _partials(xs, ys, d, (1, 0), (0, 1))
-        return dx * px + dy * py
-    pxx, pxy, pyy = _partials(xs, ys, d, (2, 0), (1, 1), (0, 2))
-    return dx * dx * pxx + 2.0 * dx * dy * pxy + dy * dy * pyy
+    xs, ys = ((p0[..., i, None] - _CENTER[i]) + dv[..., i, None] * nodes for i in (0, 1))
+    m, k = _exponents(n)
+    powers = np.arange(n + 1)[:, None]
+    xp, yp = xs[..., None, :] ** powers, ys[..., None, :] ** powers
+    integrals = (xp[..., m, :] * yp[..., k, :]) @ weights
+    entries = np.stack([dv[..., 0] * dv[..., 0], 2 * dv[..., 0] * dv[..., 1], dv[..., 1] * dv[..., 1]], axis=-1)
+    return entries.swapaxes(-1, -2) @ integrals
 
 
-def _grams(seq: ParamSeq, groups: list[int], d: int, points: int, pairs) -> dict:
-    """Gram stacks of segment groups for each derivative-order pair, from stacked evaluations.
+# -- level tables and chains ----------------------------------------------
 
-    Group 0 is the three sides of a cell (listed first when present),
-    group k >= 1 the three generation-k cables.  Returns, for each (left,
-    right) of ``pairs``, a (len(groups), D, D) stack, each Gram summing
-    over its segments the ``points``-point Gauss quadrature of
-    (m_a o z)^(left) (m_b o z)^(right).
-    One ``_segment_jets`` evaluation per derivative order serves every
-    group and pair, and one batched product gives every group's Gram.
-    """
-    p0, dv = _cable_stack(seq, [g for g in groups if g])
-    if groups and groups[0] == 0:
-        side_p0, side_dv = _side_arrays()
-        p0, dv = np.concatenate([side_p0[None], p0]), np.concatenate([side_dv[None], dv])
-    p0, dv = p0.reshape(-1, 2), dv.reshape(-1, 2)
-    nodes, weights = _gauss(points)
-    jets = {
-        order: _segment_jets(p0, dv, d, nodes, order).reshape(_dim(d), len(groups), -1).transpose(1, 0, 2)
-        for order in {o for pair in pairs for o in pair}
-    }
-    w = np.tile(weights.astype(_EXT), 3)
-    return {(left, right): (jets[left] * w) @ jets[right].transpose(0, 2, 1) for left, right in pairs}
-
-
-# -- level tables ----------------------------------------------------------
-
-#: Byte budget of the table cache ``_TABLES``, level tables and moment chains (64 MiB).
+#: Byte budget of the table cache ``_TABLES``, level tables and chains (64 MiB).
 _TABLE_BUDGET = 64 << 20
 
-#: Byte budget of one moment pass's dense working set (512 MiB), checked
-#: before anything is allocated: every table and moment is a D x D matrix.
+#: Byte budget of one chain's dense working set (512 MiB), checked before
+#: anything is allocated.
 _PASS_BUDGET = 512 << 20
 
 
@@ -348,13 +352,16 @@ def _nbytes(entry: dict) -> int:
 _TABLES = _TableCache(_TABLE_BUDGET)
 
 
-def _require_budget(d: int, matrices: int) -> None:
-    """Refuse, before allocating, a pass that holds ``matrices`` D x D matrices beyond ``_PASS_BUDGET``."""
-    need = matrices * _dim(d) ** 2 * np.dtype(_EXT).itemsize
+def _require_budget(d: int, n: int, levels: int, tops: int) -> None:
+    """Refuse, before allocating, a chain to depth ``levels`` on ``tops`` tops whose dense working
+    set passes ``_PASS_BUDGET``: three D_n x D_n pullbacks a level, the D_d x D_d pullbacks that
+    form each top's G, and per top and level its state, cable terms and sums (3 D_n each)."""
+    big, small = _dim(n), _dim(d)
+    need = (3 * levels * big**2 + 3 * tops * small**2 + 9 * (tops + 1) * (levels + 1) * big) * np.dtype(_EXT).itemsize
     if need > _PASS_BUDGET:
         raise WorkingSetTooLarge(
-            f"fields of degree {d} (D = {_dim(d)} monomials) need about {need / 2**20:.0f} MiB "
-            f"in the moment pass, above its {_PASS_BUDGET >> 20} MiB budget"
+            f"fields of degree {d} (D = {big} monomials of degree {n}) need about {need / 2**20:.0f} MiB "
+            f"in the level chain, above its {_PASS_BUDGET >> 20} MiB budget"
         )
 
 
@@ -364,10 +371,10 @@ def _require_budget(d: int, matrices: int) -> None:
 _VALUE_BYTES = 10 if np.finfo(_EXT).nmant == 63 else np.dtype(_EXT).itemsize
 
 
-def _chain_key(top: np.ndarray, d: int) -> tuple:
-    """A top moment's key in ``_TABLES``: the value bytes of its entries, without padding, and d."""
+def _chain_key(top: np.ndarray, n: int) -> tuple:
+    """A top state's key in ``_TABLES``: the value bytes of its entries, without padding, and n."""
     raw = np.ascontiguousarray(top).view(np.uint8).reshape(*top.shape, -1)
-    return raw[..., :_VALUE_BYTES].tobytes(), d
+    return raw[..., :_VALUE_BYTES].tobytes(), n
 
 
 def _shared_levels(stored, logs: list[float]) -> int:
@@ -375,68 +382,130 @@ def _shared_levels(stored, logs: list[float]) -> int:
     return next((k for k, (a, b) in enumerate(zip(stored, logs)) if a != b), min(len(stored), len(logs)))
 
 
-def _level_tables(seq: ParamSeq, logs: list[float], d: int, points: int, pairs) -> tuple[dict, list[dict]]:
-    """The side Grams and, for each level k = 1..len(logs), its pullbacks and cable Grams.
-
-    ``logs[k - 1]`` is log eps_k.  Returns (side, levels): ``side`` maps
-    each pair of ``pairs`` to the side Gram and ``levels[k - 1]`` maps
-    "pullbacks" and each pair to level k's tables.  They come from
-    ``_TABLES``; the missing ones are built together, in one ``_pullback``
-    call and one ``_grams`` evaluation, once per distinct key, and stored.
-    A level is keyed on log eps_k, not eps_k, because its cable length
-    1 - eps_k is expm1 of it, and on the Gauss order ``points`` of its Grams.
-    """
-    keys = [(d, points)] + [(log, d, points) for log in logs]
-    found = dict(zip(keys, (_TABLES.get(key) for key in keys)))
-    # Group 0 is the side, group k level k; the first level of a key stands for it.
-    pull_groups, gram_groups = {}, {}
+def _level_tables(seq: ParamSeq, logs: list[float], n: int) -> tuple[np.ndarray, list[dict]]:
+    """The sides' readout (3, D_n) and, for each level k = 1..len(logs) (``logs[k - 1]`` = log eps_k),
+    its "pullbacks" (3, D_n, D_n) and its cable "cables" readout (3, D_n), from ``_TABLES``; the
+    missing ones are built in one ``_pullback`` and one ``_segment_integrals`` call, once per key.
+    A level is keyed on log eps_k, not eps_k, because its cable length 1 - eps_k is expm1 of it."""
+    keys = [("sides", n)] + [(log, n) for log in logs]
+    found = {key: _TABLES.get(key) for key in keys}
+    # Group 0 is the sides, group k level k; the first level of a key stands for it.
+    missing = {}
     for g, key in enumerate(keys):
-        if g and "pullbacks" not in found[key]:
-            pull_groups.setdefault(key, g)
-        if any(pair not in found[key] for pair in pairs):
-            gram_groups.setdefault(key, g)
-    new = {key: {} for key in [*pull_groups, *gram_groups]}
-    if pull_groups:
-        lins, offs = zip(*(triple(seq.eps(g)) for g in pull_groups.values()))
-        stack = _pullback(np.concatenate(lins), np.concatenate(offs), d).reshape(len(pull_groups), 3, _dim(d), _dim(d))
-        for key, pulls in zip(pull_groups, stack):
-            new[key]["pullbacks"] = pulls.copy()
-    if gram_groups:
-        missing = [pair for pair in pairs if any(pair not in found[key] for key in gram_groups)]
-        grams = _grams(seq, list(gram_groups.values()), d, points, missing)
-        for i, key in enumerate(gram_groups):
-            new[key].update({pair: grams[pair][i].copy() for pair in missing})
-    for key, tables in new.items():
-        for arr in tables.values():
-            arr.flags.writeable = False
-        found[key] = _TABLES.add(key, tables)
-    return found[keys[0]], [found[key] for key in keys[1:]]
+        if not found[key]:
+            missing.setdefault(key, g)
+    levels = [g for g in missing.values() if g]
+    if missing:
+        p0, dv = _cable_stack(seq, levels)
+        if 0 in missing.values():
+            side_p0, side_dv = _side_arrays()
+            p0, dv = np.concatenate([side_p0[None], p0]), np.concatenate([side_dv[None], dv])
+        readouts = iter(_segment_integrals(p0, dv, n))
+        if 0 in missing.values():
+            found[keys[0]] = _TABLES.add(keys[0], {"sides": _read_only(next(readouts))})
+    if levels:
+        lins, offs = zip(*(triple(seq.eps(g)) for g in levels))
+        stack = _pullback(np.concatenate(lins), np.concatenate(offs), n).reshape(len(levels), 3, _dim(n), _dim(n))
+        for g, pulls, cables in zip(levels, stack, readouts):
+            found[keys[g]] = _TABLES.add(keys[g], {"pullbacks": _read_only(pulls), "cables": _read_only(cables)})
+    return found[keys[0]]["sides"], [found[key] for key in keys[1:]]
 
 
-def _top_moments(u: Poly2, v: Poly2, d: int, outer: tuple | None = None, *, symmetric: bool = True) -> np.ndarray:
-    """(S, D, D): M_0 = c_u c_v^T for each map of ``outer``, symmetrized for the energy forms.
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    c_u, c_v are the centered-basis coefficients of u o F_s and v o F_s,
-    ``outer`` a stack of S maps (lin (S, 2, 2), off (S, 2)), pulled back
-    in one ``_pullback``, or None for the identity alone (S = 1).
-    The symmetrized moment has the same bits for (u, v) and (v, u).  The
-    degree guard runs here too, as callers build the moments before the pass.
+
+def _step(seq: ParamSeq, k: int, held: np.ndarray, pullbacks: np.ndarray) -> np.ndarray:
+    """H_k = sum_i C_i (x) P_{k,i} H_{k-1} on stacked states ``held`` (S, 3, D_n), each state's bits
+    those it has alone.  lam_k must be positive: (3/5)^k stands for the weights a / lam_tilde(k)."""
+    lam = seq.lam(k)
+    if lam == 0.0 or not math.isfinite(lam):
+        raise PrefactorUnderflow(f"lam_{k} of the level-{k} chain step: denominator {lam!r} underflows or is not finite")
+    rows = held.shape[-1]
+    pulled = np.matmul(held.reshape(-1, rows), pullbacks.transpose(0, 2, 1))
+    return _CONJUGATION_ROWS @ pulled.reshape(3, -1, 3, rows).transpose(1, 0, 2, 3).reshape(-1, 9, rows)
+
+
+def _chain(seq: ParamSeq, logs: list[float], levels: list[dict], tops: np.ndarray, n: int) -> np.ndarray:
+    """(F, L + 1, 3, D_n): the states H_0..H_L of each top (F, 3, D_n), L = len(logs), from its stored
+    chain as far as its logs agree, then stepped (the tops that need a level as one stack) and stored."""
+    keys = [_chain_key(top, n) for top in tops]
+    stored = [_TABLES.get(key) for key in keys]
+    starts = [_shared_levels(entry.get("logs", ()), logs) for entry in stored]
+    states = np.empty((len(tops), len(logs) + 1, *tops.shape[1:]), _EXT)
+    for f, (entry, start) in enumerate(zip(stored, starts)):
+        states[f, : start + 1] = entry["states"][: start + 1] if entry else tops[f]
+    for k in range(1, len(logs) + 1):
+        todo = [f for f, start in enumerate(starts) if start < k]
+        if todo:
+            states[todo, k] = _step(seq, k, states[todo, k - 1], levels[k - 1]["pullbacks"])
+    for key, start, chain in zip(keys, starts, states):
+        if start < len(logs):
+            _TABLES.add(key, {"states": _read_only(chain.copy()), "logs": _read_only(np.array(logs))})
+    return states
+
+
+@functools.lru_cache(maxsize=None)
+def _scales(count: int) -> np.ndarray:
+    """(3/5)^0, ..., (3/5)^(count - 1) in ``_EXT``, each rounded once."""
+    return _read_only(np.array([_EXT(3**k) / _EXT(5**k) for k in range(count)], _EXT))
+
+
+def _readouts(seq, depths, n, tops, cells, *, limit=False):
+    """For each depth l of ``depths`` in order, the list over the tops (F, 3, D_n) of one chain of
+    (cell part, cable part, generation-1 cable part), elementwise products for ``_split``.
+
+    ``cells`` gives each top's cell readout and constant c: "sides", c (3/5)^l r_side * H_l, or
+    "barycenter", c (3/5)^l (h11 + h22)(b).  Generation k's cable part is w(k, l) r_k * H_(k-1)
+    at w(k, l) = b (3/5)^(k-1) / (eps_tilde(k, l) (1 - eps_k)), or the infinite window for
+    ``limit``, summed over the generations in extended precision.
     """
-    count = 1 if outer is None else len(outer[0])
-    _require_budget(d, 3 * count)
-    pullbacks = _centering(d)[None] if outer is None else _pullback(*outer, d, from_plain=True)
-    cu, cv = (pullbacks @ _plain_coeffs(p, d) for p in (u, v))
-    top = cu[:, :, None] * cv[:, None, :]
-    return 0.5 * (top + top.transpose(0, 2, 1)) if symmetric else top
+    depths = list(depths)
+    for l in depths:
+        _require_depth(l)
+    l_max = max(depths, default=0)
+    logs = [seq.log_eps(k) for k in range(1, l_max + 1)]
+    sides, levels = _level_tables(seq, logs, n)
+    states = _chain(seq, logs, levels, tops, n)
+    readouts = np.array([level["cables"] for level in levels], _EXT).reshape(l_max, 3, _dim(n))
+    terms = (readouts * states[:, :-1]).reshape(len(tops), l_max, 3 * _dim(n))
+    # Read once per level, after the chain, so that an underflowing lam_k is
+    # reported first.  The finite windows are exp(fsum) of the logs, as
+    # ParamSeq.eps_tilde forms them; fsum rounds exactly, so the bits agree.
+    lengths = [-math.expm1(log) for log in logs]
+    windows = [seq.eps_tilde_inf(k) for k in range(1, l_max + 1)] if limit else None
+    weights = np.zeros((len(depths), l_max))
+    for row, l in enumerate(depths):
+        for k in range(1, l + 1):
+            den = (windows[k - 1] if limit else math.exp(math.fsum(logs[k - 1 : l]))) * lengths[k - 1]
+            if den == 0.0 or not math.isfinite(den):
+                _quotient(A, den, f"generation-{k} cable weight at depth {'infinity' if limit else l}")
+            weights[row, k - 1] = A / den
+    weights = weights.astype(_EXT) * _scales(l_max)
+    # Summed generation by generation, elementwise: no BLAS product, whose summation order
+    # would depend on the number of generations, so a sweep's rows keep their bits.
+    cables = np.zeros((len(tops), len(depths), terms.shape[-1]), _EXT)
+    for k in range(l_max):
+        cables += weights[:, k, None] * terms[:, None, k]
+    for row, l in enumerate(depths):
+        parts = []
+        for f, (readout, constant) in enumerate(cells):
+            held = states[f, l]
+            cell = sides * held if readout == "sides" else (held[0, :1] + held[2, :1])
+            first = weights[row, 0] * terms[f, 0] if l else cables[f, row]
+            parts.append((constant * _scales(l + 1)[l] * cell, cables[f, row], first))
+        yield parts
 
 
-def _split(terms: np.ndarray) -> list[float]:
-    """Double head and exact double remainder of every term, for math.fsum; a non-finite head raises."""
+def _split(terms: np.ndarray, what: str = "a form term") -> list[float]:
+    """Double head and exact double remainder of every term, for math.fsum; a non-finite head
+    raises TermOverflow naming ``what``."""
     with np.errstate(over="ignore"):
         head = terms.astype(np.float64)
     if not np.isfinite(head).all():
         largest = np.format_float_scientific(np.max(np.abs(terms)), precision=3)
-        raise TermOverflow(f"a form term overflows the double range (largest |term| {largest})")
+        raise TermOverflow(f"{what} overflows the double range (largest |term| {largest})")
     return head.ravel().tolist() + (terms - head).astype(np.float64).ravel().tolist()
 
 
@@ -448,116 +517,33 @@ def _fsum(terms) -> float:
         raise TermOverflow("a sum of form terms overflows the double range") from None
 
 
-def _contractions(seq, depths, d, points, tops, forms, *, limit=False):
-    """Elementwise contractions of stacked forms at every depth, from one moment pass.
-
-    ``tops`` (F, D, D) are top moments and ``forms`` F pairs (cell form,
-    (left, right)); a cell form of None stands for the sides' form a S of
-    derivative orders (left, right).  Form f contracts its cell form with
-    the depth-l moment of tops[f] and the generation-k cable Gram of orders
-    (left, right), at weight w(k, l) = b / (eps_tilde(k, l) (1 - eps_k)),
-    or the infinite window for ``limit``, with its depth-(k-1) moment; the
-    tables come from ``_level_tables``, the Grams at Gauss order
-    ``points``.  Yields, for each depth l of ``depths`` in order, the list
-    over f of the elementwise products [cell part, generation-1 part, ...,
-    generation-l part] (``_terms`` splits them for math.fsum).
-
-    Each top's moments M_0..M_{l_max} come from its stored chain as far as
-    its logs agree, are pushed beyond it, and are stored as its new chain.
-    """
-    depths = list(depths)
-    for l in depths:
-        _require_depth(l)
-    l_max = max(depths, default=0)
-    pairs = list(dict.fromkeys(order for _, order in forms))
-    keep = (l_max + 1) * _dim(d) ** 2 * np.dtype(_EXT).itemsize <= _TABLES.budget
-    # Tables: three pullbacks and a cable Gram per pair for every level, the
-    # side Grams; per form: top, push temporary, its chain (the current
-    # moment alone when no chain is kept), cell part per depth and a cable
-    # part per level.
-    held = l_max + 1 if keep else 1
-    _require_budget(d, l_max * (3 + len(pairs)) + len(pairs) + len(forms) * (2 + held + len(set(depths)) + l_max))
-    logs = [seq.log_eps(k) for k in range(1, l_max + 1)]
-    side, levels = _level_tables(seq, logs, d, points, pairs)
-    cell_forms = [A * side[order] if cell is None else cell for cell, order in forms]
-    keys = [_chain_key(top, d) for top in tops]
-    stored = [_TABLES.get(key) for key in keys]
-    starts = [_shared_levels(entry.get("logs", ()), logs) for entry in stored]
-    chains = [np.empty((l_max + 1, *top.shape), _EXT) if keep and start < l_max else None for top, start in zip(tops, starts)]
-    cells, cables, moments = {}, [], list(tops)
-    for k in range(l_max + 1):
-        if k:
-            pulls = levels[k - 1]["pullbacks"]
-            # Only the moments past their stored chain's shared levels are pushed.
-            todo, pushed = [m for m, start in zip(moments, starts) if start < k], iter(())
-            if todo:
-                # np.dot, not matmul: it is the faster longdouble product.
-                sums = np.stack([sum(np.dot(p, np.dot(m, p.T)) for p in pulls) for m in todo])
-                pushed = iter(_quotient(sums, _EXT(seq.lam(k)), f"lam_{k} of the level-{k} moment step"))
-            moments = [next(pushed) if start < k else entry["moments"][k] for entry, start in zip(stored, starts)]
-        for chain, m in zip(chains, moments):
-            if chain is not None:
-                chain[k] = m
-        if k in depths:
-            cells[k] = [cell * m for cell, m in zip(cell_forms, moments)]
-        if k < l_max:
-            cables.append([levels[k][order] * m for (_, order), m in zip(forms, moments)])
-    for key, chain in zip(keys, chains):
-        if chain is not None:
-            chain_logs = np.array(logs)
-            chain.flags.writeable = chain_logs.flags.writeable = False
-            _TABLES.add(key, {"moments": chain, "logs": chain_logs})
-    # Read once per level, after the pass, so that an underflowing lam_k is
-    # reported first.  The finite windows are exp(fsum) of the logs, as
-    # ParamSeq.eps_tilde forms them; fsum rounds exactly, so the bits agree.
-    lengths = [-math.expm1(log) for log in logs]
-    windows = [seq.eps_tilde_inf(k) for k in range(1, l_max + 1)] if limit else None
-    for l in depths:
-        weights, where = [], "infinity" if limit else l
-        for k in range(1, l + 1):
-            window = windows[k - 1] if limit else math.exp(math.fsum(logs[k - 1 : l]))
-            weights.append(_quotient(A, window * lengths[k - 1], f"generation-{k} cable weight at depth {where}"))
-        yield [[cells[l][f]] + [w * gm[f] for w, gm in zip(weights, cables)] for f in range(len(forms))]
-
-
-def _terms(parts: list[np.ndarray]) -> tuple[list[float], list[float]]:
-    """fsum terms of the cell part and of the generations' cable parts, summed
-    first in extended precision (as a fold accumulates them): 2 D^2 terms at any depth."""
-    return _split(parts[0]), _split(sum(parts[1:], np.zeros_like(parts[0])))
-
-
 def _report(l: int, tri: list[float], cab: list[float]) -> EnergyReport:
     return EnergyReport(l, _fsum(tri), _fsum(cab), _fsum(tri + cab))
 
 
-def _barycentric_form(d: int) -> np.ndarray:
-    """The IBP measure side's cell form (3a/2) Lap f(b) g(b) at the barycenter b of the base cell."""
-    at = barycenter().astype(_EXT) - _CENTER
-    fxx, fyy, g = (col[:, 0] for col in _partials(at[:1], at[1:], d, (2, 0), (0, 2), (0, 0)))
-    return 1.5 * A * np.outer(fxx + fyy, g)
-
-
-#: The forms of the moment pass by name: symmetrized top moment or not, the derivative
-#: orders (left, right) of the side and cable Grams, and the cell form (None: the sides' a S).
+#: The forms of the chain by name: the top state G, the cell readout and its constant, and
+#: what an overflowing cell term is called.
 _FORMS = {
-    "energy": (True, (1, 1), None),  # E(u, v)
-    "pairing": (False, (2, 0), None),  # the weak pairing's (u o z)'' (v o z)
-    "ibp": (False, (2, 0), _barycentric_form),  # the IBP measure side
+    "energy": (_gradient_top, "sides", A, "a form term"),  # E(u, v): G = sym(grad u grad v^T)
+    "pairing": (_hessian_top, "sides", A, "a form term"),  # the weak pairing's (u o z)'' (v o z): G = v D^2 u
+    "ibp": (_hessian_top, "barycenter", 1.5 * A, "a form term"),  # the IBP measure side: (3a/2) Lap f(b) g(b)
+    "gasket": (_gradient_top, "barycenter", 0.5, "the gasket half of the measure"),  # tr(tau_w G(F_w b))
 }
 
 
 def _moment_terms(seq, depths, u, v, forms=("energy",), *, limit=False):
-    """The one entry to the moment pass: fields in, fsum-ready terms out.
+    """The one entry to the level chain: fields in, fsum-ready terms out.
 
     Yields, for each depth of ``depths`` in order, one (cell terms, cable terms)
-    pair per named form of ``_FORMS`` (``limit``: cables at infinite windows),
-    the Grams at the Gauss order ``_gauss_order`` picks for the fields."""
-    d = max(u.degree, v.degree, 0)
+    pair per named form of ``_FORMS`` (``limit``: cables at infinite windows)."""
+    d, n = _degrees(u, v)
+    depths = list(depths)
+    _require_budget(d, n, max(depths, default=0), len(forms))
     rows = [_FORMS[name] for name in forms]
-    tops = np.concatenate([_top_moments(u, v, d, symmetric=symmetric) for symmetric, _, _ in rows])
-    cells = [(None if cell is None else cell(d), order) for _, order, cell in rows]
-    for parts in _contractions(seq, depths, d, _gauss_order(u.degree, v.degree), tops, cells, limit=limit):
-        yield [_terms(p) for p in parts]
+    cu, cv = _fields(u, v, d)
+    tops = np.concatenate([top(cu, cv, d, n) for top, *_ in rows])
+    for parts in _readouts(seq, depths, n, tops, [(readout, constant) for _, readout, constant, _ in rows], limit=limit):
+        yield [(_split(cell, what), _split(cables)) for (cell, cables, _), (*_, what) in zip(parts, rows)]
 
 
 # -- edge tableau (the tests' edge-by-edge routes) ------------------------
@@ -638,13 +624,19 @@ def energy2_limit(seq: ParamSeq, u: Poly2, v: Poly2, s_max: int) -> tuple[float,
 def _one_step(seq, l, u, v, *, limit=False) -> tuple[EnergyReport, float, list[EnergyReport]]:
     """The one-step identity's pieces: the depth-(l+1) report of (u, v), its
     generation-1 cable sum, and the depth-l reports of the shifted sequence's
-    form on u o F^1_i, v o F^1_i, i = 1, 2, 3, whose pulled-back top moments
-    are stacked into one pass on ``seq.shift()``; the Grams at ``_gauss_order``."""
-    d, points = max(u.degree, v.degree, 0), _gauss_order(u.degree, v.degree)
-    ((whole,),) = _contractions(seq, (l + 1,), d, points, _top_moments(u, v, d), [(None, (1, 1))], limit=limit)
-    tops = _top_moments(u, v, d, triple(seq.eps(1)))
-    (halves,) = _contractions(seq.shift(), (l,), d, points, tops, [(None, (1, 1))] * 3, limit=limit)
-    return _report(l + 1, *_terms(whole)), _fsum(_split(whole[1])), [_report(l, *_terms(half)) for half in halves]
+    form on u o F^1_i, v o F^1_i, i = 1, 2, 3, whose top states, G of the
+    pulled-back fields, are stacked into one chain on ``seq.shift()``."""
+    d, n = _degrees(u, v)
+    _require_budget(d, n, l + 1, 3)
+    cells = [("sides", A)]
+    ((whole,),) = _readouts(seq, (l + 1,), n, _gradient_top(*_fields(u, v, d), d, n), cells, limit=limit)
+    tops = _gradient_top(*_fields(u, v, d, triple(seq.eps(1))), d, n)
+    (halves,) = _readouts(seq.shift(), (l,), n, tops, cells * 3, limit=limit)
+    return (
+        _report(l + 1, _split(whole[0]), _split(whole[1])),
+        _fsum(_split(whole[2])),
+        [_report(l, _split(cell), _split(cables)) for cell, cables, _ in halves],
+    )
 
 
 def recurrence_residual(seq: ParamSeq, l: int, u: Poly2, v: Poly2, quad=None) -> float:
@@ -694,7 +686,7 @@ def convergence_rows(seq: ParamSeq, u: Poly2, v: Poly2, l_max: int, quad=None) -
     bounds |E_{l+1} - E_l| by the cell-oscillation term (Hessian and
     gradient sup bounds times the largest cell diameter) plus the exact
     cable reweighting and one new cable generation.  Every row comes from
-    one moment pass to l_max.  ``quad`` takes None only (``_quad_slot``).
+    one level chain to l_max.  ``quad`` takes None only (``_quad_slot``).
     """
     _quad_slot(quad)
     _require_depth(l_max)

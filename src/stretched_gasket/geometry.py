@@ -79,6 +79,12 @@ for _v in (_A, _B, _C, _BARYCENTER):
 #: Ratio beta/alpha of the harmonic map family.
 HARMONIC_RATIO = 1.0 / 3.0
 
+#: The stretch-free level factors B_1, B_2, B_3 of the harmonic family, in longdouble and built
+#: entrywise (B_2, B_3 exact mirror images): T_i / sqrt(lam_k) = sqrt(3/5) B_i at every level.
+_ROOT, _THIRD, _FIVE_SIXTHS = np.sqrt(np.longdouble(3)) / 6, np.longdouble(1) / 3, np.longdouble(5) / 6
+_LEVEL_FACTORS = np.array([[[1, 0], [0, _THIRD]], [[0.5, _ROOT], [_ROOT, _FIVE_SIXTHS]], [[0.5, -_ROOT], [-_ROOT, _FIVE_SIXTHS]]])
+_LEVEL_FACTORS.flags.writeable = False
+
 #: Default cap on enumeration depth (3^12 triangles).
 DEFAULT_DEPTH_CAP = 12
 

@@ -24,8 +24,8 @@ rows by an index array goes through ``np.take`` (``np.compress`` for a
 boolean selection): with numpy 2.4 it copies rows of an (N, 2) table
 about 10 times faster than ``a[idx]`` (7 against 75 us for 6,558 rows,
 on a 2-vCPU Xeon), with the same bits.
-The weak pairing is the energy module's moment pass on its ``pairing``
-form, (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D^3); the
+The weak pairing is the energy module's level chain on its ``pairing``
+form, (u o z)'' (v o z) in place of (u o z)' (v o z)', O(l D'^2); the
 per-edge densities of the weak Laplacian, which pair to the same value
 edge by edge, are its test oracle (``tests/oracles.py``).
 
@@ -437,8 +437,8 @@ def weak_pairing(seq: ParamSeq, l: int, u: Poly2, v: Poly2, quad=None) -> float:
     Equals E(u, v) for admissible v (vanishing at the base corners) on a
     harmonic pre-fractal; the arclength factors of density and measure
     cancel, leaving the parameter-space integral.  Evaluated as the
-    ``pairing`` form of the energy module's moment pass, O(l D^3), and
-    summed with its overflow-guarded ``_fsum``.  ``quad`` takes None only
+    ``pairing`` form of the energy module's level chain on G = v D^2 u,
+    O(l D'^2), and summed with its overflow-guarded ``_fsum``.  ``quad`` takes None only
     (``energy._quad_slot``).
     """
     _quad_slot(quad)

@@ -30,10 +30,10 @@ cable as a ``CableMass``.
 The combined measure evaluates energies of scalar fields without edge
 sums, a cross-check of the assembled forms.  Its gasket half,
 sum_w tr(tau_w G(F_w b)) over the depth-l cells with G = sym(grad u
-grad v^t), peels one level at a time: it is (1/2) (3/5)^l tr((L_l ...
-L_1 G)(b)) for (L_k H)(x) = sum_i B_i H(F^k_i x) B_i, a 3D x 3D matrix
-on the symmetric entries of H over the D monomials of degree <= deg u +
-deg v - 2, so it costs O(l) and enumerates no cell.
+grad v^t), is (1/2) (3/5)^l tr H_l(b) for the energy form's level chain
+H_k(x) = sum_i B_i H_(k-1)(F^k_i x) B_i, H_0 = G (``energy._moment_terms``,
+its "gasket" readout), so it costs O(l), enumerates no cell and keeps no
+level loop here.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _fsum, _moment_terms, _quad_slot
-from .errors import DegenerateCable, PrefactorUnderflow, TermOverflow
+from .errors import DegenerateCable, PrefactorUnderflow
 from .geometry import (
     DEFAULT_DEPTH_CAP,
+    _LEVEL_FACTORS,
     _ancestors,
     _cable_stack,
     _images,
@@ -54,19 +55,13 @@ from .geometry import (
     _require_depth,
     _triple_index,
     _word_rows,
-    barycenter,
     cable_prefactor_limit,
     compose,
     triple,
     word_index,
 )
 from .params import ParamSeq
-from .scalarfield import Poly2, _compose_affine, _dense
-
-#: The level factors B_1, B_2, B_3 in longdouble, built entrywise (B_2, B_3 exact mirror images).
-_ROOT, _THIRD, _FIVE_SIXTHS = np.sqrt(np.longdouble(3)) / 6, np.longdouble(1) / 3, np.longdouble(5) / 6
-_LEVEL_FACTORS = np.array([[[1, 0], [0, _THIRD]], [[0.5, _ROOT], [_ROOT, _FIVE_SIXTHS]], [[0.5, -_ROOT], [-_ROOT, _FIVE_SIXTHS]]])
-_LEVEL_FACTORS.flags.writeable = False
+from .scalarfield import Poly2
 
 
 def _require_symmetric(mat: np.ndarray, tol: float = 1e-12):
@@ -300,38 +295,21 @@ def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     return weight * nrm2, directions
 
 
-#: B_i H B_i on the entries (h11, h12, h22) of a symmetric H, (map i, entry out, entry in), for B_i = [[p, q], [q, r]].
-_CONJUGATIONS = np.array([[[p * p, 2 * p * q, q * q], [p * q, p * r + q * q, q * r], [q * q, 2 * q * r, r * r]] for (p, q), (_, r) in _LEVEL_FACTORS.tolist()])
-
-
 def _gasket_half(seq: ParamSeq, u: Poly2, v: Poly2, depth: int) -> float:
-    """The gasket half of the measure energy by the level operators, in longdouble on the monomials
-    centred at b; a value past the double range raises TermOverflow."""
-    # deg G, and no less than either gradient's degree: G = 0 where a field is constant.
-    d, centre = max(u.degree, 1) + max(v.degree, 1) - 2, barycenter().astype(np.longdouble)
-    grads = np.array([[_dense(p, d, np.longdouble) for p in field.grad()] for field in (u, v)])
-    outer = np.zeros((2, 2, d + 1, d + 1), np.longdouble)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, m, n in zip(*np.nonzero(grads[0])):
-            outer[a, :, m:, n:] += grads[0, a, m, n] * grads[1, :, : d + 1 - m, : d + 1 - n]
-        sym = np.stack([outer[0, 0], (outer[0, 1] + outer[1, 0]) / 2, outer[1, 1]])
-        held = _compose_affine(sym, np.eye(2, dtype=np.longdouble)[None], centre[None])[0]
-        for k in range(1, depth + 1):
-            lin, off = (t.astype(np.longdouble) for t in triple(seq.eps(k)))
-            held = np.einsum("ief,if...->e...", _CONJUGATIONS, _compose_affine(held, lin, lin @ centre + off - centre))
-        value = (held[0, 0, 0] + held[2, 0, 0]) * np.longdouble(3) ** depth / (2 * np.longdouble(5) ** depth)
-    if not abs(value) <= np.finfo(np.float64).max:
-        raise TermOverflow("the gasket half of the measure overflows the double range")
-    return float(value)
+    """The gasket half of the measure energy, sum_w tr(tau_w G(F_w b)) for G = sym(grad u grad
+    v^t): the energy form's level chain read at the barycenter, (1/2) (3/5)^l (h11 + h22)(b), one
+    longdouble term rounded once; a value past the double range raises TermOverflow."""
+    (((cells, _),),) = _moment_terms(seq, (depth,), u, v, ("gasket",))
+    return _fsum(cells)
 
 
 def energy_via_measure(seq: ParamSeq, u: Poly2, v: Poly2, depth: int, quad=None) -> float:
     """Energy straight from the measure data at one resolution, in O(depth): the gasket half, and
-    the cables' rank-one masses against the gradients by exact line quadrature with limit window
-    weights (the energy module's moment pass), in one exact ``math.fsum``.  For affine fields the
-    gasket half is (grad u, (Id/2) grad v) at every depth.  The moment pass runs first, so that its
-    working-set guard refuses a degree before the gasket half builds its dense arrays.  ``quad``
-    takes None only (``energy._quad_slot``)."""
+    the cables' rank-one masses against the gradients by exact line integrals with limit window
+    weights, in one exact ``math.fsum``.  Both are readouts of the energy form's level chain, which
+    the second read takes from the chain cache.  For affine fields the gasket half is (grad u,
+    (Id/2) grad v) at every depth.  The cables run first, so that the chain's working-set guard
+    refuses a degree before anything is built.  ``quad`` takes None only (``energy._quad_slot``)."""
     _quad_slot(quad)
     _require_depth(depth)
     (((_, cables),),) = _moment_terms(seq, (depth,), u, v, limit=True)

@@ -29,14 +29,15 @@ term vanishes by harmonicity, leaving only the within-cell variation of
 the gasket integrand.  That defect decays geometrically with depth and
 vanishes to rounding for affine phi.
 
-Both sides of every row come from one moment pass of the energy module
-to the deepest depth, O(depth D^3) for the whole sweep instead of one term
-per cell: its ``energy`` form on the energy side, its ``ibp`` form on the
-measure side.  Since the cylinder matrices are
+Both sides of every row come from the energy module's level chains to
+the deepest depth, O(depth D'^2) for the whole sweep instead of one term
+per cell: its ``energy`` form on the energy side, its ``ibp`` form, the
+chain of G = v Hess phi, on the measure side, both reading the same level
+tables.  Since the cylinder matrices are
 tau_w = DF_w (Id/2) DF_w^t / lam_tilde(l), the gasket term
-3a tr(tau_w Hess phi(x_w)) v(x_w) is the cell form
-(3a/2) Lap f(b) g(b) at the barycenter b, pulled back through F_w; the
-cable term contracts the Grams of (f o z)'' (g o z).
+3a tr(tau_w Hess phi(x_w)) v(x_w) summed over w is the chain's barycenter
+readout (3a/2) (3/5)^l tr H_l(b); the cable term reads the chain on the
+cables, the integrals of (f o z)'' (g o z).
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def ibp_table(seq: ParamSeq, phi: Poly2, v: Poly2, depths=range(3, 9), quad=None
     The measure side pairs the Hessian-cylinder densities at cell
     barycenters and the exact cable line integrals, both under the
     depth-window weights of the form on the energy side, so the two sides
-    share one resolution.  Every row comes from one moment pass to the
-    deepest depth, O(max depth) for the sweep; ``depths`` may be empty,
+    share one resolution.  Every row comes from one level chain to the
+    deepest depth per side, O(max depth) for the sweep, the two sides
+    reading the same level tables; ``depths`` may be empty,
     unsorted or repeated, and rows follow its order.  ``quad`` takes None
     only (``energy._quad_slot``).
     """

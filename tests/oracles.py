@@ -1,12 +1,12 @@
 """Edge-by-edge reference routes for the depth-l forms and the vertex arrays.
 
-The package evaluates every depth-l form by pushing the field moments down
-through the level pullbacks, and the vertex diagnostics, the edge table and
+The package reads every depth-l form from one level chain of symmetric
+matrix polynomials (``energy._readouts``), and the vertex diagnostics, the edge table and
 the geometry export from row ranges of one carrier walk
 (``geometry._carrier_walk``).  The routes here enumerate the 3^l cells and
 their edges instead: the whole world arrays (``_world``), which every edge
 row and vertex star must reproduce bit for bit, the batched edge tableau
-(the edge table's columns, used only against the moment pass), the weak
+(the edge table's columns, used only against the forms), the weak
 Laplacian's per-edge densities (``weak_laplacian_h1``, the edge-by-edge
 form of ``weak_pairing``), an edge walk that composes each word's map on
 its own and carries each edge's ``EdgeId``, one segment's composed
@@ -19,13 +19,17 @@ energies and the per-word routes' references are built on it.  The
 package's two products, a level's GEMM and the image table, are one BLAS
 call each; their stacked per-row forms (``level_products_stacked``,
 ``images_stacked``) are the bit oracle they must reproduce.  They
-share no code with the moment pass or the gathers beyond the map
+share no code with the chain or the gathers beyond the map
 triples and the cable segments, so agreement is a real cross-check; the
 edge-by-edge routes build their Gauss rules from numpy's ``leggauss``
 (``gauss_rule``), at the moment pass's order unless a test names one.
-``fold_backward`` is the moment pass's adjoint: the same level pullbacks
-and Grams, aggregated from the bottom cell up.  The ``*_by_passes`` residuals run one moment pass per
-pulled-back field pair, where the package stacks the three into one.
+The moment pass (``moment_terms``), which the chain replaced in the
+package, is the chain's oracle: it pushes D x D field moments through the
+package's level pullbacks and contracts them with Gauss Grams, sharing
+nothing else with the chain.  ``fold_backward`` is its adjoint: the same
+level pullbacks and Grams, aggregated from the bottom cell up.  The
+``*_by_passes`` residuals run one chain per pulled-back field pair, where
+the package stacks the three into one.
 The nondegeneracy constant has two references: the
 whole-grid reduction that the blocked grid must reproduce bit for bit,
 and a closed-form inner minimum that bounds its accuracy.  The cylinder
@@ -62,24 +66,26 @@ from fractions import Fraction
 import numpy as np
 
 from stretched_gasket.energy import (
+    _CONJUGATIONS,
     _EXT,
     EnergyReport,
-    _contractions,
-    _gauss_order,
-    _map_pullback,
+    _centering,
+    _degrees,
+    _fields,
+    _gradient_top,
     _moment_terms,
     _plain_coeffs,
+    _pullback,
+    _readouts,
     _report,
-    _segment_jets,
     _split,
     _tableau,
-    _terms,
-    _top_moments,
     cable_tail_bound,
     energy_total,
 )
 from stretched_gasket.errors import DegenerateCable, PrefactorUnderflow
 from stretched_gasket.geometry import (
+    _LEVEL_FACTORS,
     HARMONIC_RATIO,
     SIDE_NAMES,
     _cable_stack,
@@ -111,8 +117,6 @@ from stretched_gasket.harmonicity import (
     _vertex_name,
 )
 from stretched_gasket.kusuoka import (
-    _CONJUGATIONS,
-    _LEVEL_FACTORS,
     _cable_weight,
     _level_scale,
     cable_mass,
@@ -473,12 +477,146 @@ def energy2_limit_by_edges(seq, s_max, u, v, points=None, outer=None):
     return math.fsum(vals)
 
 
+# -- the moment pass, the level chain's oracle --------------------------------
+#
+# Every form by pushing the D x D field moment M_0 = c_u c_v^T (symmetrized for the energy
+# forms) down one level at a time, M_k = (1/lam_k) sum_i P_i M_(k-1) P_i^T, and contracting
+# it with the Gauss Grams of the cell sides and the cables: O(l D^3) where the chain pays
+# O(l D'^2), and no table is kept between calls.
+
+
+def _gauss_order(deg_u: int, deg_v: int) -> int:
+    """The moment pass's Gauss order for fields of these degrees: the lowest exact one, at least 8.
+
+    Along a straight segment z, (u o z)'(v o z)' and (u o z)''(v o z) are
+    polynomials of degree deg_u + deg_v - 2 in the curve parameter, and an
+    n-point rule is exact up to degree 2n - 1.
+    """
+    return max(8, math.ceil((deg_u + deg_v - 1) / 2))
+
+
+def _falling(k: np.ndarray, i: int) -> np.ndarray:
+    out = np.ones(k.shape, dtype=_EXT)
+    for j in range(i):
+        out = out * (k - j)
+    return out
+
+
+def _partials(xs: np.ndarray, ys: np.ndarray, d: int, *orders: tuple[int, int]) -> list[np.ndarray]:
+    """d^(i+j)/dx^i dy^j of every centered basis monomial at centered points, (D, npts) for each (i, j)."""
+    m = np.array([k - n for k in range(d + 1) for n in range(k + 1)])
+    n = np.array([n for k in range(d + 1) for n in range(k + 1)])
+    top = np.arange(d + 1)[:, None]
+    xp = xs[None, :] ** top
+    yp = ys[None, :] ** top
+    return [
+        (_falling(m, i) * _falling(n, j))[:, None] * xp[np.maximum(m - i, 0)] * yp[np.maximum(n - j, 0)]
+        for i, j in orders
+    ]
+
+
+def _segment_jets(p0: np.ndarray, dv: np.ndarray, d: int, nodes: np.ndarray, order: int) -> np.ndarray:
+    """order-th t-derivative of every basis monomial along each segment p0 + t dv.
+
+    Shape (D, S * nodes), segment-major, at the quadrature ``nodes`` on [0, 1].
+    """
+    ts = nodes.astype(_EXT)
+    p0 = p0.astype(_EXT) - barycenter().astype(_EXT)
+    dv = dv.astype(_EXT)
+    xs = (p0[:, 0:1] + dv[:, 0:1] * ts).ravel()
+    ys = (p0[:, 1:2] + dv[:, 1:2] * ts).ravel()
+    dx = np.repeat(dv[:, 0], len(ts))
+    dy = np.repeat(dv[:, 1], len(ts))
+    if order == 0:
+        return _partials(xs, ys, d, (0, 0))[0]
+    if order == 1:
+        px, py = _partials(xs, ys, d, (1, 0), (0, 1))
+        return dx * px + dy * py
+    pxx, pxy, pyy = _partials(xs, ys, d, (2, 0), (1, 1), (0, 2))
+    return dx * dx * pxx + 2.0 * dx * dy * pxy + dy * dy * pyy
+
+
 def segment_form(p0, dv, d, points, left: int, right: int) -> np.ndarray:
     """Gram of one group of segments: the sum over them of the ``points``-point Gauss
     quadrature of (m_a o z)^(left) (m_b o z)^(right), one 2-D product per group."""
     nodes, weights = gauss_rule(points)
     w = np.tile(weights.astype(_EXT), len(p0))
     return (_segment_jets(p0, dv, d, nodes, left) * w) @ _segment_jets(p0, dv, d, nodes, right).T
+
+
+def map_pullback(lin, off, d, *, from_plain=False) -> np.ndarray:
+    """Pullback by one map (lin (2, 2), off (2,)): the package's ``_pullback`` of a stack of one."""
+    return _pullback(lin[None], off[None], d, from_plain=from_plain)[0]
+
+
+def _top_moments(u, v, d, outer=None, *, symmetric=True) -> np.ndarray:
+    """(S, D, D): M_0 = c_u c_v^T for each map of ``outer`` (a stack of S maps, or None for the
+    identity), symmetrized for the energy forms, so it has the same bits for (u, v) and (v, u)."""
+    pullbacks = _centering(d)[None] if outer is None else _pullback(*outer, d, from_plain=True)
+    cu, cv = (pullbacks @ _plain_coeffs(p, d) for p in (u, v))
+    top = cu[:, :, None] * cv[:, None, :]
+    return 0.5 * (top + top.transpose(0, 2, 1)) if symmetric else top
+
+
+def _barycentric_form(d: int, orders) -> np.ndarray:
+    """The sum over (left, right) of ``orders`` of outer(left partial, right partial) of the
+    basis monomials at the barycenter b, the origin of the centered basis."""
+    at = np.zeros(2, dtype=_EXT)
+    return sum(np.outer(*(_partials(at[:1], at[1:], d, order)[0][:, 0] for order in pair)) for pair in orders)
+
+
+#: The moment pass's forms: symmetrized top or not, the derivative orders (left, right) of the
+#: side and cable Grams, and the cell form at the barycenter (None: the sides' a S).
+MOMENT_FORMS = {
+    "energy": (True, (1, 1), None),
+    "pairing": (False, (2, 0), None),
+    "ibp": (False, (2, 0), lambda d: 1.5 * _A * (_barycentric_form(d, [((2, 0), (0, 0)), ((0, 2), (0, 0))]))),
+    "gasket": (True, (1, 1), lambda d: 0.5 * _barycentric_form(d, [((1, 0), (1, 0)), ((0, 1), (0, 1))])),
+}
+
+
+def _contractions(seq, depths, d, points, tops, forms, *, limit=False):
+    """Elementwise contractions of stacked forms at every depth, from one moment pass.
+
+    ``tops`` (F, D, D) are top moments and ``forms`` F pairs (cell form,
+    (left, right)); a cell form of None stands for the sides' form a S of
+    derivative orders (left, right).  Yields, for each depth l of ``depths``
+    in order, the list over f of [cell part, generation-1 part, ...,
+    generation-l part], at Gauss order ``points``.
+    """
+    depths = list(depths)
+    l_max = max(depths, default=0)
+    cell_forms = [_A * segment_form(*_side_arrays(), d, points, *order) if cell is None else cell for cell, order in forms]
+    cells, cables, moments = {}, [], list(tops)
+    for k in range(l_max + 1):
+        if k:
+            pulls = [map_pullback(lin, off, d) for lin, off in zip(*triple(seq.eps(k)))]
+            moments = [sum(np.dot(p, np.dot(m, p.T)) for p in pulls) / _EXT(seq.lam(k)) for m in moments]
+        if k in depths:
+            cells[k] = [cell * m for cell, m in zip(cell_forms, moments)]
+        if k < l_max:
+            grams = {order: segment_form(*cable_segments(seq, k + 1), d, points, *order) for order in {o for _, o in forms}}
+            cables.append([grams[order] * m for (_, order), m in zip(forms, moments)])
+    for l in depths:
+        weights = [_A / ((seq.eps_tilde_inf(k) if limit else seq.eps_tilde(k, l)) * seq.one_minus_eps(k)) for k in range(1, l + 1)]
+        yield [[cells[l][f]] + [w * gm[f] for w, gm in zip(weights, cables)] for f in range(len(forms))]
+
+
+def _terms(parts: list[np.ndarray]) -> tuple[list[float], list[float]]:
+    """fsum terms of the cell part and of the generations' cable parts, summed first in extended precision."""
+    return _split(parts[0]), _split(sum(parts[1:], np.zeros_like(parts[0])))
+
+
+def moment_terms(seq, depths, u, v, forms=("energy",), *, limit=False, points=None):
+    """The moment pass's (cell terms, cable terms) per named form of ``MOMENT_FORMS`` at every
+    depth, as the chain's ``_moment_terms`` gives them, at Gauss order ``points`` (default the
+    pass's own)."""
+    d = max(u.degree, v.degree, 0)
+    rows = [MOMENT_FORMS[name] for name in forms]
+    tops = np.concatenate([_top_moments(u, v, d, symmetric=symmetric) for symmetric, _, _ in rows])
+    cells = [(None if cell is None else cell(d), order) for _, order, cell in rows]
+    for parts in _contractions(seq, depths, d, _order(u, v, points), tops, cells, limit=limit):
+        yield [_terms(p) for p in parts]
 
 
 def fold_backward(seq, l, u, v, points=None) -> EnergyReport:
@@ -494,63 +632,69 @@ def fold_backward(seq, l, u, v, points=None) -> EnergyReport:
     sides = _A * segment_form(*_side_arrays(), d, points, 1, 1)
     forms = np.stack([sides, np.zeros_like(sides)])
     for k in range(l, 0, -1):
-        pulls = [_map_pullback(lin, off, d) for lin, off in zip(*triple(seq.eps(k)))]
+        pulls = [map_pullback(lin, off, d) for lin, off in zip(*triple(seq.eps(k)))]
         forms = np.stack([sum(np.dot(p.T, np.dot(h, p)) for p in pulls) for h in forms]) / _EXT(seq.lam(k))
         weight = _A / (seq.eps_tilde(k, l) * seq.one_minus_eps(k))
         forms[1] += weight * segment_form(*cable_segments(seq, k), d, points, 1, 1)
-    pullback = _map_pullback(np.eye(2), np.zeros(2), d, from_plain=True)
+    pullback = map_pullback(np.eye(2), np.zeros(2), d, from_plain=True)
     cu, cv = [pullback @ _plain_coeffs(p, d) for p in (u, v)]
     tri, cab = [_split(0.5 * (h + h.T) * np.outer(cu, cv)) for h in forms]
     return EnergyReport(l, math.fsum(tri), math.fsum(cab), math.fsum(tri + cab))
 
 
-def _energy_rows(seq, depths, u, v, points=None, outer=None, *, limit=False):
-    """[triangle part, generation-1 cable part, ...] of the energy form on
-    (u o outer, v o outer) at every depth, one moment pass per call at
-    Gauss order ``points`` (``limit``: infinite windows)."""
+def _energy_rows(seq, depths, u, v, points=None, *, limit=False):
+    """[triangle part, generation-1 cable part, ...] of the energy form at every depth, one
+    moment pass per call at Gauss order ``points`` (``limit``: infinite windows)."""
     d = max(u.degree, v.degree, 0)
-    tops = _top_moments(u, v, d, None if outer is None else (outer[0][None], outer[1][None]))
-    for (parts,) in _contractions(seq, depths, d, _order(u, v, points), tops, [(None, (1, 1))], limit=limit):
+    for (parts,) in _contractions(seq, depths, d, _order(u, v, points), _top_moments(u, v, d), [(None, (1, 1))], limit=limit):
         yield parts
 
 
 def energy_at_order(seq, l, u, v, points) -> EnergyReport:
-    """The depth-l form from one moment pass whose Grams take the ``points``-point Gauss rule,
-    which the public forms choose themselves (``energy._gauss_order``)."""
+    """The depth-l form from one moment pass whose Grams take the ``points``-point Gauss rule."""
     (parts,) = _energy_rows(seq, (l,), u, v, points)
     return _report(l, *_terms(parts))
 
 
-def recurrence_residual_by_passes(seq, l, u, v) -> float:
-    """The one-step recurrence defect from four separate moment passes.
+def _chain_parts(seq, depth, u, v, outer=None, *, limit=False):
+    """(cell part, cable part, generation-1 part) of the energy form at ``depth`` from the package's
+    level chain, run on one pulled-back pair (u o outer, v o outer) alone."""
+    d, n = _degrees(u, v)
+    fields = _fields(u, v, d, None if outer is None else (outer[0][None], outer[1][None]))
+    ((parts,),) = _readouts(seq, (depth,), n, _gradient_top(*fields, d, n), [("sides", _A)], limit=limit)
+    return parts
 
-    One pass for the depth-(l+1) form and one on the shifted sequence for
+
+def recurrence_residual_by_passes(seq, l, u, v) -> float:
+    """The one-step recurrence defect from four separate level chains.
+
+    One chain for the depth-(l+1) form and one on the shifted sequence for
     each pulled-back pair (u o F^1_i, v o F^1_i), where the package stacks
-    the three into one pass.
+    the three into one.
     """
-    (whole,) = _energy_rows(seq, (l + 1,), u, v)
+    cell, cables, first = _chain_parts(seq, l + 1, u, v)
     parts = [
-        _report(l, *_terms(half)).total
+        _report(l, _split(half[0]), _split(half[1])).total
         for f in zip(*triple(seq.eps(1)))
-        for half in _energy_rows(seq.shift(), (l,), u, v, outer=f)
+        for half in [_chain_parts(seq.shift(), l, u, v, f)]
     ]
-    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
-    return abs(_report(l + 1, *_terms(whole)).total - rhs)
+    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(first))
+    return abs(_report(l + 1, _split(cell), _split(cables)).total - rhs)
 
 
 def selfsimilar_residual_by_passes(seq, u, v, depth) -> tuple[float, float]:
-    """The self-similar defect and its bound from four separate limit moment passes."""
+    """The self-similar defect and its bound from four separate limit level chains."""
     gu, gv = sup_bounds(u)[0], sup_bounds(v)[0]
-    (whole,) = _energy_rows(seq, (depth,), u, v, limit=True)
-    lhs = _report(depth, *_terms(whole))
+    cell, cables, first = _chain_parts(seq, depth, u, v, limit=True)
+    lhs = _report(depth, _split(cell), _split(cables))
     parts, tails = [], [cable_tail_bound(seq, depth, gu, gv)]
     for f in zip(*triple(seq.eps(1))):
         opn = float(np.linalg.norm(f[0], 2))
-        (half,) = _energy_rows(seq.shift(), (depth - 1,), u, v, outer=f, limit=True)
-        rep = _report(depth - 1, *_terms(half))
+        half = _chain_parts(seq.shift(), depth - 1, u, v, f, limit=True)
+        rep = _report(depth - 1, _split(half[0]), _split(half[1]))
         parts.append(rep.e1 + rep.e2)
         tails.append(cable_tail_bound(seq.shift(), depth - 1, gu * opn, gv * opn) / seq.lam(1))
-    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(whole[1]))
+    rhs = math.fsum(parts) / seq.lam(1) + math.fsum(_split(first))
     return abs(lhs.e1 + lhs.e2 - rhs), math.fsum(tails)
 
 
@@ -580,10 +724,12 @@ def ibp_gasket_half(seq, phi, v, depth) -> float:
     """The sum of ``gasket_hessian_sum`` in O(depth), by the measure's level operators.
 
     The cell term 3a tr(tau_w G(F_w b)) with G = v D^2 phi is the gasket term of the
-    measure energy with G in place of sym(grad u grad v^t), so ``kusuoka._gasket_half``'s
-    loop, run on G, gives the sum over the depth-level cells as 3a (1/2) (3/5)^l
-    tr((L_l ... L_1 G)(b)), in longdouble on the monomials centred at b.  It shares no
-    code with the moment pass beyond the polynomial type and the map triples.
+    measure energy with G in place of sym(grad u grad v^t), so the level operators
+    (L_k H)(x) = sum_i B_i H(F^k_i x) B_i, applied by ``scalarfield._compose_affine`` (the
+    loop the measure energy's gasket half ran before the package's chain), give the sum
+    over the depth-level cells as 3a (1/2) (3/5)^l tr((L_l ... L_1 G)(b)), in longdouble on
+    the monomials centred at b.  It shares no code with the package's chain beyond the
+    polynomial type, the conjugation table and the map triples.
     """
     d, centre = max(phi.degree - 2, 0) + max(v.degree, 0), barycenter().astype(np.longdouble)
     hess = np.array([_dense(h, d, np.longdouble) for h in phi.hess()])
@@ -1144,7 +1290,7 @@ def measure_gasket_terms(seq, u, v, depth, *, absolute=False) -> np.ndarray:
 
 def energy_via_measure_whole(seq, u, v, depth) -> float:
     """``energy_via_measure`` by enumeration: every gasket term of ``measure_gasket_terms``,
-    then the moment pass's cable terms, in one fsum."""
+    then the level chain's limit cable terms, in one fsum."""
     gasket = measure_gasket_terms(seq, u, v, depth)
     (((_, cables),),) = _moment_terms(seq, (depth,), u, v, limit=True)
     return math.fsum(gasket.tolist() + cables)

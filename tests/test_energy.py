@@ -37,15 +37,18 @@ Y = parse("y")
 
 
 def test_quadrature_integrates_monomials_exactly(monkeypatch):
-    # The moment pass's rule builder, and its self-check against a rule that is not exact.
-    for order in (4, 8, 12):
+    # The level chain's rule builder, in extended precision, and its self-check against a
+    # rule that is not exact: started from the trapezoid's nodes, three Newton steps leave
+    # the nodes short of the Legendre roots.
+    for order in (1, 4, 8, 12, 30):
         nodes, weights = energy._gauss(order)
+        assert nodes.dtype == weights.dtype == energy._EXT
         for k in range(2 * order):
-            integral = float(np.dot(weights, nodes**k))
-            assert integral == pytest.approx(1.0 / (k + 1), abs=5e-14)
+            integral = weights @ nodes**k
+            assert abs(integral - energy._EXT(1) / (k + 1)) <= 4 * order * np.finfo(energy._EXT).eps, (order, k)
     trapezoid = (np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda order: trapezoid)
-    with pytest.raises(ValueError, match="self-check failed at degree 2"):
+    with pytest.raises(ValueError, match="self-check failed at degree 0"):
         energy._gauss.__wrapped__(2)
 
 
@@ -102,12 +105,14 @@ def test_per_edge_sums_match_batched_total(rng):
 
 
 def test_quadrature_order_doubling(rng):
-    # Gauss orders 8 (the pass's own for these degrees) and 16, set through the pass's private order.
+    # The moment-pass oracle at Gauss orders 8 (its own for these degrees) and 16 agrees with
+    # itself, and the level chain, whose segment integrals are exact, with both.
     u = random_poly(rng, 4)
     v = random_poly(rng, 4)
     e8, e16 = (energy_at_order(TAIL_ONLY, 3, u, v, order).total for order in (8, 16))
-    assert e8 == energy_total(TAIL_ONLY, 3, u, v).total
-    assert abs(e16 - e8) <= 1e-13 * max(1.0, abs(e8))
+    chain = energy_total(TAIL_ONLY, 3, u, v).total
+    for got, want in ((e16, e8), (chain, e8), (chain, e16)):
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_energy_splits_into_parts(rng):

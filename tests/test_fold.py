@@ -57,22 +57,24 @@ from stretched_gasket import (
 import stretched_gasket
 from stretched_gasket import energy
 from stretched_gasket.cli import main
-from stretched_gasket.energy import _gauss_order, _one_step
+from stretched_gasket.energy import _one_step
 from stretched_gasket.errors import PrefactorUnderflow, WorkingSetTooLarge
 from stretched_gasket.geometry import _side_arrays
+from stretched_gasket.params import A
 
 from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
 from oracles import (
     _energy_rows,
+    _gauss_order,
     cable_energy,
     energy2,
     energy2_limit_by_edges,
     energy_at_order,
     energy_by_edges,
     fold_backward,
+    map_pullback,
     ibp_rhs_by_cells,
     recurrence_residual_by_passes,
-    segment_form,
     selfsimilar_residual_by_passes,
 )
 
@@ -338,61 +340,61 @@ def test_sweeps_push_the_moments_once(monkeypatch):
 
 
 def test_sweeps_build_the_grams_once(monkeypatch):
-    orders = []
-    jets = energy._segment_jets
+    # The chain's Grams are its readouts, the exact segment integrals of the monomials.
+    calls = []
+    integrals = energy._segment_integrals
 
-    def counting(p0, dv, d, nodes, order):
-        orders.append(order)
-        return jets(p0, dv, d, nodes, order)
+    def counting(p0, dv, n):
+        calls.append(len(p0))
+        return integrals(p0, dv, n)
 
-    monkeypatch.setattr(energy, "_segment_jets", counting)
+    monkeypatch.setattr(energy, "_segment_integrals", counting)
     v = vanishing_cubic()
-    # One evaluation per derivative order for the sides and all ten cable
-    # generations: order 1 serves both sides of the energy Grams (1, 1).
-    # A repeat evaluates no jets.
+    # One evaluation for the sides and all ten cable generations; a repeat evaluates none.
     energy._TABLES.clear()
     convergence_rows(PREFIX_EXP, SWEEP_U, v, 10)
-    assert orders == [1]
-    orders.clear()
+    assert calls == [11]
+    calls.clear()
     convergence_rows(PREFIX_EXP, SWEEP_U, v, 10)
-    assert orders == []
-    # The energy side's (1, 1) and the measure side's (2, 0) Grams.
+    assert calls == []
+    # The energy side and the measure side read the same readouts of one degree.
     energy._TABLES.clear()
     ibp_table(PREFIX_EXP, SWEEP_U, v, range(3, 11))
-    assert sorted(orders) == [0, 1, 2]
-    orders.clear()
+    assert calls == [11]
+    calls.clear()
     ibp_table(PREFIX_EXP, SWEEP_U, v, range(3, 11))
-    assert orders == []
+    assert calls == []
 
 
 # -- batched matrices against the per-generation products ------------------
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(seq=SEQUENCES, d=st.integers(0, 12), l_max=st.integers(0, 12), order=st.integers(1, 12))
-@example(seq=EDGE_SEQ, d=12, l_max=12, order=12)
-@example(seq=ParamSeq(prefix=(1e-3,), tail=ExpTail(5.0, 0.05)), d=3, l_max=4, order=8)
-def test_batched_grams_equal_the_per_generation_grams(seq, d, l_max, order):
-    # D = (d + 1)(d + 2) / 2 runs up to 91.  The cleared cache makes every
-    # Gram come from one stacked build.
+@given(seq=SEQUENCES, n=st.integers(0, 22), l_max=st.integers(0, 12))
+@example(seq=EDGE_SEQ, n=22, l_max=12)
+@example(seq=ParamSeq(prefix=(1e-3,), tail=ExpTail(5.0, 0.05)), n=4, l_max=4)
+def test_batched_grams_equal_the_per_generation_grams(seq, n, l_max):
+    # The chain's readouts at degree n (D' = (n + 1)(n + 2) / 2 up to 276), its Grams: the
+    # cleared cache makes every one come from one stacked build, which must give the bits of
+    # the per-generation builds.
     energy._TABLES.clear()
-    side, levels = energy._level_tables(seq, _logs(seq, l_max), d, order, [(1, 1), (2, 0)])
-    for orders in ((1, 1), (2, 0)):
-        assert side[orders].shape == (energy._dim(d), energy._dim(d))
-        assert np.array_equal(side[orders], segment_form(*_side_arrays(), d, order, *orders))
-        for k in range(1, l_max + 1):
-            assert np.array_equal(levels[k - 1][orders], segment_form(*cable_segments(seq, k), d, order, *orders)), (orders, k)
+    sides, levels = energy._level_tables(seq, _logs(seq, l_max), n)
+    assert sides.shape == (3, energy._dim(n))
+    assert np.array_equal(sides, energy._segment_integrals(*(a[None] for a in _side_arrays()), n)[0])
+    for k in range(1, l_max + 1):
+        want = energy._segment_integrals(*(a[None] for a in cable_segments(seq, k)), n)[0]
+        assert np.array_equal(levels[k - 1]["cables"], want), k
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(seq=SEQUENCES, d=st.integers(0, 12))
-@example(seq=EDGE_SEQ, d=12)
-def test_stacked_level_pullbacks_equal_the_single_map_pullbacks(seq, d):
+@given(seq=SEQUENCES, n=st.integers(0, 22))
+@example(seq=EDGE_SEQ, n=22)
+def test_stacked_level_pullbacks_equal_the_single_map_pullbacks(seq, n):
     energy._TABLES.clear()
-    _, levels = energy._level_tables(seq, _logs(seq, 3), d, 8, [])
+    _, levels = energy._level_tables(seq, _logs(seq, 3), n)
     for k in range(1, 4):
-        want = np.stack([energy._map_pullback(lin, off, d) for lin, off in zip(*triple(seq.eps(k)))])
+        want = np.stack([map_pullback(lin, off, n) for lin, off in zip(*triple(seq.eps(k)))])
         assert np.array_equal(levels[k - 1]["pullbacks"], want), k
-    assert np.array_equal(energy._centering(d), energy._map_pullback(np.eye(2), np.zeros(2), d, from_plain=True))
+    assert np.array_equal(energy._centering(n), map_pullback(np.eye(2), np.zeros(2), n, from_plain=True))
 
 
 def _logs(seq, l_max):
@@ -436,7 +438,7 @@ def test_equal_eps_with_different_logs_share_no_tables():
     assert a.eps(1) == b.eps(1) and a.log_eps(1) != b.log_eps(1)
     # Their generation-1 cables differ, so a shared entry would be wrong.
     energy._TABLES.clear()
-    grams = [energy._level_tables(seq, _logs(seq, 1), 3, 8, [(1, 1)])[1][0][(1, 1)] for seq in (a, b)]
+    grams = [energy._level_tables(seq, _logs(seq, 1), 4)[1][0]["cables"] for seq in (a, b)]
     assert not np.array_equal(*grams)
     cold = [_cold(a), _cold(b)]
     energy._TABLES.clear()
@@ -445,7 +447,7 @@ def test_equal_eps_with_different_logs_share_no_tables():
 
 def test_the_cache_stays_within_its_budget(monkeypatch):
     cold = [_cold(seq) for seq in SEQS]
-    # Degree 12 (D = 91): one level's pullbacks alone pass the budget.
+    # Degree 12 (n = 22, D' = 276): twelve levels' pullbacks pass the budget.
     high = parse("x^12 + y^7")
 
     def fill(cache):
@@ -453,10 +455,10 @@ def test_the_cache_stays_within_its_budget(monkeypatch):
         for seq, want in zip(SEQS, cold):
             assert _outputs(seq) == want
             energy_total(seq, 3, high, high)
-            # The held bytes count the moment chains beside the level tables.
+            # The held bytes count the chains beside the level tables.
             held = sum(arr.nbytes for entry in cache._entries.values() for arr in entry.values())
             assert held == cache.nbytes <= cache.budget
-            assert any("moments" in entry for entry in cache._entries.values())
+            assert any("states" in entry for entry in cache._entries.values())
 
     unbounded = energy._TableCache(1 << 40)
     fill(unbounded)
@@ -471,20 +473,19 @@ def test_the_cache_stays_within_its_budget(monkeypatch):
 
 
 def _pushes(monkeypatch) -> list:
-    """Records (level, moments pushed) for every level step of every pass from now on."""
-    steps, quotient = [], energy._quotient
+    """Records (level, states stepped) for every level step of every chain from now on."""
+    steps, step = [], energy._step
 
-    def counting(num, den, what):
-        if "moment step" in what:
-            steps.append((int(what.split("_")[1].split()[0]), len(num)))
-        return quotient(num, den, what)
+    def counting(seq, k, held, pullbacks):
+        steps.append((k, len(held)))
+        return step(seq, k, held, pullbacks)
 
-    monkeypatch.setattr(energy, "_quotient", counting)
+    monkeypatch.setattr(energy, "_step", counting)
     return steps
 
 
 def _chains():
-    return {key: entry for key, entry in energy._TABLES._entries.items() if "moments" in entry}
+    return {key: entry for key, entry in energy._TABLES._entries.items() if "states" in entry}
 
 
 def test_warm_chains_give_the_cold_bits():
@@ -574,28 +575,28 @@ def test_a_chain_resumes_at_the_first_level_whose_log_differs(monkeypatch):
 
 def test_a_chain_is_keyed_on_the_exact_top(monkeypatch):
     steps = _pushes(monkeypatch)
-    d = 3
-    top = energy._top_moments(SWEEP_U, vanishing_cubic(), d)
+    d, n = 3, 4
+    top = energy._gradient_top(*energy._fields(SWEEP_U, vanishing_cubic(), d), d, n)
     nudged = top.copy()
-    nudged[0, 4, 7] = np.nextafter(top[0, 4, 7], np.inf)
-    assert nudged[0, 4, 7] != top[0, 4, 7]
+    nudged[0, 1, 7] = np.nextafter(top[0, 1, 7], np.inf)
+    assert nudged[0, 1, 7] != top[0, 1, 7]
 
     def parts(tops):
-        return list(energy._contractions(PREFIX_EXP, (6,), d, 8, tops, [(None, (1, 1))]))
+        return list(energy._readouts(PREFIX_EXP, (6,), n, tops, [("sides", A)]))
 
     cold = [_cold_call(lambda: parts(t)) for t in (top, nudged)]
     energy._TABLES.clear()
     steps.clear()
     for t, want in zip((top, nudged), cold):
         assert all(np.array_equal(x, y) for x, y in zip(parts(t)[0][0], want[0][0]))
-    # The tops differ in the last bit of one entry: two chains, each pushed in full.
+    # The tops differ in the last bit of one entry: two chains, each stepped in full.
     assert steps == [(k, 1) for k in range(1, 7)] * 2 and len(_chains()) == 2
     # Equal values share a chain whatever their padding bytes hold.
     itemsize = np.dtype(energy._EXT).itemsize
     if energy._VALUE_BYTES < itemsize:
         padded = top.copy()
         padded.view(np.uint8).reshape(*top.shape, itemsize)[..., energy._VALUE_BYTES :] = 0xAB
-        assert padded.tobytes() != top.tobytes() and energy._chain_key(padded, d) == energy._chain_key(top, d)
+        assert padded.tobytes() != top.tobytes() and energy._chain_key(padded[0], n) == energy._chain_key(top[0], n)
         steps.clear()
         parts(padded)
         assert steps == []
@@ -604,7 +605,7 @@ def test_a_chain_is_keyed_on_the_exact_top(monkeypatch):
 def test_an_underflowing_lam_is_refused_cold_and_warm():
     seq = ParamSeq(prefix=(0.9, 1e-170), tail=ExpTail(0.05, 0.5))
     u, v = parse("x^2"), parse("y")
-    message = "lam_2 of the level-2 moment step: denominator 0.0 underflows"
+    message = "lam_2 of the level-2 chain step: denominator 0.0 underflows"
     energy._TABLES.clear()
     with pytest.raises(PrefactorUnderflow, match=message):
         energy_total(seq, 4, u, v)
@@ -614,19 +615,24 @@ def test_an_underflowing_lam_is_refused_cold_and_warm():
     for _ in range(2):
         with pytest.raises(PrefactorUnderflow, match=message):
             energy_total(seq, 4, u, v)
-        assert [len(entry["moments"]) for entry in _chains().values()] == [2]
+        assert [len(entry["states"]) for entry in _chains().values()] == [2]
 
 
 def test_the_working_set_guard_counts_the_chain(monkeypatch):
+    # The guard sees the degrees, the levels and the tops of every chain before it runs:
+    # one top to depth 6, and the residuals' left side to depth l + 1 beside three halves.
     counts, guard = [], energy._require_budget
-    monkeypatch.setattr(energy, "_require_budget", lambda d, matrices: counts.append(matrices) or guard(d, matrices))
+    monkeypatch.setattr(energy, "_require_budget", lambda *args: counts.append(args) or guard(*args))
     v = vanishing_cubic()
     energy._TABLES.clear()
     energy_total(PREFIX_EXP, 6, SWEEP_U, v)
-    # A cache too small for the chain keeps none, and the pass counts only its current moment.
+    ibp_table(PREFIX_EXP, SWEEP_U, v, (2, 7))
+    recurrence_residual(PREFIX_EXP, 5, SWEEP_U, v)
+    assert counts == [(3, 4, 6, 1), (3, 4, 7, 2), (3, 4, 6, 3)]
+    # A cache too small for a chain keeps none; the chain is still counted, and held.
     monkeypatch.setattr(energy, "_TABLES", energy._TableCache(1 << 10))
-    energy_total(PREFIX_EXP, 6, SWEEP_U, v)
-    assert counts[1] - counts[3] == 6 and _chains() == {}
+    assert energy_total(PREFIX_EXP, 6, SWEEP_U, v) == _cold_call(lambda: energy_total(PREFIX_EXP, 6, SWEEP_U, v))
+    assert counts[3:] == [(3, 4, 6, 1)] * 2 and _chains() == {}
 
 # -- the fused residuals against one pass per pulled-back pair --------------
 
@@ -654,12 +660,13 @@ def _outcome(fn, *args):
 
 
 def test_default_order_covers_the_field_degrees():
-    # The lowest exact order, at least 8: degree sums up to 17 keep order 8.
+    # The moment-pass oracle's order: the lowest exact one, at least 8; degree sums up to 17
+    # keep order 8.  The chain needs no order, and agrees with the oracle at it.
     assert [_gauss_order(*degrees) for degrees in ((-1, 0), (1, 1), (9, 8), (9, 9), (12, 12))] == [8, 8, 8, 9, 12]
-    x12 = parse("x^12")
-    assert energy_total(TAIL_ONLY, 2, x12, x12) == energy_at_order(TAIL_ONLY, 2, x12, x12, 12)
-    u, v = parse("x^9"), parse("y^8")
-    assert energy_total(TAIL_ONLY, 2, u, v) == energy_at_order(TAIL_ONLY, 2, u, v, 8)
+    for u, v in ((parse("x^12"), parse("x^12")), (parse("x^9"), parse("y^8"))):
+        got = energy_total(TAIL_ONLY, 2, u, v).total
+        want = energy_at_order(TAIL_ONLY, 2, u, v, _gauss_order(u.degree, v.degree)).total
+        assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
 
 X2 = parse("x^2")

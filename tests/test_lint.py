@@ -2,7 +2,7 @@
 top-level function or class of the package has a use, every exported name has one
 outside its own module, the enumerating paths make no stacked per-row products, a row
 range's ancestors are worked out in one place, and one function builds the Gauss rule,
-reached only from the moment pass."""
+reached only from the level chain."""
 
 import ast
 import re
@@ -199,15 +199,15 @@ def test_a_row_range_is_walked_in_one_place():
 
 
 #: The readers, within src/, of the Gauss rule's builder and of each step that reaches it:
-#: numpy's ``leggauss`` is called by ``energy._gauss`` alone, which only the moment pass's Gram
-#: build reaches, and the Gauss order is chosen by ``_gauss_order``, read by the pass entries alone.
+#: numpy's ``leggauss`` is called by ``energy._gauss`` alone, which only the level chain's
+#: segment integrals reach, built with the level tables that the chain's readouts read, from
+#: the chain's two entries.
 RULE_READERS = {
     "leggauss": ["energy._gauss"],
-    "_gauss": ["energy._grams"],
-    "_grams": ["energy._level_tables"],
-    "_level_tables": ["energy._contractions"],
-    "_contractions": ["energy._moment_terms", "energy._one_step"],
-    "_gauss_order": ["energy._moment_terms", "energy._one_step"],
+    "_gauss": ["energy._segment_integrals"],
+    "_segment_integrals": ["energy._level_tables"],
+    "_level_tables": ["energy._readouts"],
+    "_readouts": ["energy._moment_terms", "energy._one_step"],
 }
 
 
@@ -223,7 +223,7 @@ def test_stray_rule_builders_are_found():
     sources["kusuoka"] += "\n\ndef _nodes():\n    return _gauss(8)[0]\n"
     found = rule_readers(sources)
     assert found["leggauss"] == ["energy._gauss", "energy._stray"]
-    assert found["_gauss"] == ["energy._grams", "kusuoka._nodes"]
+    assert found["_gauss"] == ["energy._segment_integrals", "kusuoka._nodes"]
 
 
 def test_one_gauss_rule_builder_reached_only_from_the_pass():
