@@ -26,11 +26,11 @@ b (3/5)^(k-1) / (eps_tilde(k, l) (1 - eps_k)).  The IBP cell term and the
 measure energy's gasket half are the barycenter readout c (3/5)^l (h11 +
 h22)(b).  A state is (h11, h12, h22) on the D' = (n+1)(n+2)/2 monomials of
 degree <= n = deg u + deg v - 2 centred at b; a level step, three D' x D'
-pullbacks and the conjugations ``_CONJUGATIONS``, costs O(D'^2), and one
-chain to depth L gives every depth l <= L.  The readouts are exact: a
-Gauss rule of n // 2 + 1 longdouble points (``_gauss``) integrates the
-restricted monomials exactly.  The moment pass this chain replaced is the
-oracle of ``tests/oracles.py``.
+pullbacks (``scalarfield._pullback``) and the conjugations
+``_CONJUGATIONS``, costs O(D'^2), and one chain to depth L gives every
+depth l <= L.  The readouts are exact: a Gauss rule of n // 2 + 1
+longdouble points (``_gauss``) integrates the restricted monomials exactly.
+The moment pass this chain replaced is the oracle of ``tests/oracles.py``.
 
 Level k's pullbacks and cable readout depend on eps_k alone, so every form
 and field pair of a degree reads them from one table cache (``_TABLES``),
@@ -51,13 +51,14 @@ E(u, v) == E(v, u) exactly.
 
 The chain has one entry, ``_moment_terms``: fields, depths and forms
 (``_FORMS``) in, fsum-ready terms out, summed with ``_fsum``, which refuses
-an overflowing total; other modules build no states.  The one-step
-recurrence and self-similarity residuals read their generation-1 cable
-term from the left side's chain and run the three pulled-back fields (u o
-F^1_i, v o F^1_i) as one stacked chain on the shifted sequence.  The
-batched edge tableau (``_tableau``, the geometry module's edge table cut by
-generation, the last one kept: 76.5 MB at the depth cap) serves only the
-tests' edge-by-edge routes in ``tests/oracles.py``.
+an overflowing total; other modules build no states, and forms of one G
+read one chain of it.  The one-step recurrence and self-similarity
+residuals read their generation-1 cable term from the left side's chain and
+run the three pulled-back fields (u o F^1_i, v o F^1_i) as one stacked
+chain on the shifted sequence.  The batched edge tableau (``_tableau``, the
+geometry module's edge table cut by generation, the last one kept: 76.5 MB
+at the depth cap) serves only the tests' edge-by-edge routes in
+``tests/oracles.py``.
 
 The limit cable form replaces the finite window product eps_tilde(s, l)
 with the infinite one and is reported together with a rigorous tail bound.
@@ -84,7 +85,7 @@ from .geometry import (
     triple,
 )
 from .params import A, ParamSeq
-from .scalarfield import Poly2, sup_bounds
+from .scalarfield import _EXT, Poly2, _dim, _exponents, _plain_coeffs, _pullback, _slot, sup_bounds
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,6 @@ class EnergyReport:
 
 # -- the level chain -------------------------------------------------------
 
-#: Working precision of the chain.  Where numpy's longdouble is the 80-bit
-#: x87 format it carries 11 bits beyond double, which absorbs the
-#: cancellation of a readout (short cables, fields that vanish along a
-#: side); where longdouble is double the chain runs in double.
-_EXT = np.longdouble
-
 #: Origin of the monomial basis: the barycenter of the base triangle, so
 #: every cell-local coordinate stays within 0.58 of it.
 _CENTER = barycenter().astype(_EXT)
@@ -116,77 +111,16 @@ _CONJUGATIONS = np.array([[[p * p, 2 * p * q, q * q], [p * q, p * r + q * q, q *
 _CONJUGATION_ROWS = np.ascontiguousarray(_CONJUGATIONS.transpose(1, 0, 2).reshape(3, 9))
 
 
-def _dim(d: int) -> int:
-    return (d + 1) * (d + 2) // 2
-
-
-def _slot(m: int, n: int) -> int:
-    """Position of the monomial with exponents (m, n) in ``_exponents`` order."""
-    return (m + n) * (m + n + 1) // 2 + n
-
-
-@functools.lru_cache(maxsize=32)
-def _exponents(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents (m, n) of the basis monomials, m + n <= d.
-
-    Graded by total degree k, then by n, so (x-c_x)^m (y-c_y)^n sits at
-    position k(k+1)/2 + n.
-    """
-    m = np.array([k - n for k in range(d + 1) for n in range(k + 1)])
-    n = np.array([n for k in range(d + 1) for n in range(k + 1)])
-    m.flags.writeable = False
-    n.flags.writeable = False
-    return m, n
-
-
-def _pullback(lin: np.ndarray, off: np.ndarray, d: int, *, from_plain: bool = False) -> np.ndarray:
-    """(S, D, D): the pullback matrix of each of S affine maps (lin (S, 2, 2), off (S, 2))
-    on the centered basis.
-
-    P[s] @ coeffs(p) = coeffs(p o F_s), F_s x = lin[s] @ x + off[s], with
-    the input on the plain basis instead when ``from_plain`` (p is a field in
-    world coordinates); the output is always centered.  One pass over the
-    monomials serves the whole stack.
-    """
-    linear = lin.astype(_EXT)
-    offset = linear @ _CENTER + off.astype(_EXT)
-    if not from_plain:
-        offset = offset - _CENTER
-    m_idx, n_idx = _exponents(d)
-    out = np.zeros((len(linear), _dim(d), _dim(d)), dtype=_EXT)
-
-    def times(poly: np.ndarray, row: int) -> np.ndarray:
-        # Dense poly[..., s, m, n] (coefficient of x^m y^n) times coordinate ``row`` of map s.
-        res = offset[:, row, None, None] * poly
-        res[..., 1:, :] += linear[:, row, 0, None, None] * poly[..., :-1, :]
-        res[..., :, 1:] += linear[:, row, 1, None, None] * poly[..., :, :-1]
-        return res
-
-    # Row m of ``mono`` is x'^m (x' the first coordinate of the map), then
-    # each step multiplies every row by y' once: row m holds x'^m y'^n.
-    mono = [np.zeros((len(linear), d + 1, d + 1), dtype=_EXT)]
-    mono[0][:, 0, 0] = 1.0
-    for _ in range(d):
-        mono.append(times(mono[-1], 0))
-    mono = np.stack(mono)
-    for n in range(d + 1):
-        out[:, :, _slot(np.arange(d + 1 - n), n)] = mono[:, :, m_idx, n_idx].transpose(1, 2, 0)
-        mono = times(mono[: d - n], 1)
-    return out
-
-
-def _plain_coeffs(p: Poly2, d: int) -> np.ndarray:
-    """Coefficients of p on the plain monomials x^m y^n, m + n <= d."""
-    out = np.zeros(_dim(d), dtype=_EXT)
-    for (m, n), c in p.coeffs.items():
-        out[_slot(m, n)] = c
-    return out
+def _translation(lin: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """T c + o in ``_EXT`` for each map F x = T x + o of a stack (lin (S, 2, 2), off (S, 2)), c the
+    basis centre: the ``_pullback`` shift from the plain basis onto the centred one."""
+    return lin.astype(_EXT) @ _CENTER + off.astype(_EXT)
 
 
 @functools.lru_cache(maxsize=16)
 def _centering(d: int) -> np.ndarray:
     """Pullback by the identity from the plain to the centered basis."""
-    return _read_only(_pullback(np.eye(2)[None], np.zeros((1, 2)), d, from_plain=True)[0])
+    return _read_only(_pullback(np.eye(2)[None], _CENTER[None], d)[0])
 
 
 def _degrees(u: Poly2, v: Poly2) -> tuple[int, int]:
@@ -234,7 +168,7 @@ def _product(p: np.ndarray, q: np.ndarray, g: int, n: int) -> np.ndarray:
 def _fields(u: Poly2, v: Poly2, d: int, outer: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Centered coefficients (S, D_d) of u o F_s and v o F_s for the S maps of ``outer`` (lin (S, 2, 2),
     off (S, 2)), pulled back in one ``_pullback``, or None for the identity (S = 1)."""
-    pullbacks = _centering(d)[None] if outer is None else _pullback(*outer, d, from_plain=True)
+    pullbacks = _centering(d)[None] if outer is None else _pullback(outer[0], _translation(*outer), d)
     return pullbacks @ _plain_coeffs(u, d), pullbacks @ _plain_coeffs(v, d)
 
 
@@ -404,8 +338,8 @@ def _level_tables(seq: ParamSeq, logs: list[float], n: int) -> tuple[np.ndarray,
         if 0 in missing.values():
             found[keys[0]] = _TABLES.add(keys[0], {"sides": _read_only(next(readouts))})
     if levels:
-        lins, offs = zip(*(triple(seq.eps(g)) for g in levels))
-        stack = _pullback(np.concatenate(lins), np.concatenate(offs), n).reshape(len(levels), 3, _dim(n), _dim(n))
+        lins, offs = (np.concatenate(maps) for maps in zip(*(triple(seq.eps(g)) for g in levels)))
+        stack = _pullback(lins, _translation(lins, offs) - _CENTER, n).reshape(len(levels), 3, _dim(n), _dim(n))
         for g, pulls, cables in zip(levels, stack, readouts):
             found[keys[g]] = _TABLES.add(keys[g], {"pullbacks": _read_only(pulls), "cables": _read_only(cables)})
     return found[keys[0]]["sides"], [found[key] for key in keys[1:]]
@@ -453,10 +387,11 @@ def _scales(count: int) -> np.ndarray:
 
 
 def _readouts(seq, depths, n, tops, cells, *, limit=False):
-    """For each depth l of ``depths`` in order, the list over the tops (F, 3, D_n) of one chain of
-    (cell part, cable part, generation-1 cable part), elementwise products for ``_split``.
+    """For each depth l of ``depths`` in order, the list over ``cells`` of (cell part, cable part,
+    generation-1 cable part), elementwise products for ``_split``, from one chain of the tops
+    (F, 3, D_n): each top is stepped once, however many cells read it.
 
-    ``cells`` gives each top's cell readout and constant c: "sides", c (3/5)^l r_side * H_l, or
+    A cell (f, readout, c) reads top f's chain: "sides", c (3/5)^l r_side * H_l, or
     "barycenter", c (3/5)^l (h11 + h22)(b).  Generation k's cable part is w(k, l) r_k * H_(k-1)
     at w(k, l) = b (3/5)^(k-1) / (eps_tilde(k, l) (1 - eps_k)), or the infinite window for
     ``limit``, summed over the generations in extended precision.
@@ -490,7 +425,7 @@ def _readouts(seq, depths, n, tops, cells, *, limit=False):
         cables += weights[:, k, None] * terms[:, None, k]
     for row, l in enumerate(depths):
         parts = []
-        for f, (readout, constant) in enumerate(cells):
+        for f, readout, constant in cells:
             held = states[f, l]
             cell = sides * held if readout == "sides" else (held[0, :1] + held[2, :1])
             first = weights[row, 0] * terms[f, 0] if l else cables[f, row]
@@ -535,14 +470,17 @@ def _moment_terms(seq, depths, u, v, forms=("energy",), *, limit=False):
     """The one entry to the level chain: fields in, fsum-ready terms out.
 
     Yields, for each depth of ``depths`` in order, one (cell terms, cable terms)
-    pair per named form of ``_FORMS`` (``limit``: cables at infinite windows)."""
+    pair per named form of ``_FORMS`` (``limit``: cables at infinite windows).
+    Forms with the same top G read one chain of it."""
     d, n = _degrees(u, v)
     depths = list(depths)
-    _require_budget(d, n, max(depths, default=0), len(forms))
     rows = [_FORMS[name] for name in forms]
+    builders = list(dict.fromkeys(top for top, *_ in rows))  # forms of one G share its chain
+    _require_budget(d, n, max(depths, default=0), len(builders))
     cu, cv = _fields(u, v, d)
-    tops = np.concatenate([top(cu, cv, d, n) for top, *_ in rows])
-    for parts in _readouts(seq, depths, n, tops, [(readout, constant) for _, readout, constant, _ in rows], limit=limit):
+    tops = np.concatenate([top(cu, cv, d, n) for top in builders])
+    cells = [(builders.index(top), readout, constant) for top, readout, constant, _ in rows]
+    for parts in _readouts(seq, depths, n, tops, cells, limit=limit):
         yield [(_split(cell, what), _split(cables)) for (cell, cables, _), (*_, what) in zip(parts, rows)]
 
 
@@ -628,10 +566,9 @@ def _one_step(seq, l, u, v, *, limit=False) -> tuple[EnergyReport, float, list[E
     pulled-back fields, are stacked into one chain on ``seq.shift()``."""
     d, n = _degrees(u, v)
     _require_budget(d, n, l + 1, 3)
-    cells = [("sides", A)]
-    ((whole,),) = _readouts(seq, (l + 1,), n, _gradient_top(*_fields(u, v, d), d, n), cells, limit=limit)
+    ((whole,),) = _readouts(seq, (l + 1,), n, _gradient_top(*_fields(u, v, d), d, n), [(0, "sides", A)], limit=limit)
     tops = _gradient_top(*_fields(u, v, d, triple(seq.eps(1))), d, n)
-    (halves,) = _readouts(seq.shift(), (l,), n, tops, cells * 3, limit=limit)
+    (halves,) = _readouts(seq.shift(), (l,), n, tops, [(f, "sides", A) for f in range(3)], limit=limit)
     return (
         _report(l + 1, _split(whole[0]), _split(whole[1])),
         _fsum(_split(whole[2])),

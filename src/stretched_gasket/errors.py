@@ -22,7 +22,7 @@ class PrefactorUnderflow(GasketError):
 
 
 class TermOverflow(GasketError):
-    """A form term, or a sum of them, overflows the double range."""
+    """A form term, a sum of them, or a vertex star's coordinates overflow the double range."""
 
 
 class TailProductZero(GasketError):

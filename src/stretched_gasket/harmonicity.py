@@ -31,7 +31,9 @@ edge by edge, are its test oracle (``tests/oracles.py``).
 
 The residual probes (``vertex_stars``, ``harmonic_report``,
 ``harmonic_residual``) and ``nd_gamma`` take the map ratio beta/alpha, so
-perturbed families can be shown to break the vertex balance.  The weak
+perturbed families can be shown to break the vertex balance; a ratio whose
+stars could pass the double range is refused first, by an O(l) bound from
+the level maps' norms (``_require_finite_stars``).  The weak
 pairing is defined for the harmonic family only, like the forms it
 contracts.  ``nd_gamma`` searches each distinct (eps, ratio) pair once
 and keeps the value in a process-wide lru cache of at most 4096 scalars,
@@ -59,7 +61,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .energy import _fsum, _moment_terms, _quad_slot
-from .errors import NonHarmonicError, StarNotClosed
+from .errors import NonHarmonicError, StarNotClosed, TermOverflow
 from .geometry import (
     _RANGE_ROWS,
     DEFAULT_DEPTH_CAP,
@@ -221,6 +223,7 @@ def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
     local = np.concatenate([np.zeros((1, 9, 2)), _cable_ends(seq, range(1, l + 1), beta_over_alpha)])
     cable_pf = np.array([0.0] + [cable_prefactor(seq, s, l) for s in range(1, l + 1)])
     tri_pf = triangle_edge_prefactor(seq, l)
+    _require_finite_stars(seq, l, beta_over_alpha, local, tri_pf, cable_pf)
     side_w = np.where(_CORNER_T == 0, tri_pf, -tri_pf)  # (3, 2): the side weights at corners A, B, C
     # Every key is below 3 4^l.
     first_open = past_keys = 3 * 4**l
@@ -249,6 +252,32 @@ def _vertex_blocks(seq: ParamSeq, l: int, beta_over_alpha: float):
     if first_open < past_keys:
         word, corner = _vertex_name(first_open, l)
         raise StarNotClosed(f"edge ends at vertex {''.join(map(str, word))}/{corner} do not coincide")
+
+
+def _require_finite_stars(seq: ParamSeq, l: int, beta_over_alpha: float, local, tri_pf: float, cable_pf) -> None:
+    """Refuse, in O(l) and before any word map is composed, a (ratio, depth) whose vertex stars
+    could pass the double range: TermOverflow naming both.  A depth-k word map has |DF_w| <= P_k
+    = m_1 ... m_k and |F_w(0)| <= O_k = sum_{j <= k} P_(j-1) o_j (m_j, o_j: the largest Frobenius
+    norms of the level-j linear parts and offsets), which bounds every point and tangent mapped
+    from a unit base vector or a generation-s cable vector of ``local`` (norms <= v_s), every
+    closure gap (a cable end's bound plus a corner's) and every boundary vector (2 tri_pf P_l +
+    cable_pf(s) P_(s-1) v_s).  The bounds are Python floats, which overflow to inf silently."""
+    lin, off = _level_maps(seq, l, beta_over_alpha)
+    m, o = ([math.hypot(*row) for row in rows.tolist()] for rows in (lin.reshape(3 * l, 4), off.reshape(3 * l, 2)))
+    norms = [math.hypot(*vec) for vec in local[1:].reshape(9 * l, 2).tolist()]
+    p, offset, v = [1.0], [0.0], [0.0]
+    for k in range(l):
+        offset.append(offset[k] + p[k] * max(o[3 * k : 3 * k + 3]))
+        p.append(p[k] * max(m[3 * k : 3 * k + 3]))
+        v.append(max(norms[9 * k : 9 * k + 9]))
+    pf = [float(tri_pf)] + cable_pf.tolist()[1:]
+    corners = [pk + ok for pk, ok in zip(p, offset)]
+    ends = [p[s - 1] * v[s] + offset[s - 1] for s in range(1, l + 1)]
+    boundary = 2 * pf[0] * p[l] + max([pf[s] * p[s - 1] * v[s] for s in range(1, l + 1)], default=0.0)
+    if not max(max(corners + ends) + corners[l], boundary) <= np.finfo(float).max * (1 - 2.0**-20):
+        raise TermOverflow(
+            f"map ratio {beta_over_alpha!r} at depth {l}: the vertex stars' coordinates could pass the double range"
+        )
 
 
 def _vertex_arrays(seq: ParamSeq, l: int, beta_over_alpha: float):

@@ -32,8 +32,9 @@ sums, a cross-check of the assembled forms.  Its gasket half,
 sum_w tr(tau_w G(F_w b)) over the depth-l cells with G = sym(grad u
 grad v^t), is (1/2) (3/5)^l tr H_l(b) for the energy form's level chain
 H_k(x) = sum_i B_i H_(k-1)(F^k_i x) B_i, H_0 = G (``energy._moment_terms``,
-its "gasket" readout), so it costs O(l), enumerates no cell and keeps no
-level loop here.
+its "gasket" readout), and its cable half is the same chain's limit cable
+readout: ``energy_via_measure`` reads both from one chain, stepped once,
+so it costs O(l), enumerates no cell and keeps no level loop here.
 """
 
 from __future__ import annotations
@@ -295,22 +296,14 @@ def cable_masses(seq: ParamSeq, s: int) -> tuple[np.ndarray, np.ndarray]:
     return weight * nrm2, directions
 
 
-def _gasket_half(seq: ParamSeq, u: Poly2, v: Poly2, depth: int) -> float:
-    """The gasket half of the measure energy, sum_w tr(tau_w G(F_w b)) for G = sym(grad u grad
-    v^t): the energy form's level chain read at the barycenter, (1/2) (3/5)^l (h11 + h22)(b), one
-    longdouble term rounded once; a value past the double range raises TermOverflow."""
-    (((cells, _),),) = _moment_terms(seq, (depth,), u, v, ("gasket",))
-    return _fsum(cells)
-
-
 def energy_via_measure(seq: ParamSeq, u: Poly2, v: Poly2, depth: int, quad=None) -> float:
-    """Energy straight from the measure data at one resolution, in O(depth): the gasket half, and
-    the cables' rank-one masses against the gradients by exact line integrals with limit window
-    weights, in one exact ``math.fsum``.  Both are readouts of the energy form's level chain, which
-    the second read takes from the chain cache.  For affine fields the gasket half is (grad u,
-    (Id/2) grad v) at every depth.  The cables run first, so that the chain's working-set guard
-    refuses a degree before anything is built.  ``quad`` takes None only (``energy._quad_slot``)."""
+    """Energy straight from the measure data at one resolution, in O(depth), in one exact
+    ``math.fsum``: the gasket half sum_w tr(tau_w G(F_w b)), G = sym(grad u grad v^t), and the
+    cables' rank-one masses against the gradients with limit window weights, the barycenter and
+    limit cable readouts of one chain of G, stepped once.  The gasket half is one longdouble term
+    rounded once (TermOverflow past the double range); for affine fields it is (grad u, (Id/2)
+    grad v) at every depth.  ``quad`` takes None only (``energy._quad_slot``)."""
     _quad_slot(quad)
     _require_depth(depth)
-    (((_, cables),),) = _moment_terms(seq, (depth,), u, v, limit=True)
-    return _fsum([_gasket_half(seq, u, v, depth), *cables])
+    (((_, cables), (gasket, _)),) = _moment_terms(seq, (depth,), u, v, ("energy", "gasket"), limit=True)
+    return _fsum([_fsum(gasket), *cables])

@@ -2,10 +2,11 @@
 
 Test functions for the energy forms are bivariate polynomials with exact
 symbolic calculus: gradients and Hessians are formed by coefficient
-manipulation, and substitution of affine maps (``_compose_affine``) gives
-the coefficients of p o F; restricted to a mapped segment that is a
-univariate polynomial in the curve parameter, so line integrals can be
-evaluated by Gauss quadrature of known exactness.
+manipulation.  The module owns the coefficient layout (``_exponents``) and
+the one affine substitution (``_pullback``: the matrix sending the
+coefficients of p to those of p o F), which builds the energy chain's level
+tables and pulled-back fields; a segment restriction
+(``compose_with_segment``) is its one-map case.
 
 The expression grammar accepted by :func:`parse`:
 
@@ -20,6 +21,7 @@ literals, and there is no division.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -179,46 +181,83 @@ def hess_batch(p: Poly2, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np
 
 # -- affine substitution ---------------------------------------------------
 
+#: Working precision of the substitution and of the energy chain: x87 longdouble carries 11
+#: bits beyond double, which absorb a readout's cancellation (short cables, fields that vanish
+#: along a side); where longdouble is double the chain runs in double.
+_EXT = np.longdouble
 
-def _compose_affine(coeffs: np.ndarray, lin: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """(S, E, d + 1, d + 1): the coefficients of p o F_s, F_s x = lin[s] @ x + off[s], for the E
-    polynomials p of degree <= d in ``coeffs`` (E, d + 1, d + 1), entry [m, n] that of x^m y^n.
-    The powers of y o F_s meet the coefficients of each x^m, then Horner's scheme in x o F_s sums
-    those; no step passes degree d, so none drops a term."""
-    d = coeffs.shape[-1] - 1
-    a, b, c = (t[:, :, None, None, None] for t in (lin[..., 0], lin[..., 1], off))
 
-    def times(p, r):
-        # p times coordinate r of each map, lin[s, r] @ x + off[s, r].
-        out = c[:, r] * p
-        out[..., 1:, :] += a[:, r] * p[..., :-1, :]
-        out[..., 1:] += b[:, r] * p[..., :-1]
-        return out
+def _dim(d: int) -> int:
+    return (d + 1) * (d + 2) // 2
 
-    powers = [np.zeros((len(lin), 1, d + 1, d + 1), coeffs.dtype)]
-    powers[0][..., 0, 0] = 1
-    for _ in range(d):
-        powers.append(times(powers[-1], 1))
-    rows = np.einsum("emn,snij->mseij", coeffs, np.concatenate(powers, axis=1))
-    out = rows[d]
-    for m in range(d - 1, -1, -1):
-        out = times(out, 0) + rows[m]
+
+def _slot(m: int, n: int) -> int:
+    """Position of the monomial with exponents (m, n) in ``_exponents`` order."""
+    return (m + n) * (m + n + 1) // 2 + n
+
+
+@functools.lru_cache(maxsize=32)
+def _exponents(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents (m, n) of the basis monomials, m + n <= d.
+
+    Graded by total degree k, then by n, so x^m y^n sits at position
+    k(k+1)/2 + n.
+    """
+    m = np.array([k - n for k in range(d + 1) for n in range(k + 1)])
+    n = np.array([n for k in range(d + 1) for n in range(k + 1)])
+    m.flags.writeable = False
+    n.flags.writeable = False
+    return m, n
+
+
+def _plain_coeffs(p: Poly2, d: int) -> np.ndarray:
+    """Coefficients of p on the monomials x^m y^n, m + n <= d, in ``_exponents`` order."""
+    out = np.zeros(_dim(d), dtype=_EXT)
+    for (m, n), c in p.coeffs.items():
+        out[_slot(m, n)] = c
     return out
 
 
-def _dense(p: Poly2, d: int, dtype=np.float64) -> np.ndarray:
-    """The coefficients of p as a (d + 1, d + 1) array, entry [m, n] that of x^m y^n; d >= deg p."""
-    out = np.zeros((d + 1, d + 1), dtype)
-    for (m, n), c in p.coeffs.items():
-        out[m, n] = c
+def _pullback(lin: np.ndarray, shift: np.ndarray, d: int) -> np.ndarray:
+    """(S, D, D) in ``_EXT``, D = ``_dim(d)``: P[s] @ coeffs(p) = coeffs(p o G_s) for the S maps
+    G_s x = lin[s] @ x + shift[s] (lin (S, 2, 2), shift (S, 2)), the one place where p o F is formed.
+
+    The translation sets the bases: F x = T x + o takes shift T c + o - c between monomials
+    centred at c, and T c + o from plain ones onto them.  One pass serves the whole stack.
+    """
+    linear, offset = lin.astype(_EXT), shift.astype(_EXT)
+    m_idx, n_idx = _exponents(d)
+    out = np.zeros((len(linear), _dim(d), _dim(d)), dtype=_EXT)
+
+    def times(poly: np.ndarray, row: int) -> np.ndarray:
+        # Dense poly[..., s, m, n] (coefficient of x^m y^n) times coordinate ``row`` of map s.
+        res = offset[:, row, None, None] * poly
+        res[..., 1:, :] += linear[:, row, 0, None, None] * poly[..., :-1, :]
+        res[..., :, 1:] += linear[:, row, 1, None, None] * poly[..., :, :-1]
+        return res
+
+    # Row m of ``mono`` is x'^m (x' the first coordinate of the map), then
+    # each step multiplies every row by y' once: row m holds x'^m y'^n.
+    mono = [np.zeros((len(linear), d + 1, d + 1), dtype=_EXT)]
+    mono[0][:, 0, 0] = 1.0
+    for _ in range(d):
+        mono.append(times(mono[-1], 0))
+    mono = np.stack(mono)
+    for n in range(d + 1):
+        out[:, :, _slot(np.arange(d + 1 - n), n)] = mono[:, :, m_idx, n_idx].transpose(1, 2, 0)
+        mono = times(mono[: d - n], 1)
     return out
 
 
 def compose_with_segment(p: Poly2, lin: np.ndarray, off: np.ndarray, start: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    """Coefficients (ascending in t) of p(F(start + t vel)) for t in [0,1], F x = lin @ x + off:
-    ``_compose_affine`` by the map t -> F(start) + t lin @ vel, of degree deg(p)."""
-    segment = np.column_stack([lin @ vel, np.zeros(2)])
-    return _compose_affine(_dense(p, max(p.degree, 0))[None], segment[None], (lin @ start + off)[None])[0, 0, :, 0]
+    """Coefficients (ascending in t) of p(F(start + t vel)) for t in [0,1], F x = lin @ x + off,
+    of degree deg(p): the one-map ``_pullback`` by t -> F(start) + t lin @ vel read at the powers
+    of t, the map and the substitution formed in ``_EXT`` and rounded once."""
+    d = max(p.degree, 0)
+    lin, off, start, vel = (np.asarray(a, _EXT) for a in (lin, off, start, vel))
+    segment = np.column_stack([lin @ vel, np.zeros(2, _EXT)])
+    pulled = _pullback(segment[None], (lin @ start + off)[None], d)[0] @ _plain_coeffs(p, d)
+    return pulled[_slot(np.arange(d + 1), 0)].astype(np.float64)
 
 
 # -- named constructions ---------------------------------------------------

@@ -45,7 +45,9 @@ and the vertex stars gathered from the whole world arrays, sorted once,
 with the harmonicity report reduced from them.
 The IBP measure side's cell sum has two references: the enumerated one
 (``gasket_hessian_sum``) and the measure's level operators run on
-G = v D^2 phi (``ibp_gasket_half``), in O(l) to the depth cap.
+G = v D^2 phi (``ibp_gasket_half``), in O(l) to the depth cap, by a
+Horner substitution of its own (``_compose_affine``), which also holds the
+package's one substitution matrix (``scalarfield._pullback``) to account.
 The quantities and helpers that only the tests read live here too: the
 word enumeration, the cable part of a form, Horner evaluation of a
 univariate polynomial, the plane rotation, the edge counts, one IBP row,
@@ -66,20 +68,20 @@ from fractions import Fraction
 import numpy as np
 
 from stretched_gasket.energy import (
+    _CENTER,
     _CONJUGATIONS,
-    _EXT,
     EnergyReport,
     _centering,
     _degrees,
     _fields,
+    _fsum,
     _gradient_top,
     _moment_terms,
-    _plain_coeffs,
-    _pullback,
     _readouts,
     _report,
     _split,
     _tableau,
+    _translation,
     cable_tail_bound,
     energy_total,
 )
@@ -127,7 +129,7 @@ from stretched_gasket.kusuoka import (
     tau_table,
 )
 from stretched_gasket.laplacian import KAPPA_FLOOR, _laplacian_values, ibp_table, laplacian_samples, teplyaev
-from stretched_gasket.scalarfield import Poly2, _compose_affine, _dense, hess_batch, sup_bounds
+from stretched_gasket.scalarfield import _EXT, Poly2, _plain_coeffs, _pullback, hess_batch, sup_bounds
 
 #: The form constant a = b of the triangle edges and the cables, 1/3 as in the package.
 _A = 1.0 / 3.0
@@ -215,6 +217,24 @@ def _compose_line(p, x0, y0, dx, dy) -> list:
         for i, v in enumerate(_conv(xpows[m], ypows[n])):
             acc[i] += c * v
     return acc
+
+
+def restrict_exact(p, lin, off, start, vel) -> list:
+    """Coefficients (ascending in t) of p(F(start + t vel)), F x = lin @ x + off, as Fractions:
+    exact rational arithmetic on the given doubles, the reference ``compose_with_segment`` and
+    ``restrict`` round."""
+    (a, b), (c, d) = [[Fraction(float(x)) for x in row] for row in lin]
+    (o0, o1), (s0, s1), (v0, v1) = ([Fraction(float(x)) for x in vec] for vec in (off, start, vel))
+    xs, ys = (a * s0 + b * s1 + o0, a * v0 + b * v1), (c * s0 + d * s1 + o1, c * v0 + d * v1)
+    out = [Fraction(0)] * (max(p.degree, 0) + 1)
+    for (m, n), coeff in p.coeffs.items():
+        term = [Fraction(coeff)]
+        for f0, f1 in [xs] * m + [ys] * n:
+            # term times f0 + f1 t: coefficient i is f0 term[i] + f1 term[i - 1].
+            term = [f0 * hi + f1 * lo for hi, lo in zip(term + [0], [0] + term)]
+        for i, t in enumerate(term):
+            out[i] += t
+    return out
 
 
 def weak_laplacian_h1(seq, l, u):
@@ -545,15 +565,17 @@ def segment_form(p0, dv, d, points, left: int, right: int) -> np.ndarray:
 
 
 def map_pullback(lin, off, d, *, from_plain=False) -> np.ndarray:
-    """Pullback by one map (lin (2, 2), off (2,)): the package's ``_pullback`` of a stack of one."""
-    return _pullback(lin[None], off[None], d, from_plain=from_plain)[0]
+    """Pullback by one map (lin (2, 2), off (2,)) onto the centred basis, from the centred basis or,
+    ``from_plain``, from the plain one: the package's ``_pullback`` of a stack of one, with the
+    translation the package's level tables and fields pass."""
+    shift = _translation(lin[None], off[None])
+    return _pullback(lin[None], shift if from_plain else shift - _CENTER, d)[0]
 
 
-def _top_moments(u, v, d, outer=None, *, symmetric=True) -> np.ndarray:
-    """(S, D, D): M_0 = c_u c_v^T for each map of ``outer`` (a stack of S maps, or None for the
-    identity), symmetrized for the energy forms, so it has the same bits for (u, v) and (v, u)."""
-    pullbacks = _centering(d)[None] if outer is None else _pullback(*outer, d, from_plain=True)
-    cu, cv = (pullbacks @ _plain_coeffs(p, d) for p in (u, v))
+def _top_moments(u, v, d, *, symmetric=True) -> np.ndarray:
+    """(1, D, D): M_0 = c_u c_v^T of the centred fields, symmetrized for the energy forms, so it
+    has the same bits for (u, v) and (v, u)."""
+    cu, cv = (_centering(d)[None] @ _plain_coeffs(p, d) for p in (u, v))
     top = cu[:, :, None] * cv[:, None, :]
     return 0.5 * (top + top.transpose(0, 2, 1)) if symmetric else top
 
@@ -661,7 +683,7 @@ def _chain_parts(seq, depth, u, v, outer=None, *, limit=False):
     level chain, run on one pulled-back pair (u o outer, v o outer) alone."""
     d, n = _degrees(u, v)
     fields = _fields(u, v, d, None if outer is None else (outer[0][None], outer[1][None]))
-    ((parts,),) = _readouts(seq, (depth,), n, _gradient_top(*fields, d, n), [("sides", _A)], limit=limit)
+    ((parts,),) = _readouts(seq, (depth,), n, _gradient_top(*fields, d, n), [(0, "sides", _A)], limit=limit)
     return parts
 
 
@@ -720,16 +742,59 @@ def gasket_hessian_sum(seq, depth, phi, v, *, absolute=False) -> list[float]:
     return vals.tolist()
 
 
+def _compose_affine(coeffs: np.ndarray, lin: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """(S, E, d + 1, d + 1): the coefficients of p o F_s, F_s x = lin[s] @ x + off[s], for the E
+    polynomials p of degree <= d in ``coeffs`` (E, d + 1, d + 1), entry [m, n] that of x^m y^n.
+    The powers of y o F_s meet the coefficients of each x^m, then Horner's scheme in x o F_s sums
+    those; no step passes degree d, so none drops a term.  The independent route of the package's
+    one substitution, ``scalarfield._pullback``, which builds the matrix instead."""
+    d = coeffs.shape[-1] - 1
+    a, b, c = (t[:, :, None, None, None] for t in (lin[..., 0], lin[..., 1], off))
+
+    def times(p, r):
+        # p times coordinate r of each map, lin[s, r] @ x + off[s, r].
+        out = c[:, r] * p
+        out[..., 1:, :] += a[:, r] * p[..., :-1, :]
+        out[..., 1:] += b[:, r] * p[..., :-1]
+        return out
+
+    powers = [np.zeros((len(lin), 1, d + 1, d + 1), coeffs.dtype)]
+    powers[0][..., 0, 0] = 1
+    for _ in range(d):
+        powers.append(times(powers[-1], 1))
+    rows = np.einsum("emn,snij->mseij", coeffs, np.concatenate(powers, axis=1))
+    out = rows[d]
+    for m in range(d - 1, -1, -1):
+        out = times(out, 0) + rows[m]
+    return out
+
+
+def _dense(p: Poly2, d: int, dtype=np.float64) -> np.ndarray:
+    """The coefficients of p as a (d + 1, d + 1) array, entry [m, n] that of x^m y^n; d >= deg p."""
+    out = np.zeros((d + 1, d + 1), dtype)
+    for (m, n), c in p.coeffs.items():
+        out[m, n] = c
+    return out
+
+
+def gasket_half(seq, u, v, depth) -> float:
+    """The gasket half of the measure energy, sum_w tr(tau_w G(F_w b)) for G = sym(grad u grad
+    v^t): the package's ``gasket`` form alone, rounded once as ``energy_via_measure`` rounds it."""
+    (((cells, _),),) = _moment_terms(seq, (depth,), u, v, ("gasket",))
+    return _fsum(cells)
+
+
 def ibp_gasket_half(seq, phi, v, depth) -> float:
     """The sum of ``gasket_hessian_sum`` in O(depth), by the measure's level operators.
 
     The cell term 3a tr(tau_w G(F_w b)) with G = v D^2 phi is the gasket term of the
     measure energy with G in place of sym(grad u grad v^t), so the level operators
-    (L_k H)(x) = sum_i B_i H(F^k_i x) B_i, applied by ``scalarfield._compose_affine`` (the
-    loop the measure energy's gasket half ran before the package's chain), give the sum
-    over the depth-level cells as 3a (1/2) (3/5)^l tr((L_l ... L_1 G)(b)), in longdouble on
-    the monomials centred at b.  It shares no code with the package's chain beyond the
-    polynomial type, the conjugation table and the map triples.
+    (L_k H)(x) = sum_i B_i H(F^k_i x) B_i, applied by Horner substitution
+    (``_compose_affine``), give the sum over the depth-level cells as
+    3a (1/2) (3/5)^l tr((L_l ... L_1 G)(b)), in longdouble on the monomials centred at b.
+    It reaches no package name beyond the polynomial type, the conjugation table, the map
+    triples and the barycenter (``tests/test_lint.py`` checks it), so it shares no code with
+    the package's chain.
     """
     d, centre = max(phi.degree - 2, 0) + max(v.degree, 0), barycenter().astype(np.longdouble)
     hess = np.array([_dense(h, d, np.longdouble) for h in phi.hess()])

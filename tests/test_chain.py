@@ -103,14 +103,15 @@ def test_one_degrees_forms_build_one_table_per_level(monkeypatch):
     # The energy form, the weak pairing, the IBP measure side and the measure energy of one
     # degree read the same level tables: from a cleared cache the first builds the pullbacks
     # of all eight levels in one stacked call and the readouts of the sides and eight cable
-    # generations in one more; the others build nothing.
+    # generations in one more; the others build nothing.  The level pullbacks are the
+    # substitutions of the chain's degree n = 4; the fields, of degree 3, are pulled back at 3.
     stacks, readouts = [], []
     pullback, integrals = energy._pullback, energy._segment_integrals
 
-    def counting_pullback(lin, off, d, *, from_plain=False):
-        if not from_plain:
+    def counting_pullback(lin, shift, d):
+        if d == 4:
             stacks.append(len(lin))
-        return pullback(lin, off, d, from_plain=from_plain)
+        return pullback(lin, shift, d)
 
     def counting_integrals(p0, dv, n):
         readouts.append(len(p0))

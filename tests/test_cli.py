@@ -771,6 +771,15 @@ def test_non_finite_values_are_written_as_null(argv, side, module, name, patch, 
         assert payload[field] is None
 
 
+@pytest.mark.parametrize("depth, ratio", [("3", "1e155"), ("8", "1e40")])
+def test_harmonicity_refuses_a_ratio_whose_map_products_overflow(depth, ratio):
+    # One error line naming the ratio and the depth, and no numpy warning before it.
+    proc = run_cli("harmonicity", "--depth", depth, "--ratio", ratio, check=False)
+    err = proc.stderr.decode().splitlines()
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert len(err) == 1 and err[0].startswith(f"error: map ratio {float(ratio)!r} at depth {depth}: "), err
+
+
 def test_missing_config_file_exits_one():
     assert run_cli("energy", "--config", "/nonexistent/path.cfg", check=False).returncode == 1
 

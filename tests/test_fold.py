@@ -312,7 +312,9 @@ def test_moment_pass_keeps_the_depth_cap():
 def test_sweeps_push_the_moments_once(monkeypatch):
     # A sweep is one pass to its deepest depth.  From a cleared cache it
     # builds the pullbacks of all ten levels in one stacked call; a repeat
-    # reads them all from the cache and builds none.
+    # reads them all from the cache and builds none.  The level pullbacks are
+    # the substitutions of the chain's degree n = 4; the fields, of degree 3,
+    # are pulled back at 3.
     passes, stacks = [], []
     tables, pullback = energy._level_tables, energy._pullback
 
@@ -320,10 +322,10 @@ def test_sweeps_push_the_moments_once(monkeypatch):
         passes.append(len(logs))
         return tables(seq, logs, *args)
 
-    def counting_pullback(lin, off, d, *, from_plain=False):
-        if not from_plain:
+    def counting_pullback(lin, shift, d):
+        if d == 4:
             stacks.append(len(lin))
-        return pullback(lin, off, d, from_plain=from_plain)
+        return pullback(lin, shift, d)
 
     monkeypatch.setattr(energy, "_level_tables", counting_tables)
     monkeypatch.setattr(energy, "_pullback", counting_pullback)
@@ -582,7 +584,7 @@ def test_a_chain_is_keyed_on_the_exact_top(monkeypatch):
     assert nudged[0, 1, 7] != top[0, 1, 7]
 
     def parts(tops):
-        return list(energy._readouts(PREFIX_EXP, (6,), n, tops, [("sides", A)]))
+        return list(energy._readouts(PREFIX_EXP, (6,), n, tops, [(0, "sides", A)]))
 
     cold = [_cold_call(lambda: parts(t)) for t in (top, nudged)]
     energy._TABLES.clear()

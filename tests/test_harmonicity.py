@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from stretched_gasket import (
     vertex_stars,
     weak_pairing,
 )
+from stretched_gasket.errors import StarNotClosed, TermOverflow
 from stretched_gasket.harmonicity import ND_GRID, _nd_gamma_cached, _nd_grid, _nd_row_bounds, _nd_window_min
 from stretched_gasket.params import A
 
@@ -87,6 +89,29 @@ def test_residual_zero_only_at_the_harmonic_ratio():
             assert res <= gate
         else:
             assert res > 1e-3 * A, ratio
+
+
+def test_a_ratio_whose_map_products_overflow_is_refused_before_numpy_warns():
+    # The map products of these pairs pass the double range (geometry._level_products): one
+    # TermOverflow naming the ratio and the depth, raised before any numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TermOverflow, match=r"^map ratio 1e\+155 at depth 3: "):
+            harmonic_report(CONSTANT_HALF, 3, 1e155)
+        with pytest.raises(TermOverflow, match=r"^map ratio 1e\+200 at depth 2: "):
+            vertex_stars(CONSTANT_HALF, 2, 1e200)
+        with pytest.raises(TermOverflow, match=r"^map ratio -1e\+40 at depth 8: "):
+            harmonic_report(PREFIX_EXP, 8, -1e40)
+
+
+def test_a_ratio_just_below_the_overflow_runs_as_before():
+    # Within a decade below the first ratio that overflows at these depths: the stars are
+    # gathered without a warning and, the ratio not being harmonic, do not close.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for l, ratio in ((2, 1e153), (4, 1e76), (8, 1e38)):
+            with pytest.raises(StarNotClosed, match="do not coincide"):
+                harmonic_report(CONSTANT_HALF, l, ratio)
 
 
 def test_harmonic_report_names_worst_vertex():

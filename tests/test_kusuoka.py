@@ -33,15 +33,16 @@ from stretched_gasket import (
     word_index,
     word_table,
 )
-from stretched_gasket import kusuoka
+from stretched_gasket import energy, kusuoka
 from stretched_gasket.errors import DepthCapExceeded, GasketError, PrefactorUnderflow
-from stretched_gasket.kusuoka import _cable_directions, _gasket_half, _linears, _product2, _require_symmetric, _scaled_linears, _trace
+from stretched_gasket.kusuoka import _cable_directions, _linears, _product2, _require_symmetric, _scaled_linears, _trace
 
 from conftest import ALL_REGIMES, CONSTANT_HALF, PREFIX_EXP, SEQUENCES, TAIL_ONLY, cold_peak, random_poly
 from oracles import (
     adjoint_aggregate,
     energy_via_measure_whole,
     exact_kappa_table,
+    gasket_half,
     gibbs_tau_by_einsum,
     iter_words,
     measure_gasket_terms,
@@ -468,7 +469,7 @@ def test_measure_energy_operator_matches_the_enumerated_sum(regime, rng):
                 continue
             terms = measure_gasket_terms(regime, u, v, depth)
             bound = MEASURE_OPERATOR_RTOL * math.fsum(measure_gasket_terms(regime, u, v, depth, absolute=True).tolist())
-            assert abs(_gasket_half(regime, u, v, depth) - math.fsum(terms.tolist())) <= bound, (u, depth)
+            assert abs(gasket_half(regime, u, v, depth) - math.fsum(terms.tolist())) <= bound, (u, depth)
             # One rounding of the total on each side.
             assert abs(got - want) <= bound + math.ulp(want), (u, depth, got, want)
 
@@ -476,8 +477,8 @@ def test_measure_energy_operator_matches_the_enumerated_sum(regime, rng):
 def test_measure_energy_gasket_half_of_a_constant_field_is_zero(regime):
     for v in (parse("x^2 - 0.5*x*y + y^3"), parse("0"), parse("2.5")):
         for depth in (0, 1, 7, 12):
-            assert _gasket_half(regime, parse("2.5"), v, depth) == 0.0
-            assert _gasket_half(regime, v, parse("-1"), depth) == 0.0
+            assert gasket_half(regime, parse("2.5"), v, depth) == 0.0
+            assert gasket_half(regime, v, parse("-1"), depth) == 0.0
 
 
 def test_measure_energy_gasket_half_of_affine_fields_is_half_their_gradient_product(regime, rng):
@@ -487,7 +488,7 @@ def test_measure_energy_gasket_half_of_affine_fields_is_half_their_gradient_prod
         a = rng.uniform(-1, 1, 6).tolist()
         exact = (Fraction(a[1]) * Fraction(a[4]) + Fraction(a[2]) * Fraction(a[5])) / 2
         for depth in range(13):
-            got = _gasket_half(regime, affine(*a[:3]), affine(*a[3:]), depth)
+            got = gasket_half(regime, affine(*a[:3]), affine(*a[3:]), depth)
             assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact))), (a, depth)
 
 
@@ -505,10 +506,32 @@ def test_measure_energy_builds_no_depth_level_table(monkeypatch):
             monkeypatch.setattr(module, name, refuse)
     assert energy_via_measure(PREFIX_EXP, u, v, 12) == want
     # Past the cap the depth is refused before any work.
-    for name in ("_gasket_half", "_moment_terms"):
-        monkeypatch.setattr(kusuoka, name, refuse)
+    monkeypatch.setattr(kusuoka, "_moment_terms", refuse)
     with pytest.raises(DepthCapExceeded, match="depth 13 exceeds cap 12"):
         energy_via_measure(PREFIX_EXP, u, v, 13)
+
+
+def test_measure_energy_reads_one_chain_stepped_once(monkeypatch):
+    # The gasket half and the cable half are two readouts of one chain of the one top G: from a
+    # cleared cache, one chain read with one top, stepped once per level; the same value.
+    u, v = parse("x^2 - 0.5*x*y + y^3"), vanishing_cubic()
+    want = energy_via_measure(PREFIX_EXP, u, v, 9)
+    reads, steps = [], []
+    readouts, step = energy._readouts, energy._step
+
+    def counting_readouts(seq, depths, n, tops, cells, **kwargs):
+        reads.append((len(tops), len(cells)))
+        return readouts(seq, depths, n, tops, cells, **kwargs)
+
+    def counting_step(seq, k, held, pullbacks):
+        steps.append((k, len(held)))
+        return step(seq, k, held, pullbacks)
+
+    monkeypatch.setattr(energy, "_readouts", counting_readouts)
+    monkeypatch.setattr(energy, "_step", counting_step)
+    energy._TABLES.clear()
+    assert energy_via_measure(PREFIX_EXP, u, v, 9) == want
+    assert reads == [(1, 2)] and steps == [(k, 1) for k in range(1, 10)]
 
 
 def test_measure_energy_memory_at_depth_ten():

@@ -1,8 +1,9 @@
 """Lint step: no module of the package or of the tests imports a name it never uses, every
 top-level function or class of the package has a use, every exported name has one
 outside its own module, the enumerating paths make no stacked per-row products, a row
-range's ancestors are worked out in one place, and one function builds the Gauss rule,
-reached only from the level chain."""
+range's ancestors are worked out in one place, one function builds the Gauss rule,
+reached only from the level chain, and the IBP measure side's O(l) oracle reaches no
+package code beyond an allow-list."""
 
 import ast
 import re
@@ -310,3 +311,49 @@ def test_public_surface():
         and name not in perfbench
     ]
     assert unused == []
+
+
+#: The package names that the IBP measure side's O(l) oracle (``tests/oracles.py::ibp_gasket_half``
+#: with its Horner substitution) may reach: the polynomial type, the conjugation table, the map
+#: triples and the barycenter.  Anything else would be code shared with the chain it checks.
+ORACLE_ROOTS = ("ibp_gasket_half", "_compose_affine", "_dense")
+ORACLE_ALLOWED = {"Poly2", "triple", "barycenter", "_CONJUGATIONS"}
+
+
+def package_names_reached(source: str, roots) -> set[str]:
+    """The names imported from the package that the top-level definitions ``roots`` of ``source``
+    read, directly or through the module's other top-level functions, classes and assignments."""
+    tree = ast.parse(source)
+    package = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stretched_gasket")
+        for alias in node.names
+    }
+    local = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            local[node.name] = node
+        elif isinstance(node, ast.Assign):
+            local.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    found, seen, todo = set(), set(roots), list(roots)
+    while todo:
+        names = references(local[todo.pop()])
+        found |= names & package
+        todo += [name for name in names - seen if name in local]
+        seen |= names
+    return found
+
+
+def test_a_stray_package_name_in_the_oracle_is_found():
+    # A helper of the Horner substitution that reads the package's own substitution.
+    source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    marker = "    out = rows[d]\n"
+    assert marker in source
+    source = source.replace(marker, "    out = rows[d] + 0 * _stray(lin, off, d)\n") + "\n\ndef _stray(lin, off, d):\n    return _pullback(lin, off, d)[0, 0, 0]\n"
+    assert package_names_reached(source, ORACLE_ROOTS) - ORACLE_ALLOWED == {"_pullback"}
+
+
+def test_the_ibp_oracle_shares_no_code_with_the_chain():
+    source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    assert package_names_reached(source, ORACLE_ROOTS) - ORACLE_ALLOWED == set()
