@@ -37,25 +37,22 @@ and field pair of a degree reads them from one table cache (``_TABLES``),
 keyed on (log eps_k, n) and bounded by ``_TABLE_BUDGET`` (64 MiB, least
 recently used entries leaving first); the missing ones are built in one
 stacked call each, with the bits of the per-map and per-generation builds.
-The same cache keeps each top state's chain H_0..H_k, keyed on the value
-bytes of the top (``_chain_key``) and n, with the log eps_1..eps_k it was
-stepped through: a chain resumes from the longest stored prefix with its
-own logs, steps only the levels beyond it (checking lam_k on each) and
-stores the result, with the bits it would compute afresh.  Before
-allocating, a chain refuses a dense working set above ``_PASS_BUDGET`` (512
-MiB) with ``WorkingSetTooLarge``: at depth 12 it admits n <= 42 (fields of
-degree 22 for u = v), at depth 1 n <= 78 (degree 40).  The readouts are
-summed exactly (math.fsum of every term's double head and remainder), and
-G = sym(grad u grad v^T) has the same bits for (u, v) and (v, u), so
-E(u, v) == E(v, u) exactly.
+A chain stores no states: every call steps its tops from H_0, checking
+lam_k on each level.  Before allocating, a chain refuses a dense working
+set above ``_PASS_BUDGET`` (512 MiB) with ``WorkingSetTooLarge``: at depth
+12 it admits n <= 42 (fields of degree 22 for u = v), at depth 1 n <= 78
+(degree 40).  The readouts are summed exactly (math.fsum of every term's
+double head and remainder), and G = sym(grad u grad v^T) has the same bits
+for (u, v) and (v, u), so E(u, v) == E(v, u) exactly.
 
-The chain has one entry, ``_moment_terms``: fields, depths and forms
-(``_FORMS``) in, fsum-ready terms out, summed with ``_fsum``, which refuses
-an overflowing total; other modules build no states, and forms of one G
-read one chain of it.  The one-step recurrence and self-similarity
-residuals read their generation-1 cable term from the left side's chain and
-run the three pulled-back fields (u o F^1_i, v o F^1_i) as one stacked
-chain on the shifted sequence.  The batched edge tableau (``_tableau``, the
+The chain has two entries, both reading ``_readouts``.  ``_moment_terms``
+takes fields, depths and forms (``_FORMS``) in and gives fsum-ready terms
+out, summed with ``_fsum``, which refuses an overflowing total; forms of
+one G read one chain of it.  ``_one_step`` serves the one-step recurrence
+and self-similarity residuals: they read their generation-1 cable term
+from the left side's chain and run the three pulled-back fields (u o
+F^1_i, v o F^1_i) as one stacked chain on the shifted sequence.  Other
+modules build no states.  The batched edge tableau (``_tableau``, the
 geometry module's edge table cut by generation, the last one kept: 76.5 MB
 at the depth cap) serves only the tests' edge-by-edge routes in
 ``tests/oracles.py``.
@@ -233,9 +230,9 @@ def _segment_integrals(p0: np.ndarray, dv: np.ndarray, n: int) -> np.ndarray:
     return entries.swapaxes(-1, -2) @ integrals
 
 
-# -- level tables and chains ----------------------------------------------
+# -- level tables and the chain --------------------------------------------
 
-#: Byte budget of the table cache ``_TABLES``, level tables and chains (64 MiB).
+#: Byte budget of the level-table cache ``_TABLES`` (64 MiB).
 _TABLE_BUDGET = 64 << 20
 
 #: Byte budget of one chain's dense working set (512 MiB), checked before
@@ -261,11 +258,8 @@ class _TableCache:
             self._entries.move_to_end(key)
         return entry
 
-    def add(self, key, tables: dict) -> dict:
-        """Merge ``tables`` into the entry at ``key``; returns the merged entry."""
-        entry = self._entries.pop(key, {})
-        self.nbytes -= _nbytes(entry)
-        entry = {**entry, **tables}
+    def add(self, key, entry: dict) -> dict:
+        """Store ``entry`` at a key not held; returns it."""
         size = _nbytes(entry)
         if size <= self.budget:
             while self.nbytes + size > self.budget:
@@ -297,23 +291,6 @@ def _require_budget(d: int, n: int, levels: int, tops: int) -> None:
             f"fields of degree {d} (D = {big} monomials of degree {n}) need about {need / 2**20:.0f} MiB "
             f"in the level chain, above its {_PASS_BUDGET >> 20} MiB budget"
         )
-
-
-#: Bytes of a longdouble's value: the x87 80-bit format (64-bit significand,
-#: little-endian) fills 10 of its 12 or 16 bytes and leaves the rest as
-#: padding, which no operation defines.
-_VALUE_BYTES = 10 if np.finfo(_EXT).nmant == 63 else np.dtype(_EXT).itemsize
-
-
-def _chain_key(top: np.ndarray, n: int) -> tuple:
-    """A top state's key in ``_TABLES``: the value bytes of its entries, without padding, and n."""
-    raw = np.ascontiguousarray(top).view(np.uint8).reshape(*top.shape, -1)
-    return raw[..., :_VALUE_BYTES].tobytes(), n
-
-
-def _shared_levels(stored, logs: list[float]) -> int:
-    """How many levels, from the first, a stored chain's logs share with ``logs``."""
-    return next((k for k, (a, b) in enumerate(zip(stored, logs)) if a != b), min(len(stored), len(logs)))
 
 
 def _level_tables(seq: ParamSeq, logs: list[float], n: int) -> tuple[np.ndarray, list[dict]]:
@@ -361,22 +338,13 @@ def _step(seq: ParamSeq, k: int, held: np.ndarray, pullbacks: np.ndarray) -> np.
     return _CONJUGATION_ROWS @ pulled.reshape(3, -1, 3, rows).transpose(1, 0, 2, 3).reshape(-1, 9, rows)
 
 
-def _chain(seq: ParamSeq, logs: list[float], levels: list[dict], tops: np.ndarray, n: int) -> np.ndarray:
-    """(F, L + 1, 3, D_n): the states H_0..H_L of each top (F, 3, D_n), L = len(logs), from its stored
-    chain as far as its logs agree, then stepped (the tops that need a level as one stack) and stored."""
-    keys = [_chain_key(top, n) for top in tops]
-    stored = [_TABLES.get(key) for key in keys]
-    starts = [_shared_levels(entry.get("logs", ()), logs) for entry in stored]
-    states = np.empty((len(tops), len(logs) + 1, *tops.shape[1:]), _EXT)
-    for f, (entry, start) in enumerate(zip(stored, starts)):
-        states[f, : start + 1] = entry["states"][: start + 1] if entry else tops[f]
-    for k in range(1, len(logs) + 1):
-        todo = [f for f, start in enumerate(starts) if start < k]
-        if todo:
-            states[todo, k] = _step(seq, k, states[todo, k - 1], levels[k - 1]["pullbacks"])
-    for key, start, chain in zip(keys, starts, states):
-        if start < len(logs):
-            _TABLES.add(key, {"states": _read_only(chain.copy()), "logs": _read_only(np.array(logs))})
+def _chain(seq: ParamSeq, levels: list[dict], tops: np.ndarray) -> np.ndarray:
+    """(F, L + 1, 3, D_n): the states H_0..H_L of each top (F, 3, D_n), L = len(levels), every top
+    stepped as one stack through every level."""
+    states = np.empty((len(tops), len(levels) + 1, *tops.shape[1:]), _EXT)
+    states[:, 0] = tops
+    for k, level in enumerate(levels, 1):
+        states[:, k] = _step(seq, k, states[:, k - 1], level["pullbacks"])
     return states
 
 
@@ -402,7 +370,7 @@ def _readouts(seq, depths, n, tops, cells, *, limit=False):
     l_max = max(depths, default=0)
     logs = [seq.log_eps(k) for k in range(1, l_max + 1)]
     sides, levels = _level_tables(seq, logs, n)
-    states = _chain(seq, logs, levels, tops, n)
+    states = _chain(seq, levels, tops)
     readouts = np.array([level["cables"] for level in levels], _EXT).reshape(l_max, 3, _dim(n))
     terms = (readouts * states[:, :-1]).reshape(len(tops), l_max, 3 * _dim(n))
     # Read once per level, after the chain, so that an underflowing lam_k is

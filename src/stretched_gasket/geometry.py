@@ -108,7 +108,11 @@ def _alpha_beta(eps: float, beta_over_alpha: float) -> tuple[float, float]:
     if not math.isfinite(beta_over_alpha):
         raise ValueError(f"beta/alpha must be finite, got {beta_over_alpha}")
     alpha = 0.6 * eps
-    return alpha, alpha * beta_over_alpha
+    beta = alpha * beta_over_alpha
+    # 3 |beta| bounds every level-map entry, offset and cable end (alpha <= 0.6).
+    if not math.isfinite(3.0 * beta):
+        raise ValueError(f"beta/alpha {beta_over_alpha!r} gives level maps past the double range at eps {eps!r}")
+    return alpha, beta
 
 
 @functools.lru_cache(maxsize=4096)

@@ -304,6 +304,15 @@ def test_non_finite_ratio_exits_one(ratio):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("depth, ratio", [("0", "1.7e308"), ("2", "1.7e308"), ("2", "-1.7e308")])
+def test_a_ratio_whose_level_maps_overflow_exits_one_with_one_error_line(depth, ratio):
+    # Refused by the level maps at every depth, before nd_gamma or the vertex stars read them.
+    proc = run_cli("harmonicity", "--eps-const", "0.9", "--depth", depth, f"--ratio={ratio}", check=False)
+    assert proc.returncode == 1 and proc.stdout == b""
+    want = f"error: beta/alpha {float(ratio)!r} gives level maps past the double range at eps 0.9\n"
+    assert proc.stderr.decode() == want
+
+
 @pytest.mark.parametrize(
     "command", ["geometry", "energy", "harmonicity", "ruelle", "ibp", "convergence", "selfsim", "laplacian"]
 )

@@ -12,14 +12,14 @@ evaluation per derivative order, and a repeat builds nothing.  The
 batched Grams and stacked pullbacks equal the per-generation and per-map
 products bit for bit, and no form depends on what the cache holds: warm
 or cold, past its byte budget, and for sequences with equal eps_k but
-different log eps_k.  A top moment's stored chain makes a later pass push only the levels past
-the stored ones whose logs it shares, keyed on the top's exact value, and
-an underflowing lam_k is refused the same cold and warm.  The
-recurrence residuals' stacked pass equals one pass per pulled-back pair,
-and fields beyond the pass's memory budget are refused before any
-allocation and before a Gauss rule is built.  The forms choose their own
-Gauss rule; the cases below that name an order set it through the pass's
-private order, and the seven ``quad`` slots take None only.
+different log eps_k.  A chain stores no states: a call steps every level
+it reads, whatever ran before, and an underflowing lam_k is refused the
+same cold and warm.  The recurrence residuals' stacked pass equals one
+pass per pulled-back pair, and fields beyond the pass's memory budget are
+refused before any allocation and before a Gauss rule is built.  The
+forms choose their own Gauss rule; the cases below that name an order set
+it through the pass's private order, and the seven ``quad`` slots take
+None only.
 """
 
 import inspect
@@ -60,7 +60,6 @@ from stretched_gasket.cli import main
 from stretched_gasket.energy import _one_step
 from stretched_gasket.errors import PrefactorUnderflow, WorkingSetTooLarge
 from stretched_gasket.geometry import _side_arrays
-from stretched_gasket.params import A
 
 from conftest import ALL_REGIMES, EDGE_SEQ, PREFIX_EXP, SEQUENCES, TAIL_ONLY, random_poly
 from oracles import (
@@ -457,10 +456,8 @@ def test_the_cache_stays_within_its_budget(monkeypatch):
         for seq, want in zip(SEQS, cold):
             assert _outputs(seq) == want
             energy_total(seq, 3, high, high)
-            # The held bytes count the chains beside the level tables.
             held = sum(arr.nbytes for entry in cache._entries.values() for arr in entry.values())
             assert held == cache.nbytes <= cache.budget
-            assert any("states" in entry for entry in cache._entries.values())
 
     unbounded = energy._TableCache(1 << 40)
     fill(unbounded)
@@ -486,10 +483,6 @@ def _pushes(monkeypatch) -> list:
     return steps
 
 
-def _chains():
-    return {key: entry for key, entry in energy._TABLES._entries.items() if "states" in entry}
-
-
 def test_warm_chains_give_the_cold_bits():
     from stretched_gasket import energy_via_measure
 
@@ -511,7 +504,7 @@ def test_warm_chains_give_the_cold_bits():
             lambda: energy_via_measure(seq, SWEEP_U, v, 9),
         )
         cold = [_cold_call(sweep) for sweep in sweeps]
-        # Warm: after the ladder, then again after every sweep has stored its chains.
+        # Warm: after the ladder, then again after every sweep has filled the level tables.
         energy._TABLES.clear()
         for l in range(8, 12):
             energy_total(seq, l, SWEEP_U, v)
@@ -530,14 +523,6 @@ def test_a_deeper_form_pushes_only_the_new_levels(monkeypatch):
     energy._TABLES.clear()
     energy_total(PREFIX_EXP, 10, SWEEP_U, v)
     assert steps == [(k, 1) for k in range(1, 11)]
-    steps.clear()
-    energy_total(PREFIX_EXP, 11, SWEEP_U, v)
-    assert steps == [(11, 1)]
-    steps.clear()
-    # Shallower depths and the sweeps of the same top read the stored chain.
-    energy_total(PREFIX_EXP, 4, SWEEP_U, v)
-    convergence_rows(PREFIX_EXP, SWEEP_U, v, 10)
-    assert steps == []
 
 
 def test_the_residuals_share_their_chains(monkeypatch):
@@ -547,61 +532,26 @@ def test_the_residuals_share_their_chains(monkeypatch):
     # The left side to depth 9 on the sequence, the three pulled-back tops to depth 8 on its shift.
     recurrence_residual(PREFIX_EXP, 8, SWEEP_U, v)
     assert steps == [(k, 1) for k in range(1, 10)] + [(k, 3) for k in range(1, 9)]
-    steps.clear()
-    # Both residuals take the one step from depth 8: selfsimilar_residual at 9 pushes nothing.
-    selfsimilar_residual(PREFIX_EXP, SWEEP_U, v, 9)
-    assert steps == []
-    # One level deeper: the left side's level 10, then the halves' level 9.
-    selfsimilar_residual(PREFIX_EXP, SWEEP_U, v, 10)
-    assert steps == [(10, 1), (9, 3)]
 
 
-def test_a_chain_resumes_at_the_first_level_whose_log_differs(monkeypatch):
+def test_a_call_does_not_depend_on_earlier_calls(monkeypatch):
     steps = _pushes(monkeypatch)
     v = vanishing_cubic()
-    tail = ExpTail(0.05, 0.5)
-    a, b = ParamSeq(prefix=(0.9, 0.8), tail=tail), ParamSeq(prefix=(0.9, 0.7), tail=tail)
-    cold = [_cold_call(lambda: energy_total(seq, 5, SWEEP_U, v)) for seq in (a, b)]
     energy._TABLES.clear()
-    assert energy_total(a, 5, SWEEP_U, v) == cold[0]
-    steps.clear()
-    assert energy_total(b, 5, SWEEP_U, v) == cold[1]
-    assert steps == [(k, 1) for k in range(2, 6)]
-    # Equal eps_1 but different log eps_1 share no level.
-    energy._TABLES.clear()
-    energy_total(TAIL_LEVEL, 3, SWEEP_U, v)
-    steps.clear()
-    energy_total(PREFIX_LEVEL, 3, SWEEP_U, v)
-    assert steps == [(k, 1) for k in range(1, 4)]
-
-
-def test_a_chain_is_keyed_on_the_exact_top(monkeypatch):
-    steps = _pushes(monkeypatch)
-    d, n = 3, 4
-    top = energy._gradient_top(*energy._fields(SWEEP_U, vanishing_cubic(), d), d, n)
-    nudged = top.copy()
-    nudged[0, 1, 7] = np.nextafter(top[0, 1, 7], np.inf)
-    assert nudged[0, 1, 7] != top[0, 1, 7]
-
-    def parts(tops):
-        return list(energy._readouts(PREFIX_EXP, (6,), n, tops, [(0, "sides", A)]))
-
-    cold = [_cold_call(lambda: parts(t)) for t in (top, nudged)]
-    energy._TABLES.clear()
-    steps.clear()
-    for t, want in zip((top, nudged), cold):
-        assert all(np.array_equal(x, y) for x, y in zip(parts(t)[0][0], want[0][0]))
-    # The tops differ in the last bit of one entry: two chains, each stepped in full.
-    assert steps == [(k, 1) for k in range(1, 7)] * 2 and len(_chains()) == 2
-    # Equal values share a chain whatever their padding bytes hold.
-    itemsize = np.dtype(energy._EXT).itemsize
-    if energy._VALUE_BYTES < itemsize:
-        padded = top.copy()
-        padded.view(np.uint8).reshape(*top.shape, itemsize)[..., energy._VALUE_BYTES :] = 0xAB
-        assert padded.tobytes() != top.tobytes() and energy._chain_key(padded[0], n) == energy._chain_key(top[0], n)
-        steps.clear()
-        parts(padded)
-        assert steps == []
+    # The same form twice: every level is stepped both times.
+    for _ in range(2):
+        energy_total(PREFIX_EXP, 10, SWEEP_U, v)
+    assert steps == [(k, 1) for k in range(1, 11)] * 2
+    # After every form, the cache holds level tables only.
+    convergence_rows(PREFIX_EXP, SWEEP_U, v, 8)
+    ibp_table(PREFIX_EXP, SWEEP_U, v, (2, 7))
+    weak_pairing(PREFIX_EXP, 6, SWEEP_U, v)
+    energy2_limit(PREFIX_EXP, SWEEP_U, v, 7)
+    recurrence_residual(PREFIX_EXP, 5, SWEEP_U, v)
+    selfsimilar_residual(PREFIX_EXP, SWEEP_U, v, 6)
+    energy_via_measure(PREFIX_EXP, SWEEP_U, v, 7)
+    entries = energy._TABLES._entries.values()
+    assert entries and {frozenset(entry) for entry in entries} == {frozenset({"sides"}), frozenset({"pullbacks", "cables"})}
 
 
 def test_an_underflowing_lam_is_refused_cold_and_warm():
@@ -611,13 +561,11 @@ def test_an_underflowing_lam_is_refused_cold_and_warm():
     energy._TABLES.clear()
     with pytest.raises(PrefactorUnderflow, match=message):
         energy_total(seq, 4, u, v)
-    assert _chains() == {}
-    # Warm: level 1 is stored; the pass still checks lam_2 and stores nothing past level 1.
+    # Warm: level 1's tables are stored; the pass still checks lam_2.
     energy_total(seq, 1, u, v)
     for _ in range(2):
         with pytest.raises(PrefactorUnderflow, match=message):
             energy_total(seq, 4, u, v)
-        assert [len(entry["states"]) for entry in _chains().values()] == [2]
 
 
 def test_the_working_set_guard_counts_the_chain(monkeypatch):
@@ -631,10 +579,10 @@ def test_the_working_set_guard_counts_the_chain(monkeypatch):
     ibp_table(PREFIX_EXP, SWEEP_U, v, (2, 7))
     recurrence_residual(PREFIX_EXP, 5, SWEEP_U, v)
     assert counts == [(3, 4, 6, 1), (3, 4, 7, 2), (3, 4, 6, 3)]
-    # A cache too small for a chain keeps none; the chain is still counted, and held.
+    # A cache too small for a level's tables keeps none of them; the chain is still counted.
     monkeypatch.setattr(energy, "_TABLES", energy._TableCache(1 << 10))
     assert energy_total(PREFIX_EXP, 6, SWEEP_U, v) == _cold_call(lambda: energy_total(PREFIX_EXP, 6, SWEEP_U, v))
-    assert counts[3:] == [(3, 4, 6, 1)] * 2 and _chains() == {}
+    assert counts[3:] == [(3, 4, 6, 1)] * 2
 
 # -- the fused residuals against one pass per pulled-back pair --------------
 
@@ -650,7 +598,7 @@ def test_fused_residuals_equal_the_three_pass_routes(seq, l, high):
 
 
 def _outcome(fn, *args):
-    # From a cleared cache, so that neither route reads the other's moment chains.
+    # From a cleared cache, so that neither route reads the other's level tables.
     energy._TABLES.clear()
     try:
         return fn(*args)

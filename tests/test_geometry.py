@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from functools import partial
 
@@ -347,6 +348,16 @@ def test_non_finite_ratio_is_rejected(ratio):
     # Unchecked, a NaN ratio gives NaN maps whose residual reads as 0.
     with pytest.raises(ValueError, match="beta/alpha must be finite"):
         triple(0.5, ratio)
+
+
+@pytest.mark.parametrize("ratio", [1.7e308, -1.7e308])
+def test_a_ratio_whose_map_entries_overflow_is_rejected(ratio):
+    # (alpha + 3 beta) / 4 passes the double range: unchecked, the maps hold inf entries.
+    message = f"beta/alpha {ratio!r} gives level maps past the double range at eps 0.9"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        triple(0.9, ratio)
+    # A ratio a decade lower keeps every entry and offset finite.
+    assert all(np.isfinite(arr).all() for arr in triple(0.9, ratio / 10))
 
 
 def test_prefactor_underflow_names_generation_and_depth():
